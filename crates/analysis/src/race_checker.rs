@@ -188,6 +188,11 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "add_row_fused", accesses: GEMM },
     KernelContract { kernel: "mul_row_fused", accesses: GEMM },
     KernelContract { kernel: "mul_col_fused", accesses: ZIP },
+    // The η-weighted block reduce and its two gradients: every operand is
+    // row-aligned with the output (widths M·b, M and b differ per operand).
+    KernelContract { kernel: "weighted_block_sum", accesses: ZIP },
+    KernelContract { kernel: "weighted_block_sum_grad_blocks", accesses: ZIP },
+    KernelContract { kernel: "weighted_block_sum_grad_weights", accesses: ZIP },
     KernelContract {
         kernel: "gather_matmul",
         accesses: &[

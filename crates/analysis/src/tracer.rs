@@ -724,6 +724,34 @@ impl Recorder for ShapeTracer {
         self.tag(out, Rc::as_ptr(&seg) as usize as u64)
     }
 
+    fn weighted_block_sum(&mut self, t: Var, eta: Var) -> Var {
+        let (st, se) = (self.shape_of(t), self.shape_of(eta));
+        if st.0 != se.0 {
+            self.diag(
+                DiagnosticKind::ShapeMismatch,
+                "weighted_block_sum",
+                format!("{} block rows for {} weight rows", st.0, se.0),
+            );
+        }
+        if se.1 == 0 || st.1 == 0 || st.1 % se.1 != 0 {
+            self.diag(
+                DiagnosticKind::ShapeMismatch,
+                "weighted_block_sum",
+                format!("block matrix {st:?} does not split into {} equal column blocks", se.1),
+            );
+        }
+        let bounded = self.bounded_of(t) && self.bounded_of(eta);
+        let lower = self.nonneg_if_both(t, eta);
+        self.push_with(
+            "weighted_block_sum",
+            (st.0, st.1 / se.1.max(1)),
+            &[t, eta],
+            bounded,
+            None,
+            lower,
+        )
+    }
+
     fn dropout_mask(&mut self, a: Var, mask: Matrix) -> Var {
         let sa = self.shape_of(a);
         if mask.shape() != sa {

@@ -77,6 +77,7 @@ pub const ALL_OPS: &[&str] = &[
     "softmax_rows",
     "segment_softmax",
     "segment_weighted_sum",
+    "weighted_block_sum",
     "dropout",
 ];
 
@@ -102,7 +103,7 @@ pub fn grad_reads(op: &str) -> GradReads {
         }
         // Product rules: every operand appears in some partial.
         "mul" | "matmul" | "mul_row" | "mul_col" | "row_dots" | "segment_weighted_sum"
-        | "div" => (InputReads::All, false),
+        | "weighted_block_sum" | "div" => (InputReads::All, false),
         // LayerNorm reads x (for μ, σ) and its normalized output y.
         "layer_norm_rows" => (InputReads::First, true),
         _ => (InputReads::All, true),

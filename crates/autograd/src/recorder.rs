@@ -247,6 +247,16 @@ pub trait Recorder {
     #[must_use]
     fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var;
 
+    // ---- memory-bank reduce ------------------------------------------------
+
+    /// η-weighted block reduce (the sum over memory units in the paper's
+    /// Eq. 3): `t` is `n × M·b` — `M` column blocks of width `b`, typically
+    /// one wide `matmul` against `[W_1 | … | W_M]` — and `eta` is `n × M`;
+    /// `out[n, :] = Σ_m eta[n, m] · t[n, m·b..(m+1)·b]`, summed in
+    /// ascending `m`.
+    #[must_use]
+    fn weighted_block_sum(&mut self, t: Var, eta: Var) -> Var;
+
     // ---- misc ------------------------------------------------------------
 
     /// Elementwise product with a fixed 0/`1/(1-p)` mask (inverted

@@ -84,6 +84,9 @@ enum Op {
     SegmentSoftmax { logits: Var, seg: Rc<Vec<usize>> },
     /// `out[n] = Σ_{e ∈ seg(n)} w[e] · v.row(e)` — attention aggregation.
     SegmentWeightedSum { w: Var, v: Var, seg: Rc<Vec<usize>> },
+    /// `out[n, :] = Σ_m eta[n, m] · t[n, m·b..(m+1)·b]` — the memory-bank
+    /// reduce of the paper's Eq. 3 over the `M` column blocks of `t`.
+    WeightedBlockSum { t: Var, eta: Var },
     /// Elementwise product with a fixed (non-differentiated) mask.
     Dropout { a: Var, mask: Matrix },
 }
@@ -130,6 +133,7 @@ impl Op {
             Op::SoftmaxRows(..) => "softmax_rows",
             Op::SegmentSoftmax { .. } => "segment_softmax",
             Op::SegmentWeightedSum { .. } => "segment_weighted_sum",
+            Op::WeightedBlockSum { .. } => "weighted_block_sum",
             Op::Dropout { .. } => "dropout",
         }
     }
@@ -160,6 +164,10 @@ fn for_each_input(op: &Op, f: &mut dyn FnMut(Var)) {
         SegmentWeightedSum { w, v, .. } => {
             f(*w);
             f(*v);
+        }
+        WeightedBlockSum { t, eta } => {
+            f(*t);
+            f(*eta);
         }
     }
 }
@@ -568,6 +576,9 @@ impl Tape {
                 SegmentWeightedSum { w: w1, v: v1, seg: s1 },
                 SegmentWeightedSum { w: w2, v: v2, seg: s2 },
             ) => veq(*w1, *w2) && veq(*v1, *v2) && Rc::ptr_eq(s1, s2),
+            (WeightedBlockSum { t: t1, eta: e1 }, WeightedBlockSum { t: t2, eta: e2 }) => {
+                veq(*t1, *t2) && veq(*e1, *e2)
+            }
             _ => false,
         }
     }
@@ -899,6 +910,7 @@ impl Tape {
                 }
                 out
             }
+            WeightedBlockSum { t, eta } => self.value(*t).weighted_block_sum(self.value(*eta)),
             Dropout { a, mask } => {
                 assert_eq!(self.value(*a).shape(), mask.shape(), "dropout: mask shape mismatch");
                 self.value(*a).mul_elem(mask)
@@ -1253,6 +1265,11 @@ impl Tape {
                 Self::accum(grads, *w, gw);
                 Self::accum(grads, *v, gv);
             }
+            WeightedBlockSum { t, eta } => {
+                let (tv, ev) = (self.value(*t), self.value(*eta));
+                Self::accum(grads, *t, Matrix::weighted_block_sum_grad_blocks(ev, g));
+                Self::accum(grads, *eta, Matrix::weighted_block_sum_grad_weights(tv, g));
+            }
             Dropout { a, mask } => {
                 Self::accum(grads, *a, g.mul_elem(mask));
             }
@@ -1502,6 +1519,10 @@ impl Recorder for Tape {
 
     fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var {
         self.apply(Op::SegmentWeightedSum { w, v, seg })
+    }
+
+    fn weighted_block_sum(&mut self, t: Var, eta: Var) -> Var {
+        self.apply(Op::WeightedBlockSum { t, eta })
     }
 
     // ---- misc ------------------------------------------------------------

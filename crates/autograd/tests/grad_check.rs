@@ -323,6 +323,24 @@ fn grad_segment_weighted_sum() {
 }
 
 #[test]
+fn grad_weighted_block_sum() {
+    // 3 blocks of width 2. w.r.t. the blocks
+    check_grad(sample(4, 6, 46), |t, blocks| {
+        let eta = t.constant(sample(4, 3, 47));
+        let out = t.weighted_block_sum(blocks, eta);
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+    // w.r.t. the weights
+    check_grad(sample(4, 3, 48), |t, eta| {
+        let blocks = t.constant(sample(4, 6, 49));
+        let out = t.weighted_block_sum(blocks, eta);
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+}
+
+#[test]
 fn grad_dropout_mask_passes_through() {
     let mask = Matrix::from_vec(2, 3, vec![0.0, 2.0, 0.0, 2.0, 2.0, 0.0]);
     check_grad(sample(2, 3, 45), move |t, x| {

@@ -17,6 +17,8 @@ const MEMORY: usize = 8;
 struct Fixture {
     h: Matrix,
     w1: Vec<Matrix>,
+    /// `[W¹_1 | … | W¹_M]`, the layout the model stores.
+    w1_stack: Matrix,
     w2: Matrix,
     adj: Csr,
 }
@@ -24,29 +26,22 @@ struct Fixture {
 fn fixture(nodes: usize, edges: usize) -> Fixture {
     let mut rng = StdRng::seed_from_u64(3);
     let h = Init::Uniform(0.1).build(nodes, DIM, &mut rng);
-    let w1 = (0..MEMORY).map(|_| Init::XavierUniform.build(DIM, DIM, &mut rng)).collect();
+    let w1: Vec<Matrix> =
+        (0..MEMORY).map(|_| Init::XavierUniform.build(DIM, DIM, &mut rng)).collect();
+    let w1_stack = Matrix::concat_cols(&w1.iter().collect::<Vec<_>>());
     let w2 = Init::XavierUniform.build(DIM, MEMORY, &mut rng);
     let mut b = CsrBuilder::new(nodes, nodes);
     for _ in 0..edges {
         b.push(rng.gen_range(0..nodes), rng.gen_range(0..nodes), 1.0);
     }
-    Fixture { h, w1, w2, adj: b.build().row_normalized() }
+    Fixture { h, w1, w1_stack, w2, adj: b.build().row_normalized() }
 }
 
-/// Attention-first factoring: per-node transform, then one spmm.
+/// Attention-first factoring as `dgnn_core` records it: one wide GEMM
+/// against the stacked bank, the η-weighted block reduce, then one spmm.
 fn factored(f: &Fixture) -> Matrix {
-    let eta = f.h.matmul(&f.w2).map(|x| if x >= 0.0 { x } else { 0.2 * x });
-    let mut out: Option<Matrix> = None;
-    for (m, w) in f.w1.iter().enumerate() {
-        let transformed = f.h.matmul(w);
-        let eta_m = eta.slice_cols(m, m + 1);
-        let weighted = transformed.mul_col_broadcast(&eta_m);
-        match &mut out {
-            Some(acc) => acc.add_assign(&weighted),
-            slot @ None => *slot = Some(weighted),
-        }
-    }
-    f.adj.spmm(&out.expect("MEMORY > 0"))
+    let eta = f.h.matmul(&f.w2).leaky_relu(0.2);
+    f.adj.spmm(&f.h.matmul(&f.w1_stack).weighted_block_sum(&eta))
 }
 
 /// Naive per-edge materialization: for every edge, blend the |M| transforms

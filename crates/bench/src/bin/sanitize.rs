@@ -101,6 +101,11 @@ fn run_backend_battery(scale: usize) {
     let _ = a.add_row_fused(&row);
     let _ = a.mul_row_fused(&row);
     let _ = a.mul_col_fused(&col);
+    // `a` as 4 column blocks of width k/4.
+    let (eta, gb) = (mat(r, 4, 10), mat(r, k / 4, 11));
+    let _ = a.weighted_block_sum(&eta);
+    let _ = Matrix::weighted_block_sum_grad_blocks(&eta, &gb);
+    let _ = Matrix::weighted_block_sum_grad_weights(&a, &gb);
     let _ = a.gather_matmul(&idx, &b);
     let _ = a.gather_matmul_nt(&idx, &g);
     let _ = a.gather_rows(&idx);

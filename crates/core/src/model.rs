@@ -54,10 +54,12 @@ impl MemoryBankKind {
     }
 }
 
-/// One memory bank: `|M|` transformation matrices `W¹_m ∈ R^{d×d}` plus the
-/// attention projection `W² ∈ R^{d×|M|}` and bias `b ∈ R^{1×|M|}` of Eq. 3.
+/// One memory bank: the `|M|` transformation matrices `W¹_m ∈ R^{d×d}`
+/// stored side by side as one `d × |M|·d` parameter `[W¹_1 | … | W¹_M]`,
+/// plus the attention projection `W² ∈ R^{d×|M|}` and bias `b ∈ R^{1×|M|}`
+/// of Eq. 3.
 struct Bank {
-    w1: Vec<ParamId>,
+    w1: ParamId,
     w2: ParamId,
     bias: ParamId,
 }
@@ -356,14 +358,13 @@ impl Dgnn {
 
         let mut banks = Vec::with_capacity(MemoryBankKind::ALL.len());
         for kind in MemoryBankKind::ALL {
-            let w1 = (0..m)
-                .map(|i| {
-                    params.add(
-                        format!("{kind:?}/w1[{i}]"),
-                        Init::XavierUniform.build(d, d, &mut rng),
-                    )
-                })
-                .collect();
+            // One Xavier draw per d×d unit, not one over d×|M|·d: the fan-out
+            // of each W¹_m is d, and a single wide draw would shrink every
+            // unit's scale by sqrt(2 / (|M| + 1)).
+            let units: Vec<Matrix> =
+                (0..m).map(|_| Init::XavierUniform.build(d, d, &mut rng)).collect();
+            let w1 = params
+                .add(format!("{kind:?}/w1"), Matrix::concat_cols(&units.iter().collect::<Vec<_>>()));
             let w2 = params
                 .add(format!("{kind:?}/w2"), Init::XavierUniform.build(d, m, &mut rng));
             let bias = params.add(format!("{kind:?}/b"), Matrix::zeros(1, m));
@@ -577,8 +578,10 @@ struct Forward {
 }
 
 /// Memory-augmented encoding of a node family's features (Eq. 3): returns
-/// `(Σ_m η_m ⊙ (H·W¹_m), η)`. With `use_memory` off (`-M` ablation) the
-/// encoding collapses to the single transform `H·W¹_0` and η is uniform.
+/// `(Σ_m η_m ⊙ (H·W¹_m), η)`, computed as one GEMM against the bank's
+/// `[W¹_1 | … | W¹_M]` followed by the η-weighted block reduce. With
+/// `use_memory` off (`-M` ablation) the bank holds a single `d × d` unit
+/// and the encoding is the plain transform `H·W¹`.
 fn encode<R: Recorder>(
     tape: &mut R,
     params: &ParamSet,
@@ -586,29 +589,17 @@ fn encode<R: Recorder>(
     h: Var,
     cfg: &DgnnConfig,
 ) -> (Var, Var) {
-    let m = cfg.effective_memory_units();
     let w2 = tape.param(params, bank.w2);
     let b = tape.param(params, bank.bias);
     let logits = tape.matmul(h, w2);
     let logits = tape.add_row(logits, b);
     let eta = tape.leaky_relu(logits, cfg.leaky_slope);
+    let w1 = tape.param(params, bank.w1);
+    let transformed = tape.matmul(h, w1);
     if !cfg.use_memory {
-        let w1 = tape.param(params, bank.w1[0]);
-        let out = tape.matmul(h, w1);
-        return (out, eta);
+        return (transformed, eta);
     }
-    let mut acc: Option<Var> = None;
-    for unit in 0..m {
-        let w1 = tape.param(params, bank.w1[unit]);
-        let transformed = tape.matmul(h, w1);
-        let eta_m = tape.slice_cols(eta, unit, unit + 1);
-        let weighted = tape.mul_col(transformed, eta_m);
-        acc = Some(match acc {
-            Some(a) => tape.add(a, weighted),
-            None => weighted,
-        });
-    }
-    (acc.expect("memory_units > 0"), eta)
+    (tape.weighted_block_sum(transformed, eta), eta)
 }
 
 /// Eq. 7: LayerNorm (with learned affine ω₁/ω₂) + activation + encoded

@@ -1079,6 +1079,109 @@ impl Matrix {
         out
     }
 
+    // ---- η-weighted block reduce (the memory-bank encoder, Eq. 3) ----------
+    //
+    // `self` is `n × M·b`: M column blocks of width b, one per memory unit
+    // (the output of one wide GEMM against `[W_1 | … | W_M]`); `eta` is
+    // `n × M`. All three kernels are row-partitioned and every output
+    // element is one fixed-order fold over its own row, so results are
+    // bit-identical at any thread count.
+
+    /// `out[n, :] = Σ_m eta[n, m] · self[n, m·b..(m+1)·b]`, summed in
+    /// ascending `m` starting from the `m = 0` product — the exact rounding
+    /// sequence of `slice_cols → mul_col_broadcast → add` per block.
+    pub fn weighted_block_sum(&self, eta: &Matrix) -> Matrix {
+        assert_eq!(self.rows, eta.rows, "weighted_block_sum: height mismatch");
+        let (w, m) = (self.cols, eta.cols);
+        assert!(
+            m > 0 && w > 0 && w % m == 0,
+            "weighted_block_sum: width {w} is not a positive multiple of {m} weight columns"
+        );
+        let b = w / m;
+        let mut data = pool::alloc_overwritten(self.rows * b);
+        let (t, e) = (&self.data, &eta.data);
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, r.start * m..r.end * m)]
+        };
+        parallel::par_row_chunks("weighted_block_sum", &mut data, self.rows, b, w, reads, |range, chunk| {
+            for ((out, t_row), e_row) in chunk
+                .chunks_exact_mut(b)
+                .zip(t[range.start * w..range.end * w].chunks_exact(w))
+                .zip(e[range.start * m..range.end * m].chunks_exact(m))
+            {
+                let (first, rest) = t_row.split_at(b);
+                for (o, &x) in out.iter_mut().zip(first) {
+                    *o = x * e_row[0];
+                }
+                for (block, &k) in rest.chunks_exact(b).zip(&e_row[1..]) {
+                    for (o, &x) in out.iter_mut().zip(block) {
+                        *o += x * k;
+                    }
+                }
+            }
+        });
+        Matrix { rows: self.rows, cols: b, data }
+    }
+
+    /// Gradient of [`Matrix::weighted_block_sum`] w.r.t. the blocks:
+    /// `out[n, m·b + j] = g[n, j] · eta[n, m]` (`g` is `n × b`).
+    pub fn weighted_block_sum_grad_blocks(eta: &Matrix, g: &Matrix) -> Matrix {
+        assert_eq!(eta.rows, g.rows, "weighted_block_sum_grad_blocks: height mismatch");
+        let (m, b) = (eta.cols, g.cols);
+        assert!(m > 0 && b > 0, "weighted_block_sum_grad_blocks: empty block layout");
+        let w = m * b;
+        let mut data = pool::alloc_overwritten(g.rows * w);
+        let (e, gd) = (&eta.data, &g.data);
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * m..r.end * m), Access::read(1, r.start * b..r.end * b)]
+        };
+        parallel::par_row_chunks("weighted_block_sum_grad_blocks", &mut data, g.rows, w, w, reads, |range, chunk| {
+            for ((out, e_row), g_row) in chunk
+                .chunks_exact_mut(w)
+                .zip(e[range.start * m..range.end * m].chunks_exact(m))
+                .zip(gd[range.start * b..range.end * b].chunks_exact(b))
+            {
+                for (block, &k) in out.chunks_exact_mut(b).zip(e_row) {
+                    for (o, &x) in block.iter_mut().zip(g_row) {
+                        *o = x * k;
+                    }
+                }
+            }
+        });
+        Matrix { rows: g.rows, cols: w, data }
+    }
+
+    /// Gradient of [`Matrix::weighted_block_sum`] w.r.t. the weights:
+    /// `out[n, m] = ⟨g[n, :], t[n, m·b..(m+1)·b]⟩` (`t` is the forward
+    /// block matrix, `g` is `n × b`), each dot folded left to right like
+    /// [`Matrix::row_dots`].
+    pub fn weighted_block_sum_grad_weights(t: &Matrix, g: &Matrix) -> Matrix {
+        assert_eq!(t.rows, g.rows, "weighted_block_sum_grad_weights: height mismatch");
+        let (w, b) = (t.cols, g.cols);
+        assert!(
+            b > 0 && w > 0 && w % b == 0,
+            "weighted_block_sum_grad_weights: width {w} is not a positive multiple of {b}"
+        );
+        let m = w / b;
+        let mut data = pool::alloc_overwritten(t.rows * m);
+        let (td, gd) = (&t.data, &g.data);
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, r.start * b..r.end * b)]
+        };
+        parallel::par_row_chunks("weighted_block_sum_grad_weights", &mut data, t.rows, m, w, reads, |range, chunk| {
+            for ((out, t_row), g_row) in chunk
+                .chunks_exact_mut(m)
+                .zip(td[range.start * w..range.end * w].chunks_exact(w))
+                .zip(gd[range.start * b..range.end * b].chunks_exact(b))
+            {
+                for (o, block) in out.iter_mut().zip(t_row.chunks_exact(b)) {
+                    *o = g_row.iter().zip(block).map(|(&x, &y)| x * y).sum();
+                }
+            }
+        });
+        Matrix { rows: t.rows, cols: m, data }
+    }
+
     /// Leaky ReLU `max(x, 0) + α·min(x, 0)`.
     ///
     /// Branchless on sign-random activations (the naïve `if x >= 0.0`
@@ -1641,6 +1744,46 @@ mod tests {
             &table.gather_rows(&idx).matmul(&w),
             "gather_matmul",
         );
+    }
+
+    #[test]
+    fn weighted_block_sum_matches_per_block_ops_bitwise() {
+        let (n, m, b) = (7, 3, 5);
+        let t = awkward(n, m * b, 61);
+        let eta = awkward(n, m, 67);
+        let g = awkward(n, b, 71);
+
+        let mut fwd: Option<Matrix> = None;
+        let mut d_blocks = Vec::new();
+        let mut d_weights = Vec::new();
+        for k in 0..m {
+            let block = t.slice_cols(k * b, (k + 1) * b);
+            let col = eta.slice_cols(k, k + 1);
+            let weighted = block.mul_col_broadcast(&col);
+            fwd = Some(match fwd {
+                Some(acc) => acc.add(&weighted),
+                None => weighted,
+            });
+            d_blocks.push(g.mul_col_broadcast(&col));
+            d_weights.push(g.row_dots(&block));
+        }
+        assert_bits(&t.weighted_block_sum(&eta), &fwd.expect("m > 0"), "forward");
+        assert_bits(
+            &Matrix::weighted_block_sum_grad_blocks(&eta, &g),
+            &Matrix::concat_cols(&d_blocks.iter().collect::<Vec<_>>()),
+            "grad_blocks",
+        );
+        assert_bits(
+            &Matrix::weighted_block_sum_grad_weights(&t, &g),
+            &Matrix::concat_cols(&d_weights.iter().collect::<Vec<_>>()),
+            "grad_weights",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive multiple")]
+    fn weighted_block_sum_rejects_ragged_blocks() {
+        let _ = Matrix::zeros(4, 10).weighted_block_sum(&Matrix::zeros(4, 3));
     }
 
     #[test]

@@ -3,6 +3,9 @@
 
 use dgnn_baselines::BaselineConfig;
 use dgnn_core::DgnnConfig;
+use dgnn_data::{Dataset, TrainSampler, Triple};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A fast DGNN config for integration tests.
 pub fn quick_dgnn() -> DgnnConfig {
@@ -12,6 +15,11 @@ pub fn quick_dgnn() -> DgnnConfig {
 /// A fast baseline config for integration tests.
 pub fn quick_baseline() -> BaselineConfig {
     BaselineConfig { dim: 8, layers: 2, epochs: 3, batch_size: 256, ..BaselineConfig::default() }
+}
+
+/// One fixed 64-triple BPR batch for tracing or replaying a training step.
+pub fn sample_triples(data: &Dataset) -> Vec<Triple> {
+    TrainSampler::new(&data.graph).batch(&mut StdRng::seed_from_u64(9), 64)
 }
 
 /// HR@10 of uniformly random ranking under the 100-negative protocol.

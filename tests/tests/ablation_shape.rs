@@ -76,16 +76,11 @@ mod static_analysis {
     use dgnn_autograd::{ParamSet, Recorder};
     use dgnn_baselines::{Dgcf, DisenHan, Mhcn, Ngcf};
     use dgnn_core::Dgnn;
-    use dgnn_data::{tiny, Dataset, TrainSampler, Triple};
-    use dgnn_integration_tests::{quick_baseline, quick_dgnn};
+    use dgnn_data::tiny;
+    use dgnn_integration_tests::{quick_baseline, quick_dgnn, sample_triples};
     use dgnn_tensor::{Init, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn sample_triples(data: &Dataset) -> Vec<Triple> {
-        let sampler = TrainSampler::new(&data.graph);
-        sampler.batch(&mut StdRng::seed_from_u64(9), 64)
-    }
 
     // --- positive: the paper's model and every traced baseline are clean ---
 
@@ -144,6 +139,23 @@ mod static_analysis {
         let wv = tr.param(&params, w);
         let h = tr.matmul(x, wv);
         let loss = tr.mean_all(h);
+        let report = audit(&tr, loss, &[], &params);
+        assert!(report.has(DiagnosticKind::ShapeMismatch), "no mismatch reported:\n{report}");
+    }
+
+    #[test]
+    fn detects_ragged_memory_blocks() {
+        // 10 columns do not split into 3 equal memory-unit blocks: a
+        // trace-time diagnostic, where the tape would panic mid-step.
+        let mut params = ParamSet::new();
+        let w = leaf(&mut params, "w_stack", 4, 10);
+        let mut tr = ShapeTracer::new();
+        let x = tr.constant(Matrix::zeros(8, 4));
+        let eta = tr.constant(Matrix::zeros(8, 3));
+        let wv = tr.param(&params, w);
+        let blocks = tr.matmul(x, wv);
+        let out = tr.weighted_block_sum(blocks, eta);
+        let loss = tr.mean_all(out);
         let report = audit(&tr, loss, &[], &params);
         assert!(report.has(DiagnosticKind::ShapeMismatch), "no mismatch reported:\n{report}");
     }

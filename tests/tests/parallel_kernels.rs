@@ -2,8 +2,8 @@
 //! produce *bit-for-bit* the same floats at any thread count, because the
 //! row-range partitioning never changes any per-element reduction order.
 //! Property tests sweep random shapes and thread counts; the golden test
-//! retrains DGNN end-to-end at `threads = 4` and demands the exact serial
-//! loss history and embeddings.
+//! retrains DGNN end-to-end at `threads = 2` and `4` and demands the exact
+//! serial loss history and embeddings.
 
 use dgnn_core::{Dgnn, DgnnConfig};
 use dgnn_data::tiny;
@@ -179,6 +179,39 @@ proptest! {
     }
 
     #[test]
+    fn weighted_block_sum_family_is_bit_identical_across_threads(
+        n in 1usize..40,
+        m in 1usize..9,
+        b in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) as f32 / u32::MAX as f32) * 4.0 - 2.0
+        };
+        let t = Matrix::from_fn(n, m * b, |_, _| next());
+        let eta = Matrix::from_fn(n, m, |_, _| next());
+        let g = Matrix::from_fn(n, b, |_, _| next());
+        let run = |threads: usize| {
+            with_pool(threads, || {
+                (
+                    t.weighted_block_sum(&eta),
+                    Matrix::weighted_block_sum_grad_blocks(&eta, &g),
+                    Matrix::weighted_block_sum_grad_weights(&t, &g),
+                )
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            let pooled = run(threads);
+            assert_bits_eq(&serial.0, &pooled.0, "weighted_block_sum");
+            assert_bits_eq(&serial.1, &pooled.1, "weighted_block_sum_grad_blocks");
+            assert_bits_eq(&serial.2, &pooled.2, "weighted_block_sum_grad_weights");
+        }
+    }
+
+    #[test]
     fn gather_scatter_is_bit_identical_across_threads(
         idx in collection::vec(0usize..11, 1..40),
         src_seed in any::<u64>(),
@@ -268,31 +301,33 @@ fn assert_bits_eq_slice(a: &[f32], b: &[f32], what: &str) {
 }
 
 #[test]
-fn dgnn_training_is_bit_identical_at_four_threads() {
+fn dgnn_training_is_bit_identical_at_two_and_four_threads() {
     let data = tiny(SEED);
 
     let mut serial = Dgnn::new(quick_dgnn().with_threads(1));
     serial.fit(&data, SEED);
 
-    // Drop the dispatch threshold so the quick preset's small matrices
-    // actually cross the pool instead of taking the serial fast path.
-    let mut par = Dgnn::new(quick_dgnn().with_threads(4));
-    parallel::set_min_par_work(1);
-    par.fit(&data, SEED);
-    parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
-    parallel::set_threads(1);
+    for threads in [2, 4] {
+        // Drop the dispatch threshold so the quick preset's small matrices
+        // actually cross the pool instead of taking the serial fast path.
+        let mut par = Dgnn::new(quick_dgnn().with_threads(threads));
+        parallel::set_min_par_work(1);
+        par.fit(&data, SEED);
+        parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
+        parallel::set_threads(1);
 
-    assert_bits_eq_slice(&serial.loss_history, &par.loss_history, "DGNN loss history");
-    assert_bits_eq(
-        serial.user_embeddings(),
-        par.user_embeddings(),
-        "DGNN user embeddings",
-    );
-    assert_bits_eq(
-        serial.item_embeddings(),
-        par.item_embeddings(),
-        "DGNN item embeddings",
-    );
+        assert_bits_eq_slice(&serial.loss_history, &par.loss_history, "DGNN loss history");
+        assert_bits_eq(
+            serial.user_embeddings(),
+            par.user_embeddings(),
+            "DGNN user embeddings",
+        );
+        assert_bits_eq(
+            serial.item_embeddings(),
+            par.item_embeddings(),
+            "DGNN item embeddings",
+        );
+    }
 }
 
 #[test]

@@ -121,6 +121,11 @@ fn run_backend_battery() {
     let _ = a.add_row_fused(&row); // add_row_fused
     let _ = a.mul_row_fused(&row); // mul_row_fused
     let _ = a.mul_col_fused(&col); // mul_col_fused
+    // `a` as 4 column blocks of width 2.
+    let (eta, gb) = (mat(12, 4, 10), mat(12, 2, 11));
+    let _ = a.weighted_block_sum(&eta); // weighted_block_sum
+    let _ = Matrix::weighted_block_sum_grad_blocks(&eta, &gb); // …_grad_blocks
+    let _ = Matrix::weighted_block_sum_grad_weights(&a, &gb); // …_grad_weights
     let _ = a.gather_matmul(&idx, &b); // gather_matmul
     let _ = a.gather_matmul_nt(&idx, &g); // gather_matmul_nt (packed) / matmul_nt (scalar)
     let _ = a.gather_rows(&idx); // gather_rows
