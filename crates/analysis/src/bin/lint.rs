@@ -36,9 +36,8 @@
 //!    adjacent `// SAFETY:` comment whose justification text is at least
 //!    20 characters (marker-only or token justifications don't count; the
 //!    comment must actually argue the invariant).
-//! 12. partition-contract: any `par_row_chunks(` /
-//!    `par_row_chunks_scratch(` / `run_parts(` call site outside the
-//!    kernel modules that own them
+//! 12. partition-contract: any `par_row_chunks(` / `run_parts(` call site
+//!    outside the kernel modules that own them
 //!    (`tensor/src/{parallel,dense,sparse,topk}.rs`) needs a nearby
 //!    `// CONTRACT: <kernel>` tag naming a contract registered in
 //!    `dgnn_analysis::race_checker` — a parallel dispatch with no
@@ -109,7 +108,6 @@ struct Needles {
     rewrite_plan: String,
     rewrite_action: String,
     par_chunks: String,
-    par_chunks_scratch: String,
     run_parts: String,
     std_arch: String,
     core_arch: String,
@@ -140,7 +138,6 @@ impl Needles {
             rewrite_plan: format!("RewritePlan::n{}(", "ew"),
             rewrite_action: format!("RewriteAction{}", "::"),
             par_chunks: format!("par_row_chu{}(", "nks"),
-            par_chunks_scratch: format!("par_row_chunks_scra{}(", "tch"),
             run_parts: format!("run_pa{}(", "rts"),
             std_arch: format!("std::a{}", "rch"),
             core_arch: format!("core::a{}", "rch"),
@@ -704,7 +701,6 @@ fn lint_file(
         }
         if contract_scope
             && (code.contains(needles.par_chunks.as_str())
-                || code.contains(needles.par_chunks_scratch.as_str())
                 || code.contains(needles.run_parts.as_str()))
         {
             match contract_marker_name(&lines, i) {
@@ -1018,33 +1014,6 @@ mod tests {
         assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
 
         // The kernel modules that own pool dispatch are exempt.
-        violations.clear();
-        lint_file(Path::new("crates/tensor/src/dense.rs"), &text, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scratch_dispatch_needs_a_contract_tag_too() {
-        let needles = Needles::new();
-        let mut violations = Vec::new();
-        let mut todos = 0;
-        let text = format!(
-            "dgnn_tensor::parallel::{}args);\n",
-            needles.par_chunks_scratch
-        );
-
-        // Untagged scratch dispatch outside the kernel modules fires.
-        lint_file(Path::new("crates/core/src/model.rs"), &text, &needles, &mut violations, &mut todos);
-        assert_eq!(violations.len(), 1, "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-        assert_eq!(violations[0].rule, "partition-contract");
-
-        // A registered packed-GEMM contract name justifies it.
-        violations.clear();
-        let tagged = format!("// CONTRACT: gemm_nn_packed\n{text}");
-        lint_file(Path::new("crates/core/src/model.rs"), &tagged, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-
-        // dense.rs owns its dispatches.
         violations.clear();
         lint_file(Path::new("crates/tensor/src/dense.rs"), &text, &needles, &mut violations, &mut todos);
         assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());

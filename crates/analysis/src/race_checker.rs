@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use dgnn_tensor::sanitize::{Access, Dispatch, OUT, SCRATCH};
+use dgnn_tensor::sanitize::{Access, Dispatch, OUT};
 
 /// Declared shape of one operand access as a function of the partition's
 /// row range `row_lo..row_hi` within a dispatch over `items` rows.
@@ -59,13 +59,6 @@ pub enum Shape {
     /// A read identical to the same partition's write of the same operand
     /// — the read half of an in-place read-modify-write kernel.
     SelfRows,
-    /// A private contiguous region of a dispatcher-provided scratch buffer
-    /// (the packed-GEMM A-panel workspace, operand `SCRATCH`): one span per
-    /// partition, empty when the partition's row span is empty, with span
-    /// starts strictly advancing past the previous partition's span end —
-    /// so regions can never overlap. Obligation 3 re-proves the
-    /// disjointness concretely over the recorded intervals.
-    PartScratch,
 }
 
 /// One declared operand access of a kernel contract.
@@ -121,31 +114,22 @@ const RMW_BINARY: &[AccessSpec] = &[
 const RMW_UNARY: &[AccessSpec] =
     &[spec(OUT, true, Shape::PartRows), spec(OUT, false, Shape::SelfRows)];
 
-/// The packed-GEMM A-panel scratch pair: each partition packs its own
-/// rows into a private scratch region (write) and the microkernel reads
-/// exactly that region back.
-const PACK_SCRATCH_W: AccessSpec = spec(SCRATCH, true, Shape::PartScratch);
-const PACK_SCRATCH_R: AccessSpec = spec(SCRATCH, false, Shape::SelfRows);
-
-/// `[write OUT rows, read 0 rows, read 1 all(packed B), scratch rmw]` —
-/// the packed row-partitioned GEMM family (`matmul`, `matmul_nt`).
-const GEMM_PACKED: &[AccessSpec] = &[
+/// `[rmw OUT rows, read 0 rows, read 1 all]` — the fused `self += g·rhsᵀ`
+/// accumulators.
+const GEMM_ACC: &[AccessSpec] = &[
     spec(OUT, true, Shape::PartRows),
+    spec(OUT, false, Shape::SelfRows),
     spec(0, false, Shape::PartRows),
     spec(1, false, Shape::All),
-    PACK_SCRATCH_W,
-    PACK_SCRATCH_R,
 ];
 
-/// Packed gathered GEMM: the row table is read whole-buffer (indices are
+/// Gathered GEMM: the row table is read whole-buffer (indices are
 /// data-dependent), the index list per-partition.
-const GEMM_GATHER_PACKED: &[AccessSpec] = &[
+const GEMM_GATHER: &[AccessSpec] = &[
     spec(OUT, true, Shape::PartRows),
     spec(0, false, Shape::All),
     spec(1, false, Shape::All),
     spec(2, false, Shape::PartRows),
-    PACK_SCRATCH_W,
-    PACK_SCRATCH_R,
 ];
 
 /// The builtin contract table: every pooled kernel in `dgnn-tensor`.
@@ -161,15 +145,7 @@ const CONTRACTS: &[KernelContract] = &[
         ],
     },
     KernelContract { kernel: "matmul_nt", accesses: GEMM },
-    KernelContract {
-        kernel: "matmul_nt_acc",
-        accesses: &[
-            spec(OUT, true, Shape::PartRows),
-            spec(OUT, false, Shape::SelfRows),
-            spec(0, false, Shape::PartRows),
-            spec(1, false, Shape::All),
-        ],
-    },
+    KernelContract { kernel: "matmul_nt_acc", accesses: GEMM_ACC },
     KernelContract { kernel: "add", accesses: ZIP },
     KernelContract { kernel: "sub", accesses: ZIP },
     KernelContract { kernel: "mul_elem", accesses: ZIP },
@@ -193,15 +169,7 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "weighted_block_sum", accesses: ZIP },
     KernelContract { kernel: "weighted_block_sum_grad_blocks", accesses: ZIP },
     KernelContract { kernel: "weighted_block_sum_grad_weights", accesses: ZIP },
-    KernelContract {
-        kernel: "gather_matmul",
-        accesses: &[
-            spec(OUT, true, Shape::PartRows),
-            spec(0, false, Shape::All),
-            spec(1, false, Shape::All),
-            spec(2, false, Shape::PartRows),
-        ],
-    },
+    KernelContract { kernel: "gather_matmul", accesses: GEMM_GATHER },
     KernelContract {
         kernel: "gather_rows",
         accesses: &[
@@ -249,31 +217,25 @@ const CONTRACTS: &[KernelContract] = &[
             spec(2, false, Shape::PartRows),
         ],
     },
-    KernelContract { kernel: "gemm_nn_packed", accesses: GEMM_PACKED },
+    // The microkernel dispatches read both operands where they lie, so
+    // their partitions touch what the legacy loops touch; operand 1 is the
+    // right operand (`rhsᵀ` packed once by the dispatcher for `…_nt`).
+    KernelContract { kernel: "gemm_nn_packed", accesses: GEMM },
+    // The blocked fold parks every chain in the partition's own output rows
+    // between `k` blocks: an in-place read-modify-write of OUT.
     KernelContract {
         kernel: "gemm_tn_packed",
         accesses: &[
             spec(OUT, true, Shape::PartRows),
+            spec(OUT, false, Shape::SelfRows),
             spec(0, false, Shape::PartCols),
             spec(1, false, Shape::All),
-            PACK_SCRATCH_W,
-            PACK_SCRATCH_R,
         ],
     },
-    KernelContract { kernel: "gemm_nt_packed", accesses: GEMM_PACKED },
-    KernelContract {
-        kernel: "gemm_nt_acc_packed",
-        accesses: &[
-            spec(OUT, true, Shape::PartRows),
-            spec(OUT, false, Shape::SelfRows),
-            spec(0, false, Shape::PartRows),
-            spec(1, false, Shape::All),
-            PACK_SCRATCH_W,
-            PACK_SCRATCH_R,
-        ],
-    },
-    KernelContract { kernel: "gemm_gather_nn_packed", accesses: GEMM_GATHER_PACKED },
-    KernelContract { kernel: "gemm_gather_nt_packed", accesses: GEMM_GATHER_PACKED },
+    KernelContract { kernel: "gemm_nt_packed", accesses: GEMM },
+    KernelContract { kernel: "gemm_nt_acc_packed", accesses: GEMM_ACC },
+    KernelContract { kernel: "gemm_gather_nn_packed", accesses: GEMM_GATHER },
+    KernelContract { kernel: "gemm_gather_nt_packed", accesses: GEMM_GATHER },
 ];
 
 /// Names of every kernel with a registered builtin contract (the lint's
@@ -735,51 +697,6 @@ fn check_shape(d: &Dispatch, s: &AccessSpec, report: &mut RaceReport) {
                 dims = Some((a.stride, a.count));
             }
         }
-        Shape::PartScratch => {
-            // Private scratch regions: at most one contiguous span per
-            // partition, empty exactly when the partition's row span is
-            // empty-width, and span starts advancing monotonically past
-            // every earlier partition's span end. (Obligation 3 then
-            // proves the concrete interval disjointness independently.)
-            let mut cursor = 0usize;
-            for pi in 0..d.parts {
-                let a = find_access(d, pi, s);
-                if a.count > 1 {
-                    report.violations.push(mismatch(
-                        pi,
-                        format!("{label} declared PartScratch but observed a strided span"),
-                    ));
-                    return;
-                }
-                let span = d.partitions[pi].row_hi - d.partitions[pi].row_lo;
-                if span == 0 && !a.is_empty() {
-                    report.violations.push(mismatch(
-                        pi,
-                        format!(
-                            "{label}: empty row span but non-empty scratch region \
-                             lo={} width={}",
-                            a.lo, a.width
-                        ),
-                    ));
-                    return;
-                }
-                if a.is_empty() {
-                    continue;
-                }
-                if a.lo < cursor {
-                    report.violations.push(mismatch(
-                        pi,
-                        format!(
-                            "{label}: scratch region starts at {} inside an earlier \
-                             partition's region (high-water {cursor})",
-                            a.lo
-                        ),
-                    ));
-                    return;
-                }
-                cursor = a.end();
-            }
-        }
         Shape::SelfRows => {
             for pi in 0..d.parts {
                 let a = find_access(d, pi, s);
@@ -957,53 +874,43 @@ mod tests {
         assert!(hit.is_some(), "offset bands share an element per period");
     }
 
-    #[test]
-    fn clean_packed_gemm_dispatch_proves() {
-        // 8 rows × 3 cols, k=2, two partitions of 4 rows; scratch cap 16
-        // (one 8-lane panel of k=2 per partition).
-        let part = |p: usize| {
-            let (r, cap, used) = (p * 4..(p + 1) * 4, 16usize, 16usize);
-            vec![
-                Access::write(OUT, r.start * 3..r.end * 3),
-                Access::read(0, r.start * 2..r.end * 2),
-                Access::read(1, 0..16),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
-            ]
-        };
-        let d = two_part_dispatch("gemm_nn_packed", vec![part(0), part(1)]);
-        let r = check_dispatches(&[d]);
-        assert!(r.is_clean(), "{r}");
-        assert_eq!(r.kernels_proved, vec!["gemm_nn_packed".to_owned()]);
+    /// One partition of a blocked-TN dispatch over 8 output rows × 3 cols
+    /// of a 5×8 left operand, resuming its fold from OUT rows `own`.
+    fn tn_part(p: usize, own: std::ops::Range<usize>) -> Vec<Access> {
+        let r = p * 4..(p + 1) * 4;
+        vec![
+            Access::write(OUT, r.start * 3..r.end * 3),
+            Access::read(OUT, own.start * 3..own.end * 3),
+            Access::read_strided(0, r.start, r.len(), 8, 5),
+            Access::read(1, 0..15),
+        ]
     }
 
     #[test]
-    fn overlapping_scratch_regions_are_flagged() {
-        let part = |p: usize| {
-            let r = p * 4..(p + 1) * 4;
-            // Both partitions claim scratch 0..16: a shape violation (the
-            // second region starts inside the first) AND a concrete
-            // write-write overlap.
-            vec![
-                Access::write(OUT, r.start * 3..r.end * 3),
-                Access::read(0, r.start * 2..r.end * 2),
-                Access::read(1, 0..16),
-                Access::write(SCRATCH, 0..16),
-                Access::read(SCRATCH, 0..16),
-            ]
-        };
-        let d = two_part_dispatch("gemm_nn_packed", vec![part(0), part(1)]);
+    fn clean_blocked_tn_dispatch_proves() {
+        let d = two_part_dispatch("gemm_tn_packed", vec![tn_part(0, 0..4), tn_part(1, 4..8)]);
         let r = check_dispatches(&[d]);
-        assert!(!r.is_clean(), "shared scratch must not prove");
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.kernels_proved, vec!["gemm_tn_packed".to_owned()]);
+    }
+
+    #[test]
+    fn resuming_from_another_partitions_rows_is_flagged() {
+        // Partition 1 resumes its fold from partition 0's output rows: a
+        // shape violation (not its own write span) AND a concrete
+        // cross-partition read.
+        let d = two_part_dispatch("gemm_tn_packed", vec![tn_part(0, 0..4), tn_part(1, 0..4)]);
+        let r = check_dispatches(&[d]);
         assert!(
-            r.violations.iter().any(|v| matches!(v, RaceViolation::ContractMismatch { .. })),
-            "PartScratch monotonicity must flag the overlap: {r}"
+            r.violations.iter().any(|v| matches!(v, RaceViolation::ContractMismatch { part: 1, .. })),
+            "SelfRows must flag the foreign read: {r}"
         );
         assert!(
-            r.violations
-                .iter()
-                .any(|v| matches!(v, RaceViolation::OverlappingWrites { operand, .. } if *operand == SCRATCH)),
-            "obligation 3 must flag the concrete scratch write overlap: {r}"
+            r.violations.iter().any(|v| matches!(
+                v,
+                RaceViolation::CrossPartitionRead { reader: 1, writer: 0, operand, .. } if *operand == OUT
+            )),
+            "obligation 3 must flag the concrete read of partition 0's rows: {r}"
         );
     }
 

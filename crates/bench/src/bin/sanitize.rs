@@ -79,6 +79,9 @@ fn run_backend_battery(scale: usize) {
 
     let _ = a.matmul(&b);
     let _ = a.matmul_tn(&g);
+    // A reduction of several k blocks, ragged in both output dimensions:
+    // the packed fold reads its own output rows back between blocks.
+    let _ = mat(150, r + 1, 12).matmul_tn(&mat(150, k + 1, 13));
     let _ = a.matmul_nt(&g);
     let mut acc = mat(r, r, 6);
     acc.matmul_nt_acc(&g, &mat(r, k, 7));

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
-use crate::sanitize::{Access, OUT, SCRATCH};
+use crate::sanitize::{Access, OUT};
 use crate::{gemm, parallel, pool};
 
 /// A row-major dense matrix of `f32`.
@@ -174,14 +174,15 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Routed through the packed GEMM subsystem ([`crate::gemm`]): B is
-    /// packed once on the dispatching thread, each pool partition packs
-    /// its own A rows into a private scratch region and runs the selected
-    /// microkernel. Every output element accumulates over `k` ascending in
-    /// a fixed register lane — the same per-element reduction order for
-    /// any partitioning, so the result is bit-identical to serial
-    /// execution. `DGNN_GEMM=scalar` selects the legacy cache-blocked
-    /// i-k-j loops instead (historical bit-exact numerics).
+    /// Routed through the GEMM subsystem ([`crate::gemm`]): each pool
+    /// partition runs the selected microkernel over its rows of `self` and
+    /// over `rhs` where they lie; only a ragged last column panel of `rhs`
+    /// is packed, once, on the dispatching thread. Every output element
+    /// accumulates over `k` ascending in a fixed register lane — the same
+    /// per-element reduction order for any partitioning, so the result is
+    /// bit-identical to serial execution. `DGNN_GEMM=scalar` selects the
+    /// legacy cache-blocked i-k-j loops instead (historical bit-exact
+    /// numerics).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
@@ -197,27 +198,16 @@ impl Matrix {
         // The tile loop overwrites every element, so the output buffer
         // needs no zeroing.
         let mut out = Matrix { rows: m, cols: n, data: pool::alloc_overwritten(m * n) };
-        let mut pb = pool::alloc_overwritten(gemm::packed_b_len(k, n));
-        gemm::pack_b(&rhs.data, k, n, &mut pb);
-        let work = k.saturating_mul(n);
-        let (cap, mut scratch) = packed_a_scratch(m, n, work, k);
-        let a = &self.data;
-        let (pbr, pb_len) = (&pb[..], pb.len());
-        let reads = |p: usize, r: &Range<usize>| {
-            let used = gemm::packed_a_len(r.len(), k);
-            vec![
-                Access::read(0, r.start * k..r.end * k),
-                Access::read(1, 0..pb_len),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
-            ]
+        let tail = packed_tail(rhs);
+        let (a, b) = (&self.data[..], gemm::Rhs::InPlace { b: &rhs.data, tail: &tail });
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * k..r.end * k), Access::read(1, 0..rhs.data.len())]
         };
-        parallel::par_row_chunks_scratch("gemm_nn_packed", &mut out.data, m, n, work, &mut scratch, reads, |rows, chunk, scr| {
-            gemm::pack_a(a, k, &rows, scr);
-            gemm::tile_loop(be, scr, pbr, k, n, rows.len(), chunk, false);
+        parallel::par_row_chunks("gemm_nn_packed", &mut out.data, m, n, k.saturating_mul(n), reads, |rows, chunk| {
+            let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
+            gemm::tile_loop(be, &lhs, &b, k, n, rows.len(), chunk, gemm::Fold::Fresh);
         });
-        pool::recycle_vec(scratch);
-        pool::recycle_vec(pb);
+        pool::recycle_vec(tail);
         out
     }
 
@@ -256,31 +246,25 @@ impl Matrix {
         }
         let (m, c, n) = (self.rows, self.cols, rhs.cols);
         let mut out = Matrix { rows: c, cols: n, data: pool::alloc_overwritten(c * n) };
-        let mut pb = pool::alloc_overwritten(gemm::packed_b_len(m, n));
-        gemm::pack_b(&rhs.data, m, n, &mut pb);
-        let work = m.saturating_mul(n);
-        // The reduction dimension here is `m` (rows of `self`).
-        let (cap, mut scratch) = packed_a_scratch(c, n, work, m);
-        let a = &self.data;
-        let (pbr, pb_len) = (&pb[..], pb.len());
+        let tail = packed_tail(rhs);
+        let (a, b) = (&self.data[..], gemm::Rhs::InPlace { b: &rhs.data, tail: &tail });
         // Each partition reads a *column* band of `self`: elements
         // `k*c + i` for its output rows `i` — a strided span, not a
-        // contiguous one (declaring the whole of `a` would be over-broad).
-        let reads = |p: usize, r: &Range<usize>| {
-            let used = gemm::packed_a_len(r.len(), m);
+        // contiguous one (declaring the whole of `a` would be over-broad) —
+        // and, from the second `k` block on, its own output rows back.
+        let reads = |r: &Range<usize>| {
             vec![
+                Access::read(OUT, r.start * n..r.end * n),
                 Access::read_strided(0, r.start, r.len(), c, if r.is_empty() { 0 } else { m }),
-                Access::read(1, 0..pb_len),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
+                Access::read(1, 0..rhs.data.len()),
             ]
         };
-        parallel::par_row_chunks_scratch("gemm_tn_packed", &mut out.data, c, n, work, &mut scratch, reads, |rows, chunk, scr| {
-            gemm::pack_at(a, m, c, &rows, scr);
-            gemm::tile_loop(be, scr, pbr, m, n, rows.len(), chunk, false);
+        // The reduction dimension here is `m` (rows of `self`).
+        parallel::par_row_chunks("gemm_tn_packed", &mut out.data, c, n, m.saturating_mul(n), reads, |rows, chunk| {
+            let lhs = gemm::Lhs { data: a, lane: |r| rows.start + r, k_stride: c };
+            gemm::tile_loop_blocked(be, &lhs, &b, m, n, rows.len(), chunk);
         });
-        pool::recycle_vec(scratch);
-        pool::recycle_vec(pb);
+        pool::recycle_vec(tail);
         out
     }
 
@@ -319,26 +303,15 @@ impl Matrix {
         }
         let (m, k, jn) = (self.rows, self.cols, rhs.rows);
         let mut out = Matrix { rows: m, cols: jn, data: pool::alloc_overwritten(m * jn) };
-        let mut pb = pool::alloc_overwritten(gemm::packed_b_len(k, jn));
-        gemm::pack_bt(&rhs.data, jn, k, &mut pb);
-        let work = k.saturating_mul(jn);
-        let (cap, mut scratch) = packed_a_scratch(m, jn, work, k);
-        let a = &self.data;
-        let (pbr, pb_len) = (&pb[..], pb.len());
-        let reads = |p: usize, r: &Range<usize>| {
-            let used = gemm::packed_a_len(r.len(), k);
-            vec![
-                Access::read(0, r.start * k..r.end * k),
-                Access::read(1, 0..pb_len),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
-            ]
+        let pb = packed_bt(rhs);
+        let (a, b) = (&self.data[..], gemm::Rhs::Packed(&pb));
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * k..r.end * k), Access::read(1, 0..pb.len())]
         };
-        parallel::par_row_chunks_scratch("gemm_nt_packed", &mut out.data, m, jn, work, &mut scratch, reads, |rows, chunk, scr| {
-            gemm::pack_a(a, k, &rows, scr);
-            gemm::tile_loop(be, scr, pbr, k, jn, rows.len(), chunk, false);
+        parallel::par_row_chunks("gemm_nt_packed", &mut out.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
+            let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
+            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk, gemm::Fold::Fresh);
         });
-        pool::recycle_vec(scratch);
         pool::recycle_vec(pb);
         out
     }
@@ -662,27 +635,19 @@ impl Matrix {
             return self.matmul_nt_acc_legacy(g, rhs);
         }
         let (m, k, jn) = (g.rows, g.cols, rhs.rows);
-        let mut pb = pool::alloc_overwritten(gemm::packed_b_len(k, jn));
-        gemm::pack_bt(&rhs.data, jn, k, &mut pb);
-        let work = k.saturating_mul(jn);
-        let (cap, mut scratch) = packed_a_scratch(m, jn, work, k);
-        let a = &g.data;
-        let (pbr, pb_len) = (&pb[..], pb.len());
-        let reads = |p: usize, r: &Range<usize>| {
-            let used = gemm::packed_a_len(r.len(), k);
+        let pb = packed_bt(rhs);
+        let (a, b) = (&g.data[..], gemm::Rhs::Packed(&pb));
+        let reads = |r: &Range<usize>| {
             vec![
                 Access::read(OUT, r.start * jn..r.end * jn),
                 Access::read(0, r.start * k..r.end * k),
-                Access::read(1, 0..pb_len),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
+                Access::read(1, 0..pb.len()),
             ]
         };
-        parallel::par_row_chunks_scratch("gemm_nt_acc_packed", &mut self.data, m, jn, work, &mut scratch, reads, |rows, chunk, scr| {
-            gemm::pack_a(a, k, &rows, scr);
-            gemm::tile_loop(be, scr, pbr, k, jn, rows.len(), chunk, true);
+        parallel::par_row_chunks("gemm_nt_acc_packed", &mut self.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
+            let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
+            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk, gemm::Fold::AddTo);
         });
-        pool::recycle_vec(scratch);
         pool::recycle_vec(pb);
     }
 
@@ -736,30 +701,22 @@ impl Matrix {
         let (k, n) = (self.cols, rhs.cols);
         let m = idx.len();
         let mut out = Matrix { rows: m, cols: n, data: pool::alloc_overwritten(m * n) };
-        let mut pb = pool::alloc_overwritten(gemm::packed_b_len(k, n));
-        gemm::pack_b(&rhs.data, k, n, &mut pb);
-        let work = k.saturating_mul(n);
-        let (cap, mut scratch) = packed_a_scratch(m, n, work, k);
-        let a = &self.data;
-        let (pbr, pb_len) = (&pb[..], pb.len());
+        let tail = packed_tail(rhs);
+        let (a, b) = (&self.data[..], gemm::Rhs::InPlace { b: &rhs.data, tail: &tail });
         // Gathered rows are data-dependent, so the table read is honestly
         // whole-buffer; the index list itself is read per-partition.
-        let reads = |p: usize, r: &Range<usize>| {
-            let used = gemm::packed_a_len(r.len(), k);
+        let reads = |r: &Range<usize>| {
             vec![
                 Access::read(0, 0..a.len()),
-                Access::read(1, 0..pb_len),
+                Access::read(1, 0..rhs.data.len()),
                 Access::read(2, r.clone()),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
             ]
         };
-        parallel::par_row_chunks_scratch("gemm_gather_nn_packed", &mut out.data, m, n, work, &mut scratch, reads, |rows, chunk, scr| {
-            gemm::pack_a_gathered(a, idx, k, &rows, scr);
-            gemm::tile_loop(be, scr, pbr, k, n, rows.len(), chunk, false);
+        parallel::par_row_chunks("gemm_gather_nn_packed", &mut out.data, m, n, k.saturating_mul(n), reads, |rows, chunk| {
+            let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
+            gemm::tile_loop(be, &lhs, &b, k, n, rows.len(), chunk, gemm::Fold::Fresh);
         });
-        pool::recycle_vec(scratch);
-        pool::recycle_vec(pb);
+        pool::recycle_vec(tail);
         out
     }
 
@@ -784,8 +741,8 @@ impl Matrix {
 
     /// Fused `gather(self, idx) · rhsᵀ` without materializing the gathered
     /// matrix: output row `i` is `self.row(idx[i]) · rhsᵀ`. On a packed
-    /// backend the gathered rows are packed straight from the table into
-    /// per-partition A panels; on the scalar backend this delegates to
+    /// backend the microkernel reads the gathered rows straight from the
+    /// table; on the scalar backend this delegates to
     /// `gather_rows(idx).matmul_nt(rhs)` (which it is bit-identical to on
     /// every backend).
     pub fn gather_matmul_nt(&self, idx: &[usize], rhs: &Matrix) -> Matrix {
@@ -806,27 +763,19 @@ impl Matrix {
         let (k, jn) = (self.cols, rhs.rows);
         let m = idx.len();
         let mut out = Matrix { rows: m, cols: jn, data: pool::alloc_overwritten(m * jn) };
-        let mut pb = pool::alloc_overwritten(gemm::packed_b_len(k, jn));
-        gemm::pack_bt(&rhs.data, jn, k, &mut pb);
-        let work = k.saturating_mul(jn);
-        let (cap, mut scratch) = packed_a_scratch(m, jn, work, k);
-        let a = &self.data;
-        let (pbr, pb_len) = (&pb[..], pb.len());
-        let reads = |p: usize, r: &Range<usize>| {
-            let used = gemm::packed_a_len(r.len(), k);
+        let pb = packed_bt(rhs);
+        let (a, b) = (&self.data[..], gemm::Rhs::Packed(&pb));
+        let reads = |r: &Range<usize>| {
             vec![
                 Access::read(0, 0..a.len()),
-                Access::read(1, 0..pb_len),
+                Access::read(1, 0..pb.len()),
                 Access::read(2, r.clone()),
-                Access::write(SCRATCH, p * cap..p * cap + used),
-                Access::read(SCRATCH, p * cap..p * cap + used),
             ]
         };
-        parallel::par_row_chunks_scratch("gemm_gather_nt_packed", &mut out.data, m, jn, work, &mut scratch, reads, |rows, chunk, scr| {
-            gemm::pack_a_gathered(a, idx, k, &rows, scr);
-            gemm::tile_loop(be, scr, pbr, k, jn, rows.len(), chunk, false);
+        parallel::par_row_chunks("gemm_gather_nt_packed", &mut out.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
+            let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
+            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk, gemm::Fold::Fresh);
         });
-        pool::recycle_vec(scratch);
         pool::recycle_vec(pb);
         out
     }
@@ -1233,17 +1182,21 @@ impl Matrix {
     }
 }
 
-/// Sizes the dispatcher-side A-panel scratch for a packed GEMM over `rows`
-/// output rows of width `cols` with reduction length `k`: one
-/// `packed_a_len(max_span, k)`-float region per planned partition, where
-/// `max_span = rows.div_ceil(parts)` bounds any [`parallel::part_range`]
-/// span. Uses the same [`parallel::planned_row_parts`] plan the dispatch
-/// itself will compute, so the region count can never disagree. Returns
-/// `(per-partition capacity, scratch buffer)`.
-fn packed_a_scratch(rows: usize, cols: usize, work_per_row: usize, k: usize) -> (usize, Vec<f32>) {
-    let parts = parallel::planned_row_parts(rows, cols, work_per_row);
-    let cap = gemm::packed_a_len(rows.div_ceil(parts), k);
-    (cap, pool::alloc_overwritten(parts * cap))
+/// The ragged last column panel of `rhs` (columns past the last multiple of
+/// [`gemm::NR`]), packed on the dispatching thread for the in-place tile
+/// loop; empty when there is none.
+fn packed_tail(rhs: &Matrix) -> Vec<f32> {
+    let mut tail = pool::alloc_overwritten(gemm::packed_tail_len(rhs.rows, rhs.cols));
+    gemm::pack_b_tail(&rhs.data, rhs.rows, rhs.cols, &mut tail);
+    tail
+}
+
+/// `rhsᵀ` packed into column panels on the dispatching thread — the one
+/// right-operand layout the tile loop cannot read in place.
+fn packed_bt(rhs: &Matrix) -> Vec<f32> {
+    let mut pb = pool::alloc_overwritten(gemm::packed_b_len(rhs.cols, rhs.rows));
+    gemm::pack_bt(&rhs.data, rhs.rows, rhs.cols, &mut pb);
+    pb
 }
 
 /// Cache-blocked i-k-j GEMM microkernel over one span of output rows.

@@ -1,10 +1,10 @@
-//! AVX2/FMA 8×8 f32 microkernel over packed panels.
+//! AVX2/FMA 8×8 f32 microkernel over strided operands.
 //!
 //! The register tile is one `ymm` accumulator per row (8 column lanes), so
 //! output element `(i, j)` is lane `j` of `acc[i]` for the entire `k`
 //! loop: a pure chain of `vfmadd` operations from `0.0` in ascending `kk`
 //! order. That fixed per-lane fold is the whole determinism argument —
-//! nothing about partitioning, panel position, or thread count can reach
+//! nothing about partitioning, operand layout, or thread count can reach
 //! the arithmetic.
 
 #[cfg(target_arch = "x86")]
@@ -17,51 +17,77 @@ use arch::{
     _mm256_setzero_ps, _mm256_storeu_ps,
 };
 
-/// Computes one `8 × 8` register tile over packed panels `pa` (column-major
-/// `8 × k` A panel) and `pb` (row-major `k × 8` B panel), then stores the
-/// top-left `rows × cols` corner to `c` with row stride `rsc` — overwriting
-/// when `acc` is false, adding one `+` per element when true.
+use super::Fold;
+
+/// Computes one `8 × 8` register tile over `k` steps. A element `(i, kk)`
+/// is `*a.add(lanes[i] + kk * a_k)`; B row `kk` is the 8 contiguous floats
+/// at `b.add(kk * b_k)`. The top-left `rows × cols` corner goes to `c` with
+/// row stride `rsc` as `fold` says: [`Fold::Fresh`] overwrites,
+/// [`Fold::AddTo`] adds one `+` per element, [`Fold::Resume`] starts every
+/// chain from the value already in `c` and overwrites.
 ///
 /// # Safety
 /// Caller must guarantee: the CPU supports `avx2` and `fma` (the dispatch
-/// in [`super::tile_loop`] checks via `is_x86_feature_detected!`); `pa` and
-/// `pb` point to at least `8 * k` readable floats each; and for every
-/// `i < rows`, `j < cols`, the address `c + i*rsc + j` is writable —
-/// i.e. `c` covers the partition's output chunk with `rows <= 8`,
+/// in [`super::tile_loop`] checks via `is_x86_feature_detected!`);
+/// `k >= 1` (the tile loop answers `k == 0` without a kernel call); for
+/// every `i < 8` and `kk < k`, `a + lanes[i] + kk*a_k` is a readable float
+/// and `b + kk*b_k` starts 8 readable floats; and for every `i < rows`,
+/// `j < cols`, the address `c + i*rsc + j` is readable and writable — i.e.
+/// `c` covers the partition's output chunk with `rows <= 8`,
 /// `cols <= min(8, rsc)`.
+#[allow(clippy::too_many_arguments)] // (ptr, strides) per operand is the kernel ABI
 // SAFETY: the `# Safety` contract above is the full argument — feature
 // availability is established by the dispatcher's runtime detection, and
-// the panel/output pointers are in-bounds by the tile geometry.
+// the operand/output pointers are in-bounds by the checks in `tile_loop`.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn kernel_8x8(
     k: usize,
-    pa: *const f32,
-    pb: *const f32,
+    a: *const f32,
+    lanes: &[usize; 8],
+    a_k: usize,
+    b: *const f32,
+    b_k: usize,
     c: *mut f32,
     rsc: usize,
     rows: usize,
     cols: usize,
-    acc: bool,
+    fold: Fold,
 ) {
-    // SAFETY: delegated to the caller contract above — every pointer
-    // arithmetic below stays inside the `8*k` panels and the `rows×cols`
-    // corner of `c`, and the target features are verified before dispatch.
+    // SAFETY: delegated to the caller contract above — every read below is
+    // at `a + lanes[i] + kk*a_k` or `b + kk*b_k .. +8` with `kk < k`, every
+    // access to `c` stays inside its `rows×cols` corner, and the target
+    // features are verified before dispatch.
     unsafe {
         let mut t: [__m256; 8] = [_mm256_setzero_ps(); 8];
-        for kk in 0..k {
-            let b = _mm256_loadu_ps(pb.add(kk * 8));
-            let a = pa.add(kk * 8);
-            // Fully unrolled by the fixed bound: 8 broadcasts + 8 fmadds
-            // per kk, one accumulator register per output row.
-            for (i, ti) in t.iter_mut().enumerate() {
-                let ai = _mm256_broadcast_ss(&*a.add(i));
-                *ti = _mm256_fmadd_ps(ai, b, *ti);
+        if fold == Fold::Resume {
+            for (i, ti) in t.iter_mut().enumerate().take(rows) {
+                let row = c.add(i * rsc);
+                if cols == 8 {
+                    *ti = _mm256_loadu_ps(row);
+                } else {
+                    // Dead columns restart from 0.0; they only ever fold
+                    // the zero padding of the packed tail panel.
+                    let mut tmp = [0.0f32; 8];
+                    std::ptr::copy_nonoverlapping(row, tmp.as_mut_ptr(), cols);
+                    *ti = _mm256_loadu_ps(tmp.as_ptr());
+                }
             }
         }
+        let ap: [*const f32; 8] = std::array::from_fn(|i| a.add(lanes[i]));
+        for kk in 0..k {
+            let bv = _mm256_loadu_ps(b.add(kk * b_k));
+            // Fully unrolled by the fixed bound: 8 broadcasts + 8 fmadds
+            // per kk, one accumulator register per output row.
+            for (ti, ai) in t.iter_mut().zip(&ap) {
+                let av = _mm256_broadcast_ss(&*ai.add(kk * a_k));
+                *ti = _mm256_fmadd_ps(av, bv, *ti);
+            }
+        }
+        let add = fold == Fold::AddTo;
         for (i, ti) in t.iter().enumerate().take(rows) {
             let row = c.add(i * rsc);
             if cols == 8 {
-                if acc {
+                if add {
                     // One rounded `+` per element after the register fold:
                     // bit-identical to temp-then-add_assign.
                     _mm256_storeu_ps(row, _mm256_add_ps(_mm256_loadu_ps(row), *ti));
@@ -72,7 +98,7 @@ pub(crate) unsafe fn kernel_8x8(
                 let mut tmp = [0.0f32; 8];
                 _mm256_storeu_ps(tmp.as_mut_ptr(), *ti);
                 for (j, &v) in tmp.iter().enumerate().take(cols) {
-                    if acc {
+                    if add {
                         *row.add(j) += v;
                     } else {
                         *row.add(j) = v;

@@ -1,45 +1,53 @@
-//! Portable unrolled scalar 8×8 microkernel over packed panels — the
+//! Portable unrolled scalar 8×8 microkernel over strided operands — the
 //! always-available fallback backend.
 //!
-//! Same packed layout and tile geometry as the SIMD kernels, implemented
-//! with plain `mul` + `add` (two roundings per step, like the legacy
-//! scalar loops — software `mul_add` would be correct but slow on
+//! Same operand description and tile geometry as the SIMD kernels,
+//! implemented with plain `mul` + `add` (two roundings per step, like the
+//! legacy scalar loops — software `mul_add` would be correct but slow on
 //! hardware without FMA, which is exactly where this kernel runs). Each
 //! output element folds over ascending `kk` from `0.0` in a fixed tile
 //! slot, so parallel results are bit-identical to serial.
 
-use super::{MR, NR};
+use super::{Fold, MR, NR};
 
-/// Computes one `MR × NR` tile over packed panels and stores the
-/// `rows × cols` live corner into `out[c0..]` with row stride `rsc`;
-/// `acc` adds one `+` per element instead of overwriting. Safe code: all
-/// indexing is slice-checked.
+/// Computes one `MR × NR` tile over `k` steps — A element `(i, kk)` is
+/// `a[lanes[i] + kk * a_k]`, B row `kk` is `b[kk * b_k..][..NR]` — and
+/// stores the `rows × cols` live corner into `out[c0..]` with row stride
+/// `rsc` as `fold` says (see [`Fold`]). Safe code: all indexing is
+/// slice-checked.
 #[allow(clippy::too_many_arguments)] // mirrors the unsafe SIMD kernel ABI
 pub(crate) fn kernel_8x8(
     k: usize,
-    pa: &[f32],
-    pb: &[f32],
+    a: &[f32],
+    lanes: &[usize; MR],
+    a_k: usize,
+    b: &[f32],
+    b_k: usize,
     out: &mut [f32],
     c0: usize,
     rsc: usize,
     rows: usize,
     cols: usize,
-    acc: bool,
+    fold: Fold,
 ) {
     let mut t = [[0.0f32; NR]; MR];
+    if fold == Fold::Resume {
+        for (i, ti) in t.iter_mut().enumerate().take(rows) {
+            ti[..cols].copy_from_slice(&out[c0 + i * rsc..c0 + i * rsc + cols]);
+        }
+    }
     for kk in 0..k {
-        let a = &pa[kk * MR..kk * MR + MR];
-        let b = &pb[kk * NR..kk * NR + NR];
-        for (i, ti) in t.iter_mut().enumerate() {
-            let ai = a[i];
-            for (tij, &bj) in ti.iter_mut().zip(b) {
+        let bv = &b[kk * b_k..kk * b_k + NR];
+        for (ti, &lane) in t.iter_mut().zip(lanes) {
+            let ai = a[lane + kk * a_k];
+            for (tij, &bj) in ti.iter_mut().zip(bv) {
                 *tij += ai * bj;
             }
         }
     }
     for (i, ti) in t.iter().enumerate().take(rows) {
         let row = &mut out[c0 + i * rsc..c0 + i * rsc + cols];
-        if acc {
+        if fold == Fold::AddTo {
             for (o, &v) in row.iter_mut().zip(ti) {
                 *o += v;
             }

@@ -1,29 +1,48 @@
-//! Packed-panel GEMM subsystem with runtime-dispatched SIMD microkernels.
+//! Register-tiled GEMM subsystem with runtime-dispatched SIMD microkernels
+//! that read their operands where they lie.
 //!
 //! Every dense matmul entry point in [`crate::Matrix`] (`matmul`,
 //! `matmul_tn`, `matmul_nt`, `matmul_nt_acc`, the gathered variants) routes
 //! through this module unless the legacy scalar backend is selected. The
-//! design is the classic two-level packing scheme (tract / BLIS style):
+//! microkernels take a strided operand description (the `(ptr, rs, cs)`
+//! interface of BLIS / tract, carried all the way into the kernel), so at
+//! the tall-skinny shapes this repo trains at — where a packing pass costs
+//! as much as the multiply — nothing is copied that does not have to be:
 //!
-//! * **A panels** — the left operand's rows are packed into `MR`-row
-//!   panels laid out column-major *within* the panel: for each inner index
-//!   `kk`, the panel stores the `MR` row values contiguously. Rows past the
-//!   end of the operand (edge panels) are zero-filled. Packing happens
-//!   *per partition* into a dispatcher-provided scratch region, so pool
-//!   workers never allocate and the scratch writes are provably disjoint.
-//! * **B panels** — the right operand's columns are packed into `NR`-column
-//!   panels laid out row-major within the panel: for each `kk`, the `NR`
-//!   column values are contiguous. Edge panels zero-fill the missing
-//!   columns. B is packed once on the dispatching thread and shared
-//!   read-only by every partition.
-//! * **Microkernel** — an `MR × NR` register tile accumulates over the full
-//!   `k` extent in one pass. Each output element `(i, j)` lives in a fixed
-//!   register lane for the whole loop and is a fold over ascending `kk` of
-//!   single-rounding operations starting from `0.0` — the accumulation
-//!   order depends on neither the panel index, the partition boundaries,
-//!   nor the thread count, so parallel results are bit-identical to serial
-//!   for every backend. Zero-padded panel lanes contribute exact zeros and
-//!   are masked away at store time.
+//! * **Left operand, in place** ([`Lhs`]) — tile lane `i` at inner index
+//!   `kk` is `data[lane(i) + kk * k_stride]`. Row-major rows (`matmul`,
+//!   `matmul_nt`, `matmul_nt_acc`) are `lane = row * k`, `k_stride = 1`;
+//!   the gathered variants put `idx[row] * k` in the same slot; `matmul_tn`
+//!   reads a column band of `self` as `lane = col`, `k_stride = cols`. The
+//!   dead lanes of a ragged last `MR`-row tile are clamped to its last live
+//!   row — an in-bounds re-read whose products are never stored — instead
+//!   of being zero-padded into a copy.
+//! * **Right operand** ([`Rhs`]) — B row `kk` of an `NR`-column panel is 8
+//!   contiguous floats. A row-major `k × n` operand (`matmul`, `matmul_tn`,
+//!   `gather_matmul`) already has that shape and is read in place with row
+//!   stride `n`. Packing survives only where the layout truly differs, both
+//!   times once on the dispatching thread and shared read-only by every
+//!   partition: [`pack_bt`] for the `…_nt` right operand (its panels run
+//!   down `rhs` columns), and [`pack_b_tail`] for the one ragged
+//!   `n % NR` column panel, whose in-place 8-float load would run past the
+//!   row (and, on the last row, past the operand). Pool workers allocate
+//!   and copy nothing.
+//! * **Microkernel** — an `MR × NR` register tile accumulates over `k`.
+//!   Each output element `(i, j)` lives in a fixed register lane and is a
+//!   fold over ascending `kk` of single-rounding operations starting from
+//!   `0.0` — the accumulation order depends on neither the operand layout,
+//!   the tile index, the partition boundaries, nor the thread count, so
+//!   parallel results are bit-identical to serial for every backend, and
+//!   in-place results are bit-identical to the pack-then-tile pipeline this
+//!   module used to run (kept as the test oracle below).
+//! * **Blocked reduction** ([`tile_loop_blocked`], `matmul_tn`) — when `k`
+//!   is the long dimension (`Hᵀ·G` reduces over every node), one pass per
+//!   tile would stream all of B once per tile. The loop instead walks `k`
+//!   in [`K_BLOCK`]-row blocks and runs every tile over a block while it is
+//!   in cache; between blocks each element's chain is parked in its own
+//!   output slot and picked up again ([`Fold::Resume`]: load C, keep
+//!   folding, store). An f32 store/load is exact, so this is still the one
+//!   ascending-`kk` fold from `0.0`.
 //!
 //! Backends:
 //!
@@ -31,12 +50,12 @@
 //!   CPU reports both features at runtime.
 //! * [`Backend::Neon`] — aarch64 NEON 8×8 kernel ([`neon`]).
 //! * [`Backend::Generic`] — portable unrolled scalar 8×8 kernel on the
-//!   same packed layout ([`generic`]); the always-available packed
+//!   same operand description ([`generic`]); the always-available tiled
 //!   fallback.
 //! * [`Backend::Scalar`] — the legacy cache-blocked scalar loops in
-//!   `dense.rs`, bypassing packing entirely. This is the historical
-//!   kernel, bit-for-bit: forcing `DGNN_GEMM=scalar` reproduces exactly
-//!   the numbers the repo produced before this module existed.
+//!   `dense.rs`, bypassing this module's tile loop entirely. This is the
+//!   historical kernel, bit-for-bit: forcing `DGNN_GEMM=scalar` reproduces
+//!   exactly the numbers the repo produced before this module existed.
 //!
 //! Selection happens once per process from the `DGNN_GEMM` environment
 //! variable (`auto` | `avx2` | `neon` | `generic` | `scalar`); benches and
@@ -54,22 +73,22 @@ pub(crate) mod generic;
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
 
-/// Rows per packed A panel (microkernel tile height).
+/// Rows per microkernel tile.
 pub const MR: usize = 8;
-/// Columns per packed B panel (microkernel tile width).
+/// Columns per microkernel tile (and per B column panel).
 pub const NR: usize = 8;
 
 /// Which GEMM implementation executes the routed matmul entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Packed panels + AVX2/FMA 8×8 microkernel (x86/x86_64 with runtime
-    /// `avx2` + `fma` detection).
+    /// AVX2/FMA 8×8 microkernel (x86/x86_64 with runtime `avx2` + `fma`
+    /// detection).
     Avx2,
-    /// Packed panels + NEON 8×8 microkernel (aarch64).
+    /// NEON 8×8 microkernel (aarch64).
     Neon,
-    /// Packed panels + portable unrolled scalar 8×8 microkernel.
+    /// Portable unrolled scalar 8×8 microkernel.
     Generic,
-    /// Legacy cache-blocked scalar loops; no packing, historical
+    /// Legacy cache-blocked scalar loops; no tile loop, historical
     /// bit-exact numerics, legacy kernel names in the sanitizer log.
     Scalar,
 }
@@ -86,14 +105,15 @@ impl Backend {
         }
     }
 
-    /// True when this backend runs the packed-panel pipeline (everything
-    /// except the legacy scalar loops).
+    /// True when this backend runs the microkernel tile loop (everything
+    /// except the legacy scalar loops), whose calls [`GemmCounters`] counts
+    /// as `packed_calls`.
     pub fn is_packed(self) -> bool {
         !matches!(self, Backend::Scalar)
     }
 }
 
-/// Best packed backend the running CPU supports.
+/// Best tiled backend the running CPU supports.
 fn detect() -> Backend {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
@@ -179,7 +199,7 @@ pub fn set_backend(b: Option<Backend>) {
 /// `matmul_nt_acc` that older accounting lumped into backward rule totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GemmCounters {
-    /// Calls routed through the packed pipeline.
+    /// Calls routed through the microkernel tile loop.
     pub packed_calls: u64,
     /// Calls served by the legacy scalar loops.
     pub scalar_calls: u64,
@@ -222,87 +242,35 @@ pub(crate) fn row_panels(rows: usize) -> usize {
     rows.div_ceil(MR)
 }
 
-/// Length in floats of the packed-A buffer for `rows × k` (zero-padded to
-/// whole panels).
-pub(crate) fn packed_a_len(rows: usize, k: usize) -> usize {
-    row_panels(rows) * MR * k
-}
-
 /// Length in floats of the packed-B buffer for `k × n` (zero-padded to
 /// whole panels).
 pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k
 }
 
-/// Packs rows `rows` of the row-major `m? × k` matrix `a` into `MR`-row
-/// column-major panels: `out[panel][kk*MR + i] = a[(rows.start + panel*MR
-/// + i) * k + kk]`, zero-filling rows past `rows.end`.
-pub(crate) fn pack_a(a: &[f32], k: usize, rows: &Range<usize>, out: &mut [f32]) {
-    let span = rows.len();
-    let used = packed_a_len(span, k);
-    out[..used].fill(0.0);
-    for (off, r) in rows.clone().enumerate() {
-        let (panel, lane) = (off / MR, off % MR);
-        let dst = &mut out[panel * MR * k..(panel + 1) * MR * k];
-        for (kk, &v) in a[r * k..(r + 1) * k].iter().enumerate() {
-            dst[kk * MR + lane] = v;
-        }
+/// Length in floats of the packed ragged column panel of a `k × n` right
+/// operand: `k × NR` when `n % NR != 0`, nothing otherwise.
+pub(crate) fn packed_tail_len(k: usize, n: usize) -> usize {
+    match n % NR {
+        0 => 0,
+        _ => NR * k,
     }
 }
 
-/// [`pack_a`] through a row-index indirection: virtual row `i` of the left
-/// operand is `a.row(idx[i])`.
-pub(crate) fn pack_a_gathered(
-    a: &[f32],
-    idx: &[usize],
-    k: usize,
-    rows: &Range<usize>,
-    out: &mut [f32],
-) {
-    let span = rows.len();
-    let used = packed_a_len(span, k);
-    out[..used].fill(0.0);
-    for (off, r) in rows.clone().enumerate() {
-        let (panel, lane) = (off / MR, off % MR);
-        let dst = &mut out[panel * MR * k..(panel + 1) * MR * k];
-        let src = idx[r];
-        for (kk, &v) in a[src * k..(src + 1) * k].iter().enumerate() {
-            dst[kk * MR + lane] = v;
-        }
+/// Packs the ragged last column panel of the row-major `k × n` matrix `b`
+/// — columns `n - n % NR ..n` — as `k` rows of `NR` floats, zero-filling
+/// the missing columns: the one panel an in-place 8-float B load would
+/// read past (on the last row, past the operand). `out` holds
+/// [`packed_tail_len`] floats.
+pub(crate) fn pack_b_tail(b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let live = n % NR;
+    if live == 0 {
+        return;
     }
-}
-
-/// Packs *columns* `cols` of the row-major `m × c` matrix `a` as the rows
-/// of the virtual transpose `aᵀ`: panel lane `i` at inner index `kk` is
-/// `a[kk * c + (cols.start + panel*MR + i)]`. Reads are contiguous per
-/// `kk` row-slice of `a`.
-pub(crate) fn pack_at(a: &[f32], m: usize, c: usize, cols: &Range<usize>, out: &mut [f32]) {
-    let span = cols.len();
-    let used = packed_a_len(span, m);
-    out[..used].fill(0.0);
-    for kk in 0..m {
-        let a_row = &a[kk * c..(kk + 1) * c];
-        for (off, col) in cols.clone().enumerate() {
-            let (panel, lane) = (off / MR, off % MR);
-            out[panel * MR * m + kk * MR + lane] = a_row[col];
-        }
-    }
-}
-
-/// Packs the row-major `k × n` matrix `b` into `NR`-column row-major
-/// panels: `out[panel][kk*NR + j] = b[kk*n + panel*NR + j]`, zero-filling
-/// columns past `n`.
-pub(crate) fn pack_b(b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    let used = packed_b_len(k, n);
-    out[..used].fill(0.0);
-    let panels = n.div_ceil(NR);
-    for p in 0..panels {
-        let j0 = p * NR;
-        let live = NR.min(n - j0);
-        let dst = &mut out[p * NR * k..(p + 1) * NR * k];
-        for kk in 0..k {
-            dst[kk * NR..kk * NR + live].copy_from_slice(&b[kk * n + j0..kk * n + j0 + live]);
-        }
+    let j0 = n - live;
+    for (kk, dst) in out[..NR * k].chunks_exact_mut(NR).enumerate() {
+        dst[..live].copy_from_slice(&b[kk * n + j0..(kk + 1) * n]);
+        dst[live..].fill(0.0);
     }
 }
 
@@ -325,84 +293,345 @@ pub(crate) fn pack_bt(b: &[f32], jn: usize, k: usize, out: &mut [f32]) {
     }
 }
 
-/// Runs the packed tile loop for one partition: `pa` holds this
-/// partition's A panels (`span` live rows), `pb` the shared B panels for
-/// all `n` output columns, and `out` the partition's `span × n` row-major
-/// output chunk. With `acc` the tile product is *added* onto `out` (one
-/// `+` per element after the register fold — the `matmul_nt_acc`
-/// contract); otherwise it overwrites.
+/// How a tile's register fold meets the output buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fold {
+    /// Chains start at `0.0`; the tile overwrites the output.
+    Fresh,
+    /// Chains start at `0.0`; the tile is *added* onto the output with one
+    /// `+` per element after the register fold (the `matmul_nt_acc`
+    /// contract).
+    AddTo,
+    /// Chains start at the value already in the output and the tile
+    /// overwrites it: the next `k` block of a fold an earlier call began
+    /// (the blocked `matmul_tn`). An f32 store/load round trip is exact, so
+    /// the chain is the one an unblocked loop would run.
+    Resume,
+}
+
+/// The left operand of a tile loop, read where it lies: element `(r, kk)`
+/// of the partition's virtual `span × k` operand is
+/// `data[lane(r) + kk * k_stride]`.
+pub(crate) struct Lhs<'a, F: Fn(usize) -> usize> {
+    /// The whole operand buffer.
+    pub data: &'a [f32],
+    /// Offset of local output row `r`'s `kk = 0` element: `(row0 + r) * k`
+    /// for row-major rows, `idx[row0 + r] * k` for gathered rows,
+    /// `col0 + r` for the column band `matmul_tn` reads.
+    pub lane: F,
+    /// Distance between consecutive `kk`: `1` along a row, the row width
+    /// down a column.
+    pub k_stride: usize,
+}
+
+/// The right operand of a tile loop, as `NR`-column panels of a virtual
+/// `k × n` matrix.
+pub(crate) enum Rhs<'a> {
+    /// A row-major `k × n` operand read in place (B row `kk` of panel `pc`
+    /// is `b[kk * n + pc * NR..][..NR]`), plus its ragged last panel packed
+    /// by [`pack_b_tail`] (empty when `n % NR == 0`).
+    InPlace {
+        /// The operand itself.
+        b: &'a [f32],
+        /// The packed ragged panel.
+        tail: &'a [f32],
+    },
+    /// Every panel packed by [`pack_bt`], `k × NR` floats each.
+    Packed(&'a [f32]),
+}
+
+impl Rhs<'_> {
+    /// Panel `pc` at inner index `k0`: the floats from B row `k0` on, and
+    /// the distance between consecutive B rows.
+    fn panel(&self, pc: usize, k: usize, n: usize, k0: usize) -> (&[f32], usize) {
+        match *self {
+            Rhs::Packed(pb) => (&pb[(pc * k + k0) * NR..], NR),
+            Rhs::InPlace { b, .. } if (pc + 1) * NR <= n => (&b[k0 * n + pc * NR..], n),
+            Rhs::InPlace { tail, .. } => (&tail[k0 * NR..], NR),
+        }
+    }
+}
+
+/// Rows of the reduction dimension [`tile_loop_blocked`] folds per pass:
+/// `64 × n` floats of B is 32 KB at the encoder's `n = 128`, so a block is
+/// read from cache by every tile instead of being streamed once per tile.
+pub(crate) const K_BLOCK: usize = 64;
+
+/// Runs the tile loop for one partition with both operands read in place:
+/// `out` is the partition's `span × n` row-major output chunk and `k` the
+/// reduction length. [`Fold::AddTo`] adds the product onto `out`; anything
+/// else overwrites it.
 ///
 /// Every element's value is a fold over ascending `kk` from `0.0` in a
-/// fixed register lane, so the result is independent of panel boundaries,
-/// partitioning, and thread count.
-pub(crate) fn tile_loop(
+/// fixed register lane, so the result is independent of operand layout,
+/// panel boundaries, partitioning, and thread count.
+#[allow(clippy::too_many_arguments)] // two operands, three extents, output, fold
+pub(crate) fn tile_loop<F: Fn(usize) -> usize>(
     be: Backend,
-    pa: &[f32],
-    pb: &[f32],
+    a: &Lhs<'_, F>,
+    b: &Rhs<'_>,
     k: usize,
     n: usize,
     span: usize,
     out: &mut [f32],
-    acc: bool,
+    fold: Fold,
 ) {
-    debug_assert!(out.len() >= span.saturating_mul(n));
-    let rp = row_panels(span);
+    if k == 0 {
+        // An empty fold is `0.0`; no kernel runs, so no operand pointer is
+        // ever formed from an empty buffer.
+        for v in &mut out[..span * n] {
+            if fold == Fold::AddTo {
+                *v += 0.0;
+            } else {
+                *v = 0.0;
+            }
+        }
+        return;
+    }
+    tile_block(be, a, b, k, 0..k, n, span, out, fold);
+}
+
+/// [`tile_loop`] for a long reduction: walks `k` in [`K_BLOCK`]-row blocks
+/// and runs every tile over one block before moving to the next, carrying
+/// each element's chain across blocks through `out` ([`Fold::Resume`]).
+/// Bit-identical to [`tile_loop`] with [`Fold::Fresh`]: the same ascending
+/// `kk` fold from `0.0`, merely parked in memory between blocks.
+pub(crate) fn tile_loop_blocked<F: Fn(usize) -> usize>(
+    be: Backend,
+    a: &Lhs<'_, F>,
+    b: &Rhs<'_>,
+    k: usize,
+    n: usize,
+    span: usize,
+    out: &mut [f32],
+) {
+    if k <= K_BLOCK {
+        return tile_loop(be, a, b, k, n, span, out, Fold::Fresh);
+    }
+    for k0 in (0..k).step_by(K_BLOCK) {
+        let fold = if k0 == 0 { Fold::Fresh } else { Fold::Resume };
+        tile_block(be, a, b, k, k0..(k0 + K_BLOCK).min(k), n, span, out, fold);
+    }
+}
+
+/// One pass of every tile over the non-empty inner range `kr` of a
+/// `k`-long reduction.
+#[allow(clippy::too_many_arguments)] // `tile_loop`'s, plus the inner range
+fn tile_block<F: Fn(usize) -> usize>(
+    be: Backend,
+    a: &Lhs<'_, F>,
+    b: &Rhs<'_>,
+    k: usize,
+    kr: Range<usize>,
+    n: usize,
+    span: usize,
+    out: &mut [f32],
+    fold: Fold,
+) {
+    assert!(out.len() >= span.saturating_mul(n), "tile loop: output chunk too short");
+    let kb = kr.len();
     let cp = n.div_ceil(NR);
-    for pr in 0..rp {
+    for pr in 0..row_panels(span) {
         let rows_live = MR.min(span - pr * MR);
-        let pa_panel = &pa[pr * MR * k..(pr + 1) * MR * k];
+        // Dead lanes of the last panel re-read its last live row: in
+        // bounds, and their products are never stored.
+        let lanes: [usize; MR] =
+            std::array::from_fn(|i| (a.lane)(pr * MR + i.min(rows_live - 1)) + kr.start * a.k_stride);
+        let a_last = lanes.iter().copied().fold(0, usize::max) + (kb - 1) * a.k_stride;
+        assert!(a_last < a.data.len(), "tile loop: left operand read out of bounds");
         for pc in 0..cp {
             let cols_live = NR.min(n - pc * NR);
-            let pb_panel = &pb[pc * NR * k..(pc + 1) * NR * k];
+            let (bp, b_k) = b.panel(pc, k, n, kr.start);
+            assert!((kb - 1) * b_k + NR <= bp.len(), "tile loop: right operand read out of bounds");
             let c0 = pr * MR * n + pc * NR;
             match be {
                 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                // SAFETY: Avx2 is selected only after runtime checks of
-                // `avx2`+`fma` (see `detect`/`available`); panel slices
-                // carry `MR*k`/`NR*k` floats and the `rows_live×cols_live`
-                // corner at `c0` stays inside `out` by the tile geometry.
+                // Avx2 is selected only after runtime checks of `avx2`+`fma`
+                // (see `detect`/`available`), and `kb >= 1` (`kr` is
+                // non-empty).
+                // SAFETY: the two asserts above bound the furthest A element
+                // (`max lane + (kb-1)*k_stride`) and the last 8-float B row
+                // (`(kb-1)*b_k + NR`) inside their slices; the live corner
+                // at `c0` is inside `out` (length asserted on entry).
                 Backend::Avx2 => unsafe {
                     avx2::kernel_8x8(
-                        k,
-                        pa_panel.as_ptr(),
-                        pb_panel.as_ptr(),
+                        kb,
+                        a.data.as_ptr(),
+                        &lanes,
+                        a.k_stride,
+                        bp.as_ptr(),
+                        b_k,
                         out.as_mut_ptr().add(c0),
                         n,
                         rows_live,
                         cols_live,
-                        acc,
+                        fold,
                     );
                 },
                 #[cfg(target_arch = "aarch64")]
                 // SAFETY: Neon is selected only when the runtime check
-                // `is_aarch64_feature_detected!("neon")` holds; the panel
+                // `is_aarch64_feature_detected!("neon")` holds; the operand
                 // and output bounds argument is identical to the AVX2 arm
-                // (full packed panels, masked store stays inside `out`).
+                // (asserted A and B extents, masked store inside `out`).
                 Backend::Neon => unsafe {
                     neon::kernel_8x8(
-                        k,
-                        pa_panel.as_ptr(),
-                        pb_panel.as_ptr(),
+                        kb,
+                        a.data.as_ptr(),
+                        &lanes,
+                        a.k_stride,
+                        bp.as_ptr(),
+                        b_k,
                         out.as_mut_ptr().add(c0),
                         n,
                         rows_live,
                         cols_live,
-                        acc,
+                        fold,
                     );
                 },
                 // `Scalar` never reaches the tile loop (dense.rs routes it
                 // to the legacy kernels first); degrade defensively.
                 _ => generic::kernel_8x8(
-                    k,
-                    pa_panel,
-                    pb_panel,
-                    out,
-                    c0,
-                    n,
-                    rows_live,
-                    cols_live,
-                    acc,
+                    kb, a.data, &lanes, a.k_stride, bp, b_k, out, c0, n, rows_live, cols_live, fold,
                 ),
+            }
+        }
+    }
+}
+
+/// The pack-then-tile pipeline this module used before the microkernels
+/// read operands in place, kept as the oracle every entry point is held
+/// bitwise equal to: A rows packed into zero-padded `MR`-lane panels, all of
+/// B packed into `NR`-column panels, one unblocked pass of the tile loop
+/// over the panels.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Length in floats of the packed-A buffer for `rows × k`.
+    pub fn packed_a_len(rows: usize, k: usize) -> usize {
+        row_panels(rows) * MR * k
+    }
+
+    /// `out[panel][kk*MR + i] = a[src(panel*MR + i) * k + kk]`, zero-filling
+    /// the lanes past `rows`.
+    fn pack_rows(a: &[f32], k: usize, rows: usize, src: impl Fn(usize) -> usize) -> Vec<f32> {
+        let mut out = vec![0.0; packed_a_len(rows, k)];
+        for r in 0..rows {
+            let (panel, lane) = (r / MR, r % MR);
+            for (kk, &v) in a[src(r) * k..(src(r) + 1) * k].iter().enumerate() {
+                out[panel * MR * k + kk * MR + lane] = v;
+            }
+        }
+        out
+    }
+
+    /// Packs the row-major `rows × k` matrix `a`.
+    pub fn pack_a(a: &[f32], k: usize, rows: usize) -> Vec<f32> {
+        pack_rows(a, k, rows, |r| r)
+    }
+
+    /// [`pack_a`] through a row-index indirection.
+    pub fn pack_a_gathered(a: &[f32], idx: &[usize], k: usize) -> Vec<f32> {
+        pack_rows(a, k, idx.len(), |r| idx[r])
+    }
+
+    /// Packs the columns of the row-major `m × c` matrix `a` as the rows of
+    /// `aᵀ`.
+    pub fn pack_at(a: &[f32], m: usize, c: usize) -> Vec<f32> {
+        let mut out = vec![0.0; packed_a_len(c, m)];
+        for kk in 0..m {
+            for col in 0..c {
+                out[(col / MR) * MR * m + kk * MR + col % MR] = a[kk * c + col];
+            }
+        }
+        out
+    }
+
+    /// Packs the row-major `k × n` matrix `b` into zero-padded `NR`-column
+    /// panels.
+    pub fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0; packed_b_len(k, n)];
+        for kk in 0..k {
+            for j in 0..n {
+                out[(j / NR) * NR * k + kk * NR + j % NR] = b[kk * n + j];
+            }
+        }
+        out
+    }
+
+    /// [`super::pack_bt`] into a fresh buffer.
+    pub fn pack_bt(b: &[f32], jn: usize, k: usize) -> Vec<f32> {
+        let mut out = vec![0.0; packed_b_len(k, jn)];
+        super::pack_bt(b, jn, k, &mut out);
+        out
+    }
+
+    /// The tile loop over packed panels: panel lane `i` at `kk` is
+    /// `pa[kk*MR + i]`, B row `kk` is `pb[kk*NR..][..NR]`.
+    #[allow(clippy::too_many_arguments)] // the pre-in-place `tile_loop` signature
+    pub fn tile_loop(
+        be: Backend,
+        pa: &[f32],
+        pb: &[f32],
+        k: usize,
+        n: usize,
+        span: usize,
+        out: &mut [f32],
+        fold: Fold,
+    ) {
+        assert!(fold != Fold::Resume, "the oracle folds every element in one pass");
+        assert!(out.len() >= span * n);
+        let lanes: [usize; MR] = std::array::from_fn(|i| i);
+        for pr in 0..row_panels(span) {
+            let rows_live = MR.min(span - pr * MR);
+            let pa_panel = &pa[pr * MR * k..(pr + 1) * MR * k];
+            for pc in 0..n.div_ceil(NR) {
+                let cols_live = NR.min(n - pc * NR);
+                let pb_panel = &pb[pc * NR * k..(pc + 1) * NR * k];
+                let c0 = pr * MR * n + pc * NR;
+                match be {
+                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                    // Callers pass Avx2 only when `available`; `k >= 1`.
+                    // SAFETY: both panels are slices of exactly `8*k` floats,
+                    // which is every `lane + kk*8` and `kk*8 .. +8` the
+                    // kernel reads; the live corner at `c0` is inside `out`
+                    // (asserted above) by the tile geometry.
+                    Backend::Avx2 if k > 0 => unsafe {
+                        avx2::kernel_8x8(
+                            k,
+                            pa_panel.as_ptr(),
+                            &lanes,
+                            MR,
+                            pb_panel.as_ptr(),
+                            NR,
+                            out.as_mut_ptr().add(c0),
+                            n,
+                            rows_live,
+                            cols_live,
+                            fold,
+                        );
+                    },
+                    #[cfg(target_arch = "aarch64")]
+                    // SAFETY: as the AVX2 arm, with NEON `available`.
+                    Backend::Neon if k > 0 => unsafe {
+                        neon::kernel_8x8(
+                            k,
+                            pa_panel.as_ptr(),
+                            &lanes,
+                            MR,
+                            pb_panel.as_ptr(),
+                            NR,
+                            out.as_mut_ptr().add(c0),
+                            n,
+                            rows_live,
+                            cols_live,
+                            fold,
+                        );
+                    },
+                    _ => generic::kernel_8x8(
+                        k, pa_panel, &lanes, MR, pb_panel, NR, out, c0, n, rows_live, cols_live, fold,
+                    ),
+                }
             }
         }
     }
@@ -411,28 +640,166 @@ pub(crate) fn tile_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parallel, Matrix};
+    use proptest::prelude::*;
 
     fn seq(len: usize, salt: f32) -> Vec<f32> {
         (0..len).map(|i| ((i * 7 + 3) % 11) as f32 * 0.25 - 1.0 + salt).collect()
     }
 
+    /// Deterministic pseudo-random matrix (LCG) in roughly ±2.
+    fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        Matrix::from_fn(rows, cols, |_, _| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) % 1000) as f32 / 250.0 - 2.0
+        })
+    }
+
+    /// The packed backends this CPU can run.
+    fn packed_backends() -> Vec<Backend> {
+        let mut v = vec![Backend::Generic];
+        if detect() != Backend::Generic {
+            v.push(detect());
+        }
+        v
+    }
+
+    fn assert_bits(got: &Matrix, want: &[f32], what: &str) {
+        assert_eq!(got.as_slice().len(), want.len(), "{what}: length");
+        for (i, (x, y)) in got.as_slice().iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x:?} vs oracle {y:?}");
+        }
+    }
+
+    /// Every routed entry point at `m × k × n` (for `matmul_tn`: `k × m`
+    /// transposed times `k × n`, so `k` is the blocked reduction) against
+    /// the pack-then-tile oracle, bit for bit, on backend `be`.
+    fn check_against_oracle(be: Backend, m: usize, k: usize, n: usize, seed: u64) {
+        let what = |entry: &str| format!("{entry} {m}x{k}x{n} on {}", be.name());
+        let a = mat(m, k, seed ^ 1);
+        let b = mat(k, n, seed ^ 2);
+        let bt = mat(n, k, seed ^ 3);
+        let at = mat(k, m, seed ^ 4);
+        let acc0 = mat(m, n, seed ^ 5);
+        let idx: Vec<usize> = (0..m + 3).map(|i| (i * 7 + seed as usize) % m.max(1)).collect();
+        let idx = if m == 0 { Vec::new() } else { idx };
+        let g = idx.len();
+
+        let pa = oracle::pack_a(a.as_slice(), k, m);
+        let pg = oracle::pack_a_gathered(a.as_slice(), &idx, k);
+        let pat = oracle::pack_at(at.as_slice(), k, m);
+        let pb = oracle::pack_b(b.as_slice(), k, n);
+        let pbt = oracle::pack_bt(bt.as_slice(), n, k);
+        let run = |pa: &[f32], pb: &[f32], rows: usize, init: Vec<f32>, fold: Fold| {
+            let mut out = init;
+            oracle::tile_loop(be, pa, pb, k, n, rows, &mut out, fold);
+            out
+        };
+        // 7.0 marks elements the oracle failed to overwrite.
+        let want_nn = run(&pa, &pb, m, vec![7.0; m * n], Fold::Fresh);
+        let want_tn = run(&pat, &pb, m, vec![7.0; m * n], Fold::Fresh);
+        let want_nt = run(&pa, &pbt, m, vec![7.0; m * n], Fold::Fresh);
+        let want_acc = run(&pa, &pbt, m, acc0.as_slice().to_vec(), Fold::AddTo);
+        let want_gnn = run(&pg, &pb, g, vec![7.0; g * n], Fold::Fresh);
+        let want_gnt = run(&pg, &pbt, g, vec![7.0; g * n], Fold::Fresh);
+
+        set_backend(Some(be));
+        assert_bits(&a.matmul(&b), &want_nn, &what("matmul"));
+        assert_bits(&at.matmul_tn(&b), &want_tn, &what("matmul_tn"));
+        assert_bits(&a.matmul_nt(&bt), &want_nt, &what("matmul_nt"));
+        let mut acc = acc0.clone();
+        acc.matmul_nt_acc(&a, &bt);
+        assert_bits(&acc, &want_acc, &what("matmul_nt_acc"));
+        assert_bits(&a.gather_matmul(&idx, &b), &want_gnn, &what("gather_matmul"));
+        assert_bits(&a.gather_matmul_nt(&idx, &bt), &want_gnt, &what("gather_matmul_nt"));
+        set_backend(None);
+    }
+
+    /// Runs `f` serially and then fanned out over three pool partitions.
+    fn serial_and_pooled(f: impl Fn()) {
+        parallel::set_threads(1);
+        f();
+        parallel::set_threads(3);
+        parallel::set_min_par_work(1);
+        f();
+        parallel::set_threads(1);
+        parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
+    }
+
     #[test]
-    fn pack_a_layout_and_padding() {
-        let k = 3;
-        let a = seq(5 * k, 0.0);
-        let mut out = vec![9.0; packed_a_len(5, k)];
-        pack_a(&a, k, &(0..5), &mut out);
-        // 5 rows -> one panel of 8 lanes; lane i at inner kk.
-        for r in 0..5 {
-            for kk in 0..k {
-                assert_eq!(out[kk * MR + r], a[r * k + kk]);
+    fn entry_points_match_the_packed_oracle_at_the_encoder_shapes() {
+        for be in packed_backends() {
+            serial_and_pooled(|| {
+                // H·W1 and its two gradients on epinions_small and tiny: for
+                // TN the 3,500 / 500 is the reduction length.
+                check_against_oracle(be, 3_500, 16, 128, 1);
+                check_against_oracle(be, 16, 3_500, 128, 2);
+                check_against_oracle(be, 500, 16, 8, 3);
+                check_against_oracle(be, 16, 500, 8, 4);
+            });
+        }
+    }
+
+    #[test]
+    fn blocked_tn_matches_the_oracle_around_the_block_size() {
+        for be in packed_backends() {
+            serial_and_pooled(|| {
+                for k in [K_BLOCK - 1, K_BLOCK, K_BLOCK + 1, 2 * K_BLOCK, 3 * K_BLOCK + 8] {
+                    // Ragged in both output dimensions: Resume must reload
+                    // exactly the live corner.
+                    check_against_oracle(be, 13, k, 11, k as u64);
+                    check_against_oracle(be, 16, k, 16, k as u64);
+                }
+            });
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn prop_entry_points_match_the_packed_oracle(
+            m in 0usize..40,
+            k_pick in 0usize..48,
+            n in 0usize..40,
+            threads in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            // One case in six reduces over more than one block (TN only).
+            let k = if k_pick < 40 { k_pick } else { [63, 64, 65, 200][k_pick % 4] };
+            parallel::set_threads(threads);
+            parallel::set_min_par_work(1);
+            for be in packed_backends() {
+                check_against_oracle(be, m, k, n, seed);
+            }
+            parallel::set_threads(1);
+            parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
+        }
+    }
+
+    #[test]
+    fn in_place_operands_are_never_read_past_their_end() {
+        // Operands that end exactly at the end of their allocation, at
+        // shapes where a careless in-place load would run over: the last
+        // row of a ragged B panel, the dead lanes of a ragged A panel, the
+        // dead columns of a TN band. `tile_block` asserts every extent, so
+        // an over-read is a panic here, not silence.
+        for be in packed_backends() {
+            for (m, k, n) in [(1, 1, 1), (9, 3, 9), (7, 5, 15), (8, 1, 17), (17, 70, 9)] {
+                check_against_oracle(be, m, k, n, 9);
             }
         }
-        // Padded lanes are exact zeros for every kk.
-        for kk in 0..k {
-            for lane in 5..MR {
-                assert_eq!(out[kk * MR + lane].to_bits(), 0.0f32.to_bits());
-            }
+    }
+
+    #[test]
+    fn pack_b_tail_is_the_last_panel_of_the_full_packing() {
+        for (k, n) in [(4, 10), (3, 7), (5, 16), (0, 5), (2, 1)] {
+            let b = seq(k * n, 0.5);
+            let mut tail = vec![9.0; packed_tail_len(k, n)];
+            pack_b_tail(&b, k, n, &mut tail);
+            let full = oracle::pack_b(&b, k, n);
+            let want = if n % NR == 0 { &[][..] } else { &full[(n / NR) * NR * k..] };
+            assert_eq!(tail, want, "k={k} n={n}");
         }
     }
 
@@ -447,28 +814,7 @@ mod tests {
                 bt[j * k + kk] = b[kk * n + j];
             }
         }
-        let mut p1 = vec![0.0; packed_b_len(k, n)];
-        let mut p2 = vec![0.0; packed_b_len(k, n)];
-        pack_b(&b, k, n, &mut p1);
-        pack_bt(&bt, n, k, &mut p2);
-        assert_eq!(p1, p2, "pack_bt of bᵀ must equal pack_b of b");
-    }
-
-    #[test]
-    fn pack_at_matches_pack_a_of_transpose() {
-        let (m, c) = (6, 5);
-        let a = seq(m * c, -0.25);
-        let mut at = vec![0.0; c * m];
-        for r in 0..m {
-            for j in 0..c {
-                at[j * m + r] = a[r * c + j];
-            }
-        }
-        let mut p1 = vec![0.0; packed_a_len(c, m)];
-        let mut p2 = vec![0.0; packed_a_len(c, m)];
-        pack_at(&a, m, c, &(0..c), &mut p1);
-        pack_a(&at, m, &(0..c), &mut p2);
-        assert_eq!(p1, p2, "pack_at must equal pack_a of the explicit transpose");
+        assert_eq!(oracle::pack_b(&b, k, n), oracle::pack_bt(&bt, n, k), "pack_bt of bᵀ must equal pack_b of b");
     }
 
     #[test]
@@ -476,12 +822,12 @@ mod tests {
         let (m, k, n) = (11, 5, 9);
         let a = seq(m * k, 0.1);
         let b = seq(k * n, -0.3);
-        let mut pa = vec![0.0; packed_a_len(m, k)];
-        let mut pb = vec![0.0; packed_b_len(k, n)];
-        pack_a(&a, k, &(0..m), &mut pa);
-        pack_b(&b, k, n, &mut pb);
+        let mut tail = vec![0.0; packed_tail_len(k, n)];
+        pack_b_tail(&b, k, n, &mut tail);
         let mut out = vec![0.0; m * n];
-        tile_loop(Backend::Generic, &pa, &pb, k, n, m, &mut out, false);
+        let lhs = Lhs { data: &a, lane: |r| r * k, k_stride: 1 };
+        let rhs = Rhs::InPlace { b: &b, tail: &tail };
+        tile_loop(Backend::Generic, &lhs, &rhs, k, n, m, &mut out, Fold::Fresh);
         for i in 0..m {
             for j in 0..n {
                 let mut want = 0.0f32;
@@ -496,12 +842,17 @@ mod tests {
     #[test]
     fn k_zero_overwrites_with_zeros_and_acc_preserves() {
         let (m, n) = (3, 4);
+        let lhs = Lhs { data: &[], lane: |_| 0, k_stride: 1 };
+        let rhs = Rhs::InPlace { b: &[], tail: &[] };
         let mut out = vec![7.0; m * n];
-        tile_loop(Backend::Generic, &[], &[], 0, n, m, &mut out, false);
+        tile_loop(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out, Fold::Fresh);
         assert!(out.iter().all(|&v| v == 0.0), "k=0 overwrite must zero the chunk");
         let mut out = vec![7.0; m * n];
-        tile_loop(Backend::Generic, &[], &[], 0, n, m, &mut out, true);
+        tile_loop(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out, Fold::AddTo);
         assert!(out.iter().all(|&v| v == 7.0), "k=0 accumulate adds 0.0 to each element");
+        let mut out = vec![7.0; m * n];
+        tile_loop_blocked(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out);
+        assert!(out.iter().all(|&v| v == 0.0), "k=0 blocked fold must zero the chunk");
     }
 
     #[test]

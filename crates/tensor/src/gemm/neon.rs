@@ -1,58 +1,87 @@
-//! aarch64 NEON 8×8 f32 microkernel over packed panels.
+//! aarch64 NEON 8×8 f32 microkernel over strided operands.
 //!
 //! Each output row's 8 columns live in two `float32x4_t` accumulators for
 //! the whole `k` loop; element `(i, j)` is a fixed lane folded with fused
 //! `FMLA` over ascending `kk` from `0.0`, so results are independent of
-//! partitioning and thread count — the same determinism argument as the
-//! AVX2 kernel.
+//! partitioning, operand layout and thread count — the same determinism
+//! argument as the AVX2 kernel.
 
 use std::arch::aarch64::{
     float32x4_t, vaddq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32,
 };
 
-/// Computes one `8 × 8` register tile over packed panels `pa`
-/// (column-major `8 × k` A panel) and `pb` (row-major `k × 8` B panel),
-/// then stores the `rows × cols` live corner to `c` with row stride `rsc`
-/// — overwriting, or adding one `+` per element when `acc`.
+use super::Fold;
+
+/// Computes one `8 × 8` register tile over `k` steps. A element `(i, kk)`
+/// is `*a.add(lanes[i] + kk * a_k)`; B row `kk` is the 8 contiguous floats
+/// at `b.add(kk * b_k)`. The `rows × cols` live corner goes to `c` with row
+/// stride `rsc` as `fold` says: [`Fold::Fresh`] overwrites,
+/// [`Fold::AddTo`] adds one `+` per element, [`Fold::Resume`] starts every
+/// chain from the value already in `c` and overwrites.
 ///
 /// # Safety
 /// Caller must guarantee NEON support (checked at backend selection via
-/// `is_aarch64_feature_detected!`), that `pa`/`pb` point to at least
-/// `8 * k` readable floats, and that `c + i*rsc + j` is writable for all
-/// `i < rows`, `j < cols` with `rows <= 8`, `cols <= min(8, rsc)`.
+/// `is_aarch64_feature_detected!`); `k >= 1`; that for every `i < 8` and
+/// `kk < k`, `a + lanes[i] + kk*a_k` is a readable float and `b + kk*b_k`
+/// starts 8 readable floats; and that `c + i*rsc + j` is readable and
+/// writable for all `i < rows`, `j < cols` with `rows <= 8`,
+/// `cols <= min(8, rsc)`.
+#[allow(clippy::too_many_arguments)] // (ptr, strides) per operand is the kernel ABI
 // SAFETY: the `# Safety` contract above is the full argument — feature
 // availability is established by the dispatcher's runtime detection, and
-// the panel/output pointers are in-bounds by the tile geometry.
+// the operand/output pointers are in-bounds by the checks in `tile_loop`.
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn kernel_8x8(
     k: usize,
-    pa: *const f32,
-    pb: *const f32,
+    a: *const f32,
+    lanes: &[usize; 8],
+    a_k: usize,
+    b: *const f32,
+    b_k: usize,
     c: *mut f32,
     rsc: usize,
     rows: usize,
     cols: usize,
-    acc: bool,
+    fold: Fold,
 ) {
-    // SAFETY: delegated to the caller contract above — all pointer
-    // arithmetic stays inside the `8*k` panels and the `rows×cols` corner
-    // of `c`, and NEON availability was verified at backend selection.
+    // SAFETY: delegated to the caller contract above — every read is at
+    // `a + lanes[i] + kk*a_k` or `b + kk*b_k .. +8` with `kk < k`, every
+    // access to `c` stays inside its `rows×cols` corner, and NEON
+    // availability was verified at backend selection.
     unsafe {
         let mut lo: [float32x4_t; 8] = [vdupq_n_f32(0.0); 8];
         let mut hi: [float32x4_t; 8] = [vdupq_n_f32(0.0); 8];
+        if fold == Fold::Resume {
+            for i in 0..rows {
+                let row = c.add(i * rsc);
+                if cols == 8 {
+                    lo[i] = vld1q_f32(row);
+                    hi[i] = vld1q_f32(row.add(4));
+                } else {
+                    // Dead columns restart from 0.0; they only ever fold
+                    // the zero padding of the packed tail panel.
+                    let mut tmp = [0.0f32; 8];
+                    std::ptr::copy_nonoverlapping(row, tmp.as_mut_ptr(), cols);
+                    lo[i] = vld1q_f32(tmp.as_ptr());
+                    hi[i] = vld1q_f32(tmp.as_ptr().add(4));
+                }
+            }
+        }
+        let ap: [*const f32; 8] = std::array::from_fn(|i| a.add(lanes[i]));
         for kk in 0..k {
-            let b0 = vld1q_f32(pb.add(kk * 8));
-            let b1 = vld1q_f32(pb.add(kk * 8 + 4));
+            let b0 = vld1q_f32(b.add(kk * b_k));
+            let b1 = vld1q_f32(b.add(kk * b_k + 4));
             for i in 0..8 {
-                let ai = vdupq_n_f32(*pa.add(kk * 8 + i));
+                let ai = vdupq_n_f32(*ap[i].add(kk * a_k));
                 lo[i] = vfmaq_f32(lo[i], ai, b0);
                 hi[i] = vfmaq_f32(hi[i], ai, b1);
             }
         }
+        let add = fold == Fold::AddTo;
         for i in 0..rows {
             let row = c.add(i * rsc);
             if cols == 8 {
-                if acc {
+                if add {
                     // One rounded `+` per element after the register fold:
                     // bit-identical to temp-then-add_assign.
                     vst1q_f32(row, vaddq_f32(vld1q_f32(row), lo[i]));
@@ -66,7 +95,7 @@ pub(crate) unsafe fn kernel_8x8(
                 vst1q_f32(tmp.as_mut_ptr(), lo[i]);
                 vst1q_f32(tmp.as_mut_ptr().add(4), hi[i]);
                 for (j, &v) in tmp.iter().enumerate().take(cols) {
-                    if acc {
+                    if add {
                         *row.add(j) += v;
                     } else {
                         *row.add(j) = v;

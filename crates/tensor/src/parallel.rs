@@ -192,16 +192,6 @@ pub fn planned_parts(items: usize, work_per_item: usize) -> usize {
     t.min(items).min(total / min_par_work()).max(1)
 }
 
-/// [`planned_parts`] with the exact cost floor [`par_row_chunks`] applies
-/// (`work_per_row` never counts below the row width). Dispatchers that
-/// pre-size per-partition scratch (the packed GEMM entry points) call this
-/// *before* the dispatch to learn the partition count they must provision;
-/// both dispatch variants use it internally, so the two computations can
-/// never disagree within one dispatch.
-pub fn planned_row_parts(rows: usize, cols: usize, work_per_row: usize) -> usize {
-    planned_parts(rows, work_per_row.max(cols).max(1))
-}
-
 /// The contiguous sub-range of `0..items` owned by partition `part` of
 /// `parts` (near-even split; earlier partitions take the remainder).
 ///
@@ -416,7 +406,8 @@ pub fn par_row_chunks(
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     assert_eq!(out.len(), rows * cols, "par_row_chunks: output length mismatch");
-    let parts = planned_row_parts(rows, cols, work_per_row);
+    // A row never counts for less than its width.
+    let parts = planned_parts(rows, work_per_row.max(cols).max(1));
     sanitize::record_raw(kernel, parts, rows, |_, range| {
         let mut accesses = vec![sanitize::Access::write(
             sanitize::OUT,
@@ -440,74 +431,6 @@ pub fn par_row_chunks(
             std::slice::from_raw_parts_mut(base.get().add(range.start * cols), range.len() * cols)
         };
         f(range, chunk);
-    });
-}
-
-/// [`par_row_chunks`] plus a per-partition slice of a dispatcher-owned
-/// scratch buffer: `f(row_range, chunk, scratch)` additionally receives an
-/// equal-sized private region of `scratch` (`scratch.len() / parts`
-/// elements, partition `p` owning region `p`). The packed GEMM kernels use
-/// it for their A-panel packing, keeping the pool's workers allocation-free
-/// while every partition's packing writes stay provably disjoint.
-///
-/// `reads(part, row_range)` declares the partition's input spans *and* its
-/// scratch accesses (declare the written prefix of the region with
-/// [`sanitize::Access::write`] on [`sanitize::SCRATCH`]); the output write
-/// is recorded automatically as in [`par_row_chunks`].
-///
-/// # Panics
-/// Panics if `out.len() != rows * cols`, or if `scratch.len()` is not a
-/// multiple of the partition count [`planned_row_parts`] returns for this
-/// shape (size it as `planned_row_parts(...) * per_part`).
-pub fn par_row_chunks_scratch(
-    kernel: &'static str,
-    out: &mut [f32],
-    rows: usize,
-    cols: usize,
-    work_per_row: usize,
-    scratch: &mut [f32],
-    reads: impl Fn(usize, &Range<usize>) -> Vec<sanitize::Access>,
-    f: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
-) {
-    assert_eq!(out.len(), rows * cols, "par_row_chunks_scratch: output length mismatch");
-    let parts = planned_row_parts(rows, cols, work_per_row);
-    assert_eq!(
-        scratch.len() % parts,
-        0,
-        "par_row_chunks_scratch: scratch length {} not divisible by {parts} partitions",
-        scratch.len()
-    );
-    let cap = scratch.len() / parts;
-    sanitize::record_raw(kernel, parts, rows, |p, range| {
-        let mut accesses = vec![sanitize::Access::write(
-            sanitize::OUT,
-            range.start * cols..range.end * cols,
-        )];
-        accesses.extend(reads(p, range));
-        accesses
-    });
-    if parts <= 1 {
-        f(0..rows, out, scratch);
-        return;
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    let sbase = SendPtr(scratch.as_mut_ptr());
-    run_parts(parts, move |p| {
-        let range = part_range(rows, parts, p);
-        // SAFETY: partitions own disjoint row ranges of `out` and disjoint
-        // `cap`-sized regions of `scratch`; both outlive the dispatch
-        // (`run_parts` blocks until all partitions acknowledge), so each
-        // reconstructed slice is in-bounds and unaliased.
-        let (chunk, scr) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(
-                    base.get().add(range.start * cols),
-                    range.len() * cols,
-                ),
-                std::slice::from_raw_parts_mut(sbase.get().add(p * cap), cap),
-            )
-        };
-        f(range, chunk, scr);
     });
 }
 

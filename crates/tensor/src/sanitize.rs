@@ -45,10 +45,6 @@ use crate::parallel;
 /// in the order the kernel's contract documents.
 pub const OUT: u8 = 0xFF;
 
-/// Operand code for a dispatcher-provided scratch buffer that partitions
-/// write disjoint private regions of (the packed-GEMM A-panel buffers).
-pub const SCRATCH: u8 = 0xFE;
-
 /// Per-thread cap on buffered dispatches. Beyond it, new dispatches are
 /// dropped (and counted) rather than growing without bound — sanitize mode
 /// inside a long training run must not turn into a memory leak.

@@ -99,6 +99,9 @@ fn run_backend_battery() {
 
     let _ = a.matmul(&b); // matmul
     let _ = a.matmul_tn(&g); // matmul_tn (8x12 out, items = 8 columns)
+    // The same contract when the reduction spans several k blocks: the
+    // packed fold then really reads its own output rows back.
+    let _ = mat(150, 12, 12).matmul_tn(&mat(150, 9, 13));
     let _ = a.matmul_nt(&g); // matmul_nt
     let mut acc = mat(12, 12, 6);
     acc.matmul_nt_acc(&g, &mat(12, 8, 7)); // matmul_nt_acc
@@ -279,6 +282,9 @@ fn fuzz_workload() -> Matrix {
     let mut h = a.matmul(&b).softmax_rows();
     h = adj.spmm(&h);
     h.add_assign(&mat(17, 17, 24));
+    // A reduction of several k blocks: every partition parks its fold in
+    // its own output rows between blocks.
+    h.add_assign(&mat(150, 17, 26).matmul_tn(&mat(150, 17, 27)));
     let t = top_k_rows(&h, 5);
     let mut out = h.l2_normalize_rows(1e-6);
     let mut tail = Matrix::zeros(17, 5);
