@@ -56,6 +56,13 @@ pub enum Shape {
     /// starting at `row_lo`, one per operand row (`matmul_tn`'s read of
     /// the left operand's columns).
     PartCols,
+    /// A column range of the partition's rows: `row_hi - row_lo` spans,
+    /// one per row, `stride` (the buffer's row width) apart, each the same
+    /// `width` elements at the same offset inside its row — a kernel that
+    /// fills one block of a wider row-major output in place (the packed
+    /// scorer's write of one item shard's columns). Disjoint across
+    /// partitions because the rows are.
+    PartRowCols,
     /// A read identical to the same partition's write of the same operand
     /// — the read half of an in-place read-modify-write kernel.
     SelfRows,
@@ -235,7 +242,19 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "gemm_nt_packed", accesses: GEMM },
     KernelContract { kernel: "gemm_nt_acc_packed", accesses: GEMM_ACC },
     KernelContract { kernel: "gemm_gather_nn_packed", accesses: GEMM_GATHER },
-    KernelContract { kernel: "gemm_gather_nt_packed", accesses: GEMM_GATHER },
+    // The scorer against resident panels (`gather_matmul_panels`, every
+    // backend, and `gather_matmul_nt` through it): a gathered GEMM whose
+    // output is one shard's column range of the partition's score rows.
+    // Operand 1 is the whole packed shard.
+    KernelContract {
+        kernel: "gemm_score_panels",
+        accesses: &[
+            spec(OUT, true, Shape::PartRowCols),
+            spec(0, false, Shape::All),
+            spec(1, false, Shape::All),
+            spec(2, false, Shape::PartRows),
+        ],
+    },
 ];
 
 /// Names of every kernel with a registered builtin contract (the lint's
@@ -697,6 +716,43 @@ fn check_shape(d: &Dispatch, s: &AccessSpec, report: &mut RaceReport) {
                 dims = Some((a.stride, a.count));
             }
         }
+        Shape::PartRowCols => {
+            let mut dims: Option<(usize, usize, usize)> = None; // (stride, column offset, width)
+            for pi in 0..d.parts {
+                let p = &d.partitions[pi];
+                let a = find_access(d, pi, s);
+                let span = p.row_hi - p.row_lo;
+                if a.count != span {
+                    report.violations.push(mismatch(
+                        pi,
+                        format!("{label} declared PartRowCols; {span} rows but {} spans", a.count),
+                    ));
+                    return;
+                }
+                if span == 0 {
+                    continue;
+                }
+                let col0 = a.lo.checked_sub(p.row_lo * a.stride);
+                let Some(col0) = col0.filter(|c| c + a.width <= a.stride) else {
+                    report.violations.push(mismatch(
+                        pi,
+                        format!(
+                            "{label} declared PartRowCols; rows {}..{} of width {} but observed lo={} width={}",
+                            p.row_lo, p.row_hi, a.stride, a.lo, a.width
+                        ),
+                    ));
+                    return;
+                };
+                if dims.map_or(false, |dm| dm != (a.stride, col0, a.width)) {
+                    report.violations.push(mismatch(
+                        pi,
+                        format!("{label}: row width/column range disagree across partitions"),
+                    ));
+                    return;
+                }
+                dims = Some((a.stride, col0, a.width));
+            }
+        }
         Shape::SelfRows => {
             for pi in 0..d.parts {
                 let a = find_access(d, pi, s);
@@ -912,6 +968,54 @@ mod tests {
             )),
             "obligation 3 must flag the concrete read of partition 0's rows: {r}"
         );
+    }
+
+    /// One partition of a scorer dispatch over 8 rows of a 10-wide output,
+    /// writing columns `cols` of rows `own`; 4 gathered rows of a 6×5 table
+    /// against a 24-float packed shard.
+    fn score_part(p: usize, own: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> Vec<Access> {
+        vec![
+            Access::write_strided(OUT, own.start * 10 + cols.start, cols.len(), 10, own.len()),
+            Access::read(0, 0..30),
+            Access::read(1, 0..24),
+            Access::read(2, p * 4..(p + 1) * 4),
+        ]
+    }
+
+    #[test]
+    fn clean_scorer_dispatch_proves() {
+        let d = two_part_dispatch("gemm_score_panels", vec![score_part(0, 0..4, 3..6), score_part(1, 4..8, 3..6)]);
+        let r = check_dispatches(&[d]);
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.kernels_proved, vec!["gemm_score_panels".to_owned()]);
+    }
+
+    #[test]
+    fn scorer_writes_outside_its_rows_or_columns_are_flagged() {
+        // Partition 1 writes one row early: into partition 0's last row.
+        let d = two_part_dispatch("gemm_score_panels", vec![score_part(0, 0..4, 3..6), score_part(1, 3..7, 3..6)]);
+        let r = check_dispatches(&[d]);
+        assert!(
+            r.violations.iter().any(|v| matches!(v, RaceViolation::ContractMismatch { part: 1, .. })),
+            "PartRowCols must flag rows that are not the partition's: {r}"
+        );
+        assert!(
+            r.violations.iter().any(|v| matches!(
+                v,
+                RaceViolation::OverlappingWrites { part_a: 0, part_b: 1, lo: 33, hi: 36, .. }
+            )),
+            "obligation 3 must name the shared row's columns: {r}"
+        );
+        // Partition 1 writes a different column range than partition 0.
+        let d = two_part_dispatch("gemm_score_panels", vec![score_part(0, 0..4, 3..6), score_part(1, 4..8, 2..6)]);
+        let r = check_dispatches(&[d]);
+        assert!(
+            matches!(r.violations.first(), Some(RaceViolation::ContractMismatch { part: 1, .. })),
+            "column ranges must agree across partitions: {r}"
+        );
+        // A range running past the end of the row.
+        let d = two_part_dispatch("gemm_score_panels", vec![score_part(0, 0..4, 8..11), score_part(1, 4..8, 8..11)]);
+        assert!(!check_dispatches(&[d]).is_clean(), "a column range wider than the row must not prove");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dgnn_analysis::race_checker::{check_dispatches, contract_names, RaceReport};
-use dgnn_tensor::gemm;
+use dgnn_tensor::gemm::{self, PackedPanels};
 use dgnn_tensor::parallel;
 use dgnn_tensor::sanitize;
 use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
@@ -59,7 +59,8 @@ fn csr(rows: usize, cols: usize, seed: u64) -> Csr {
 ///
 /// Runs twice — legacy scalar backend (historical kernel names) and the
 /// packed Generic backend (`gemm_*_packed` dispatches) — so every entry in
-/// the contract table is exercised regardless of host SIMD support.
+/// the contract table is exercised regardless of host SIMD support. The
+/// scorer (`gemm_score_panels`) is one dispatch on both.
 fn run_kernel_battery(scale: usize) {
     gemm::set_backend(Some(gemm::Backend::Scalar));
     run_backend_battery(scale);
@@ -111,6 +112,10 @@ fn run_backend_battery(scale: usize) {
     let _ = Matrix::weighted_block_sum_grad_weights(&a, &gb);
     let _ = a.gather_matmul(&idx, &b);
     let _ = a.gather_matmul_nt(&idx, &g);
+    // The serving scorer: two resident shards, the second ragged, so the
+    // second dispatch writes a column range at a non-zero offset.
+    let (s0, s1) = (PackedPanels::pack(&g), PackedPanels::pack(&mat(r - 3, k, 14)));
+    let _ = a.gather_matmul_panels(&idx, &[&s0, &s1]);
     let _ = a.gather_rows(&idx);
     let mut sc = Matrix::zeros(r, k);
     sc.scatter_add_rows(&idx, &a);

@@ -255,7 +255,7 @@ fn validate_scale_scrape(addr: SocketAddr) -> usize {
                         failures += 1;
                     }
                 }
-                for name in ["serve_shard_user_resident", "serve_shard_loads"] {
+                for name in ["serve_shard_user_resident", "serve_shard_loads", "serve_engine_item_panel_bytes"] {
                     if value(name).is_none_or(|v| v <= 0.0) {
                         eprintln!("scrape: /metrics missing a positive {name}");
                         failures += 1;

@@ -4,9 +4,12 @@
 //! time — including the social recalibration of Eq. 9–10 when the
 //! checkpoint carries the τ matrix (`user_scoring = user + τ·user`,
 //! recomputed with the *same* spmm/add kernels training used, so serving
-//! scores are bit-identical to the in-memory model's). Queries then reduce
-//! to one user×item `matmul_nt` and a heap-based partial top-K select,
-//! both row-parallel and deterministic, with optional seen-item filtering.
+//! scores are bit-identical to the in-memory model's). Item embeddings
+//! are held only as the packed column panels the scoring kernels read
+//! ([`PackedPanels`], built once here or at an item shard's first touch),
+//! so queries reduce to one gathered user×item product against resident
+//! panels and a heap-based partial top-K select, both row-parallel and
+//! deterministic, with optional seen-item filtering.
 //!
 //! Because every row is a pure function of the loaded embeddings, batched
 //! answers are independent of batch composition: coalescing queries in the
@@ -16,6 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
+use dgnn_tensor::gemm::PackedPanels;
 use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
@@ -98,8 +102,8 @@ enum Backend {
 struct DenseStore {
     /// User scoring embeddings — recalibrated when τ was stored.
     user: Matrix,
-    /// Final propagated item embeddings.
-    item: Matrix,
+    /// Final propagated item embeddings, packed for scoring.
+    item: PackedPanels,
     /// CSR-style seen lists: items of user `u` are
     /// `seen_items[seen_indptr[u]..seen_indptr[u+1]]`. Empty when the
     /// checkpoint carried no interaction lists.
@@ -132,6 +136,15 @@ pub(crate) fn resolve_user_scoring(ckpt: &Checkpoint) -> Result<Matrix, Checkpoi
     }
 }
 
+/// Packs an item table (or one shard of it) into the layout it is served
+/// from, recording the one-off cost in `serve/engine/item_pack_ms`.
+pub(crate) fn pack_items(items: &Matrix) -> PackedPanels {
+    let t0 = dgnn_obs::now_ns();
+    let packed = PackedPanels::pack(items);
+    dgnn_obs::shared::hist("serve/engine/item_pack_ms").record(dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6);
+    packed
+}
+
 impl Engine {
     /// Builds a dense (fully-resident) engine from a parsed checkpoint.
     ///
@@ -156,6 +169,8 @@ impl Engine {
             }
             None => (Vec::new(), Vec::new()),
         };
+        let item = pack_items(&item);
+        dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(item.bytes() as f64);
         Ok(Self {
             meta: ckpt.meta_entries().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
             backend: Backend::Dense(DenseStore { user, item, seen_indptr, seen_items }),
@@ -216,7 +231,7 @@ impl Engine {
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         match &self.backend {
-            Backend::Dense(d) => d.item.cols(),
+            Backend::Dense(d) => d.user.cols(),
             Backend::Sharded(s) => s.dim(),
         }
     }
@@ -249,25 +264,49 @@ impl Engine {
     /// model's dot-product scorer over every item.
     pub fn scores_for(&self, user: u32) -> Result<Vec<f32>, QueryError> {
         self.check(&Query { user, k: 1, exclude_seen: false })?;
+        let (scores, mut row_errs) = self.score(&[user as usize])?;
+        match row_errs.pop().flatten() {
+            Some(e) => Err(e),
+            None => Ok(scores.into_raw_vec()),
+        }
+    }
+
+    /// The `users.len() × num_items` score matrix — the one scorer behind
+    /// every query, on either backend — plus per-row user-shard failures
+    /// (those rows score as zeros and their queries answer 503
+    /// individually). An unloadable *item* shard fails the whole batch:
+    /// every query needs the full catalog.
+    ///
+    /// Bit-identity: user rows are read from the dense table, or gathered
+    /// byte-for-byte from their shards, and scored against each item
+    /// shard's resident panels by `gather_matmul_panels`, which writes the
+    /// shard's block straight into its column range. Every score is the
+    /// same fold over the same (user row, item row) pair whatever the
+    /// sharding, batch size, thread count or GEMM backend, so the sharded
+    /// matrix equals the dense engine's — and `Recommender::score` —
+    /// element for element.
+    fn score(&self, users: &[usize]) -> Result<(Matrix, Vec<Option<QueryError>>), QueryError> {
         match &self.backend {
-            Backend::Dense(d) => {
-                let rows = d.user.gather_rows(&[user as usize]);
-                Ok(rows.matmul_nt(&d.item).as_slice().to_vec())
-            }
+            Backend::Dense(d) => Ok((d.user.gather_matmul_panels(users, &[&d.item]), vec![None; users.len()])),
             Backend::Sharded(s) => {
-                let row = s
-                    .user_row(user as usize)
-                    .map_err(|(shard, detail)| QueryError::ShardUnavailable { shard: shard as u32, detail })?
-                    .to_vec();
-                let rows = Matrix::from_vec(1, s.dim(), row);
-                let mut out = vec![0.0f32; s.num_items()];
-                for (si, lo, hi) in s.item_spec().iter_ranges() {
-                    let shard = s
-                        .item_shard(si)
-                        .map_err(|detail| QueryError::ShardUnavailable { shard: si as u32, detail })?;
-                    out[lo..hi].copy_from_slice(rows.matmul_nt(shard).as_slice());
+                let mut batch = Matrix::zeros(users.len(), s.dim());
+                let mut row_errs: Vec<Option<QueryError>> = vec![None; users.len()];
+                for (row, &u) in users.iter().enumerate() {
+                    match s.user_row(u) {
+                        Ok(r) => batch.set_row(row, r),
+                        Err((shard, detail)) => {
+                            row_errs[row] = Some(QueryError::ShardUnavailable { shard: shard as u32, detail });
+                        }
+                    }
                 }
-                Ok(out)
+                let shards = (0..s.item_spec().num_shards())
+                    .map(|si| {
+                        s.item_shard(si)
+                            .map_err(|detail| QueryError::ShardUnavailable { shard: si as u32, detail })
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let idx: Vec<usize> = (0..users.len()).collect();
+                Ok((batch.gather_matmul_panels(&idx, &shards), row_errs))
             }
         }
     }
@@ -283,8 +322,8 @@ impl Engine {
         }
     }
 
-    /// Answers a batch of queries with ONE gathered user×item `matmul_nt`
-    /// and ONE top-K select at the batch's maximum `k` (per-query results
+    /// Answers a batch of queries with ONE gathered user×item product
+    /// against the resident item panels and ONE top-K select at the batch's maximum `k` (per-query results
     /// are truncated prefixes — sound because the selection order is
     /// total). Each query's result is independent of its batch-mates.
     pub fn recommend_batch(&self, queries: &[Query]) -> Vec<Result<Vec<ScoredItem>, QueryError>> {
@@ -305,26 +344,23 @@ impl Engine {
         let users: Vec<usize> = valid.iter().map(|&i| queries[i].user as usize).collect();
         let telemetry = crate::trace::telemetry();
         let t0 = dgnn_obs::now_ns();
-        let mut scores = match &self.backend {
-            Backend::Dense(d) => d.user.gather_matmul_nt(&users, &d.item),
-            Backend::Sharded(s) => match score_sharded(s, &users) {
-                Ok((scores, row_errs)) => {
-                    for (row, &i) in valid.iter().enumerate() {
-                        if let Some(e) = row_errs[row].clone() {
-                            out[i] = Err(e);
-                        }
+        let mut scores = match self.score(&users) {
+            Ok((scores, row_errs)) => {
+                for (&i, e) in valid.iter().zip(row_errs) {
+                    if let Some(e) = e {
+                        out[i] = Err(e);
                     }
-                    scores
                 }
-                Err(e) => {
-                    // An item shard is unloadable: no query in the batch
-                    // can be scored over the full catalog.
-                    for &i in &valid {
-                        out[i] = Err(e.clone());
-                    }
-                    return out;
+                scores
+            }
+            Err(e) => {
+                // An item shard is unloadable: no query in the batch
+                // can be scored over the full catalog.
+                for &i in &valid {
+                    out[i] = Err(e.clone());
                 }
-            },
+                return out;
+            }
         };
         for (row, &i) in valid.iter().enumerate() {
             if queries[i].exclude_seen && out[i].is_ok() {
@@ -355,47 +391,6 @@ impl Engine {
         }
         out
     }
-}
-
-/// Scores a gathered user batch against every item shard, loading shards
-/// on demand. Returns the full `batch × num_items` score matrix plus
-/// per-row user-shard failures (those rows score as zeros and their
-/// queries answer 503 individually). An unloadable *item* shard fails the
-/// whole batch — every query needs the full catalog.
-///
-/// Bit-identity: rows are gathered byte-for-byte from their shards and
-/// each column block is produced by the same fused `gather_matmul_nt`
-/// kernel the dense path uses. Every score element is a fold over the
-/// same (user row, item row) pair in the same lane order, so the sharded
-/// matrix equals the dense engine's `gather_matmul_nt` element-for-element
-/// at every thread count and GEMM backend.
-fn score_sharded(
-    store: &crate::shard::LazyStore,
-    users: &[usize],
-) -> Result<(Matrix, Vec<Option<QueryError>>), QueryError> {
-    let n = users.len();
-    let mut batch = Matrix::zeros(n, store.dim());
-    let mut row_errs: Vec<Option<QueryError>> = vec![None; n];
-    for (row, &u) in users.iter().enumerate() {
-        match store.user_row(u) {
-            Ok(r) => batch.set_row(row, r),
-            Err((shard, detail)) => {
-                row_errs[row] = Some(QueryError::ShardUnavailable { shard: shard as u32, detail });
-            }
-        }
-    }
-    let idx: Vec<usize> = (0..n).collect();
-    let mut scores = Matrix::zeros(n, store.num_items());
-    for (si, lo, hi) in store.item_spec().iter_ranges() {
-        let shard = store
-            .item_shard(si)
-            .map_err(|detail| QueryError::ShardUnavailable { shard: si as u32, detail })?;
-        let part = batch.gather_matmul_nt(&idx, shard);
-        for row in 0..n {
-            scores.row_mut(row)[lo..hi].copy_from_slice(part.row(row));
-        }
-    }
-    Ok((scores, row_errs))
 }
 
 /// Rebuilds a CSR stored as the `{prefix}/{indptr,cols,values}` triple.
@@ -523,6 +518,44 @@ mod tests {
         assert_eq!(batch[0], e.recommend(qs[0]));
         assert!(matches!(batch[1], Err(QueryError::UnknownUser { user: 99, .. })));
         assert_eq!(batch[2], e.recommend(qs[2]));
+    }
+
+    /// 30 users × 100 items × d = 20 of LCG noise (a ragged last panel).
+    fn noise_tables() -> (Matrix, Matrix) {
+        let mut s = 7u64;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) % 1000) as f32 / 250.0 - 2.0
+        };
+        (Matrix::from_fn(30, 20, |_, _| next()), Matrix::from_fn(100, 20, |_, _| next()))
+    }
+
+    #[test]
+    fn served_scores_are_the_matmul_nt_fold_on_every_backend_and_batch_size() {
+        use dgnn_tensor::gemm::{self, Backend};
+        let (user, item) = noise_tables();
+        let mut c = Checkpoint::new();
+        c.push_matrix("final/user_scoring", &user);
+        c.push_matrix("final/item", &item);
+        let e = Engine::from_checkpoint(&c).unwrap();
+        assert_eq!((e.num_users(), e.num_items(), e.dim()), (30, 100, 20));
+        // `None` is the detected SIMD backend where there is one.
+        for be in [Some(Backend::Scalar), Some(Backend::Generic), None] {
+            gemm::set_backend(be);
+            let want = user.matmul_nt(&item);
+            for u in 0..30 {
+                // A batch of one: the row-vector kernel.
+                let got = e.scores_for(u).unwrap();
+                let same = got.iter().zip(want.row(u as usize)).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "user {u} on {be:?}: served scores differ from matmul_nt");
+            }
+            // A batch of nine: the 8×8 tile. Same answers as nine singles.
+            let qs: Vec<Query> = (0..9).map(|u| Query { user: u * 3, k: 7, exclude_seen: false }).collect();
+            for (q, batched) in qs.iter().zip(e.recommend_batch(&qs)) {
+                assert_eq!(batched, e.recommend(*q), "user {} on {be:?}", q.user);
+            }
+        }
+        gemm::set_backend(None);
     }
 
     #[test]

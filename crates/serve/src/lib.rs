@@ -10,9 +10,10 @@
 //!    shards in (mmap or pread, `DGNN_MMAP` knob) at serve time.
 //! 2. [`engine`] — loads a checkpoint, materializes the post-propagation
 //!    scoring embeddings once (re-applying the Eq. 9–10 social
-//!    recalibration when τ is stored), and answers top-K queries with a
-//!    batched `matmul_nt` + heap-based partial select — bit-identical to
-//!    the in-memory model's scorer at any thread count or batch shape.
+//!    recalibration when τ is stored), keeps the item table as packed
+//!    scoring panels, and answers top-K queries with one batched product
+//!    against them + heap-based partial select — bit-identical to the
+//!    in-memory model's scorer at any thread count or batch shape.
 //! 3. [`http`] — a std-only HTTP/1.1 server with a fixed worker pool and
 //!    a micro-batcher coalescing concurrent queries into one engine
 //!    dispatch per tick; malformed input gets JSON 4xx/5xx, never a panic.

@@ -251,7 +251,7 @@ impl Drop for MappedFile {
 pub struct LazyStore {
     seg: crate::segment::SegmentedCheckpoint,
     user_slots: Vec<std::sync::OnceLock<Result<crate::segment::UserShard, String>>>,
-    item_slots: Vec<std::sync::OnceLock<Result<dgnn_tensor::Matrix, String>>>,
+    item_slots: Vec<std::sync::OnceLock<Result<dgnn_tensor::gemm::PackedPanels, String>>>,
 }
 
 /// Loader ground truth for residency accounting.
@@ -269,6 +269,9 @@ pub struct ShardStats {
     pub item_total: usize,
     /// Item shards currently resident.
     pub item_resident: usize,
+    /// Bytes of resident item panels (the one layout item embeddings are
+    /// held in; the last panel's zero padding included).
+    pub item_panel_bytes: u64,
     /// Whether loads go through the mmap path.
     pub mapped: bool,
 }
@@ -319,6 +322,7 @@ impl LazyStore {
         dgnn_obs::shared::gauge("serve/shard/user_resident").set(stats.user_resident as f64);
         dgnn_obs::shared::gauge("serve/shard/user_resident_bytes").set(stats.user_resident_bytes as f64);
         dgnn_obs::shared::gauge("serve/shard/item_resident").set(stats.item_resident as f64);
+        dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(stats.item_panel_bytes as f64);
     }
 
     /// User shard `s`, loading it on first touch.
@@ -337,12 +341,17 @@ impl LazyStore {
         r.as_ref().map_err(|e| e.clone())
     }
 
-    /// Item shard `s`, loading it on first touch.
-    pub fn item_shard(&self, s: usize) -> Result<&dgnn_tensor::Matrix, String> {
+    /// Item shard `s` as the packed panels it is scored from, loading and
+    /// packing it on first touch; the row-major copy is dropped there.
+    pub fn item_shard(&self, s: usize) -> Result<&dgnn_tensor::gemm::PackedPanels, String> {
         let mut loaded_now = false;
         let r = self.item_slots[s].get_or_init(|| {
             let t0 = dgnn_obs::now_ns();
-            let loaded = self.seg.load_item_shard(s).map_err(|e| e.to_string());
+            let loaded = self
+                .seg
+                .load_item_shard(s)
+                .map(|emb| crate::engine::pack_items(&emb))
+                .map_err(|e| e.to_string());
             Self::record_load(t0);
             loaded_now = true;
             loaded
@@ -390,7 +399,14 @@ impl LazyStore {
                 user_resident_bytes += u.emb.rows() as u64 * row_bytes;
             }
         }
-        let item_resident = self.item_slots.iter().filter(|s| matches!(s.get(), Some(Ok(_)))).count();
+        let mut item_resident = 0usize;
+        let mut item_panel_bytes = 0u64;
+        for slot in &self.item_slots {
+            if let Some(Ok(panels)) = slot.get() {
+                item_resident += 1;
+                item_panel_bytes += panels.bytes() as u64;
+            }
+        }
         ShardStats {
             user_total: self.user_spec().num_shards(),
             user_resident,
@@ -398,6 +414,7 @@ impl LazyStore {
             user_table_bytes: self.num_users() as u64 * row_bytes,
             item_total: self.item_spec().num_shards(),
             item_resident,
+            item_panel_bytes,
             mapped: self.seg.uses_map(),
         }
     }

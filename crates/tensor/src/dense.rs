@@ -740,43 +740,69 @@ impl Matrix {
     }
 
     /// Fused `gather(self, idx) · rhsᵀ` without materializing the gathered
-    /// matrix: output row `i` is `self.row(idx[i]) · rhsᵀ`. On a packed
-    /// backend the microkernel reads the gathered rows straight from the
-    /// table; on the scalar backend this delegates to
-    /// `gather_rows(idx).matmul_nt(rhs)` (which it is bit-identical to on
-    /// every backend).
+    /// matrix: output row `i` is `self.row(idx[i]) · rhsᵀ`, bit-identical to
+    /// `gather_rows(idx).matmul_nt(rhs)` on every backend. Packs `rhs` and
+    /// runs [`Matrix::gather_matmul_panels`]; a caller that multiplies
+    /// against the same `rhs` again should keep the
+    /// [`PackedPanels`](gemm::PackedPanels) instead.
     pub fn gather_matmul_nt(&self, idx: &[usize], rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "gather_matmul_nt: {}x{} · {}x{}ᵀ shape mismatch",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+        self.gather_matmul_panels(idx, &[&gemm::PackedPanels::pack(rhs)])
+    }
+
+    /// `gather(self, idx) · [shards[0]; shards[1]; …]ᵀ` against tables
+    /// packed ahead of time: output row `i` is `self.row(idx[i])` dotted
+    /// with every row of every shard, shard `s` filling the column range
+    /// that follows shard `s - 1`'s. Each shard's block is written straight
+    /// into that range (no per-shard temporary), and every element is the
+    /// same ascending-`k` fold `matmul_nt` runs, whatever the batch size:
+    /// bit-identical to `gather_rows(idx).matmul_nt(table)` for the stacked
+    /// row-major table, on every backend — [`Backend::Scalar`] included,
+    /// which is served from the same panels by the portable kernels, whose
+    /// fold is the legacy scalar dot.
+    ///
+    /// [`Backend::Scalar`]: gemm::Backend::Scalar
+    pub fn gather_matmul_panels(&self, idx: &[usize], shards: &[&gemm::PackedPanels]) -> Matrix {
+        for shard in shards {
+            assert_eq!(
+                self.cols,
+                shard.cols(),
+                "gather_matmul_panels: {}x{} · {}x{}ᵀ shape mismatch",
+                self.rows,
+                self.cols,
+                shard.rows(),
+                shard.cols()
+            );
+        }
         for &r in idx {
-            assert!(r < self.rows, "gather_matmul_nt: index {r} out of bounds ({} rows)", self.rows);
+            assert!(r < self.rows, "gather_matmul_panels: index {r} out of bounds ({} rows)", self.rows);
         }
         let be = gemm::backend();
-        if !be.is_packed() {
-            // `matmul_nt` records its own call counters — no count here.
-            return self.gather_rows(idx).matmul_nt(rhs);
+        let (m, k) = (idx.len(), self.cols);
+        let n: usize = shards.iter().map(|s| s.rows()).sum();
+        // The shards' column ranges tile `0..n` and each dispatch overwrites
+        // its range of every row, so the output buffer needs no zeroing.
+        let mut out = Matrix { rows: m, cols: n, data: pool::alloc_overwritten(m * n) };
+        let a = &self.data[..];
+        let mut col0 = 0;
+        for &shard in shards {
+            let jn = shard.rows();
+            gemm::count_call(be.is_packed(), m, jn, k);
+            // Gathered rows are data-dependent, so the table read is honestly
+            // whole-buffer; the index list itself is read per-partition.
+            let reads = |r: &Range<usize>| {
+                vec![
+                    Access::read(0, 0..a.len()),
+                    Access::read(1, 0..shard.as_slice().len()),
+                    Access::read(2, r.clone()),
+                ]
+            };
+            let cols = col0..col0 + jn;
+            parallel::par_row_chunks_cols("gemm_score_panels", &mut out.data, m, n, cols, k.saturating_mul(jn), reads, |rows, chunk| {
+                let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
+                gemm::score_loop(be, &lhs, shard, rows.len(), chunk, n, col0);
+            });
+            col0 += jn;
         }
-        gemm::count_call(true, idx.len(), rhs.rows, self.cols);
-        let (k, jn) = (self.cols, rhs.rows);
-        let m = idx.len();
-        let mut out = Matrix { rows: m, cols: jn, data: pool::alloc_overwritten(m * jn) };
-        let pb = packed_bt(rhs);
-        let (a, b) = (&self.data[..], gemm::Rhs::Packed(&pb));
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(0, 0..a.len()),
-                Access::read(1, 0..pb.len()),
-                Access::read(2, r.clone()),
-            ]
-        };
-        parallel::par_row_chunks("gemm_gather_nt_packed", &mut out.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
-            let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
-            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk, gemm::Fold::Fresh);
-        });
-        pool::recycle_vec(pb);
         out
     }
 

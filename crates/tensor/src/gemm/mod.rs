@@ -2,9 +2,9 @@
 //! that read their operands where they lie.
 //!
 //! Every dense matmul entry point in [`crate::Matrix`] (`matmul`,
-//! `matmul_tn`, `matmul_nt`, `matmul_nt_acc`, the gathered variants) routes
-//! through this module unless the legacy scalar backend is selected. The
-//! microkernels take a strided operand description (the `(ptr, rs, cs)`
+//! `matmul_tn`, `matmul_nt`, `matmul_nt_acc`, the gathered variants, the
+//! scorer against resident panels) routes through this module unless the
+//! legacy scalar backend is selected. The microkernels take a strided operand description (the `(ptr, rs, cs)`
 //! interface of BLIS / tract, carried all the way into the kernel), so at
 //! the tall-skinny shapes this repo trains at — where a packing pass costs
 //! as much as the multiply — nothing is copied that does not have to be:
@@ -20,13 +20,18 @@
 //! * **Right operand** ([`Rhs`]) — B row `kk` of an `NR`-column panel is 8
 //!   contiguous floats. A row-major `k × n` operand (`matmul`, `matmul_tn`,
 //!   `gather_matmul`) already has that shape and is read in place with row
-//!   stride `n`. Packing survives only where the layout truly differs, both
-//!   times once on the dispatching thread and shared read-only by every
-//!   partition: [`pack_bt`] for the `…_nt` right operand (its panels run
-//!   down `rhs` columns), and [`pack_b_tail`] for the one ragged
-//!   `n % NR` column panel, whose in-place 8-float load would run past the
-//!   row (and, on the last row, past the operand). Pool workers allocate
-//!   and copy nothing.
+//!   stride `n`. Packing survives only where the layout truly differs,
+//!   always on the dispatching thread and shared read-only by every
+//!   partition: [`pack_b_tail`] for the one ragged `n % NR` column panel,
+//!   whose in-place 8-float load would run past the row (and, on the last
+//!   row, past the operand); [`pack_bt`] per call for the `…_nt` right
+//!   operand in training (`matmul_nt`, `matmul_nt_acc`: its panels run down
+//!   `rhs` columns, and `rhs` is a parameter that changes every step); and
+//!   `pack_bt` *once* for a resident catalog — a served item table is
+//!   held as [`PackedPanels`] and scored by
+//!   [`Matrix::gather_matmul_panels`](crate::Matrix::gather_matmul_panels)
+//!   without ever being packed again. Pool workers allocate and copy
+//!   nothing.
 //! * **Microkernel** — an `MR × NR` register tile accumulates over `k`.
 //!   Each output element `(i, j)` lives in a fixed register lane and is a
 //!   fold over ascending `kk` of single-rounding operations starting from
@@ -35,6 +40,17 @@
 //!   parallel results are bit-identical to serial for every backend, and
 //!   in-place results are bit-identical to the pack-then-tile pipeline this
 //!   module used to run (kept as the test oracle below).
+//! * **Row-vector microkernel** (`kernel_1x64`, the scorer's partitions of
+//!   a few rows — a served batch is usually one query) — the same eight
+//!   accumulators spent on eight *panels* of one row: one broadcast of
+//!   `a[kk]` against eight B rows, 64 output columns, no dead lanes. Every
+//!   lane still runs the chain the tile runs for that element — ascending
+//!   `kk` from `0.0`, one single-rounding operation per step on the SIMD
+//!   backends, multiply-then-add on the portable one — so which kernel a
+//!   partition gets (decided by its row count, `panels::score_loop`)
+//!   cannot change a bit of any element. The portable fold is moreover the
+//!   legacy scalar dot, which is how [`Backend::Scalar`] is served from
+//!   the same panels with its historical bits.
 //! * **Blocked reduction** ([`tile_loop_blocked`], `matmul_tn`) — when `k`
 //!   is the long dimension (`Hᵀ·G` reduces over every node), one pass per
 //!   tile would stream all of B once per tile. The loop instead walks `k`
@@ -55,7 +71,9 @@
 //! * [`Backend::Scalar`] — the legacy cache-blocked scalar loops in
 //!   `dense.rs`, bypassing this module's tile loop entirely. This is the
 //!   historical kernel, bit-for-bit: forcing `DGNN_GEMM=scalar` reproduces
-//!   exactly the numbers the repo produced before this module existed.
+//!   exactly the numbers the repo produced before this module existed. The
+//!   one product without a legacy loop is the scorer against
+//!   [`PackedPanels`], which runs the portable kernels (same bits, above).
 //!
 //! Selection happens once per process from the `DGNN_GEMM` environment
 //! variable (`auto` | `avx2` | `neon` | `generic` | `scalar`); benches and
@@ -72,6 +90,10 @@ pub(crate) mod avx2;
 pub(crate) mod generic;
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
+mod panels;
+
+pub use panels::PackedPanels;
+pub(crate) use panels::score_loop;
 
 /// Rows per microkernel tile.
 pub const MR: usize = 8;
@@ -648,7 +670,7 @@ mod tests {
     }
 
     /// Deterministic pseudo-random matrix (LCG) in roughly ±2.
-    fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
+    pub(super) fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         Matrix::from_fn(rows, cols, |_, _| {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -657,7 +679,7 @@ mod tests {
     }
 
     /// The packed backends this CPU can run.
-    fn packed_backends() -> Vec<Backend> {
+    pub(super) fn packed_backends() -> Vec<Backend> {
         let mut v = vec![Backend::Generic];
         if detect() != Backend::Generic {
             v.push(detect());
@@ -665,7 +687,7 @@ mod tests {
         v
     }
 
-    fn assert_bits(got: &Matrix, want: &[f32], what: &str) {
+    pub(super) fn assert_bits(got: &Matrix, want: &[f32], what: &str) {
         assert_eq!(got.as_slice().len(), want.len(), "{what}: length");
         for (i, (x, y)) in got.as_slice().iter().zip(want).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x:?} vs oracle {y:?}");
@@ -717,7 +739,7 @@ mod tests {
     }
 
     /// Runs `f` serially and then fanned out over three pool partitions.
-    fn serial_and_pooled(f: impl Fn()) {
+    pub(super) fn serial_and_pooled(f: impl Fn()) {
         parallel::set_threads(1);
         f();
         parallel::set_threads(3);

@@ -405,14 +405,55 @@ pub fn par_row_chunks(
     reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    assert_eq!(out.len(), rows * cols, "par_row_chunks: output length mismatch");
     // A row never counts for less than its width.
-    let parts = planned_parts(rows, work_per_row.max(cols).max(1));
+    let write = |r: &Range<usize>| sanitize::Access::write(sanitize::OUT, r.start * cols..r.end * cols);
+    par_rows(kernel, out, rows, cols, work_per_row.max(cols), write, reads, f);
+}
+
+/// [`par_row_chunks`] for a kernel that writes only the columns `cols` of
+/// its rows of the `rows × ld` buffer `out` — one block of a wider output
+/// filled in place. `f` still receives the partition's whole rows (`ld`
+/// floats each); the recorded write is the strided span it may touch,
+/// `cols.len()` elements at `cols.start` of every row, so the race checker
+/// holds the kernel to the column range as well as to its rows.
+///
+/// # Panics
+/// Panics if `out.len() != rows * ld` or `cols` does not lie inside a row.
+#[allow(clippy::too_many_arguments)] // `par_row_chunks`'s, plus the column range
+pub fn par_row_chunks_cols(
+    kernel: &'static str,
+    out: &mut [f32],
+    rows: usize,
+    ld: usize,
+    cols: Range<usize>,
+    work_per_row: usize,
+    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    assert!(cols.start <= cols.end && cols.end <= ld, "par_row_chunks_cols: column range outside the row");
+    let write = |r: &Range<usize>| {
+        sanitize::Access::write_strided(sanitize::OUT, r.start * ld + cols.start, cols.len(), ld, r.len())
+    };
+    par_rows(kernel, out, rows, ld, work_per_row.max(cols.len()), write, reads, f);
+}
+
+/// The dispatch behind [`par_row_chunks`] and [`par_row_chunks_cols`]:
+/// `write(row_range)` is the output access recorded ahead of `reads`.
+#[allow(clippy::too_many_arguments)] // the public signature, plus the write declaration
+fn par_rows(
+    kernel: &'static str,
+    out: &mut [f32],
+    rows: usize,
+    ld: usize,
+    work_per_row: usize,
+    write: impl Fn(&Range<usize>) -> sanitize::Access,
+    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    assert_eq!(out.len(), rows * ld, "par_row_chunks: output length mismatch");
+    let parts = planned_parts(rows, work_per_row.max(1));
     sanitize::record_raw(kernel, parts, rows, |_, range| {
-        let mut accesses = vec![sanitize::Access::write(
-            sanitize::OUT,
-            range.start * cols..range.end * cols,
-        )];
+        let mut accesses = vec![write(range)];
         accesses.extend(reads(range));
         accesses
     });
@@ -425,10 +466,10 @@ pub fn par_row_chunks(
         let range = part_range(rows, parts, p);
         // SAFETY: partitions are disjoint row ranges of `out`, which both
         // outlives the dispatch (`run_parts` blocks until every partition
-        // is acknowledged) and covers `rows * cols` elements (asserted
+        // is acknowledged) and covers `rows * ld` elements (asserted
         // above), so each reconstructed slice is in-bounds and unaliased.
         let chunk = unsafe {
-            std::slice::from_raw_parts_mut(base.get().add(range.start * cols), range.len() * cols)
+            std::slice::from_raw_parts_mut(base.get().add(range.start * ld), range.len() * ld)
         };
         f(range, chunk);
     });

@@ -87,6 +87,12 @@ impl Access {
         Self { operand, write: false, lo, width, stride, count }
     }
 
+    /// Strided write: `count` spans of `width` elements starting at `lo`,
+    /// `stride` apart (e.g. a column range of a partition's output rows).
+    pub fn write_strided(operand: u8, lo: usize, width: usize, stride: usize, count: usize) -> Self {
+        Self { operand, write: true, lo, width, stride, count }
+    }
+
     fn contiguous(operand: u8, write: bool, range: Range<usize>) -> Self {
         let width = range.end.saturating_sub(range.start);
         Self { operand, write, lo: range.start, width, stride: width.max(1), count: 1 }

@@ -9,7 +9,7 @@ use dgnn_analysis::race_checker::{
     check_dispatches, check_dispatches_with, contract_names, AccessSpec, KernelContract,
     RaceViolation, Shape,
 };
-use dgnn_tensor::gemm;
+use dgnn_tensor::gemm::{self, PackedPanels};
 use dgnn_tensor::parallel::{self, FuzzSchedule};
 use dgnn_tensor::sanitize::{self, Access, OUT};
 use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
@@ -80,7 +80,8 @@ fn csr(rows: usize, cols: usize, seed: u64) -> Csr {
 /// / `matmul_tn` / … kernel names) and once on the packed Generic backend
 /// (the `gemm_*_packed` dispatches — Generic is always available and
 /// records the same names as the SIMD backends), so both halves of the
-/// contract table prove out on every machine.
+/// contract table prove out on every machine. The scorer against resident
+/// panels is one kernel (`gemm_score_panels`) on both.
 fn run_kernel_battery() {
     gemm::set_backend(Some(gemm::Backend::Scalar));
     run_backend_battery();
@@ -130,7 +131,11 @@ fn run_backend_battery() {
     let _ = Matrix::weighted_block_sum_grad_blocks(&eta, &gb); // …_grad_blocks
     let _ = Matrix::weighted_block_sum_grad_weights(&a, &gb); // …_grad_weights
     let _ = a.gather_matmul(&idx, &b); // gather_matmul
-    let _ = a.gather_matmul_nt(&idx, &g); // gather_matmul_nt (packed) / matmul_nt (scalar)
+    let _ = a.gather_matmul_nt(&idx, &g); // gemm_score_panels (every backend)
+    // The serving scorer: two resident shards, the second ragged, so the
+    // second dispatch writes a column range at a non-zero offset.
+    let (s0, s1) = (PackedPanels::pack(&g), PackedPanels::pack(&mat(9, 8, 14)));
+    let _ = a.gather_matmul_panels(&idx, &[&s0, &s1]); // gemm_score_panels
     let _ = a.gather_rows(&idx); // gather_rows
     let mut sc = Matrix::zeros(12, 8);
     sc.scatter_add_rows(&idx, &a); // scatter_add_rows
@@ -285,6 +290,10 @@ fn fuzz_workload() -> Matrix {
     // A reduction of several k blocks: every partition parks its fold in
     // its own output rows between blocks.
     h.add_assign(&mat(150, 17, 26).matmul_tn(&mat(150, 17, 27)));
+    // The serving scorer into two column ranges: partitions of one to five
+    // rows take the row-vector kernel or the tile as their span decides.
+    let (s0, s1) = (PackedPanels::pack(&mat(10, 9, 28)), PackedPanels::pack(&mat(7, 9, 29)));
+    h.add_assign(&a.gather_matmul_panels(&(0..17).map(|i| (i * 5) % 17).collect::<Vec<_>>(), &[&s0, &s1]));
     let t = top_k_rows(&h, 5);
     let mut out = h.l2_normalize_rows(1e-6);
     let mut tail = Matrix::zeros(17, 5);

@@ -186,6 +186,10 @@ fn live_scrape_endpoints_are_valid_and_consistent() {
         let name = format!("serve_phase_{phase}_ms_count");
         assert!(value(&name).unwrap_or(0.0) >= n as f64, "missing phase series {name}");
     }
+    // The one-off item pack at engine build is visible: its cost, and the
+    // bytes of the one layout item embeddings are resident in.
+    assert!(value("serve_engine_item_pack_ms_count").unwrap_or(0.0) >= 1.0, "item pack not recorded");
+    assert!(value("serve_engine_item_panel_bytes").unwrap_or(0.0) > 0.0, "item panel bytes not exported");
     let buckets: Vec<f64> = parsed
         .iter()
         .filter(|s| s.name == "serve_latency_ms_bucket")
