@@ -6,41 +6,33 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "=== [1/13] source lints (dgnn-analysis lint harness) ==="
+echo "=== [1/12] source lints (dgnn-analysis lint harness) ==="
 cargo run -q -p dgnn-analysis --bin lint .
 
-echo "=== [2/13] compute-graph audit (ShapeTracer over DGNN + baselines) ==="
+echo "=== [2/12] compute-graph audit (ShapeTracer over DGNN + baselines) ==="
 cargo test -q -p dgnn-analysis
 cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis
 
-echo "=== [3/13] release build (warnings denied) ==="
+echo "=== [3/12] release build (warnings denied) ==="
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 
-echo "=== [4/13] full test suite (serial and 4-thread kernel pool) ==="
+echo "=== [4/12] full test suite (serial and 4-thread kernel pool) ==="
 DGNN_THREADS=1 cargo test -q --workspace
 DGNN_THREADS=4 cargo test -q --workspace
 
-echo "=== [5/13] full test suite per GEMM backend (forced scalar, then auto) ==="
+echo "=== [5/12] full test suite on the forced-scalar GEMM backend ==="
 # DGNN_GEMM=scalar pins every matmul to the legacy cache-blocked loops
-# (the historical bit-exact numerics); DGNN_GEMM=auto re-runs the same
-# suite on the detected packed backend so both halves of the dispatcher
-# stay green on every host.
+# (the historical bit-exact numerics); stage 4 already ran the suite on
+# the detected packed backend, which is what unset / `auto` selects.
 DGNN_GEMM=scalar cargo test -q --workspace
-DGNN_GEMM=auto cargo test -q --workspace
 
-echo "=== [6/13] full test suite under the graph optimizer ==="
-# DGNN_GRAPH_OPT=1 forces every traced model through the optimize ->
-# check_rewrites -> proven-harness path, so the whole suite doubles as a
-# bit-identity certificate for optimized execution.
-DGNN_GRAPH_OPT=1 cargo test -q --workspace
-
-echo "=== [7/13] memory-plan peak-live-bytes regression gate ==="
+echo "=== [6/12] memory-plan peak-live-bytes regression gate ==="
 cargo run -q --release -p dgnn-bench --bin memplan -- --check analysis-baseline.json
 
-echo "=== [8/13] training steps/sec regression gate (profiled) ==="
+echo "=== [7/12] training steps/sec regression gate (profiled) ==="
 cargo run -q --release -p dgnn-bench --bin profile -- --check BENCH_profile.json
 
-echo "=== [9/13] race sanitizer (shadow-access proof + schedule fuzzer + contract gate) ==="
+echo "=== [8/12] race sanitizer (shadow-access proof + schedule fuzzer + contract gate) ==="
 # DGNN_SANITIZE=1 turns on shadow-access tracking; the suite proves every
 # pooled kernel's partition disjointness, runs the malicious-kernel typed
 # failures, and certifies bit-identity under fuzzed worker schedules. The
@@ -48,13 +40,13 @@ echo "=== [9/13] race sanitizer (shadow-access proof + schedule fuzzer + contrac
 DGNN_THREADS=4 DGNN_SANITIZE=1 cargo test -q -p dgnn-integration-tests --test race_sanitizer
 DGNN_THREADS=4 cargo run -q --release -p dgnn-bench --bin sanitize -- --check
 
-echo "=== [10/13] telemetry gate (percentile/prometheus properties + live scrape + flight dump) ==="
+echo "=== [9/12] telemetry gate (percentile/prometheus properties + live scrape + flight dump) ==="
 cargo test -q -p dgnn-integration-tests --test telemetry
 
-echo "=== [11/13] serving gate (checkpoint + HTTP load + live /metrics scrape + qps and obs-overhead regression) ==="
+echo "=== [10/12] serving gate (checkpoint + HTTP load + live /metrics scrape + qps and obs-overhead regression) ==="
 cargo run -q --release -p dgnn-bench --bin loadgen -- --check BENCH_serve.json
 
-echo "=== [12/13] scale gate (streaming gen + segmented store + lazy Zipf load + RSS/residency bounds) ==="
+echo "=== [11/12] scale gate (streaming gen + segmented store + lazy Zipf load + RSS/residency bounds) ==="
 # --scale runs the million-user-architecture tier on the CI-sized preset:
 # streams a sharded world to disk, opens it lazily, proves sharded scoring
 # bit-identical to a dense reference at 1 and 4 threads, then drives 64
@@ -62,7 +54,7 @@ echo "=== [12/13] scale gate (streaming gen + segmented store + lazy Zipf load +
 # residency and RSS ceilings, and qps against the committed baseline.
 cargo run -q --release -p dgnn-bench --bin loadgen -- --scale --check BENCH_scale.json
 
-echo "=== [13/13] benchmark harness (its own workspace: unit tests + a 2-second train_dgnn smoke) ==="
+echo "=== [12/12] benchmark harness (its own workspace: unit tests + a 2-second train_dgnn smoke) ==="
 # benchmark/ compiles against the crates' public API from outside the
 # workspace (Dgnn::{new,prepare,params,record_step,fit_epochs},
 # Tape::{new,len,backward_into}, ParamSet, Adam, gemm::counters,

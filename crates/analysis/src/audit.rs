@@ -5,11 +5,11 @@
 //! the finished graph: parameters that never influence the loss, and
 //! recorded compute that `backward` can never see.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use dgnn_autograd::{ParamSet, Var};
+use dgnn_autograd::{ParamId, ParamSet, Var};
 
-use crate::tracer::{Diagnostic, DiagnosticKind, ShapeTracer};
+use crate::tracer::{Diagnostic, DiagnosticKind, ShapeTracer, TraceNode};
 
 /// All findings for one traced graph: trace-time diagnostics from the
 /// [`ShapeTracer`] plus the reachability findings computed here.
@@ -86,6 +86,57 @@ fn ancestors(tracer: &ShapeTracer, roots: impl IntoIterator<Item = usize>) -> Ve
         stack.extend(nodes[n].inputs.iter().copied());
     }
     live
+}
+
+/// Per-node training-invariance: true when the node's value is identical
+/// across steps — every transitive leaf is a constant and no op whose
+/// payload is rebuilt per batch (`Rc` index / segment vectors, dropout
+/// masks) or that reads a parameter sits in the cone.
+fn mark_invariant(nodes: &[TraceNode]) -> Vec<bool> {
+    let mut inv = vec![false; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
+        inv[i] = match node.op {
+            "constant" => true,
+            "param" | "dropout" | "gather" | "segment_softmax" | "segment_weighted_sum" => false,
+            _ => !node.inputs.is_empty() && node.inputs.iter().all(|&j| inv[j]),
+        };
+    }
+    inv
+}
+
+/// Value numbering: returns `vn[i]` — the index of the earliest node
+/// provably computing the same value as `i`, keyed on
+/// `(op, attr, canonical input numbers, param id)`. Constants (opaque data)
+/// and dropout (fresh mask per step) number as themselves.
+fn value_numbers(nodes: &[TraceNode]) -> Vec<u32> {
+    #[derive(PartialEq, Eq, Hash)]
+    struct Key {
+        op: &'static str,
+        attr: u64,
+        inputs: Vec<u32>,
+        param: Option<ParamId>,
+    }
+    let mut table: HashMap<Key, u32> = HashMap::new();
+    let mut vn = vec![0u32; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
+        vn[i] = i as u32;
+        if matches!(node.op, "constant" | "dropout") {
+            continue;
+        }
+        let key = Key {
+            op: node.op,
+            attr: node.attr,
+            inputs: node.inputs.iter().map(|&j| vn[j]).collect(),
+            param: node.param,
+        };
+        match table.get(&key) {
+            Some(&rep) => vn[i] = rep,
+            None => {
+                table.insert(key, i as u32);
+            }
+        }
+    }
+    vn
 }
 
 /// Audits a finished trace.
@@ -171,12 +222,8 @@ pub fn audit(
         });
     }
 
-    // --- advisories: missed optimizations --------------------------------
-    // Reuse the optimizer's own analyses (the independence requirement is
-    // between the optimizer and its *checker*; the audit may share freely)
-    // so the advisories and the rewrite plan can never disagree about what
-    // is foldable or congruent.
-    let invariant = crate::optimizer::mark_invariant(nodes);
+    // --- advisories: redundant compute -----------------------------------
+    let invariant = mark_invariant(nodes);
     // Report only fold *sinks* — invariant interiors no invariant interior
     // consumes — and size the whole region behind each; interior nodes
     // would be noise.
@@ -200,13 +247,12 @@ pub fn audit(
             op: Some(node.op),
             message: format!(
                 "training-invariant subgraph of {size} node(s) ending at `{}` {:?} is \
-                 recomputed every step; the graph optimizer would fold it \
-                 (enable with_graph_opt)",
+                 recomputed every step",
                 node.op, node.shape
             ),
         });
     }
-    let vn = crate::optimizer::value_numbers(nodes, &vec![false; nodes.len()]);
+    let vn = value_numbers(nodes);
     for (i, node) in nodes.iter().enumerate() {
         let rep = vn[i] as usize;
         if rep != i && live[i] {
@@ -215,8 +261,7 @@ pub fn audit(
                 node: Some(i),
                 op: Some(node.op),
                 message: format!(
-                    "node {i} (`{}` {:?}) recomputes the value of node {rep}; the graph \
-                     optimizer would serve it as a copy (enable with_graph_opt)",
+                    "node {i} (`{}` {:?}) recomputes the value of node {rep}",
                     node.op, node.shape
                 ),
             });

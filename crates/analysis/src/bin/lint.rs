@@ -25,12 +25,8 @@
 //!    proving the path is unreachable from request handling — a panic
 //!    there kills a worker or the batcher instead of returning a 4xx/5xx,
 //!    so even a well-messaged expect is not acceptable by default.
-//! 10. no hand-built rewrite plans outside the optimizer stack:
-//!    `RewritePlan::new(` / `RewriteAction::` outside the graph optimizer,
-//!    its independent checker, and the autograd executor that interprets
-//!    them needs a nearby `// REWRITE:` comment — ad-hoc tape rewrites
-//!    bypass the soundness proof that keeps optimized execution
-//!    bit-identical.
+//! 10. (retired with the graph rewriter; rules 11–15 keep their numbers
+//!    because code comments and the docs cite them.)
 //! 11. unsafe-contract: every `unsafe` block / `unsafe impl` — *including*
 //!    those inside `#[cfg(test)]` regions, which rule 4 exempts — needs an
 //!    adjacent `// SAFETY:` comment whose justification text is at least
@@ -105,8 +101,6 @@ struct Needles {
     println: String,
     spawn: String,
     thread_builder: String,
-    rewrite_plan: String,
-    rewrite_action: String,
     par_chunks: String,
     run_parts: String,
     std_arch: String,
@@ -135,8 +129,6 @@ impl Needles {
             println: format!("print{}!", "ln"),
             spawn: format!("thread::sp{}", "awn"),
             thread_builder: format!("thread::Buil{}", "der"),
-            rewrite_plan: format!("RewritePlan::n{}(", "ew"),
-            rewrite_action: format!("RewriteAction{}", "::"),
             par_chunks: format!("par_row_chu{}(", "nks"),
             run_parts: format!("run_pa{}(", "rts"),
             std_arch: format!("std::a{}", "rch"),
@@ -425,22 +417,6 @@ fn lint_file(
     // Rule 8 applies everywhere except the kernel pool itself: the one
     // place allowed to own worker threads.
     let par_scope = !file.ends_with(Path::new("tensor/src/parallel.rs"));
-    // Rule 10 exempts the rewrite stack itself: the optimizer builds plans,
-    // the independent checker proves them, the memory planner/checker
-    // account for the extra reads they induce, and the autograd executor
-    // (rewrite/tape/plan) interprets them. Everywhere else a rewrite must
-    // be justified.
-    let rewrite_scope = ![
-        "analysis/src/optimizer.rs",
-        "analysis/src/rewrite_checker.rs",
-        "analysis/src/planner.rs",
-        "analysis/src/checker.rs",
-        "autograd/src/rewrite.rs",
-        "autograd/src/tape.rs",
-        "autograd/src/plan.rs",
-    ]
-    .iter()
-    .any(|tail| file.ends_with(Path::new(tail)));
     // Rule 12 exempts the kernel modules that own pool dispatch: their
     // partition contracts are declared in dgnn_analysis::race_checker and
     // proved at runtime by the shadow-access sanitizer. Everywhere else a
@@ -638,21 +614,6 @@ fn lint_file(
                 detail: "potential panic in the serving tier without a nearby \
                          // SERVE: comment; request paths must return JSON \
                          errors, never panic"
-                    .to_string(),
-            });
-        }
-        if rewrite_scope
-            && (code.contains(needles.rewrite_plan.as_str())
-                || code.contains(needles.rewrite_action.as_str()))
-            && !has_marker(&lines, i, "REWRITE:")
-        {
-            violations.push(Violation {
-                file: file.to_path_buf(),
-                line: lineno,
-                rule: "rewrite-plan-hygiene",
-                detail: "hand-built rewrite plan outside the optimizer stack without \
-                         a nearby // REWRITE: comment; unproven rewrites bypass the \
-                         soundness checker"
                     .to_string(),
             });
         }
@@ -912,32 +873,6 @@ mod tests {
         violations.clear();
         lint_file(Path::new("crates/bench/src/lib.rs"), &text, &needles, &mut violations, &mut todos);
         assert!(violations.iter().all(|v| v.rule != "serve-fail-soft"));
-    }
-
-    #[test]
-    fn rewrite_rule_exempts_the_optimizer_stack() {
-        let needles = Needles::new();
-        let text = format!("let plan = {}vec![]);\n", needles.rewrite_plan);
-        let mut violations = Vec::new();
-        let mut todos = 0;
-
-        lint_file(Path::new("crates/core/src/model.rs"), &text, &needles, &mut violations, &mut todos);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "rewrite-plan-hygiene");
-
-        // The optimizer and the executor own rewrite construction.
-        for exempt in ["crates/analysis/src/optimizer.rs", "crates/autograd/src/tape.rs"] {
-            violations.clear();
-            lint_file(Path::new(exempt), &text, &needles, &mut violations, &mut todos);
-            assert!(violations.is_empty(), "{exempt} should be exempt");
-        }
-
-        // A REWRITE: marker justifies one elsewhere (e.g. a doc example).
-        violations.clear();
-        let justified =
-            format!("// REWRITE: identity plan for a pool-only harness, nothing to prove\n{text}");
-        lint_file(Path::new("crates/bench/src/lib.rs"), &justified, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! 5. claimed byte sizes match the traced shapes.
 
 use dgnn_autograd::meta::{grad_reads, InputReads};
-use dgnn_autograd::{RewriteAction, RewritePlan, Var};
+use dgnn_autograd::Var;
 
 use crate::planner::{FreePoint, MemoryPlan};
 use crate::tracer::ShapeTracer;
@@ -76,31 +76,6 @@ pub fn check_plan(
     tracer: &ShapeTracer,
     loss: Var,
     outputs: &[Var],
-    plan: &MemoryPlan,
-) -> Result<PlanProof, PlanViolation> {
-    check_plan_impl(tracer, loss, outputs, None, plan)
-}
-
-/// [`check_plan`] for a plan built by [`crate::plan_with_rewrites`]: the
-/// checker additionally enumerates the forward reads the rewrite actions
-/// introduce (CSE copies reading their source, fused matmuls reading an
-/// elided gather's table) and proves none of them lands after the value's
-/// claimed free point.
-pub fn check_plan_with_rewrites(
-    tracer: &ShapeTracer,
-    loss: Var,
-    outputs: &[Var],
-    rewrites: &RewritePlan,
-    plan: &MemoryPlan,
-) -> Result<PlanProof, PlanViolation> {
-    check_plan_impl(tracer, loss, outputs, Some(rewrites), plan)
-}
-
-fn check_plan_impl(
-    tracer: &ShapeTracer,
-    loss: Var,
-    outputs: &[Var],
-    rewrites: Option<&RewritePlan>,
     plan: &MemoryPlan,
 ) -> Result<PlanProof, PlanViolation> {
     let nodes = tracer.nodes();
@@ -212,25 +187,6 @@ fn check_plan_impl(
         }
     }
     check_read(l, 2 * n - 1 - l, "the reverse sweep's loss readout")?;
-
-    // Rewrite-induced forward reads: a CSE copy reads its source at copy
-    // time; a fused gather→matmul reads the gather's table at matmul time.
-    if let Some(rw) = rewrites {
-        for k in 0..n {
-            match rw.action(k) {
-                RewriteAction::CopyOf(j) => {
-                    check_read(j as usize, k, &format!("the CSE copy at node {k}"))?;
-                }
-                RewriteAction::GatherMatMul => {
-                    let g = nodes[k].inputs[0];
-                    if let Some(&table) = nodes[g].inputs.first() {
-                        check_read(table, k, &format!("the fused gather→matmul at node {k}"))?;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 
     // --- obligation 4: reuse classes are overlap-free ----------------------
     // Per buffer: equal element counts, and intervals [birth, end] strictly

@@ -59,21 +59,6 @@
 //! [`check_plan`] before the trainer executes it via
 //! [`dgnn_autograd::PlanHarness`] and the `dgnn_tensor` buffer pool.
 //!
-//! # Graph optimization
-//!
-//! A third pass, [`optimize`], rewrites the trace for speed without
-//! changing a single output bit: constant folding of training-invariant
-//! subgraphs into a cross-step cache, common-subexpression elimination over
-//! purity- and attribute-keyed value numbering, and op fusion (in-place
-//! epilogues, streaming broadcasts, gather→matmul). The result is a
-//! [`dgnn_autograd::RewritePlan`] of per-node *patches* — no node is
-//! renumbered, so gradients and the memory plan carry over unchanged. Every
-//! plan must be proven by the *independent* [`check_rewrites`] (which
-//! shares no code with the optimizer, mirroring the planner/checker split)
-//! before a trainer executes it; [`plan_with_rewrites`] /
-//! [`check_plan_with_rewrites`] make the memory plan aware of the extra
-//! reads rewritten execution performs.
-//!
 //! The source-level lint harness lives in the `lint` binary
 //! (`cargo run -p dgnn-analysis --bin lint`); it is a std-only walker that
 //! enforces panic-hygiene and safety-comment rules over `crates/*/src`.
@@ -81,15 +66,11 @@
 mod audit;
 mod checker;
 pub mod json;
-mod optimizer;
 mod planner;
 pub mod race_checker;
-mod rewrite_checker;
 mod tracer;
 
 pub use audit::{audit, AuditReport};
-pub use checker::{check_plan, check_plan_with_rewrites, PlanProof, PlanViolation};
-pub use optimizer::{optimize, OptimizerStats};
-pub use planner::{plan, plan_with_rewrites, FreePoint, MemoryPlan, NodePlan};
-pub use rewrite_checker::{check_rewrites, RewriteProof, RewriteViolation};
+pub use checker::{check_plan, PlanProof, PlanViolation};
+pub use planner::{plan, FreePoint, MemoryPlan, NodePlan};
 pub use tracer::{Diagnostic, DiagnosticKind, ShapeTracer};

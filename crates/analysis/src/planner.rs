@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use dgnn_autograd::meta::{grad_reads, InputReads};
-use dgnn_autograd::{RewriteAction, RewritePlan, TapePlan, Var};
+use dgnn_autograd::{TapePlan, Var};
 
 use crate::tracer::ShapeTracer;
 
@@ -171,30 +171,6 @@ impl MemoryPlan {
 /// # Panics
 /// Panics if `loss` or any output is out of range for the trace.
 pub fn plan(tracer: &ShapeTracer, loss: Var, outputs: &[Var]) -> MemoryPlan {
-    plan_impl(tracer, loss, outputs, None)
-}
-
-/// [`plan`] for a graph that will execute under a [`RewritePlan`]: rewrite
-/// actions introduce forward reads the bare trace does not show (a CSE copy
-/// reads its source at copy time; a fused gather→matmul reads the gather's
-/// table at matmul time), and the planner must keep those values alive
-/// through them — otherwise the runtime verifier would find the source
-/// retired and fall back to recomputation every step.
-pub fn plan_with_rewrites(
-    tracer: &ShapeTracer,
-    loss: Var,
-    outputs: &[Var],
-    rewrites: &RewritePlan,
-) -> MemoryPlan {
-    plan_impl(tracer, loss, outputs, Some(rewrites))
-}
-
-fn plan_impl(
-    tracer: &ShapeTracer,
-    loss: Var,
-    outputs: &[Var],
-    rewrites: Option<&RewritePlan>,
-) -> MemoryPlan {
     let nodes = tracer.nodes();
     let n = nodes.len();
     let l = loss.index();
@@ -254,26 +230,6 @@ fn plan_impl(
     }
     // The reverse sweep reads the loss value itself before it starts.
     last_use[l] = last_use[l].max(2 * n - 1 - l);
-
-    // Rewrite-induced forward reads the bare trace does not show.
-    if let Some(rw) = rewrites {
-        for k in 0..n {
-            match rw.action(k) {
-                RewriteAction::CopyOf(j) => {
-                    let j = j as usize;
-                    last_use[j] = last_use[j].max(k);
-                }
-                RewriteAction::GatherMatMul => {
-                    // The fused matmul reads the elided gather's table.
-                    let g = nodes[k].inputs[0];
-                    if let Some(&table) = nodes[g].inputs.first() {
-                        last_use[table] = last_use[table].max(k);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 
     // --- free points -------------------------------------------------------
     let free: Vec<FreePoint> = (0..n)

@@ -19,8 +19,8 @@
 //!    recorded write-sets of different partitions are pairwise disjoint,
 //!    and no partition reads an element another partition writes. This
 //!    check is pure interval arithmetic over the recorded spans; it shares
-//!    no code with the kernels, mirroring the planner/checker and
-//!    optimizer/rewrite-checker splits elsewhere in this crate.
+//!    no code with the kernels, mirroring the planner/checker split
+//!    elsewhere in this crate.
 //!
 //! The contract table below is the admission list for parallel kernels: a
 //! new kernel (the packed SIMD GEMM dispatches included) is admissible
@@ -130,15 +130,6 @@ const GEMM_ACC: &[AccessSpec] = &[
     spec(1, false, Shape::All),
 ];
 
-/// Gathered GEMM: the row table is read whole-buffer (indices are
-/// data-dependent), the index list per-partition.
-const GEMM_GATHER: &[AccessSpec] = &[
-    spec(OUT, true, Shape::PartRows),
-    spec(0, false, Shape::All),
-    spec(1, false, Shape::All),
-    spec(2, false, Shape::PartRows),
-];
-
 /// The builtin contract table: every pooled kernel in `dgnn-tensor`.
 /// Ordering is alphabetical-ish by family for review; lookup is by name.
 const CONTRACTS: &[KernelContract] = &[
@@ -165,10 +156,7 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "map", accesses: &[spec(OUT, true, Shape::PartRows), spec(0, false, Shape::PartRows)] },
     KernelContract { kernel: "add_assign", accesses: RMW_BINARY },
     KernelContract { kernel: "axpy", accesses: RMW_BINARY },
-    KernelContract { kernel: "sub_assign", accesses: RMW_BINARY },
     KernelContract { kernel: "scale_assign", accesses: RMW_UNARY },
-    KernelContract { kernel: "add_scalar_assign", accesses: RMW_UNARY },
-    KernelContract { kernel: "add_row_fused", accesses: GEMM },
     KernelContract { kernel: "mul_row_fused", accesses: GEMM },
     KernelContract { kernel: "mul_col_fused", accesses: ZIP },
     // The η-weighted block reduce and its two gradients: every operand is
@@ -176,7 +164,6 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "weighted_block_sum", accesses: ZIP },
     KernelContract { kernel: "weighted_block_sum_grad_blocks", accesses: ZIP },
     KernelContract { kernel: "weighted_block_sum_grad_weights", accesses: ZIP },
-    KernelContract { kernel: "gather_matmul", accesses: GEMM_GATHER },
     KernelContract {
         kernel: "gather_rows",
         accesses: &[
@@ -241,7 +228,6 @@ const CONTRACTS: &[KernelContract] = &[
     },
     KernelContract { kernel: "gemm_nt_packed", accesses: GEMM },
     KernelContract { kernel: "gemm_nt_acc_packed", accesses: GEMM_ACC },
-    KernelContract { kernel: "gemm_gather_nn_packed", accesses: GEMM_GATHER },
     // The scorer against resident panels (`gather_matmul_panels`, every
     // backend, and `gather_matmul_nt` through it): a gathered GEMM whose
     // output is one shard's column range of the partition's score rows.

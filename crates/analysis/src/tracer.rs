@@ -32,13 +32,12 @@ pub enum DiagnosticKind {
     /// unbounded input (overflow), or `ln`/`div`/`sqrt` of a value not
     /// provably bounded away from zero / non-negative (−∞, ±∞, NaN).
     UnstableDomain,
-    /// Advisory: a node provably recomputes an earlier node's value — the
-    /// graph optimizer's CSE pass would serve it as a copy. Not an error;
+    /// Advisory: a node provably recomputes an earlier node's value (e.g. a
+    /// parameter read twice in one step). Not an error;
     /// [`crate::AuditReport::is_clean`] ignores it.
     CommonSubexpression,
     /// Advisory: a training-invariant subgraph (constant leaves only) is
-    /// recomputed every step — the graph optimizer's constant-folding pass
-    /// would hoist it into the cross-step fold cache. Not an error;
+    /// recomputed every step. Not an error;
     /// [`crate::AuditReport::is_clean`] ignores it.
     FoldableSubgraph,
 }
@@ -57,7 +56,7 @@ impl DiagnosticKind {
         }
     }
 
-    /// True for findings that flag a missed optimization rather than a bug.
+    /// True for findings that flag redundant compute rather than a bug.
     /// Advisory findings never make a graph "unclean".
     pub fn is_advisory(self) -> bool {
         matches!(self, Self::CommonSubexpression | Self::FoldableSubgraph)
@@ -116,8 +115,7 @@ pub(crate) struct TraceNode {
     /// coefficient (`scale`/`add_scalar`/`leaky_relu`/eps), packed slice
     /// bounds, or the address of a shared index/adjacency payload
     /// (`gather`/`spmm`/segment ops). Two nodes of the same op kind compute
-    /// the same function of their inputs iff their attrs are equal — the
-    /// same discrimination the runtime rewrite verifier applies. `0` for
+    /// the same function of their inputs iff their attrs are equal. `0` for
     /// attribute-free ops.
     pub attr: u64,
     /// True when the op's output lies in a fixed interval regardless of

@@ -65,12 +65,10 @@ mod optim;
 mod params;
 mod plan;
 mod recorder;
-mod rewrite;
 mod tape;
 
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};
 pub use plan::{PlanHarness, TapePlan};
 pub use recorder::{Recorder, Var};
-pub use rewrite::{RewriteAction, RewritePlan};
-pub use tape::{FoldCache, RewriteCounters, Tape};
+pub use tape::Tape;

@@ -10,15 +10,13 @@
 //!
 //! [`MemoryPlan`]: https://docs.rs/dgnn-analysis
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use dgnn_tensor::BufferPool;
 
 use crate::params::ParamSet;
 use crate::recorder::Var;
-use crate::rewrite::RewritePlan;
-use crate::tape::{FoldCache, RewriteCounters, Tape};
+use crate::tape::Tape;
 
 /// Statically scheduled value-free points for one compute graph.
 ///
@@ -77,7 +75,7 @@ impl TapePlan {
     }
 }
 
-/// Drives planned training steps: owns the plan(s) and a [`BufferPool`]
+/// Drives planned training steps: owns the plan and a [`BufferPool`]
 /// that persists across steps so each step's retired buffers feed the next.
 ///
 /// ```text
@@ -91,66 +89,25 @@ impl TapePlan {
 ///     h.end_step(tape);                       // remaining values retired
 /// }
 /// ```
-///
-/// A harness can carry a memory plan, a rewrite plan
-/// ([`PlanHarness::with_rewrites`]), or both: the rewrite plan changes how
-/// forward values are produced, the memory plan when they are retired, and
-/// the two compose per node. The harness also owns the cross-step
-/// [`FoldCache`] behind constant folding, invalidating it at each
-/// `begin_step`.
 #[derive(Debug)]
 pub struct PlanHarness {
-    plan: Option<Rc<TapePlan>>,
-    rewrites: Option<Rc<RewritePlan>>,
-    fold: Rc<RefCell<FoldCache>>,
+    plan: Rc<TapePlan>,
     pool: Option<BufferPool>,
-    last_counters: Option<RewriteCounters>,
 }
 
 impl PlanHarness {
     /// Wraps a lowered memory plan with a fresh buffer pool.
     pub fn new(plan: TapePlan) -> Self {
-        Self::assemble(Some(plan), None)
+        Self { plan: Rc::new(plan), pool: Some(BufferPool::new()) }
     }
 
-    /// Wraps an optional memory plan plus a checker-proven rewrite plan.
-    pub fn with_rewrites(plan: Option<TapePlan>, rewrites: RewritePlan) -> Self {
-        Self::assemble(plan, Some(rewrites))
-    }
-
-    fn assemble(plan: Option<TapePlan>, rewrites: Option<RewritePlan>) -> Self {
-        assert!(
-            plan.is_some() || rewrites.is_some(),
-            "PlanHarness: at least one of memory plan / rewrite plan is required"
-        );
-        let slots = rewrites.as_ref().map_or(0, |rw| rw.num_fold_slots() as usize);
-        Self {
-            plan: plan.map(Rc::new),
-            rewrites: rewrites.map(Rc::new),
-            fold: Rc::new(RefCell::new(FoldCache::new(slots))),
-            pool: Some(BufferPool::new()),
-            last_counters: None,
-        }
-    }
-
-    /// The memory plan being executed, if any.
-    pub fn plan(&self) -> Option<&TapePlan> {
-        self.plan.as_deref()
-    }
-
-    /// The rewrite plan being executed, if any.
-    pub fn rewrites(&self) -> Option<&RewritePlan> {
-        self.rewrites.as_deref()
-    }
-
-    /// Rewrite counters observed on the most recently closed step (None
-    /// until a rewritten step completes).
-    pub fn last_rewrite_counters(&self) -> Option<RewriteCounters> {
-        self.last_counters
+    /// The memory plan being executed.
+    pub fn plan(&self) -> &TapePlan {
+        &self.plan
     }
 
     /// Installs the pool on this thread and returns a tape with the
-    /// harness's plans armed.
+    /// harness's plan armed.
     ///
     /// # Panics
     /// Panics if called again before [`PlanHarness::end_step`] — a harness
@@ -160,15 +117,7 @@ impl PlanHarness {
             .take()
             .expect("PlanHarness::begin_step: previous step not closed with end_step")
             .install();
-        let mut tape = Tape::new();
-        if let Some(plan) = &self.plan {
-            tape = tape.with_plan(Rc::clone(plan));
-        }
-        if let Some(rw) = &self.rewrites {
-            self.fold.borrow_mut().begin_step();
-            tape = tape.with_rewrites(Rc::clone(rw), Rc::clone(&self.fold));
-        }
-        tape
+        Tape::new().with_plan(Rc::clone(&self.plan))
     }
 
     /// Closes a step: drops the tape (retiring every remaining value into
@@ -177,9 +126,6 @@ impl PlanHarness {
     /// # Panics
     /// Panics if the pool was uninstalled behind the harness's back.
     pub fn end_step(&mut self, tape: Tape) {
-        if let Some(c) = tape.rewrite_counters() {
-            self.last_counters = Some(c);
-        }
         drop(tape);
         self.pool =
             Some(BufferPool::uninstall().expect("PlanHarness::end_step: pool vanished mid-step"));

@@ -29,11 +29,6 @@ pub struct BaselineConfig {
     /// baselines only: NGCF, GCCF, DGCF, MHCN, DisenHAN; the others train
     /// unplanned regardless). Bit-identical to unplanned execution.
     pub use_memory_plan: bool,
-    /// Execute training steps under a checker-proven rewrite plan (traced
-    /// baselines only, like `use_memory_plan`): constant folding, CSE, and
-    /// op fusion over the traced step. Bit-identical to unoptimized
-    /// execution; composes with `use_memory_plan`.
-    pub use_graph_opt: bool,
     /// Kernel-pool thread count for training (`0` inherits the ambient
     /// setting: `DGNN_THREADS` or the hardware default). Any value produces
     /// bit-identical results; `1` forces fully serial kernels.
@@ -50,7 +45,6 @@ impl Default for BaselineConfig {
             learning_rate: 0.01,
             weight_decay: 1e-4,
             use_memory_plan: false,
-            use_graph_opt: false,
             threads: 0,
         }
     }
@@ -60,13 +54,6 @@ impl BaselineConfig {
     /// Enables statically planned, pooled training-step execution.
     pub fn with_memory_plan(mut self) -> Self {
         self.use_memory_plan = true;
-        self
-    }
-
-    /// Enables checker-proven graph-optimized execution (constant folding,
-    /// CSE, op fusion) for training steps.
-    pub fn with_graph_opt(mut self) -> Self {
-        self.use_graph_opt = true;
         self
     }
 
@@ -121,11 +108,9 @@ pub(crate) fn probe_batch(sampler: &TrainSampler, batch_size: usize, seed: u64) 
 /// social task or MHCN's embedding corruption) and returns the scalar loss.
 ///
 /// With `harness` set (a proven harness from
-/// [`dgnn_core::training::build_harness`]), every step runs planned and/or
-/// graph-optimized: intermediates retire into the harness's buffer pool at
-/// their static death points, and proven rewrites (folds, CSE copies,
-/// fused kernels) replace node-by-node recompute. The arithmetic is
-/// bit-identical either way.
+/// [`dgnn_core::training::planned_harness`]), every step runs planned:
+/// intermediates retire into the harness's buffer pool at their static
+/// death points. The arithmetic is bit-identical either way.
 ///
 /// Returns mean loss per epoch.
 pub(crate) fn train_loop(

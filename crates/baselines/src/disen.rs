@@ -206,15 +206,13 @@ impl Dgcf {
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
         let batches = sampler.num_positives().div_ceil(self.cfg.batch_size).max(1);
-        let mut harness = dgnn_core::training::build_harness(
-            self.cfg.use_memory_plan,
-            self.cfg.use_graph_opt,
-            |tr| {
+        let mut harness = self.cfg.use_memory_plan.then(|| {
+            dgnn_core::training::planned_harness(|tr| {
                 let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
                 let (users, items) = dgcf_forward(&st, d, tr, &params);
                 bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe))
-            },
-        );
+            })
+        });
         self.loss_history.clear();
         for epoch in 0..self.cfg.epochs {
             let _epoch_span = dgnn_obs::span("epoch");
@@ -473,15 +471,13 @@ impl Trainable for DisenHan {
 
         let sampler = TrainSampler::new(g);
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        let harness = dgnn_core::training::build_harness(
-            self.cfg.use_memory_plan,
-            self.cfg.use_graph_opt,
-            |tr| {
+        let harness = self.cfg.use_memory_plan.then(|| {
+            dgnn_core::training::planned_harness(|tr| {
                 let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
                 let (users, items) = disen_forward(&st, d, tr, &params);
                 bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe))
-            },
-        );
+            })
+        });
         self.loss_history = train_loop(
             &self.cfg,
             &mut params,

@@ -279,10 +279,8 @@ impl Trainable for Mhcn {
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let layers = self.cfg.layers;
         let num_users = g.num_users();
-        let harness = dgnn_core::training::build_harness(
-            self.cfg.use_memory_plan,
-            self.cfg.use_graph_opt,
-            |tr| {
+        let harness = self.cfg.use_memory_plan.then(|| {
+            dgnn_core::training::planned_harness(|tr| {
                 let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
                 let (users, items, channel_embs) = forward(&st, layers, tr, &params);
                 let bpr = bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe));
@@ -296,8 +294,8 @@ impl Trainable for Mhcn {
                     }
                     None => bpr,
                 }
-            },
-        );
+            })
+        });
         self.loss_history = train_loop(
             &self.cfg,
             &mut params,

@@ -147,15 +147,13 @@ impl GraphCf {
         let sampler = TrainSampler::new(g);
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let (variant, layers) = (self.variant, self.cfg.layers);
-        let harness = dgnn_core::training::build_harness(
-            self.cfg.use_memory_plan,
-            self.cfg.use_graph_opt,
-            |tr| {
+        let harness = self.cfg.use_memory_plan.then(|| {
+            dgnn_core::training::planned_harness(|tr| {
                 let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
                 let (users, items) = forward(&st, variant, layers, tr, &params);
                 bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe))
-            },
-        );
+            })
+        });
         self.loss_history = train_loop(
             &self.cfg,
             &mut params,

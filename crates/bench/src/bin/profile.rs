@@ -18,9 +18,7 @@
 //! profile --check PATH        no artifacts; exit 1 if DGNN steps/sec
 //!                             regressed >25% vs. the baseline snapshot,
 //!                             if the parallel kernel pool is slower than
-//!                             serial beyond the noise budget, if
-//!                             graph-optimized training falls below its
-//!                             floor relative to the stored baseline, or
+//!                             serial beyond the noise budget, or
 //!                             if the packed GEMM pipeline fails its
 //!                             same-run speedup floor over the forced
 //!                             legacy scalar loops (1.2x on x86_64)
@@ -30,13 +28,8 @@
 //! pool pinned to one thread and to the ambient width
 //! (`DGNN_THREADS` / hardware), recorded as the
 //! `profile/steps_per_sec_serial` and `profile/steps_per_sec_parallel`
-//! gauges, and once more with the graph optimizer enabled
-//! (`profile/steps_per_sec_optimized`). All reference runs share one warm
-//! process, so their ratios are load-robust in a way the absolute numbers
-//! are not. A second observed entry, `DGNN_opt`, trains under the proven
-//! rewrite plan; the optimizer publishes its
-//! `optimizer/{nodes_before,nodes_after,folded,cse_hits,fused}` gauges
-//! into that snapshot as the harness is built.
+//! gauges. All reference runs share one warm process, so their ratios are
+//! load-robust in a way the absolute numbers are not.
 //!
 //! The `--check` budgets are deliberately loose: steps/sec is machine- and
 //! load-dependent, so the gates only catch large regressions (an op gone
@@ -65,17 +58,6 @@ const REGRESSION_BUDGET: f64 = 0.25;
 /// this only slackens for timer noise; a dispatch overhead regression
 /// (pool slower than its own serial fallback) still trips it.
 const PARALLEL_BUDGET: f64 = 0.15;
-/// Required ratio of graph-optimized DGNN training to the *stored
-/// baseline* steps/sec before `--check` passes. The original anchor was
-/// the pre-optimizer snapshot, where optimized execution had to clear a
-/// 1.5x speedup floor. Regenerating `BENCH_profile.json` for the packed
-/// GEMM subsystem moved the anchor into the post-optimizer, post-packing
-/// world — the optimizer's win is part of the baseline itself now — so
-/// the floor is consciously re-tuned to a regression bound: optimized
-/// execution must stay within the regression budget of the stored
-/// baseline, and the same-run gate below keeps policing rewrite-executor
-/// overhead against plain execution.
-const OPT_SPEEDUP_FLOOR: f64 = 0.75;
 /// Required same-run speedup of the packed GEMM pipeline over the forced
 /// legacy scalar loops (`DGNN_GEMM=scalar`) on x86_64, where the AVX2
 /// microkernel is guaranteed present. On other architectures the packed
@@ -246,8 +228,8 @@ fn main() -> ExitCode {
     // Reference runs with observability off (DGNN only). The untimed
     // warm-up run first absorbs one-time costs (page faults, allocator
     // growth) that would otherwise be billed to whichever run goes first.
-    // The four reference configs are sampled round-robin — one cell of
-    // each per round — rather than back-to-back blocks: machine speed on
+    // The reference configs are sampled round-robin — one cell of each
+    // per round — rather than back-to-back blocks: machine speed on
     // a shared box drifts ±25% on a scale of seconds, so consecutive
     // blocks would hand one config the fast regime and bill another for
     // the slow one, tripping the same-run ratio gates below on pure
@@ -269,17 +251,16 @@ fn main() -> ExitCode {
         steps as f64 / cell.train_time.as_secs_f64().max(1e-9)
     };
     let pool_width = dgnn_tensor::parallel::auto_threads();
-    // The fifth config repeats the default one under `DGNN_GEMM=scalar`
+    // The last config repeats the default one under `DGNN_GEMM=scalar`
     // semantics (legacy loops), giving the packed-vs-scalar GEMM ratio the
     // same same-run noise robustness as the other ratio gates.
     let configs = [
         (dcfg.clone(), false),
         (dcfg.clone().with_threads(1), false),
         (dcfg.clone().with_threads(pool_width), false),
-        (dcfg.clone().with_graph_opt(), false),
         (dcfg.clone(), true),
     ];
-    let mut best = [f64::MIN; 5];
+    let mut best = [f64::MIN; 4];
     for round in 0..8 {
         // Rotate the starting config so a fast window shorter than a
         // round doesn't always land on the same configuration.
@@ -289,34 +270,22 @@ fn main() -> ExitCode {
             best[j] = best[j].max(one_sps(cfg, *force_scalar));
         }
     }
-    let [sps_disabled, sps_serial, sps_parallel, sps_optimized, sps_gemm_scalar] = best;
+    let [sps_disabled, sps_serial, sps_parallel, sps_gemm_scalar] = best;
     dgnn_tensor::parallel::set_threads(1);
 
     println!("=== Training profile (tiny dataset, quick configs, planned) ===");
     let mut profiles = Vec::new();
     profiles.push(profile_model(
         "DGNN",
-        &mut Dgnn::new(dcfg.clone()),
+        &mut Dgnn::new(dcfg),
         &data,
         steps,
         Some(sps_disabled),
         &[
             ("profile/steps_per_sec_serial", sps_serial),
             ("profile/steps_per_sec_parallel", sps_parallel),
-            ("profile/steps_per_sec_optimized", sps_optimized),
             ("gemm/steps_per_sec_scalar", sps_gemm_scalar),
         ],
-    ));
-    // Observed graph-optimized run: `build_harness` publishes the
-    // optimizer/{nodes_before,nodes_after,folded,cse_hits,fused} gauges
-    // while this model fits, so they land in its exported snapshot.
-    profiles.push(profile_model(
-        "DGNN_opt",
-        &mut Dgnn::new(dcfg.with_graph_opt()),
-        &data,
-        steps,
-        None,
-        &[],
     ));
     profiles.push(profile_model("NGCF", &mut Ngcf::new(bcfg.clone()), &data, steps, None, &[]));
     profiles.push(profile_model("DGCF", &mut Dgcf::new(bcfg), &data, steps, None, &[]));
@@ -333,11 +302,6 @@ fn main() -> ExitCode {
         "DGNN kernels: {sps_serial:.1} steps/s serial vs {sps_parallel:.1} steps/s pooled \
          ({pool_width} thread(s), ratio {:.2})",
         sps_parallel / sps_serial.max(1e-9),
-    );
-    println!(
-        "DGNN optimizer: {sps_optimized:.1} steps/s optimized vs {sps_disabled:.1} steps/s \
-         plain (same-run ratio {:.2})",
-        sps_optimized / sps_disabled.max(1e-9),
     );
     let gemm_backend = gemm::backend();
     println!(
@@ -387,35 +351,10 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let opt_floor = base * OPT_SPEEDUP_FLOOR;
-        if sps_optimized < opt_floor {
-            eprintln!(
-                "REGRESSION DGNN: graph-optimized training at {sps_optimized:.1} steps/s is \
-                 below {OPT_SPEEDUP_FLOOR:.2}x the stored baseline {base:.1} \
-                 (floor {opt_floor:.1})",
-            );
-            return ExitCode::FAILURE;
-        }
-        // Same-run sanity: the rewrite executor (fold-cache verification,
-        // congruence checks) must never cost more than the regression
-        // budget relative to plain execution on the same machine state.
-        let opt_same_run_floor = sps_disabled * (1.0 - REGRESSION_BUDGET);
-        if sps_optimized < opt_same_run_floor {
-            eprintln!(
-                "REGRESSION DGNN: graph-optimized training at {sps_optimized:.1} steps/s is \
-                 more than {:.0}% below the same-run plain {sps_disabled:.1}",
-                100.0 * REGRESSION_BUDGET,
-            );
-            return ExitCode::FAILURE;
-        }
         println!("steps/sec check passed against {path} ({dgnn_sps:.1} vs baseline {base:.1})");
         println!(
             "parallel/serial check passed ({sps_parallel:.1} vs {sps_serial:.1} steps/s \
              same-run)"
-        );
-        println!(
-            "optimizer check passed ({sps_optimized:.1} steps/s optimized >= \
-             {OPT_SPEEDUP_FLOOR:.2}x baseline {base:.1})"
         );
         println!(
             "gemm check passed (`{}` backend at {gemm_ratio:.2}x the same-run scalar \

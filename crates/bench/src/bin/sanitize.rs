@@ -99,10 +99,7 @@ fn run_backend_battery(scale: usize) {
     let mut m = a.clone();
     m.add_assign(&g);
     m.axpy(0.5, &g);
-    m.sub_assign(&g);
     m.scale_assign(1.25);
-    m.add_scalar_assign(-0.5);
-    let _ = a.add_row_fused(&row);
     let _ = a.mul_row_fused(&row);
     let _ = a.mul_col_fused(&col);
     // `a` as 4 column blocks of width k/4.
@@ -110,7 +107,6 @@ fn run_backend_battery(scale: usize) {
     let _ = a.weighted_block_sum(&eta);
     let _ = Matrix::weighted_block_sum_grad_blocks(&eta, &gb);
     let _ = Matrix::weighted_block_sum_grad_weights(&a, &gb);
-    let _ = a.gather_matmul(&idx, &b);
     let _ = a.gather_matmul_nt(&idx, &g);
     // The serving scorer: two resident shards, the second ragged, so the
     // second dispatch writes a column range at a non-zero offset.

@@ -42,16 +42,6 @@ pub struct DgnnConfig {
     ///
     /// [`MemoryPlan`]: https://docs.rs/dgnn-analysis
     pub use_memory_plan: bool,
-    /// Execute training steps under a checker-proven [`RewritePlan`]: the
-    /// graph optimizer folds training-invariant subgraphs into a cross-step
-    /// cache, serves common subexpressions as copies, and lowers fusable op
-    /// chains onto in-place/streaming/fused kernels. Bit-identical to
-    /// unoptimized execution at any thread count; the plan is proven by an
-    /// independent soundness checker before the first step runs. Composes
-    /// with [`DgnnConfig::use_memory_plan`].
-    ///
-    /// [`RewritePlan`]: https://docs.rs/dgnn-autograd
-    pub use_graph_opt: bool,
     /// Kernel-pool thread count for training (`0` inherits the ambient
     /// setting: the `DGNN_THREADS` environment variable, falling back to
     /// the hardware parallelism). Results are bit-identical at every
@@ -76,7 +66,6 @@ impl Default for DgnnConfig {
             use_social: true,
             use_knowledge: true,
             use_memory_plan: false,
-            use_graph_opt: false,
             threads: 0,
         }
     }
@@ -124,13 +113,6 @@ impl DgnnConfig {
         self
     }
 
-    /// Enables checker-proven graph-optimized execution (constant folding,
-    /// CSE, op fusion) for training steps.
-    pub fn with_graph_opt(mut self) -> Self {
-        self.use_graph_opt = true;
-        self
-    }
-
     /// Pins the kernel-pool thread count for training (`0` = inherit).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -165,7 +147,6 @@ impl DgnnConfig {
             ("cfg/use_social".into(), self.use_social.to_string()),
             ("cfg/use_knowledge".into(), self.use_knowledge.to_string()),
             ("cfg/use_memory_plan".into(), self.use_memory_plan.to_string()),
-            ("cfg/use_graph_opt".into(), self.use_graph_opt.to_string()),
             ("cfg/threads".into(), self.threads.to_string()),
         ]
     }
@@ -196,7 +177,6 @@ impl DgnnConfig {
             use_social: get(lookup, "cfg/use_social")?,
             use_knowledge: get(lookup, "cfg/use_knowledge")?,
             use_memory_plan: get(lookup, "cfg/use_memory_plan")?,
-            use_graph_opt: get(lookup, "cfg/use_graph_opt")?,
             threads: get(lookup, "cfg/threads")?,
         })
     }
@@ -264,12 +244,24 @@ mod tests {
         let cfg = DgnnConfig {
             learning_rate: 0.012_345_679,
             weight_decay: 3.3e-7,
-            ..DgnnConfig::default().without_layer_norm().with_threads(4).with_graph_opt()
+            ..DgnnConfig::default().without_layer_norm().with_threads(4)
         };
         let meta: std::collections::BTreeMap<String, String> = cfg.to_meta().into_iter().collect();
         let back = DgnnConfig::from_meta(&|k| meta.get(k).cloned()).unwrap();
         assert_eq!(cfg, back);
         assert_eq!(cfg.learning_rate.to_bits(), back.learning_rate.to_bits());
+    }
+
+    /// Checkpoints written before graph rewriting was removed carry one
+    /// more `cfg/` entry; the lookup never asks for it.
+    #[test]
+    fn meta_from_an_older_checkpoint_still_loads() {
+        let cfg = DgnnConfig::default().with_memory_plan();
+        let mut meta: std::collections::BTreeMap<String, String> =
+            cfg.to_meta().into_iter().collect();
+        meta.insert("cfg/use_graph_opt".into(), "true".into());
+        let back = DgnnConfig::from_meta(&|k| meta.get(k).cloned()).unwrap();
+        assert_eq!(cfg, back);
     }
 
     #[test]

@@ -229,16 +229,17 @@ impl Dgnn {
             sampler.num_positives().div_ceil(loop_cfg.batch_size).max(1);
         self.loss_history.clear();
 
-        // Statically planned / graph-optimized execution: trace one probe
-        // step (on its own rng, so training draws are untouched and results
-        // stay bit-identical), prove the plan and rewrites safe, and run
-        // every step through the proven harness.
-        let mut harness =
-            crate::training::build_harness(self.cfg.use_memory_plan, self.cfg.use_graph_opt, |tr| {
+        // Statically planned execution: trace one probe step (on its own
+        // rng, so training draws are untouched and results stay
+        // bit-identical), prove the plan safe, and run every step through
+        // the proven harness.
+        let mut harness = self.cfg.use_memory_plan.then(|| {
+            crate::training::planned_harness(|tr| {
                 let mut probe_rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
                 let probe = sampler.batch(&mut probe_rng, loop_cfg.batch_size);
                 self.record_step(tr, &probe)
-            });
+            })
+        });
 
         for epoch in 0..loop_cfg.epochs {
             let _epoch_span = dgnn_obs::span("epoch");

@@ -25,84 +25,16 @@ pub fn planned_harness<F>(trace: F) -> PlanHarness
 where
     F: FnOnce(&mut ShapeTracer) -> Var,
 {
-    build_harness(true, false, trace).expect("build_harness(true, ..) always plans")
-}
-
-/// Builds whatever training-step harness the configuration asks for.
-///
-/// `use_plan` enables the static memory plan ([`dgnn_analysis::plan`],
-/// proven by [`dgnn_analysis::check_plan`]); `use_opt` enables the graph
-/// optimizer ([`dgnn_analysis::optimize`] — constant folding, CSE, op
-/// fusion — proven by the *independent* [`dgnn_analysis::check_rewrites`]).
-/// With both off the model trains on a plain `Tape` and this returns
-/// `None`; `trace` is never called. With both on, the memory plan is made
-/// rewrite-aware ([`dgnn_analysis::plan_with_rewrites`] /
-/// [`dgnn_analysis::check_plan_with_rewrites`]) so the extra reads
-/// optimized execution performs — CSE copy sources, fused gather tables —
-/// keep their buffers alive.
-///
-/// The `DGNN_GRAPH_OPT` environment variable overrides `use_opt`: `"1"`
-/// forces the optimizer on, `"0"` forces it off. This is the switch the CI
-/// harness uses to run the whole test suite optimized without touching any
-/// model code.
-///
-/// On an optimized build the optimizer's statistics are published as
-/// `optimizer/{nodes_before,nodes_after,folded,cse_hits,fused}` gauges via
-/// `dgnn-obs`.
-///
-/// # Panics
-/// Panics when either proof fails — executing an unproven plan could free
-/// or corrupt a value a later read still needs.
-pub fn build_harness<F>(use_plan: bool, use_opt: bool, trace: F) -> Option<PlanHarness>
-where
-    F: FnOnce(&mut ShapeTracer) -> Var,
-{
-    let use_opt = match std::env::var("DGNN_GRAPH_OPT").ok().as_deref() {
-        Some("1") => true,
-        Some("0") => false,
-        _ => use_opt,
-    };
-    if !use_plan && !use_opt {
-        return None;
-    }
     let mut tracer = ShapeTracer::new();
     let loss = trace(&mut tracer);
-    let rewrites = use_opt.then(|| {
-        let (rewrites, stats) = dgnn_analysis::optimize(&tracer, loss, &[]);
-        if let Err(violation) = dgnn_analysis::check_rewrites(&tracer, loss, &[], &rewrites) {
-            // PANICS: an unsound rewrite must never reach the executor; this
-            // fires only on an optimizer bug, which the independent checker
-            // exists to catch before a single fused kernel runs.
-            panic!("refusing to execute an unproven rewrite plan: {violation}");
-        }
-        dgnn_obs::gauge_set("optimizer/nodes_before", stats.nodes_before as f64);
-        dgnn_obs::gauge_set("optimizer/nodes_after", stats.nodes_after as f64);
-        dgnn_obs::gauge_set("optimizer/folded", stats.folded as f64);
-        dgnn_obs::gauge_set("optimizer/cse_hits", stats.cse_hits as f64);
-        dgnn_obs::gauge_set("optimizer/fused", stats.fused as f64);
-        rewrites
-    });
-    let plan = use_plan.then(|| {
-        let mplan = match &rewrites {
-            Some(rw) => dgnn_analysis::plan_with_rewrites(&tracer, loss, &[], rw),
-            None => dgnn_analysis::plan(&tracer, loss, &[]),
-        };
-        let proof = match &rewrites {
-            Some(rw) => dgnn_analysis::check_plan_with_rewrites(&tracer, loss, &[], rw, &mplan),
-            None => dgnn_analysis::check_plan(&tracer, loss, &[], &mplan),
-        };
-        if let Err(violation) = proof {
-            // PANICS: an unsound plan must never reach the executor; this
-            // fires only on a planner bug, which the independent checker
-            // exists to catch before any memory is recycled.
-            panic!("refusing to execute an unproven memory plan: {violation}");
-        }
-        mplan.tape_plan()
-    });
-    Some(match rewrites {
-        Some(rw) => PlanHarness::with_rewrites(plan, rw),
-        None => PlanHarness::new(plan.expect("use_plan or use_opt holds here")),
-    })
+    let mplan = dgnn_analysis::plan(&tracer, loss, &[]);
+    if let Err(violation) = dgnn_analysis::check_plan(&tracer, loss, &[], &mplan) {
+        // PANICS: an unsound plan must never reach the executor; this
+        // fires only on a planner bug, which the independent checker
+        // exists to catch before any memory is recycled.
+        panic!("refusing to execute an unproven memory plan: {violation}");
+    }
+    PlanHarness::new(mplan.tape_plan())
 }
 
 /// Loop hyperparameters.

@@ -493,39 +493,15 @@ impl Matrix {
         out
     }
 
-    // ---- fused / lowered broadcast kernels --------------------------------
+    // ---- single-pass broadcast kernels ------------------------------------
     //
-    // The graph optimizer lowers broadcast ops to these single-pass and
-    // in-place variants. Each computes exactly one `+` or `*` per element —
-    // the same single f32 operation the two-pass (clone, then in-place
-    // update) form performs — so the results are bit-identical to the
-    // historical kernels above for every input, including NaN/∞ payloads.
+    // Each computes exactly one `*` per element — the same single f32
+    // operation the two-pass (clone, then in-place update) form performs —
+    // so the results are bit-identical to the kernels above for every
+    // input, including NaN/∞ payloads.
 
-    /// Single-pass `self + row` broadcast: writes `self[r][c] + row[c]`
+    /// Single-pass `self ⊙ row` broadcast: writes `self[r][c] * row[c]`
     /// straight into a fresh buffer (no intermediate copy of `self`).
-    /// Bit-identical to [`Matrix::add_row_broadcast`].
-    pub fn add_row_fused(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "add_row_fused: rhs must be a row vector");
-        assert_eq!(row.cols, self.cols, "add_row_fused: width mismatch");
-        let mut data = pool::alloc_overwritten(self.data.len());
-        let (a, b, w) = (&self.data, &row.data, self.cols);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, 0..b.len())]
-        };
-        parallel::par_row_chunks("add_row_fused", &mut data, self.rows, self.cols, self.cols, reads, |range, chunk| {
-            for (out_row, a_row) in chunk
-                .chunks_exact_mut(w.max(1))
-                .zip(a[range.start * w..range.end * w].chunks_exact(w.max(1)))
-            {
-                for ((o, &x), &y) in out_row.iter_mut().zip(a_row).zip(b) {
-                    *o = x + y;
-                }
-            }
-        });
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Single-pass `self ⊙ row` broadcast (see [`Matrix::add_row_fused`]).
     /// Bit-identical to [`Matrix::mul_row_broadcast`].
     pub fn mul_row_fused(&self, row: &Matrix) -> Matrix {
         assert_eq!(row.rows, 1, "mul_row_fused: rhs must be a row vector");
@@ -549,7 +525,7 @@ impl Matrix {
     }
 
     /// Single-pass column broadcast `self[r][c] * col[r]` (see
-    /// [`Matrix::add_row_fused`]). Bit-identical to
+    /// [`Matrix::mul_row_fused`]). Bit-identical to
     /// [`Matrix::mul_col_broadcast`].
     pub fn mul_col_fused(&self, col: &Matrix) -> Matrix {
         assert_eq!(col.cols, 1, "mul_col_fused: rhs must be a column vector");
@@ -571,44 +547,6 @@ impl Matrix {
             }
         });
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// In-place row broadcast `self[r][c] += row[c]` — the second pass of
-    /// [`Matrix::add_row_broadcast`] applied to an owned buffer the
-    /// optimizer stole from a dead producer. Bit-identical to the two-pass
-    /// form.
-    pub fn add_row_assign(&mut self, row: &Matrix) {
-        assert_eq!(row.rows, 1, "add_row_assign: rhs must be a row vector");
-        assert_eq!(row.cols, self.cols, "add_row_assign: width mismatch");
-        for r in 0..self.rows {
-            for (o, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
-                *o += b;
-            }
-        }
-    }
-
-    /// In-place `self -= rhs`; bit-identical to [`Matrix::sub`] into a
-    /// fresh buffer.
-    pub fn sub_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "sub_assign: shape mismatch");
-        let b = &rhs.data;
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.clone()), Access::read(0, r.clone())];
-        parallel::par_row_chunks("sub_assign", &mut self.data, b.len(), 1, 2, reads, |range, chunk| {
-            for (a, &v) in chunk.iter_mut().zip(&b[range]) {
-                *a -= v;
-            }
-        });
-    }
-
-    /// In-place `self += k`; bit-identical to the `map(|x| x + k)` form.
-    pub fn add_scalar_assign(&mut self, k: f32) {
-        let len = self.data.len();
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.clone())];
-        parallel::par_row_chunks("add_scalar_assign", &mut self.data, len, 1, 2, reads, |_, chunk| {
-            for v in chunk {
-                *v += k;
-            }
-        });
     }
 
     /// Fused gradient accumulation `self += g · rhsᵀ`.
@@ -678,65 +616,6 @@ impl Matrix {
                 }
             }
         });
-    }
-
-    /// Fused `gather(self, idx) · rhs` without materializing the gathered
-    /// matrix: output row `i` is `self.row(idx[i]) · rhs`, computed with the
-    /// same cache-blocked k-ascending microkernel as [`Matrix::matmul`] —
-    /// bit-identical to `self.gather_rows(idx).matmul(rhs)`.
-    pub fn gather_matmul(&self, idx: &[usize], rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "gather_matmul: {}x{} · {}x{} shape mismatch",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        for &r in idx {
-            assert!(r < self.rows, "gather_matmul: index {r} out of bounds ({} rows)", self.rows);
-        }
-        let be = gemm::backend();
-        gemm::count_call(be.is_packed(), idx.len(), rhs.cols, self.cols);
-        if !be.is_packed() {
-            return self.gather_matmul_legacy(idx, rhs);
-        }
-        let (k, n) = (self.cols, rhs.cols);
-        let m = idx.len();
-        let mut out = Matrix { rows: m, cols: n, data: pool::alloc_overwritten(m * n) };
-        let tail = packed_tail(rhs);
-        let (a, b) = (&self.data[..], gemm::Rhs::InPlace { b: &rhs.data, tail: &tail });
-        // Gathered rows are data-dependent, so the table read is honestly
-        // whole-buffer; the index list itself is read per-partition.
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(0, 0..a.len()),
-                Access::read(1, 0..rhs.data.len()),
-                Access::read(2, r.clone()),
-            ]
-        };
-        parallel::par_row_chunks("gemm_gather_nn_packed", &mut out.data, m, n, k.saturating_mul(n), reads, |rows, chunk| {
-            let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
-            gemm::tile_loop(be, &lhs, &b, k, n, rows.len(), chunk, gemm::Fold::Fresh);
-        });
-        pool::recycle_vec(tail);
-        out
-    }
-
-    /// The pre-packing scalar `gather_matmul` under the legacy contract.
-    fn gather_matmul_legacy(&self, idx: &[usize], rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), rhs.cols);
-        let (k, n) = (self.cols, rhs.cols);
-        let a = &self.data;
-        let b = &rhs.data;
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(0, 0..a.len()),
-                Access::read(1, 0..b.len()),
-                Access::read(2, r.clone()),
-            ]
-        };
-        parallel::par_row_chunks("gather_matmul", &mut out.data, idx.len(), n, k.saturating_mul(n), reads, |rows, chunk| {
-            matmul_gathered_rows(a, b, idx, k, n, &rows, chunk);
-        });
-        out
     }
 
     /// Fused `gather(self, idx) · rhsᵀ` without materializing the gathered
@@ -1258,41 +1137,6 @@ fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, rows: &Range<usize>, ou
     }
 }
 
-/// [`matmul_rows`] over *gathered* operand rows: row `i` of the virtual
-/// left operand is `a.row(idx[i])`. Identical blocking, k-ascending
-/// accumulation, and zero-skip as [`matmul_rows`], so the output is
-/// bit-identical to materializing the gather first.
-fn matmul_gathered_rows(
-    a: &[f32],
-    b: &[f32],
-    idx: &[usize],
-    k: usize,
-    n: usize,
-    rows: &Range<usize>,
-    out: &mut [f32],
-) {
-    const K_BLOCK: usize = 64;
-    let mut k0 = 0;
-    while k0 < k {
-        let k1 = (k0 + K_BLOCK).min(k);
-        for (off, i) in rows.clone().enumerate() {
-            let src = idx[i];
-            let a_row = &a[src * k..(src + 1) * k];
-            let out_row = &mut out[off * n..(off + 1) * n];
-            for (kk, &a_ik) in a_row[k0..k1].iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * bv;
-                }
-            }
-        }
-        k0 = k1;
-    }
-}
-
 /// `aᵀ · b` microkernel over one span of output rows (columns `rows` of
 /// `a`). Scans all `m` operand rows ascending — the serial loop order —
 /// touching only its own output rows.
@@ -1649,7 +1493,7 @@ mod tests {
         }
     }
 
-    // ---- fused / lowered kernel bit-identity -----------------------------
+    // ---- fused kernel bit-identity ---------------------------------------
 
     /// Sign-mixed, denormal-adjacent values that expose any reassociation
     /// or rounding-path difference between two kernels.
@@ -1672,7 +1516,6 @@ mod tests {
         let a = awkward(9, 5, 3);
         let row = awkward(1, 5, 11);
         let col = awkward(9, 1, 17);
-        assert_bits(&a.add_row_fused(&row), &a.add_row_broadcast(&row), "add_row");
         assert_bits(&a.mul_row_fused(&row), &a.mul_row_broadcast(&row), "mul_row");
         assert_bits(&a.mul_col_fused(&col), &a.mul_col_broadcast(&col), "mul_col");
     }
@@ -1680,24 +1523,9 @@ mod tests {
     #[test]
     fn in_place_variants_match_out_of_place_bitwise() {
         let a = awkward(7, 4, 5);
-        let b = awkward(7, 4, 23);
-        let row = awkward(1, 4, 29);
-
-        let mut stolen = a.clone();
-        stolen.add_row_assign(&row);
-        assert_bits(&stolen, &a.add_row_broadcast(&row), "add_row_assign");
-
-        let mut stolen = a.clone();
-        stolen.sub_assign(&b);
-        assert_bits(&stolen, &a.sub(&b), "sub_assign");
-
-        let mut stolen = a.clone();
-        stolen.add_scalar_assign(0.37);
-        assert_bits(&stolen, &a.map(|x| x + 0.37), "add_scalar_assign");
-
-        let mut stolen = a.clone();
-        stolen.scale_assign(-1.0);
-        assert_bits(&stolen, &a.scale(-1.0), "neg via scale_assign");
+        let mut scaled = a.clone();
+        scaled.scale_assign(-1.0);
+        assert_bits(&scaled, &a.scale(-1.0), "neg via scale_assign");
     }
 
     #[test]
@@ -1711,18 +1539,6 @@ mod tests {
         let mut two_step = acc0.clone();
         two_step.add_assign(&g.matmul_nt(&b));
         assert_bits(&fused, &two_step, "matmul_nt_acc");
-    }
-
-    #[test]
-    fn gather_matmul_matches_gather_then_matmul_bitwise() {
-        let table = awkward(10, 6, 53);
-        let w = awkward(6, 4, 59);
-        let idx = [3usize, 0, 9, 3, 7];
-        assert_bits(
-            &table.gather_matmul(&idx, &w),
-            &table.gather_rows(&idx).matmul(&w),
-            "gather_matmul",
-        );
     }
 
     #[test]
@@ -1770,7 +1586,6 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let row = Matrix::zeros(1, 0);
         let col = Matrix::zeros(3, 1);
-        assert_eq!(a.add_row_fused(&row).shape(), (3, 0));
         assert_eq!(a.mul_row_fused(&row).shape(), (3, 0));
         assert_eq!(a.mul_col_fused(&col).shape(), (3, 0));
     }

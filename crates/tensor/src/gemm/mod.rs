@@ -2,7 +2,7 @@
 //! that read their operands where they lie.
 //!
 //! Every dense matmul entry point in [`crate::Matrix`] (`matmul`,
-//! `matmul_tn`, `matmul_nt`, `matmul_nt_acc`, the gathered variants, the
+//! `matmul_tn`, `matmul_nt`, `matmul_nt_acc`, `gather_matmul_nt`, the
 //! scorer against resident panels) routes through this module unless the
 //! legacy scalar backend is selected. The microkernels take a strided operand description (the `(ptr, rs, cs)`
 //! interface of BLIS / tract, carried all the way into the kernel), so at
@@ -18,9 +18,9 @@
 //!   row — an in-bounds re-read whose products are never stored — instead
 //!   of being zero-padded into a copy.
 //! * **Right operand** ([`Rhs`]) — B row `kk` of an `NR`-column panel is 8
-//!   contiguous floats. A row-major `k × n` operand (`matmul`, `matmul_tn`,
-//!   `gather_matmul`) already has that shape and is read in place with row
-//!   stride `n`. Packing survives only where the layout truly differs,
+//!   contiguous floats. A row-major `k × n` operand (`matmul`, `matmul_tn`)
+//!   already has that shape and is read in place with row stride `n`.
+//!   Packing survives only where the layout truly differs,
 //!   always on the dispatching thread and shared read-only by every
 //!   partition: [`pack_b_tail`] for the one ragged `n % NR` column panel,
 //!   whose in-place 8-float load would run past the row (and, on the last
@@ -723,7 +723,6 @@ mod tests {
         let want_tn = run(&pat, &pb, m, vec![7.0; m * n], Fold::Fresh);
         let want_nt = run(&pa, &pbt, m, vec![7.0; m * n], Fold::Fresh);
         let want_acc = run(&pa, &pbt, m, acc0.as_slice().to_vec(), Fold::AddTo);
-        let want_gnn = run(&pg, &pb, g, vec![7.0; g * n], Fold::Fresh);
         let want_gnt = run(&pg, &pbt, g, vec![7.0; g * n], Fold::Fresh);
 
         set_backend(Some(be));
@@ -733,7 +732,6 @@ mod tests {
         let mut acc = acc0.clone();
         acc.matmul_nt_acc(&a, &bt);
         assert_bits(&acc, &want_acc, &what("matmul_nt_acc"));
-        assert_bits(&a.gather_matmul(&idx, &b), &want_gnn, &what("gather_matmul"));
         assert_bits(&a.gather_matmul_nt(&idx, &bt), &want_gnt, &what("gather_matmul_nt"));
         set_backend(None);
     }

@@ -94,7 +94,7 @@ fn idx_for(m: usize, table_rows: usize, seed: u64) -> Vec<usize> {
 
 /// All routed entry points at one shape, concatenated for one-shot
 /// comparison: `matmul`, `matmul_tn`, `matmul_nt`, `matmul_nt_acc`,
-/// `gather_matmul`, `gather_matmul_nt`.
+/// `gather_matmul_nt`.
 fn all_entry_points(m: usize, k: usize, n: usize, seed: u64) -> Vec<Matrix> {
     let a = mat(m, k, seed ^ 1);
     let b = mat(k, n, seed ^ 2);
@@ -108,7 +108,6 @@ fn all_entry_points(m: usize, k: usize, n: usize, seed: u64) -> Vec<Matrix> {
         at.matmul_tn(&b),
         a.matmul_nt(&bt),
         acc,
-        a.gather_matmul(&idx, &b),
         a.gather_matmul_nt(&idx, &bt),
     ]
 }
@@ -178,12 +177,6 @@ fn forced_scalar_backend_is_bitwise_the_legacy_kernel() {
         assert_bits_eq(&fused, &composed, "scalar matmul_nt_acc == add_assign(matmul_nt)");
 
         let idx = idx_for(17, m, 5);
-        let b = mat(k, n, 94);
-        assert_bits_eq(
-            &a.gather_matmul(&idx, &b),
-            &a.gather_rows(&idx).matmul(&b),
-            "scalar gather_matmul == gather_rows+matmul",
-        );
         assert_bits_eq(
             &a.gather_matmul_nt(&idx, &bt),
             &a.gather_rows(&idx).matmul_nt(&bt),
@@ -194,21 +187,15 @@ fn forced_scalar_backend_is_bitwise_the_legacy_kernel() {
 
 #[test]
 fn gathered_entry_points_match_their_compositions_bitwise_when_packed() {
-    // On a packed backend the gathered variants pack the same rows the
-    // explicit gather would produce, so the products are bit-identical to
+    // On a packed backend the gathered scorer reads the same rows the
+    // explicit gather would produce, so the product is bit-identical to
     // the two-step composition *on the same backend*.
     for be in backends_under_test() {
         with_backend(be, || {
             let (m, k, n) = (19, 6, 11);
             let a = mat(m, k, 61);
-            let b = mat(k, n, 62);
             let bt = mat(n, k, 63);
             let idx = idx_for(26, m, 3);
-            assert_bits_eq(
-                &a.gather_matmul(&idx, &b),
-                &a.gather_rows(&idx).matmul(&b),
-                &format!("{be:?} gather_matmul == gather_rows+matmul"),
-            );
             assert_bits_eq(
                 &a.gather_matmul_nt(&idx, &bt),
                 &a.gather_rows(&idx).matmul_nt(&bt),

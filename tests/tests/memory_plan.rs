@@ -207,22 +207,10 @@ fn dgnn_plan_halves_step_allocations() {
     let (fresh_on, hits) = alloc_counters();
 
     assert!(hits > 0, "planned run never recycled a buffer");
-    // Under DGNN_GRAPH_OPT=1 (the optimized CI stage) *both* runs execute
-    // graph-optimized, so the "unplanned" baseline already avoids many
-    // allocations via steals and folds; the plan must still strictly win,
-    // but the 2x margin only applies to the plain comparison.
-    if std::env::var("DGNN_GRAPH_OPT").as_deref() == Ok("1") {
-        assert!(
-            fresh_off > fresh_on,
-            "plan must cut fresh allocations even under graph-opt: \
-             {fresh_off} unplanned vs {fresh_on} planned"
-        );
-    } else {
-        assert!(
-            fresh_off >= 2 * fresh_on,
-            "plan must cut fresh allocations at least 2x: {fresh_off} unplanned vs {fresh_on} planned"
-        );
-    }
+    assert!(
+        fresh_off >= 2 * fresh_on,
+        "plan must cut fresh allocations at least 2x: {fresh_off} unplanned vs {fresh_on} planned"
+    );
 }
 
 // ---------------------------------------------------------------------------

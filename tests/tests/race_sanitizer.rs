@@ -119,10 +119,7 @@ fn run_backend_battery() {
     let mut m = a.clone();
     m.add_assign(&g); // add_assign
     m.axpy(0.5, &g); // axpy
-    m.sub_assign(&g); // sub_assign
     m.scale_assign(1.25); // scale_assign
-    m.add_scalar_assign(-0.5); // add_scalar_assign
-    let _ = a.add_row_fused(&row); // add_row_fused
     let _ = a.mul_row_fused(&row); // mul_row_fused
     let _ = a.mul_col_fused(&col); // mul_col_fused
     // `a` as 4 column blocks of width 2.
@@ -130,7 +127,6 @@ fn run_backend_battery() {
     let _ = a.weighted_block_sum(&eta); // weighted_block_sum
     let _ = Matrix::weighted_block_sum_grad_blocks(&eta, &gb); // …_grad_blocks
     let _ = Matrix::weighted_block_sum_grad_weights(&a, &gb); // …_grad_weights
-    let _ = a.gather_matmul(&idx, &b); // gather_matmul
     let _ = a.gather_matmul_nt(&idx, &g); // gemm_score_panels (every backend)
     // The serving scorer: two resident shards, the second ragged, so the
     // second dispatch writes a column range at a non-zero offset.
