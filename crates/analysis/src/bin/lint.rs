@@ -8,9 +8,8 @@
 //! 3. `panic!` needs a nearby `// PANICS:` comment;
 //! 4. `unsafe` needs a nearby `// SAFETY:` comment;
 //! 5. a workspace-wide TODO/FIXME budget;
-//! 6. `.clone()` inside the planned tape executor (`autograd/src/tape.rs`)
-//!    needs a nearby `// PLAN:` comment justifying why the copy cannot be
-//!    recycled through the memory plan.
+//! 6. (retired with the static memory planner; later rules keep their
+//!    numbers because code comments and the docs cite them.)
 //! 7. no ad-hoc timing or printing in the training hot path: `Instant`
 //!    and `println!` inside `crates/core/src` or `crates/autograd/src`
 //!    need a nearby `// OBS:` comment — instrumentation belongs in
@@ -96,7 +95,6 @@ struct Needles {
     panic: String,
     todo: String,
     fixme: String,
-    clone: String,
     instant: String,
     println: String,
     spawn: String,
@@ -124,7 +122,6 @@ impl Needles {
             panic: format!("pan{}!", "ic"),
             todo: format!("TO{}", "DO"),
             fixme: format!("FIX{}", "ME"),
-            clone: format!(".clo{}(", "ne"),
             instant: format!("Inst{}", "ant"),
             println: format!("print{}!", "ln"),
             spawn: format!("thread::sp{}", "awn"),
@@ -402,9 +399,6 @@ fn lint_file(
     todo_count: &mut usize,
 ) {
     let lines: Vec<&str> = text.lines().collect();
-    // Rule 6 applies only inside the planned tape executor, where every
-    // matrix copy is a hole in the memory plan unless justified.
-    let plan_clone_scope = file.ends_with(Path::new("autograd/src/tape.rs"));
     // Rule 7 applies to the training hot path: core and autograd must route
     // timing and output through dgnn-obs, never roll their own.
     let obs_scope = ["core", "autograd"].iter().any(|c| {
@@ -553,19 +547,6 @@ fn lint_file(
                 rule: "panic-doc",
                 detail: "panic! without a nearby // PANICS: comment explaining why \
                          the condition is unreachable or fatal"
-                    .to_string(),
-            });
-        }
-        if plan_clone_scope
-            && code.contains(needles.clone.as_str())
-            && !has_marker(&lines, i, "PLAN:")
-        {
-            violations.push(Violation {
-                file: file.to_path_buf(),
-                line: lineno,
-                rule: "plan-clone",
-                detail: "matrix clone in the planned tape executor without a nearby \
-                         // PLAN: comment justifying why the copy cannot be recycled"
                     .to_string(),
             });
         }

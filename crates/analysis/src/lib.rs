@@ -48,29 +48,14 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 //!
-//! # Memory planning
-//!
-//! A second analysis pass, [`plan`], turns the same trace into a
-//! [`MemoryPlan`]: per-node last-use times over the forward *and* reverse
-//! sweeps (using [`dgnn_autograd::meta::grad_reads`] to know which inputs
-//! each op's gradient actually touches), static free points, shape-bucketed
-//! buffer reuse classes, and the step's static peak-live-bytes. The plan is
-//! proven safe by the *independent* interval-overlap checker
-//! [`check_plan`] before the trainer executes it via
-//! [`dgnn_autograd::PlanHarness`] and the `dgnn_tensor` buffer pool.
-//!
 //! The source-level lint harness lives in the `lint` binary
 //! (`cargo run -p dgnn-analysis --bin lint`); it is a std-only walker that
 //! enforces panic-hygiene and safety-comment rules over `crates/*/src`.
 
 mod audit;
-mod checker;
 pub mod json;
-mod planner;
 pub mod race_checker;
 mod tracer;
 
 pub use audit::{audit, AuditReport};
-pub use checker::{check_plan, PlanProof, PlanViolation};
-pub use planner::{plan, FreePoint, MemoryPlan, NodePlan};
 pub use tracer::{Diagnostic, DiagnosticKind, ShapeTracer};

@@ -19,8 +19,7 @@
 //!    recorded write-sets of different partitions are pairwise disjoint,
 //!    and no partition reads an element another partition writes. This
 //!    check is pure interval arithmetic over the recorded spans; it shares
-//!    no code with the kernels, mirroring the planner/checker split
-//!    elsewhere in this crate.
+//!    no code with the kernels.
 //!
 //! The contract table below is the admission list for parallel kernels: a
 //! new kernel (the packed SIMD GEMM dispatches included) is admissible
@@ -121,15 +120,6 @@ const RMW_BINARY: &[AccessSpec] = &[
 const RMW_UNARY: &[AccessSpec] =
     &[spec(OUT, true, Shape::PartRows), spec(OUT, false, Shape::SelfRows)];
 
-/// `[rmw OUT rows, read 0 rows, read 1 all]` — the fused `self += g·rhsᵀ`
-/// accumulators.
-const GEMM_ACC: &[AccessSpec] = &[
-    spec(OUT, true, Shape::PartRows),
-    spec(OUT, false, Shape::SelfRows),
-    spec(0, false, Shape::PartRows),
-    spec(1, false, Shape::All),
-];
-
 /// The builtin contract table: every pooled kernel in `dgnn-tensor`.
 /// Ordering is alphabetical-ish by family for review; lookup is by name.
 const CONTRACTS: &[KernelContract] = &[
@@ -143,7 +133,6 @@ const CONTRACTS: &[KernelContract] = &[
         ],
     },
     KernelContract { kernel: "matmul_nt", accesses: GEMM },
-    KernelContract { kernel: "matmul_nt_acc", accesses: GEMM_ACC },
     KernelContract { kernel: "add", accesses: ZIP },
     KernelContract { kernel: "sub", accesses: ZIP },
     KernelContract { kernel: "mul_elem", accesses: ZIP },
@@ -157,8 +146,6 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "add_assign", accesses: RMW_BINARY },
     KernelContract { kernel: "axpy", accesses: RMW_BINARY },
     KernelContract { kernel: "scale_assign", accesses: RMW_UNARY },
-    KernelContract { kernel: "mul_row_fused", accesses: GEMM },
-    KernelContract { kernel: "mul_col_fused", accesses: ZIP },
     // The η-weighted block reduce and its two gradients: every operand is
     // row-aligned with the output (widths M·b, M and b differ per operand).
     KernelContract { kernel: "weighted_block_sum", accesses: ZIP },
@@ -227,7 +214,6 @@ const CONTRACTS: &[KernelContract] = &[
         ],
     },
     KernelContract { kernel: "gemm_nt_packed", accesses: GEMM },
-    KernelContract { kernel: "gemm_nt_acc_packed", accesses: GEMM_ACC },
     // The scorer against resident panels (`gather_matmul_panels`, every
     // backend, and `gather_matmul_nt` through it): a gathered GEMM whose
     // output is one shard's column range of the partition's score rows.

@@ -63,12 +63,10 @@
 pub mod meta;
 mod optim;
 mod params;
-mod plan;
 mod recorder;
 mod tape;
 
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};
-pub use plan::{PlanHarness, TapePlan};
 pub use recorder::{Recorder, Var};
 pub use tape::Tape;

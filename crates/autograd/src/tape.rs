@@ -1,16 +1,16 @@
 //! The autodiff tape: forward-op recording and the reverse pass.
 //!
 //! Allocation discipline: this file is the workspace's hottest allocation
-//! site, so the source lint forbids `.clone()` here unless the line carries
-//! a `// PLAN:` comment explaining why the copy is necessary and how the
-//! memory planner accounts for it.
+//! site. Every matrix it creates or drops goes through the thread's buffer
+//! pool when a trainer has opened one (`dgnn_tensor::PoolScope`), and the
+//! reverse pass drops each gradient as soon as it is used, so a training
+//! step reuses the previous step's storage instead of the heap.
 
 use std::rc::Rc;
 
 use dgnn_tensor::{stable_sigmoid, Csr, Matrix};
 
 use crate::params::{ParamId, ParamSet};
-use crate::plan::TapePlan;
 use crate::recorder::{Recorder, Var};
 
 /// One recorded operation. Kept private: the public API is the builder
@@ -129,14 +129,6 @@ impl Op {
 struct Node {
     op: Op,
     value: Matrix,
-    /// Forward shape, kept after `value` is freed: several backward rules
-    /// (`sum_all`, `gather`, `slice_cols`, …) need only the shape, and
-    /// routing them here lets the planner free those values early.
-    shape: (usize, usize),
-    /// True once a memory plan retired this node's value; any later value
-    /// read is a planner bug and panics loudly (the runtime backstop behind
-    /// the static safety proof).
-    freed: bool,
 }
 
 /// Records one forward pass and computes gradients on demand.
@@ -145,17 +137,9 @@ struct Node {
 /// graph-building surface lives on the [`Recorder`] trait so that models
 /// written against `R: Recorder` can also be abstractly interpreted (shape
 /// checking, dead-subgraph audits) without executing any tensor math.
-///
-/// With [`Tape::with_plan`] the tape becomes a *planned executor*: forward
-/// values are retired into the thread's [`dgnn_tensor::BufferPool`] at
-/// their statically computed death points — during recording (values whose
-/// last consumer is a forward op) and during [`Tape::backward_into`]
-/// (values last read by a gradient rule). Planned and unplanned execution
-/// are bit-identical; the plan only changes *when storage is reused*.
 pub struct Tape {
     nodes: Vec<Node>,
     finite_checks: bool,
-    plan: Option<Rc<TapePlan>>,
     /// `Some(mark)` while per-op profiling is armed (observability enabled
     /// at construction): the timestamp of the previous op boundary.
     /// Forward durations are *inter-push deltas* — everything since the
@@ -178,22 +162,7 @@ impl Tape {
     /// each step's profile internally consistent.
     pub fn new() -> Self {
         let obs_mark = dgnn_obs::is_enabled().then(dgnn_obs::now_ns);
-        Self { nodes: Vec::new(), finite_checks: false, plan: None, obs_mark }
-    }
-
-    /// Arms a memory plan: as recording and backward proceed, node values
-    /// are freed at the plan's death points (see [`TapePlan`]). The plan
-    /// must have been computed for exactly the graph about to be recorded;
-    /// the tape asserts the node counts match and panics on any read of a
-    /// freed value.
-    pub fn with_plan(mut self, plan: Rc<TapePlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-
-    /// True when a memory plan is armed.
-    pub fn is_planned(&self) -> bool {
-        self.plan.is_some()
+        Self { nodes: Vec::new(), finite_checks: false, obs_mark }
     }
 
     /// Enables (or disables) the runtime finite-value guard: with checks
@@ -222,28 +191,16 @@ impl Tape {
     }
 
     /// Forward value of a variable.
-    ///
-    /// # Panics
-    /// Panics if an armed memory plan already freed the value — that read
-    /// would observe recycled storage, so the plan is unsound for this
-    /// graph and execution must stop.
     pub fn value(&self, v: Var) -> &Matrix {
-        let node = &self.nodes[v.0];
-        assert!(
-            !node.freed,
-            "value of node {} read after its planned free point — the memory plan is unsound",
-            v.0
-        );
-        &node.value
+        &self.nodes[v.0].value
     }
 
-    /// Forward shape of a variable (available even after a planned free).
+    /// Forward shape of a variable.
     fn shape_of(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].shape
+        self.nodes[v.0].value.shape()
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
-        let shape = value.shape();
         if let Some(mark) = self.obs_mark {
             let now = dgnn_obs::now_ns();
             dgnn_obs::record_op(op.kind(), dgnn_obs::OpPhase::Forward, now.saturating_sub(mark));
@@ -254,32 +211,8 @@ impl Tape {
         } else {
             debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
         }
-        self.nodes.push(Node { op, value, shape, freed: false });
-        let i = self.nodes.len() - 1;
-        if let Some(plan) = &self.plan {
-            let plan = Rc::clone(plan);
-            assert!(
-                i < plan.len(),
-                "tape recorded more nodes ({}) than the memory plan covers ({}) — \
-                 the plan was computed for a different graph",
-                i + 1,
-                plan.len()
-            );
-            for &d in &plan.forward_free[i] {
-                self.free_node(d as usize);
-            }
-        }
-        Var(i)
-    }
-
-    /// Retires one node's forward value into the thread's buffer pool.
-    fn free_node(&mut self, i: usize) {
-        let node = &mut self.nodes[i];
-        debug_assert!(!node.freed, "node {i} freed twice — the plan checker should reject this");
-        node.freed = true;
-        // The replaced value drops here; `Matrix::drop` retires its storage
-        // into the installed pool for reuse by a later node.
-        let _ = std::mem::replace(&mut node.value, Matrix::zeros(0, 0));
+        self.nodes.push(Node { op, value });
+        Var(self.nodes.len() - 1)
     }
 
     /// Evaluates `op` and records it: the single entry point for every
@@ -354,8 +287,8 @@ impl Tape {
                     x.rows(),
                     "segment_softmax: pointer does not cover all edges"
                 );
-                // PLAN: per-segment softmax normalizes a copy in place; the
-                // copy is the node value and is pooled/freed like any other.
+                // Per-segment softmax normalizes a copy in place; the copy
+                // is the node value.
                 let mut v = x.clone();
                 for n in 0..seg.len() - 1 {
                     let (lo, hi) = (seg[n], seg[n + 1]);
@@ -400,18 +333,13 @@ impl Tape {
     /// *accumulates* parameter gradients into `params`. Returns the loss
     /// value as `f32` for logging.
     ///
-    /// With a plan armed ([`Tape::with_plan`]) the sweep additionally
-    /// retires forward values at their statically computed backward death
-    /// points and recycles consumed gradient matrices. The arithmetic —
-    /// including the ascending-order leaf-gradient accumulation, which
-    /// matters because parameters appear as multiple leaves and `f32`
-    /// addition is order-sensitive — is identical either way.
+    /// Each non-leaf gradient is dropped as soon as its rule has run, so
+    /// its storage is free for the rules after it. Parameter gradients are
+    /// accumulated afterwards in ascending node order: a parameter appears
+    /// as several leaves and `f32` addition is order-sensitive, so this is
+    /// the order that keeps the bits of [`Tape::backward`].
     pub fn backward_into(&mut self, loss: Var, params: &mut ParamSet) -> f32 {
-        // PLAN: Rc handle clone, not a matrix copy — no buffer involved.
-        if let Some(plan) = self.plan.clone() {
-            return self.backward_into_planned(loss, params, &plan);
-        }
-        let grads = self.backward(loss);
+        let grads = self.sweep(loss, |op| matches!(op, Op::Leaf { param: Some(_) }));
         for (i, g) in grads.iter().enumerate() {
             if let (Op::Leaf { param: Some(id) }, Some(g)) = (&self.nodes[i].op, g) {
                 params.accumulate_grad(*id, g);
@@ -420,48 +348,15 @@ impl Tape {
         self.value(loss)[(0, 0)]
     }
 
-    /// Planned reverse pass: same math as [`Tape::backward`], plus
-    /// statically scheduled frees after each node's backward step.
-    fn backward_into_planned(&mut self, loss: Var, params: &mut ParamSet, plan: &TapePlan) -> f32 {
-        let shape = self.value(loss).shape();
-        assert_eq!(shape, (1, 1), "backward: loss must be a 1×1 scalar, got {shape:?}");
-        assert_eq!(
-            plan.len(),
-            self.nodes.len(),
-            "memory plan covers {} nodes but the tape recorded {} — plan/graph mismatch",
-            plan.len(),
-            self.nodes.len()
-        );
-        let loss_val = self.value(loss)[(0, 0)];
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
-        for i in (0..=loss.0).rev() {
-            if let Some(g) = grads[i].take() {
-                self.backprop_node_observed(i, &g, &mut grads);
-                if matches!(self.nodes[i].op, Op::Leaf { param: Some(_) }) {
-                    // Kept until the ascending accumulation pass below.
-                    grads[i] = Some(g);
-                }
-                // Non-leaf gradients drop here and recycle into the pool.
-            }
-            // Frees fire whether or not a gradient flowed: the plan's
-            // liveness conservatively assumes every backward read happens,
-            // so a skipped node only means the read never occurs.
-            for &d in &plan.backward_free[i] {
-                self.free_node(d as usize);
-            }
-        }
-        for (i, g) in grads.iter().enumerate() {
-            if let (Op::Leaf { param: Some(id) }, Some(g)) = (&self.nodes[i].op, g) {
-                params.accumulate_grad(*id, g);
-            }
-        }
-        loss_val
-    }
-
     /// Runs the reverse pass and returns the gradient of `loss` with
     /// respect to every node (None where no gradient flowed).
     pub fn backward(&self, loss: Var) -> Vec<Option<Matrix>> {
+        self.sweep(loss, |_| true)
+    }
+
+    /// The reverse sweep: runs every node's rule from `loss` down and keeps
+    /// a node's gradient afterwards only where `keep(op)` holds.
+    fn sweep(&self, loss: Var, keep: impl Fn(&Op) -> bool) -> Vec<Option<Matrix>> {
         let shape = self.value(loss).shape();
         assert_eq!(shape, (1, 1), "backward: loss must be a 1×1 scalar, got {shape:?}");
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
@@ -469,7 +364,9 @@ impl Tape {
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
             self.backprop_node_observed(i, &g, &mut grads);
-            grads[i] = Some(g);
+            if keep(&self.nodes[i].op) {
+                grads[i] = Some(g);
+            }
         }
         grads
     }
@@ -508,13 +405,11 @@ impl Tape {
         match &self.nodes[i].op {
             Leaf { .. } => {}
             Add(a, b) => {
-                // PLAN: gradient fan-out needs one copy per operand; pooled
-                // storage backs both and each is recycled at its death point.
+                // Gradient fan-out needs one copy per operand.
                 Self::accum(grads, *a, g.clone());
                 Self::accum(grads, *b, g.clone());
             }
             Sub(a, b) => {
-                // PLAN: fan-out copy, pooled and recycled (see Add above).
                 Self::accum(grads, *a, g.clone());
                 Self::accum(grads, *b, g.scale(-1.0));
             }
@@ -524,7 +419,6 @@ impl Tape {
             }
             Neg(a) => Self::accum(grads, *a, g.scale(-1.0)),
             Scale(a, k) => Self::accum(grads, *a, g.scale(*k)),
-            // PLAN: fan-out copy, pooled and recycled (see Add above).
             AddScalar(a, _) => Self::accum(grads, *a, g.clone()),
             MatMul(a, b) => {
                 // dA = G·Bᵀ ; dB = Aᵀ·G
@@ -568,7 +462,6 @@ impl Tape {
                 Self::accum(grads, *a, g.mul_elem(&dy));
             }
             AddRow(a, row) => {
-                // PLAN: fan-out copy, pooled and recycled (see Add above).
                 Self::accum(grads, *a, g.clone());
                 Self::accum(grads, *row, g.col_sums());
             }
@@ -729,9 +622,8 @@ impl Recorder for Tape {
     }
 
     fn param(&mut self, params: &ParamSet, id: ParamId) -> Var {
-        // PLAN: leaves copy the parameter so the optimizer can update the
-        // ParamSet mid-epoch without aliasing the tape; pooled storage backs
-        // the copy and the planner frees it at its last gradient read.
+        // Leaves copy the parameter so the optimizer can update the
+        // ParamSet mid-epoch without aliasing the tape.
         self.push(Op::Leaf { param: Some(id) }, params.value(id).clone())
     }
 

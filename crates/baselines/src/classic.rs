@@ -207,7 +207,6 @@ impl Trainable for Classic {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, rng| {
                 let (users, items) = forward(&st, kind, layers, tape, params);
                 let main = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));

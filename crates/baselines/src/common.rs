@@ -3,9 +3,9 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, Optimizer, ParamSet, PlanHarness, Recorder, Tape, Var};
+use dgnn_autograd::{Adam, Optimizer, ParamSet, Recorder, Tape, Var};
 use dgnn_data::{TrainSampler, Triple};
-use dgnn_tensor::Matrix;
+use dgnn_tensor::{Matrix, PoolScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,10 +25,6 @@ pub struct BaselineConfig {
     pub learning_rate: f32,
     /// L2 weight decay.
     pub weight_decay: f32,
-    /// Execute training steps under a proven static memory plan (traced
-    /// baselines only: NGCF, GCCF, DGCF, MHCN, DisenHAN; the others train
-    /// unplanned regardless). Bit-identical to unplanned execution.
-    pub use_memory_plan: bool,
     /// Kernel-pool thread count for training (`0` inherits the ambient
     /// setting: `DGNN_THREADS` or the hardware default). Any value produces
     /// bit-identical results; `1` forces fully serial kernels.
@@ -44,19 +40,12 @@ impl Default for BaselineConfig {
             batch_size: 2048,
             learning_rate: 0.01,
             weight_decay: 1e-4,
-            use_memory_plan: false,
             threads: 0,
         }
     }
 }
 
 impl BaselineConfig {
-    /// Enables statically planned, pooled training-step execution.
-    pub fn with_memory_plan(mut self) -> Self {
-        self.use_memory_plan = true;
-        self
-    }
-
     /// Pins the kernel-pool thread count for training (`0` = inherit).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -96,21 +85,11 @@ pub(crate) fn bpr_from_embeddings<R: Recorder>(
     tape.bpr_loss(ps, ns)
 }
 
-/// A deterministic probe batch for tracing a planned step. Drawn from its
-/// own RNG so the training stream is untouched and planned runs remain
-/// bit-identical to unplanned ones.
-pub(crate) fn probe_batch(sampler: &TrainSampler, batch_size: usize, seed: u64) -> Vec<Triple> {
-    sampler.batch(&mut StdRng::seed_from_u64(seed ^ 0x9E37_79B9), batch_size)
-}
-
 /// Flexible training loop: `forward` receives the tape, parameters, the
 /// batch, and an RNG (for models with auxiliary sampling such as EATNN's
 /// social task or MHCN's embedding corruption) and returns the scalar loss.
-///
-/// With `harness` set (a proven harness from
-/// [`dgnn_core::training::planned_harness`]), every step runs planned:
-/// intermediates retire into the harness's buffer pool at their static
-/// death points. The arithmetic is bit-identical either way.
+/// One buffer pool serves the whole loop, so each step reuses the storage
+/// of the step before it.
 ///
 /// Returns mean loss per epoch.
 pub(crate) fn train_loop(
@@ -119,7 +98,6 @@ pub(crate) fn train_loop(
     adam: &mut Adam,
     sampler: &TrainSampler,
     seed: u64,
-    mut harness: Option<PlanHarness>,
     mut forward: impl FnMut(&mut Tape, &ParamSet, &[Triple], &mut StdRng) -> Var,
 ) -> Vec<f32> {
     let (epochs, batch_size) = (cfg.epochs, cfg.batch_size);
@@ -133,16 +111,14 @@ pub(crate) fn train_loop(
     let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
     let batches = sampler.num_positives().div_ceil(batch_size).max(1);
     let mut losses = Vec::with_capacity(epochs);
+    let _pool = PoolScope::open();
     for _ in 0..epochs {
         let _epoch_span = dgnn_obs::span("epoch");
         let mut epoch_loss = 0.0;
         for _ in 0..batches {
             let _batch_span = dgnn_obs::span("batch");
             let triples = sampler.batch(&mut rng, batch_size);
-            let mut tape = match harness.as_mut() {
-                Some(h) => h.begin_step(),
-                None => Tape::new(),
-            };
+            let mut tape = Tape::new();
             let loss = {
                 let _fwd = dgnn_obs::span("forward");
                 forward(&mut tape, params, &triples, &mut rng)
@@ -160,9 +136,6 @@ pub(crate) fn train_loop(
                     dgnn_obs::hist_record("grad_norm/postclip", f64::from(pre.min(50.0)));
                 }
                 adam.step(params);
-            }
-            if let Some(h) = harness.as_mut() {
-                h.end_step(tape);
             }
         }
         let mean = epoch_loss / batches as f32;

@@ -93,7 +93,6 @@ impl Trainable for DiffNet {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, _| {
                 let (users, items) = forward(&st, layers, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

@@ -16,11 +16,11 @@ use std::rc::Rc;
 use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
 use dgnn_data::{Dataset, TrainSampler, Triple};
 use dgnn_eval::{Recommender, Trainable};
-use dgnn_tensor::{Csr, Init, Matrix};
+use dgnn_tensor::{Csr, Init, Matrix, PoolScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, probe_batch, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
 
 /// Number of disentangled intents/aspects (both reference implementations
 /// default to 4).
@@ -206,24 +206,16 @@ impl Dgcf {
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
         let batches = sampler.num_positives().div_ceil(self.cfg.batch_size).max(1);
-        let mut harness = self.cfg.use_memory_plan.then(|| {
-            dgnn_core::training::planned_harness(|tr| {
-                let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
-                let (users, items) = dgcf_forward(&st, d, tr, &params);
-                bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe))
-            })
-        });
         self.loss_history.clear();
+        // One pool for the whole fit, the per-epoch scorer refresh included.
+        let _pool = PoolScope::open();
         for epoch in 0..self.cfg.epochs {
             let _epoch_span = dgnn_obs::span("epoch");
             let mut epoch_loss = 0.0;
             for _ in 0..batches {
                 let _batch_span = dgnn_obs::span("batch");
                 let triples = sampler.batch(&mut rng, self.cfg.batch_size);
-                let mut tape = match harness.as_mut() {
-                    Some(h) => h.begin_step(),
-                    None => Tape::new(),
-                };
+                let mut tape = Tape::new();
                 let loss = {
                     let _fwd = dgnn_obs::span("forward");
                     let (users, items) = dgcf_forward(&st, d, &mut tape, &params);
@@ -243,9 +235,6 @@ impl Dgcf {
                     }
                     use dgnn_autograd::Optimizer;
                     adam.step(&mut params);
-                }
-                if let Some(h) = harness.as_mut() {
-                    h.end_step(tape);
                 }
             }
             let mean = epoch_loss / batches as f32;
@@ -471,20 +460,12 @@ impl Trainable for DisenHan {
 
         let sampler = TrainSampler::new(g);
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        let harness = self.cfg.use_memory_plan.then(|| {
-            dgnn_core::training::planned_harness(|tr| {
-                let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
-                let (users, items) = disen_forward(&st, d, tr, &params);
-                bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe))
-            })
-        });
         self.loss_history = train_loop(
             &self.cfg,
             &mut params,
             &mut adam,
             &sampler,
             seed,
-            harness,
             |tape, params, triples, _| {
                 let (users, items) = disen_forward(&st, d, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

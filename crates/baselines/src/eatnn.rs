@@ -137,7 +137,6 @@ impl Trainable for Eatnn {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, rng| {
                 let (users, social) = user_repr(&st, tape, params);
                 let items = tape.param(params, st.e_item);

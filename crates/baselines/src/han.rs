@@ -197,7 +197,6 @@ impl Trainable for Han {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, _| {
                 let (users, items) = forward(&st, d, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

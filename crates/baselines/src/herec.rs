@@ -234,7 +234,6 @@ impl Trainable for Herec {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, _| {
                 let (users, items) = forward(&st, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

@@ -13,7 +13,7 @@ use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
 use dgnn_data::{Dataset, TrainSampler};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::{EdgeType, UnifiedView};
-use dgnn_tensor::{Init, Matrix};
+use dgnn_tensor::{Init, Matrix, PoolScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -158,6 +158,8 @@ impl Hgt {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
         let batches = sampler.num_positives().div_ceil(self.cfg.batch_size).max(1);
         self.loss_history.clear();
+        // One pool for the whole fit, the per-epoch scorer refresh included.
+        let _pool = PoolScope::open();
         for epoch in 0..self.cfg.epochs {
             let _epoch_span = dgnn_obs::span("epoch");
             let mut epoch_loss = 0.0;

@@ -188,7 +188,6 @@ impl Trainable for Kgat {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, _| {
                 let (users, items) = forward(&st, layers, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, probe_batch, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
 
 /// Weight of the self-supervised InfoMax term.
 const SSL_WEIGHT: f32 = 0.1;
@@ -279,30 +279,12 @@ impl Trainable for Mhcn {
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let layers = self.cfg.layers;
         let num_users = g.num_users();
-        let harness = self.cfg.use_memory_plan.then(|| {
-            dgnn_core::training::planned_harness(|tr| {
-                let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
-                let (users, items, channel_embs) = forward(&st, layers, tr, &params);
-                let bpr = bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe));
-                // Shuffle content is irrelevant to the plan — only topology
-                // matters — but trace the same graph shape as training.
-                let shuffle: Vec<usize> = (0..num_users).collect();
-                match ssl_loss(tr, &channel_embs, &Rc::new(shuffle)) {
-                    Some(ssl) => {
-                        let ssl = tr.scale(ssl, SSL_WEIGHT);
-                        tr.add(bpr, ssl)
-                    }
-                    None => bpr,
-                }
-            })
-        });
         self.loss_history = train_loop(
             &self.cfg,
             &mut params,
             &mut adam,
             &sampler,
             seed,
-            harness,
             |tape, params, triples, rng| {
                 let (users, items, channel_embs) = forward(&st, layers, tape, params);
                 let rec = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));

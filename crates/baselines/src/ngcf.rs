@@ -16,7 +16,7 @@ use dgnn_tensor::{Csr, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, probe_batch, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
 
 /// Which CF variant to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,20 +147,12 @@ impl GraphCf {
         let sampler = TrainSampler::new(g);
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let (variant, layers) = (self.variant, self.cfg.layers);
-        let harness = self.cfg.use_memory_plan.then(|| {
-            dgnn_core::training::planned_harness(|tr| {
-                let probe = probe_batch(&sampler, self.cfg.batch_size, seed);
-                let (users, items) = forward(&st, variant, layers, tr, &params);
-                bpr_from_embeddings(tr, users, items, &BatchIdx::new(&probe))
-            })
-        });
         self.loss_history = train_loop(
             &self.cfg,
             &mut params,
             &mut adam,
             &sampler,
             seed,
-            harness,
             |tape, params, triples, _| {
                 let (users, items) = forward(&st, variant, layers, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

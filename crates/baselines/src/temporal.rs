@@ -222,7 +222,6 @@ impl Trainable for DgRec {
             &mut adam,
             &sampler,
             seed,
-            None,
             |tape, params, triples, _| {
                 let (users, items) = forward(&st, d, tape, params);
                 bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))

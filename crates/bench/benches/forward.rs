@@ -12,7 +12,6 @@ use std::hint::black_box;
 fn bench_one_epoch(c: &mut Criterion) {
     let data = tiny(42);
     let mut group = c.benchmark_group("one_epoch_tiny");
-    group.sample_size(10);
 
     group.bench_function("DGNN", |b| {
         b.iter(|| {

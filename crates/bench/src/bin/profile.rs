@@ -1,14 +1,14 @@
 //! **Training profiler**: per-phase and per-op-kind timing for DGNN and
 //! two baselines, driven entirely by the `dgnn-obs` instrumentation.
 //!
-//! Trains DGNN, NGCF, and DGCF on the tiny dataset with quick configs
-//! (planned execution, so the pool counters are exercised too) with
-//! observability enabled, then writes:
+//! Trains DGNN, NGCF, and DGCF on the tiny dataset with quick configs —
+//! the same fit-scoped buffer-pool path every fit runs, so the pool
+//! counters are exercised too — with observability enabled, then writes:
 //!
 //! * `BENCH_profile.json` — one metrics snapshot per model (steps/sec,
 //!   per-phase span totals, allocation counters, gradient-norm histograms,
-//!   per-op forward/backward profiles), serialized by the same
-//!   `snapshot_to_json` code path as `memplan`'s `analysis-baseline.json`;
+//!   per-op forward/backward profiles), serialized by
+//!   `dgnn_obs::export::snapshot_to_json`;
 //! * `results/profile_trace.json` — a Chrome trace-event file (open in
 //!   Perfetto or `chrome://tracing`; one labeled track per model);
 //! * `results/profile_events.jsonl` — the raw span events, one per line.
@@ -84,7 +84,6 @@ fn quick_baseline() -> BaselineConfig {
         batch_size: 256,
         ..Default::default()
     }
-    .with_memory_plan()
 }
 
 fn quick_dgnn() -> DgnnConfig {
@@ -96,7 +95,6 @@ fn quick_dgnn() -> DgnnConfig {
         batch_size: 256,
         ..Default::default()
     }
-    .with_memory_plan()
 }
 
 /// One profiled model: its metrics snapshot and raw span events.
@@ -195,9 +193,9 @@ fn profile_json(profiles: &[Profile]) -> String {
     s
 }
 
-/// Pulls a model's `profile/steps_per_sec` gauge out of a baseline file —
-/// same targeted-scan approach as `memplan`'s check, extended to the
-/// fractional values a rate gauge carries.
+/// Pulls a model's `profile/steps_per_sec` gauge out of a baseline file
+/// with a targeted scan (no JSON parser in the workspace), keeping the
+/// fractional digits a rate gauge carries.
 fn baseline_steps_per_sec(json: &str, model: &str) -> Option<f64> {
     let obj = &json[json.find(&format!("\"{model}\""))?..];
     let key = "\"profile/steps_per_sec\"";
@@ -273,7 +271,7 @@ fn main() -> ExitCode {
     let [sps_disabled, sps_serial, sps_parallel, sps_gemm_scalar] = best;
     dgnn_tensor::parallel::set_threads(1);
 
-    println!("=== Training profile (tiny dataset, quick configs, planned) ===");
+    println!("=== Training profile (tiny dataset, quick configs) ===");
     let mut profiles = Vec::new();
     profiles.push(profile_model(
         "DGNN",

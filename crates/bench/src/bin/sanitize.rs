@@ -74,8 +74,6 @@ fn run_backend_battery(scale: usize) {
     let a = mat(r, k, 1);
     let b = mat(k, r, 2);
     let g = mat(r, k, 3);
-    let row = mat(1, k, 4);
-    let col = mat(r, 1, 5);
     let idx: Vec<usize> = (0..r).map(|i| (i * 5) % r).collect();
 
     let _ = a.matmul(&b);
@@ -84,8 +82,6 @@ fn run_backend_battery(scale: usize) {
     // the packed fold reads its own output rows back between blocks.
     let _ = mat(150, r + 1, 12).matmul_tn(&mat(150, k + 1, 13));
     let _ = a.matmul_nt(&g);
-    let mut acc = mat(r, r, 6);
-    acc.matmul_nt_acc(&g, &mat(r, k, 7));
     let _ = a.add(&g);
     let _ = a.sub(&g);
     let _ = a.mul_elem(&g);
@@ -100,8 +96,6 @@ fn run_backend_battery(scale: usize) {
     m.add_assign(&g);
     m.axpy(0.5, &g);
     m.scale_assign(1.25);
-    let _ = a.mul_row_fused(&row);
-    let _ = a.mul_col_fused(&col);
     // `a` as 4 column blocks of width k/4.
     let (eta, gb) = (mat(r, 4, 10), mat(r, k / 4, 11));
     let _ = a.weighted_block_sum(&eta);

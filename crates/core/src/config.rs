@@ -34,14 +34,6 @@ pub struct DgnnConfig {
     pub use_social: bool,
     /// Ablation `-T`: `false` removes the item-relation matrix `T`.
     pub use_knowledge: bool,
-    /// Execute training steps under a static [`MemoryPlan`]: intermediates
-    /// are retired at their statically computed death points into a
-    /// shape-keyed buffer pool. Bit-identical to unplanned execution; the
-    /// plan is verified by the independent safety checker before the first
-    /// step runs.
-    ///
-    /// [`MemoryPlan`]: https://docs.rs/dgnn-analysis
-    pub use_memory_plan: bool,
     /// Kernel-pool thread count for training (`0` inherits the ambient
     /// setting: the `DGNN_THREADS` environment variable, falling back to
     /// the hardware parallelism). Results are bit-identical at every
@@ -65,7 +57,6 @@ impl Default for DgnnConfig {
             use_layer_norm: true,
             use_social: true,
             use_knowledge: true,
-            use_memory_plan: false,
             threads: 0,
         }
     }
@@ -107,12 +98,6 @@ impl DgnnConfig {
         self.without_social().without_knowledge()
     }
 
-    /// Enables statically planned, pooled training-step execution.
-    pub fn with_memory_plan(mut self) -> Self {
-        self.use_memory_plan = true;
-        self
-    }
-
     /// Pins the kernel-pool thread count for training (`0` = inherit).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -146,7 +131,6 @@ impl DgnnConfig {
             ("cfg/use_layer_norm".into(), self.use_layer_norm.to_string()),
             ("cfg/use_social".into(), self.use_social.to_string()),
             ("cfg/use_knowledge".into(), self.use_knowledge.to_string()),
-            ("cfg/use_memory_plan".into(), self.use_memory_plan.to_string()),
             ("cfg/threads".into(), self.threads.to_string()),
         ]
     }
@@ -176,7 +160,6 @@ impl DgnnConfig {
             use_layer_norm: get(lookup, "cfg/use_layer_norm")?,
             use_social: get(lookup, "cfg/use_social")?,
             use_knowledge: get(lookup, "cfg/use_knowledge")?,
-            use_memory_plan: get(lookup, "cfg/use_memory_plan")?,
             threads: get(lookup, "cfg/threads")?,
         })
     }
@@ -252,14 +235,16 @@ mod tests {
         assert_eq!(cfg.learning_rate.to_bits(), back.learning_rate.to_bits());
     }
 
-    /// Checkpoints written before graph rewriting was removed carry one
-    /// more `cfg/` entry; the lookup never asks for it.
+    /// Checkpoints written before graph rewriting and static memory
+    /// planning were removed carry stale `cfg/` entries; the lookup never
+    /// asks for them.
     #[test]
     fn meta_from_an_older_checkpoint_still_loads() {
-        let cfg = DgnnConfig::default().with_memory_plan();
+        let cfg = DgnnConfig::default();
         let mut meta: std::collections::BTreeMap<String, String> =
             cfg.to_meta().into_iter().collect();
         meta.insert("cfg/use_graph_opt".into(), "true".into());
+        meta.insert("cfg/use_memory_plan".into(), "true".into());
         let back = DgnnConfig::from_meta(&|k| meta.get(k).cloned()).unwrap();
         assert_eq!(cfg, back);
     }

@@ -229,28 +229,16 @@ impl Dgnn {
             sampler.num_positives().div_ceil(loop_cfg.batch_size).max(1);
         self.loss_history.clear();
 
-        // Statically planned execution: trace one probe step (on its own
-        // rng, so training draws are untouched and results stay
-        // bit-identical), prove the plan safe, and run every step through
-        // the proven harness.
-        let mut harness = self.cfg.use_memory_plan.then(|| {
-            crate::training::planned_harness(|tr| {
-                let mut probe_rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
-                let probe = sampler.batch(&mut probe_rng, loop_cfg.batch_size);
-                self.record_step(tr, &probe)
-            })
-        });
-
+        // One pool for the whole fit, the per-epoch `finalize` forward
+        // included: every step reuses the storage of the step before it.
+        let _pool = dgnn_tensor::PoolScope::open();
         for epoch in 0..loop_cfg.epochs {
             let _epoch_span = dgnn_obs::span("epoch");
             let mut epoch_loss = 0.0;
             for _ in 0..batches_per_epoch {
                 let _batch_span = dgnn_obs::span("batch");
                 let triples = sampler.batch(&mut rng, loop_cfg.batch_size);
-                let mut tape = match harness.as_mut() {
-                    Some(h) => h.begin_step(),
-                    None => Tape::new(),
-                };
+                let mut tape = Tape::new();
                 let loss = {
                     let _fwd = dgnn_obs::span("forward");
                     self.record_step(&mut tape, &triples)
@@ -271,9 +259,6 @@ impl Dgnn {
                         );
                     }
                     adam.step(&mut self.params);
-                }
-                if let Some(h) = harness.as_mut() {
-                    h.end_step(tape);
                 }
             }
             let mean = epoch_loss / batches_per_epoch as f32;

@@ -13,7 +13,7 @@
 
 use dgnn_autograd::{Adam, Optimizer, ParamSet, Recorder, Tape};
 use dgnn_graph::HeteroGraph;
-use dgnn_tensor::{Init, Matrix};
+use dgnn_tensor::{Init, Matrix, PoolScope};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -79,6 +79,7 @@ impl Pretrainer {
             .map(|&(v, r)| (v as usize, r as usize))
             .collect();
 
+        let _pool = PoolScope::open();
         for _ in 0..self.epochs {
             let mut tape = Tape::new();
             let eu = tape.param(&params, user);

@@ -2,40 +2,11 @@
 //! in the reproduction so cross-model timing comparisons (Table IV) measure
 //! the models, not the harness.
 
-use dgnn_analysis::ShapeTracer;
-use dgnn_autograd::{Adam, Optimizer, ParamSet, PlanHarness, Recorder, Tape, Var};
+use dgnn_autograd::{Adam, Optimizer, ParamSet, Recorder, Tape, Var};
 use dgnn_data::{TrainSampler, Triple};
+use dgnn_tensor::PoolScope;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Builds a proven [`PlanHarness`] for a model's training step.
-///
-/// `trace` records one representative step onto the given abstract tracer
-/// (the same `record_step`/`trace_step` code the trainer runs on a `Tape`)
-/// and returns the loss variable. The step is planned
-/// ([`dgnn_analysis::plan`]), the plan is verified by the *independent*
-/// safety checker ([`dgnn_analysis::check_plan`]), and only then lowered
-/// into an executable harness. Plans depend solely on graph topology, so
-/// one probe batch covers every batch of training.
-///
-/// # Panics
-/// Panics when the traced step fails the safety proof — executing an
-/// unproven plan could free a value that backward still reads.
-pub fn planned_harness<F>(trace: F) -> PlanHarness
-where
-    F: FnOnce(&mut ShapeTracer) -> Var,
-{
-    let mut tracer = ShapeTracer::new();
-    let loss = trace(&mut tracer);
-    let mplan = dgnn_analysis::plan(&tracer, loss, &[]);
-    if let Err(violation) = dgnn_analysis::check_plan(&tracer, loss, &[], &mplan) {
-        // PANICS: an unsound plan must never reach the executor; this
-        // fires only on a planner bug, which the independent checker
-        // exists to catch before any memory is recycled.
-        panic!("refusing to execute an unproven memory plan: {violation}");
-    }
-    PlanHarness::new(mplan.tape_plan())
-}
 
 /// Loop hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +30,8 @@ impl Default for TrainLoop {
 ///
 /// Returns the mean BPR loss per epoch. `on_epoch` fires after each epoch
 /// with `(epoch_index, mean_loss)` — the hook the per-epoch convergence
-/// experiment (Figure 8) uses.
+/// experiment (Figure 8) uses. One buffer pool serves the whole loop, so
+/// each step reuses the storage of the step before it.
 pub fn run_bpr<F>(
     loop_cfg: TrainLoop,
     params: &mut ParamSet,
@@ -77,6 +49,7 @@ where
     let batches_per_epoch =
         sampler.num_positives().div_ceil(loop_cfg.batch_size).max(1);
     let mut losses = Vec::with_capacity(loop_cfg.epochs);
+    let _pool = PoolScope::open();
     for epoch in 0..loop_cfg.epochs {
         let _epoch_span = dgnn_obs::span("epoch");
         let mut epoch_loss = 0.0;

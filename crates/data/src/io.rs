@@ -208,11 +208,11 @@ mod tests {
     fn file_roundtrip() {
         let g = toy();
         let dir = std::env::temp_dir().join("dgnn-io-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("toy.txt");
         save_graph(&g, &path).expect("save");
         let back = load_graph(&path).expect("load");
         assert_eq!(back.interactions(), g.interactions());
-        let _ = std::fs::remove_file(path);
+        let _ = fs::remove_file(path);
     }
 }

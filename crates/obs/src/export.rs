@@ -5,7 +5,7 @@
 //! Field names in all formats are a **stable schema** — the golden-schema
 //! integration tests (`tests/tests/observability.rs`,
 //! `tests/tests/telemetry.rs`) pin them, and downstream tooling
-//! (`memplan --check`, `profile --check`, `loadgen --check`, Perfetto,
+//! (`profile --check`, `loadgen --check`, Perfetto,
 //! Prometheus scrapers) parses them. Change them only with the tests and
 //! the check parsers in the same commit.
 
@@ -95,8 +95,7 @@ pub fn chrome_trace(threads: &[(&str, &[SpanEvent])]) -> String {
     format!("{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}", items.join(","))
 }
 
-/// Serializes a [`Snapshot`] — the one code path behind both
-/// `analysis-baseline.json` (via `memplan`) and `BENCH_profile.json`
+/// Serializes a [`Snapshot`] — the code path behind `BENCH_profile.json`
 /// (via `profile`).
 ///
 /// `indent` is the number of leading spaces on each emitted line, letting
@@ -440,7 +439,7 @@ mod tests {
     fn snapshot_serializes_all_sections() {
         let mut s = Snapshot::default();
         s.counters.insert("grad_nonfinite".into(), 2);
-        s.gauges.insert("memplan/DGNN/peak_live_bytes".into(), 4096.0);
+        s.gauges.insert("profile/steps_per_sec".into(), 4096.0);
         s.histograms
             .insert("epoch_mean_loss".into(), HistStat { count: 2, sum: 1.5, min: 0.5, max: 1.0 });
         s.ops.insert(
@@ -457,7 +456,7 @@ mod tests {
             "\"histograms\"",
             "\"ops\"",
             "\"grad_nonfinite\": 2",
-            "\"memplan/DGNN/peak_live_bytes\": 4096",
+            "\"profile/steps_per_sec\": 4096",
             "\"count\": 2",
             "\"forward\": {\"calls\": 4, \"total_ns\": 100}",
         ] {

@@ -75,9 +75,8 @@ impl HistStat {
 /// Point-in-time copy of the whole registry (metrics + per-op profiles).
 ///
 /// Produced by [`crate::snapshot`]; serialized by
-/// [`crate::export::snapshot_to_json`] — the one serialization code path
-/// shared by `memplan`'s `analysis-baseline.json` and the `profile`
-/// binary's `BENCH_profile.json`.
+/// [`crate::export::snapshot_to_json`] — the serialization code path
+/// behind the `profile` binary's `BENCH_profile.json`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotone counters.

@@ -13,9 +13,9 @@ use crate::{gemm, parallel, pool};
 /// precise message is the right contract (it mirrors what `ndarray` and
 /// `nalgebra` do for mismatched dimensions).
 ///
-/// Storage comes from the thread's [`crate::BufferPool`] when one is
-/// installed (see [`crate::recycle`]); otherwise from the heap. Either way
-/// the contents a constructor produces are identical.
+/// Storage comes from the thread's buffer pool while a
+/// [`crate::PoolScope`] is open; otherwise from the heap. Either way the
+/// contents a constructor produces are identical.
 #[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -89,8 +89,7 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Consumes the matrix and returns its backing storage (used by
-    /// [`crate::recycle`] to retire buffers into the installed pool).
+    /// Consumes the matrix and returns its backing storage.
     pub fn into_raw_vec(mut self) -> Vec<f32> {
         std::mem::take(&mut self.data)
     }
@@ -205,7 +204,7 @@ impl Matrix {
         };
         parallel::par_row_chunks("gemm_nn_packed", &mut out.data, m, n, k.saturating_mul(n), reads, |rows, chunk| {
             let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
-            gemm::tile_loop(be, &lhs, &b, k, n, rows.len(), chunk, gemm::Fold::Fresh);
+            gemm::tile_loop(be, &lhs, &b, k, n, rows.len(), chunk);
         });
         pool::recycle_vec(tail);
         out
@@ -310,7 +309,7 @@ impl Matrix {
         };
         parallel::par_row_chunks("gemm_nt_packed", &mut out.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
             let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
-            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk, gemm::Fold::Fresh);
+            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk);
         });
         pool::recycle_vec(pb);
         out
@@ -491,131 +490,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    // ---- single-pass broadcast kernels ------------------------------------
-    //
-    // Each computes exactly one `*` per element — the same single f32
-    // operation the two-pass (clone, then in-place update) form performs —
-    // so the results are bit-identical to the kernels above for every
-    // input, including NaN/∞ payloads.
-
-    /// Single-pass `self ⊙ row` broadcast: writes `self[r][c] * row[c]`
-    /// straight into a fresh buffer (no intermediate copy of `self`).
-    /// Bit-identical to [`Matrix::mul_row_broadcast`].
-    pub fn mul_row_fused(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "mul_row_fused: rhs must be a row vector");
-        assert_eq!(row.cols, self.cols, "mul_row_fused: width mismatch");
-        let mut data = pool::alloc_overwritten(self.data.len());
-        let (a, b, w) = (&self.data, &row.data, self.cols);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, 0..b.len())]
-        };
-        parallel::par_row_chunks("mul_row_fused", &mut data, self.rows, self.cols, self.cols, reads, |range, chunk| {
-            for (out_row, a_row) in chunk
-                .chunks_exact_mut(w.max(1))
-                .zip(a[range.start * w..range.end * w].chunks_exact(w.max(1)))
-            {
-                for ((o, &x), &y) in out_row.iter_mut().zip(a_row).zip(b) {
-                    *o = x * y;
-                }
-            }
-        });
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Single-pass column broadcast `self[r][c] * col[r]` (see
-    /// [`Matrix::mul_row_fused`]). Bit-identical to
-    /// [`Matrix::mul_col_broadcast`].
-    pub fn mul_col_fused(&self, col: &Matrix) -> Matrix {
-        assert_eq!(col.cols, 1, "mul_col_fused: rhs must be a column vector");
-        assert_eq!(col.rows, self.rows, "mul_col_fused: height mismatch");
-        let mut data = pool::alloc_overwritten(self.data.len());
-        let (a, b, w) = (&self.data, &col.data, self.cols);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, r.clone())]
-        };
-        parallel::par_row_chunks("mul_col_fused", &mut data, self.rows, self.cols, self.cols, reads, |range, chunk| {
-            for ((out_row, a_row), &k) in chunk
-                .chunks_exact_mut(w.max(1))
-                .zip(a[range.start * w..range.end * w].chunks_exact(w.max(1)))
-                .zip(&b[range])
-            {
-                for (o, &x) in out_row.iter_mut().zip(a_row) {
-                    *o = x * k;
-                }
-            }
-        });
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Fused gradient accumulation `self += g · rhsᵀ`.
-    ///
-    /// Each `g·rhsᵀ` element is an independent dot product accumulated in a
-    /// register from `0.0` — exactly as [`Matrix::matmul_nt`] computes it —
-    /// and then added to `self[i][j]` with one `+`, exactly as
-    /// `add_assign(&g.matmul_nt(rhs))` would. The two forms are therefore
-    /// bit-identical; fusing only skips the temporary.
-    pub fn matmul_nt_acc(&mut self, g: &Matrix, rhs: &Matrix) {
-        assert_eq!(g.cols, rhs.cols, "matmul_nt_acc: inner dim mismatch");
-        assert_eq!(
-            self.shape(),
-            (g.rows, rhs.rows),
-            "matmul_nt_acc: accumulator is {}x{}, product is {}x{}",
-            self.rows,
-            self.cols,
-            g.rows,
-            rhs.rows
-        );
-        let be = gemm::backend();
-        gemm::count_call(be.is_packed(), g.rows, rhs.rows, g.cols);
-        if !be.is_packed() {
-            return self.matmul_nt_acc_legacy(g, rhs);
-        }
-        let (m, k, jn) = (g.rows, g.cols, rhs.rows);
-        let pb = packed_bt(rhs);
-        let (a, b) = (&g.data[..], gemm::Rhs::Packed(&pb));
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(OUT, r.start * jn..r.end * jn),
-                Access::read(0, r.start * k..r.end * k),
-                Access::read(1, 0..pb.len()),
-            ]
-        };
-        parallel::par_row_chunks("gemm_nt_acc_packed", &mut self.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
-            let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
-            gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk, gemm::Fold::AddTo);
-        });
-        pool::recycle_vec(pb);
-    }
-
-    /// The pre-packing scalar `matmul_nt_acc`: fused dot-then-add loops
-    /// under the legacy `matmul_nt_acc` contract.
-    fn matmul_nt_acc_legacy(&mut self, g: &Matrix, rhs: &Matrix) {
-        let (k, jn) = (g.cols, rhs.rows);
-        let a = &g.data;
-        let b = &rhs.data;
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(OUT, r.start * jn..r.end * jn),
-                Access::read(0, r.start * k..r.end * k),
-                Access::read(1, 0..b.len()),
-            ]
-        };
-        parallel::par_row_chunks("matmul_nt_acc", &mut self.data, g.rows, jn, k.saturating_mul(jn), reads, |rows, out| {
-            for (off, i) in rows.enumerate() {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[off * jn..(off + 1) * jn];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o += acc;
-                }
-            }
-        });
     }
 
     /// Fused `gather(self, idx) · rhsᵀ` without materializing the gathered
@@ -1512,33 +1386,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_broadcasts_match_two_pass_forms_bitwise() {
-        let a = awkward(9, 5, 3);
-        let row = awkward(1, 5, 11);
-        let col = awkward(9, 1, 17);
-        assert_bits(&a.mul_row_fused(&row), &a.mul_row_broadcast(&row), "mul_row");
-        assert_bits(&a.mul_col_fused(&col), &a.mul_col_broadcast(&col), "mul_col");
-    }
-
-    #[test]
     fn in_place_variants_match_out_of_place_bitwise() {
         let a = awkward(7, 4, 5);
         let mut scaled = a.clone();
         scaled.scale_assign(-1.0);
         assert_bits(&scaled, &a.scale(-1.0), "neg via scale_assign");
-    }
-
-    #[test]
-    fn matmul_nt_acc_matches_temp_then_add_bitwise() {
-        let g = awkward(6, 5, 41);
-        let b = awkward(8, 5, 43);
-        let acc0 = awkward(6, 8, 47);
-
-        let mut fused = acc0.clone();
-        fused.matmul_nt_acc(&g, &b);
-        let mut two_step = acc0.clone();
-        two_step.add_assign(&g.matmul_nt(&b));
-        assert_bits(&fused, &two_step, "matmul_nt_acc");
     }
 
     #[test]
@@ -1579,14 +1431,5 @@ mod tests {
     #[should_panic(expected = "not a positive multiple")]
     fn weighted_block_sum_rejects_ragged_blocks() {
         let _ = Matrix::zeros(4, 10).weighted_block_sum(&Matrix::zeros(4, 3));
-    }
-
-    #[test]
-    fn fused_kernels_handle_zero_width() {
-        let a = Matrix::zeros(3, 0);
-        let row = Matrix::zeros(1, 0);
-        let col = Matrix::zeros(3, 1);
-        assert_eq!(a.mul_row_fused(&row).shape(), (3, 0));
-        assert_eq!(a.mul_col_fused(&col).shape(), (3, 0));
     }
 }

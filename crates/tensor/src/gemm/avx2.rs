@@ -16,7 +16,7 @@ use std::arch::x86 as arch;
 use std::arch::x86_64 as arch;
 
 use arch::{
-    __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps,
+    __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps,
     _mm256_setzero_ps, _mm256_storeu_ps,
 };
 
@@ -25,9 +25,8 @@ use super::Fold;
 /// Computes one `8 × 8` register tile over `k` steps. A element `(i, kk)`
 /// is `*a.add(lanes[i] + kk * a_k)`; B row `kk` is the 8 contiguous floats
 /// at `b.add(kk * b_k)`. The top-left `rows × cols` corner goes to `c` with
-/// row stride `rsc` as `fold` says: [`Fold::Fresh`] overwrites,
-/// [`Fold::AddTo`] adds one `+` per element, [`Fold::Resume`] starts every
-/// chain from the value already in `c` and overwrites.
+/// row stride `rsc`, overwriting it. [`Fold::Fresh`] starts every chain
+/// from `0.0`, [`Fold::Resume`] from the value already in `c`.
 ///
 /// # Safety
 /// Caller must guarantee: the CPU supports `avx2` and `fma` (the dispatch
@@ -86,26 +85,15 @@ pub(crate) unsafe fn kernel_8x8(
                 *ti = _mm256_fmadd_ps(av, bv, *ti);
             }
         }
-        let add = fold == Fold::AddTo;
         for (i, ti) in t.iter().enumerate().take(rows) {
             let row = c.add(i * rsc);
             if cols == 8 {
-                if add {
-                    // One rounded `+` per element after the register fold:
-                    // bit-identical to temp-then-add_assign.
-                    _mm256_storeu_ps(row, _mm256_add_ps(_mm256_loadu_ps(row), *ti));
-                } else {
-                    _mm256_storeu_ps(row, *ti);
-                }
+                _mm256_storeu_ps(row, *ti);
             } else {
                 let mut tmp = [0.0f32; 8];
                 _mm256_storeu_ps(tmp.as_mut_ptr(), *ti);
                 for (j, &v) in tmp.iter().enumerate().take(cols) {
-                    if add {
-                        *row.add(j) += v;
-                    } else {
-                        *row.add(j) = v;
-                    }
+                    *row.add(j) = v;
                 }
             }
         }

@@ -14,8 +14,8 @@ use super::{Fold, MR, NR};
 /// Computes one `MR × NR` tile over `k` steps — A element `(i, kk)` is
 /// `a[lanes[i] + kk * a_k]`, B row `kk` is `b[kk * b_k..][..NR]` — and
 /// stores the `rows × cols` live corner into `out[c0..]` with row stride
-/// `rsc` as `fold` says (see [`Fold`]). Safe code: all indexing is
-/// slice-checked.
+/// `rsc`, each chain starting as `fold` says (see [`Fold`]). Safe code: all
+/// indexing is slice-checked.
 #[allow(clippy::too_many_arguments)] // mirrors the unsafe SIMD kernel ABI
 pub(crate) fn kernel_8x8(
     k: usize,
@@ -47,14 +47,7 @@ pub(crate) fn kernel_8x8(
         }
     }
     for (i, ti) in t.iter().enumerate().take(rows) {
-        let row = &mut out[c0 + i * rsc..c0 + i * rsc + cols];
-        if fold == Fold::AddTo {
-            for (o, &v) in row.iter_mut().zip(ti) {
-                *o += v;
-            }
-        } else {
-            row.copy_from_slice(&ti[..cols]);
-        }
+        out[c0 + i * rsc..c0 + i * rsc + cols].copy_from_slice(&ti[..cols]);
     }
 }
 

@@ -2,7 +2,7 @@
 //! that read their operands where they lie.
 //!
 //! Every dense matmul entry point in [`crate::Matrix`] (`matmul`,
-//! `matmul_tn`, `matmul_nt`, `matmul_nt_acc`, `gather_matmul_nt`, the
+//! `matmul_tn`, `matmul_nt`, `gather_matmul_nt`, the
 //! scorer against resident panels) routes through this module unless the
 //! legacy scalar backend is selected. The microkernels take a strided operand description (the `(ptr, rs, cs)`
 //! interface of BLIS / tract, carried all the way into the kernel), so at
@@ -11,7 +11,7 @@
 //!
 //! * **Left operand, in place** ([`Lhs`]) — tile lane `i` at inner index
 //!   `kk` is `data[lane(i) + kk * k_stride]`. Row-major rows (`matmul`,
-//!   `matmul_nt`, `matmul_nt_acc`) are `lane = row * k`, `k_stride = 1`;
+//!   `matmul_nt`) are `lane = row * k`, `k_stride = 1`;
 //!   the gathered variants put `idx[row] * k` in the same slot; `matmul_tn`
 //!   reads a column band of `self` as `lane = col`, `k_stride = cols`. The
 //!   dead lanes of a ragged last `MR`-row tile are clamped to its last live
@@ -25,7 +25,7 @@
 //!   partition: [`pack_b_tail`] for the one ragged `n % NR` column panel,
 //!   whose in-place 8-float load would run past the row (and, on the last
 //!   row, past the operand); [`pack_bt`] per call for the `…_nt` right
-//!   operand in training (`matmul_nt`, `matmul_nt_acc`: its panels run down
+//!   operand in training (`matmul_nt`: its panels run down
 //!   `rhs` columns, and `rhs` is a parameter that changes every step); and
 //!   `pack_bt` *once* for a resident catalog — a served item table is
 //!   held as [`PackedPanels`] and scored by
@@ -217,8 +217,7 @@ pub fn set_backend(b: Option<Backend>) {
 }
 
 /// Per-thread counters over the routed GEMM entry points, giving benches a
-/// uniform view of *all* matmul work — including fused paths like
-/// `matmul_nt_acc` that older accounting lumped into backward rule totals.
+/// uniform view of *all* matmul work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GemmCounters {
     /// Calls routed through the microkernel tile loop.
@@ -320,10 +319,6 @@ pub(crate) fn pack_bt(b: &[f32], jn: usize, k: usize, out: &mut [f32]) {
 pub(crate) enum Fold {
     /// Chains start at `0.0`; the tile overwrites the output.
     Fresh,
-    /// Chains start at `0.0`; the tile is *added* onto the output with one
-    /// `+` per element after the register fold (the `matmul_nt_acc`
-    /// contract).
-    AddTo,
     /// Chains start at the value already in the output and the tile
     /// overwrites it: the next `k` block of a fold an earlier call began
     /// (the blocked `matmul_tn`). An f32 store/load round trip is exact, so
@@ -381,13 +376,11 @@ pub(crate) const K_BLOCK: usize = 64;
 
 /// Runs the tile loop for one partition with both operands read in place:
 /// `out` is the partition's `span × n` row-major output chunk and `k` the
-/// reduction length. [`Fold::AddTo`] adds the product onto `out`; anything
-/// else overwrites it.
+/// reduction length; the product overwrites `out`.
 ///
 /// Every element's value is a fold over ascending `kk` from `0.0` in a
 /// fixed register lane, so the result is independent of operand layout,
 /// panel boundaries, partitioning, and thread count.
-#[allow(clippy::too_many_arguments)] // two operands, three extents, output, fold
 pub(crate) fn tile_loop<F: Fn(usize) -> usize>(
     be: Backend,
     a: &Lhs<'_, F>,
@@ -396,28 +389,21 @@ pub(crate) fn tile_loop<F: Fn(usize) -> usize>(
     n: usize,
     span: usize,
     out: &mut [f32],
-    fold: Fold,
 ) {
     if k == 0 {
         // An empty fold is `0.0`; no kernel runs, so no operand pointer is
         // ever formed from an empty buffer.
-        for v in &mut out[..span * n] {
-            if fold == Fold::AddTo {
-                *v += 0.0;
-            } else {
-                *v = 0.0;
-            }
-        }
+        out[..span * n].fill(0.0);
         return;
     }
-    tile_block(be, a, b, k, 0..k, n, span, out, fold);
+    tile_block(be, a, b, k, 0..k, n, span, out, Fold::Fresh);
 }
 
 /// [`tile_loop`] for a long reduction: walks `k` in [`K_BLOCK`]-row blocks
 /// and runs every tile over one block before moving to the next, carrying
 /// each element's chain across blocks through `out` ([`Fold::Resume`]).
-/// Bit-identical to [`tile_loop`] with [`Fold::Fresh`]: the same ascending
-/// `kk` fold from `0.0`, merely parked in memory between blocks.
+/// Bit-identical to [`tile_loop`]: the same ascending `kk` fold from `0.0`,
+/// merely parked in memory between blocks.
 pub(crate) fn tile_loop_blocked<F: Fn(usize) -> usize>(
     be: Backend,
     a: &Lhs<'_, F>,
@@ -428,7 +414,7 @@ pub(crate) fn tile_loop_blocked<F: Fn(usize) -> usize>(
     out: &mut [f32],
 ) {
     if k <= K_BLOCK {
-        return tile_loop(be, a, b, k, n, span, out, Fold::Fresh);
+        return tile_loop(be, a, b, k, n, span, out);
     }
     for k0 in (0..k).step_by(K_BLOCK) {
         let fold = if k0 == 0 { Fold::Fresh } else { Fold::Resume };
@@ -589,19 +575,9 @@ mod oracle {
     }
 
     /// The tile loop over packed panels: panel lane `i` at `kk` is
-    /// `pa[kk*MR + i]`, B row `kk` is `pb[kk*NR..][..NR]`.
-    #[allow(clippy::too_many_arguments)] // the pre-in-place `tile_loop` signature
-    pub fn tile_loop(
-        be: Backend,
-        pa: &[f32],
-        pb: &[f32],
-        k: usize,
-        n: usize,
-        span: usize,
-        out: &mut [f32],
-        fold: Fold,
-    ) {
-        assert!(fold != Fold::Resume, "the oracle folds every element in one pass");
+    /// `pa[kk*MR + i]`, B row `kk` is `pb[kk*NR..][..NR]`. Every element is
+    /// folded in one pass and overwrites `out`.
+    pub fn tile_loop(be: Backend, pa: &[f32], pb: &[f32], k: usize, n: usize, span: usize, out: &mut [f32]) {
         assert!(out.len() >= span * n);
         let lanes: [usize; MR] = std::array::from_fn(|i| i);
         for pr in 0..row_panels(span) {
@@ -630,7 +606,7 @@ mod oracle {
                             n,
                             rows_live,
                             cols_live,
-                            fold,
+                            Fold::Fresh,
                         );
                     },
                     #[cfg(target_arch = "aarch64")]
@@ -647,11 +623,11 @@ mod oracle {
                             n,
                             rows_live,
                             cols_live,
-                            fold,
+                            Fold::Fresh,
                         );
                     },
                     _ => generic::kernel_8x8(
-                        k, pa_panel, &lanes, MR, pb_panel, NR, out, c0, n, rows_live, cols_live, fold,
+                        k, pa_panel, &lanes, MR, pb_panel, NR, out, c0, n, rows_live, cols_live, Fold::Fresh,
                     ),
                 }
             }
@@ -703,7 +679,6 @@ mod tests {
         let b = mat(k, n, seed ^ 2);
         let bt = mat(n, k, seed ^ 3);
         let at = mat(k, m, seed ^ 4);
-        let acc0 = mat(m, n, seed ^ 5);
         let idx: Vec<usize> = (0..m + 3).map(|i| (i * 7 + seed as usize) % m.max(1)).collect();
         let idx = if m == 0 { Vec::new() } else { idx };
         let g = idx.len();
@@ -713,25 +688,21 @@ mod tests {
         let pat = oracle::pack_at(at.as_slice(), k, m);
         let pb = oracle::pack_b(b.as_slice(), k, n);
         let pbt = oracle::pack_bt(bt.as_slice(), n, k);
-        let run = |pa: &[f32], pb: &[f32], rows: usize, init: Vec<f32>, fold: Fold| {
-            let mut out = init;
-            oracle::tile_loop(be, pa, pb, k, n, rows, &mut out, fold);
+        let run = |pa: &[f32], pb: &[f32], rows: usize| {
+            // 7.0 marks elements the oracle failed to overwrite.
+            let mut out = vec![7.0; rows * n];
+            oracle::tile_loop(be, pa, pb, k, n, rows, &mut out);
             out
         };
-        // 7.0 marks elements the oracle failed to overwrite.
-        let want_nn = run(&pa, &pb, m, vec![7.0; m * n], Fold::Fresh);
-        let want_tn = run(&pat, &pb, m, vec![7.0; m * n], Fold::Fresh);
-        let want_nt = run(&pa, &pbt, m, vec![7.0; m * n], Fold::Fresh);
-        let want_acc = run(&pa, &pbt, m, acc0.as_slice().to_vec(), Fold::AddTo);
-        let want_gnt = run(&pg, &pbt, g, vec![7.0; g * n], Fold::Fresh);
+        let want_nn = run(&pa, &pb, m);
+        let want_tn = run(&pat, &pb, m);
+        let want_nt = run(&pa, &pbt, m);
+        let want_gnt = run(&pg, &pbt, g);
 
         set_backend(Some(be));
         assert_bits(&a.matmul(&b), &want_nn, &what("matmul"));
         assert_bits(&at.matmul_tn(&b), &want_tn, &what("matmul_tn"));
         assert_bits(&a.matmul_nt(&bt), &want_nt, &what("matmul_nt"));
-        let mut acc = acc0.clone();
-        acc.matmul_nt_acc(&a, &bt);
-        assert_bits(&acc, &want_acc, &what("matmul_nt_acc"));
         assert_bits(&a.gather_matmul_nt(&idx, &bt), &want_gnt, &what("gather_matmul_nt"));
         set_backend(None);
     }
@@ -847,7 +818,7 @@ mod tests {
         let mut out = vec![0.0; m * n];
         let lhs = Lhs { data: &a, lane: |r| r * k, k_stride: 1 };
         let rhs = Rhs::InPlace { b: &b, tail: &tail };
-        tile_loop(Backend::Generic, &lhs, &rhs, k, n, m, &mut out, Fold::Fresh);
+        tile_loop(Backend::Generic, &lhs, &rhs, k, n, m, &mut out);
         for i in 0..m {
             for j in 0..n {
                 let mut want = 0.0f32;
@@ -860,16 +831,13 @@ mod tests {
     }
 
     #[test]
-    fn k_zero_overwrites_with_zeros_and_acc_preserves() {
+    fn k_zero_overwrites_with_zeros() {
         let (m, n) = (3, 4);
         let lhs = Lhs { data: &[], lane: |_| 0, k_stride: 1 };
         let rhs = Rhs::InPlace { b: &[], tail: &[] };
         let mut out = vec![7.0; m * n];
-        tile_loop(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out, Fold::Fresh);
+        tile_loop(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out);
         assert!(out.iter().all(|&v| v == 0.0), "k=0 overwrite must zero the chunk");
-        let mut out = vec![7.0; m * n];
-        tile_loop(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out, Fold::AddTo);
-        assert!(out.iter().all(|&v| v == 7.0), "k=0 accumulate adds 0.0 to each element");
         let mut out = vec![7.0; m * n];
         tile_loop_blocked(Backend::Generic, &lhs, &rhs, 0, n, m, &mut out);
         assert!(out.iter().all(|&v| v == 0.0), "k=0 blocked fold must zero the chunk");

@@ -9,7 +9,7 @@
 //! panels of one row the same pair of accumulators and the same chain.
 
 use std::arch::aarch64::{
-    float32x4_t, vaddq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32,
+    float32x4_t, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32,
 };
 
 use super::Fold;
@@ -17,9 +17,8 @@ use super::Fold;
 /// Computes one `8 × 8` register tile over `k` steps. A element `(i, kk)`
 /// is `*a.add(lanes[i] + kk * a_k)`; B row `kk` is the 8 contiguous floats
 /// at `b.add(kk * b_k)`. The `rows × cols` live corner goes to `c` with row
-/// stride `rsc` as `fold` says: [`Fold::Fresh`] overwrites,
-/// [`Fold::AddTo`] adds one `+` per element, [`Fold::Resume`] starts every
-/// chain from the value already in `c` and overwrites.
+/// stride `rsc`, overwriting it. [`Fold::Fresh`] starts every chain from
+/// `0.0`, [`Fold::Resume`] from the value already in `c`.
 ///
 /// # Safety
 /// Caller must guarantee NEON support (checked at backend selection via
@@ -79,29 +78,17 @@ pub(crate) unsafe fn kernel_8x8(
                 hi[i] = vfmaq_f32(hi[i], ai, b1);
             }
         }
-        let add = fold == Fold::AddTo;
         for i in 0..rows {
             let row = c.add(i * rsc);
             if cols == 8 {
-                if add {
-                    // One rounded `+` per element after the register fold:
-                    // bit-identical to temp-then-add_assign.
-                    vst1q_f32(row, vaddq_f32(vld1q_f32(row), lo[i]));
-                    vst1q_f32(row.add(4), vaddq_f32(vld1q_f32(row.add(4)), hi[i]));
-                } else {
-                    vst1q_f32(row, lo[i]);
-                    vst1q_f32(row.add(4), hi[i]);
-                }
+                vst1q_f32(row, lo[i]);
+                vst1q_f32(row.add(4), hi[i]);
             } else {
                 let mut tmp = [0.0f32; 8];
                 vst1q_f32(tmp.as_mut_ptr(), lo[i]);
                 vst1q_f32(tmp.as_mut_ptr().add(4), hi[i]);
                 for (j, &v) in tmp.iter().enumerate().take(cols) {
-                    if add {
-                        *row.add(j) += v;
-                    } else {
-                        *row.add(j) = v;
-                    }
+                    *row.add(j) = v;
                 }
             }
         }

@@ -342,7 +342,7 @@ mod tests {
         let packed = PackedPanels::pack(&bt);
         let mut want = vec![0.0; span * n];
         let (pa, pb) = (oracle::pack_a(a.as_slice(), k, span), oracle::pack_bt(bt.as_slice(), n, k));
-        oracle::tile_loop(be, &pa, &pb, k, n, span, &mut want, Fold::Fresh);
+        oracle::tile_loop(be, &pa, &pb, k, n, span, &mut want);
         let got = score(be, &a, &packed, 3);
         for r in 0..span {
             let row = &got[r * (n + 5)..(r + 1) * (n + 5)];
@@ -392,11 +392,10 @@ mod tests {
     #[test]
     fn packing_recycles_into_an_installed_pool() {
         let table = mat(9, 4, 1);
-        crate::BufferPool::new().install();
+        let _pool = crate::PoolScope::open();
         let bytes = PackedPanels::pack(&table).bytes();
-        let pool = crate::BufferPool::uninstall().expect("installed above");
         assert_eq!(bytes, 2 * NR * 4 * size_of::<f32>(), "two panels of four 8-float rows");
-        assert_eq!(pool.held_bytes(), bytes, "the dropped panels retire into the pool");
+        assert_eq!(pool::held_bytes(), bytes, "the dropped panels retire into the pool");
     }
 
     #[test]

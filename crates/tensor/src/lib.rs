@@ -25,7 +25,7 @@ pub mod topk;
 
 pub use dense::{stable_sigmoid, Matrix};
 pub use init::{xavier_uniform, Init};
-pub use pool::{alloc_counters, recycle, recycle_vec, reset_alloc_counters, BufferPool};
+pub use pool::{alloc_counters, reset_alloc_counters, PoolScope};
 pub use sharded::{ShardSpec, ShardedTable};
 pub use sparse::{Csr, CsrBuilder};
 pub use topk::{top_k_row, top_k_rows, TopK};

@@ -39,7 +39,7 @@
 //!
 //! Workers never allocate or drop a `Matrix`: they write through raw
 //! row-range slices into output buffers the *dispatching* thread
-//! allocated. The thread-installed [`crate::BufferPool`] and the
+//! allocated. The thread's buffer pool ([`crate::PoolScope`]) and the
 //! fresh/hit alloc counters therefore observe every allocation exactly
 //! once, on the thread that owns them, no matter how many workers ran
 //! the kernel.

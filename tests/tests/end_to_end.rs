@@ -1,10 +1,12 @@
 //! End-to-end pipeline tests: data generation → persistence → split →
 //! training → evaluation, across crate boundaries.
 
-use dgnn_core::Dgnn;
+use dgnn_baselines::{BaselineConfig, Dgcf, Hgt, Ngcf};
+use dgnn_core::{Dgnn, DgnnConfig};
 use dgnn_data::{io, tiny, Dataset};
 use dgnn_eval::{evaluate, evaluate_at, Trainable};
-use dgnn_integration_tests::{quick_dgnn, RANDOM_HR10};
+use dgnn_integration_tests::{quick_baseline, quick_dgnn, RANDOM_HR10};
+use dgnn_tensor::{alloc_counters, reset_alloc_counters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,8 +84,8 @@ fn more_training_does_not_hurt_badly() {
     // 1 epoch vs 6 epochs: the longer run should not be (much) worse —
     // a training-dynamics smoke test across the full stack.
     let data = tiny(13);
-    let mut short = Dgnn::new(dgnn_core::DgnnConfig { epochs: 1, ..quick_dgnn() });
-    let mut long = Dgnn::new(dgnn_core::DgnnConfig { epochs: 6, ..quick_dgnn() });
+    let mut short = Dgnn::new(DgnnConfig { epochs: 1, ..quick_dgnn() });
+    let mut long = Dgnn::new(DgnnConfig { epochs: 6, ..quick_dgnn() });
     short.fit(&data, 7);
     long.fit(&data, 7);
     let hr_short = evaluate_at(&short, &data.test, 10).hr;
@@ -92,4 +94,29 @@ fn more_training_does_not_hurt_badly() {
         hr_long >= hr_short * 0.8,
         "long {hr_long:.4} collapsed vs short {hr_short:.4}"
     );
+}
+
+#[test]
+fn steady_state_training_steps_allocate_nothing_fresh() {
+    // Every fit recycles through one buffer pool and a step has the shapes
+    // of the step before it, so once the first epoch has filled the pool
+    // no later epoch allocates: six epochs cost as many fresh buffers as
+    // three. NGCF stands for every model trained by the shared loop.
+    type Build = fn(usize) -> Box<dyn Trainable>;
+    let models: [(&str, Build); 4] = [
+        ("DGNN", |epochs| Box::new(Dgnn::new(DgnnConfig { epochs, ..quick_dgnn() }))),
+        ("NGCF", |epochs| Box::new(Ngcf::new(BaselineConfig { epochs, ..quick_baseline() }))),
+        ("DGCF", |epochs| Box::new(Dgcf::new(BaselineConfig { epochs, ..quick_baseline() }))),
+        ("HGT", |epochs| Box::new(Hgt::new(BaselineConfig { epochs, ..quick_baseline() }))),
+    ];
+    let data = tiny(11);
+    for (name, build) in models {
+        let [long, short] = [6, 3].map(|epochs| {
+            let mut model = build(epochs);
+            reset_alloc_counters();
+            model.fit(&data, 7);
+            alloc_counters().0
+        });
+        assert_eq!(long, short, "{name}: fresh allocations of a 6-epoch vs a 3-epoch fit");
+    }
 }

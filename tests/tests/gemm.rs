@@ -93,21 +93,17 @@ fn idx_for(m: usize, table_rows: usize, seed: u64) -> Vec<usize> {
 }
 
 /// All routed entry points at one shape, concatenated for one-shot
-/// comparison: `matmul`, `matmul_tn`, `matmul_nt`, `matmul_nt_acc`,
-/// `gather_matmul_nt`.
+/// comparison: `matmul`, `matmul_tn`, `matmul_nt`, `gather_matmul_nt`.
 fn all_entry_points(m: usize, k: usize, n: usize, seed: u64) -> Vec<Matrix> {
     let a = mat(m, k, seed ^ 1);
     let b = mat(k, n, seed ^ 2);
     let bt = mat(n, k, seed ^ 3);
     let at = mat(k, m, seed ^ 4); // for tn: (k×m)ᵀ · (k×n)
     let idx = idx_for(m, m.max(1), seed);
-    let mut acc = mat(m, n, seed ^ 5);
-    acc.matmul_nt_acc(&a, &bt);
     vec![
         a.matmul(&b),
         at.matmul_tn(&b),
         a.matmul_nt(&bt),
-        acc,
         a.gather_matmul_nt(&idx, &bt),
     ]
 }
@@ -164,18 +160,12 @@ fn packed_backends_match_scalar_within_tolerance() {
 #[test]
 fn forced_scalar_backend_is_bitwise_the_legacy_kernel() {
     // `DGNN_GEMM=scalar` must reproduce the pre-packing numerics exactly:
-    // compare the fused entry points against their compositional legacy
-    // equivalents, which the original kernels guaranteed bit-identical.
+    // compare the fused gathered entry point against its compositional
+    // legacy equivalent, which the original kernels guaranteed bit-identical.
     with_backend(Backend::Scalar, || {
         let (m, k, n) = (23, 9, 14);
         let a = mat(m, k, 91);
         let bt = mat(n, k, 92);
-        let mut fused = mat(m, n, 93);
-        let mut composed = fused.clone();
-        fused.matmul_nt_acc(&a, &bt);
-        composed.add_assign(&a.matmul_nt(&bt));
-        assert_bits_eq(&fused, &composed, "scalar matmul_nt_acc == add_assign(matmul_nt)");
-
         let idx = idx_for(17, m, 5);
         assert_bits_eq(
             &a.gather_matmul_nt(&idx, &bt),
@@ -201,25 +191,6 @@ fn gathered_entry_points_match_their_compositions_bitwise_when_packed() {
                 &a.gather_rows(&idx).matmul_nt(&bt),
                 &format!("{be:?} gather_matmul_nt == gather_rows+matmul_nt"),
             );
-        });
-    }
-}
-
-#[test]
-fn nt_acc_matches_temp_then_add_bitwise_on_every_backend() {
-    // The fused accumulate performs the product fold in registers and one
-    // rounded `+` per element — the same contract as materializing the
-    // product then add_assign, on every backend.
-    for be in backends_under_test() {
-        with_backend(be, || {
-            let (m, k, n) = (21, 8, 13);
-            let g = mat(m, k, 71);
-            let bt = mat(n, k, 72);
-            let mut fused = mat(m, n, 73);
-            let mut composed = fused.clone();
-            fused.matmul_nt_acc(&g, &bt);
-            composed.add_assign(&g.matmul_nt(&bt));
-            assert_bits_eq(&fused, &composed, &format!("{be:?} nt_acc == temp+add_assign"));
         });
     }
 }

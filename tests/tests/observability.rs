@@ -148,7 +148,7 @@ fn dgnn_fit_populates_every_metric_family() {
     dgnn_obs::reset();
     dgnn_obs::enable();
     let data = dgnn_data::tiny(11);
-    Dgnn::new(quick_dgnn().with_memory_plan()).fit(&data, 3);
+    Dgnn::new(quick_dgnn()).fit(&data, 3);
     let events = dgnn_obs::take_events();
     let snap = dgnn_obs::snapshot();
     dgnn_obs::disable();

@@ -329,33 +329,3 @@ fn dgnn_training_is_bit_identical_at_two_and_four_threads() {
         );
     }
 }
-
-#[test]
-fn dgnn_planned_training_is_bit_identical_at_four_threads() {
-    let data = tiny(SEED);
-
-    let mut serial = Dgnn::new(quick_dgnn().with_memory_plan().with_threads(1));
-    serial.fit(&data, SEED);
-
-    let mut par = Dgnn::new(quick_dgnn().with_memory_plan().with_threads(4));
-    parallel::set_min_par_work(1);
-    par.fit(&data, SEED);
-    parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
-    parallel::set_threads(1);
-
-    assert_bits_eq_slice(
-        &serial.loss_history,
-        &par.loss_history,
-        "planned DGNN loss history",
-    );
-    assert_bits_eq(
-        serial.user_embeddings(),
-        par.user_embeddings(),
-        "planned DGNN user embeddings",
-    );
-    assert_bits_eq(
-        serial.item_embeddings(),
-        par.item_embeddings(),
-        "planned DGNN item embeddings",
-    );
-}

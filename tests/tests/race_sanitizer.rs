@@ -94,8 +94,6 @@ fn run_backend_battery() {
     let a = mat(12, 8, 1);
     let b = mat(8, 12, 2);
     let g = mat(12, 8, 3);
-    let row = mat(1, 8, 4);
-    let col = mat(12, 1, 5);
     let idx: Vec<usize> = (0..12).map(|i| (i * 5) % 12).collect();
 
     let _ = a.matmul(&b); // matmul
@@ -104,8 +102,6 @@ fn run_backend_battery() {
     // packed fold then really reads its own output rows back.
     let _ = mat(150, 12, 12).matmul_tn(&mat(150, 9, 13));
     let _ = a.matmul_nt(&g); // matmul_nt
-    let mut acc = mat(12, 12, 6);
-    acc.matmul_nt_acc(&g, &mat(12, 8, 7)); // matmul_nt_acc
     let _ = a.add(&g); // add
     let _ = a.sub(&g); // sub
     let _ = a.mul_elem(&g); // mul_elem
@@ -120,8 +116,6 @@ fn run_backend_battery() {
     m.add_assign(&g); // add_assign
     m.axpy(0.5, &g); // axpy
     m.scale_assign(1.25); // scale_assign
-    let _ = a.mul_row_fused(&row); // mul_row_fused
-    let _ = a.mul_col_fused(&col); // mul_col_fused
     // `a` as 4 column blocks of width 2.
     let (eta, gb) = (mat(12, 4, 10), mat(12, 2, 11));
     let _ = a.weighted_block_sum(&eta); // weighted_block_sum
