@@ -53,10 +53,10 @@ const SEED: u64 = 2023;
 /// Allowed relative drop of DGNN steps/sec before `--check` fails.
 const REGRESSION_BUDGET: f64 = 0.25;
 /// Allowed same-run shortfall of pooled vs serial steps/sec before
-/// `--check` fails. On the quick preset most kernels sit below the
-/// dispatch threshold and stay serial, so the ratio hovers near 1.0 and
-/// this only slackens for timer noise; a dispatch overhead regression
-/// (pool slower than its own serial fallback) still trips it.
+/// `--check` fails. The quick preset's kernels are small enough that a
+/// split rarely pays (at d = 8 its largest GEMMs are 1–2 µs of work), so
+/// the gate asks only that pooled not lose: it trips when the work
+/// threshold lets such kernels split, or when dispatch itself regresses.
 const PARALLEL_BUDGET: f64 = 0.15;
 /// Required same-run speedup of the packed GEMM pipeline over the forced
 /// legacy scalar loops (`DGNN_GEMM=scalar`) on x86_64, where the AVX2

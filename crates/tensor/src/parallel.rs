@@ -27,13 +27,25 @@
 //! `threads == 1` is a guaranteed-serial fallback: the partition closure
 //! runs directly on the caller with zero pool interaction.
 //!
+//! # Dispatch
+//!
+//! Each worker owns a mailbox: a sequence number plus the erased partition
+//! closure and its index. The dispatcher writes the job, bumps the
+//! sequence with Release and unparks the worker; the worker, waiting for
+//! the sequence to move with Acquire, runs the partition and decrements a
+//! shared countdown. An idle worker spins briefly, then yields its core,
+//! then parks once about 100 µs have passed without a job; the dispatcher
+//! runs partition 0 itself and then waits on the countdown by spinning
+//! and yielding, never on a futex. A dispatch to awake workers costs well
+//! under a microsecond; a parked worker pays one futex wake-up.
+//!
 //! # Work thresholds
 //!
-//! Dispatching a job to sleeping workers costs a few microseconds of
-//! wake-up latency, so kernels smaller than [`min_par_work`] "work
-//! units" (≈ one fused multiply-add each) always run serially. Tests
-//! lower the threshold with [`set_min_par_work`] to force parallel
-//! dispatch on tiny shapes.
+//! Kernels smaller than [`min_par_work`] "work units" (≈ one fused
+//! multiply-add each) always run serially: below it, the dispatch and the
+//! second core's cold caches cost more than the split saves. Tests lower
+//! the threshold with [`set_min_par_work`] to force parallel dispatch on
+//! tiny shapes.
 //!
 //! # Allocation discipline
 //!
@@ -44,11 +56,13 @@
 //! once, on the thread that owns them, no matter how many workers ran
 //! the kernel.
 
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crate::sanitize;
 
@@ -57,8 +71,10 @@ use crate::sanitize;
 pub const MAX_THREADS: usize = 64;
 
 /// Default minimum total work (in ≈FMA-sized units) before a kernel is
-/// split across workers. Below this, wake-up latency exceeds the work.
-pub const DEFAULT_MIN_PAR_WORK: usize = 262_144;
+/// split across workers. Measured (DESIGN.md §7): at the paper's config
+/// every value from 4,096 to 65,536 trains equally fast at width 2, and
+/// below 32,768 the d = 8 presets split GEMMs too small to pay for it.
+pub const DEFAULT_MIN_PAR_WORK: usize = 32_768;
 
 thread_local! {
     /// 0 means "not yet resolved" — see [`current_threads`].
@@ -119,7 +135,7 @@ fn fuzz_delay(fs: FuzzSchedule, part: usize) {
     if us == 0 {
         return;
     }
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     while (start.elapsed().as_micros() as u64) < us {
         std::hint::spin_loop();
     }
@@ -210,72 +226,138 @@ pub fn part_range(items: usize, parts: usize, part: usize) -> Range<usize> {
     start..start + base + usize::from(part < extra)
 }
 
-/// One unit of work shipped to a worker: the partition index plus a raw
-/// pointer to the dispatcher's (stack-held) partition closure.
+/// `spin_loop` rounds a waiter polls before it starts yielding its core.
+const SPIN_ROUNDS: u32 = 64;
+
+/// How long an idle worker keeps polling its mailbox after its last job
+/// before it parks. A training step issues its kernels microseconds apart,
+/// so a worker stays awake through them and sleeps through long serial
+/// kernels and between fits.
+const PARK_AFTER: Duration = Duration::from_micros(100);
+
+/// Polls `ready` until it holds: `SPIN_ROUNDS` spins, then one
+/// `yield_now` per poll so an oversubscribed core still runs whoever the
+/// waiter waits for. Returns `false` if `budget` ran out first.
+fn spin_then_yield(budget: Duration, ready: impl Fn() -> bool) -> bool {
+    for _ in 0..SPIN_ROUNDS {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    let start = Instant::now();
+    while !ready() {
+        if start.elapsed() >= budget {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+/// One partition of a dispatch: a raw pointer to the dispatcher's
+/// (stack-held) partition closure plus the partition index.
+#[derive(Clone, Copy)]
 struct Job {
     task: *const (dyn Fn(usize) + Sync),
     part: usize,
 }
 
-// SAFETY: the pointee is `Sync`, so calling it through `&` from another
-// thread is sound, and it cannot dangle: the dispatcher blocks on the
-// done-channel until the worker acknowledges this exact job before the
-// closure can go out of scope (see `run_parts`).
-unsafe impl Send for Job {}
-
-/// The persistent worker set. Workers are spawned lazily, park on their
-/// job channel between dispatches, and live for the process lifetime.
-/// All dispatch is serialized under the pool mutex, so the shared done
-/// channel always pairs acknowledgements with the dispatch that is
-/// currently holding the lock.
-struct KernelPool {
-    senders: Vec<Sender<Job>>,
-    done_tx: Sender<bool>,
-    done_rx: Receiver<bool>,
+/// A worker's inbox. The dispatcher writes `job`, then bumps `seq` with
+/// Release; the worker waits for `seq` to move with Acquire and only then
+/// reads `job`. Aligned to a cache line so one worker polling its `seq`
+/// does not share a line with the writes to another's.
+#[repr(align(64))]
+struct Mailbox {
+    seq: AtomicUsize,
+    job: UnsafeCell<Option<Job>>,
 }
 
-impl KernelPool {
-    /// Grows the pool to at least `want` workers.
-    fn ensure_workers(&mut self, want: usize) {
-        while self.senders.len() < want {
-            let idx = self.senders.len();
-            let (tx, rx) = channel::<Job>();
-            let done = self.done_tx.clone();
-            std::thread::Builder::new()
-                .name(format!("dgnn-kernel-{idx}"))
-                .spawn(move || worker_loop(&rx, &done))
-                .expect("kernel pool: spawning a worker thread failed");
-            self.senders.push(tx);
-        }
+// `job` is the only non-`Sync` field. It is written only by the dispatcher
+// holding the pool mutex, and only while the owning worker is idle: the
+// worker's last read of it precedes its Release decrement of `pending`,
+// which the dispatcher Acquire-waits to reach zero before returning. The
+// worker reads it only after an Acquire load of `seq` observed the Release
+// bump that follows the write.
+// SAFETY: by that protocol reads and writes of `job` never overlap, and the
+// pointee of `Job::task` is `Sync`, so calling it from a worker is sound.
+unsafe impl Sync for Mailbox {}
+// SAFETY: the mailbox moves into its worker thread inside an `Arc`; the
+// raw pointer it holds is only dereferenced under the protocol argued for
+// `Sync` above, which does not depend on which thread owns the box.
+unsafe impl Send for Mailbox {}
+
+/// A spawned worker: its mailbox and the handle that unparks it.
+struct Worker {
+    mailbox: Arc<Mailbox>,
+    thread: Thread,
+}
+
+/// The persistent worker set plus the completion state of the dispatch
+/// in flight. Workers are spawned lazily and live for the process
+/// lifetime. All dispatch is serialized under the `workers` mutex, so
+/// `pending` and `panicked` always belong to the dispatch holding it.
+struct KernelPool {
+    workers: Mutex<Vec<Worker>>,
+    /// Partitions of the current dispatch not yet finished by a worker.
+    pending: AtomicUsize,
+    /// Set by a worker whose partition panicked; the dispatcher reads and
+    /// clears it once `pending` reaches zero.
+    panicked: AtomicBool,
+}
+
+static POOL: KernelPool = KernelPool {
+    workers: Mutex::new(Vec::new()),
+    pending: AtomicUsize::new(0),
+    panicked: AtomicBool::new(false),
+};
+
+/// Grows `workers` to at least `want` threads.
+fn ensure_workers(workers: &mut Vec<Worker>, want: usize) {
+    while workers.len() < want {
+        let mailbox = Arc::new(Mailbox { seq: AtomicUsize::new(0), job: UnsafeCell::new(None) });
+        let inbox = Arc::clone(&mailbox);
+        let handle = std::thread::Builder::new()
+            .name(format!("dgnn-kernel-{}", workers.len()))
+            .spawn(move || worker_loop(&inbox))
+            .expect("kernel pool: spawning a worker thread failed");
+        workers.push(Worker { mailbox, thread: handle.thread().clone() });
     }
 }
 
-fn worker_loop(jobs: &Receiver<Job>, done: &Sender<bool>) {
-    while let Ok(job) = jobs.recv() {
-        // A panicking kernel must not wedge the dispatcher (it is blocked
-        // waiting for our acknowledgement), so catch it and report failure.
+fn worker_loop(mailbox: &Mailbox) {
+    let mut seen = 0;
+    loop {
+        // Spin, then yield, then park until the dispatcher bumps `seq`. The
+        // dispatcher unparks after every bump, and a pending unpark makes
+        // `park` return at once, so a bump between the last poll and the
+        // `park` call is never lost.
+        while !spin_then_yield(PARK_AFTER, || mailbox.seq.load(Ordering::Acquire) != seen) {
+            std::thread::park();
+        }
+        seen = mailbox.seq.load(Ordering::Acquire);
+        // SAFETY: the Acquire load above observed the dispatcher's bump,
+        // which it made after writing `job`; it writes again only after
+        // our `pending` decrement below (see `unsafe impl Sync for Mailbox`).
+        let job = unsafe { *mailbox.job.get() }.expect("kernel pool: a mailbox bump always carries a job");
+        // A panicking kernel must not wedge the dispatcher (it waits for
+        // `pending` to drain), so catch it and report failure.
         let ok = catch_unwind(AssertUnwindSafe(|| {
             IN_KERNEL.with(|c| c.set(true));
-            // SAFETY: see `unsafe impl Send for Job` — the dispatcher keeps
-            // the closure alive until it receives the `done` send below.
+            // SAFETY: the dispatcher keeps the closure alive until `pending`
+            // reaches zero, which cannot happen before our decrement below.
             let task = unsafe { &*job.task };
             task(job.part);
         }))
         .is_ok();
         IN_KERNEL.with(|c| c.set(false));
-        if done.send(ok).is_err() {
-            return; // process teardown
+        if !ok {
+            POOL.panicked.store(true, Ordering::Relaxed);
         }
+        // Release publishes this partition's output writes and the
+        // `panicked` store to the dispatcher's Acquire wait.
+        POOL.pending.fetch_sub(1, Ordering::Release);
     }
-}
-
-static POOL: OnceLock<Mutex<KernelPool>> = OnceLock::new();
-
-fn pool() -> &'static Mutex<KernelPool> {
-    POOL.get_or_init(|| {
-        let (done_tx, done_rx) = channel();
-        Mutex::new(KernelPool { senders: Vec::new(), done_tx, done_rx })
-    })
 }
 
 /// Executes `f(part)` for every `part` in `0..parts`, partitions `1..`
@@ -315,29 +397,37 @@ pub fn run_parts(parts: usize, f: impl Fn(usize) + Sync) {
 fn dispatch(parts: usize, f: &(dyn Fn(usize) + Sync), fuzz: Option<FuzzSchedule>) {
     // The transmute only erases the reference lifetime (identical fat-
     // pointer layout). The pointer stays valid for the whole dispatch: this
-    // function does not return — and `f` is not dropped — until every
-    // worker has acknowledged completion through the done channel, and the
-    // caller-side partition below runs under `catch_unwind` so even a local
-    // panic cannot unwind past the acknowledgement loop.
+    // function does not return — and `f` is not dropped — until `pending`
+    // has drained to zero, and the caller-side partition below runs under
+    // `catch_unwind` so even a local panic cannot unwind past that wait.
     // SAFETY: lifetime-only transmute; the erased reference outlives the
-    // dispatch because the acknowledgement loop below blocks until every
-    // worker reports completion of this exact job set.
+    // dispatch because the wait below blocks until every worker has
+    // finished its partition of this exact job set.
     let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-    let mut kp = match pool().lock() {
+    let mut workers = match POOL.workers.lock() {
         Ok(g) => g,
-        // A previous dispatcher panicked after its acknowledgement loop;
-        // the channels themselves are still consistent.
+        // A dispatcher can only panic while holding the lock before it
+        // posts a job (a failed spawn) or after its completion wait, so
+        // every mailbox and counter is idle again.
         Err(poisoned) => poisoned.into_inner(),
     };
-    kp.ensure_workers(parts - 1);
+    ensure_workers(&mut workers, parts - 1);
+    // Every worker is idle (the previous holder drained `pending`), so this
+    // plain store cannot race a decrement; the Release bumps below publish it.
+    POOL.pending.store(parts - 1, Ordering::Relaxed);
     // Under a fuzz schedule, shuffle which worker runs which partition so
     // completion orders vary; the plain path keeps the fixed assignment.
     let slots = fuzz.map(|fs| fuzz_permutation(parts - 1, fs.seed));
     for p in 1..parts {
-        let slot = slots.as_ref().map_or(p - 1, |s| s[p - 1]);
-        kp.senders[slot]
-            .send(Job { task, part: p })
-            .expect("kernel pool: a worker job channel closed unexpectedly");
+        let worker = &workers[slots.as_ref().map_or(p - 1, |s| s[p - 1])];
+        // SAFETY: we hold the pool mutex and this worker is idle — it
+        // decremented `pending` for its last job before the previous
+        // dispatcher's Acquire wait let go of the lock — so nothing reads
+        // the cell until the Release bump below publishes this write.
+        unsafe { *worker.mailbox.job.get() = Some(Job { task, part: p }) };
+        worker.mailbox.seq.fetch_add(1, Ordering::Release);
+        // Cheap when the worker is awake; wakes it when it has parked.
+        worker.thread.unpark();
     }
     // The dispatching thread is partition 0's worker: small jobs pay no
     // wake-up for the first partition and the thread is never idle.
@@ -346,14 +436,11 @@ fn dispatch(parts: usize, f: &(dyn Fn(usize) + Sync), fuzz: Option<FuzzSchedule>
         f(0);
     }));
     IN_KERNEL.with(|c| c.set(false));
-    let mut workers_ok = true;
-    for _ in 1..parts {
-        workers_ok &= kp
-            .done_rx
-            .recv()
-            .expect("kernel pool: the worker done channel closed unexpectedly");
-    }
-    drop(kp);
+    // Acquire pairs with each worker's Release decrement: once it reads
+    // zero, every partition's writes and `panicked` stores are visible.
+    spin_then_yield(Duration::MAX, || POOL.pending.load(Ordering::Acquire) == 0);
+    let workers_ok = !POOL.panicked.swap(false, Ordering::Relaxed);
+    drop(workers);
     if let Err(payload) = local {
         resume_unwind(payload);
     }
@@ -555,11 +642,41 @@ mod tests {
 
         set_fuzz_schedule(Some(FuzzSchedule { seed: 7, max_delay_us: 20 }));
         let mask = AtomicUsize::new(0);
+        // The worker slot each partition ran on, from the worker's thread
+        // name; `usize::MAX` stands for the dispatching thread.
+        let ran_on: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
         run_parts(5, |p| {
             mask.fetch_or(1 << p, Ordering::SeqCst);
+            let slot = std::thread::current()
+                .name()
+                .and_then(|n| n.strip_prefix("dgnn-kernel-"))
+                .and_then(|i| i.parse().ok());
+            ran_on[p].store(slot.unwrap_or(usize::MAX), Ordering::SeqCst);
         });
         set_fuzz_schedule(None);
         assert_eq!(mask.load(Ordering::SeqCst), 0b11111, "fuzzed dispatch ran every partition");
+        let slots = fuzz_permutation(4, 7);
+        assert_ne!(slots, [0, 1, 2, 3], "seed 7 must shuffle the slots for this check to mean anything");
+        let ran_on: Vec<usize> = ran_on.iter().map(|s| s.load(Ordering::SeqCst)).collect();
+        assert_eq!(ran_on[0], usize::MAX, "partition 0 runs on the dispatcher");
+        assert_eq!(ran_on[1..], slots[..], "partition p runs on worker slots[p - 1]");
+    }
+
+    #[test]
+    fn dispatch_reaches_workers_at_every_point_of_their_idle_cycle() {
+        // Pauses from "still spinning" through "about to park" to "long
+        // parked": a bump that lands between a worker's last poll and its
+        // `park` call must still wake it, or this test hangs.
+        let hits = AtomicUsize::new(0);
+        let mut dispatched = 0;
+        for pause in (0..=30).map(|i| PARK_AFTER * i / 10).chain([PARK_AFTER * 50]) {
+            std::thread::sleep(pause);
+            run_parts(3, |_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+            dispatched += 3;
+        }
+        assert_eq!(hits.load(Ordering::SeqCst), dispatched);
     }
 
     #[test]
@@ -609,16 +726,23 @@ mod tests {
 
     #[test]
     fn worker_panic_is_reported_and_pool_survives() {
-        let boom = catch_unwind(AssertUnwindSafe(|| {
-            run_parts(3, |p| assert!(p != 2, "deliberate test panic in worker partition"));
-        }));
-        assert!(boom.is_err(), "worker panic must propagate to the dispatcher");
-        // The pool must still dispatch correctly afterwards.
-        let hits = AtomicUsize::new(0);
-        run_parts(3, |_| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 3, "pool usable after a worker panic");
+        // Once with the panicking worker's peers awake, once with them
+        // parked: the peers of a failed dispatch must still be reachable.
+        for pause in [Duration::ZERO, PARK_AFTER * 50] {
+            run_parts(4, |_| {});
+            std::thread::sleep(pause);
+            let boom = catch_unwind(AssertUnwindSafe(|| {
+                run_parts(4, |p| assert!(p != 2, "deliberate test panic in worker partition"));
+            }));
+            assert!(boom.is_err(), "worker panic must propagate to the dispatcher");
+            // The pool must still dispatch correctly afterwards, without
+            // re-reporting the old panic.
+            let hits = AtomicUsize::new(0);
+            run_parts(4, |_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(hits.load(Ordering::SeqCst), 4, "pool usable after a worker panic");
+        }
     }
 
     #[test]

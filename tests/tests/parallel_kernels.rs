@@ -11,6 +11,8 @@ use dgnn_eval::Trainable;
 use dgnn_tensor::parallel;
 use dgnn_tensor::{Csr, CsrBuilder, Matrix};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 const SEED: u64 = 11;
 
@@ -328,4 +330,51 @@ fn dgnn_training_is_bit_identical_at_two_and_four_threads() {
             "DGNN item embeddings",
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The pool's dispatch protocol under load: every partition of every
+// dispatch runs exactly once, whoever dispatches and however often.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn ten_thousand_back_to_back_dispatches_count_exactly() {
+    let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+    let mut expect = [0usize; 4];
+    for i in 0..10_000 {
+        let parts = 2 + i % 3;
+        parallel::run_parts(parts, |p| {
+            hits[p].fetch_add(1, Ordering::Relaxed);
+        });
+        for e in &mut expect[..parts] {
+            *e += 1;
+        }
+    }
+    let counts: Vec<usize> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+    assert_eq!(counts, expect);
+}
+
+#[test]
+fn four_threads_dispatching_concurrently_at_three_threads_stay_exact() {
+    let a = Matrix::from_fn(37, 19, |r, c| ((r * 19 + c) % 13) as f32 * 0.25 - 1.5);
+    let b = Matrix::from_fn(19, 23, |r, c| ((r * 23 + c) % 7) as f32 * 0.5 - 1.0);
+    let serial = with_pool(1, || a.matmul(&b));
+    let start = Barrier::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                parallel::set_threads(3);
+                parallel::set_min_par_work(1);
+                start.wait();
+                for _ in 0..500 {
+                    assert_bits_eq(&a.matmul(&b), &serial, "matmul under concurrent dispatchers");
+                    let hits = AtomicUsize::new(0);
+                    parallel::run_parts(3, |_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(hits.into_inner(), 3, "every partition ran once");
+                }
+            });
+        }
+    });
 }
