@@ -39,7 +39,7 @@
 //!    registered partition contract cannot be proven race-free by the
 //!    sanitizer.
 //! 13. metric-name: a string literal passed as the first argument of
-//!    `hist_record(` / `gauge_set(` / `counter_add(` / `hist_merge(` must
+//!    `hist_record(` / `gauge_set(` / `counter_add(` must
 //!    match `^[a-z0-9_]+(/[a-z0-9_]+)*$` (lower_snake segments joined by
 //!    `/`) or carry a nearby `// OBS:` comment. The Prometheus exporter
 //!    sanitizes names on the way out, so two sloppy spellings would merge
@@ -106,7 +106,6 @@ struct Needles {
     hist_record: String,
     gauge_set: String,
     counter_add: String,
-    hist_merge: String,
     map_sys: String,
     unmap_sys: String,
     pread_sys: String,
@@ -133,7 +132,6 @@ impl Needles {
             hist_record: format!("hist_rec{}(", "ord"),
             gauge_set: format!("gauge_s{}(", "et"),
             counter_add: format!("counter_a{}(", "dd"),
-            hist_merge: format!("hist_mer{}(", "ge"),
             map_sys: format!("mm{}", "ap"),
             unmap_sys: format!("munm{}", "ap"),
             pread_sys: format!("pre{}", "ad"),
@@ -670,12 +668,7 @@ fn lint_file(
                 }),
             }
         }
-        for needle in [
-            &needles.hist_record,
-            &needles.gauge_set,
-            &needles.counter_add,
-            &needles.hist_merge,
-        ] {
+        for needle in [&needles.hist_record, &needles.gauge_set, &needles.counter_add] {
             // Gate on the stripped code (so doc/comment examples never
             // fire), then read the literal back out of the raw line where
             // the stripper blanked it.
@@ -1048,7 +1041,7 @@ mod tests {
         let attr = format!("#[cfg(te{})]", "st");
         let in_test = format!(
             "{attr}\nmod tests {{\n    fn f() {{ {}\"BAD NAME\", 2.0); }}\n}}\n",
-            needles.hist_merge
+            needles.hist_record
         );
         lint_file(path, &in_test, &needles, &mut violations, &mut todos);
         assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());

@@ -5,7 +5,7 @@
 //! the same fit-scoped buffer-pool path every fit runs, so the pool
 //! counters are exercised too — with observability enabled, then writes:
 //!
-//! * `BENCH_profile.json` — one metrics snapshot per model (steps/sec,
+//! * `results/profile.json` — one metrics snapshot per model (steps/sec,
 //!   per-phase span totals, allocation counters, gradient-norm histograms,
 //!   per-op forward/backward profiles), serialized by
 //!   `dgnn_obs::export::snapshot_to_json`;
@@ -14,14 +14,11 @@
 //! * `results/profile_events.jsonl` — the raw span events, one per line.
 //!
 //! ```text
-//! profile                     profile + write the artifacts above
-//! profile --check PATH        no artifacts; exit 1 if DGNN steps/sec
-//!                             regressed >25% vs. the baseline snapshot,
-//!                             if the parallel kernel pool is slower than
-//!                             serial beyond the noise budget, or
-//!                             if the packed GEMM pipeline fails its
-//!                             same-run speedup floor over the forced
-//!                             legacy scalar loops (1.2x on x86_64)
+//! profile            profile + write the artifacts above
+//! profile --check    no artifacts; exit 1 if the parallel kernel pool is
+//!                    slower than serial beyond the noise budget, or if the
+//!                    packed GEMM pipeline fails its same-run speedup floor
+//!                    over the forced legacy scalar loops (1.2x on x86_64)
 //! ```
 //!
 //! Besides the observed run, DGNN is trained unobserved with the kernel
@@ -31,10 +28,11 @@
 //! gauges. All reference runs share one warm process, so their ratios are
 //! load-robust in a way the absolute numbers are not.
 //!
-//! The `--check` budgets are deliberately loose: steps/sec is machine- and
-//! load-dependent, so the gates only catch large regressions (an op gone
-//! accidentally quadratic, a parallel dispatch that loses to its own
-//! serial fallback), not single-digit noise.
+//! Both `--check` gates are same-run ratios, so they hold on any machine;
+//! absolute training speed is the `benchmark/` ruler's job. The budgets
+//! are deliberately loose: they catch a parallel dispatch that loses to
+//! its own serial fallback or a packed GEMM that stops paying, not
+//! single-digit noise.
 
 use std::process::ExitCode;
 
@@ -50,8 +48,6 @@ use dgnn_tensor::{alloc_counters, reset_alloc_counters};
 
 /// Seed shared with the rest of the experiment harness.
 const SEED: u64 = 2023;
-/// Allowed relative drop of DGNN steps/sec before `--check` fails.
-const REGRESSION_BUDGET: f64 = 0.25;
 /// Allowed same-run shortfall of pooled vs serial steps/sec before
 /// `--check` fails. The quick preset's kernels are small enough that a
 /// split rarely pays (at d = 8 its largest GEMMs are 1–2 µs of work), so
@@ -193,28 +189,8 @@ fn profile_json(profiles: &[Profile]) -> String {
     s
 }
 
-/// Pulls a model's `profile/steps_per_sec` gauge out of a baseline file
-/// with a targeted scan (no JSON parser in the workspace), keeping the
-/// fractional digits a rate gauge carries.
-fn baseline_steps_per_sec(json: &str, model: &str) -> Option<f64> {
-    let obj = &json[json.find(&format!("\"{model}\""))?..];
-    let key = "\"profile/steps_per_sec\"";
-    let tail = &obj[obj.find(key)? + key.len()..];
-    let number: String = tail
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    number.parse().ok()
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_path = args.iter().position(|a| a == "--check").map(|i| {
-        // PANICS: a trailing --check with no path is an operator error on
-        // the command line; there is nothing to recover.
-        args.get(i + 1).unwrap_or_else(|| panic!("profile: --check requires a path argument"))
-    });
+    let check = std::env::args().skip(1).any(|a| a == "--check");
 
     let data = tiny(SEED);
     let bcfg = quick_baseline();
@@ -309,7 +285,7 @@ fn main() -> ExitCode {
         sps_disabled / sps_gemm_scalar.max(1e-9),
     );
 
-    if let Some(path) = check_path {
+    if check {
         let ratio = sps_parallel / sps_serial.max(1e-9);
         if ratio < 1.0 - PARALLEL_BUDGET {
             eprintln!(
@@ -335,21 +311,6 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let json = std::fs::read_to_string(path).expect("profile: reading baseline file");
-        let Some(base) = baseline_steps_per_sec(&json, "DGNN") else {
-            eprintln!("REGRESSION DGNN: profile/steps_per_sec missing from baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        let floor = base * (1.0 - REGRESSION_BUDGET);
-        if dgnn_sps < floor {
-            eprintln!(
-                "REGRESSION DGNN: {dgnn_sps:.1} steps/s is more than {:.0}% below baseline \
-                 {base:.1} (floor {floor:.1})",
-                100.0 * REGRESSION_BUDGET,
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("steps/sec check passed against {path} ({dgnn_sps:.1} vs baseline {base:.1})");
         println!(
             "parallel/serial check passed ({sps_parallel:.1} vs {sps_serial:.1} steps/s \
              same-run)"
@@ -362,9 +323,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    std::fs::write("BENCH_profile.json", profile_json(&profiles))
-        .expect("profile: writing BENCH_profile.json");
     std::fs::create_dir_all("results").expect("profile: creating results dir");
+    std::fs::write("results/profile.json", profile_json(&profiles))
+        .expect("profile: writing results/profile.json");
     let threads: Vec<(&str, &[SpanEvent])> =
         profiles.iter().map(|p| (p.name, p.events.as_slice())).collect();
     std::fs::write("results/profile_trace.json", chrome_trace(&threads))
@@ -372,7 +333,7 @@ fn main() -> ExitCode {
     let jsonl: String = profiles.iter().map(|p| events_to_jsonl(&p.events)).collect();
     std::fs::write("results/profile_events.jsonl", jsonl).expect("profile: writing jsonl");
     println!(
-        "\nwrote BENCH_profile.json, results/profile_trace.json (load in Perfetto), \
+        "\nwrote results/profile.json, results/profile_trace.json (load in Perfetto), \
          results/profile_events.jsonl"
     );
     ExitCode::SUCCESS

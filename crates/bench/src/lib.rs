@@ -2,14 +2,14 @@
 //! every table and figure of the paper (see DESIGN.md §3 for the
 //! experiment index).
 //!
-//! Each binary prints a human-readable table to stdout *and* writes a
-//! machine-readable CSV into `results/` so figures can be plotted from the
-//! raw series.
+//! Each experiment binary prints a human-readable table to stdout *and*
+//! writes a machine-readable CSV into `results/` so figures can be plotted
+//! from the raw series. Two tool binaries sit beside them: `profile`
+//! (per-op training profile plus two same-run ratio gates) and `sanitize`
+//! (the race-sanitizer contract proof). Speed is measured by the
+//! `benchmark/` ruler, not here.
 
 #![warn(missing_docs)]
-
-pub mod scale_tier;
-pub mod zipf;
 
 use std::fs;
 use std::io::Write as _;

@@ -448,28 +448,6 @@ impl Dgnn {
         self.export_checkpoint(dataset).save(path)
     }
 
-    /// [`Dgnn::export_checkpoint`] split into a *segmented* checkpoint
-    /// directory: one `DGCK` segment per `shard_rows`-sized contiguous
-    /// id range of the user/item tables plus a checksummed manifest
-    /// (see `dgnn_serve::segment`). The user segments store the
-    /// pre-recalibrated scoring table (`user + τ·user`) because the spmm
-    /// needs cross-shard neighbor rows that a lazily-loaded serving
-    /// process must not depend on; a sharded engine over this directory
-    /// answers bit-identically to the dense one.
-    ///
-    /// # Panics
-    /// Panics if the model has not been trained.
-    pub fn save_checkpoint_segmented(
-        &self,
-        dataset: &str,
-        dir: &std::path::Path,
-        user_shard_rows: usize,
-        item_shard_rows: usize,
-    ) -> Result<dgnn_serve::SegmentedSummary, dgnn_serve::CheckpointError> {
-        let ckpt = self.export_checkpoint(dataset);
-        dgnn_serve::save_segmented(&ckpt, dir, user_shard_rows, item_shard_rows)
-    }
-
     /// Restores a model from a checkpoint written by
     /// [`Dgnn::save_checkpoint`]: the configuration, every parameter (in
     /// registration order, under their original names), and the cached

@@ -89,9 +89,9 @@ pub fn scale_1m() -> ScaleSpec {
     }
 }
 
-/// The benchmark preset `loadgen --scale` serves: big enough that full
-/// residency is visibly wasteful (128 user shards), small enough that a
-/// 1-core CI box generates and serves it in seconds.
+/// The preset the benchmark's `serve_scale` workload serves: big enough
+/// that full residency is visibly wasteful (128 user shards), small enough
+/// that a 1-core box generates and serves it in seconds.
 pub fn scale_bench() -> ScaleSpec {
     ScaleSpec {
         name: "scale_bench",

@@ -5,9 +5,8 @@
 //! Field names in all formats are a **stable schema** — the golden-schema
 //! integration tests (`tests/tests/observability.rs`,
 //! `tests/tests/telemetry.rs`) pin them, and downstream tooling
-//! (`profile --check`, `loadgen --check`, Perfetto,
-//! Prometheus scrapers) parses them. Change them only with the tests and
-//! the check parsers in the same commit.
+//! (Perfetto, Prometheus scrapers, anything reading `results/profile.json`)
+//! parses them. Change them only with the tests in the same commit.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -95,7 +94,7 @@ pub fn chrome_trace(threads: &[(&str, &[SpanEvent])]) -> String {
     format!("{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}", items.join(","))
 }
 
-/// Serializes a [`Snapshot`] — the code path behind `BENCH_profile.json`
+/// Serializes a [`Snapshot`] — the code path behind `results/profile.json`
 /// (via `profile`).
 ///
 /// `indent` is the number of leading spaces on each emitted line, letting
@@ -316,7 +315,7 @@ fn parse_prom_value(s: &str) -> Option<f64> {
 }
 
 /// Parses Prometheus text exposition back into samples — the validator the
-/// load harness and CI run against a live `/metrics` scrape, and the
+/// integration tests run against a live `/metrics` scrape, and the
 /// round-trip oracle for [`prometheus_text`]. Comment (`#`) and blank
 /// lines are skipped; any malformed sample line is an error naming the
 /// 1-based line number. Optional trailing timestamps are accepted and

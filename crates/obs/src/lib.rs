@@ -25,9 +25,8 @@
 //!   histograms handed out as `&'static` handles; record paths are
 //!   lock-free and allocation-free.
 //! * **Streaming histograms** ([`StreamHist`]) — bounded log2-bucketed
-//!   quantile sketches behind both the shared registry and the serving
-//!   tier's latency stats; [`percentile`] holds the workspace's one
-//!   nearest-rank percentile definition.
+//!   quantile sketches behind the shared registry; [`percentile`] holds
+//!   the workspace's one nearest-rank percentile definition.
 //! * **Flight recorder** ([`flight`]) — an always-on fixed-size ring of
 //!   recent events, dumped as JSONL on panic or on demand.
 //!
@@ -72,10 +71,9 @@ pub use flight::{
     flight_clear, flight_dump_jsonl, flight_record, flight_snapshot, flight_to_jsonl,
     flight_total, FlightEvent, FlightKind, FLIGHT_CAPACITY,
 };
-pub use metrics::{counter_add, gauge_set, hist_merge, hist_record, HistStat, Snapshot};
+pub use metrics::{counter_add, gauge_set, hist_record, HistStat, Snapshot};
 pub use ops::{record_op, OpPhase, OpStat};
-pub use percentile::{percentile_sorted, percentile_sorted_u64};
-pub use shared::{live_telemetry_enabled, set_live_telemetry};
+pub use percentile::percentile_sorted;
 pub use span::{span, span_owned, timed, SpanEvent, SpanGuard, SpanPhase};
 pub use streamhist::StreamHist;
 

@@ -45,38 +45,13 @@ impl HistStat {
         Self { count: 1, sum: v, min: v, max: v }
     }
 
-    /// Folds `other` into `self` — the aggregate of both sample streams.
-    /// Empty stats are the identity, so folding a fresh collector in is a
-    /// no-op.
-    pub fn merge(&mut self, other: &HistStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 /// Point-in-time copy of the whole registry (metrics + per-op profiles).
 ///
 /// Produced by [`crate::snapshot`]; serialized by
 /// [`crate::export::snapshot_to_json`] — the serialization code path
-/// behind the `profile` binary's `BENCH_profile.json`.
+/// behind the `profile` binary's `results/profile.json`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotone counters.
@@ -137,26 +112,6 @@ pub fn hist_record(name: &str, value: f64) {
     });
 }
 
-/// Folds a precomputed aggregate into the named histogram (no-op while
-/// disabled or when `stat` is empty). Byte-equivalent to recording each of
-/// the `stat.count` underlying values one at a time — bounded collectors
-/// (e.g. the serving tier's streaming histograms) use this to publish
-/// without replaying raw samples they no longer hold.
-pub fn hist_merge(name: &str, stat: HistStat) {
-    if !crate::is_enabled() || stat.count == 0 {
-        return;
-    }
-    HISTS.with(|m| {
-        let mut m = m.borrow_mut();
-        match m.get_mut(name) {
-            Some(h) => h.merge(&stat),
-            None => {
-                m.insert(name.to_string(), stat);
-            }
-        }
-    });
-}
-
 pub(crate) fn snapshot_metrics() -> Snapshot {
     Snapshot {
         counters: COUNTERS.with(|m| m.borrow().clone()),
@@ -177,28 +132,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_is_byte_equivalent_to_replaying_samples() {
-        let mut replayed = HistStat::new(1.0);
-        replayed.record(4.0);
-        replayed.record(-2.0);
-        let mut merged = HistStat::new(1.0);
-        merged.merge(&{
-            let mut other = HistStat::new(4.0);
-            other.record(-2.0);
-            other
-        });
-        assert_eq!(merged, replayed);
-        // Empty on either side is the identity.
-        let empty = HistStat { count: 0, sum: 0.0, min: 0.0, max: 0.0 };
-        let mut m = replayed;
-        m.merge(&empty);
-        assert_eq!(m, replayed);
-        let mut e = empty;
-        e.merge(&replayed);
-        assert_eq!(e, replayed);
-    }
-
-    #[test]
     fn hist_stat_tracks_extremes_and_mean() {
         let mut h = HistStat::new(2.0);
         h.record(-1.0);
@@ -206,6 +139,6 @@ mod tests {
         assert_eq!(h.count, 3);
         assert_eq!(h.min, -1.0);
         assert_eq!(h.max, 5.0);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
+        assert!((h.sum / h.count as f64 - 2.0).abs() < 1e-12);
     }
 }

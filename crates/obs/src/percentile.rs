@@ -1,14 +1,11 @@
 //! The workspace's single percentile definition.
 //!
-//! Serving stats (`dgnn-serve`), the load harness, and the streaming
-//! histogram's quantile estimator all answer "what is p99?" — and before
-//! this module each carried its own indexing convention. One definition
-//! lives here: **nearest-rank over a zero-based sorted array**,
-//! `index = round(q · (n − 1))`. It is exact (returns an observed value,
-//! never an interpolation), agrees with the previous `stats.rs` math
-//! byte-for-byte, and is proptested against a sorted-vector oracle in
-//! `tests/tests/telemetry.rs` alongside the [`crate::StreamHist`]
-//! estimate.
+//! One definition of "what is p99?" for the workspace: **nearest-rank
+//! over a zero-based sorted array**, `index = round(q · (n − 1))`. It is
+//! exact (returns an observed value, never an interpolation), the
+//! [`crate::StreamHist`] quantile estimator ranks by it, and both are
+//! proptested against a sorted-vector oracle in
+//! `tests/tests/telemetry.rs`.
 
 /// Zero-based nearest-rank index of quantile `q` in `n` sorted samples:
 /// `round(q·(n−1))`, clamped into `[0, n−1]`. `n = 0` returns 0 (callers
@@ -28,16 +25,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     sorted[rank(q, sorted.len())]
-}
-
-/// Nearest-rank percentile of an **already sorted** (ascending) `u64`
-/// slice — the serving tier stores latencies as integral microseconds.
-/// Returns 0.0 when empty.
-pub fn percentile_sorted_u64(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[rank(q, sorted.len())] as f64
 }
 
 #[cfg(test)]
@@ -64,8 +51,5 @@ mod tests {
         assert_eq!(percentile_sorted(&v, 0.5), 3.0);
         assert_eq!(percentile_sorted(&v, 1.0), 100.0);
         assert_eq!(percentile_sorted(&[], 0.5), 0.0);
-        let u = [10u64, 20, 30];
-        assert_eq!(percentile_sorted_u64(&u, 0.5), 20.0);
-        assert_eq!(percentile_sorted_u64(&[], 0.5), 0.0);
     }
 }

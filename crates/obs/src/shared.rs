@@ -12,33 +12,16 @@
 //! and never allocates (proven by the counting-allocator test in
 //! `tests/tests/obs_disabled_alloc.rs`).
 //!
-//! # Enable discipline
-//!
-//! Live telemetry defaults **on** (a server wants metrics without every
-//! thread opting in) and can be switched off process-wide with
-//! [`set_live_telemetry`] — the disabled record path is a single relaxed
-//! atomic load, which is what the serving obs-overhead gate compares
-//! against. Registration and snapshotting work regardless of the flag.
+//! Unlike the thread-local registry there is no enable flag: a server
+//! wants metrics without every thread opting in, so every record is its
+//! plain atomic operations.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::metrics::{HistStat, Snapshot};
 use crate::streamhist::{bucket_index, StreamHist, BUCKETS};
-
-static LIVE: AtomicBool = AtomicBool::new(true);
-
-/// Turns process-shared recording on or off (default: on). Unlike the
-/// thread-local [`crate::enable`], this is one switch for every thread.
-pub fn set_live_telemetry(enabled: bool) {
-    LIVE.store(enabled, Ordering::Relaxed);
-}
-
-/// True when process-shared recording is on.
-pub fn live_telemetry_enabled() -> bool {
-    LIVE.load(Ordering::Relaxed)
-}
 
 /// Monotone process-shared counter.
 #[derive(Debug)]
@@ -47,11 +30,9 @@ pub struct SharedCounter {
 }
 
 impl SharedCounter {
-    /// Adds `delta` (no-op while live telemetry is off).
+    /// Adds `delta`.
     pub fn add(&self, delta: u64) {
-        if live_telemetry_enabled() {
-            self.v.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.v.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -67,11 +48,9 @@ pub struct SharedGauge {
 }
 
 impl SharedGauge {
-    /// Sets the gauge (no-op while live telemetry is off).
+    /// Sets the gauge.
     pub fn set(&self, value: f64) {
-        if live_telemetry_enabled() {
-            self.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -124,12 +103,8 @@ impl SharedHist {
         }
     }
 
-    /// Records one value (no-op while live telemetry is off). Lock-free
-    /// and allocation-free.
+    /// Records one value. Lock-free and allocation-free.
     pub fn record(&self, v: f64) {
-        if !live_telemetry_enabled() {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         atomic_f64_update(&self.sum_bits, v, |acc, x| acc + x);
@@ -283,14 +258,8 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    /// One test flips the process-wide LIVE flag; every test in this
-    /// module serializes on this lock so none observes a
-    /// surprise-disabled window while recording.
-    static TOGGLE: Mutex<()> = Mutex::new(());
-
     #[test]
     fn handles_are_stable_and_accumulate() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|p| p.into_inner());
         let c = counter("test_shared/counter_a");
         let c2 = counter("test_shared/counter_a");
         assert!(std::ptr::eq(c, c2), "same name must yield the same handle");
@@ -313,7 +282,6 @@ mod tests {
 
     #[test]
     fn snapshot_carries_all_sections() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|p| p.into_inner());
         counter("test_shared/snap_c").add(1);
         gauge("test_shared/snap_g").set(4.25);
         hist("test_shared/snap_h").record(3.0);
@@ -325,26 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_drops_records() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|p| p.into_inner());
-        let h = hist("test_shared/toggle_h");
-        let c = counter("test_shared/toggle_c");
-        set_live_telemetry(false);
-        let (hc, cc) = (h.count(), c.get());
-        h.record(1.0);
-        c.add(1);
-        assert_eq!(h.count(), hc, "disabled hist must not record");
-        assert_eq!(c.get(), cc, "disabled counter must not record");
-        set_live_telemetry(true);
-        h.record(1.0);
-        c.add(1);
-        assert_eq!(h.count(), hc + 1);
-        assert_eq!(c.get(), cc + 1);
-    }
-
-    #[test]
     fn concurrent_recorders_lose_no_counts() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|p| p.into_inner());
         let h = hist("test_shared/race_h");
         let before = h.count();
         let threads: Vec<_> = (0..4)

@@ -3,9 +3,9 @@
 //! [`StreamHist`] replaces "buffer every raw sample" collectors on paths
 //! that must run for days: its footprint is one fixed array of bucket
 //! counts (plus exact count/sum/min/max), so memory is constant no matter
-//! how many values are recorded, and two histograms merge by adding
-//! buckets — the property the serving tier needs to fold per-thread
-//! recorders into one process view.
+//! how many values are recorded. The process-shared registry
+//! ([`crate::shared`]) keeps the same layout in atomics and hands out
+//! plain `StreamHist` copies for quantile math and exposition.
 //!
 //! # Bucket layout
 //!
@@ -105,16 +105,6 @@ impl StreamHist {
         self.stat.max = self.stat.max.max(v);
     }
 
-    /// Folds `other` into `self` bucket-wise. Merging per-thread histograms
-    /// this way is exact: the result equals one histogram that saw every
-    /// value.
-    pub fn merge(&mut self, other: &StreamHist) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.stat.merge(&other.stat);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.stat.count
@@ -172,11 +162,6 @@ impl StreamHist {
             }
         }
         out
-    }
-
-    /// Raw count of bucket `idx` (tests and exporters).
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
     }
 
     /// Overwrites bucket `idx` and the aggregate — the loader used by the
@@ -240,22 +225,6 @@ mod tests {
         assert_eq!(h.stat().count, 1000);
         assert_eq!(h.stat().min, 1.0);
         assert_eq!(h.stat().max, 1000.0);
-    }
-
-    #[test]
-    fn merge_equals_union() {
-        let (mut a, mut b, mut all) = (StreamHist::new(), StreamHist::new(), StreamHist::new());
-        for i in 0..200 {
-            let v = 0.5 + (i as f64) * 1.7;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]

@@ -19,18 +19,19 @@
 //! Request handling *fails soft*: malformed requests, unknown routes,
 //! unknown users and bad parameters produce well-formed JSON 4xx/5xx
 //! responses — never a panic. Handlers emit `dgnn-obs` spans (active when
-//! the handling thread has obs enabled) and record latency/batch samples
-//! into [`ServerStats`].
+//! the handling thread has obs enabled).
 //!
 //! # Live telemetry
 //!
 //! Every request carries a [`RequestTrace`]: phase timings (parse,
 //! queue-wait, batch-assembly, engine, write) recorded live into the
-//! process-shared histograms, scrapeable while the server runs:
+//! process-shared histograms — the server's one stats path — scrapeable
+//! while the server runs:
 //!
 //! * `GET /metrics` — Prometheus text exposition (format 0.0.4);
 //! * `GET /stats` — the same snapshot as JSON;
-//! * `GET /health` — enriched with uptime, requests served, readiness;
+//! * `GET /health` — enriched with uptime, requests answered (the
+//!   process-wide `serve/requests_{ok,err}` counters), readiness;
 //! * `GET /debug/flight` — the flight-recorder ring as JSONL.
 //!
 //! Worker and batcher threads hold a [`FlightDumpOnPanic`] guard: if one
@@ -51,7 +52,6 @@ use std::time::{Duration, Instant};
 use dgnn_obs::{flight_record, now_ns, FlightKind};
 
 use crate::engine::{Engine, Query, QueryError, ScoredItem};
-use crate::stats::ServerStats;
 use crate::trace::{telemetry, PhaseBreakdown, RequestTrace};
 
 /// Server tuning knobs.
@@ -124,33 +124,33 @@ impl Drop for FlightDumpOnPanic {
 /// A running server; dropping (or [`Server::shutdown`]) stops every thread.
 pub struct Server {
     addr: SocketAddr,
-    stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
     threads: Vec<thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds, spawns the acceptor, worker pool, and micro-batcher, and
-    /// returns once the socket is listening.
-    pub fn start(engine: Engine, cfg: ServeConfig) -> std::io::Result<Self> {
+    /// returns once the socket is listening. Passing an `Arc<Engine>`
+    /// keeps a handle on the served engine (e.g. for
+    /// [`Engine::shard_stats`] while it serves).
+    pub fn start(engine: impl Into<Arc<Engine>>, cfg: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let engine = Arc::new(engine);
+        let engine = engine.into();
         let started = Instant::now();
         let mut threads = Vec::new();
 
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         {
-            let (engine, stats) = (Arc::clone(&engine), Arc::clone(&stats));
+            let engine = Arc::clone(&engine);
             let (batch_max, tick) = (cfg.batch_max.max(1), cfg.batch_tick);
             let dump = cfg.flight_dump.clone();
             // PAR: serving infrastructure thread (request coalescing), not a
             // compute kernel; the engine's kernels still run on the pool.
             let t = thread::Builder::new()
                 .name("dgnn-serve-batcher".to_string())
-                .spawn(move || batcher_loop(&engine, &stats, &job_rx, batch_max, tick, dump))?;
+                .spawn(move || batcher_loop(&engine, &job_rx, batch_max, tick, dump))?;
             threads.push(t);
         }
 
@@ -159,14 +159,13 @@ impl Server {
         for w in 0..cfg.workers.max(1) {
             let conn_rx = Arc::clone(&conn_rx);
             let job_tx = job_tx.clone();
-            let stats = Arc::clone(&stats);
             let engine = Arc::clone(&engine);
             let cfg = cfg.clone();
             // PAR: serving infrastructure thread (socket I/O + parsing), not
             // a compute kernel.
             let t = thread::Builder::new()
                 .name(format!("dgnn-serve-worker-{w}"))
-                .spawn(move || worker_loop(&conn_rx, &job_tx, &engine, &stats, &cfg, started))?;
+                .spawn(move || worker_loop(&conn_rx, &job_tx, &engine, &cfg, started))?;
             threads.push(t);
         }
         drop(job_tx);
@@ -190,17 +189,12 @@ impl Server {
             threads.push(t);
         }
 
-        Ok(Self { addr, stats, stop, threads })
+        Ok(Self { addr, stop, threads })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server's sample collector.
-    pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Stops accepting, drains the thread pool, and joins every thread.
@@ -228,7 +222,6 @@ impl Drop for Server {
 
 fn batcher_loop(
     engine: &Engine,
-    stats: &ServerStats,
     rx: &mpsc::Receiver<Job>,
     batch_max: usize,
     tick: Duration,
@@ -258,7 +251,6 @@ fn batcher_loop(
             }
         }
         batch_id += 1;
-        stats.record_batch(jobs.len());
         telemetry().batch_size.record(jobs.len() as f64);
         flight_record(FlightKind::BatchStart, batch_id, jobs.len() as u64);
         let queries: Vec<Query> = jobs.iter().map(|j| j.query).collect();
@@ -284,7 +276,6 @@ fn worker_loop(
     conn_rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>,
     job_tx: &mpsc::Sender<Job>,
     engine: &Engine,
-    stats: &ServerStats,
     cfg: &ServeConfig,
     server_started: Instant,
 ) {
@@ -294,7 +285,7 @@ fn worker_loop(
         // (a peer worker panicked mid-pop) leaves the queue usable.
         let next = conn_rx.lock().unwrap_or_else(|p| p.into_inner()).recv();
         match next {
-            Ok(stream) => handle_connection(stream, job_tx, engine, stats, cfg, server_started),
+            Ok(stream) => handle_connection(stream, job_tx, engine, cfg, server_started),
             Err(_) => return,
         }
     }
@@ -306,7 +297,6 @@ fn handle_connection(
     stream: TcpStream,
     job_tx: &mpsc::Sender<Job>,
     engine: &Engine,
-    stats: &ServerStats,
     cfg: &ServeConfig,
     server_started: Instant,
 ) {
@@ -316,25 +306,22 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
     let parsed = read_request(&mut reader);
     trace.parse_us = trace.elapsed_us();
-    let ctx = RouteCtx { engine, stats, cfg, server_started };
+    let ctx = RouteCtx { engine, cfg, server_started };
     let response = match parsed {
         Ok(target) => route(&target, job_tx, &ctx, &mut trace),
         Err(msg) => Response::error(400, &msg),
     };
-    let ok = response.status < 400;
     let mut stream = reader.into_inner();
     let t_write0 = now_ns();
     let _ = stream.write_all(response.to_http().as_bytes());
     let _ = stream.flush();
     trace.write_us = now_ns().saturating_sub(t_write0) / 1000;
-    stats.record_request(trace.elapsed_us(), ok);
     trace.finish(response.status);
 }
 
 /// Read-only state every route handler may need.
 struct RouteCtx<'a> {
     engine: &'a Engine,
-    stats: &'a ServerStats,
     cfg: &'a ServeConfig,
     server_started: Instant,
 }
@@ -408,6 +395,8 @@ fn route(
         None => (target, ""),
     };
     match path {
+        // `requests` counts every finished response in this process: the
+        // same `serve/requests_{ok,err}` counters `/metrics` exports.
         "/health" => Response::json(
             200,
             format!(
@@ -417,7 +406,7 @@ fn route(
                 ctx.engine.num_items(),
                 ctx.engine.dim(),
                 dgnn_obs::export::json_number(ctx.server_started.elapsed().as_secs_f64()),
-                ctx.stats.requests_total(),
+                telemetry().requests_ok.get() + telemetry().requests_err.get(),
             ),
         ),
         "/recommend" => recommend_route(query_string, job_tx, ctx.cfg, trace),

@@ -17,14 +17,12 @@
 //! 3. [`http`] — a std-only HTTP/1.1 server with a fixed worker pool and
 //!    a micro-batcher coalescing concurrent queries into one engine
 //!    dispatch per tick; malformed input gets JSON 4xx/5xx, never a panic.
-//! 4. Stats ([`stats`]) — bounded latency/batch-size collectors published
-//!    through the `dgnn-obs` snapshot pipeline so serve benchmarks share
-//!    the schema of the training profiles.
-//! 5. Tracing ([`trace`]) — per-request phase timings ([`RequestTrace`])
+//! 4. Tracing ([`trace`]) — per-request phase timings ([`RequestTrace`])
 //!    recorded live into process-shared histograms, scraped via
 //!    `GET /metrics` (Prometheus) and `GET /stats` (JSON), with an
 //!    always-on flight recorder dumped on worker panic and at
-//!    `GET /debug/flight`.
+//!    `GET /debug/flight`. These lock-free instruments are the server's
+//!    only stats path.
 //!
 //! Models expose their state either through the generic
 //! [`dgnn_eval::EmbeddingExport`] path ([`export_recommender`], for plain
@@ -39,7 +37,6 @@ pub mod engine;
 pub mod http;
 pub mod segment;
 pub mod shard;
-pub mod stats;
 pub mod trace;
 
 use std::path::Path;
@@ -51,7 +48,6 @@ pub use engine::{Engine, Query, QueryError, ScoredItem};
 pub use http::{ServeConfig, Server};
 pub use segment::{save_segmented, SegmentedCheckpoint, SegmentedSummary, SegmentedWriter, UserShard};
 pub use shard::{MapMode, ShardStats};
-pub use stats::{ServerStats, StatsSummary};
 pub use trace::{PhaseBreakdown, RequestTrace, ServeTelemetry};
 
 /// Builds a checkpoint from any dot-product recommender's final

@@ -245,9 +245,8 @@ impl Drop for MappedFile {
 ///
 /// Residency and load latency are published through `dgnn-obs` shared
 /// metrics (`serve/shard/*`) and exposed directly via [`LazyStore::stats`]
-/// so tests and the loadgen `--check` gate can assert "RSS bounded by
-/// touched shards" from loader ground truth rather than noisy process RSS
-/// alone.
+/// so tests can assert "residency bounded by touched shards" from loader
+/// ground truth rather than noisy process RSS alone.
 pub struct LazyStore {
     seg: crate::segment::SegmentedCheckpoint,
     user_slots: Vec<std::sync::OnceLock<Result<crate::segment::UserShard, String>>>,

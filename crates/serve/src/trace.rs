@@ -14,8 +14,8 @@
 //! happen across the batcher channel, so the batcher sends a
 //! [`PhaseBreakdown`] back with each reply and the worker folds it into
 //! the trace. Phases land live in the process-shared histograms behind
-//! [`telemetry`] — the `/metrics` and `/stats` endpoints read them without
-//! waiting for a benchmark-style `publish` at shutdown.
+//! [`telemetry`], which the `/metrics`, `/stats` and `/health` endpoints
+//! read while the server runs.
 //!
 //! [`telemetry`] hands out one [`ServeTelemetry`] of cached `&'static`
 //! instrument handles, so the per-request record path never touches the

@@ -13,7 +13,7 @@ use dgnn_core::Dgnn;
 use dgnn_data::tiny;
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_integration_tests::{quick_baseline, quick_dgnn};
-use dgnn_serve::{Checkpoint, CheckpointError, Engine, Query};
+use dgnn_serve::{save_segmented, Checkpoint, CheckpointError, Engine, Query};
 use dgnn_tensor::{parallel, top_k_row, Matrix};
 
 const SEED: u64 = 2023;
@@ -171,7 +171,9 @@ fn io_and_missing_tensor_errors_are_typed() {
 
 /// The acceptance-criteria proof: train → save → load → the served top-K
 /// list equals the in-memory model's, for every test user, with the
-/// kernel pool at 1 and at 4 threads.
+/// kernel pool at 1 and at 4 threads — from the monolithic checkpoint and
+/// from the same trained model saved segmented (4 user × 2 item shards)
+/// and opened as a lazily-loaded sharded engine.
 #[test]
 fn served_topk_matches_in_memory_model_at_any_thread_count() {
     let data = tiny(SEED);
@@ -181,8 +183,13 @@ fn served_topk_matches_in_memory_model_at_any_thread_count() {
     model.save_checkpoint(&data.name, &path).unwrap();
     let engine = Engine::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    let seg_dir = path.with_extension("segments");
+    let (num_users, num_items) = (data.graph.num_users(), data.graph.num_items());
+    let ckpt = model.export_checkpoint(&data.name);
+    save_segmented(&ckpt, &seg_dir, num_users.div_ceil(4), num_items.div_ceil(2)).unwrap();
+    let sharded = Engine::open_segmented(&seg_dir).unwrap();
+    assert_eq!(sharded.shard_stats().unwrap().user_total, 4);
 
-    let num_items = data.graph.num_items();
     let all_items: Vec<usize> = (0..num_items).collect();
     const K: usize = 10;
 
@@ -213,6 +220,14 @@ fn served_topk_matches_in_memory_model_at_any_thread_count() {
             let served_bits: Vec<u32> = served.iter().map(|s| s.score.to_bits()).collect();
             let want_bits: Vec<u32> = sel.iter().map(|s| s.to_bits()).collect();
             assert_eq!(served_bits, want_bits, "user {user}: served scores diverge");
+
+            let from_shards = sharded
+                .recommend(Query { user, k: K, exclude_seen: false })
+                .unwrap();
+            let shard_items: Vec<u32> = from_shards.iter().map(|s| s.item).collect();
+            let shard_bits: Vec<u32> = from_shards.iter().map(|s| s.score.to_bits()).collect();
+            assert_eq!(shard_items, idx, "user {user}: sharded top-{K} diverges from memory");
+            assert_eq!(shard_bits, want_bits, "user {user}: sharded scores diverge");
             lists.push((served_items, served_bits));
         }
         parallel::set_threads(1);
@@ -223,4 +238,5 @@ fn served_topk_matches_in_memory_model_at_any_thread_count() {
         per_thread_lists[0], per_thread_lists[1],
         "top-K lists changed with the kernel-pool thread count"
     );
+    std::fs::remove_dir_all(&seg_dir).ok();
 }

@@ -8,8 +8,7 @@
 //! The shared registry is process-global and tests in this binary run
 //! concurrently, so every assertion on a `serve/*` series uses `>=` and
 //! every synthetic series gets a name no other test touches. Nothing here
-//! calls `dgnn_obs::shared::reset()` or `set_live_telemetry(false)` — both
-//! would race the live-server tests.
+//! calls `dgnn_obs::shared::reset()` — it would race the live-server tests.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
