@@ -1,35 +1,41 @@
 #!/usr/bin/env bash
 # CI gate: static analysis first (cheap, catches graph/source problems
 # before any training step), then the full build + test suite with
-# warnings denied, then same-run ratio gates and the race sanitizer.
+# warnings denied, a smoke run of the experiment runner, then same-run
+# ratio gates and the race sanitizer.
 # Absolute speed is the benchmark/ ruler's job, not a CI gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "=== [1/9] source lints (dgnn-analysis lint harness) ==="
+echo "=== [1/10] source lints (dgnn-analysis lint harness) ==="
 cargo run -q -p dgnn-analysis --bin lint .
 
-echo "=== [2/9] compute-graph audit (ShapeTracer over DGNN + baselines) ==="
+echo "=== [2/10] compute-graph audit (ShapeTracer over DGNN + baselines) ==="
 cargo test -q -p dgnn-analysis
 cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis
 
-echo "=== [3/9] release build (warnings denied) ==="
+echo "=== [3/10] release build (warnings denied) ==="
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace --benches
 
-echo "=== [4/9] full test suite (serial and 4-thread kernel pool) ==="
+echo "=== [4/10] experiment runner smoke (Table I and the relation ablation) ==="
+# The only table generator must not rot unbuilt: E1 (a custom experiment)
+# and E5 (through the cell loop) take about 6 s.
+cargo run -q --release -p dgnn-bench --bin reproduce -- E1 E5 > /dev/null
+
+echo "=== [5/10] full test suite (serial and 4-thread kernel pool) ==="
 DGNN_THREADS=1 cargo test -q --workspace
 DGNN_THREADS=4 cargo test -q --workspace
 
-echo "=== [5/9] full test suite on the forced-scalar GEMM backend ==="
+echo "=== [6/10] full test suite on the forced-scalar GEMM backend ==="
 # DGNN_GEMM=scalar pins every matmul to the legacy cache-blocked loops
-# (the historical bit-exact numerics); stage 4 already ran the suite on
+# (the historical bit-exact numerics); stage 5 already ran the suite on
 # the detected packed backend, which is what unset / `auto` selects.
 DGNN_GEMM=scalar cargo test -q --workspace
 
-echo "=== [6/9] kernel-pool and packed-GEMM same-run ratio gates (profiled) ==="
+echo "=== [7/10] kernel-pool and packed-GEMM same-run ratio gates (profiled) ==="
 cargo run -q --release -p dgnn-bench --bin profile -- --check
 
-echo "=== [7/9] race sanitizer (shadow-access proof + schedule fuzzer + contract gate) ==="
+echo "=== [8/10] race sanitizer (shadow-access proof + schedule fuzzer + contract gate) ==="
 # DGNN_SANITIZE=1 turns on shadow-access tracking; the suite proves every
 # pooled kernel's partition disjointness, runs the malicious-kernel typed
 # failures, and certifies bit-identity under fuzzed worker schedules. The
@@ -37,10 +43,10 @@ echo "=== [7/9] race sanitizer (shadow-access proof + schedule fuzzer + contract
 DGNN_THREADS=4 DGNN_SANITIZE=1 cargo test -q -p dgnn-integration-tests --test race_sanitizer
 DGNN_THREADS=4 cargo run -q --release -p dgnn-bench --bin sanitize -- --check
 
-echo "=== [8/9] telemetry gate (percentile/prometheus properties + live scrape + flight dump) ==="
+echo "=== [9/10] telemetry gate (percentile/prometheus properties + live scrape + flight dump) ==="
 cargo test -q -p dgnn-integration-tests --test telemetry
 
-echo "=== [9/9] benchmark harness (its own workspace: unit tests + a 2-second train_dgnn smoke) ==="
+echo "=== [10/10] benchmark harness (its own workspace: unit tests + a 2-second train_dgnn smoke) ==="
 # benchmark/ compiles against the crates' public API from outside the
 # workspace (Dgnn::{new,prepare,params,record_step,fit_epochs},
 # Tape::{new,len,backward_into}, ParamSet, Adam, gemm::counters,

@@ -2,7 +2,7 @@
 //! user and computing HR/NDCG at all cutoffs (the paper's protocol).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dgnn_bench::datasets;
+use dgnn_bench::{datasets, experiments::SEEDS};
 use dgnn_eval::{evaluate, Recommender};
 use dgnn_tensor::{Init, Matrix};
 use rand::rngs::StdRng;
@@ -31,7 +31,7 @@ impl Recommender for FixedEmbeddings {
 fn bench_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("evaluate_protocol");
     let mut rng = StdRng::seed_from_u64(9);
-    for ds in datasets() {
+    for ds in datasets(SEEDS[0]) {
         let model = FixedEmbeddings {
             user: Init::Uniform(0.1).build(ds.graph.num_users(), 48, &mut rng),
             item: Init::Uniform(0.1).build(ds.graph.num_items(), 48, &mut rng),

@@ -2,7 +2,7 @@
 //! every training loop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dgnn_bench::datasets;
+use dgnn_bench::{datasets, experiments::SEEDS};
 use dgnn_data::TrainSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,7 +10,7 @@ use std::hint::black_box;
 
 fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("negative_sampling");
-    for ds in datasets() {
+    for ds in datasets(SEEDS[0]) {
         let sampler = TrainSampler::new(&ds.graph);
         group.bench_with_input(
             BenchmarkId::new("batch_2048", &ds.name),

@@ -2,7 +2,7 @@
 //! runs) across the three dataset scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dgnn_bench::datasets;
+use dgnn_bench::{datasets, experiments::SEEDS};
 use dgnn_tensor::{Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,7 +11,7 @@ use std::hint::black_box;
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
     let mut rng = StdRng::seed_from_u64(0);
-    for ds in datasets() {
+    for ds in datasets(SEEDS[0]) {
         let adj = ds.graph.ui().row_normalized();
         let feats = Init::Uniform(0.1).build(ds.graph.num_items(), 16, &mut rng);
         group.bench_with_input(
@@ -24,7 +24,7 @@ fn bench_spmm(c: &mut Criterion) {
 }
 
 fn bench_transpose(c: &mut Criterion) {
-    let ds = datasets().remove(2); // yelp-s: largest
+    let ds = datasets(SEEDS[0]).remove(2); // yelp-s: largest
     let adj = ds.graph.unified_adj(true, true);
     c.bench_function("csr_transpose_unified_yelp", |b| {
         b.iter(|| black_box(adj.transpose()))

@@ -1,23 +1,15 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper in sequence.
-# Output: stdout tables into results/logs/, raw CSV into results/.
-set -u
+# Regenerates every table and figure of the paper: a static-analysis
+# preflight, then one `reproduce` run (tables on stdout, raw rows in
+# results/experiments.csv and results/E{1,6,10,11}*.csv).
+set -eu
 cd "$(dirname "$0")"
-mkdir -p results/logs
 
-# Preflight: fail fast on graph/source problems before burning hours of
-# training compute (see crates/analysis).
+# Preflight: fail fast on graph/source problems before spending training
+# compute (see crates/analysis).
 echo "=== preflight: static analysis ==="
-cargo run -q -p dgnn-analysis --bin lint . || exit 1
+cargo run -q -p dgnn-analysis --bin lint .
 cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis \
     || { echo "compute-graph audit failed; aborting experiments"; exit 1; }
-BINS="table1 table2 table3 fig4 fig5 fig6 fig7 table4 fig8 fig9 fig10 ext_pretrain"
-for bin in $BINS; do
-    echo "=== running $bin ==="
-    /usr/bin/time -f "$bin wall: %es" \
-        cargo run --release -q -p dgnn-bench --bin "$bin" \
-        >"results/logs/$bin.txt" 2>"results/logs/$bin.err" \
-        || echo "$bin FAILED (see results/logs/$bin.err)"
-    tail -2 "results/logs/$bin.err" | head -1
-done
+cargo run --release -q -p dgnn-bench --bin reproduce
 echo "ALL_EXPERIMENTS_DONE"
