@@ -22,15 +22,22 @@ echo "=== [4/10] experiment runner smoke (Table I and the relation ablation) ===
 # and E5 (through the cell loop) take about 6 s.
 cargo run -q --release -p dgnn-bench --bin reproduce -- E1 E5 > /dev/null
 
-echo "=== [5/10] full test suite (serial and 4-thread kernel pool) ==="
-DGNN_THREADS=1 cargo test -q --workspace
-DGNN_THREADS=4 cargo test -q --workspace
+echo "=== [5/10] full test suite (default kernel pool and GEMM backend) ==="
+cargo test -q --workspace
 
-echo "=== [6/10] full test suite on the forced-scalar GEMM backend ==="
+echo "=== [6/10] thread- and backend-pinned suites (serial, 4-thread pool, forced-scalar GEMM) ==="
+# The suites that pin thread counts or GEMM backends run again under each
+# setting: dgnn-tensor's own tests plus the integration suites gemm,
+# parallel_kernels, race_sanitizer, sharded_store, serve_roundtrip and
+# topk_kernel. Stage 5 ran everything once on the defaults.
 # DGNN_GEMM=scalar pins every matmul to the legacy cache-blocked loops
-# (the historical bit-exact numerics); stage 5 already ran the suite on
-# the detected packed backend, which is what unset / `auto` selects.
-DGNN_GEMM=scalar cargo test -q --workspace
+# (the historical bit-exact numerics).
+PINNED_SUITES=(gemm parallel_kernels race_sanitizer sharded_store serve_roundtrip topk_kernel)
+for knob in DGNN_THREADS=1 DGNN_THREADS=4 DGNN_GEMM=scalar; do
+    echo "--- $knob"
+    env "$knob" cargo test -q -p dgnn-tensor
+    env "$knob" cargo test -q -p dgnn-integration-tests "${PINNED_SUITES[@]/#/--test=}"
+done
 
 echo "=== [7/10] kernel-pool and packed-GEMM same-run ratio gates (profiled) ==="
 cargo run -q --release -p dgnn-bench --bin profile -- --check

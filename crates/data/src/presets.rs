@@ -4,7 +4,7 @@
 //! *character* — per-user interaction rate, per-user social degree, and the
 //! item/user ratio — at a scale where the full 15-model × 3-dataset grid of
 //! Table II trains in minutes. See `PAPER_TABLE1` for the original numbers
-//! printed side by side by the `table1` experiment binary.
+//! printed side by side by `reproduce E1`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -49,7 +49,7 @@ impl DatasetStats {
 }
 
 /// The original published statistics, used for side-by-side reporting in
-/// the `table1` experiment binary.
+/// `reproduce E1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperDatasetStats {
     /// Dataset name as printed in the paper.

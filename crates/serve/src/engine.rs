@@ -1,21 +1,22 @@
 //! Offline-to-online bridge: load a checkpoint once, answer top-K queries.
 //!
-//! The engine materializes the post-message-passing embeddings at load
-//! time — including the social recalibration of Eq. 9–10 when the
-//! checkpoint carries the τ matrix (`user_scoring = user + τ·user`,
-//! recomputed with the *same* spmm/add kernels training used, so serving
-//! scores are bit-identical to the in-memory model's). Item embeddings
-//! are held only as the packed column panels the scoring kernels read
-//! ([`PackedPanels`], built once here or at an item shard's first touch),
-//! so queries reduce to one gathered user×item product against resident
-//! panels and a heap-based partial top-K select, both row-parallel and
-//! deterministic, with optional seen-item filtering.
+//! The engine serves the post-message-passing embeddings — including the
+//! social recalibration of Eq. 9–10 when the checkpoint carries the τ
+//! matrix (`user_scoring = user + τ·user`, recomputed with the *same*
+//! spmm/add kernels training used, so serving scores are bit-identical to
+//! the in-memory model's). It holds them in one store of per-shard slots
+//! ([`crate::shard`]): a checkpoint file fills one user and one item slot
+//! at load, a segmented directory fills its slots on first touch. Item
+//! embeddings are held only as the packed column panels the scoring
+//! kernels read ([`PackedPanels`]), so queries reduce to one gathered
+//! user×item product against resident panels and a heap-based partial
+//! top-K select, both row-parallel and deterministic, with optional
+//! seen-item filtering.
 //!
 //! Because every row is a pure function of the loaded embeddings, batched
 //! answers are independent of batch composition: coalescing queries in the
 //! micro-batcher cannot change any individual result.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -23,6 +24,8 @@ use dgnn_tensor::gemm::PackedPanels;
 use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::segment::{SegmentedCheckpoint, UserShard};
+use crate::shard::{ShardStats, ShardStore};
 
 /// A single top-K request against the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,49 +94,46 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Serving state behind the engine: either the classic dense tables or a
-/// lazily-loaded sharded store over a segmented checkpoint.
-enum Backend {
-    Dense(DenseStore),
-    Sharded(crate::shard::LazyStore),
-}
-
-/// The original fully-resident backing: everything loaded up front.
-struct DenseStore {
-    /// User scoring embeddings — recalibrated when τ was stored.
-    user: Matrix,
-    /// Final propagated item embeddings, packed for scoring.
-    item: PackedPanels,
-    /// CSR-style seen lists: items of user `u` are
-    /// `seen_items[seen_indptr[u]..seen_indptr[u+1]]`. Empty when the
-    /// checkpoint carried no interaction lists.
-    seen_indptr: Vec<u32>,
-    seen_items: Vec<u32>,
-}
-
-/// In-memory inference state: precomputed scoring embeddings plus the
-/// per-user seen-item lists, fully resident (dense checkpoints) or
-/// faulted in shard-by-shard (segmented checkpoints).
+/// In-memory inference state: the scoring tables as per-shard slots —
+/// one resident shard each when loaded whole from a checkpoint file,
+/// faulted in shard by shard when opened from a segmented directory.
 pub struct Engine {
-    meta: BTreeMap<String, String>,
-    backend: Backend,
+    store: ShardStore,
 }
 
-/// Resolves the user *scoring* table of a monolithic checkpoint, in
-/// preference order: `final/user` + the `tau/{indptr,cols,values}` CSR
-/// triple (recalibration re-applied with the same kernels training used),
-/// `final/user_scoring` (pre-recalibrated), or bare `final/user`.
-pub(crate) fn resolve_user_scoring(ckpt: &Checkpoint) -> Result<Matrix, CheckpointError> {
-    if ckpt.tensor("tau/indptr").is_some() {
+/// The serving tables of a monolithic checkpoint: the user *scoring* table
+/// with its seen lists (empty per user when the checkpoint carried none),
+/// and `final/item`.
+///
+/// The user table is resolved in preference order: `final/user` + the
+/// `tau/{indptr,cols,values}` CSR triple (recalibration re-applied with the
+/// same kernels training used), `final/user_scoring` (pre-recalibrated), or
+/// bare `final/user`.
+pub(crate) fn serving_tables(ckpt: &Checkpoint) -> Result<(UserShard, Matrix), CheckpointError> {
+    let item = ckpt.matrix("final/item")?;
+    let emb = if ckpt.tensor("tau/indptr").is_some() {
         let base = ckpt.matrix("final/user")?;
         let tau = load_csr(ckpt, "tau", base.rows(), base.rows())?;
         // Same kernels, same order as Dgnn::finalize: u + τ·u.
-        Ok(base.add(&tau.spmm(&base)))
+        base.add(&tau.spmm(&base))
     } else if ckpt.tensor("final/user_scoring").is_some() {
-        ckpt.matrix("final/user_scoring")
+        ckpt.matrix("final/user_scoring")?
     } else {
-        ckpt.matrix("final/user")
+        ckpt.matrix("final/user")?
+    };
+    if emb.cols() != item.cols() {
+        return Err(CheckpointError::BadShape(format!("user dim {} != item dim {}", emb.cols(), item.cols())));
     }
+    let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
+        Some(_) => {
+            let indptr = ckpt.u32s("seen/indptr")?.to_vec();
+            let items = ckpt.u32s("seen/items")?.to_vec();
+            validate_lists(&indptr, &items, emb.rows(), item.rows())?;
+            (indptr, items)
+        }
+        None => (vec![0; emb.rows() + 1], Vec::new()),
+    };
+    Ok((UserShard { emb, seen_indptr, seen_items }, item))
 }
 
 /// Packs an item table (or one shard of it) into the layout it is served
@@ -146,35 +146,13 @@ pub(crate) fn pack_items(items: &Matrix) -> PackedPanels {
 }
 
 impl Engine {
-    /// Builds a dense (fully-resident) engine from a parsed checkpoint.
+    /// Builds an engine from a parsed checkpoint, every table resident.
     ///
-    /// Expects `final/item` plus a user table as described by
-    /// [`resolve_user_scoring`].
+    /// Expects `final/item` plus a user table: `final/user` with the τ
+    /// CSR triple, `final/user_scoring`, or bare `final/user`.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
-        let item = ckpt.matrix("final/item")?;
-        let user = resolve_user_scoring(ckpt)?;
-        if user.cols() != item.cols() {
-            return Err(CheckpointError::BadShape(format!(
-                "user dim {} != item dim {}",
-                user.cols(),
-                item.cols()
-            )));
-        }
-        let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
-            Some(_) => {
-                let indptr = ckpt.u32s("seen/indptr")?.to_vec();
-                let items = ckpt.u32s("seen/items")?.to_vec();
-                validate_lists(&indptr, &items, user.rows(), item.rows())?;
-                (indptr, items)
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        let item = pack_items(&item);
-        dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(item.bytes() as f64);
-        Ok(Self {
-            meta: ckpt.meta_entries().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
-            backend: Backend::Dense(DenseStore { user, item, seen_indptr, seen_items }),
-        })
+        let (user, item) = serving_tables(ckpt)?;
+        Ok(Self { store: ShardStore::whole(user, &item) })
     }
 
     /// Loads a checkpoint file and builds the engine.
@@ -182,72 +160,36 @@ impl Engine {
         Self::from_checkpoint(&Checkpoint::load(path)?)
     }
 
-    /// Opens a segmented checkpoint directory as a lazily-loaded sharded
-    /// engine (`DGNN_MMAP` read from the environment). Only the manifest
-    /// is read here — startup cost and RSS scale with *touched* shards,
-    /// not table size.
+    /// Opens a segmented checkpoint directory as a lazily-loaded engine.
+    /// Only the manifest is read here — startup cost and RSS scale with
+    /// *touched* shards, not table size.
     pub fn open_segmented(dir: &Path) -> Result<Self, CheckpointError> {
-        Self::open_segmented_with(dir, crate::shard::MapMode::from_env())
+        Ok(Self { store: ShardStore::lazy(SegmentedCheckpoint::open(dir)?) })
     }
 
-    /// [`Engine::open_segmented`] with an explicit [`MapMode`].
-    ///
-    /// [`MapMode`]: crate::shard::MapMode
-    pub fn open_segmented_with(dir: &Path, mode: crate::shard::MapMode) -> Result<Self, CheckpointError> {
-        let seg = crate::segment::SegmentedCheckpoint::open_with(dir, mode)?;
-        let meta = seg.meta_entries().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        Ok(Self { meta, backend: Backend::Sharded(crate::shard::LazyStore::new(seg)) })
-    }
-
-    /// Shard residency snapshot — `None` for dense engines.
-    pub fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        match &self.backend {
-            Backend::Dense(_) => None,
-            Backend::Sharded(s) => Some(s.stats()),
-        }
-    }
-
-    /// Metadata entry from the source checkpoint (e.g. `model`).
-    pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta.get(key).map(String::as_str)
+    /// Shard residency snapshot — `None` for an engine loaded whole.
+    pub fn shard_stats(&self) -> Option<ShardStats> {
+        self.store.stats()
     }
 
     /// Number of users the model covers.
     pub fn num_users(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(d) => d.user.rows(),
-            Backend::Sharded(s) => s.num_users(),
-        }
+        self.store.num_users()
     }
 
     /// Number of items the model covers.
     pub fn num_items(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(d) => d.item.rows(),
-            Backend::Sharded(s) => s.num_items(),
-        }
+        self.store.num_items()
     }
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(d) => d.user.cols(),
-            Backend::Sharded(s) => s.dim(),
-        }
+        self.store.dim()
     }
 
     /// The user's training interactions (empty when unknown or unstored).
     pub fn seen(&self, user: u32) -> &[u32] {
-        match &self.backend {
-            Backend::Dense(d) => {
-                let u = user as usize;
-                if u + 1 >= d.seen_indptr.len() {
-                    return &[];
-                }
-                &d.seen_items[d.seen_indptr[u] as usize..d.seen_indptr[u + 1] as usize]
-            }
-            Backend::Sharded(s) => s.seen(user as usize),
-        }
+        self.store.seen(user as usize)
     }
 
     fn check(&self, q: &Query) -> Result<(), QueryError> {
@@ -272,43 +214,31 @@ impl Engine {
     }
 
     /// The `users.len() × num_items` score matrix — the one scorer behind
-    /// every query, on either backend — plus per-row user-shard failures
-    /// (those rows score as zeros and their queries answer 503
-    /// individually). An unloadable *item* shard fails the whole batch:
-    /// every query needs the full catalog.
+    /// every query — plus per-row user-shard failures (those rows score as
+    /// zeros and their queries answer 503 individually). An unloadable
+    /// *item* shard fails the whole batch: every query needs the full
+    /// catalog.
     ///
-    /// Bit-identity: user rows are read from the dense table, or gathered
-    /// byte-for-byte from their shards, and scored against each item
-    /// shard's resident panels by `gather_matmul_panels`, which writes the
-    /// shard's block straight into its column range. Every score is the
-    /// same fold over the same (user row, item row) pair whatever the
-    /// sharding, batch size, thread count or GEMM backend, so the sharded
-    /// matrix equals the dense engine's — and `Recommender::score` —
-    /// element for element.
+    /// Bit-identity: user rows are gathered byte-for-byte from their shards
+    /// and scored against each item shard's resident panels by
+    /// `gather_matmul_panels`, which writes the shard's block straight into
+    /// its column range. Every score is the same fold over the same (user
+    /// row, item row) pair whatever the sharding, batch size, thread count
+    /// or GEMM backend, so the matrix equals `Recommender::score` element
+    /// for element.
     fn score(&self, users: &[usize]) -> Result<(Matrix, Vec<Option<QueryError>>), QueryError> {
-        match &self.backend {
-            Backend::Dense(d) => Ok((d.user.gather_matmul_panels(users, &[&d.item]), vec![None; users.len()])),
-            Backend::Sharded(s) => {
-                let mut batch = Matrix::zeros(users.len(), s.dim());
-                let mut row_errs: Vec<Option<QueryError>> = vec![None; users.len()];
-                for (row, &u) in users.iter().enumerate() {
-                    match s.user_row(u) {
-                        Ok(r) => batch.set_row(row, r),
-                        Err((shard, detail)) => {
-                            row_errs[row] = Some(QueryError::ShardUnavailable { shard: shard as u32, detail });
-                        }
-                    }
-                }
-                let shards = (0..s.item_spec().num_shards())
-                    .map(|si| {
-                        s.item_shard(si)
-                            .map_err(|detail| QueryError::ShardUnavailable { shard: si as u32, detail })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let idx: Vec<usize> = (0..users.len()).collect();
-                Ok((batch.gather_matmul_panels(&idx, &shards), row_errs))
+        let unavailable = |(shard, detail): (usize, String)| QueryError::ShardUnavailable { shard: shard as u32, detail };
+        let mut batch = Matrix::zeros(users.len(), self.dim());
+        let mut row_errs: Vec<Option<QueryError>> = vec![None; users.len()];
+        for (row, &u) in users.iter().enumerate() {
+            match self.store.user_row(u) {
+                Ok(r) => batch.set_row(row, r),
+                Err(e) => row_errs[row] = Some(unavailable(e)),
             }
         }
+        let shards = self.store.item_panels().map_err(unavailable)?;
+        let idx: Vec<usize> = (0..users.len()).collect();
+        Ok((batch.gather_matmul_panels(&idx, &shards), row_errs))
     }
 
     /// Answers one query. Equivalent to a single-element
@@ -461,7 +391,6 @@ mod tests {
     /// list for user 0.
     fn tiny() -> Engine {
         let mut c = Checkpoint::new();
-        c.set_meta("model", "TEST");
         c.push_matrix(
             "final/user_scoring",
             &Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]),

@@ -6,14 +6,16 @@
 //!    format for named tensors plus model metadata. Loading untrusted
 //!    bytes returns [`CheckpointError`], never panics.
 //!    Segmented checkpoints ([`segment`]) extend the same guarantees to a
-//!    manifest-plus-shard-files layout, and [`shard`] lazily faults those
-//!    shards in (mmap or pread, `DGNN_MMAP` knob) at serve time.
+//!    manifest-plus-shard-files layout, and [`shard`] reads those shard
+//!    files (mapped on Linux/x86_64, positional reads elsewhere).
 //! 2. [`engine`] — loads a checkpoint, materializes the post-propagation
 //!    scoring embeddings once (re-applying the Eq. 9–10 social
-//!    recalibration when τ is stored), keeps the item table as packed
-//!    scoring panels, and answers top-K queries with one batched product
-//!    against them + heap-based partial select — bit-identical to the
-//!    in-memory model's scorer at any thread count or batch shape.
+//!    recalibration when τ is stored) into one store of per-shard slots —
+//!    filled at load from a checkpoint file, on first touch from a
+//!    segmented directory — keeps the item table as packed scoring panels,
+//!    and answers top-K queries with one batched product against them +
+//!    heap-based partial select — bit-identical to the in-memory model's
+//!    scorer at any thread count, batch shape or sharding.
 //! 3. [`http`] — a std-only HTTP/1.1 server with a fixed worker pool and
 //!    a micro-batcher coalescing concurrent queries into one engine
 //!    dispatch per tick; malformed input gets JSON 4xx/5xx, never a panic.
@@ -46,8 +48,8 @@ use dgnn_eval::EmbeddingExport;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::{Engine, Query, QueryError, ScoredItem};
 pub use http::{ServeConfig, Server};
-pub use segment::{save_segmented, SegmentedCheckpoint, SegmentedSummary, SegmentedWriter, UserShard};
-pub use shard::{MapMode, ShardStats};
+pub use segment::{save_segmented, SegmentedCheckpoint, SegmentedWriter, UserShard};
+pub use shard::ShardStats;
 pub use trace::{PhaseBreakdown, RequestTrace, ServeTelemetry};
 
 /// Builds a checkpoint from any dot-product recommender's final

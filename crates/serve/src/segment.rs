@@ -27,8 +27,10 @@
 //! embeddings (`user_scoring = user + τ·user` is applied before
 //! splitting, because the τ·user spmm needs neighbor rows from other
 //! shards), final item embeddings, and per-user seen lists rebased to
-//! shard-local offsets. [`SegmentedCheckpoint::reassemble`] stitches the
-//! segments back into a monolithic checkpoint bit-identically.
+//! shard-local offsets. [`save_segmented`] splits a monolithic checkpoint
+//! by contiguous row ranges ([`ShardSpec`]);
+//! [`SegmentedCheckpoint::reassemble`] stitches the segments back into one
+//! bit-identically.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -36,11 +38,11 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use dgnn_tensor::{Matrix, ShardSpec, ShardedTable};
+use dgnn_tensor::{Matrix, ShardSpec};
 
 use crate::checkpoint::{crc32, Checkpoint, CheckpointError};
-use crate::engine::validate_lists;
-use crate::shard::{read_segment_bytes, MapMode};
+use crate::engine::{serving_tables, validate_lists};
+use crate::shard::read_segment_bytes;
 
 /// Manifest file name inside a segmented-checkpoint directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.dgck";
@@ -65,17 +67,6 @@ pub struct UserShard {
     pub seen_indptr: Vec<u32>,
     /// Concatenated seen items for this shard's users.
     pub seen_items: Vec<u32>,
-}
-
-/// What a finished segmented save produced (for logs and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentedSummary {
-    /// Number of user segments written.
-    pub user_segments: usize,
-    /// Number of item segments written.
-    pub item_segments: usize,
-    /// Total bytes across all segments plus the manifest.
-    pub total_bytes: u64,
 }
 
 struct SegAccum {
@@ -129,7 +120,6 @@ pub struct SegmentedWriter {
     dim: Option<usize>,
     user: SegAccum,
     item: SegAccum,
-    total_bytes: u64,
 }
 
 impl SegmentedWriter {
@@ -154,7 +144,6 @@ impl SegmentedWriter {
             dim: None,
             user: SegAccum::new("user"),
             item: SegAccum::new("item"),
-            total_bytes: 0,
         })
     }
 
@@ -186,7 +175,6 @@ impl SegmentedWriter {
         let mut f = File::create(&path)?;
         f.write_all(&bytes)?;
         f.sync_all()?;
-        self.total_bytes += u64::from(len);
         Ok((len, crc32(&bytes)))
     }
 
@@ -242,7 +230,7 @@ impl SegmentedWriter {
     }
 
     /// Writes the manifest and finishes the checkpoint.
-    pub fn finish(self) -> Result<SegmentedSummary, CheckpointError> {
+    pub fn finish(self) -> Result<(), CheckpointError> {
         if self.user.ranges.is_empty() || self.item.ranges.is_empty() {
             return Err(CheckpointError::BadShape("segmented checkpoint needs ≥1 user and ≥1 item segment".into()));
         }
@@ -265,19 +253,13 @@ impl SegmentedWriter {
         m.push_u32("seg/item_digests", self.item.digests.clone());
         m.push_u32("seg/user_lens", self.user.lens.clone());
         m.push_u32("seg/item_lens", self.item.lens.clone());
-        let manifest_bytes = m.to_bytes().len() as u64;
-        m.save(&self.dir.join(MANIFEST_NAME))?;
-        Ok(SegmentedSummary {
-            user_segments: self.user.ranges.len(),
-            item_segments: self.item.ranges.len(),
-            total_bytes: self.total_bytes + manifest_bytes,
-        })
+        m.save(&self.dir.join(MANIFEST_NAME))
     }
 }
 
 /// Splits a monolithic checkpoint into a segmented one.
 ///
-/// The user table is resolved exactly like [`crate::Engine`] resolves it
+/// The tables are resolved exactly like [`crate::Engine`] resolves them
 /// (τ recalibration applied when stored, else `final/user_scoring`, else
 /// bare `final/user`), so a segmented save is always a *serving* artifact
 /// whose shards need no cross-shard math at load time.
@@ -286,43 +268,26 @@ pub fn save_segmented(
     dir: &Path,
     user_shard_rows: usize,
     item_shard_rows: usize,
-) -> Result<SegmentedSummary, CheckpointError> {
+) -> Result<(), CheckpointError> {
     if user_shard_rows == 0 || item_shard_rows == 0 {
         return Err(CheckpointError::BadShape("shard_rows must be positive".into()));
     }
-    let item = ckpt.matrix("final/item")?;
-    let user = crate::engine::resolve_user_scoring(ckpt)?;
-    if user.cols() != item.cols() {
-        return Err(CheckpointError::BadShape(format!(
-            "user dim {} != item dim {}",
-            user.cols(),
-            item.cols()
-        )));
-    }
-    let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
-        Some(_) => {
-            let indptr = ckpt.u32s("seen/indptr")?.to_vec();
-            let items = ckpt.u32s("seen/items")?.to_vec();
-            validate_lists(&indptr, &items, user.rows(), item.rows())?;
-            (indptr, items)
-        }
-        None => ((0..=user.rows()).map(|_| 0u32).collect(), Vec::new()),
+    let (user, item) = serving_tables(ckpt)?;
+    let rows = |m: &Matrix, lo: usize, hi: usize| {
+        Matrix::from_vec(hi - lo, m.cols(), m.as_slice()[lo * m.cols()..hi * m.cols()].to_vec())
     };
-
     let mut w = SegmentedWriter::create(dir)?;
     for (k, v) in ckpt.meta_entries() {
         w.set_meta(k, v);
     }
-    let users = ShardedTable::from_matrix(&user, user_shard_rows);
-    for (s, lo, hi) in users.spec().iter_ranges() {
-        let base = seen_indptr[lo];
-        let local_indptr: Vec<u32> = seen_indptr[lo..=hi].iter().map(|&p| p - base).collect();
-        let local_items = seen_items[seen_indptr[lo] as usize..seen_indptr[hi] as usize].to_vec();
-        w.push_user_shard(users.shard(s), &local_indptr, &local_items)?;
+    let seen = &user.seen_indptr;
+    for (_, lo, hi) in ShardSpec::new(user.emb.rows(), user_shard_rows).iter_ranges() {
+        let local_indptr: Vec<u32> = seen[lo..=hi].iter().map(|&p| p - seen[lo]).collect();
+        let local_items = &user.seen_items[seen[lo] as usize..seen[hi] as usize];
+        w.push_user_shard(&rows(&user.emb, lo, hi), &local_indptr, local_items)?;
     }
-    let items = ShardedTable::from_matrix(&item, item_shard_rows);
-    for s in 0..items.num_shards() {
-        w.push_item_shard(items.shard(s))?;
+    for (_, lo, hi) in ShardSpec::new(item.rows(), item_shard_rows).iter_ranges() {
+        w.push_item_shard(&rows(&item, lo, hi))?;
     }
     w.finish()
 }
@@ -339,7 +304,6 @@ pub struct SegmentedCheckpoint {
     item_digests: Vec<u32>,
     user_lens: Vec<u32>,
     item_lens: Vec<u32>,
-    mode: MapMode,
 }
 
 fn meta_usize(c: &Checkpoint, key: &str) -> Result<usize, CheckpointError> {
@@ -379,16 +343,10 @@ fn digests_of(c: &Checkpoint, name: &str, want: usize) -> Result<Vec<u32>, Check
 }
 
 impl SegmentedCheckpoint {
-    /// Opens a segmented checkpoint with the `DGNN_MMAP` mode from the
-    /// environment.
-    pub fn open(dir: &Path) -> Result<Self, CheckpointError> {
-        Self::open_with(dir, MapMode::from_env())
-    }
-
     /// Opens and validates: manifest parse, spec consistency, and the
     /// segment inventory (every named segment present, no strays).
     /// Segment *contents* are validated lazily on first load.
-    pub fn open_with(dir: &Path, mode: MapMode) -> Result<Self, CheckpointError> {
+    pub fn open(dir: &Path) -> Result<Self, CheckpointError> {
         let manifest = Checkpoint::load(&dir.join(MANIFEST_NAME))?;
         if manifest.meta("seg_kind") != Some("segmented-checkpoint") {
             return Err(CheckpointError::MetaMismatch("manifest seg_kind is not segmented-checkpoint".into()));
@@ -398,8 +356,8 @@ impl SegmentedCheckpoint {
         let items = meta_usize(&manifest, "seg_items")?;
         let user_shard_rows = meta_usize(&manifest, "seg_user_shard_rows")?;
         let item_shard_rows = meta_usize(&manifest, "seg_item_shard_rows")?;
-        if dim == 0 || user_shard_rows == 0 || item_shard_rows == 0 {
-            return Err(CheckpointError::MetaMismatch("manifest dims/shard_rows must be positive".into()));
+        if dim == 0 || users == 0 || items == 0 || user_shard_rows == 0 || item_shard_rows == 0 {
+            return Err(CheckpointError::MetaMismatch("manifest dim/users/items/shard_rows must be positive".into()));
         }
         let user_spec = ShardSpec::new(users, user_shard_rows);
         let item_spec = ShardSpec::new(items, item_shard_rows);
@@ -440,18 +398,7 @@ impl SegmentedCheckpoint {
             item_digests,
             user_lens,
             item_lens,
-            mode: mode_or_warn(mode),
         })
-    }
-
-    /// Manifest metadata (model meta plus `seg_*` keys).
-    pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta.get(key).map(String::as_str)
-    }
-
-    /// All manifest metadata entries.
-    pub fn meta_entries(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.meta.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Embedding dimensionality.
@@ -469,15 +416,10 @@ impl SegmentedCheckpoint {
         self.item_spec
     }
 
-    /// Whether loads will go through the mmap path on this target.
-    pub fn uses_map(&self) -> bool {
-        self.mode.resolves_to_map()
-    }
-
     /// Loads, digest-checks, parses, and shape-validates one segment.
     fn load_segment(&self, name: &str, len: u32, digest: u32, role: &str, idx: usize, lo: u32, hi: u32) -> Result<Checkpoint, CheckpointError> {
         let path = self.dir.join(name);
-        let (bytes, _mapped) = read_segment_bytes(&path, self.mode).map_err(|e| {
+        let bytes = read_segment_bytes(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 CheckpointError::MissingSegment(name.to_string())
             } else {
@@ -551,22 +493,12 @@ impl SegmentedCheckpoint {
         Ok(emb)
     }
 
-    /// Eagerly loads and validates every segment (tests, fsck-style
-    /// checks). Serving never calls this — it defeats laziness.
-    pub fn verify_all(&self) -> Result<(), CheckpointError> {
-        for s in 0..self.user_spec.num_shards() {
-            self.load_user_shard(s)?;
-        }
-        for s in 0..self.item_spec.num_shards() {
-            self.load_item_shard(s)?;
-        }
-        Ok(())
-    }
-
-    /// Stitches all segments back into one monolithic checkpoint holding
-    /// the serving tensors (`final/user_scoring`, `final/item`,
-    /// `seen/{indptr,items}`) plus the manifest metadata. Bit-identical to
-    /// what was split (sharding is a layout change, never numeric).
+    /// Loads and validates every segment, then stitches them back into one
+    /// monolithic checkpoint holding the serving tensors
+    /// (`final/user_scoring`, `final/item`, `seen/{indptr,items}`) plus the
+    /// manifest metadata. Bit-identical to what was split (sharding is a
+    /// layout change, never numeric). Serving never calls this — it defeats
+    /// laziness.
     pub fn reassemble(&self) -> Result<Checkpoint, CheckpointError> {
         let mut user_shards = Vec::with_capacity(self.user_spec.num_shards());
         let mut seen_indptr: Vec<u32> = vec![0];
@@ -578,12 +510,11 @@ impl SegmentedCheckpoint {
             seen_items.extend_from_slice(&shard.seen_items);
             user_shards.push(shard.emb);
         }
-        let user = ShardedTable::from_shards(self.user_spec, self.dim, user_shards).to_matrix();
-        let mut item_shards = Vec::with_capacity(self.item_spec.num_shards());
-        for s in 0..self.item_spec.num_shards() {
-            item_shards.push(self.load_item_shard(s)?);
-        }
-        let item = ShardedTable::from_shards(self.item_spec, self.dim, item_shards).to_matrix();
+        let item_shards =
+            (0..self.item_spec.num_shards()).map(|s| self.load_item_shard(s)).collect::<Result<Vec<_>, _>>()?;
+        // `open` admits no table without rows, so neither list is empty.
+        let user = Matrix::concat_rows(&user_shards.iter().collect::<Vec<_>>());
+        let item = Matrix::concat_rows(&item_shards.iter().collect::<Vec<_>>());
         let mut out = Checkpoint::new();
         for (k, v) in &self.meta {
             out.set_meta(k, v);
@@ -594,11 +525,4 @@ impl SegmentedCheckpoint {
         out.push_u32("seen/items", seen_items);
         Ok(out)
     }
-}
-
-fn mode_or_warn(mode: MapMode) -> MapMode {
-    // Resolve once so DGNN_MMAP=on warns a single time at open rather
-    // than per shard load.
-    let _ = mode.resolves_to_map();
-    mode
 }

@@ -1,77 +1,32 @@
 //! Shard-loader: the single module that touches segment files as raw
-//! bytes, via `mmap(2)` or positional reads.
+//! bytes, via `mmap(2)` or positional reads, and the per-shard store the
+//! engine serves from.
 //!
 //! Everything above this layer (manifest validation, DGCK parsing, the
-//! lazy engine backend) consumes a [`SegmentBytes`] — an owned-or-mapped
-//! byte region — and never does its own file-length arithmetic or raw
-//! paging. Lint rule 15 (`shard-bounds`) enforces that boundary: raw
-//! `mmap`/`pread`-family calls anywhere else in the workspace need a
-//! `// SHARD:` justification.
+//! engine) consumes a [`SegmentBytes`] — an owned-or-mapped byte region —
+//! and never does its own file-length arithmetic or raw paging. Lint rule
+//! 15 (`shard-bounds`) enforces that boundary: raw `mmap`/`pread`-family
+//! calls anywhere else in the workspace need a `// SHARD:` justification.
 //!
-//! The read mechanism is selected by `DGNN_MMAP`:
-//!
-//! * `auto` (default) — memory-map on Linux/x86_64, positional reads
-//!   elsewhere;
-//! * `on` — require mapping; degrades to reads with a stderr warning on
-//!   targets without the raw-syscall path (never crashes);
-//! * `off` — always positional reads.
-//!
-//! Mapping reads the file through the page cache with no intermediate
-//! heap buffer: DGCK parsing walks the mapped region directly, and the
-//! pages are returned to the kernel on drop (`munmap`). The fallback
-//! path reads the whole file into one owned buffer first. Both produce
-//! identical bytes, so every checksum and every parsed tensor is
-//! independent of the knob.
+//! The platform picks the read path: segment files are memory-mapped on
+//! Linux/x86_64 (the raw-syscall path) and read into one owned buffer
+//! elsewhere, or wherever mapping fails at runtime (e.g. a filesystem
+//! without mmap support). Mapping reads the file through the page cache
+//! with no intermediate heap buffer and returns the pages to the kernel on
+//! drop (`munmap`). Both paths produce identical bytes, so every checksum
+//! and every parsed tensor is independent of which one ran.
 
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::OnceLock;
 
-/// `DGNN_MMAP` knob: how segment files are brought into memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapMode {
-    /// Map when the platform supports it, otherwise positional reads.
-    Auto,
-    /// Map; warn and fall back to reads where unsupported.
-    On,
-    /// Never map.
-    Off,
-}
+use dgnn_tensor::gemm::PackedPanels;
+use dgnn_tensor::{Matrix, ShardSpec};
 
-impl MapMode {
-    /// Parses `DGNN_MMAP` (`auto` when unset; unknown values warn and
-    /// fall back to `auto` rather than failing startup).
-    pub fn from_env() -> Self {
-        match std::env::var("DGNN_MMAP").ok().as_deref() {
-            None | Some("auto") | Some("") => Self::Auto,
-            Some("on") | Some("1") => Self::On,
-            Some("off") | Some("0") => Self::Off,
-            Some(other) => {
-                eprintln!("DGNN_MMAP={other:?} not recognized (want auto|on|off); using auto");
-                Self::Auto
-            }
-        }
-    }
-
-    /// Whether this mode resolves to mapping on the current target.
-    pub fn resolves_to_map(self) -> bool {
-        match self {
-            Self::Off => false,
-            Self::Auto => map_supported(),
-            Self::On => {
-                if !map_supported() {
-                    eprintln!("DGNN_MMAP=on but this target has no mmap path; using positional reads");
-                }
-                map_supported()
-            }
-        }
-    }
-}
-
-/// Returns `true` on targets with the raw-syscall mapping path.
-pub fn map_supported() -> bool {
-    cfg!(all(target_os = "linux", target_arch = "x86_64"))
-}
+use crate::checkpoint::CheckpointError;
+use crate::engine::pack_items;
+use crate::segment::{SegmentedCheckpoint, UserShard};
 
 /// A segment file's bytes: either one owned buffer (positional-read
 /// path) or a read-only private mapping (unmapped on drop).
@@ -92,29 +47,32 @@ impl std::ops::Deref for SegmentBytes {
     }
 }
 
-/// Reads `path` fully, by mapping when `mode` resolves to it. Returns the
-/// bytes plus whether a mapping was actually used (for metrics).
-pub fn read_segment_bytes(path: &Path, mode: MapMode) -> io::Result<(SegmentBytes, bool)> {
-    if mode.resolves_to_map() {
-        match MappedFile::open(path) {
-            Ok(Some(m)) => return Ok((SegmentBytes::Mapped(m), true)),
-            Ok(None) => {} // unsupported target (cfg'd out); fall through
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(e),
-            Err(e) => {
-                // Mapping can fail where plain reads still work (e.g. a
-                // filesystem without mmap support); serving must degrade,
-                // not die.
-                eprintln!("mmap of {} failed ({e}); falling back to reads", path.display());
-            }
+/// Reads `path` fully: mapped where the platform can, otherwise (or when
+/// mapping fails) into one owned buffer.
+pub fn read_segment_bytes(path: &Path) -> io::Result<SegmentBytes> {
+    match MappedFile::open(path) {
+        Ok(Some(m)) => return Ok(SegmentBytes::Mapped(m)),
+        Ok(None) => {} // no mapping path on this target
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(e),
+        Err(e) => {
+            // Mapping can fail where plain reads still work (e.g. a
+            // filesystem without mmap support); serving must degrade,
+            // not die.
+            eprintln!("mmap of {} failed ({e}); falling back to reads", path.display());
         }
     }
+    read_owned(path).map(SegmentBytes::Owned)
+}
+
+/// The positional-read path: the whole file in one heap buffer.
+fn read_owned(path: &Path) -> io::Result<Vec<u8>> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
     let len = usize::try_from(len)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "segment larger than address space"))?;
     let mut buf = Vec::with_capacity(len);
     io::Read::read_to_end(&mut file, &mut buf)?;
-    Ok((SegmentBytes::Owned(buf), false))
+    Ok(buf)
 }
 
 /// A read-only, private, whole-file memory mapping.
@@ -192,17 +150,6 @@ impl MappedFile {
         // only Drop performs, and &self borrows prevent outliving it.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
-
-    /// Mapped length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the mapping is empty (never constructed today; mapping a
-    /// zero-length file is rejected at open).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 impl Drop for MappedFile {
@@ -233,24 +180,31 @@ impl Drop for MappedFile {
     }
 }
 
-/// Lazily-loaded sharded embedding store.
+/// The engine's one store: the user and item tables as per-shard slots.
 ///
-/// Each shard slot is a tiny state machine — `Empty → Loading → Resident`
-/// or `Empty → Loading → Failed` — realized with a `OnceLock`: the first
-/// query to touch a shard pays the load (digest check + DGCK parse), every
-/// later one reads the resident table, and concurrent first-touches
-/// coalesce into a single load. A failed load is sticky: the typed error
-/// message is cached so repeated queries against a corrupt shard answer
-/// 503 deterministically instead of re-reading a bad file forever.
+/// Each slot is a tiny state machine — `Empty → Loading → Resident` or
+/// `Empty → Loading → Failed` — realized with a `OnceLock`. A table loaded
+/// whole is one user slot and one item slot, both filled at construction.
+/// A segmented checkpoint starts with every slot empty: the first query to
+/// touch a shard pays the load (digest check + DGCK parse), every later one
+/// reads the resident table, and concurrent first-touches coalesce into a
+/// single load. A failed load is sticky: the typed error message is cached
+/// so repeated queries against a corrupt shard answer 503 deterministically
+/// instead of re-reading a bad file forever.
 ///
-/// Residency and load latency are published through `dgnn-obs` shared
-/// metrics (`serve/shard/*`) and exposed directly via [`LazyStore::stats`]
+/// A segmented store publishes residency and load latency through
+/// `dgnn-obs` shared metrics (`serve/shard/*`) and [`ShardStore::stats`],
 /// so tests can assert "residency bounded by touched shards" from loader
-/// ground truth rather than noisy process RSS alone.
-pub struct LazyStore {
-    seg: crate::segment::SegmentedCheckpoint,
-    user_slots: Vec<std::sync::OnceLock<Result<crate::segment::UserShard, String>>>,
-    item_slots: Vec<std::sync::OnceLock<Result<dgnn_tensor::gemm::PackedPanels, String>>>,
+/// ground truth rather than noisy process RSS alone. A store loaded whole
+/// has nothing to report and publishes no `serve/shard/*` series.
+pub(crate) struct ShardStore {
+    /// Where empty slots load from; `None` for a table loaded whole.
+    seg: Option<SegmentedCheckpoint>,
+    user_spec: ShardSpec,
+    item_spec: ShardSpec,
+    dim: usize,
+    user_slots: Vec<OnceLock<Result<UserShard, String>>>,
+    item_slots: Vec<OnceLock<Result<PackedPanels, String>>>,
 }
 
 /// Loader ground truth for residency accounting.
@@ -271,112 +225,116 @@ pub struct ShardStats {
     /// Bytes of resident item panels (the one layout item embeddings are
     /// held in; the last panel's zero padding included).
     pub item_panel_bytes: u64,
-    /// Whether loads go through the mmap path.
-    pub mapped: bool,
 }
 
-impl LazyStore {
-    /// Wraps an opened segmented checkpoint; loads nothing yet.
-    pub fn new(seg: crate::segment::SegmentedCheckpoint) -> Self {
-        let user_slots = (0..seg.user_spec().num_shards()).map(|_| std::sync::OnceLock::new()).collect();
-        let item_slots = (0..seg.item_spec().num_shards()).map(|_| std::sync::OnceLock::new()).collect();
-        dgnn_obs::shared::gauge("serve/shard/user_total").set(seg.user_spec().num_shards() as f64);
-        dgnn_obs::shared::gauge("serve/shard/item_total").set(seg.item_spec().num_shards() as f64);
-        Self { seg, user_slots, item_slots }
+impl ShardStore {
+    /// A table loaded whole: one user shard and one item shard, resident.
+    pub(crate) fn whole(user: UserShard, item: &Matrix) -> Self {
+        let item = pack_items(item);
+        dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(item.bytes() as f64);
+        Self {
+            seg: None,
+            user_spec: ShardSpec::new(user.emb.rows(), user.emb.rows().max(1)),
+            item_spec: ShardSpec::new(item.rows(), item.rows().max(1)),
+            dim: user.emb.cols(),
+            user_slots: vec![OnceLock::from(Ok(user))],
+            item_slots: vec![OnceLock::from(Ok(item))],
+        }
+    }
+
+    /// Empty slots over an opened segmented checkpoint; loads nothing yet.
+    pub(crate) fn lazy(seg: SegmentedCheckpoint) -> Self {
+        let (user_spec, item_spec) = (seg.user_spec(), seg.item_spec());
+        dgnn_obs::shared::gauge("serve/shard/user_total").set(user_spec.num_shards() as f64);
+        dgnn_obs::shared::gauge("serve/shard/item_total").set(item_spec.num_shards() as f64);
+        Self {
+            dim: seg.dim(),
+            seg: Some(seg),
+            user_spec,
+            item_spec,
+            user_slots: (0..user_spec.num_shards()).map(|_| OnceLock::new()).collect(),
+            item_slots: (0..item_spec.num_shards()).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Total users covered by the store.
-    pub fn num_users(&self) -> usize {
-        self.seg.user_spec().rows()
+    pub(crate) fn num_users(&self) -> usize {
+        self.user_spec.rows()
     }
 
     /// Total items covered by the store.
-    pub fn num_items(&self) -> usize {
-        self.seg.item_spec().rows()
+    pub(crate) fn num_items(&self) -> usize {
+        self.item_spec.rows()
     }
 
     /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.seg.dim()
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
     }
 
-    /// Item-table id-range spec (drives the per-shard scoring loop).
-    pub fn item_spec(&self) -> dgnn_tensor::ShardSpec {
-        self.seg.item_spec()
-    }
-
-    /// User-table id-range spec.
-    pub fn user_spec(&self) -> dgnn_tensor::ShardSpec {
-        self.seg.user_spec()
-    }
-
-    fn record_load(t0: u64) {
-        let dt = dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6;
-        dgnn_obs::shared::counter("serve/shard/loads").add(1);
-        dgnn_obs::shared::hist("serve/shard/load_ms").record(dt);
-    }
-
-    fn publish_residency(&self) {
-        let stats = self.stats();
-        dgnn_obs::shared::gauge("serve/shard/user_resident").set(stats.user_resident as f64);
-        dgnn_obs::shared::gauge("serve/shard/user_resident_bytes").set(stats.user_resident_bytes as f64);
-        dgnn_obs::shared::gauge("serve/shard/item_resident").set(stats.item_resident as f64);
-        dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(stats.item_panel_bytes as f64);
-    }
-
-    /// User shard `s`, loading it on first touch.
-    pub fn user_shard(&self, s: usize) -> Result<&crate::segment::UserShard, String> {
+    /// The value in `slot`, loading it from the segments on first touch.
+    fn slot<'a, T>(
+        &'a self,
+        slot: &'a OnceLock<Result<T, String>>,
+        load: impl FnOnce(&SegmentedCheckpoint) -> Result<T, CheckpointError>,
+    ) -> Result<&'a T, String> {
         let mut loaded_now = false;
-        let r = self.user_slots[s].get_or_init(|| {
+        let r = slot.get_or_init(|| {
             let t0 = dgnn_obs::now_ns();
-            let loaded = self.seg.load_user_shard(s).map_err(|e| e.to_string());
-            Self::record_load(t0);
+            // A store loaded whole has every slot filled at construction,
+            // so only a segmented store gets here.
+            let loaded = match &self.seg {
+                Some(seg) => load(seg).map_err(|e| e.to_string()),
+                None => Err("no segment source".to_string()),
+            };
+            dgnn_obs::shared::counter("serve/shard/loads").add(1);
+            dgnn_obs::shared::hist("serve/shard/load_ms").record(dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6);
             loaded_now = true;
             loaded
         });
         if loaded_now {
-            self.publish_residency();
+            if let Some(stats) = self.stats() {
+                dgnn_obs::shared::gauge("serve/shard/user_resident").set(stats.user_resident as f64);
+                dgnn_obs::shared::gauge("serve/shard/user_resident_bytes").set(stats.user_resident_bytes as f64);
+                dgnn_obs::shared::gauge("serve/shard/item_resident").set(stats.item_resident as f64);
+                dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(stats.item_panel_bytes as f64);
+            }
         }
-        r.as_ref().map_err(|e| e.clone())
+        r.as_ref().map_err(Clone::clone)
     }
 
-    /// Item shard `s` as the packed panels it is scored from, loading and
-    /// packing it on first touch; the row-major copy is dropped there.
-    pub fn item_shard(&self, s: usize) -> Result<&dgnn_tensor::gemm::PackedPanels, String> {
-        let mut loaded_now = false;
-        let r = self.item_slots[s].get_or_init(|| {
-            let t0 = dgnn_obs::now_ns();
-            let loaded = self
-                .seg
-                .load_item_shard(s)
-                .map(|emb| crate::engine::pack_items(&emb))
-                .map_err(|e| e.to_string());
-            Self::record_load(t0);
-            loaded_now = true;
-            loaded
-        });
-        if loaded_now {
-            self.publish_residency();
-        }
-        r.as_ref().map_err(|e| e.clone())
+    fn user_shard(&self, s: usize) -> Result<&UserShard, String> {
+        self.slot(&self.user_slots[s], |seg| seg.load_user_shard(s))
     }
 
     /// Scoring-embedding row for one user, loading its shard on demand.
     /// Errors carry `(shard, detail)` for the 503 path.
-    pub fn user_row(&self, user: usize) -> Result<&[f32], (usize, String)> {
-        let (s, local) = self.user_spec().locate(user);
+    pub(crate) fn user_row(&self, user: usize) -> Result<&[f32], (usize, String)> {
+        let (s, local) = self.user_spec.locate(user);
         let shard = self.user_shard(s).map_err(|e| (s, e))?;
         Ok(shard.emb.row(local))
+    }
+
+    /// Every item shard as the packed panels it is scored from, loading and
+    /// packing each on first touch (the row-major copy is dropped there).
+    /// Errors carry `(shard, detail)` of the first unloadable shard.
+    pub(crate) fn item_panels(&self) -> Result<Vec<&PackedPanels>, (usize, String)> {
+        (0..self.item_slots.len())
+            .map(|s| {
+                self.slot(&self.item_slots[s], |seg| seg.load_item_shard(s).map(|emb| pack_items(&emb)))
+                    .map_err(|e| (s, e))
+            })
+            .collect()
     }
 
     /// The user's seen items (empty when the shard is unloadable — seen
     /// filtering is advisory and must not turn a scoring query into 503
     /// on its own).
-    pub fn seen(&self, user: usize) -> &[u32] {
+    pub(crate) fn seen(&self, user: usize) -> &[u32] {
         if user >= self.num_users() {
             return &[];
         }
-        let (s, local) = self.user_spec().locate(user);
+        let (s, local) = self.user_spec.locate(user);
         match self.user_shard(s) {
             Ok(shard) => {
                 let lo = shard.seen_indptr[local] as usize;
@@ -387,9 +345,10 @@ impl LazyStore {
         }
     }
 
-    /// Current residency snapshot.
-    pub fn stats(&self) -> ShardStats {
-        let row_bytes = self.dim() as u64 * 4;
+    /// Residency snapshot of a segmented store; `None` for one loaded whole.
+    pub(crate) fn stats(&self) -> Option<ShardStats> {
+        self.seg.as_ref()?;
+        let row_bytes = self.dim as u64 * 4;
         let mut user_resident = 0usize;
         let mut user_resident_bytes = 0u64;
         for slot in &self.user_slots {
@@ -406,22 +365,24 @@ impl LazyStore {
                 item_panel_bytes += panels.bytes() as u64;
             }
         }
-        ShardStats {
-            user_total: self.user_spec().num_shards(),
+        Some(ShardStats {
+            user_total: self.user_slots.len(),
             user_resident,
             user_resident_bytes,
             user_table_bytes: self.num_users() as u64 * row_bytes,
-            item_total: self.item_spec().num_shards(),
+            item_total: self.item_slots.len(),
             item_resident,
             item_panel_bytes,
-            mapped: self.seg.uses_map(),
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Targets on which `MappedFile::open` must map rather than decline.
+    const MAPS: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
 
     fn tmp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!("dgnn-shard-{}-{name}", std::process::id()));
@@ -433,43 +394,38 @@ mod tests {
     fn mapped_and_owned_bytes_agree() {
         let payload: Vec<u8> = (0..10_000u32).flat_map(|x| x.to_le_bytes()).collect();
         let path = tmp_file("agree", &payload);
-        let (owned, used_map) = read_segment_bytes(&path, MapMode::Off).unwrap();
-        assert!(!used_map);
-        assert_eq!(&*owned, &payload[..]);
-        if map_supported() {
-            let (mapped, used_map) = read_segment_bytes(&path, MapMode::On).unwrap();
-            assert!(used_map);
-            assert_eq!(&*mapped, &payload[..]);
+        assert_eq!(read_owned(&path).unwrap(), payload);
+        let mapped = MappedFile::open(&path).unwrap();
+        assert_eq!(mapped.is_some(), MAPS, "mapping must be used exactly where the target supports it");
+        if let Some(mapped) = mapped {
+            assert_eq!(mapped.as_bytes(), &payload[..]);
         }
+        let read = read_segment_bytes(&path).unwrap();
+        assert_eq!(matches!(read, SegmentBytes::Mapped(_)), MAPS);
+        assert_eq!(&*read, &payload[..]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_is_not_found_in_both_modes() {
         let path = std::env::temp_dir().join("dgnn-shard-definitely-absent.seg");
-        for mode in [MapMode::Off, MapMode::Auto, MapMode::On] {
-            match read_segment_bytes(&path, mode) {
+        for read in [read_owned(&path).map(|_| ()), read_segment_bytes(&path).map(|_| ())] {
+            match read {
                 Err(err) => assert_eq!(err.kind(), io::ErrorKind::NotFound),
-                Ok(_) => panic!("absent file must not read"),
+                Ok(()) => panic!("absent file must not read"),
             }
         }
     }
 
     #[test]
     fn zero_length_file_errs_when_mapped() {
-        if !map_supported() {
-            return;
-        }
         let path = tmp_file("empty", &[]);
-        assert!(MappedFile::open(&path).is_err());
+        let opened = MappedFile::open(&path);
+        if MAPS {
+            assert!(opened.is_err(), "an empty file must err where mapping is supported");
+        } else {
+            assert!(matches!(opened, Ok(None)), "no mapping path: open must decline");
+        }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        // Only exercises the pure resolution logic; the env var itself is
-        // owned by the process launcher.
-        assert!(!MapMode::Off.resolves_to_map());
-        assert_eq!(MapMode::Auto.resolves_to_map(), map_supported());
     }
 }

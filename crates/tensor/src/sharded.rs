@@ -4,15 +4,8 @@
 //! contiguous id ranges (`shard_rows` rows per shard, last shard possibly
 //! short). The spec is pure arithmetic — it owns no data — so the same
 //! range math drives the streaming generator in `dgnn-data`, the segmented
-//! checkpoint writer, and the lazy loader in `dgnn-serve`, and those layers
-//! cannot disagree about which shard a row lives in.
-//!
-//! [`ShardedTable`] is the in-memory realization: one [`Matrix`] per shard.
-//! It exists for the splitting/reassembly paths (save a dense table as
-//! segments, stitch segments back into a dense table) and for tests that
-//! prove the sharded layout is a lossless re-arrangement of the dense one.
-
-use crate::dense::Matrix;
+//! checkpoint writer, and the engine's shard store in `dgnn-serve`, and
+//! those layers cannot disagree about which shard a row lives in.
 
 /// Pure id-range arithmetic for a table sharded by contiguous row ranges.
 ///
@@ -85,100 +78,6 @@ impl ShardSpec {
     }
 }
 
-/// An embedding table stored as one dense [`Matrix`] per contiguous shard.
-///
-/// All shards share the same column count; row `r` of the logical table is
-/// row `spec.locate(r).1` of shard `spec.locate(r).0`.
-#[derive(Debug, Clone)]
-pub struct ShardedTable {
-    spec: ShardSpec,
-    cols: usize,
-    shards: Vec<Matrix>,
-}
-
-impl ShardedTable {
-    /// Splits a dense matrix into contiguous shards of `shard_rows` rows.
-    pub fn from_matrix(dense: &Matrix, shard_rows: usize) -> Self {
-        let spec = ShardSpec::new(dense.rows(), shard_rows);
-        let cols = dense.cols();
-        let shards = spec
-            .iter_ranges()
-            .map(|(_, start, end)| {
-                let data = dense.as_slice()[start * cols..end * cols].to_vec();
-                Matrix::from_vec(end - start, cols, data)
-            })
-            .collect();
-        Self { spec, cols, shards }
-    }
-
-    /// Assembles a table from pre-built shard matrices.
-    ///
-    /// # Panics
-    /// Panics when shard shapes disagree with `spec` row counts or when the
-    /// column counts are inconsistent across shards.
-    pub fn from_shards(spec: ShardSpec, cols: usize, shards: Vec<Matrix>) -> Self {
-        assert_eq!(shards.len(), spec.num_shards(), "ShardedTable: shard count mismatch");
-        for (s, m) in shards.iter().enumerate() {
-            assert_eq!(m.rows(), spec.shard_len(s), "ShardedTable: shard {s} row mismatch");
-            assert_eq!(m.cols(), cols, "ShardedTable: shard {s} col mismatch");
-        }
-        Self { spec, cols, shards }
-    }
-
-    /// The id-range spec this table is partitioned by.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// Total logical rows.
-    pub fn rows(&self) -> usize {
-        self.spec.rows()
-    }
-
-    /// Columns (shared by every shard).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Borrows shard `s`.
-    pub fn shard(&self, s: usize) -> &Matrix {
-        &self.shards[s]
-    }
-
-    /// Borrows a logical row by global id.
-    pub fn row(&self, row: usize) -> &[f32] {
-        let (s, local) = self.spec.locate(row);
-        self.shards[s].row(local)
-    }
-
-    /// Gathers logical rows by global id into a fresh dense matrix.
-    pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
-        for (r, &row) in idx.iter().enumerate() {
-            out.set_row(r, self.row(row));
-        }
-        out
-    }
-
-    /// Stitches all shards back into one dense matrix.
-    ///
-    /// Round-trip guarantee: `ShardedTable::from_matrix(&m, k).to_matrix()`
-    /// is bit-identical to `m` for every `k > 0` — sharding is a layout
-    /// change, never a numeric one.
-    pub fn to_matrix(&self) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows() * self.cols);
-        for shard in &self.shards {
-            data.extend_from_slice(shard.as_slice());
-        }
-        Matrix::from_vec(self.rows(), self.cols, data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,45 +121,5 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn locate_out_of_bounds_panics() {
         ShardSpec::new(4, 2).locate(4);
-    }
-
-    #[test]
-    fn split_roundtrip_is_bit_identical() {
-        let dense = Matrix::from_fn(11, 3, |r, c| (r * 31 + c) as f32 * 0.5 - 7.25);
-        for shard_rows in [1usize, 2, 3, 4, 11, 50] {
-            let table = ShardedTable::from_matrix(&dense, shard_rows);
-            let back = table.to_matrix();
-            assert_eq!(back.rows(), dense.rows());
-            assert_eq!(back.cols(), dense.cols());
-            assert!(
-                dense.as_slice().iter().zip(back.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "round trip not bit-identical at shard_rows={shard_rows}"
-            );
-        }
-    }
-
-    #[test]
-    fn row_and_gather_match_dense() {
-        let dense = Matrix::from_fn(9, 4, |r, c| (r as f32) * 10.0 + c as f32);
-        let table = ShardedTable::from_matrix(&dense, 4);
-        for r in 0..9 {
-            assert_eq!(table.row(r), dense.row(r));
-        }
-        let idx = [8usize, 0, 3, 3, 5];
-        let gathered = table.gather_rows(&idx);
-        let expect = dense.gather_rows(&idx);
-        assert_eq!(gathered.as_slice(), expect.as_slice());
-    }
-
-    #[test]
-    fn from_shards_validates_shapes() {
-        let dense = Matrix::from_fn(6, 2, |r, c| (r + c) as f32);
-        let table = ShardedTable::from_matrix(&dense, 4);
-        let rebuilt = ShardedTable::from_shards(
-            table.spec(),
-            2,
-            (0..table.num_shards()).map(|s| table.shard(s).clone()).collect(),
-        );
-        assert_eq!(rebuilt.to_matrix().as_slice(), dense.as_slice());
     }
 }

@@ -75,7 +75,7 @@ fn assert_baseline_served_exactly(
     let path = tmp(tag);
     dgnn_serve::save_recommender(model, &data.name, &path).unwrap();
     let engine = Engine::load(&path).unwrap();
-    assert_eq!(engine.meta("model"), Some(model.name()));
+    assert_eq!(Checkpoint::load(&path).unwrap().meta("model"), Some(model.name()));
     for case in data.test.iter().take(20) {
         let all = engine.scores_for(case.user).unwrap();
         let candidates: Vec<usize> = case.candidates().map(|v| v as usize).collect();

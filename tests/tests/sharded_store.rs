@@ -3,8 +3,9 @@
 //! * dense ↔ segmented round-trip is **bit-identical** (every tensor,
 //!   every seen list, the carried metadata);
 //! * the sharded engine answers bit-identically to the dense engine for
-//!   every user, at kernel thread counts 1 and 4, in both positional-read
-//!   and map modes;
+//!   every user, at kernel thread counts 1 and 4;
+//! * an engine loaded whole reports no shard stats, a segmented one the
+//!   manifest's shard counts;
 //! * every corruption of every file — truncation at any prefix, byte
 //!   flips anywhere, a missing or stray segment — surfaces as a typed
 //!   [`CheckpointError`], never a panic and never silently-wrong data;
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 use dgnn_data::scale_tiny;
 use dgnn_serve::{
-    save_segmented, Checkpoint, CheckpointError, Engine, MapMode, Query, QueryError,
+    save_segmented, Checkpoint, CheckpointError, Engine, Query, QueryError,
     SegmentedCheckpoint, SegmentedWriter, ServeConfig, Server,
 };
 use dgnn_tensor::{parallel, Matrix};
@@ -84,65 +85,52 @@ fn bits(m: &Matrix) -> Vec<u32> {
 #[test]
 fn segmented_roundtrip_reassembles_bit_identical() {
     let (ckpt, dir) = save_fixture("roundtrip");
-    let mut modes = vec![MapMode::Off];
-    if MapMode::Auto.resolves_to_map() {
-        modes.push(MapMode::On);
+    let seg = SegmentedCheckpoint::open(&dir).expect("open");
+    let back = seg.reassemble().expect("every digest verifies and the shards stitch");
+    for name in ["final/user_scoring", "final/item"] {
+        assert_eq!(
+            bits(&ckpt.matrix(name).expect("source tensor")),
+            bits(&back.matrix(name).expect("round-tripped tensor")),
+            "{name} not bit-identical through the segmented format"
+        );
     }
-    for mode in modes {
-        let seg = SegmentedCheckpoint::open_with(&dir, mode).expect("open");
-        seg.verify_all().expect("all digests verify");
-        let back = seg.reassemble().expect("reassemble");
-        for name in ["final/user_scoring", "final/item"] {
-            assert_eq!(
-                bits(&ckpt.matrix(name).expect("source tensor")),
-                bits(&back.matrix(name).expect("round-tripped tensor")),
-                "{name} not bit-identical through the segmented format"
-            );
-        }
-        for name in ["seen/indptr", "seen/items"] {
-            assert_eq!(
-                ckpt.u32s(name).expect("source list"),
-                back.u32s(name).expect("round-tripped list"),
-                "{name} not identical through the segmented format"
-            );
-        }
-        assert_eq!(back.meta("model"), Some("synthetic"));
-        assert_eq!(back.meta("dataset"), Some("sharded-store-test"));
+    for name in ["seen/indptr", "seen/items"] {
+        assert_eq!(
+            ckpt.u32s(name).expect("source list"),
+            back.u32s(name).expect("round-tripped list"),
+            "{name} not identical through the segmented format"
+        );
     }
+    assert_eq!(back.meta("model"), Some("synthetic"));
+    assert_eq!(back.meta("dataset"), Some("sharded-store-test"));
 }
 
 #[test]
 fn sharded_engine_is_bit_identical_to_dense_at_both_thread_counts() {
     let (ckpt, dir) = save_fixture("bitident");
     let dense = Engine::from_checkpoint(&ckpt).expect("dense engine");
-    let mut modes = vec![MapMode::Off];
-    if MapMode::Auto.resolves_to_map() {
-        modes.push(MapMode::On);
-    }
     let saved = parallel::current_threads();
-    for mode in modes {
-        let sharded = Engine::open_segmented_with(&dir, mode).expect("sharded engine");
-        for threads in [1usize, 4] {
-            parallel::set_threads(threads);
-            for exclude_seen in [false, true] {
-                let queries: Vec<Query> = (0..USERS)
-                    .map(|u| Query { user: u as u32, k: 5, exclude_seen })
-                    .collect();
-                let a = dense.recommend_batch(&queries);
-                let b = sharded.recommend_batch(&queries);
-                for (u, (ra, rb)) in a.iter().zip(&b).enumerate() {
-                    let (xs, ys) = (
-                        ra.as_ref().expect("dense answers every valid user"),
-                        rb.as_ref().expect("sharded answers every valid user"),
+    let sharded = Engine::open_segmented(&dir).expect("sharded engine");
+    for threads in [1usize, 4] {
+        parallel::set_threads(threads);
+        for exclude_seen in [false, true] {
+            let queries: Vec<Query> = (0..USERS)
+                .map(|u| Query { user: u as u32, k: 5, exclude_seen })
+                .collect();
+            let a = dense.recommend_batch(&queries);
+            let b = sharded.recommend_batch(&queries);
+            for (u, (ra, rb)) in a.iter().zip(&b).enumerate() {
+                let (xs, ys) = (
+                    ra.as_ref().expect("dense answers every valid user"),
+                    rb.as_ref().expect("sharded answers every valid user"),
+                );
+                assert_eq!(xs.len(), ys.len());
+                for (x, y) in xs.iter().zip(ys) {
+                    assert_eq!(
+                        (x.item, x.score.to_bits()),
+                        (y.item, y.score.to_bits()),
+                        "user {u} diverges (threads={threads}, exclude_seen={exclude_seen})"
                     );
-                    assert_eq!(xs.len(), ys.len());
-                    for (x, y) in xs.iter().zip(ys) {
-                        assert_eq!(
-                            (x.item, x.score.to_bits()),
-                            (y.item, y.score.to_bits()),
-                            "user {u} diverges (threads={threads}, exclude_seen={exclude_seen})"
-                        );
-                    }
                 }
             }
         }
@@ -150,12 +138,33 @@ fn sharded_engine_is_bit_identical_to_dense_at_both_thread_counts() {
     parallel::set_threads(saved);
 }
 
-/// Opening plus full verification plus reassembly must yield a typed
-/// error for a damaged directory — and must never panic.
+/// What the benchmark's request-stream choice and lazy-residency check
+/// read: `None` for an engine loaded whole (even though it holds its tables
+/// as one resident shard each), the manifest's shard counts for a
+/// segmented one.
+#[test]
+fn only_segmented_engines_report_shard_stats() {
+    let (ckpt, dir) = save_fixture("stats");
+    let whole = Engine::from_checkpoint(&ckpt).expect("dense engine");
+    assert_eq!(whole.shard_stats(), None, "an engine loaded whole has no shards to report");
+    whole.recommend(Query { user: 0, k: 5, exclude_seen: true }).expect("healthy query");
+    assert_eq!(whole.shard_stats(), None, "queries do not turn a whole engine into a sharded one");
+
+    let stats = Engine::open_segmented(&dir).expect("sharded engine").shard_stats().expect("segmented stats");
+    let seg = SegmentedCheckpoint::open(&dir).expect("manifest");
+    assert_eq!(
+        (stats.user_total, stats.item_total),
+        (seg.user_spec().num_shards(), seg.item_spec().num_shards()),
+        "{stats:?}"
+    );
+    assert_eq!((stats.user_total, stats.item_total), (4, 3), "{stats:?}");
+    assert_eq!((stats.user_resident, stats.item_resident), (0, 0), "{stats:?}");
+}
+
+/// Opening plus reassembly (which loads and verifies every segment) must
+/// yield a typed error for a damaged directory — and must never panic.
 fn open_all(dir: &Path) -> Result<(), CheckpointError> {
-    let seg = SegmentedCheckpoint::open_with(dir, MapMode::Off)?;
-    seg.verify_all()?;
-    seg.reassemble().map(|_| ())
+    SegmentedCheckpoint::open(dir)?.reassemble().map(|_| ())
 }
 
 #[test]
@@ -238,7 +247,7 @@ fn missing_and_stray_segments_are_detected_by_name() {
     let mid = mutated.len() / 2;
     mutated[mid] ^= 0xFF;
     std::fs::write(&victim, &mutated).expect("corrupting victim");
-    let seg = SegmentedCheckpoint::open_with(&dir, MapMode::Off).expect("manifest still valid");
+    let seg = SegmentedCheckpoint::open(&dir).expect("manifest still valid");
     match seg.load_item_shard(1) {
         Err(CheckpointError::SegmentDigestMismatch { segment, .. }) => {
             assert!(segment.contains("item-00001.seg"));
@@ -251,7 +260,7 @@ fn missing_and_stray_segments_are_detected_by_name() {
 #[test]
 fn lazy_loading_is_observable_and_shard_failures_are_sticky() {
     let (_, dir) = save_fixture("lazy");
-    let engine = Engine::open_segmented_with(&dir, MapMode::Off).expect("sharded engine");
+    let engine = Engine::open_segmented(&dir).expect("sharded engine");
     let stats0 = engine.shard_stats().expect("sharded engines report stats");
     assert_eq!(stats0.user_resident, 0, "nothing resident before first touch");
     assert_eq!(stats0.user_total, 4);
@@ -298,7 +307,7 @@ fn lazy_loading_is_observable_and_shard_failures_are_sticky() {
     engine.recommend(Query { user: 0, k: 5, exclude_seen: false }).expect("healthy shard");
 
     // A fresh open sees the healed file and serves everything.
-    let healed = Engine::open_segmented_with(&dir, MapMode::Off).expect("reopen");
+    let healed = Engine::open_segmented(&dir).expect("reopen");
     healed.recommend(Query { user: last, k: 5, exclude_seen: false }).expect("healed query");
 }
 
