@@ -31,9 +31,9 @@
 //!    adjacent `// SAFETY:` comment whose justification text is at least
 //!    20 characters (marker-only or token justifications don't count; the
 //!    comment must actually argue the invariant).
-//! 12. partition-contract: any `par_row_chunks(` / `run_parts(` call site
-//!    outside the kernel modules that own them
-//!    (`tensor/src/{parallel,dense,sparse,topk}.rs`) needs a nearby
+//! 12. partition-contract: any `par_row_chunks(` / `par_segment_chunks(` /
+//!    `run_parts(` call site outside the kernel modules that own them
+//!    (`tensor/src/{parallel,dense,segment,sparse,topk}.rs`) needs a nearby
 //!    `// CONTRACT: <kernel>` tag naming a contract registered in
 //!    `dgnn_analysis::race_checker` — a parallel dispatch with no
 //!    registered partition contract cannot be proven race-free by the
@@ -100,6 +100,7 @@ struct Needles {
     spawn: String,
     thread_builder: String,
     par_chunks: String,
+    par_segment_chunks: String,
     run_parts: String,
     std_arch: String,
     core_arch: String,
@@ -126,6 +127,7 @@ impl Needles {
             spawn: format!("thread::sp{}", "awn"),
             thread_builder: format!("thread::Buil{}", "der"),
             par_chunks: format!("par_row_chu{}(", "nks"),
+            par_segment_chunks: format!("par_segment_chu{}(", "nks"),
             run_parts: format!("run_pa{}(", "rts"),
             std_arch: format!("std::a{}", "rch"),
             core_arch: format!("core::a{}", "rch"),
@@ -416,6 +418,7 @@ fn lint_file(
     let contract_scope = ![
         "tensor/src/parallel.rs",
         "tensor/src/dense.rs",
+        "tensor/src/segment.rs",
         "tensor/src/sparse.rs",
         "tensor/src/topk.rs",
     ]
@@ -641,6 +644,7 @@ fn lint_file(
         }
         if contract_scope
             && (code.contains(needles.par_chunks.as_str())
+                || code.contains(needles.par_segment_chunks.as_str())
                 || code.contains(needles.run_parts.as_str()))
         {
             match contract_marker_name(&lines, i) {
@@ -922,9 +926,16 @@ mod tests {
         lint_file(Path::new("crates/core/src/model.rs"), &chunks, &needles, &mut violations, &mut todos);
         assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
 
+        // Segment dispatch is a pool dispatch too: untagged it fires.
+        let segments = format!("crate::parallel::{}args);\n", needles.par_segment_chunks);
+        lint_file(Path::new("crates/core/src/model.rs"), &segments, &needles, &mut violations, &mut todos);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].rule, "partition-contract");
+
         // The kernel modules that own pool dispatch are exempt.
         violations.clear();
         lint_file(Path::new("crates/tensor/src/dense.rs"), &text, &needles, &mut violations, &mut todos);
+        lint_file(Path::new("crates/tensor/src/segment.rs"), &segments, &needles, &mut violations, &mut todos);
         assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
     }
 

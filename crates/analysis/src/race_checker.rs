@@ -120,6 +120,24 @@ const RMW_BINARY: &[AccessSpec] = &[
 const RMW_UNARY: &[AccessSpec] =
     &[spec(OUT, true, Shape::PartRows), spec(OUT, false, Shape::SelfRows)];
 
+/// `[write OUT member rows, read 0 member rows, read 1 pointer]` — a
+/// segment kernel over one edge-aligned input.
+const SEGMENT_MEMBERS_1: &[AccessSpec] = &[
+    spec(OUT, true, Shape::Chained),
+    spec(0, false, Shape::Chained),
+    spec(1, false, Shape::PartRowsInclusive),
+];
+
+/// `[write OUT member rows, read 0 member rows, read 1 segment rows, read
+/// 2 pointer]` — the weighted segment sum's gradients: each edge combines
+/// its own row with its target's gradient row.
+const SEGMENT_GRAD: &[AccessSpec] = &[
+    spec(OUT, true, Shape::Chained),
+    spec(0, false, Shape::Chained),
+    spec(1, false, Shape::PartRows),
+    spec(2, false, Shape::PartRowsInclusive),
+];
+
 /// The builtin contract table: every pooled kernel in `dgnn-tensor`.
 /// Ordering is alphabetical-ish by family for review; lookup is by name.
 const CONTRACTS: &[KernelContract] = &[
@@ -151,6 +169,35 @@ const CONTRACTS: &[KernelContract] = &[
     KernelContract { kernel: "weighted_block_sum", accesses: ZIP },
     KernelContract { kernel: "weighted_block_sum_grad_blocks", accesses: ZIP },
     KernelContract { kernel: "weighted_block_sum_grad_weights", accesses: ZIP },
+    // Per-head row dots and the per-block scaling of their gradient: every
+    // operand is row-aligned with the output (widths d and H differ).
+    KernelContract { kernel: "head_dots", accesses: ZIP },
+    KernelContract { kernel: "mul_col_broadcast", accesses: ZIP },
+    // The segment kernels partition whole segments (items are segments):
+    // member-row operands (edges grouped by segment) chain from partition
+    // to partition, segment-row operands are the partition's rows, and the
+    // pointer read carries the closing fencepost.
+    KernelContract { kernel: "segment_softmax", accesses: SEGMENT_MEMBERS_1 },
+    KernelContract {
+        kernel: "segment_softmax_grad",
+        accesses: &[
+            spec(OUT, true, Shape::Chained),
+            spec(0, false, Shape::Chained),
+            spec(1, false, Shape::Chained),
+            spec(2, false, Shape::PartRowsInclusive),
+        ],
+    },
+    KernelContract {
+        kernel: "segment_weighted_sum",
+        accesses: &[
+            spec(OUT, true, Shape::PartRows),
+            spec(0, false, Shape::Chained),
+            spec(1, false, Shape::Chained),
+            spec(2, false, Shape::PartRowsInclusive),
+        ],
+    },
+    KernelContract { kernel: "segment_weighted_sum_grad_weights", accesses: SEGMENT_GRAD },
+    KernelContract { kernel: "segment_weighted_sum_grad_values", accesses: SEGMENT_GRAD },
     KernelContract {
         kernel: "gather_rows",
         accesses: &[

@@ -279,6 +279,9 @@ impl ShapeTracer {
             }
             _ => {}
         }
+        if seg.first().is_some_and(|&s| s != 0) {
+            self.diag(DiagnosticKind::IndexRange, op, "segment pointer does not start at 0".to_string());
+        }
         if seg.windows(2).any(|w| w[0] > w[1]) {
             self.diag(
                 DiagnosticKind::IndexRange,
@@ -670,12 +673,20 @@ impl Recorder for ShapeTracer {
         self.tag(v, u64::from(eps.to_bits()))
     }
 
-    fn row_dots(&mut self, a: Var, b: Var) -> Var {
+    fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var {
         self.require_same("row_dots", a, b);
-        let (r, _) = self.shape_of(a);
+        let (r, c) = self.shape_of(a);
+        if heads == 0 || c % heads != 0 {
+            self.diag(
+                DiagnosticKind::ShapeMismatch,
+                "row_dots",
+                format!("width {c} does not split into {heads} heads"),
+            );
+        }
         let bounded = self.bounded_of(a) && self.bounded_of(b);
         let lower = self.nonneg_if_both(a, b);
-        self.push_with("row_dots", (r, 1), &[a, b], bounded, None, lower)
+        let v = self.push_with("row_dots", (r, heads), &[a, b], bounded, None, lower);
+        self.tag(v, heads as u64)
     }
 
     fn softmax_rows(&mut self, a: Var) -> Var {
@@ -686,11 +697,11 @@ impl Recorder for ShapeTracer {
 
     fn segment_softmax(&mut self, logits: Var, seg: Rc<Vec<usize>>) -> Var {
         let sl = self.shape_of(logits);
-        if sl.1 != 1 {
+        if sl.1 == 0 {
             self.diag(
                 DiagnosticKind::ShapeMismatch,
                 "segment_softmax",
-                format!("logits must be E × 1, got {sl:?}"),
+                format!("logits must be E × H with H ≥ 1, got {sl:?}"),
             );
         }
         self.check_segments("segment_softmax", &seg, sl.0);
@@ -700,11 +711,11 @@ impl Recorder for ShapeTracer {
 
     fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var {
         let (sw, sv) = (self.shape_of(w), self.shape_of(v));
-        if sw.1 != 1 {
+        if sw.1 == 0 || sv.1 % sw.1 != 0 {
             self.diag(
                 DiagnosticKind::ShapeMismatch,
                 "segment_weighted_sum",
-                format!("weights must be E × 1, got {sw:?}"),
+                format!("{} weight columns do not split {} value columns into heads", sw.1, sv.1),
             );
         }
         if sw.0 != sv.0 {

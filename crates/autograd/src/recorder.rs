@@ -223,7 +223,16 @@ pub trait Recorder {
 
     /// `n × 1` per-row dot products (scoring a batch of user/item pairs).
     #[must_use]
-    fn row_dots(&mut self, a: Var, b: Var) -> Var;
+    fn row_dots(&mut self, a: Var, b: Var) -> Var {
+        self.head_dots(a, b, 1)
+    }
+
+    /// `n × heads` per-head row dot products: `a` and `b` are `n × d`, and
+    /// column `h` of the result dots column block `h` (of `heads` equal
+    /// blocks) of each row — multi-head attention logits without splitting
+    /// the heads apart.
+    #[must_use]
+    fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var;
 
     /// Row-wise softmax.
     #[must_use]
@@ -231,19 +240,23 @@ pub trait Recorder {
 
     // ---- segment (edge-attention) ops ------------------------------------
 
-    /// Softmax over contiguous segments of an `E × 1` logit vector.
+    /// Softmax over contiguous segments of `E × H` edge logits, every
+    /// column (head) on its own.
     ///
-    /// `seg` is a CSR-style pointer of length `N + 1`: edges
+    /// `seg` is a CSR-style pointer of length `N + 1` starting at 0: edges
     /// `seg[n]..seg[n+1]` belong to target node `n`. This is the
     /// "edge softmax" primitive behind every attention baseline (GraphRec,
     /// HGT, KGAT, HAN, DisenHAN, SAMN).
     #[must_use]
     fn segment_softmax(&mut self, logits: Var, seg: Rc<Vec<usize>>) -> Var;
 
-    /// Weighted segment sum: `out[n] = Σ_{e ∈ seg(n)} w[e] · v.row(e)`.
+    /// Weighted segment sum: `out[n] = Σ_{e ∈ seg(n)} w[e] · v.row(e)` for
+    /// `E × 1` weights. With `E × H` weights, `v`'s columns split into `H`
+    /// equal blocks and block `h` is weighted by column `h`.
     ///
-    /// With `w` from [`Recorder::segment_softmax`] this is attention
-    /// aggregation; with constant weights it is plain neighborhood sum.
+    /// With `w` from [`Recorder::segment_softmax`] this is (multi-head)
+    /// attention aggregation; with constant weights it is plain
+    /// neighborhood sum.
     #[must_use]
     fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var;
 

@@ -63,13 +63,16 @@ enum Op {
     LayerNormRow { a: Var, eps: f32 },
     /// Row-wise L2 normalization (DGCF intent routing).
     RowL2Norm { a: Var, eps: f32 },
-    /// `n × 1` of per-row dot products of two equally-shaped matrices.
-    RowDots(Var, Var),
+    /// `n × heads` of per-head row dot products of two equally-shaped
+    /// matrices (`n × 1` with one head).
+    RowDots { a: Var, b: Var, heads: usize },
     SoftmaxRows(Var),
-    /// Per-segment softmax over a column vector of edge logits, segments
-    /// given by a CSR-style `seg` pointer (edges grouped by target node).
+    /// Per-segment softmax of every column of `E × H` edge logits,
+    /// segments given by a CSR-style `seg` pointer (edges grouped by
+    /// target node).
     SegmentSoftmax { logits: Var, seg: Rc<Vec<usize>> },
-    /// `out[n] = Σ_{e ∈ seg(n)} w[e] · v.row(e)` — attention aggregation.
+    /// `out[n, block h] = Σ_{e ∈ seg(n)} w[e, h] · v[e, block h]` —
+    /// multi-head attention aggregation (one head when `w` is `E × 1`).
     SegmentWeightedSum { w: Var, v: Var, seg: Rc<Vec<usize>> },
     /// `out[n, :] = Σ_m eta[n, m] · t[n, m·b..(m+1)·b]` — the memory-bank
     /// reduce of the paper's Eq. 3 over the `M` column blocks of `t`.
@@ -116,7 +119,7 @@ impl Op {
             Op::Spmm { .. } => "spmm",
             Op::LayerNormRow { .. } => "layer_norm_rows",
             Op::RowL2Norm { .. } => "l2_normalize_rows",
-            Op::RowDots(..) => "row_dots",
+            Op::RowDots { .. } => "row_dots",
             Op::SoftmaxRows(..) => "softmax_rows",
             Op::SegmentSoftmax { .. } => "segment_softmax",
             Op::SegmentWeightedSum { .. } => "segment_weighted_sum",
@@ -277,47 +280,11 @@ impl Tape {
             Gather { a, idx } => self.value(*a).gather_rows(idx),
             LayerNormRow { a, eps } => self.value(*a).layer_norm_rows(*eps),
             RowL2Norm { a, eps } => self.value(*a).l2_normalize_rows(*eps),
-            RowDots(a, b) => self.value(*a).row_dots(self.value(*b)),
+            RowDots { a, b, heads } => self.value(*a).head_dots(self.value(*b), *heads),
             SoftmaxRows(a) => self.value(*a).softmax_rows(),
-            SegmentSoftmax { logits, seg } => {
-                let x = self.value(*logits);
-                assert_eq!(x.cols(), 1, "segment_softmax: logits must be E × 1");
-                assert_eq!(
-                    *seg.last().expect("segment pointer must be non-empty"),
-                    x.rows(),
-                    "segment_softmax: pointer does not cover all edges"
-                );
-                // Per-segment softmax normalizes a copy in place; the copy
-                // is the node value.
-                let mut v = x.clone();
-                for n in 0..seg.len() - 1 {
-                    let (lo, hi) = (seg[n], seg[n + 1]);
-                    softmax_slice(&mut v.as_mut_slice()[lo..hi]);
-                }
-                v
-            }
+            SegmentSoftmax { logits, seg } => self.value(*logits).segment_softmax(seg),
             SegmentWeightedSum { w, v, seg } => {
-                let wv = self.value(*w);
-                let vv = self.value(*v);
-                assert_eq!(wv.cols(), 1, "segment_weighted_sum: weights must be E × 1");
-                assert_eq!(wv.rows(), vv.rows(), "segment_weighted_sum: weight/value mismatch");
-                assert_eq!(
-                    *seg.last().expect("segment pointer must be non-empty"),
-                    vv.rows(),
-                    "segment_weighted_sum: pointer does not cover all edges"
-                );
-                let n = seg.len() - 1;
-                let d = vv.cols();
-                let mut out = Matrix::zeros(n, d);
-                for i in 0..n {
-                    for e in seg[i]..seg[i + 1] {
-                        let we = wv[(e, 0)];
-                        for (o, &x) in out.row_mut(i).iter_mut().zip(vv.row(e)) {
-                            *o += we * x;
-                        }
-                    }
-                }
-                out
+                Matrix::segment_weighted_sum(self.value(*w), self.value(*v), seg)
             }
             WeightedBlockSum { t, eta } => self.value(*t).weighted_block_sum(self.value(*eta)),
             Dropout { a, mask } => {
@@ -550,7 +517,8 @@ impl Tape {
                 }
                 Self::accum(grads, *a, ga);
             }
-            RowDots(a, b) => {
+            RowDots { a, b, .. } => {
+                // `g` is `n × heads`: head `h`'s column scales block `h`.
                 Self::accum(grads, *a, self.value(*b).mul_col_broadcast(g));
                 Self::accum(grads, *b, self.value(*a).mul_col_broadcast(g));
             }
@@ -564,43 +532,13 @@ impl Tape {
                 Self::accum(grads, *a, ga);
             }
             SegmentSoftmax { logits, seg } => {
-                let y = self.value(Var(i));
-                let e = y.rows();
-                let mut ga = Matrix::zeros(e, 1);
-                for n in 0..seg.len() - 1 {
-                    let (lo, hi) = (seg[n], seg[n + 1]);
-                    let ys: Vec<f32> = (lo..hi).map(|e| y[(e, 0)]).collect();
-                    let gs: Vec<f32> = (lo..hi).map(|e| g[(e, 0)]).collect();
-                    let mut out = vec![0.0; hi - lo];
-                    softmax_backward(&ys, &gs, &mut out);
-                    for (k, e) in (lo..hi).enumerate() {
-                        ga[(e, 0)] = out[k];
-                    }
-                }
-                Self::accum(grads, *logits, ga);
+                Self::accum(grads, *logits, Matrix::segment_softmax_grad(self.value(Var(i)), g, seg));
             }
             SegmentWeightedSum { w, v, seg } => {
-                let wv = self.value(*w);
-                let vv = self.value(*v);
-                let e = vv.rows();
-                let d = vv.cols();
-                let mut gw = Matrix::zeros(e, 1);
-                let mut gv = Matrix::zeros(e, d);
-                for n in 0..seg.len() - 1 {
-                    let gn = g.row(n);
-                    for e in seg[n]..seg[n + 1] {
-                        let mut dot = 0.0;
-                        let we = wv[(e, 0)];
-                        let gv_row = gv.row_mut(e);
-                        for (k, &gk) in gn.iter().enumerate() {
-                            dot += gk * vv[(e, k)];
-                            gv_row[k] += we * gk;
-                        }
-                        gw[(e, 0)] = dot;
-                    }
-                }
-                Self::accum(grads, *w, gw);
-                Self::accum(grads, *v, gv);
+                let (wv, vv) = (self.value(*w), self.value(*v));
+                let heads = wv.cols();
+                Self::accum(grads, *w, Matrix::segment_weighted_sum_grad_weights(vv, g, seg, heads));
+                Self::accum(grads, *v, Matrix::segment_weighted_sum_grad_values(wv, g, seg));
             }
             WeightedBlockSum { t, eta } => {
                 let (tv, ev) = (self.value(*t), self.value(*eta));
@@ -767,8 +705,8 @@ impl Recorder for Tape {
         self.apply(Op::RowL2Norm { a, eps })
     }
 
-    fn row_dots(&mut self, a: Var, b: Var) -> Var {
-        self.apply(Op::RowDots(a, b))
+    fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var {
+        self.apply(Op::RowDots { a, b, heads })
     }
 
     fn softmax_rows(&mut self, a: Var) -> Var {
@@ -801,23 +739,6 @@ fn softmax_backward(s: &[f32], g: &[f32], out: &mut [f32]) {
     let dot: f32 = s.iter().zip(g).map(|(&s, &g)| s * g).sum();
     for k in 0..s.len() {
         out[k] = s[k] * (g[k] - dot);
-    }
-}
-
-fn softmax_slice(xs: &mut [f32]) {
-    if xs.is_empty() {
-        return;
-    }
-    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in xs.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in xs {
-            *v /= sum;
-        }
     }
 }
 

@@ -323,6 +323,38 @@ fn grad_segment_weighted_sum() {
 }
 
 #[test]
+fn grad_multi_head_attention_ops() {
+    // Two heads over width 4; segments of 2, 0, 3 and 1 edges.
+    let seg = Rc::new(vec![0usize, 2, 2, 5, 6]);
+    check_grad(sample(6, 4, 48), |t, q| {
+        let k = t.constant(sample(6, 4, 49));
+        let d = t.head_dots(q, k, 2);
+        let sq = t.mul(d, d);
+        t.sum_all(sq)
+    });
+    let seg_s = Rc::clone(&seg);
+    check_grad(sample(6, 2, 50), move |t, x| {
+        let s = t.segment_softmax(x, Rc::clone(&seg_s));
+        let w = t.constant(sample(6, 2, 51));
+        let p = t.mul(s, w);
+        t.sum_all(p)
+    });
+    let seg_w = Rc::clone(&seg);
+    check_grad(sample(6, 2, 52), move |t, w| {
+        let v = t.constant(sample(6, 4, 53));
+        let out = t.segment_weighted_sum(w, v, Rc::clone(&seg_w));
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+    check_grad(sample(6, 4, 54), move |t, v| {
+        let w = t.constant(sample(6, 2, 55));
+        let out = t.segment_weighted_sum(w, v, Rc::clone(&seg));
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+}
+
+#[test]
 fn grad_weighted_block_sum() {
     // 3 blocks of width 2. w.r.t. the blocks
     check_grad(sample(4, 6, 46), |t, blocks| {

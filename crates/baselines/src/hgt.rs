@@ -4,13 +4,19 @@
 //! projections with multi-head dot-product attention, softmax-normalized
 //! per target node, plus node-type output projections and residuals. This
 //! is the transformer-style comparator whose per-edge Q·K work makes it the
-//! slowest model in the paper's Table IV — a property this implementation
-//! deliberately retains.
+//! slowest model in the paper's Table IV. This implementation keeps that
+//! work; at this repository's graph sizes it no longer trains slower than
+//! DGCF (EXPERIMENTS.md, E8).
+//!
+//! All heads run at once on full-width operands: per-head logits are one
+//! `n × H` [`Recorder::head_dots`], and the segment softmax and weighted
+//! sum take `E × H` weights, so no head is ever sliced out or concatenated
+//! back. The bits are those of the head-by-head form (tested below).
 
 use std::rc::Rc;
 
 use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler};
+use dgnn_data::{Dataset, TrainSampler, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::{EdgeType, UnifiedView};
 use dgnn_tensor::{Init, Matrix, PoolScope};
@@ -44,9 +50,8 @@ struct State {
     num_nodes: usize,
 }
 
-fn forward(st: &State, layers: usize, dim: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
-    let head_dim = dim / NUM_HEADS;
-    let scale = 1.0 / (head_dim as f32).sqrt();
+fn forward<R: Recorder>(st: &State, layers: usize, dim: usize, tape: &mut R, params: &ParamSet) -> (Var, Var) {
+    let scale = 1.0 / ((dim / NUM_HEADS) as f32).sqrt();
     let mut h = tape.param(params, st.emb);
     for layer in 0..layers.max(1) {
         let mut agg: Option<Var> = None;
@@ -64,19 +69,12 @@ fn forward(st: &State, layers: usize, dim: usize, tape: &mut Tape, params: &Para
             let qe = tape.gather(q, Rc::clone(&edges.dst));
             let ke = tape.gather(k, Rc::clone(&edges.src));
             let ve = tape.gather(v, Rc::clone(&edges.src));
-            // Multi-head dot-product attention, head by head.
-            let mut head_outs = Vec::with_capacity(NUM_HEADS);
-            for head in 0..NUM_HEADS {
-                let (lo, hi) = (head * head_dim, (head + 1) * head_dim);
-                let qh = tape.slice_cols(qe, lo, hi);
-                let kh = tape.slice_cols(ke, lo, hi);
-                let vh = tape.slice_cols(ve, lo, hi);
-                let logits = tape.row_dots(qh, kh);
-                let logits = tape.scale(logits, scale);
-                let alpha = tape.segment_softmax(logits, Rc::clone(&edges.seg));
-                head_outs.push(tape.segment_weighted_sum(alpha, vh, Rc::clone(&edges.seg)));
-            }
-            let fam_out = tape.concat_cols(&head_outs);
+            // Multi-head dot-product attention, every head at once: `E × H`
+            // logits and weights over the `E × dim` gathered rows.
+            let logits = tape.head_dots(qe, ke, NUM_HEADS);
+            let logits = tape.scale(logits, scale);
+            let alpha = tape.segment_softmax(logits, Rc::clone(&edges.seg));
+            let fam_out = tape.segment_weighted_sum(alpha, ve, Rc::clone(&edges.seg));
             agg = Some(match agg {
                 Some(a) => tape.add(a, fam_out),
                 None => fam_out,
@@ -111,37 +109,21 @@ impl Hgt {
         Self { cfg, scorer: Scorer::default(), loss_history: Vec::new(), state: None }
     }
 
-    fn build_state(&self, data: &Dataset, seed: u64) -> (State, ParamSet) {
-        let g = &data.graph;
-        let view = UnifiedView::new(g);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = ParamSet::new();
-        let d = self.cfg.dim;
-        let emb = params.add("emb", Init::Uniform(0.1).build(view.num_nodes(), d, &mut rng));
-        let mut families = Vec::new();
-        for ty in EdgeType::ALL {
-            let edges = global_family_edges(g, &view, ty);
-            let per_layer = (0..self.cfg.layers.max(1))
-                .map(|l| FamilyParams {
-                    wq: params.add(format!("wq/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
-                    wk: params.add(format!("wk/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
-                    wv: params.add(format!("wv/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
-                })
-                .collect();
-            families.push((edges, per_layer));
-        }
-        let wo = (0..self.cfg.layers.max(1))
-            .map(|l| params.add(format!("wo/{l}"), Init::XavierUniform.build(d, d, &mut rng)))
-            .collect();
-        let state = State {
-            emb,
-            families,
-            wo,
-            user_rows: Rc::new((0..g.num_users()).map(|u| view.user(u)).collect()),
-            item_rows: Rc::new((0..g.num_items()).map(|v| view.item(v)).collect()),
-            num_nodes: view.num_nodes(),
-        };
-        (state, params)
+    /// Records one full training step (forward pass + BPR loss over
+    /// `triples`) onto `rec` without training — the static-analysis entry
+    /// point. Returns the registered parameters and the loss variable.
+    pub fn trace_step<R: Recorder>(
+        cfg: &BaselineConfig,
+        data: &Dataset,
+        triples: &[Triple],
+        seed: u64,
+        rec: &mut R,
+    ) -> (ParamSet, Var) {
+        let _span = dgnn_obs::span("HGT/trace_step");
+        let (st, params) = build_state(cfg, data, seed);
+        let (users, items) = forward(&st, cfg.layers, cfg.dim, rec, &params);
+        let loss = bpr_from_embeddings(rec, users, items, &BatchIdx::new(triples));
+        (params, loss)
     }
 
     /// Trains with a per-epoch hook (drives the paper's Figure 8).
@@ -151,7 +133,7 @@ impl Hgt {
         seed: u64,
         mut on_epoch: impl FnMut(&Self, usize, f32),
     ) {
-        let (st, mut params) = self.build_state(data, seed);
+        let (st, mut params) = build_state(&self.cfg, data, seed);
         let sampler = TrainSampler::new(&data.graph);
         let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let (layers, dim) = (self.cfg.layers, self.cfg.dim);
@@ -203,6 +185,41 @@ impl Hgt {
         }
         self.state = Some((st, params));
     }
+}
+
+/// Draws the parameters (in a fixed rng order) and the per-family edge
+/// lists over the unified node ids.
+fn build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (State, ParamSet) {
+    let g = &data.graph;
+    let view = UnifiedView::new(g);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut params = ParamSet::new();
+    let d = cfg.dim;
+    let emb = params.add("emb", Init::Uniform(0.1).build(view.num_nodes(), d, &mut rng));
+    let mut families = Vec::new();
+    for ty in EdgeType::ALL {
+        let edges = global_family_edges(g, &view, ty);
+        let per_layer = (0..cfg.layers.max(1))
+            .map(|l| FamilyParams {
+                wq: params.add(format!("wq/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
+                wk: params.add(format!("wk/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
+                wv: params.add(format!("wv/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
+            })
+            .collect();
+        families.push((edges, per_layer));
+    }
+    let wo = (0..cfg.layers.max(1))
+        .map(|l| params.add(format!("wo/{l}"), Init::XavierUniform.build(d, d, &mut rng)))
+        .collect();
+    let state = State {
+        emb,
+        families,
+        wo,
+        user_rows: Rc::new((0..g.num_users()).map(|u| view.user(u)).collect()),
+        item_rows: Rc::new((0..g.num_items()).map(|v| view.item(v)).collect()),
+        num_nodes: view.num_nodes(),
+    };
+    (state, params)
 }
 
 /// Groups a family's edges by destination over global ids.
@@ -280,6 +297,75 @@ mod tests {
             let _ = model.score(0, &[0, 1]);
         });
         assert_eq!(count, 3);
+    }
+
+    /// The attention block as it was written before the head-blocked
+    /// kernels: every head sliced out of the gathered rows, scored and
+    /// aggregated on its own, and the heads concatenated back.
+    fn forward_head_by_head(st: &State, layers: usize, dim: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
+        let head_dim = dim / NUM_HEADS;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let mut h = tape.param(params, st.emb);
+        for layer in 0..layers.max(1) {
+            let mut agg: Option<Var> = None;
+            for (edges, layer_params) in &st.families {
+                if edges.src.is_empty() {
+                    continue;
+                }
+                let fp = &layer_params[layer];
+                let (wq, wk, wv) = (tape.param(params, fp.wq), tape.param(params, fp.wk), tape.param(params, fp.wv));
+                let (q, k, v) = (tape.matmul(h, wq), tape.matmul(h, wk), tape.matmul(h, wv));
+                let qe = tape.gather(q, Rc::clone(&edges.dst));
+                let ke = tape.gather(k, Rc::clone(&edges.src));
+                let ve = tape.gather(v, Rc::clone(&edges.src));
+                let mut head_outs = Vec::with_capacity(NUM_HEADS);
+                for head in 0..NUM_HEADS {
+                    let (lo, hi) = (head * head_dim, (head + 1) * head_dim);
+                    let (qh, kh, vh) = (tape.slice_cols(qe, lo, hi), tape.slice_cols(ke, lo, hi), tape.slice_cols(ve, lo, hi));
+                    let logits = tape.row_dots(qh, kh);
+                    let logits = tape.scale(logits, scale);
+                    let alpha = tape.segment_softmax(logits, Rc::clone(&edges.seg));
+                    head_outs.push(tape.segment_weighted_sum(alpha, vh, Rc::clone(&edges.seg)));
+                }
+                let fam_out = tape.concat_cols(&head_outs);
+                agg = Some(match agg {
+                    Some(a) => tape.add(a, fam_out),
+                    None => fam_out,
+                });
+            }
+            let agg = agg.expect("every family of the tiny world has edges");
+            let wo = tape.param(params, st.wo[layer]);
+            let projected = tape.matmul(agg, wo);
+            let activated = tape.leaky_relu(projected, 0.2);
+            h = tape.add(activated, h);
+        }
+        let out = tape.l2_normalize_rows(h, 1e-9);
+        (tape.gather(out, Rc::clone(&st.user_rows)), tape.gather(out, Rc::clone(&st.item_rows)))
+    }
+
+    #[test]
+    fn head_blocked_step_has_the_bits_of_the_head_by_head_step() {
+        let data = dgnn_data::tiny(4);
+        let cfg = quick();
+        let triples = TrainSampler::new(&data.graph).batch(&mut StdRng::seed_from_u64(3), 256);
+        let idx = BatchIdx::new(&triples);
+        let step = |head_blocked: bool| {
+            let (st, mut params) = build_state(&cfg, &data, 5);
+            let mut tape = Tape::new();
+            let (users, items) = if head_blocked {
+                forward(&st, cfg.layers, cfg.dim, &mut tape, &params)
+            } else {
+                forward_head_by_head(&st, cfg.layers, cfg.dim, &mut tape, &params)
+            };
+            let loss = bpr_from_embeddings(&mut tape, users, items, &idx);
+            params.zero_grads();
+            let loss = tape.backward_into(loss, &mut params);
+            let grads: Vec<u32> = params.ids().flat_map(|id| params.grad(id).as_slice().to_vec()).map(f32::to_bits).collect();
+            (loss.to_bits(), grads)
+        };
+        let (blocked, by_head) = (step(true), step(false));
+        assert_eq!(blocked.0, by_head.0, "loss bits differ");
+        assert!(blocked.1 == by_head.1, "a parameter gradient differs in its bits");
     }
 
     #[test]

@@ -116,6 +116,21 @@ fn run_backend_battery(scale: usize) {
     let _ = Matrix::layer_norm_rows_grad(&a, &y, &g, 1e-6);
     let _ = csr(r, r, 8).spmm(&mat(r, k, 9));
     let _ = top_k_rows(&a, 3);
+    // Two-head edge attention: `a`'s rows are the edges of `r / 4` target
+    // segments of 0, 2, 4 and 10 edges in turn.
+    let seg: Vec<usize> = std::iter::once(0)
+        .chain((0..r / 4).scan(0, |e, s| {
+            *e += [0, 2, 4, 10][s % 4];
+            Some(*e)
+        }))
+        .collect();
+    let (alpha, gn) = (mat(r, 2, 15).segment_softmax(&seg), mat(r / 4, k, 17));
+    let _ = Matrix::segment_softmax_grad(&alpha, &mat(r, 2, 16), &seg);
+    let _ = Matrix::segment_weighted_sum(&alpha, &a, &seg);
+    let _ = Matrix::segment_weighted_sum_grad_weights(&a, &gn, &seg, 2);
+    let _ = Matrix::segment_weighted_sum_grad_values(&alpha, &gn, &seg);
+    let _ = a.head_dots(&g, 2);
+    let _ = a.mul_col_broadcast(&alpha);
 }
 
 fn timed(iters: usize, scale: usize) -> f64 {

@@ -478,18 +478,32 @@ impl Matrix {
         out
     }
 
-    /// Multiplies row `i` by the scalar `col[i]` (`col` is `rows × 1`).
+    /// Multiplies row `i` by the scalar `col[i]` (`col` is `rows × 1`); with
+    /// `H` columns in `col`, column block `h` of row `i` (of `H` equal
+    /// blocks) is multiplied by `col[i, h]` instead — the per-head scaling
+    /// of [`Matrix::head_dots`]'s gradient. Row-partitioned.
     pub fn mul_col_broadcast(&self, col: &Matrix) -> Matrix {
-        assert_eq!(col.cols, 1, "mul_col_broadcast: rhs must be a column vector");
         assert_eq!(col.rows, self.rows, "mul_col_broadcast: height mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let k = col.data[r];
-            for o in out.row_mut(r) {
-                *o *= k;
+        let (heads, d) = (col.cols, self.cols);
+        assert!(heads > 0 && d % heads == 0, "mul_col_broadcast: width {d} does not split into {heads} blocks");
+        let b = (d / heads).max(1);
+        let mut data = pool::alloc_overwritten(self.data.len());
+        let (x, k) = (&self.data, &col.data);
+        let reads = |r: &Range<usize>| vec![Access::read(0, r.start * d..r.end * d), Access::read(1, r.start * heads..r.end * heads)];
+        parallel::par_row_chunks("mul_col_broadcast", &mut data, self.rows, d, d, reads, |range, chunk| {
+            for ((out, x_row), k_row) in chunk
+                .chunks_exact_mut(d.max(1))
+                .zip(x[range.start * d..range.end * d].chunks_exact(d.max(1)))
+                .zip(k[range.start * heads..range.end * heads].chunks_exact(heads))
+            {
+                for ((block, xb), &s) in out.chunks_exact_mut(b).zip(x_row.chunks_exact(b)).zip(k_row) {
+                    for (o, &v) in block.iter_mut().zip(xb) {
+                        *o = v * s;
+                    }
+                }
             }
-        }
-        out
+        });
+        Matrix { rows: self.rows, cols: d, data }
     }
 
     /// Fused `gather(self, idx) · rhsᵀ` without materializing the gathered
@@ -594,14 +608,10 @@ impl Matrix {
     }
 
     /// `rows × 1` vector of per-row dot products with the matching row of
-    /// `rhs` (i.e. `sum(self ⊙ rhs, axis=1)`).
+    /// `rhs` (i.e. `sum(self ⊙ rhs, axis=1)`): [`Matrix::head_dots`] with
+    /// one head.
     pub fn row_dots(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "row_dots: shape mismatch");
-        let mut data = pool::alloc_overwritten(self.rows);
-        for (r, o) in data.iter_mut().enumerate() {
-            *o = self.row(r).iter().zip(rhs.row(r)).map(|(&a, &b)| a * b).sum();
-        }
-        Matrix { rows: self.rows, cols: 1, data }
+        self.head_dots(rhs, 1)
     }
 
     /// Squared Frobenius norm `Σ v²`.
@@ -670,7 +680,8 @@ impl Matrix {
         for &r in idx {
             assert!(r < self.rows, "gather_rows: index {r} out of bounds ({} rows)", self.rows);
         }
-        let mut out = Matrix::zeros(idx.len(), self.cols);
+        // Every output row is copied over in full: no zeroing needed.
+        let mut out = Matrix { rows: idx.len(), cols: self.cols, data: pool::alloc_overwritten(idx.len() * self.cols) };
         let cols = self.cols;
         let src = &self.data;
         let reads =

@@ -3,7 +3,8 @@
 //!
 //! The crate is deliberately minimal: a row-major dense [`Matrix`], a CSR
 //! sparse matrix [`Csr`], and the handful of kernels a graph neural network
-//! needs (GEMM, sparse–dense products, row-wise reductions and normalizers).
+//! needs (GEMM, sparse–dense products, row-wise reductions and normalizers,
+//! and the head-blocked segment kernels behind edge attention).
 //! Hot kernels run on the deterministic worker pool in [`parallel`]
 //! (row-range partitioning over disjoint output slices, so results are
 //! bit-identical to serial execution for every thread count), keeping
@@ -19,6 +20,7 @@ mod init;
 pub mod parallel;
 mod pool;
 pub mod sanitize;
+mod segment;
 pub mod sharded;
 mod sparse;
 pub mod topk;

@@ -1,7 +1,9 @@
 //! Deterministic multi-threaded kernel execution.
 //!
 //! [`run_parts`] / [`par_row_chunks`] execute a row-range-partitioned
-//! closure on a persistent pool of worker threads (the [`KernelPool`]).
+//! closure on a persistent pool of worker threads (the [`KernelPool`]);
+//! [`par_segment_chunks`] partitions by whole segments of a CSR-style
+//! pointer instead, for reductions over a node's edges.
 //! The partitioning contract is the entire design:
 //!
 //! * every output element is written by exactly **one** partition, and
@@ -524,6 +526,109 @@ pub fn par_row_chunks_cols(
     par_rows(kernel, out, rows, ld, work_per_row.max(cols.len()), write, reads, f);
 }
 
+/// Which rows of a segment kernel's output a segment owns: one row per
+/// segment (`out` is `N × ld`), or the rows of its members (`out` is
+/// `E × ld`, member rows `seg[n]..seg[n + 1]`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SegmentRows {
+    /// Output row `n` belongs to segment `n`.
+    PerSegment,
+    /// Output rows `seg[n]..seg[n + 1]` belong to segment `n`.
+    PerMember,
+}
+
+/// First segment of partition `part` of `parts` over the CSR-style pointer
+/// `seg`: the split points balance members plus segments, so a partition
+/// of many empty segments is as cheap as one of a few full ones. `seg` is
+/// non-decreasing, so `seg[b] + b` is strictly increasing in `b` and the
+/// split is a binary search for the first boundary at or past the target.
+fn segment_split(seg: &[usize], parts: usize, part: usize) -> usize {
+    let n = seg.len() - 1;
+    let target = (seg[n] + n) * part / parts;
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if seg[mid] + mid < target {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// [`par_row_chunks`] for a kernel over the segments of a CSR-style
+/// pointer `seg` (`N + 1` entries, `seg[0] == 0`; segment `n` has members
+/// `seg[n]..seg[n + 1]`). Partitions are contiguous *segment* ranges, so a
+/// reduction over a segment's members never crosses a partition; their
+/// split points balance member counts, not segment counts, because the
+/// segments of one edge family are mostly empty. `f(segments, chunk)`
+/// receives the partition's segment range and the rows of `out` those
+/// segments own under `rows` (see [`SegmentRows`]).
+///
+/// `reads(segments)` declares the partition's input spans, as for
+/// [`par_row_chunks`]; the output write is recorded automatically. The
+/// dispatch is recorded with segments as its items.
+///
+/// # Panics
+/// Panics if `seg` is empty, does not start at 0, or `out` does not hold
+/// exactly the rows `rows` implies.
+#[allow(clippy::too_many_arguments)] // `par_row_chunks`'s, plus the segment pointer and row kind
+pub fn par_segment_chunks(
+    kernel: &'static str,
+    out: &mut [f32],
+    seg: &[usize],
+    rows: SegmentRows,
+    ld: usize,
+    work_per_member: usize,
+    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    assert!(seg.first() == Some(&0), "par_segment_chunks: segment pointer must start at 0");
+    let n = seg.len() - 1;
+    let members = seg[n];
+    let row_of = |b: usize| match rows {
+        SegmentRows::PerSegment => b,
+        SegmentRows::PerMember => seg[b],
+    };
+    assert_eq!(out.len(), row_of(n) * ld, "par_segment_chunks: output length mismatch");
+    let parts = planned_parts(members, work_per_member.max(ld).max(1)).min(n.max(1));
+    // Split points on the stack (`parts <= MAX_THREADS`), checked to run
+    // from 0 to `n` without decreasing in segments or output rows: that is
+    // what makes the partitions' output slices below disjoint and complete,
+    // whatever `seg` holds.
+    let mut bounds = [0usize; MAX_THREADS + 1];
+    for (p, b) in bounds.iter_mut().enumerate().take(parts + 1) {
+        *b = segment_split(seg, parts, p);
+    }
+    assert!(
+        bounds[parts] == n
+            && bounds[..=parts].windows(2).all(|w| w[0] <= w[1] && row_of(w[0]) <= row_of(w[1])),
+        "par_segment_chunks: segment pointer is not non-decreasing"
+    );
+    let range_of = |p: usize| bounds[p]..bounds[p + 1];
+    sanitize::record_parts(kernel, parts, n, range_of, |_, r| {
+        let mut accesses = vec![sanitize::Access::write(sanitize::OUT, row_of(r.start) * ld..row_of(r.end) * ld)];
+        accesses.extend(reads(r));
+        accesses
+    });
+    if parts <= 1 {
+        f(0..n, out);
+        return;
+    }
+    let base = SendPtr(out.as_mut_ptr());
+    run_parts(parts, move |p| {
+        let range = range_of(p);
+        let (lo, hi) = (row_of(range.start), row_of(range.end));
+        // SAFETY: segment ranges of different partitions are disjoint and
+        // `row_of` is non-decreasing, so the row ranges are disjoint too;
+        // `out` outlives the dispatch and holds `row_of(n) * ld` elements
+        // (asserted above), so each slice is in-bounds and unaliased.
+        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo * ld), (hi - lo) * ld) };
+        f(range, chunk);
+    });
+}
+
 /// The dispatch behind [`par_row_chunks`] and [`par_row_chunks_cols`]:
 /// `write(row_range)` is the output access recorded ahead of `reads`.
 #[allow(clippy::too_many_arguments)] // the public signature, plus the write declaration
@@ -722,6 +827,30 @@ mod tests {
         assert_eq!(out, expect, "every element written exactly once");
         set_threads(1);
         set_min_par_work(DEFAULT_MIN_PAR_WORK);
+    }
+
+    #[test]
+    fn segment_splits_tile_and_balance_members() {
+        // 100 empty segments, then 10 of 10 members each: split by segment
+        // count, the last partition would get every member.
+        let seg: Vec<usize> = (0..=110usize).map(|n| n.saturating_sub(100) * 10).collect();
+        for parts in 1..6 {
+            let bounds: Vec<usize> = (0..=parts).map(|p| segment_split(&seg, parts, p)).collect();
+            assert_eq!((bounds[0], bounds[parts]), (0, 110), "parts={parts}");
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "parts={parts}: {bounds:?}");
+        }
+        // Members plus segments weigh 210; the halves weigh 111 and 99.
+        assert_eq!(segment_split(&seg, 2, 1), 101);
+    }
+
+    #[test]
+    #[should_panic(expected = "not non-decreasing")]
+    fn par_segment_chunks_rejects_overlapping_rows() {
+        set_threads(2);
+        set_min_par_work(1);
+        // Segment 0 claims rows 0..20 of a 5-row output.
+        let mut out = vec![0.0f32; 5];
+        par_segment_chunks("segment_softmax", &mut out, &[0, 20, 5], SegmentRows::PerMember, 1, 1, |_| Vec::new(), |_, _| {});
     }
 
     #[test]

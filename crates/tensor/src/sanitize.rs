@@ -210,12 +210,25 @@ pub fn record_raw(
     items: usize,
     accesses: impl Fn(usize, &Range<usize>) -> Vec<Access>,
 ) {
+    record_parts(kernel, parts, items, |p| parallel::part_range(items, parts.max(1), p), accesses);
+}
+
+/// [`record_raw`] for a kernel whose partitions are not the near-even
+/// [`parallel::part_range`] split: `range_of(part)` gives partition
+/// `part`'s item range (the segment kernels split by member count).
+pub fn record_parts(
+    kernel: &'static str,
+    parts: usize,
+    items: usize,
+    range_of: impl Fn(usize) -> Range<usize>,
+    accesses: impl Fn(usize, &Range<usize>) -> Vec<Access>,
+) {
     if !enabled() || parallel::in_kernel() {
         return;
     }
     let partitions = (0..parts.max(1))
         .map(|p| {
-            let range = parallel::part_range(items, parts.max(1), p);
+            let range = range_of(p);
             PartAccess {
                 part: p,
                 row_lo: range.start,

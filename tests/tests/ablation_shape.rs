@@ -74,7 +74,7 @@ mod static_analysis {
 
     use dgnn_analysis::{audit, DiagnosticKind, ShapeTracer};
     use dgnn_autograd::{ParamSet, Recorder};
-    use dgnn_baselines::{Dgcf, DisenHan, Mhcn, Ngcf};
+    use dgnn_baselines::{Dgcf, DisenHan, Hgt, Mhcn, Ngcf};
     use dgnn_core::Dgnn;
     use dgnn_data::tiny;
     use dgnn_integration_tests::{quick_baseline, quick_dgnn, sample_triples};
@@ -113,6 +113,9 @@ mod static_analysis {
             })),
             ("DisenHAN", Box::new(|tr: &mut ShapeTracer| {
                 DisenHan::trace_step(&quick_baseline(), &data, &triples, 7, tr)
+            })),
+            ("HGT", Box::new(|tr: &mut ShapeTracer| {
+                Hgt::trace_step(&quick_baseline(), &data, &triples, 7, tr)
             })),
         ];
         for (name, trace) in checks {

@@ -158,6 +158,7 @@ impl Recorder for PerUnitOracle {
         fn layer_norm_rows(&mut self, a: Var, eps: f32);
         fn l2_normalize_rows(&mut self, a: Var, eps: f32);
         fn row_dots(&mut self, a: Var, b: Var);
+        fn head_dots(&mut self, a: Var, b: Var, heads: usize);
         fn softmax_rows(&mut self, a: Var);
         fn segment_softmax(&mut self, logits: Var, seg: Rc<Vec<usize>>);
         fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>);

@@ -214,6 +214,51 @@ proptest! {
     }
 
     #[test]
+    fn segment_attention_family_is_bit_identical_across_threads(
+        // About half the segments empty, the rest of 1 to 11 members.
+        degrees in collection::vec(0usize..24, 1..30),
+        heads in 1usize..4,
+        b in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) as f32 / u32::MAX as f32) * 4.0 - 2.0
+        };
+        let seg: Vec<usize> = std::iter::once(0)
+            .chain(degrees.iter().scan(0, |e, &k| {
+                *e += k.saturating_sub(12);
+                Some(*e)
+            }))
+            .collect();
+        let (e, n, d) = (seg[degrees.len()], degrees.len(), heads * b);
+        let q = Matrix::from_fn(e, d, |_, _| next());
+        let v = Matrix::from_fn(e, d, |_, _| next());
+        let gy = Matrix::from_fn(e, heads, |_, _| next());
+        let g = Matrix::from_fn(n, d, |_, _| next());
+        let run = |threads: usize| {
+            with_pool(threads, || {
+                let y = q.head_dots(&v, heads).segment_softmax(&seg);
+                vec![
+                    Matrix::segment_softmax_grad(&y, &gy, &seg),
+                    Matrix::segment_weighted_sum(&y, &v, &seg),
+                    Matrix::segment_weighted_sum_grad_weights(&v, &g, &seg, heads),
+                    Matrix::segment_weighted_sum_grad_values(&y, &g, &seg),
+                    v.mul_col_broadcast(&y),
+                    y,
+                ]
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 3, 4] {
+            for (k, (a, b)) in serial.iter().zip(&run(threads)).enumerate() {
+                assert_bits_eq(a, b, &format!("segment attention output {k}"));
+            }
+        }
+    }
+
+    #[test]
     fn gather_scatter_is_bit_identical_across_threads(
         idx in collection::vec(0usize..11, 1..40),
         src_seed in any::<u64>(),

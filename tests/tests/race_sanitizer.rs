@@ -136,6 +136,17 @@ fn run_backend_battery() {
     let _ = Matrix::layer_norm_rows_grad(&a, &y, &g, 1e-6); // layer_norm_rows_grad
     let _ = csr(12, 9, 8).spmm(&mat(9, 7, 9)); // spmm
     let _ = top_k_rows(&a, 3); // top_k_rows
+    // Two-head edge attention: `a`'s 12 rows are the edges of 6 target
+    // segments, two of them empty and one holding five edges.
+    let seg = [0, 3, 3, 8, 9, 9, 12];
+    let alpha = mat(12, 2, 15).segment_softmax(&seg); // segment_softmax
+    let _ = Matrix::segment_softmax_grad(&alpha, &mat(12, 2, 16), &seg); // segment_softmax_grad
+    let _ = Matrix::segment_weighted_sum(&alpha, &a, &seg); // segment_weighted_sum
+    let gn = mat(6, 8, 17);
+    let _ = Matrix::segment_weighted_sum_grad_weights(&a, &gn, &seg, 2); // …_grad_weights
+    let _ = Matrix::segment_weighted_sum_grad_values(&alpha, &gn, &seg); // …_grad_values
+    let _ = a.head_dots(&g, 2); // head_dots
+    let _ = a.mul_col_broadcast(&alpha); // mul_col_broadcast
 }
 
 #[test]
@@ -291,7 +302,12 @@ fn fuzz_workload() -> Matrix {
         tail.set_row(r, t.scores(r));
     }
     out.scatter_add_rows(&(0..17).rev().map(|i| i % 17).collect::<Vec<_>>(), &mat(17, 17, 25));
-    Matrix::concat_cols(&[&out, &tail])
+    // Edge attention: `a`'s rows as the edges of 5 segments, one empty.
+    let seg = [0, 4, 4, 9, 13, 17];
+    let alpha = a.head_dots(&mat(17, 9, 30), 3).segment_softmax(&seg);
+    let agg = Matrix::segment_weighted_sum(&alpha, &a, &seg);
+    let gv = Matrix::segment_weighted_sum_grad_values(&alpha, &agg, &seg);
+    Matrix::concat_cols(&[&out, &tail, &gv])
 }
 
 #[test]
