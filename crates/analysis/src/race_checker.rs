@@ -217,6 +217,10 @@ const CONTRACTS: &[KernelContract] = &[
     },
     KernelContract { kernel: "l2_normalize_rows", accesses: RMW_UNARY },
     KernelContract { kernel: "softmax_rows", accesses: RMW_UNARY },
+    // The two row-normalizer backwards: the forward input (L2) or output
+    // (softmax) and the upstream gradient, both row-aligned with the output.
+    KernelContract { kernel: "l2_normalize_rows_grad", accesses: ZIP },
+    KernelContract { kernel: "softmax_rows_grad", accesses: ZIP },
     KernelContract { kernel: "layer_norm_rows", accesses: RMW_UNARY },
     KernelContract {
         kernel: "layer_norm_rows_grad",

@@ -666,11 +666,19 @@ impl Recorder for ShapeTracer {
         self.tag(v, u64::from(eps.to_bits()))
     }
 
-    fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
+    fn l2_normalize_heads(&mut self, a: Var, eps: f32, heads: usize) -> Var {
+        let c = self.shape_of(a).1;
+        if heads == 0 || !c.is_multiple_of(heads) {
+            self.diag(
+                DiagnosticKind::ShapeMismatch,
+                "l2_normalize_rows",
+                format!("width {c} does not split into {heads} heads"),
+            );
+        }
         // Rescaling by a positive norm preserves sign (entrywise).
         let lower = self.nonneg_reduce(a);
         let v = self.unary("l2_normalize_rows", a, true, lower);
-        self.tag(v, u64::from(eps.to_bits()))
+        self.tag(v, ((heads as u64) << 32) | u64::from(eps.to_bits()))
     }
 
     fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var {

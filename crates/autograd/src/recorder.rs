@@ -219,7 +219,16 @@ pub trait Recorder {
 
     /// Row-wise L2 normalization; rows with norm ≤ `eps` pass through.
     #[must_use]
-    fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var;
+    fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
+        self.l2_normalize_heads(a, eps, 1)
+    }
+
+    /// Blocked L2 normalization: every row of `a` is `heads` equal column
+    /// blocks, and each block is scaled to unit norm on its own (a block
+    /// with norm ≤ `eps` passes through) — per-intent normalization
+    /// without splitting the intents apart.
+    #[must_use]
+    fn l2_normalize_heads(&mut self, a: Var, eps: f32, heads: usize) -> Var;
 
     /// `n × 1` per-row dot products (scoring a batch of user/item pairs).
     #[must_use]

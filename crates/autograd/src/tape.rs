@@ -61,8 +61,9 @@ enum Op {
     /// [`Recorder::mul_row`]/[`Recorder::add_row`] for ω₁/ω₂ of the
     /// paper's Eq. 7).
     LayerNormRow { a: Var, eps: f32 },
-    /// Row-wise L2 normalization (DGCF intent routing).
-    RowL2Norm { a: Var, eps: f32 },
+    /// L2 normalization of each of `heads` equal column blocks of every
+    /// row (DGCF's intent routing; one block is plain row normalization).
+    RowL2Norm { a: Var, eps: f32, heads: usize },
     /// `n × heads` of per-head row dot products of two equally-shaped
     /// matrices (`n × 1` with one head).
     RowDots { a: Var, b: Var, heads: usize },
@@ -246,8 +247,16 @@ impl Tape {
             Spmm { a, b, .. } => a.spmm(self.value(*b)),
             Sigmoid(a) => self.value(*a).map_weighted(32, stable_sigmoid),
             // Audited branchless: `f32::tanh` is a polynomial/rational
-            // kernel with no data-dependent branching.
-            Tanh(a) => self.value(*a).map_weighted(32, f32::tanh),
+            // kernel with no data-dependent branching. Of a gather that
+            // repeats table rows, tanh runs once per table row and the
+            // result is gathered: entrywise, so the value is bitwise the
+            // same, and the node and its backward are unchanged.
+            Tanh(a) => match &self.nodes[a.0].op {
+                Gather { a: table, idx } if idx.len() > self.shape_of(*table).0 => {
+                    self.value(*table).map_weighted(32, f32::tanh).gather_rows(idx)
+                }
+                _ => self.value(*a).map_weighted(32, f32::tanh),
+            },
             // Branchless kernel (see `Matrix::leaky_relu`): the branchy map
             // mispredicted ~half its calls on sign-random activations and
             // was ~30× slower per element than `add`.
@@ -279,7 +288,7 @@ impl Tape {
             SliceCols { a, start, end } => self.value(*a).slice_cols(*start, *end),
             Gather { a, idx } => self.value(*a).gather_rows(idx),
             LayerNormRow { a, eps } => self.value(*a).layer_norm_rows(*eps),
-            RowL2Norm { a, eps } => self.value(*a).l2_normalize_rows(*eps),
+            RowL2Norm { a, eps, heads } => self.value(*a).l2_normalize_heads(*eps, *heads),
             RowDots { a, b, heads } => self.value(*a).head_dots(self.value(*b), *heads),
             SoftmaxRows(a) => self.value(*a).softmax_rows(),
             SegmentSoftmax { logits, seg } => self.value(*logits).segment_softmax(seg),
@@ -496,26 +505,8 @@ impl Tape {
                 let y = self.value(Var(i));
                 Self::accum(grads, *a, Matrix::layer_norm_rows_grad(x, y, g, *eps));
             }
-            RowL2Norm { a, eps } => {
-                let x = self.value(*a);
-                let (r, c) = x.shape();
-                let mut ga = Matrix::zeros(r, c);
-                for row in 0..r {
-                    let xr = x.row(row);
-                    let gr = g.row(row);
-                    let norm = xr.iter().map(|v| v * v).sum::<f32>().sqrt();
-                    let out = ga.row_mut(row);
-                    if norm <= *eps {
-                        out.copy_from_slice(gr);
-                    } else {
-                        let dot: f32 = xr.iter().zip(gr).map(|(&x, &g)| x * g).sum();
-                        let n3 = norm * norm * norm;
-                        for k in 0..c {
-                            out[k] = gr[k] / norm - xr[k] * dot / n3;
-                        }
-                    }
-                }
-                Self::accum(grads, *a, ga);
+            RowL2Norm { a, eps, heads } => {
+                Self::accum(grads, *a, Matrix::l2_normalize_heads_grad(self.value(*a), g, *eps, *heads));
             }
             RowDots { a, b, .. } => {
                 // `g` is `n × heads`: head `h`'s column scales block `h`.
@@ -523,13 +514,7 @@ impl Tape {
                 Self::accum(grads, *b, self.value(*a).mul_col_broadcast(g));
             }
             SoftmaxRows(a) => {
-                let y = self.value(Var(i));
-                let (r, c) = y.shape();
-                let mut ga = Matrix::zeros(r, c);
-                for row in 0..r {
-                    softmax_backward(y.row(row), g.row(row), ga.row_mut(row));
-                }
-                Self::accum(grads, *a, ga);
+                Self::accum(grads, *a, Matrix::softmax_rows_grad(self.value(Var(i)), g));
             }
             SegmentSoftmax { logits, seg } => {
                 Self::accum(grads, *logits, Matrix::segment_softmax_grad(self.value(Var(i)), g, seg));
@@ -701,8 +686,8 @@ impl Recorder for Tape {
         self.apply(Op::LayerNormRow { a, eps })
     }
 
-    fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        self.apply(Op::RowL2Norm { a, eps })
+    fn l2_normalize_heads(&mut self, a: Var, eps: f32, heads: usize) -> Var {
+        self.apply(Op::RowL2Norm { a, eps, heads })
     }
 
     fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var {
@@ -731,14 +716,6 @@ impl Recorder for Tape {
 
     fn dropout_mask(&mut self, a: Var, mask: Matrix) -> Var {
         self.apply(Op::Dropout { a, mask })
-    }
-}
-
-/// Softmax Jacobian-vector product: `dx = s ⊙ (g − ⟨g, s⟩)`.
-fn softmax_backward(s: &[f32], g: &[f32], out: &mut [f32]) {
-    let dot: f32 = s.iter().zip(g).map(|(&s, &g)| s * g).sum();
-    for k in 0..s.len() {
-        out[k] = s[k] * (g[k] - dot);
     }
 }
 
@@ -878,6 +855,37 @@ mod tests {
         let snap = dgnn_obs::snapshot();
         dgnn_obs::reset();
         assert!(snap.ops.is_empty(), "tape built while disabled must not profile");
+    }
+
+    #[test]
+    fn tanh_of_a_repeating_gather_is_tanh_of_the_materialised_gather() {
+        // Rows 0 and 2 are read twice and three times, row 1 never: the
+        // gather is longer than its table, so tanh runs on the table's rows.
+        let table = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.37 - 2.1);
+        let idx = Rc::new(vec![2usize, 0, 2, 0, 2]);
+        let w = Matrix::from_fn(5, 4, |r, c| ((r * 3 + c) % 5) as f32 * 0.3 - 0.7);
+        let run = |materialise: bool| {
+            let mut params = ParamSet::new();
+            let p = params.add("table", table.clone());
+            let mut t = Tape::new();
+            let x = t.param(&params, p);
+            let g = t.gather(x, Rc::clone(&idx));
+            // Scaling by one copies the rows bit for bit into a node that
+            // is not a gather.
+            let g = if materialise { t.scale(g, 1.0) } else { g };
+            let y = t.tanh(g);
+            let wv = t.constant(w.clone());
+            let prod = t.mul(y, wv);
+            let loss = t.sum_all(prod);
+            params.zero_grads();
+            let _ = t.backward_into(loss, &mut params);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(t.value(y)), bits(params.grad(p)))
+        };
+        let (on_table, materialised) = (run(false), run(true));
+        assert_eq!(on_table.0, materialised.0, "forward bits differ");
+        assert_eq!(on_table.1, materialised.1, "table gradient bits differ");
+        assert!(on_table.1[4..8].iter().all(|&b| b == 0), "the unread row gets no gradient");
     }
 
     #[test]

@@ -272,6 +272,31 @@ fn grad_row_l2_normalize() {
 }
 
 #[test]
+fn grad_l2_normalize_heads() {
+    // Four 2-wide blocks per row, kept away from the zero-norm kink.
+    let x = sample(3, 8, 41).map(|v| v + 2.0);
+    check_grad(x, |t, x| {
+        let y = t.l2_normalize_heads(x, 1e-9, 4);
+        let w = t.constant(sample(3, 8, 42));
+        let p = t.mul(y, w);
+        t.sum_all(p)
+    });
+}
+
+#[test]
+fn grad_tanh_of_a_repeating_gather() {
+    // Five gathered rows of a three-row table: tanh runs on the table.
+    let idx = Rc::new(vec![2usize, 0, 2, 2, 0]);
+    check_grad(sample(3, 2, 43), move |t, x| {
+        let g = t.gather(x, Rc::clone(&idx));
+        let y = t.tanh(g);
+        let w = t.constant(sample(5, 2, 44));
+        let p = t.mul(y, w);
+        t.sum_all(p)
+    });
+}
+
+#[test]
 fn grad_row_dots() {
     check_grad(sample(4, 3, 35), |t, x| {
         let b = t.constant(sample(4, 3, 36));

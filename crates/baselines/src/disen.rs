@@ -70,49 +70,35 @@ struct DgcfState {
     item_side: Edges, // user → item, grouped by item
 }
 
-/// One routing pass: refines the destination chunks from source chunks.
-/// Returns the refreshed per-intent destination chunks.
-fn route<R: Recorder>(
-    tape: &mut R,
-    edges: &Edges,
-    dst_chunks: &[Var],
-    src_chunks: &[Var],
-) -> Vec<Var> {
+/// One routing pass over every intent at once: intent `k` is column block
+/// `k` of the `n × d` tables, so the logits are one `E × NUM_FACTORS`
+/// matrix and every kernel takes all intents in one full-width call.
+/// Refines `dst` from `src` and returns the refreshed destination table.
+fn route<R: Recorder>(tape: &mut R, edges: &Edges, dst: Var, src: Var) -> Var {
     if edges.is_empty() {
-        return dst_chunks.to_vec();
+        return dst;
     }
     // Intent logits, initialised uniform (zeros).
-    let e = edges.src.len();
-    let mut logits: Vec<Var> =
-        (0..NUM_FACTORS).map(|_| tape.constant(Matrix::zeros(e, 1))).collect();
-    let mut out = dst_chunks.to_vec();
+    let mut logits = tape.constant(Matrix::zeros(edges.src.len(), NUM_FACTORS));
+    let norm = tape.constant(edges.inv_deg.clone());
+    let mut out = dst;
     for it in 0..ROUTING_ITERS {
-        let cat = tape.concat_cols(&logits);
-        let alpha = tape.softmax_rows(cat);
-        let mut new_logits = Vec::with_capacity(NUM_FACTORS);
-        for k in 0..NUM_FACTORS {
-            let a_k = tape.slice_cols(alpha, k, k + 1);
-            let norm = tape.constant(edges.inv_deg.clone());
-            let w = tape.mul(a_k, norm);
-            let src_n = tape.l2_normalize_rows(src_chunks[k], 1e-9);
-            let src_e = tape.gather(src_n, Rc::clone(&edges.src));
-            let msg = tape.segment_weighted_sum(w, src_e, Rc::clone(&edges.seg));
-            let refreshed = tape.add(dst_chunks[k], msg);
-            let refreshed = tape.l2_normalize_rows(refreshed, 1e-9);
-            out[k] = refreshed;
-            // Routing update: s += u_dst · tanh(v_src) per edge. The
-            // refreshed logits are consumed by the next iteration's
-            // softmax, so the last iteration would only build dead
-            // tape nodes: skip it.
-            if it + 1 < ROUTING_ITERS {
-                let u_e = tape.gather(refreshed, Rc::clone(&edges.dst));
-                let v_t = tape.tanh(src_e);
-                let aff = tape.row_dots(u_e, v_t);
-                new_logits.push(tape.add(logits[k], aff));
-            }
-        }
+        let alpha = tape.softmax_rows(logits);
+        let w = tape.mul_col(alpha, norm);
+        let src_n = tape.l2_normalize_heads(src, 1e-9, NUM_FACTORS);
+        let src_e = tape.gather(src_n, Rc::clone(&edges.src));
+        let msg = tape.segment_weighted_sum(w, src_e, Rc::clone(&edges.seg));
+        let refreshed = tape.add(dst, msg);
+        out = tape.l2_normalize_heads(refreshed, 1e-9, NUM_FACTORS);
+        // Routing update: s += u_dst · tanh(v_src) per edge and intent.
+        // The refreshed logits are consumed by the next iteration's
+        // softmax, so the last iteration would only build dead tape
+        // nodes: skip it.
         if it + 1 < ROUTING_ITERS {
-            logits = new_logits;
+            let u_e = tape.gather(out, Rc::clone(&edges.dst));
+            let v_t = tape.tanh(src_e);
+            let aff = tape.head_dots(u_e, v_t, NUM_FACTORS);
+            logits = tape.add(logits, aff);
         }
     }
     out
@@ -124,21 +110,17 @@ fn dgcf_forward<R: Recorder>(
     tape: &mut R,
     params: &ParamSet,
 ) -> (Var, Var) {
-    let dc = d / NUM_FACTORS;
     let eu = tape.param(params, st.e_user);
     let ev = tape.param(params, st.e_item);
-    let u_chunks: Vec<Var> =
-        (0..NUM_FACTORS).map(|k| tape.slice_cols(eu, k * dc, (k + 1) * dc)).collect();
-    let v_chunks: Vec<Var> =
-        (0..NUM_FACTORS).map(|k| tape.slice_cols(ev, k * dc, (k + 1) * dc)).collect();
-
-    let u_new = route(tape, &st.user_side, &u_chunks, &v_chunks);
-    let v_new = route(tape, &st.item_side, &v_chunks, &u_chunks);
-
-    let u_cat = tape.concat_cols(&u_new);
-    let v_cat = tape.concat_cols(&v_new);
-    let users = tape.add(u_cat, eu);
-    let items = tape.add(v_cat, ev);
+    // The routing reads full-width proxies of the tables, not the tables:
+    // each table's routing gradient is then summed on its own before it
+    // meets the residual's, the order the per-intent chunks summed it in.
+    let u = tape.slice_cols(eu, 0, d);
+    let v = tape.slice_cols(ev, 0, d);
+    let u_new = route(tape, &st.user_side, u, v);
+    let v_new = route(tape, &st.item_side, v, u);
+    let users = tape.add(u_new, eu);
+    let items = tape.add(v_new, ev);
     (users, items)
 }
 
@@ -501,5 +483,93 @@ mod tests {
         let mut n = 0;
         m.fit_epochs(&data, 1, |_, _, _| n += 1);
         assert_eq!(n, 2);
+    }
+
+    /// The routing as it was written before the intent-blocked kernels:
+    /// every intent a column chunk of its own, routed chunk by chunk.
+    fn route_per_intent(tape: &mut Tape, edges: &Edges, dst_chunks: &[Var], src_chunks: &[Var]) -> Vec<Var> {
+        if edges.is_empty() {
+            return dst_chunks.to_vec();
+        }
+        let e = edges.src.len();
+        let mut logits: Vec<Var> = (0..NUM_FACTORS).map(|_| tape.constant(Matrix::zeros(e, 1))).collect();
+        let mut out = dst_chunks.to_vec();
+        for it in 0..ROUTING_ITERS {
+            let cat = tape.concat_cols(&logits);
+            let alpha = tape.softmax_rows(cat);
+            let mut new_logits = Vec::with_capacity(NUM_FACTORS);
+            for k in 0..NUM_FACTORS {
+                let a_k = tape.slice_cols(alpha, k, k + 1);
+                let norm = tape.constant(edges.inv_deg.clone());
+                let w = tape.mul(a_k, norm);
+                let src_n = tape.l2_normalize_rows(src_chunks[k], 1e-9);
+                let src_e = tape.gather(src_n, Rc::clone(&edges.src));
+                let msg = tape.segment_weighted_sum(w, src_e, Rc::clone(&edges.seg));
+                let refreshed = tape.add(dst_chunks[k], msg);
+                let refreshed = tape.l2_normalize_rows(refreshed, 1e-9);
+                out[k] = refreshed;
+                if it + 1 < ROUTING_ITERS {
+                    let u_e = tape.gather(refreshed, Rc::clone(&edges.dst));
+                    let v_t = tape.tanh(src_e);
+                    let aff = tape.row_dots(u_e, v_t);
+                    new_logits.push(tape.add(logits[k], aff));
+                }
+            }
+            if it + 1 < ROUTING_ITERS {
+                logits = new_logits;
+            }
+        }
+        out
+    }
+
+    fn dgcf_forward_per_intent(st: &DgcfState, d: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
+        let dc = d / NUM_FACTORS;
+        let eu = tape.param(params, st.e_user);
+        let ev = tape.param(params, st.e_item);
+        let u_chunks: Vec<Var> = (0..NUM_FACTORS).map(|k| tape.slice_cols(eu, k * dc, (k + 1) * dc)).collect();
+        let v_chunks: Vec<Var> = (0..NUM_FACTORS).map(|k| tape.slice_cols(ev, k * dc, (k + 1) * dc)).collect();
+        let u_new = route_per_intent(tape, &st.user_side, &u_chunks, &v_chunks);
+        let v_new = route_per_intent(tape, &st.item_side, &v_chunks, &u_chunks);
+        let u_cat = tape.concat_cols(&u_new);
+        let v_cat = tape.concat_cols(&v_new);
+        (tape.add(u_cat, eu), tape.add(v_cat, ev))
+    }
+
+    #[test]
+    fn intent_blocked_step_has_the_bits_of_the_per_intent_step() {
+        use dgnn_tensor::parallel;
+        let data = dgnn_data::tiny(4);
+        let triples = TrainSampler::new(&data.graph).batch(&mut StdRng::seed_from_u64(3), 256);
+        let idx = BatchIdx::new(&triples);
+        // dim 8 gives 2-wide intents, dim 16 the default config's 4-wide ones.
+        for dim in [8, 16] {
+            let cfg = BaselineConfig { dim, ..quick() };
+            let step = |blocked: bool, threads: usize| {
+                parallel::set_threads(threads);
+                parallel::set_min_par_work(if threads > 1 { 1 } else { parallel::DEFAULT_MIN_PAR_WORK });
+                let (mut params, st) = dgcf_build_state(&cfg, &data, 5);
+                let mut tape = Tape::new();
+                let (users, items) = if blocked {
+                    dgcf_forward(&st, dim, &mut tape, &params)
+                } else {
+                    dgcf_forward_per_intent(&st, dim, &mut tape, &params)
+                };
+                let loss = bpr_from_embeddings(&mut tape, users, items, &idx);
+                params.zero_grads();
+                let loss = tape.backward_into(loss, &mut params);
+                parallel::set_threads(1);
+                parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
+                let grads: Vec<u32> = params.ids().flat_map(|id| params.grad(id).as_slice().to_vec()).map(f32::to_bits).collect();
+                (loss.to_bits(), grads)
+            };
+            let oracle = step(false, 1);
+            for threads in 1..=4 {
+                for blocked in [true, false] {
+                    let got = step(blocked, threads);
+                    assert_eq!(got.0, oracle.0, "dim {dim}, {threads} thread(s), blocked {blocked}: loss bits differ");
+                    assert!(got.1 == oracle.1, "dim {dim}, {threads} thread(s), blocked {blocked}: a parameter gradient differs in its bits");
+                }
+            }
+        }
     }
 }

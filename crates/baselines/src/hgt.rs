@@ -5,8 +5,8 @@
 //! per target node, plus node-type output projections and residuals. This
 //! is the transformer-style comparator whose per-edge Q·K work makes it the
 //! slowest model in the paper's Table IV. This implementation keeps that
-//! work; at this repository's graph sizes it no longer trains slower than
-//! DGCF (EXPERIMENTS.md, E8).
+//! work; EXPERIMENTS.md E8 records how it ranks at this repository's graph
+//! sizes.
 //!
 //! All heads run at once on full-width operands: per-head logits are one
 //! `n × H` [`Recorder::head_dots`], and the segment softmax and weighted

@@ -110,7 +110,10 @@ fn run_backend_battery(scale: usize) {
     let mut sc = Matrix::zeros(r, k);
     sc.scatter_add_rows(&idx, &a);
     let _ = a.l2_normalize_rows(1e-6);
+    let _ = a.l2_normalize_heads(1e-6, 4);
+    let _ = Matrix::l2_normalize_heads_grad(&a, &g, 1e-6, 4);
     let _ = a.softmax_rows();
+    let _ = Matrix::softmax_rows_grad(&a.softmax_rows(), &g);
     let _ = a.layer_norm_rows(1e-6);
     let y = a.layer_norm_rows(1e-6);
     let _ = Matrix::layer_norm_rows_grad(&a, &y, &g, 1e-6);

@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
 use crate::sanitize::{Access, OUT};
-use crate::{gemm, parallel, pool};
+use crate::{gemm, parallel, pool, segment};
 
 /// A row-major dense matrix of `f32`.
 ///
@@ -740,22 +740,60 @@ impl Matrix {
 
     /// Row-wise L2 normalization; rows with norm below `eps` are left
     /// unchanged (avoids dividing by ~0 for never-touched embeddings).
-    /// Row-partitioned: every row normalizes independently.
+    /// [`Matrix::l2_normalize_heads`] with one block.
     pub fn l2_normalize_rows(&self, eps: f32) -> Matrix {
+        self.l2_normalize_heads(eps, 1)
+    }
+
+    /// Blocked L2 normalization: every row is `heads` equal column blocks,
+    /// and each block is scaled to unit norm on its own; a block with norm
+    /// ≤ `eps` is left unchanged. A block's norm is the same sequential sum
+    /// of squares a one-block call runs over that block's column slice, so
+    /// block `h` is bit-identical to normalizing the slice alone.
+    /// Row-partitioned: every row normalizes independently.
+    pub fn l2_normalize_heads(&self, eps: f32, heads: usize) -> Matrix {
+        let b = segment::block_width("l2_normalize_heads", self.cols, heads).max(1);
         let mut out = self.clone();
         let cols = self.cols;
         let reads = |r: &Range<usize>| vec![Access::read(OUT, r.start * cols..r.end * cols)];
         parallel::par_row_chunks("l2_normalize_rows", &mut out.data, self.rows, cols, 4 * cols.max(1), reads, |_, chunk| {
-            for row in chunk.chunks_exact_mut(cols.max(1)) {
-                let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
+            for block in chunk.chunks_exact_mut(b) {
+                let norm = block.iter().map(|v| v * v).sum::<f32>().sqrt();
                 if norm > eps {
-                    for v in row {
+                    for v in block {
                         *v /= norm;
                     }
                 }
             }
         });
         out
+    }
+
+    /// Gradient of [`Matrix::l2_normalize_heads`] given the forward input
+    /// `x` and the upstream gradient `g`: per block,
+    /// `dx = g / ‖x‖ − x · ⟨x, g⟩ / ‖x‖³`, and `dx = g` for a block that
+    /// passed through. Row-partitioned like the forward pass.
+    pub fn l2_normalize_heads_grad(x: &Matrix, g: &Matrix, eps: f32, heads: usize) -> Matrix {
+        assert_eq!(x.shape(), g.shape(), "l2_normalize_heads_grad: x/g shape mismatch");
+        let (rows, cols) = x.shape();
+        let b = segment::block_width("l2_normalize_heads_grad", cols, heads).max(1);
+        let mut data = pool::alloc_overwritten(rows * cols);
+        let (xd, gd) = (&x.data, &g.data);
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * cols..r.end * cols), Access::read(1, r.start * cols..r.end * cols)]
+        };
+        // CONTRACT: l2_normalize_rows_grad
+        parallel::par_row_chunks("l2_normalize_rows_grad", &mut data, rows, cols, 8 * cols.max(1), reads, |range, chunk| {
+            let span = range.start * cols..range.end * cols;
+            for ((out, xb), gb) in chunk
+                .chunks_exact_mut(b)
+                .zip(xd[span.clone()].chunks_exact(b))
+                .zip(gd[span].chunks_exact(b))
+            {
+                l2_normalize_grad_block(xb, gb, eps, out);
+            }
+        });
+        Matrix { rows, cols, data }
     }
 
     /// Row-wise softmax. Row-partitioned: every row is an independent
@@ -770,6 +808,35 @@ impl Matrix {
             }
         });
         out
+    }
+
+    /// Gradient of [`Matrix::softmax_rows`] given the forward output `y`
+    /// and the upstream gradient `g`: the Jacobian-vector product
+    /// `dx = y ⊙ (g − ⟨g, y⟩)` of every row. Row-partitioned like the
+    /// forward pass.
+    pub fn softmax_rows_grad(y: &Matrix, g: &Matrix) -> Matrix {
+        assert_eq!(y.shape(), g.shape(), "softmax_rows_grad: y/g shape mismatch");
+        let (rows, cols) = y.shape();
+        let mut data = pool::alloc_overwritten(rows * cols);
+        let (yd, gd) = (&y.data, &g.data);
+        let reads = |r: &Range<usize>| {
+            vec![Access::read(0, r.start * cols..r.end * cols), Access::read(1, r.start * cols..r.end * cols)]
+        };
+        // CONTRACT: softmax_rows_grad
+        parallel::par_row_chunks("softmax_rows_grad", &mut data, rows, cols, 4 * cols.max(1), reads, |range, chunk| {
+            let span = range.start * cols..range.end * cols;
+            for ((out, s), gr) in chunk
+                .chunks_exact_mut(cols.max(1))
+                .zip(yd[span.clone()].chunks_exact(cols.max(1)))
+                .zip(gd[span].chunks_exact(cols.max(1)))
+            {
+                let dot: f32 = s.iter().zip(gr).map(|(&s, &g)| s * g).sum();
+                for ((o, &s), &g) in out.iter_mut().zip(s).zip(gr) {
+                    *o = s * (g - dot);
+                }
+            }
+        });
+        Matrix { rows, cols, data }
     }
 
     /// Row-wise layer normalization `(x − mean) / √(var + eps)`.
@@ -1109,6 +1176,21 @@ fn layer_norm_grad_row(x: &[f32], y: &[f32], g: &[f32], eps: f32, out: &mut [f32
     }
 }
 
+/// One block of L2-normalization backward:
+/// `dx = g / ‖x‖ − x · ⟨x, g⟩ / ‖x‖³`, or `dx = g` when `‖x‖ ≤ eps`.
+fn l2_normalize_grad_block(x: &[f32], g: &[f32], eps: f32, out: &mut [f32]) {
+    let norm = x.iter().map(|v| v * v).sum::<f32>().sqrt();
+    if norm <= eps {
+        out.copy_from_slice(g);
+    } else {
+        let dot: f32 = x.iter().zip(g).map(|(&x, &g)| x * g).sum();
+        let n3 = norm * norm * norm;
+        for k in 0..x.len() {
+            out[k] = g[k] / norm - x[k] * dot / n3;
+        }
+    }
+}
+
 /// Numerically-stable softmax over a mutable slice.
 pub(crate) fn softmax_in_place(xs: &mut [f32]) {
     if xs.is_empty() {
@@ -1296,6 +1378,58 @@ mod tests {
         assert!((n.row(0)[1] - 0.8).abs() < 1e-6);
         // Zero row untouched, not NaN.
         assert_eq!(n.row(1), &[0.0, 0.0]);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn l2_normalize_heads_is_the_per_block_normalize() {
+        let mut x = Matrix::from_fn(5, 8, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.37 - 1.6);
+        // Row 2's second half is a zero-norm block: it passes through.
+        for c in 4..8 {
+            x[(2, c)] = 0.0;
+        }
+        let g = Matrix::from_fn(5, 8, |r, c| ((r * 5 + c) % 7) as f32 * 0.21 - 0.6);
+        for heads in [1, 2, 4] {
+            // The oracle: every block normalized on its own column slice.
+            let b = 8 / heads;
+            let block = |m: &Matrix, h: usize| m.slice_cols(h * b, (h + 1) * b);
+            let concat = |parts: Vec<Matrix>| Matrix::concat_cols(&parts.iter().collect::<Vec<_>>());
+            let fwd = concat((0..heads).map(|h| block(&x, h).l2_normalize_rows(1e-9)).collect());
+            let bwd = concat((0..heads).map(|h| Matrix::l2_normalize_heads_grad(&block(&x, h), &block(&g, h), 1e-9, 1)).collect());
+            assert_eq!(bits(&x.l2_normalize_heads(1e-9, heads)), bits(&fwd), "forward, {heads} heads");
+            assert_eq!(bits(&Matrix::l2_normalize_heads_grad(&x, &g, 1e-9, heads)), bits(&bwd), "gradient, {heads} heads");
+        }
+        let two = x.l2_normalize_heads(1e-9, 2);
+        assert_eq!(two.row(2)[4..], [0.0; 4]);
+        assert_eq!(Matrix::l2_normalize_heads_grad(&x, &g, 1e-9, 2).row(2)[4..], g.row(2)[4..]);
+        assert!((two.row(0)[..4].iter().map(|v| v * v).sum::<f32>() - 1.0).abs() < 1e-5);
+        // An empty matrix normalizes to itself.
+        let empty = Matrix::zeros(0, 8);
+        assert_eq!(empty.l2_normalize_heads(1e-9, 4).shape(), (0, 8));
+        assert_eq!(Matrix::l2_normalize_heads_grad(&empty, &empty, 1e-9, 4).shape(), (0, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not split into 3 heads")]
+    fn l2_normalize_heads_rejects_a_ragged_split() {
+        let _ = Matrix::zeros(2, 8).l2_normalize_heads(1e-9, 3);
+    }
+
+    #[test]
+    fn softmax_rows_grad_is_the_row_jacobian_product() {
+        let y = m(2, 3, &[1.0, 2.0, 3.0, -1.0, 0.5, 0.0]).softmax_rows();
+        let g = m(2, 3, &[0.3, -0.2, 0.9, 1.5, 0.0, -0.7]);
+        let got = Matrix::softmax_rows_grad(&y, &g);
+        for r in 0..2 {
+            let (s, gr) = (y.row(r), g.row(r));
+            let dot: f32 = s.iter().zip(gr).map(|(&s, &g)| s * g).sum();
+            let want: Vec<f32> = s.iter().zip(gr).map(|(&s, &g)| s * (g - dot)).collect();
+            assert_eq!(got.row(r), &want[..]);
+        }
+        assert_eq!(Matrix::softmax_rows_grad(&Matrix::zeros(0, 3), &Matrix::zeros(0, 3)).shape(), (0, 3));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!
 //! Work is priced for the pool's split threshold as one unit per
 //! multiply-add (an `exp` counts 16), the same scale as a GEMM's FMA. At
-//! the default threshold a 4-wide edge family of ~10k edges (DGCF's
-//! intent chunks) stays serial and a 16-wide one (HGT's) splits.
+//! the default threshold a 4-wide edge family of ~10k edges stays serial
+//! and a 16-wide one (HGT's heads, DGCF's four intents) splits.
 
 use std::ops::Range;
 
@@ -35,7 +35,7 @@ fn check_seg(what: &str, seg: &[usize], members: usize) {
 }
 
 /// Width of one head's block: `d / heads`, which must divide evenly.
-fn block_width(what: &str, d: usize, heads: usize) -> usize {
+pub(crate) fn block_width(what: &str, d: usize, heads: usize) -> usize {
     assert!(heads > 0 && d.is_multiple_of(heads), "{what}: width {d} does not split into {heads} heads");
     d / heads
 }

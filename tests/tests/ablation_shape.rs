@@ -164,6 +164,19 @@ mod static_analysis {
     }
 
     #[test]
+    fn detects_ragged_intent_blocks() {
+        // 10 columns do not split into DGCF's 4 intent blocks.
+        let mut params = ParamSet::new();
+        let emb = leaf(&mut params, "emb", 8, 10);
+        let mut tr = ShapeTracer::new();
+        let table = tr.param(&params, emb);
+        let normed = tr.l2_normalize_heads(table, 1e-9, 4);
+        let loss = tr.mean_all(normed);
+        let report = audit(&tr, loss, &[], &params);
+        assert!(report.has(DiagnosticKind::ShapeMismatch), "no mismatch reported:\n{report}");
+    }
+
+    #[test]
     fn detects_index_range_violation() {
         let mut params = ParamSet::new();
         let emb = leaf(&mut params, "emb", 10, 4);

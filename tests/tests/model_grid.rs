@@ -157,6 +157,7 @@ impl Recorder for PerUnitOracle {
         fn gather(&mut self, a: Var, idx: Rc<Vec<usize>>);
         fn layer_norm_rows(&mut self, a: Var, eps: f32);
         fn l2_normalize_rows(&mut self, a: Var, eps: f32);
+        fn l2_normalize_heads(&mut self, a: Var, eps: f32, heads: usize);
         fn row_dots(&mut self, a: Var, b: Var);
         fn head_dots(&mut self, a: Var, b: Var, heads: usize);
         fn softmax_rows(&mut self, a: Var);

@@ -319,6 +319,35 @@ proptest! {
             "l2_normalize_rows",
         );
     }
+
+    #[test]
+    fn row_normalizer_backwards_are_bit_identical_across_threads(
+        x in matrix(23, 8),
+        g in matrix(23, 8),
+        log_heads in 0usize..3,
+        t in threads(),
+    ) {
+        let heads = 1 << log_heads;
+        // Zero one block of one row so the `eps` pass-through is exercised.
+        let mut x = x;
+        for c in 0..8 / heads {
+            x[(5, c)] = 0.0;
+        }
+        let run = |threads: usize| {
+            with_pool(threads, || {
+                let y = x.softmax_rows();
+                vec![
+                    x.l2_normalize_heads(1e-9, heads),
+                    Matrix::l2_normalize_heads_grad(&x, &g, 1e-9, heads),
+                    Matrix::softmax_rows_grad(&y, &g),
+                ]
+            })
+        };
+        let serial = run(1);
+        for (k, (a, b)) in serial.iter().zip(&run(t)).enumerate() {
+            assert_bits_eq(a, b, &format!("row normalizer output {k}"));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -130,7 +130,10 @@ fn run_backend_battery() {
     let mut sc = Matrix::zeros(12, 8);
     sc.scatter_add_rows(&idx, &a); // scatter_add_rows
     let _ = a.l2_normalize_rows(1e-6); // l2_normalize_rows
+    let _ = a.l2_normalize_heads(1e-6, 4); // l2_normalize_rows, 4 blocks
+    let _ = Matrix::l2_normalize_heads_grad(&a, &g, 1e-6, 4); // l2_normalize_rows_grad
     let _ = a.softmax_rows(); // softmax_rows
+    let _ = Matrix::softmax_rows_grad(&a.softmax_rows(), &g); // softmax_rows_grad
     let _ = a.layer_norm_rows(1e-6); // layer_norm_rows
     let y = a.layer_norm_rows(1e-6);
     let _ = Matrix::layer_norm_rows_grad(&a, &y, &g, 1e-6); // layer_norm_rows_grad
