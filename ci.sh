@@ -53,14 +53,17 @@ DGNN_THREADS=4 cargo run -q --release -p dgnn-bench --bin sanitize -- --check
 echo "=== [9/10] telemetry gate (percentile/prometheus properties + live scrape + flight dump) ==="
 cargo test -q -p dgnn-integration-tests --test telemetry
 
-echo "=== [10/10] benchmark harness (its own workspace: unit tests + a 2-second train_dgnn smoke) ==="
+echo "=== [10/10] benchmark harness (its own workspace: unit tests + 2-second train_dgnn/dgcf/hgt smokes) ==="
 # benchmark/ compiles against the crates' public API from outside the
 # workspace (Dgnn::{new,prepare,params,record_step,fit_epochs},
+# Dgcf::fit_epochs, Hgt::fit_epochs, training::TrainLoop::default().grad_clip,
 # Tape::{new,len,backward_into}, ParamSet, Adam, gemm::counters,
 # alloc_counters), so an API break fails here instead of in the bench
 # driver. It refuses to run with any DGNN_* variable set.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload train_dgnn --seed 7 --seconds 2 --trace 0 > /dev/null
+for workload in train_dgnn train_dgcf train_hgt; do
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 2 --trace 0 > /dev/null
+done
 
 echo "CI_OK"

@@ -12,15 +12,15 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_tensor::{Csr, Init};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Which classic variant to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,37 +196,29 @@ impl Trainable for Classic {
             friends,
         };
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let kind = self.kind;
         let layers = self.cfg.layers;
         let batch = self.cfg.batch_size;
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, rng| {
-                let (users, items) = forward(&st, kind, layers, tape, params);
-                let main = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
-                let needs_social =
-                    matches!(kind, ClassicKind::SoRec | ClassicKind::TrustMf);
-                if needs_social {
-                    if let Some(aux) = social_aux(&st, kind, tape, params, rng, batch.min(512))
-                    {
-                        let aux = tape.scale(aux, 0.5);
-                        return tape.add(main, aux);
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, rng| {
+                    let (users, items) = forward(&st, kind, layers, tape, params);
+                    let main = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
+                    let needs_social =
+                        matches!(kind, ClassicKind::SoRec | ClassicKind::TrustMf);
+                    if needs_social {
+                        if let Some(aux) = social_aux(&st, kind, tape, params, rng, batch.min(512))
+                        {
+                            let aux = tape.scale(aux, 0.5);
+                            return tape.add(main, aux);
+                        }
                     }
-                }
-                main
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items) = forward(&st, kind, layers, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+                    main
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| forward(&st, kind, layers, tape, &params));
     }
 }
 

@@ -1,11 +1,13 @@
-//! Shared baseline scaffolding: configuration, the flexible training loop,
-//! and the cached-embedding scorer.
+//! Shared baseline scaffolding: configuration, the shared trainer's
+//! baseline salt, and the cached-embedding scorer.
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, Optimizer, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{TrainSampler, Triple};
-use dgnn_tensor::{Matrix, PoolScope};
+use dgnn_autograd::{Adam, Recorder, Tape, Var};
+use dgnn_core::training::{BprTrainer, TrainLoop};
+use dgnn_data::Triple;
+use dgnn_graph::HeteroGraph;
+use dgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,6 +53,18 @@ impl BaselineConfig {
         self.threads = threads;
         self
     }
+
+    /// The shared BPR trainer for one fit on `g` at this configuration,
+    /// its sampling rng salted as every baseline's is.
+    pub(crate) fn trainer(&self, g: &HeteroGraph, seed: u64) -> BprTrainer {
+        BprTrainer::new(
+            g,
+            TrainLoop { batch_size: self.batch_size, ..TrainLoop::default() },
+            self.threads,
+            Adam::new(self.learning_rate, self.weight_decay),
+            StdRng::seed_from_u64(seed ^ 0xBA5E11E5),
+        )
+    }
 }
 
 /// Gathered per-batch triple indices as shared vectors for `Tape::gather`.
@@ -85,66 +99,6 @@ pub(crate) fn bpr_from_embeddings<R: Recorder>(
     tape.bpr_loss(ps, ns)
 }
 
-/// Flexible training loop: `forward` receives the tape, parameters, the
-/// batch, and an RNG (for models with auxiliary sampling such as EATNN's
-/// social task or MHCN's embedding corruption) and returns the scalar loss.
-/// One buffer pool serves the whole loop, so each step reuses the storage
-/// of the step before it.
-///
-/// Returns mean loss per epoch.
-pub(crate) fn train_loop(
-    cfg: &BaselineConfig,
-    params: &mut ParamSet,
-    adam: &mut Adam,
-    sampler: &TrainSampler,
-    seed: u64,
-    mut forward: impl FnMut(&mut Tape, &ParamSet, &[Triple], &mut StdRng) -> Var,
-) -> Vec<f32> {
-    let (epochs, batch_size) = (cfg.epochs, cfg.batch_size);
-    if cfg.threads > 0 {
-        dgnn_tensor::parallel::set_threads(cfg.threads);
-    }
-    dgnn_obs::gauge_set(
-        "parallel/threads",
-        dgnn_tensor::parallel::current_threads() as f64,
-    );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
-    let batches = sampler.num_positives().div_ceil(batch_size).max(1);
-    let mut losses = Vec::with_capacity(epochs);
-    let _pool = PoolScope::open();
-    for _ in 0..epochs {
-        let _epoch_span = dgnn_obs::span("epoch");
-        let mut epoch_loss = 0.0;
-        for _ in 0..batches {
-            let _batch_span = dgnn_obs::span("batch");
-            let triples = sampler.batch(&mut rng, batch_size);
-            let mut tape = Tape::new();
-            let loss = {
-                let _fwd = dgnn_obs::span("forward");
-                forward(&mut tape, params, &triples, &mut rng)
-            };
-            params.zero_grads();
-            {
-                let _bwd = dgnn_obs::span("backward");
-                epoch_loss += tape.backward_into(loss, params);
-            }
-            {
-                let _opt_span = dgnn_obs::span("optimizer");
-                let pre = params.clip_grad_norm(50.0);
-                dgnn_obs::hist_record("grad_norm/preclip", f64::from(pre));
-                if pre.is_finite() {
-                    dgnn_obs::hist_record("grad_norm/postclip", f64::from(pre.min(50.0)));
-                }
-                adam.step(params);
-            }
-        }
-        let mean = epoch_loss / batches as f32;
-        dgnn_obs::hist_record("epoch_mean_loss", f64::from(mean));
-        losses.push(mean);
-    }
-    losses
-}
-
 /// Cached final embeddings + dot-product scoring — the inference side every
 /// baseline shares.
 #[derive(Debug)]
@@ -160,6 +114,14 @@ impl Default for Scorer {
 }
 
 impl Scorer {
+    /// Caches the `(user, item)` embeddings that `forward` records onto a
+    /// fresh tape from the current parameters.
+    pub fn from_forward(forward: impl FnOnce(&mut Tape) -> (Var, Var)) -> Self {
+        let mut tape = Tape::new();
+        let (user, item) = forward(&mut tape);
+        Self { user: tape.value(user).clone(), item: tape.value(item).clone() }
+    }
+
     pub fn score(&self, model_name: &str, user: usize, items: &[usize]) -> Vec<f32> {
         assert!(
             !self.user.is_empty(),

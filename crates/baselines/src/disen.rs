@@ -13,14 +13,14 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler, Triple};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
-use dgnn_tensor::{Csr, Init, Matrix, PoolScope};
+use dgnn_tensor::{Csr, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Number of disentangled intents/aspects (both reference implementations
 /// default to 4).
@@ -181,58 +181,25 @@ impl Dgcf {
         seed: u64,
         mut on_epoch: impl FnMut(&Self, usize, f32),
     ) {
-        let g = &data.graph;
         let (mut params, st) = dgcf_build_state(&self.cfg, data, seed);
         let d = self.cfg.dim;
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
-        let batches = sampler.num_positives().div_ceil(self.cfg.batch_size).max(1);
+        let refresh = |params: &ParamSet| {
+            Scorer::from_forward(|tape| dgcf_forward(&st, d, tape, params))
+        };
+        let mut trainer = self.cfg.trainer(&data.graph, seed);
         self.loss_history.clear();
-        // One pool for the whole fit, the per-epoch scorer refresh included.
-        let _pool = PoolScope::open();
+        // The trainer's pool serves the per-epoch scorer refresh too.
         for epoch in 0..self.cfg.epochs {
-            let _epoch_span = dgnn_obs::span("epoch");
-            let mut epoch_loss = 0.0;
-            for _ in 0..batches {
-                let _batch_span = dgnn_obs::span("batch");
-                let triples = sampler.batch(&mut rng, self.cfg.batch_size);
-                let mut tape = Tape::new();
-                let loss = {
-                    let _fwd = dgnn_obs::span("forward");
-                    let (users, items) = dgcf_forward(&st, d, &mut tape, &params);
-                    bpr_from_embeddings(&mut tape, users, items, &BatchIdx::new(&triples))
-                };
-                params.zero_grads();
-                {
-                    let _bwd = dgnn_obs::span("backward");
-                    epoch_loss += tape.backward_into(loss, &mut params);
-                }
-                {
-                    let _opt_span = dgnn_obs::span("optimizer");
-                    let pre = params.clip_grad_norm(50.0);
-                    dgnn_obs::hist_record("grad_norm/preclip", f64::from(pre));
-                    if pre.is_finite() {
-                        dgnn_obs::hist_record("grad_norm/postclip", f64::from(pre.min(50.0)));
-                    }
-                    use dgnn_autograd::Optimizer;
-                    adam.step(&mut params);
-                }
-            }
-            let mean = epoch_loss / batches as f32;
-            dgnn_obs::hist_record("epoch_mean_loss", f64::from(mean));
+            let mean = trainer.epoch(&mut params, |tape, params, triples, _| {
+                let (users, items) = dgcf_forward(&st, d, tape, params);
+                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+            });
             self.loss_history.push(mean);
-            let mut tape = Tape::new();
-            let (users, items) = dgcf_forward(&st, d, &mut tape, &params);
-            self.scorer =
-                Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+            self.scorer = refresh(&params);
             on_epoch(self, epoch, mean);
         }
         if self.cfg.epochs == 0 {
-            let mut tape = Tape::new();
-            let (users, items) = dgcf_forward(&st, d, &mut tape, &params);
-            self.scorer =
-                Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+            self.scorer = refresh(&params);
         }
     }
 }
@@ -440,24 +407,16 @@ impl Trainable for DisenHan {
         let (mut params, st) = disen_build_state(&self.cfg, data, seed);
         let d = self.cfg.dim;
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, _| {
-                let (users, items) = disen_forward(&st, d, tape, params);
-                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items) = disen_forward(&st, d, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, _| {
+                    let (users, items) = disen_forward(&st, d, tape, params);
+                    bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| disen_forward(&st, d, tape, &params));
     }
 }
 
@@ -465,6 +424,8 @@ impl Trainable for DisenHan {
 mod tests {
     use super::*;
     use crate::common::testutil::{assert_beats_random, quick};
+    use dgnn_autograd::Tape;
+    use dgnn_data::TrainSampler;
 
     #[test]
     fn dgcf_beats_random() {

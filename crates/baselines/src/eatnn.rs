@@ -8,15 +8,15 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_tensor::Init;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Weight of the auxiliary social task in the joint loss.
 const SOCIAL_TASK_WEIGHT: f32 = 0.5;
@@ -128,34 +128,29 @@ impl Trainable for Eatnn {
         }
         let st = State { e_shared, e_social, e_item, gate_w, gate_b, ties, friends };
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let batch = self.cfg.batch_size;
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, rng| {
-                let (users, social) = user_repr(&st, tape, params);
-                let items = tape.param(params, st.e_item);
-                let main = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
-                match social_loss(&st, tape, social, rng, batch.min(512)) {
-                    Some(aux) => {
-                        let aux = tape.scale(aux, SOCIAL_TASK_WEIGHT);
-                        tape.add(main, aux)
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, rng| {
+                    let (users, social) = user_repr(&st, tape, params);
+                    let items = tape.param(params, st.e_item);
+                    let main = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
+                    match social_loss(&st, tape, social, rng, batch.min(512)) {
+                        Some(aux) => {
+                            let aux = tape.scale(aux, SOCIAL_TASK_WEIGHT);
+                            tape.add(main, aux)
+                        }
+                        None => main,
                     }
-                    None => main,
-                }
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, _) = user_repr(&st, &mut tape, &params);
-        let items = tape.param(&params, st.e_item);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| {
+            let (users, _) = user_repr(&st, tape, &params);
+            let items = tape.param(&params, st.e_item);
+            (users, items)
+        });
     }
 }
 

@@ -11,15 +11,15 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::compose;
 use dgnn_tensor::{Csr, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Per-row cap when composing meta-path graphs (keeps `U–V–U` sparse).
 const META_PATH_CAP: usize = 30;
@@ -189,24 +189,16 @@ impl Trainable for Han {
         let item_paths = vec![make_path("VUV", &vuv), make_path("VRV", &vrv)];
         let st = State { e_user, e_item, user_paths, item_paths };
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, _| {
-                let (users, items) = forward(&st, d, tape, params);
-                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items) = forward(&st, d, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, _| {
+                    let (users, items) = forward(&st, d, tape, params);
+                    bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| forward(&st, d, tape, &params));
     }
 }
 

@@ -10,8 +10,8 @@
 //! 2. A **fusion MF** combines the trainable MF embeddings with linear
 //!    transforms of the (frozen) path embeddings, trained with BPR.
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::{HeteroGraph, MetaPathStep, UnifiedView};
 use dgnn_tensor::{Init, Matrix};
@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Walks started per node and walk length.
 const WALKS_PER_NODE: usize = 4;
@@ -226,24 +226,16 @@ impl Trainable for Herec {
             item_fuse,
         };
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, _| {
-                let (users, items) = forward(&st, tape, params);
-                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items) = forward(&st, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, _| {
+                    let (users, items) = forward(&st, tape, params);
+                    bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| forward(&st, tape, &params));
     }
 }
 

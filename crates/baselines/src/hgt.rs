@@ -15,11 +15,11 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler, Triple};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::{EdgeType, UnifiedView};
-use dgnn_tensor::{Init, Matrix, PoolScope};
+use dgnn_tensor::{Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,54 +134,24 @@ impl Hgt {
         mut on_epoch: impl FnMut(&Self, usize, f32),
     ) {
         let (st, mut params) = build_state(&self.cfg, data, seed);
-        let sampler = TrainSampler::new(&data.graph);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let (layers, dim) = (self.cfg.layers, self.cfg.dim);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E11E5);
-        let batches = sampler.num_positives().div_ceil(self.cfg.batch_size).max(1);
+        let refresh = |params: &ParamSet| {
+            Scorer::from_forward(|tape| forward(&st, layers, dim, tape, params))
+        };
+        let mut trainer = self.cfg.trainer(&data.graph, seed);
         self.loss_history.clear();
-        // One pool for the whole fit, the per-epoch scorer refresh included.
-        let _pool = PoolScope::open();
+        // The trainer's pool serves the per-epoch scorer refresh too.
         for epoch in 0..self.cfg.epochs {
-            let _epoch_span = dgnn_obs::span("epoch");
-            let mut epoch_loss = 0.0;
-            for _ in 0..batches {
-                let _batch_span = dgnn_obs::span("batch");
-                let triples = sampler.batch(&mut rng, self.cfg.batch_size);
-                let mut tape = Tape::new();
-                let loss = {
-                    let _fwd = dgnn_obs::span("forward");
-                    let (users, items) = forward(&st, layers, dim, &mut tape, &params);
-                    bpr_from_embeddings(&mut tape, users, items, &BatchIdx::new(&triples))
-                };
-                params.zero_grads();
-                {
-                    let _bwd = dgnn_obs::span("backward");
-                    epoch_loss += tape.backward_into(loss, &mut params);
-                }
-                let _opt_span = dgnn_obs::span("optimizer");
-                let pre = params.clip_grad_norm(50.0);
-                dgnn_obs::hist_record("grad_norm/preclip", f64::from(pre));
-                if pre.is_finite() {
-                    dgnn_obs::hist_record("grad_norm/postclip", f64::from(pre.min(50.0)));
-                }
-                use dgnn_autograd::Optimizer;
-                adam.step(&mut params);
-            }
-            let mean = epoch_loss / batches as f32;
-            dgnn_obs::hist_record("epoch_mean_loss", f64::from(mean));
+            let mean = trainer.epoch(&mut params, |tape, params, triples, _| {
+                let (users, items) = forward(&st, layers, dim, tape, params);
+                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+            });
             self.loss_history.push(mean);
-            let mut tape = Tape::new();
-            let (users, items) = forward(&st, layers, dim, &mut tape, &params);
-            self.scorer =
-                Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+            self.scorer = refresh(&params);
             on_epoch(self, epoch, mean);
         }
         if self.cfg.epochs == 0 {
-            let mut tape = Tape::new();
-            let (users, items) = forward(&st, layers, dim, &mut tape, &params);
-            self.scorer =
-                Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+            self.scorer = refresh(&params);
         }
         self.state = Some((st, params));
     }
@@ -279,6 +249,8 @@ impl Trainable for Hgt {
 mod tests {
     use super::*;
     use crate::common::testutil::{assert_beats_random, quick};
+    use dgnn_autograd::Tape;
+    use dgnn_data::TrainSampler;
 
     #[test]
     fn hgt_beats_random() {

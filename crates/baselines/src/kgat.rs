@@ -8,15 +8,15 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::{EdgeType, UnifiedView};
 use dgnn_tensor::Init;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Edges of one family in *global* indices, grouped by destination.
 struct FamilyEdges {
@@ -179,25 +179,17 @@ impl Trainable for Kgat {
             num_nodes: view.num_nodes(),
         };
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let layers = self.cfg.layers;
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, _| {
-                let (users, items) = forward(&st, layers, tape, params);
-                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items) = forward(&st, layers, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, _| {
+                    let (users, items) = forward(&st, layers, tape, params);
+                    bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| forward(&st, layers, tape, &params));
     }
 }
 

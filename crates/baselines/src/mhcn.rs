@@ -11,8 +11,8 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler, Triple};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::compose;
 use dgnn_tensor::{Csr, CsrBuilder, Init, Matrix};
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Weight of the self-supervised InfoMax term.
 const SSL_WEIGHT: f32 = 0.1;
@@ -275,35 +275,30 @@ impl Trainable for Mhcn {
         let g = &data.graph;
         let (mut params, st) = build_state(&self.cfg, data, seed);
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let layers = self.cfg.layers;
         let num_users = g.num_users();
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, rng| {
-                let (users, items, channel_embs) = forward(&st, layers, tape, params);
-                let rec = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
-                let mut shuffle: Vec<usize> = (0..num_users).collect();
-                shuffle.shuffle(rng);
-                match ssl_loss(tape, &channel_embs, &Rc::new(shuffle)) {
-                    Some(ssl) => {
-                        let ssl = tape.scale(ssl, SSL_WEIGHT);
-                        tape.add(rec, ssl)
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, rng| {
+                    let (users, items, channel_embs) = forward(&st, layers, tape, params);
+                    let rec = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
+                    let mut shuffle: Vec<usize> = (0..num_users).collect();
+                    shuffle.shuffle(rng);
+                    match ssl_loss(tape, &channel_embs, &Rc::new(shuffle)) {
+                        Some(ssl) => {
+                            let ssl = tape.scale(ssl, SSL_WEIGHT);
+                            tape.add(rec, ssl)
+                        }
+                        None => rec,
                     }
-                    None => rec,
-                }
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items, _) = forward(&st, layers, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| {
+            let (users, items, _) = forward(&st, layers, tape, &params);
+            (users, items)
+        });
     }
 }
 

@@ -8,15 +8,15 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler, Triple};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{EmbeddingExport, Recommender, Trainable};
 use dgnn_graph::UnifiedView;
 use dgnn_tensor::{Csr, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{bpr_from_embeddings, train_loop, BaselineConfig, BatchIdx, Scorer};
+use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Which CF variant to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,25 +144,17 @@ impl GraphCf {
         let g = &data.graph;
         let (mut params, st) = build_state(self.variant, &self.cfg, data, seed);
 
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
         let (variant, layers) = (self.variant, self.cfg.layers);
-        self.loss_history = train_loop(
-            &self.cfg,
-            &mut params,
-            &mut adam,
-            &sampler,
-            seed,
-            |tape, params, triples, _| {
-                let (users, items) = forward(&st, variant, layers, tape, params);
-                bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
-            },
-        );
-
-        let mut tape = Tape::new();
-        let (users, items) = forward(&st, variant, layers, &mut tape, &params);
-        self.scorer =
-            Scorer { user: tape.value(users).clone(), item: tape.value(items).clone() };
+        let mut trainer = self.cfg.trainer(g, seed);
+        self.loss_history = (0..self.cfg.epochs)
+            .map(|_| {
+                trainer.epoch(&mut params, |tape, params, triples, _| {
+                    let (users, items) = forward(&st, variant, layers, tape, params);
+                    bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples))
+                })
+            })
+            .collect();
+        self.scorer = Scorer::from_forward(|tape| forward(&st, variant, layers, tape, &params));
     }
 
     fn score(&self, user: usize, items: &[usize]) -> Vec<f32> {

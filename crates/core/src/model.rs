@@ -2,8 +2,8 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, Optimizer, ParamId, ParamSet, Recorder, Tape, Var};
-use dgnn_data::{Dataset, TrainSampler, Triple};
+use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::HeteroGraph;
 use dgnn_tensor::{Csr, CsrBuilder, Init, Matrix};
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::DgnnConfig;
-use crate::training::TrainLoop;
+use crate::training::{BprTrainer, TrainLoop};
 
 /// The memory banks of the relation heterogeneity encoder: one per
 /// directed relation family plus one self-loop bank per node type
@@ -210,64 +210,26 @@ impl Dgnn {
     ) {
         let g = &data.graph;
         self.init_params(g, seed);
-        if self.cfg.threads > 0 {
-            dgnn_tensor::parallel::set_threads(self.cfg.threads);
-        }
-        dgnn_obs::gauge_set(
-            "parallel/threads",
-            dgnn_tensor::parallel::current_threads() as f64,
+        let mut trainer = BprTrainer::new(
+            g,
+            TrainLoop { batch_size: self.cfg.batch_size, ..TrainLoop::default() },
+            self.cfg.threads,
+            Adam::new(self.cfg.learning_rate, self.cfg.weight_decay),
+            StdRng::seed_from_u64(seed ^ 0xB1E5_5ED),
         );
-        let sampler = TrainSampler::new(g);
-        let mut adam = Adam::new(self.cfg.learning_rate, self.cfg.weight_decay);
-        let loop_cfg = TrainLoop {
-            epochs: self.cfg.epochs,
-            batch_size: self.cfg.batch_size,
-            ..TrainLoop::default()
-        };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB1E5_5ED);
-        let batches_per_epoch =
-            sampler.num_positives().div_ceil(loop_cfg.batch_size).max(1);
         self.loss_history.clear();
-
-        // One pool for the whole fit, the per-epoch `finalize` forward
-        // included: every step reuses the storage of the step before it.
-        let _pool = dgnn_tensor::PoolScope::open();
-        for epoch in 0..loop_cfg.epochs {
-            let _epoch_span = dgnn_obs::span("epoch");
-            let mut epoch_loss = 0.0;
-            for _ in 0..batches_per_epoch {
-                let _batch_span = dgnn_obs::span("batch");
-                let triples = sampler.batch(&mut rng, loop_cfg.batch_size);
-                let mut tape = Tape::new();
-                let loss = {
-                    let _fwd = dgnn_obs::span("forward");
-                    self.record_step(&mut tape, &triples)
-                };
-                self.params.zero_grads();
-                {
-                    let _bwd = dgnn_obs::span("backward");
-                    epoch_loss += tape.backward_into(loss, &mut self.params);
-                }
-                {
-                    let _opt_span = dgnn_obs::span("optimizer");
-                    let pre = self.params.clip_grad_norm(loop_cfg.grad_clip);
-                    dgnn_obs::hist_record("grad_norm/preclip", f64::from(pre));
-                    if pre.is_finite() {
-                        dgnn_obs::hist_record(
-                            "grad_norm/postclip",
-                            f64::from(pre.min(loop_cfg.grad_clip)),
-                        );
-                    }
-                    adam.step(&mut self.params);
-                }
-            }
-            let mean = epoch_loss / batches_per_epoch as f32;
-            dgnn_obs::hist_record("epoch_mean_loss", f64::from(mean));
+        // The trainer's pool serves the per-epoch `finalize` forward too.
+        for epoch in 0..self.cfg.epochs {
+            // PANICS: init_params above always sets the handles.
+            let (cfg, handles) = (&self.cfg, self.handles.as_ref().expect("initialized above"));
+            let mean = trainer.epoch(&mut self.params, |tape, params, triples, _| {
+                bpr_step(tape, params, handles, cfg, triples)
+            });
             self.loss_history.push(mean);
             self.finalize();
             on_epoch(self, epoch, mean);
         }
-        if loop_cfg.epochs == 0 {
+        if self.cfg.epochs == 0 {
             self.finalize();
         }
     }
@@ -298,20 +260,10 @@ impl Dgnn {
     /// # Panics
     /// Panics if called before [`Dgnn::prepare`] (or `fit`).
     pub fn record_step<R: Recorder>(&self, rec: &mut R, triples: &[Triple]) -> Var {
-        let _span = dgnn_obs::span("dgnn/record_step");
         // PANICS: construction order is enforced by the public API — both
         // callers run prepare/init_params first.
         let handles = self.handles.as_ref().expect("record_step before prepare");
-        let fwd = forward(rec, &self.params, handles, &self.cfg);
-        let users: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.user as usize).collect());
-        let pos: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.pos as usize).collect());
-        let neg: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.neg as usize).collect());
-        let ue = rec.gather(fwd.user_scoring, users);
-        let pe = rec.gather(fwd.item_final, pos);
-        let ne = rec.gather(fwd.item_final, neg);
-        let ps = rec.row_dots(ue, pe);
-        let ns = rec.row_dots(ue, ne);
-        rec.bpr_loss(ps, ns)
+        bpr_step(rec, &self.params, handles, &self.cfg, triples)
     }
 
     fn init_params(&mut self, g: &HeteroGraph, seed: u64) {
@@ -530,6 +482,29 @@ impl Trainable for Dgnn {
     fn fit(&mut self, data: &Dataset, seed: u64) {
         self.fit_epochs(data, seed, |_, _, _| {});
     }
+}
+
+/// One training step's graph — the forward pass plus BPR loss over
+/// `triples` — behind both [`Dgnn::record_step`] and the step `fit_epochs`
+/// differentiates.
+fn bpr_step<R: Recorder>(
+    rec: &mut R,
+    params: &ParamSet,
+    handles: &Handles,
+    cfg: &DgnnConfig,
+    triples: &[Triple],
+) -> Var {
+    let _span = dgnn_obs::span("dgnn/record_step");
+    let fwd = forward(rec, params, handles, cfg);
+    let users: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.user as usize).collect());
+    let pos: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.pos as usize).collect());
+    let neg: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.neg as usize).collect());
+    let ue = rec.gather(fwd.user_scoring, users);
+    let pe = rec.gather(fwd.item_final, pos);
+    let ne = rec.gather(fwd.item_final, neg);
+    let ps = rec.row_dots(ue, pe);
+    let ns = rec.row_dots(ue, ne);
+    rec.bpr_loss(ps, ns)
 }
 
 /// Forward-pass outputs (tape variables).

@@ -5,12 +5,13 @@ use std::borrow::Cow;
 use std::rc::Rc;
 
 use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape};
-use dgnn_core::training::{run_bpr, TrainLoop};
-use dgnn_core::Dgnn;
-use dgnn_data::TrainSampler;
+use dgnn_baselines::{BaselineConfig, Dgcf, Hgt, Mhcn};
+use dgnn_core::training::{BprTrainer, TrainLoop};
+use dgnn_core::{Dgnn, DgnnConfig};
+use dgnn_data::{tiny, TrainSampler};
 use dgnn_eval::Trainable;
 use dgnn_graph::{HeteroGraph, HeteroGraphBuilder};
-use dgnn_integration_tests::quick_dgnn;
+use dgnn_integration_tests::{quick_baseline, quick_dgnn};
 use dgnn_obs::export::{chrome_trace, events_to_jsonl, snapshot_to_json, span_totals};
 use dgnn_obs::{SpanEvent, SpanPhase};
 use dgnn_tensor::Init;
@@ -33,22 +34,22 @@ fn planted_graph() -> HeteroGraph {
     b.build()
 }
 
-/// Matrix-factorization BPR on the planted graph, the smallest real
-/// consumer of `run_bpr`.
-fn run_mf_bpr(graph: &HeteroGraph, loop_cfg: TrainLoop) {
-    let sampler = TrainSampler::new(graph);
+/// Matrix-factorization BPR on the planted graph through the shared
+/// epoch, the smallest real consumer of `BprTrainer`.
+fn run_mf_bpr(graph: &HeteroGraph, loop_cfg: TrainLoop, epochs: usize) {
     let mut rng = StdRng::seed_from_u64(0);
     let mut params = ParamSet::new();
     let eu = params.add("eu", Init::Uniform(0.1).build(4, 32, &mut rng));
     let ev = params.add("ev", Init::Uniform(0.1).build(12, 32, &mut rng));
-    let mut adam = Adam::new(0.05, 1e-5);
-    run_bpr(
+    let mut trainer = BprTrainer::new(
+        graph,
         loop_cfg,
-        &mut params,
-        &mut adam,
-        &sampler,
-        7,
-        |tape, params, triples| {
+        0,
+        Adam::new(0.05, 1e-5),
+        StdRng::seed_from_u64(7 ^ 0xB1E5_5ED),
+    );
+    for _ in 0..epochs {
+        trainer.epoch(&mut params, |tape, params, triples, _| {
             let eu = tape.param(params, eu);
             let ev = tape.param(params, ev);
             let users: Rc<Vec<usize>> =
@@ -60,25 +61,19 @@ fn run_mf_bpr(graph: &HeteroGraph, loop_cfg: TrainLoop) {
             let ue = tape.gather(eu, users);
             let pe = tape.gather(ev, pos);
             let ne = tape.gather(ev, neg);
-            (tape.row_dots(ue, pe), tape.row_dots(ue, ne))
-        },
-        |_, _| {},
-    );
+            let (ps, ns) = (tape.row_dots(ue, pe), tape.row_dots(ue, ne));
+            tape.bpr_loss(ps, ns)
+        });
+    }
 }
 
-#[test]
-fn run_bpr_emits_exactly_epochs_times_batches_batch_spans() {
-    let graph = planted_graph();
-    let loop_cfg = TrainLoop { epochs: 3, batch_size: 8, grad_clip: 10.0 };
-    let batches_per_epoch = TrainSampler::new(&graph)
-        .num_positives()
-        .div_ceil(loop_cfg.batch_size)
-        .max(1);
-    assert_eq!(batches_per_epoch, 3, "planted graph: 24 positives / 8 per batch");
-
+/// Records the spans `fit` emits and checks the shared epoch's shape:
+/// `epochs` epoch spans, `epochs × batches_per_epoch` batch spans, one
+/// forward/backward/optimizer span per batch, balanced and monotone.
+fn assert_epoch_spans(what: &str, epochs: usize, batches_per_epoch: usize, fit: impl FnOnce()) {
     dgnn_obs::reset();
     dgnn_obs::enable();
-    run_mf_bpr(&graph, loop_cfg);
+    fit();
     let events = dgnn_obs::take_events();
     dgnn_obs::disable();
     dgnn_obs::reset();
@@ -87,12 +82,12 @@ fn run_bpr_emits_exactly_epochs_times_batches_batch_spans() {
         .iter()
         .filter(|e| e.name == "batch" && e.phase == SpanPhase::Begin)
         .count();
-    assert_eq!(batch_begins, loop_cfg.epochs * batches_per_epoch);
+    assert_eq!(batch_begins, epochs * batches_per_epoch, "{what}: batch spans");
     let epoch_begins = events
         .iter()
         .filter(|e| e.name == "epoch" && e.phase == SpanPhase::Begin)
         .count();
-    assert_eq!(epoch_begins, loop_cfg.epochs);
+    assert_eq!(epoch_begins, epochs, "{what}: epoch spans");
 
     // Every batch contains exactly one forward, backward, and optimizer span.
     for inner in ["forward", "backward", "optimizer"] {
@@ -100,7 +95,7 @@ fn run_bpr_emits_exactly_epochs_times_batches_batch_spans() {
             .iter()
             .filter(|e| e.name == inner && e.phase == SpanPhase::Begin)
             .count();
-        assert_eq!(n, batch_begins, "one {inner} span per batch");
+        assert_eq!(n, batch_begins, "{what}: one {inner} span per batch");
     }
 
     // Timestamps are monotone and begin/end pairs balance at every depth.
@@ -130,10 +125,70 @@ fn run_bpr_emits_exactly_epochs_times_batches_batch_spans() {
 }
 
 #[test]
+fn every_fit_emits_exactly_epochs_times_batches_batch_spans() {
+    let graph = planted_graph();
+    let loop_cfg = TrainLoop { batch_size: 8, grad_clip: 10.0 };
+    let batches_per_epoch = TrainSampler::new(&graph)
+        .num_positives()
+        .div_ceil(loop_cfg.batch_size)
+        .max(1);
+    assert_eq!(batches_per_epoch, 3, "planted graph: 24 positives / 8 per batch");
+    assert_epoch_spans("MF", 3, batches_per_epoch, || run_mf_bpr(&graph, loop_cfg, 3));
+
+    // The models' own epoch loops: DGNN's, the two with a per-epoch hook,
+    // and MHCN, whose step draws from the sampling rng.
+    let data = tiny(5);
+    let epochs = 2;
+    let batches = |batch_size: usize| {
+        TrainSampler::new(&data.graph).num_positives().div_ceil(batch_size).max(1)
+    };
+    let dgnn = DgnnConfig { epochs, ..quick_dgnn() };
+    assert_epoch_spans("DGNN", epochs, batches(dgnn.batch_size), || {
+        Dgnn::new(dgnn.clone()).fit(&data, 1)
+    });
+    let cfg = BaselineConfig { epochs, ..quick_baseline() };
+    let fits: [(&str, Box<dyn Trainable>); 3] = [
+        ("DGCF", Box::new(Dgcf::new(cfg.clone()))),
+        ("HGT", Box::new(Hgt::new(cfg.clone()))),
+        ("MHCN", Box::new(Mhcn::new(cfg.clone()))),
+    ];
+    for (what, mut model) in fits {
+        assert_epoch_spans(what, epochs, batches(cfg.batch_size), || model.fit(&data, 1));
+    }
+}
+
+/// Every model applies `threads` to the fitting thread's kernel pool and
+/// publishes the width it trains at.
+#[test]
+fn every_model_trains_at_its_configured_thread_count() {
+    const THREADS: usize = 3;
+    let dgnn = DgnnConfig { epochs: 1, threads: THREADS, ..quick_dgnn() };
+    let cfg = BaselineConfig { epochs: 1, ..quick_baseline() }.with_threads(THREADS);
+    let models = dgnn_baselines::all_models(&cfg).len() + 1;
+    for i in 0..models {
+        let (dgnn, cfg) = (dgnn.clone(), cfg.clone());
+        let (name, threads, gauge) = std::thread::spawn(move || {
+            let mut model: Box<dyn Trainable> = match i {
+                0 => Box::new(Dgnn::new(dgnn)),
+                _ => dgnn_baselines::all_models(&cfg).swap_remove(i - 1),
+            };
+            dgnn_obs::enable();
+            model.fit(&tiny(5), 1);
+            let gauge = dgnn_obs::snapshot().gauges.get("parallel/threads").copied();
+            (model.name().to_string(), dgnn_tensor::parallel::current_threads(), gauge)
+        })
+        .join()
+        .expect("fit thread panicked");
+        assert_eq!(threads, THREADS, "{name} trains at the configured width");
+        assert_eq!(gauge, Some(THREADS as f64), "{name} publishes parallel/threads");
+    }
+}
+
+#[test]
 fn disabled_observer_records_nothing_across_a_full_fit() {
     dgnn_obs::reset();
     dgnn_obs::disable();
-    let data = dgnn_data::tiny(11);
+    let data = tiny(11);
     Dgnn::new(quick_dgnn()).fit(&data, 3);
     assert!(dgnn_obs::take_events().is_empty(), "no span events while disabled");
     let snap = dgnn_obs::snapshot();
@@ -147,7 +202,7 @@ fn disabled_observer_records_nothing_across_a_full_fit() {
 fn dgnn_fit_populates_every_metric_family() {
     dgnn_obs::reset();
     dgnn_obs::enable();
-    let data = dgnn_data::tiny(11);
+    let data = tiny(11);
     Dgnn::new(quick_dgnn()).fit(&data, 3);
     let events = dgnn_obs::take_events();
     let snap = dgnn_obs::snapshot();
