@@ -31,13 +31,8 @@
 //!    adjacent `// SAFETY:` comment whose justification text is at least
 //!    20 characters (marker-only or token justifications don't count; the
 //!    comment must actually argue the invariant).
-//! 12. partition-contract: any `par_row_chunks(` / `par_segment_chunks(` /
-//!    `run_parts(` call site outside the kernel modules that own them
-//!    (`tensor/src/{parallel,dense,segment,sparse,topk}.rs`) needs a nearby
-//!    `// CONTRACT: <kernel>` tag naming a contract registered in
-//!    `dgnn_analysis::race_checker` — a parallel dispatch with no
-//!    registered partition contract cannot be proven race-free by the
-//!    sanitizer.
+//! 12. (retired with the race sanitizer; rules 13–15 keep their numbers
+//!    because code comments and the docs cite them.)
 //! 13. metric-name: a string literal passed as the first argument of
 //!    `hist_record(` / `gauge_set(` / `counter_add(` must
 //!    match `^[a-z0-9_]+(/[a-z0-9_]+)*$` (lower_snake segments joined by
@@ -99,9 +94,6 @@ struct Needles {
     println: String,
     spawn: String,
     thread_builder: String,
-    par_chunks: String,
-    par_segment_chunks: String,
-    run_parts: String,
     std_arch: String,
     core_arch: String,
     hist_record: String,
@@ -126,9 +118,6 @@ impl Needles {
             println: format!("print{}!", "ln"),
             spawn: format!("thread::sp{}", "awn"),
             thread_builder: format!("thread::Buil{}", "der"),
-            par_chunks: format!("par_row_chu{}(", "nks"),
-            par_segment_chunks: format!("par_segment_chu{}(", "nks"),
-            run_parts: format!("run_pa{}(", "rts"),
             std_arch: format!("std::a{}", "rch"),
             core_arch: format!("core::a{}", "rch"),
             hist_record: format!("hist_rec{}(", "ord"),
@@ -343,16 +332,6 @@ fn safety_justification_len(lines: &[&str], idx: usize) -> Option<usize> {
     Some(len)
 }
 
-/// The kernel named by the nearest `// CONTRACT: <kernel>` tag in the
-/// window before `idx`, or `None` when no tag is present.
-fn contract_marker_name(lines: &[&str], idx: usize) -> Option<String> {
-    let start = idx.saturating_sub(MARKER_WINDOW);
-    let marker_at = (start..=idx).rev().find(|&j| lines[j].contains("CONTRACT:"))?;
-    let p = lines[marker_at].find("CONTRACT:")?;
-    let tail = &lines[marker_at][p + "CONTRACT:".len()..];
-    tail.split_whitespace().next().map(str::to_string)
-}
-
 /// `.expect("...")` with a message of at least 10 characters counts as
 /// self-justifying. `start` points at the needle's opening parenthesis.
 fn expect_message_len(code: &str, paren: usize) -> usize {
@@ -411,19 +390,6 @@ fn lint_file(
     // Rule 8 applies everywhere except the kernel pool itself: the one
     // place allowed to own worker threads.
     let par_scope = !file.ends_with(Path::new("tensor/src/parallel.rs"));
-    // Rule 12 exempts the kernel modules that own pool dispatch: their
-    // partition contracts are declared in dgnn_analysis::race_checker and
-    // proved at runtime by the shadow-access sanitizer. Everywhere else a
-    // dispatch must name the contract it runs under.
-    let contract_scope = ![
-        "tensor/src/parallel.rs",
-        "tensor/src/dense.rs",
-        "tensor/src/segment.rs",
-        "tensor/src/sparse.rs",
-        "tensor/src/topk.rs",
-    ]
-    .iter()
-    .any(|tail| file.ends_with(Path::new(tail)));
     // Rule 14 exempts the packed-GEMM kernel module, the one place that
     // owns raw SIMD: its microkernels sit behind runtime feature detection
     // and the backend-selection/determinism contracts.
@@ -641,36 +607,6 @@ fn lint_file(
                          length-checked reads belong to the shard loader"
                     .to_string(),
             });
-        }
-        if contract_scope
-            && (code.contains(needles.par_chunks.as_str())
-                || code.contains(needles.par_segment_chunks.as_str())
-                || code.contains(needles.run_parts.as_str()))
-        {
-            match contract_marker_name(&lines, i) {
-                Some(name)
-                    if dgnn_analysis::race_checker::contract_names()
-                        .contains(&name.as_str()) => {}
-                Some(name) => violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    rule: "partition-contract",
-                    detail: format!(
-                        "// CONTRACT: tag names `{name}`, which is not \
-                         registered in dgnn_analysis::race_checker; the \
-                         sanitizer cannot prove an unregistered dispatch"
-                    ),
-                }),
-                None => violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    rule: "partition-contract",
-                    detail: "pool dispatch outside the kernel modules without a \
-                             nearby // CONTRACT: <kernel> tag naming its \
-                             registered partition contract"
-                        .to_string(),
-                }),
-            }
         }
         for needle in [&needles.hist_record, &needles.gauge_set, &needles.counter_add] {
             // Gate on the stripped code (so doc/comment examples never
@@ -892,50 +828,6 @@ mod tests {
             "{attr}\nmod tests {{\n    // SAFETY: test-local buffer outlives the read and is in-bounds.\n    fn f() {{ let v = unsafe {{ p.read() }}; }}\n}}\n"
         );
         lint_file(path, &in_test_ok, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn partition_contract_demands_registered_kernel_tags() {
-        let needles = Needles::new();
-        let mut violations = Vec::new();
-        let mut todos = 0;
-        let text = format!("dgnn_tensor::parallel::{}4, |p| body(p));\n", needles.run_parts);
-
-        // Outside the kernel modules an untagged dispatch fires.
-        lint_file(Path::new("crates/core/src/model.rs"), &text, &needles, &mut violations, &mut todos);
-        assert_eq!(violations.len(), 1, "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-        assert_eq!(violations[0].rule, "partition-contract");
-
-        // A tag naming an unregistered kernel still fires.
-        violations.clear();
-        let bogus = format!("// CONTRACT: not_a_kernel\n{text}");
-        lint_file(Path::new("crates/core/src/model.rs"), &bogus, &needles, &mut violations, &mut todos);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "partition-contract");
-        assert!(violations[0].detail.contains("not_a_kernel"));
-
-        // A registered kernel name justifies the dispatch; par_row_chunks
-        // sites are covered by the same rule.
-        violations.clear();
-        let tagged = format!("// CONTRACT: spmm\n{text}");
-        lint_file(Path::new("crates/core/src/model.rs"), &tagged, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-        violations.clear();
-        let chunks = format!("// CONTRACT: matmul\ncrate::parallel::{}args);\n", needles.par_chunks);
-        lint_file(Path::new("crates/core/src/model.rs"), &chunks, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
-
-        // Segment dispatch is a pool dispatch too: untagged it fires.
-        let segments = format!("crate::parallel::{}args);\n", needles.par_segment_chunks);
-        lint_file(Path::new("crates/core/src/model.rs"), &segments, &needles, &mut violations, &mut todos);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "partition-contract");
-
-        // The kernel modules that own pool dispatch are exempt.
-        violations.clear();
-        lint_file(Path::new("crates/tensor/src/dense.rs"), &text, &needles, &mut violations, &mut todos);
-        lint_file(Path::new("crates/tensor/src/segment.rs"), &segments, &needles, &mut violations, &mut todos);
         assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
     }
 

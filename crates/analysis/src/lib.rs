@@ -54,7 +54,6 @@
 
 mod audit;
 pub mod json;
-pub mod race_checker;
 mod tracer;
 
 pub use audit::{audit, AuditReport};

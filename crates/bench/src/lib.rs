@@ -3,10 +3,9 @@
 //! shared configuration it trains with (see DESIGN.md §3 for the
 //! experiment index).
 //!
-//! Two tool binaries sit beside `reproduce`: `profile` (per-op training
-//! profile plus two same-run ratio gates) and `sanitize` (the
-//! race-sanitizer contract proof). Speed is measured by the `benchmark/`
-//! ruler, not here.
+//! One tool binary sits beside `reproduce`: `profile` (per-op training
+//! profile plus two same-run ratio gates). Speed is measured by the
+//! `benchmark/` ruler, not here.
 
 #![warn(missing_docs)]
 

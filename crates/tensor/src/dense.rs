@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
-use crate::sanitize::{Access, OUT};
 use crate::{gemm, parallel, pool, segment};
 
 /// A row-major dense matrix of `f32`.
@@ -199,10 +198,7 @@ impl Matrix {
         let mut out = Matrix { rows: m, cols: n, data: pool::alloc_overwritten(m * n) };
         let tail = packed_tail(rhs);
         let (a, b) = (&self.data[..], gemm::Rhs::InPlace { b: &rhs.data, tail: &tail });
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * k..r.end * k), Access::read(1, 0..rhs.data.len())]
-        };
-        parallel::par_row_chunks("gemm_nn_packed", &mut out.data, m, n, k.saturating_mul(n), reads, |rows, chunk| {
+        parallel::par_row_chunks(&mut out.data, m, n, k.saturating_mul(n), |rows, chunk| {
             let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
             gemm::tile_loop(be, &lhs, &b, k, n, rows.len(), chunk);
         });
@@ -211,16 +207,13 @@ impl Matrix {
     }
 
     /// The pre-packing scalar `matmul`: cache-blocked i-k-j loops
-    /// ([`matmul_rows`]) under the legacy `matmul` partition contract.
+    /// ([`matmul_rows`]).
     fn matmul_legacy(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let (k, n) = (self.cols, rhs.cols);
         let a = &self.data;
         let b = &rhs.data;
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * k..r.end * k), Access::read(1, 0..b.len())]
-        };
-        parallel::par_row_chunks("matmul", &mut out.data, self.rows, n, k.saturating_mul(n), reads, |rows, chunk| {
+        parallel::par_row_chunks(&mut out.data, self.rows, n, k.saturating_mul(n), |rows, chunk| {
             matmul_rows(a, b, k, n, &rows, chunk);
         });
         out
@@ -247,19 +240,8 @@ impl Matrix {
         let mut out = Matrix { rows: c, cols: n, data: pool::alloc_overwritten(c * n) };
         let tail = packed_tail(rhs);
         let (a, b) = (&self.data[..], gemm::Rhs::InPlace { b: &rhs.data, tail: &tail });
-        // Each partition reads a *column* band of `self`: elements
-        // `k*c + i` for its output rows `i` — a strided span, not a
-        // contiguous one (declaring the whole of `a` would be over-broad) —
-        // and, from the second `k` block on, its own output rows back.
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(OUT, r.start * n..r.end * n),
-                Access::read_strided(0, r.start, r.len(), c, if r.is_empty() { 0 } else { m }),
-                Access::read(1, 0..rhs.data.len()),
-            ]
-        };
         // The reduction dimension here is `m` (rows of `self`).
-        parallel::par_row_chunks("gemm_tn_packed", &mut out.data, c, n, m.saturating_mul(n), reads, |rows, chunk| {
+        parallel::par_row_chunks(&mut out.data, c, n, m.saturating_mul(n), |rows, chunk| {
             let lhs = gemm::Lhs { data: a, lane: |r| rows.start + r, k_stride: c };
             gemm::tile_loop_blocked(be, &lhs, &b, m, n, rows.len(), chunk);
         });
@@ -268,19 +250,13 @@ impl Matrix {
     }
 
     /// The pre-packing scalar `matmul_tn`: serial-order k-i-j loops
-    /// ([`matmul_tn_rows`]) under the legacy `matmul_tn` contract.
+    /// ([`matmul_tn_rows`]).
     fn matmul_tn_legacy(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, rhs.cols);
         let (m, c, n) = (self.rows, self.cols, rhs.cols);
         let a = &self.data;
         let b = &rhs.data;
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read_strided(0, r.start, r.len(), c, if r.is_empty() { 0 } else { m }),
-                Access::read(1, 0..b.len()),
-            ]
-        };
-        parallel::par_row_chunks("matmul_tn", &mut out.data, c, n, m.saturating_mul(n), reads, |rows, chunk| {
+        parallel::par_row_chunks(&mut out.data, c, n, m.saturating_mul(n), |rows, chunk| {
             matmul_tn_rows(a, b, m, c, n, &rows, chunk);
         });
         out
@@ -304,10 +280,7 @@ impl Matrix {
         let mut out = Matrix { rows: m, cols: jn, data: pool::alloc_overwritten(m * jn) };
         let pb = packed_bt(rhs);
         let (a, b) = (&self.data[..], gemm::Rhs::Packed(&pb));
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * k..r.end * k), Access::read(1, 0..pb.len())]
-        };
-        parallel::par_row_chunks("gemm_nt_packed", &mut out.data, m, jn, k.saturating_mul(jn), reads, |rows, chunk| {
+        parallel::par_row_chunks(&mut out.data, m, jn, k.saturating_mul(jn), |rows, chunk| {
             let lhs = gemm::Lhs { data: a, lane: |r| (rows.start + r) * k, k_stride: 1 };
             gemm::tile_loop(be, &lhs, &b, k, jn, rows.len(), chunk);
         });
@@ -316,16 +289,13 @@ impl Matrix {
     }
 
     /// The pre-packing scalar `matmul_nt`: per-row dot products
-    /// ([`matmul_nt_rows`]) under the legacy `matmul_nt` contract.
+    /// ([`matmul_nt_rows`]).
     fn matmul_nt_legacy(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         let (k, jn) = (self.cols, rhs.rows);
         let a = &self.data;
         let b = &rhs.data;
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * k..r.end * k), Access::read(1, 0..b.len())]
-        };
-        parallel::par_row_chunks("matmul_nt", &mut out.data, self.rows, jn, k.saturating_mul(jn), reads, |rows, chunk| {
+        parallel::par_row_chunks(&mut out.data, self.rows, jn, k.saturating_mul(jn), |rows, chunk| {
             matmul_nt_rows(a, b, k, jn, &rows, chunk);
         });
         out
@@ -380,9 +350,7 @@ impl Matrix {
         );
         let mut data = pool::alloc_overwritten(self.data.len());
         let (a, b) = (&self.data, &rhs.data);
-        let reads =
-            |r: &Range<usize>| vec![Access::read(0, r.clone()), Access::read(1, r.clone())];
-        parallel::par_row_chunks(what, &mut data, a.len(), 1, work_per_elem, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, a.len(), 1, work_per_elem, |range, chunk| {
             for ((o, &x), &y) in chunk.iter_mut().zip(&a[range.clone()]).zip(&b[range]) {
                 *o = f(x, y);
             }
@@ -394,8 +362,7 @@ impl Matrix {
     pub fn add_assign(&mut self, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "add_assign: shape mismatch");
         let b = &rhs.data;
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.clone()), Access::read(0, r.clone())];
-        parallel::par_row_chunks("add_assign", &mut self.data, b.len(), 1, 2, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut self.data, b.len(), 1, 2, |range, chunk| {
             for (a, &v) in chunk.iter_mut().zip(&b[range]) {
                 *a += v;
             }
@@ -406,8 +373,7 @@ impl Matrix {
     pub fn axpy(&mut self, k: f32, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "axpy: shape mismatch");
         let b = &rhs.data;
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.clone()), Access::read(0, r.clone())];
-        parallel::par_row_chunks("axpy", &mut self.data, b.len(), 1, 2, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut self.data, b.len(), 1, 2, |range, chunk| {
             for (a, &v) in chunk.iter_mut().zip(&b[range]) {
                 *a += k * v;
             }
@@ -422,8 +388,7 @@ impl Matrix {
     /// In-place scaling `self *= k`.
     pub fn scale_assign(&mut self, k: f32) {
         let len = self.data.len();
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.clone())];
-        parallel::par_row_chunks("scale_assign", &mut self.data, len, 1, 2, reads, |_, chunk| {
+        parallel::par_row_chunks(&mut self.data, len, 1, 2, |_, chunk| {
             for v in chunk {
                 *v *= k;
             }
@@ -443,8 +408,7 @@ impl Matrix {
     pub fn map_weighted(&self, work_per_elem: usize, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
         let mut data = pool::alloc_overwritten(self.data.len());
         let src = &self.data;
-        let reads = |r: &Range<usize>| vec![Access::read(0, r.clone())];
-        parallel::par_row_chunks("map", &mut data, src.len(), 1, work_per_elem, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, src.len(), 1, work_per_elem, |range, chunk| {
             for (o, &v) in chunk.iter_mut().zip(&src[range]) {
                 *o = f(v);
             }
@@ -489,8 +453,7 @@ impl Matrix {
         let b = (d / heads).max(1);
         let mut data = pool::alloc_overwritten(self.data.len());
         let (x, k) = (&self.data, &col.data);
-        let reads = |r: &Range<usize>| vec![Access::read(0, r.start * d..r.end * d), Access::read(1, r.start * heads..r.end * heads)];
-        parallel::par_row_chunks("mul_col_broadcast", &mut data, self.rows, d, d, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, self.rows, d, d, |range, chunk| {
             for ((out, x_row), k_row) in chunk
                 .chunks_exact_mut(d.max(1))
                 .zip(x[range.start * d..range.end * d].chunks_exact(d.max(1)))
@@ -554,17 +517,8 @@ impl Matrix {
         for &shard in shards {
             let jn = shard.rows();
             gemm::count_call(be.is_packed(), m, jn, k);
-            // Gathered rows are data-dependent, so the table read is honestly
-            // whole-buffer; the index list itself is read per-partition.
-            let reads = |r: &Range<usize>| {
-                vec![
-                    Access::read(0, 0..a.len()),
-                    Access::read(1, 0..shard.as_slice().len()),
-                    Access::read(2, r.clone()),
-                ]
-            };
             let cols = col0..col0 + jn;
-            parallel::par_row_chunks_cols("gemm_score_panels", &mut out.data, m, n, cols, k.saturating_mul(jn), reads, |rows, chunk| {
+            parallel::par_row_chunks_cols(&mut out.data, m, n, cols, k.saturating_mul(jn), |rows, chunk| {
                 let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
                 gemm::score_loop(be, &lhs, shard, rows.len(), chunk, n, col0);
             });
@@ -684,9 +638,7 @@ impl Matrix {
         let mut out = Matrix { rows: idx.len(), cols: self.cols, data: pool::alloc_overwritten(idx.len() * self.cols) };
         let cols = self.cols;
         let src = &self.data;
-        let reads =
-            |r: &Range<usize>| vec![Access::read(0, 0..src.len()), Access::read(1, r.clone())];
-        parallel::par_row_chunks("gather_rows", &mut out.data, idx.len(), cols, cols, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut out.data, idx.len(), cols, cols, |range, chunk| {
             for (off, i) in range.enumerate() {
                 let r = idx[i];
                 chunk[off * cols..(off + 1) * cols]
@@ -714,18 +666,7 @@ impl Matrix {
         // Per-partition cost is one idx scan plus this partition's share of
         // the row updates; estimate the latter as evenly spread.
         let work = (idx.len().saturating_mul(cols.max(1)) / rows.max(1)).max(1);
-        // Every partition scans the whole index list and source (filtering
-        // to its own destination rows), so those reads really are global;
-        // the read-modify-write half of the update stays partition-local.
-        let idx_len = idx.len();
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(OUT, r.start * cols..r.end * cols),
-                Access::read(0, 0..idx_len),
-                Access::read(1, 0..src_data.len()),
-            ]
-        };
-        parallel::par_row_chunks("scatter_add_rows", &mut self.data, rows, cols, work, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut self.data, rows, cols, work, |range, chunk| {
             for (i, &r) in idx.iter().enumerate() {
                 if range.contains(&r) {
                     let off = (r - range.start) * cols;
@@ -755,8 +696,7 @@ impl Matrix {
         let b = segment::block_width("l2_normalize_heads", self.cols, heads).max(1);
         let mut out = self.clone();
         let cols = self.cols;
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.start * cols..r.end * cols)];
-        parallel::par_row_chunks("l2_normalize_rows", &mut out.data, self.rows, cols, 4 * cols.max(1), reads, |_, chunk| {
+        parallel::par_row_chunks(&mut out.data, self.rows, cols, 4 * cols.max(1), |_, chunk| {
             for block in chunk.chunks_exact_mut(b) {
                 let norm = block.iter().map(|v| v * v).sum::<f32>().sqrt();
                 if norm > eps {
@@ -779,11 +719,7 @@ impl Matrix {
         let b = segment::block_width("l2_normalize_heads_grad", cols, heads).max(1);
         let mut data = pool::alloc_overwritten(rows * cols);
         let (xd, gd) = (&x.data, &g.data);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * cols..r.end * cols), Access::read(1, r.start * cols..r.end * cols)]
-        };
-        // CONTRACT: l2_normalize_rows_grad
-        parallel::par_row_chunks("l2_normalize_rows_grad", &mut data, rows, cols, 8 * cols.max(1), reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, rows, cols, 8 * cols.max(1), |range, chunk| {
             let span = range.start * cols..range.end * cols;
             for ((out, xb), gb) in chunk
                 .chunks_exact_mut(b)
@@ -801,8 +737,7 @@ impl Matrix {
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
         let cols = self.cols;
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.start * cols..r.end * cols)];
-        parallel::par_row_chunks("softmax_rows", &mut out.data, self.rows, cols, 16 * cols.max(1), reads, |_, chunk| {
+        parallel::par_row_chunks(&mut out.data, self.rows, cols, 16 * cols.max(1), |_, chunk| {
             for row in chunk.chunks_exact_mut(cols.max(1)) {
                 softmax_in_place(row);
             }
@@ -819,11 +754,7 @@ impl Matrix {
         let (rows, cols) = y.shape();
         let mut data = pool::alloc_overwritten(rows * cols);
         let (yd, gd) = (&y.data, &g.data);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * cols..r.end * cols), Access::read(1, r.start * cols..r.end * cols)]
-        };
-        // CONTRACT: softmax_rows_grad
-        parallel::par_row_chunks("softmax_rows_grad", &mut data, rows, cols, 4 * cols.max(1), reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, rows, cols, 4 * cols.max(1), |range, chunk| {
             let span = range.start * cols..range.end * cols;
             for ((out, s), gr) in chunk
                 .chunks_exact_mut(cols.max(1))
@@ -844,8 +775,7 @@ impl Matrix {
     pub fn layer_norm_rows(&self, eps: f32) -> Matrix {
         let mut out = self.clone();
         let cols = self.cols;
-        let reads = |r: &Range<usize>| vec![Access::read(OUT, r.start * cols..r.end * cols)];
-        parallel::par_row_chunks("layer_norm_rows", &mut out.data, self.rows, cols, 8 * cols.max(1), reads, |_, chunk| {
+        parallel::par_row_chunks(&mut out.data, self.rows, cols, 8 * cols.max(1), |_, chunk| {
             for row in chunk.chunks_exact_mut(cols.max(1)) {
                 layer_norm_in_place(row, eps);
             }
@@ -863,14 +793,7 @@ impl Matrix {
         let (rows, cols) = x.shape();
         let mut out = Matrix::zeros(rows, cols);
         let (xd, yd, gd) = (&x.data, &y.data, &g.data);
-        let reads = |r: &Range<usize>| {
-            vec![
-                Access::read(0, r.start * cols..r.end * cols),
-                Access::read(1, r.start * cols..r.end * cols),
-                Access::read(2, r.start * cols..r.end * cols),
-            ]
-        };
-        parallel::par_row_chunks("layer_norm_rows_grad", &mut out.data, rows, cols, 12 * cols.max(1), reads, |range, chunk| {
+        parallel::par_row_chunks(&mut out.data, rows, cols, 12 * cols.max(1), |range, chunk| {
             for (off, r) in range.enumerate() {
                 let lo = r * cols;
                 layer_norm_grad_row(
@@ -906,10 +829,7 @@ impl Matrix {
         let b = w / m;
         let mut data = pool::alloc_overwritten(self.rows * b);
         let (t, e) = (&self.data, &eta.data);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, r.start * m..r.end * m)]
-        };
-        parallel::par_row_chunks("weighted_block_sum", &mut data, self.rows, b, w, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, self.rows, b, w, |range, chunk| {
             for ((out, t_row), e_row) in chunk
                 .chunks_exact_mut(b)
                 .zip(t[range.start * w..range.end * w].chunks_exact(w))
@@ -938,10 +858,7 @@ impl Matrix {
         let w = m * b;
         let mut data = pool::alloc_overwritten(g.rows * w);
         let (e, gd) = (&eta.data, &g.data);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * m..r.end * m), Access::read(1, r.start * b..r.end * b)]
-        };
-        parallel::par_row_chunks("weighted_block_sum_grad_blocks", &mut data, g.rows, w, w, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, g.rows, w, w, |range, chunk| {
             for ((out, e_row), g_row) in chunk
                 .chunks_exact_mut(w)
                 .zip(e[range.start * m..range.end * m].chunks_exact(m))
@@ -971,10 +888,7 @@ impl Matrix {
         let m = w / b;
         let mut data = pool::alloc_overwritten(t.rows * m);
         let (td, gd) = (&t.data, &g.data);
-        let reads = |r: &Range<usize>| {
-            vec![Access::read(0, r.start * w..r.end * w), Access::read(1, r.start * b..r.end * b)]
-        };
-        parallel::par_row_chunks("weighted_block_sum_grad_weights", &mut data, t.rows, m, w, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, t.rows, m, w, |range, chunk| {
             for ((out, t_row), g_row) in chunk
                 .chunks_exact_mut(m)
                 .zip(td[range.start * w..range.end * w].chunks_exact(w))

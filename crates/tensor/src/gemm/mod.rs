@@ -111,7 +111,7 @@ pub enum Backend {
     /// Portable unrolled scalar 8×8 microkernel.
     Generic,
     /// Legacy cache-blocked scalar loops; no tile loop, historical
-    /// bit-exact numerics, legacy kernel names in the sanitizer log.
+    /// bit-exact numerics.
     Scalar,
 }
 

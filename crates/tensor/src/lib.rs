@@ -19,7 +19,6 @@ pub mod gemm;
 mod init;
 pub mod parallel;
 mod pool;
-pub mod sanitize;
 mod segment;
 pub mod sharded;
 mod sparse;

@@ -66,8 +66,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crate::sanitize;
-
 /// Hard cap on pool workers; a safety bound, far above any sensible
 /// `DGNN_THREADS` for the kernels in this crate.
 pub const MAX_THREADS: usize = 64;
@@ -91,19 +89,12 @@ thread_local! {
     static FUZZ: Cell<Option<FuzzSchedule>> = const { Cell::new(None) };
 }
 
-/// True while the calling thread is inside a partition body (dispatcher
-/// or pool worker). The sanitizer uses this to skip recording nested
-/// (serially degraded) dispatches.
-pub(crate) fn in_kernel() -> bool {
-    IN_KERNEL.with(Cell::get)
-}
-
 /// A deterministic adversarial schedule for [`run_parts`]: partition→worker
 /// assignment is permuted and every partition spin-waits a seeded
 /// pseudo-random delay (`0..=max_delay_us` µs) before running, so worker
 /// *completion orders* vary across seeds. Under the partitioning contract
 /// the output must still be bit-identical to serial — the schedule fuzzer
-/// in `tests/tests/race_sanitizer.rs` asserts exactly that.
+/// in `tests/tests/parallel_kernels.rs` asserts exactly that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FuzzSchedule {
     /// Seed for both the assignment permutation and the per-partition
@@ -217,7 +208,7 @@ pub fn planned_parts(items: usize, work_per_item: usize) -> usize {
 /// `0..0` for every partition, and when `parts > items` the trailing
 /// `parts - items` partitions are empty (`start..start`) — both shapes
 /// are exercised by unit tests and a tiling proptest in
-/// `tests/tests/race_sanitizer.rs`.
+/// `tests/tests/parallel_kernels.rs`.
 pub fn part_range(items: usize, parts: usize, part: usize) -> Range<usize> {
     debug_assert!(parts >= 1, "part_range: parts must be at least 1");
     debug_assert!(part < parts, "part_range: partition {part} out of {parts}");
@@ -471,14 +462,6 @@ unsafe impl Sync for SendPtr {}
 /// the exactly-corresponding mutable slice of `out` (`chunk[0]` is the
 /// first element of row `row_range.start`).
 ///
-/// `kernel` names the partition contract registered for this loop in
-/// `dgnn-analysis::race_checker`, and `reads(row_range)` declares every
-/// *input* element span the partition touches (the output write
-/// `row_range.start * cols .. row_range.end * cols` is recorded
-/// automatically). Both are consulted only when sanitize mode is on
-/// ([`crate::sanitize`]); the disabled cost is a single thread-local read
-/// and `reads` is never invoked.
-///
 /// `work_per_row` is the planner's cost estimate (≈FMA units per output
 /// row) used against [`min_par_work`]; pass the serial inner-loop cost
 /// (e.g. `k * n` for a GEMM).
@@ -486,44 +469,34 @@ unsafe impl Sync for SendPtr {}
 /// # Panics
 /// Panics if `out.len() != rows * cols`.
 pub fn par_row_chunks(
-    kernel: &'static str,
     out: &mut [f32],
     rows: usize,
     cols: usize,
     work_per_row: usize,
-    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     // A row never counts for less than its width.
-    let write = |r: &Range<usize>| sanitize::Access::write(sanitize::OUT, r.start * cols..r.end * cols);
-    par_rows(kernel, out, rows, cols, work_per_row.max(cols), write, reads, f);
+    par_rows(out, rows, cols, work_per_row.max(cols), f);
 }
 
 /// [`par_row_chunks`] for a kernel that writes only the columns `cols` of
 /// its rows of the `rows × ld` buffer `out` — one block of a wider output
 /// filled in place. `f` still receives the partition's whole rows (`ld`
-/// floats each); the recorded write is the strided span it may touch,
-/// `cols.len()` elements at `cols.start` of every row, so the race checker
-/// holds the kernel to the column range as well as to its rows.
+/// floats each) and must write only `cols.len()` elements at `cols.start`
+/// of each; the column range also sets the work estimate.
 ///
 /// # Panics
 /// Panics if `out.len() != rows * ld` or `cols` does not lie inside a row.
-#[allow(clippy::too_many_arguments)] // `par_row_chunks`'s, plus the column range
 pub fn par_row_chunks_cols(
-    kernel: &'static str,
     out: &mut [f32],
     rows: usize,
     ld: usize,
     cols: Range<usize>,
     work_per_row: usize,
-    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     assert!(cols.start <= cols.end && cols.end <= ld, "par_row_chunks_cols: column range outside the row");
-    let write = |r: &Range<usize>| {
-        sanitize::Access::write_strided(sanitize::OUT, r.start * ld + cols.start, cols.len(), ld, r.len())
-    };
-    par_rows(kernel, out, rows, ld, work_per_row.max(cols.len()), write, reads, f);
+    par_rows(out, rows, ld, work_per_row.max(cols.len()), f);
 }
 
 /// Which rows of a segment kernel's output a segment owns: one row per
@@ -566,22 +539,15 @@ fn segment_split(seg: &[usize], parts: usize, part: usize) -> usize {
 /// receives the partition's segment range and the rows of `out` those
 /// segments own under `rows` (see [`SegmentRows`]).
 ///
-/// `reads(segments)` declares the partition's input spans, as for
-/// [`par_row_chunks`]; the output write is recorded automatically. The
-/// dispatch is recorded with segments as its items.
-///
 /// # Panics
 /// Panics if `seg` is empty, does not start at 0, or `out` does not hold
 /// exactly the rows `rows` implies.
-#[allow(clippy::too_many_arguments)] // `par_row_chunks`'s, plus the segment pointer and row kind
 pub fn par_segment_chunks(
-    kernel: &'static str,
     out: &mut [f32],
     seg: &[usize],
     rows: SegmentRows,
     ld: usize,
     work_per_member: usize,
-    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     assert!(seg.first() == Some(&0), "par_segment_chunks: segment pointer must start at 0");
@@ -607,11 +573,6 @@ pub fn par_segment_chunks(
         "par_segment_chunks: segment pointer is not non-decreasing"
     );
     let range_of = |p: usize| bounds[p]..bounds[p + 1];
-    sanitize::record_parts(kernel, parts, n, range_of, |_, r| {
-        let mut accesses = vec![sanitize::Access::write(sanitize::OUT, row_of(r.start) * ld..row_of(r.end) * ld)];
-        accesses.extend(reads(r));
-        accesses
-    });
     if parts <= 1 {
         f(0..n, out);
         return;
@@ -629,26 +590,16 @@ pub fn par_segment_chunks(
     });
 }
 
-/// The dispatch behind [`par_row_chunks`] and [`par_row_chunks_cols`]:
-/// `write(row_range)` is the output access recorded ahead of `reads`.
-#[allow(clippy::too_many_arguments)] // the public signature, plus the write declaration
+/// The dispatch behind [`par_row_chunks`] and [`par_row_chunks_cols`].
 fn par_rows(
-    kernel: &'static str,
     out: &mut [f32],
     rows: usize,
     ld: usize,
     work_per_row: usize,
-    write: impl Fn(&Range<usize>) -> sanitize::Access,
-    reads: impl Fn(&Range<usize>) -> Vec<sanitize::Access>,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     assert_eq!(out.len(), rows * ld, "par_row_chunks: output length mismatch");
     let parts = planned_parts(rows, work_per_row.max(1));
-    sanitize::record_raw(kernel, parts, rows, |_, range| {
-        let mut accesses = vec![write(range)];
-        accesses.extend(reads(range));
-        accesses
-    });
     if parts <= 1 {
         f(0..rows, out);
         return;
@@ -816,7 +767,7 @@ mod tests {
         set_min_par_work(1);
         let (rows, cols) = (13, 4);
         let mut out = vec![0.0f32; rows * cols];
-        par_row_chunks("map", &mut out, rows, cols, 1, |_| Vec::new(), |range, chunk| {
+        par_row_chunks(&mut out, rows, cols, 1, |range, chunk| {
             for (off, r) in range.enumerate() {
                 for c in 0..cols {
                     chunk[off * cols + c] += (r * cols + c) as f32 + 1.0;
@@ -850,7 +801,7 @@ mod tests {
         set_min_par_work(1);
         // Segment 0 claims rows 0..20 of a 5-row output.
         let mut out = vec![0.0f32; 5];
-        par_segment_chunks("segment_softmax", &mut out, &[0, 20, 5], SegmentRows::PerMember, 1, 1, |_| Vec::new(), |_, _| {});
+        par_segment_chunks(&mut out, &[0, 20, 5], SegmentRows::PerMember, 1, 1, |_, _| {});
     }
 
     #[test]

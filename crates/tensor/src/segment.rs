@@ -22,10 +22,7 @@
 //! the default threshold a 4-wide edge family of ~10k edges stays serial
 //! and a 16-wide one (HGT's heads, DGCF's four intents) splits.
 
-use std::ops::Range;
-
 use crate::parallel::{self, SegmentRows};
-use crate::sanitize::Access;
 use crate::{pool, Matrix};
 
 /// Asserts that `seg` is a segment pointer over `members` rows.
@@ -38,18 +35,6 @@ fn check_seg(what: &str, seg: &[usize], members: usize) {
 pub(crate) fn block_width(what: &str, d: usize, heads: usize) -> usize {
     assert!(heads > 0 && d.is_multiple_of(heads), "{what}: width {d} does not split into {heads} heads");
     d / heads
-}
-
-/// A partition's read of an `E × w` member-row operand: the rows of its
-/// segments' members, which chain from partition to partition.
-fn member_rows(operand: u8, seg: &[usize], r: &Range<usize>, w: usize) -> Access {
-    Access::read(operand, seg[r.start] * w..seg[r.end] * w)
-}
-
-/// A partition's read of the segment pointer: its segments' entries plus
-/// the closing fencepost (nothing for an empty partition).
-fn pointer(operand: u8, r: &Range<usize>) -> Access {
-    Access::read(operand, r.start..if r.is_empty() { r.start } else { r.end + 1 })
 }
 
 /// In-place stable softmax of column `col` of the row-major `rows` (`h`
@@ -79,8 +64,7 @@ impl Matrix {
         let b = block_width("head_dots", d, heads);
         let mut data = pool::alloc_overwritten(rows * heads);
         let (a, c) = (self.as_slice(), rhs.as_slice());
-        let reads = |r: &Range<usize>| vec![Access::read(0, r.start * d..r.end * d), Access::read(1, r.start * d..r.end * d)];
-        parallel::par_row_chunks("head_dots", &mut data, rows, heads, d, reads, |range, chunk| {
+        parallel::par_row_chunks(&mut data, rows, heads, d, |range, chunk| {
             for (out, r) in chunk.chunks_exact_mut(heads).zip(range) {
                 for (head, o) in out.iter_mut().enumerate() {
                     let block = r * d + head * b..r * d + (head + 1) * b;
@@ -100,8 +84,7 @@ impl Matrix {
         let (e, h) = self.shape();
         let mut data = pool::alloc_overwritten(e * h);
         let x = self.as_slice();
-        let reads = |r: &Range<usize>| vec![member_rows(0, seg, r, h), pointer(1, r)];
-        parallel::par_segment_chunks("segment_softmax", &mut data, seg, SegmentRows::PerMember, h, 16 * h, reads, |segs, chunk| {
+        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 16 * h, |segs, chunk| {
             let base = seg[segs.start];
             chunk.copy_from_slice(&x[base * h..seg[segs.end] * h]);
             for n in segs {
@@ -124,8 +107,7 @@ impl Matrix {
         let (e, h) = y.shape();
         let mut data = pool::alloc_overwritten(e * h);
         let (yd, gd) = (y.as_slice(), g.as_slice());
-        let reads = |r: &Range<usize>| vec![member_rows(0, seg, r, h), member_rows(1, seg, r, h), pointer(2, r)];
-        parallel::par_segment_chunks("segment_softmax_grad", &mut data, seg, SegmentRows::PerMember, h, 4 * h, reads, |segs, chunk| {
+        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 4 * h, |segs, chunk| {
             let base = seg[segs.start];
             for n in segs {
                 let span = seg[n] * h..seg[n + 1] * h;
@@ -166,8 +148,7 @@ impl Matrix {
         let n = seg.len() - 1;
         let mut data = pool::alloc_zeroed(n * d);
         let (wd, vd) = (w.as_slice(), v.as_slice());
-        let reads = |r: &Range<usize>| vec![member_rows(0, seg, r, h), member_rows(1, seg, r, d), pointer(2, r)];
-        parallel::par_segment_chunks("segment_weighted_sum", &mut data, seg, SegmentRows::PerSegment, d, d, reads, |segs, chunk| {
+        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerSegment, d, d, |segs, chunk| {
             // Heads outermost: at narrow widths per-edge setup, not the
             // multiply-adds, is the cost, so each edge gets one slice.
             for (off, node) in segs.enumerate() {
@@ -196,10 +177,7 @@ impl Matrix {
         let b = block_width("segment_weighted_sum_grad_weights", d, heads);
         let mut data = pool::alloc_overwritten(e * heads);
         let (vd, gd) = (v.as_slice(), g.as_slice());
-        let reads = |r: &Range<usize>| {
-            vec![member_rows(0, seg, r, d), Access::read(1, r.start * d..r.end * d), pointer(2, r)]
-        };
-        parallel::par_segment_chunks("segment_weighted_sum_grad_weights", &mut data, seg, SegmentRows::PerMember, heads, d, reads, |segs, chunk| {
+        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, heads, d, |segs, chunk| {
             let base = seg[segs.start];
             for node in segs {
                 for head in 0..heads {
@@ -229,10 +207,7 @@ impl Matrix {
         let b = block_width("segment_weighted_sum_grad_values", d, h);
         let mut data = pool::alloc_zeroed(e * d);
         let (wd, gd) = (w.as_slice(), g.as_slice());
-        let reads = |r: &Range<usize>| {
-            vec![member_rows(0, seg, r, h), Access::read(1, r.start * d..r.end * d), pointer(2, r)]
-        };
-        parallel::par_segment_chunks("segment_weighted_sum_grad_values", &mut data, seg, SegmentRows::PerMember, d, d, reads, |segs, chunk| {
+        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, d, d, |segs, chunk| {
             let base = seg[segs.start];
             for node in segs {
                 for head in 0..h {

@@ -102,21 +102,7 @@ impl Csr {
         // Average-nnz cost estimate; row skew just shifts load balance,
         // never results.
         let work = ((self.nnz() / self.rows.max(1)).max(1)).saturating_mul(d.max(1));
-        // Per partition: row_ptr entries for its rows plus the fencepost
-        // (`r.end`), the nnz slice those pointers bracket in col_idx/values
-        // (partitions chain contiguously because row_ptr is monotone), and
-        // — since stored columns are data-dependent — all of `dense`.
-        let reads = |r: &std::ops::Range<usize>| {
-            use crate::sanitize::Access;
-            let ptr_hi = r.end + usize::from(r.end > r.start);
-            vec![
-                Access::read(0, r.start..ptr_hi),
-                Access::read(1, self.row_ptr[r.start]..self.row_ptr[r.end]),
-                Access::read(2, self.row_ptr[r.start]..self.row_ptr[r.end]),
-                Access::read(3, 0..src.len()),
-            ]
-        };
-        crate::parallel::par_row_chunks("spmm", out.as_mut_slice(), self.rows, d, work, reads, |range, chunk| {
+        crate::parallel::par_row_chunks(out.as_mut_slice(), self.rows, d, work, |range, chunk| {
             for (off, r) in range.enumerate() {
                 let out_row = &mut chunk[off * d..(off + 1) * d];
                 for i in self.row_ptr[r]..self.row_ptr[r + 1] {

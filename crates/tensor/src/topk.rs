@@ -176,16 +176,6 @@ pub fn top_k_rows(scores: &Matrix, k: usize) -> TopK {
     let src = scores.as_slice();
     // Cost estimate: one scan plus heap repairs; the scan dominates.
     let parts = parallel::planned_parts(rows, cols.max(1).saturating_mul(2));
-    // This kernel manages its own two output buffers (u32 indices + f32
-    // scores), so it declares both writes explicitly instead of relying on
-    // `par_row_chunks`'s automatic single-output record.
-    crate::sanitize::record_raw("top_k_rows", parts, rows, |_, r| {
-        vec![
-            crate::sanitize::Access::write(0, r.start * k..r.end * k),
-            crate::sanitize::Access::write(1, r.start * k..r.end * k),
-            crate::sanitize::Access::read(2, r.start * cols..r.end * cols),
-        ]
-    });
     if parts <= 1 {
         for r in 0..rows {
             top_k_row(

@@ -1,8 +1,8 @@
-//! Allocation cost proofs: the observability hot path and the kernel
-//! sanitizer's dispatch path must not allocate when recording is off, and
-//! the always-on serving telemetry (flight recorder, shared registry) must
-//! not allocate even when recording is ON — its buffers are fixed at
-//! startup. A counting global allocator measures the exact number of heap
+//! Allocation cost proofs: the observability hot path must not allocate
+//! when recording is off, the kernel pool's dispatch path must not
+//! allocate at all, and the always-on serving telemetry (flight recorder,
+//! shared registry) must not allocate even when recording is ON — its
+//! buffers are fixed at startup. A counting global allocator measures the exact number of heap
 //! allocations across a burst of calls.
 //!
 //! The counter is **per-thread**: a process-wide counter would charge the
@@ -138,17 +138,21 @@ fn rss_read_path_never_allocates_after_warmup() {
 }
 
 #[test]
-fn disabled_sanitizer_dispatch_path_never_allocates() {
-    use dgnn_tensor::{parallel, sanitize};
+fn pooled_dispatch_path_never_allocates() {
+    use dgnn_tensor::parallel;
 
-    sanitize::set_enabled(false);
-
-    // Warm up: resolve the pool's thread-local settings and run one
-    // dispatch so nothing lazy remains inside the window. The output
-    // buffer is preallocated; the kernel body writes in place.
+    // Two threads and a one-unit work threshold, so every dispatch below
+    // splits across the pool instead of taking the serial fast path.
+    parallel::set_threads(2);
+    parallel::set_min_par_work(1);
     let rows = 64usize;
+    assert_eq!(parallel::planned_parts(rows, 1), 2, "the window must exercise the pool");
+
+    // Warm up: spawn the worker and run one dispatch so nothing lazy
+    // remains inside the window. The output buffer is preallocated; the
+    // kernel body writes in place.
     let mut out = vec![0.0f32; rows];
-    parallel::par_row_chunks("map", &mut out, rows, 1, 1, |_| Vec::new(), |range, chunk| {
+    parallel::par_row_chunks(&mut out, rows, 1, 1, |range, chunk| {
         for (off, r) in range.enumerate() {
             chunk[off] = r as f32;
         }
@@ -156,27 +160,16 @@ fn disabled_sanitizer_dispatch_path_never_allocates() {
 
     let before = local_allocs();
     for _ in 0..2_000 {
-        // With sanitize off, the reads closure must never run (it would
-        // allocate a Vec) and no Dispatch may be logged: the only sanitizer
-        // cost on this path is one thread-local Cell read.
-        parallel::par_row_chunks(
-            "map",
-            &mut out,
-            rows,
-            1,
-            1,
-            |_| vec![sanitize::Access::read(0, 0..rows)],
-            |range, chunk| {
-                for (off, r) in range.enumerate() {
-                    chunk[off] += r as f32;
-                }
-            },
-        );
-        sanitize::record_raw("map", 1, rows, |_, r| {
-            vec![sanitize::Access::write(sanitize::OUT, r.start..r.end)]
+        parallel::par_row_chunks(&mut out, rows, 1, 1, |range, chunk| {
+            for (off, r) in range.enumerate() {
+                chunk[off] += r as f32;
+            }
         });
     }
     let allocs = local_allocs() - before;
-    assert_eq!(allocs, 0, "disabled sanitizer dispatch path must be allocation-free");
-    assert!(sanitize::take_log().is_empty(), "disabled mode must not record dispatches");
+    parallel::set_threads(1);
+    parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
+    assert_eq!(allocs, 0, "pooled dispatch path must be allocation-free");
+    let expect: Vec<f32> = (0..rows).map(|r| r as f32 * 2_001.0).collect();
+    assert_eq!(out, expect, "every dispatch wrote every row exactly once");
 }

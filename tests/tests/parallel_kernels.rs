@@ -3,13 +3,17 @@
 //! row-range partitioning never changes any per-element reduction order.
 //! Property tests sweep random shapes and thread counts; the golden test
 //! retrains DGNN end-to-end at `threads = 2` and `4` and demands the exact
-//! serial loss history and embeddings.
+//! serial loss history and embeddings; the schedule fuzzer shows outputs
+//! stay bit-identical under permuted worker assignment and injected delays
+//! — the pool's determinism is structural (disjoint row partitions), not a
+//! lucky interleaving.
 
 use dgnn_core::{Dgnn, DgnnConfig};
 use dgnn_data::tiny;
 use dgnn_eval::Trainable;
-use dgnn_tensor::parallel;
-use dgnn_tensor::{Csr, CsrBuilder, Matrix};
+use dgnn_tensor::gemm::PackedPanels;
+use dgnn_tensor::parallel::{self, FuzzSchedule};
+use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -161,6 +165,16 @@ proptest! {
             &with_pool(t, || x.softplus_grad(&g)),
             "softplus_grad",
         );
+        assert_bits_eq(
+            &with_pool(1, || x.relu_grad(&g)),
+            &with_pool(t, || x.relu_grad(&g)),
+            "relu_grad",
+        );
+        assert_bits_eq(
+            &with_pool(1, || x.sigmoid_grad(&g)),
+            &with_pool(t, || x.sigmoid_grad(&g)),
+            "sigmoid_grad",
+        );
     }
 
     #[test]
@@ -300,6 +314,12 @@ proptest! {
             &with_pool(t, || a.mul_elem(&b)),
             "mul_elem",
         );
+        assert_bits_eq(&with_pool(1, || a.sub(&b)), &with_pool(t, || a.sub(&b)), "sub");
+        assert_bits_eq(
+            &with_pool(1, || a.div_elem(&b)),
+            &with_pool(t, || a.div_elem(&b)),
+            "div_elem",
+        );
         let axpy = |threads: usize| {
             with_pool(threads, || {
                 let mut c = a.clone();
@@ -308,6 +328,22 @@ proptest! {
             })
         };
         assert_bits_eq(&axpy(1), &axpy(t), "axpy");
+        let add_assign = |threads: usize| {
+            with_pool(threads, || {
+                let mut c = a.clone();
+                c.add_assign(&b);
+                c
+            })
+        };
+        assert_bits_eq(&add_assign(1), &add_assign(t), "add_assign");
+        let scale_assign = |threads: usize| {
+            with_pool(threads, || {
+                let mut c = a.clone();
+                c.scale_assign(1.25);
+                c
+            })
+        };
+        assert_bits_eq(&scale_assign(1), &scale_assign(t), "scale_assign");
         assert_bits_eq(
             &with_pool(1, || a.softmax_rows()),
             &with_pool(t, || a.softmax_rows()),
@@ -451,4 +487,130 @@ fn four_threads_dispatching_concurrently_at_three_threads_stay_exact() {
             });
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Schedule fuzzer: bit-identity is structural, not schedule luck.
+// ---------------------------------------------------------------------------
+
+/// Deterministic pseudo-random matrix (LCG), bounded away from zero so it
+/// is safe as a divisor.
+fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    Matrix::from_fn(rows, cols, |_, _| {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let v = ((s >> 33) % 1000) as f32 / 250.0 - 2.0;
+        if v.abs() < 0.1 { 0.5 } else { v }
+    })
+}
+
+/// Deterministic pseudo-random sparse matrix (LCG), about a quarter full.
+fn lcg_csr(rows: usize, cols: usize, seed: u64) -> Csr {
+    let mut s = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
+    let mut b = CsrBuilder::new(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if s >> 62 == 0 {
+                b.push(r, c, ((s >> 33) % 100) as f32 / 50.0 - 1.0);
+            }
+        }
+    }
+    b.build()
+}
+
+/// A composite computation touching GEMM, sparse, normalizer, RMW and
+/// raw-pointer kernels; returns everything as one matrix for bit compare.
+fn fuzz_workload() -> Matrix {
+    let a = mat(17, 9, 21);
+    let b = mat(9, 17, 22);
+    let adj = lcg_csr(17, 17, 23);
+    let mut h = a.matmul(&b).softmax_rows();
+    h = adj.spmm(&h);
+    h.add_assign(&mat(17, 17, 24));
+    // A reduction of several k blocks: every partition parks its fold in
+    // its own output rows between blocks.
+    h.add_assign(&mat(150, 17, 26).matmul_tn(&mat(150, 17, 27)));
+    // The serving scorer into two column ranges: partitions of one to five
+    // rows take the row-vector kernel or the tile as their span decides.
+    let (s0, s1) = (PackedPanels::pack(&mat(10, 9, 28)), PackedPanels::pack(&mat(7, 9, 29)));
+    h.add_assign(&a.gather_matmul_panels(&(0..17).map(|i| (i * 5) % 17).collect::<Vec<_>>(), &[&s0, &s1]));
+    let t = top_k_rows(&h, 5);
+    let mut out = h.l2_normalize_rows(1e-6);
+    let mut tail = Matrix::zeros(17, 5);
+    for r in 0..17 {
+        tail.set_row(r, t.scores(r));
+    }
+    out.scatter_add_rows(&(0..17).rev().map(|i| i % 17).collect::<Vec<_>>(), &mat(17, 17, 25));
+    // Edge attention: `a`'s rows as the edges of 5 segments, one empty.
+    let seg = [0, 4, 4, 9, 13, 17];
+    let alpha = a.head_dots(&mat(17, 9, 30), 3).segment_softmax(&seg);
+    let agg = Matrix::segment_weighted_sum(&alpha, &a, &seg);
+    let gv = Matrix::segment_weighted_sum_grad_values(&alpha, &agg, &seg);
+    Matrix::concat_cols(&[&out, &tail, &gv])
+}
+
+#[test]
+fn fuzzed_schedules_are_bit_identical_to_serial() {
+    let serial = with_pool(1, fuzz_workload);
+    for threads in [2, 4] {
+        for seed in 0..4u64 {
+            for max_delay_us in [0u32, 50, 200] {
+                parallel::set_fuzz_schedule(Some(FuzzSchedule { seed, max_delay_us }));
+                let fuzzed = with_pool(threads, fuzz_workload);
+                parallel::set_fuzz_schedule(None);
+                assert_bits_eq(
+                    &serial,
+                    &fuzzed,
+                    &format!("threads={threads} seed={seed} delay={max_delay_us}us"),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_fuzzed_kernels_match_serial(
+        rows in 1usize..24,
+        inner in 1usize..12,
+        cols in 1usize..16,
+        threads in 2usize..6,
+        seed in 0u64..1000,
+        delay in 0u32..60,
+    ) {
+        let a = mat(rows, inner, seed ^ 1);
+        let b = mat(inner, cols, seed ^ 2);
+        let s = lcg_csr(rows, rows, seed ^ 3);
+        let run = || {
+            let mm = a.matmul(&b);
+            let sm = mm.softmax_rows();
+            (s.spmm(&sm), sm)
+        };
+        let (sp_serial, sm_serial) = with_pool(1, run);
+        parallel::set_fuzz_schedule(Some(FuzzSchedule { seed, max_delay_us: delay }));
+        let (sp_par, sm_par) = with_pool(threads, run);
+        parallel::set_fuzz_schedule(None);
+        assert_bits_eq(&sp_serial, &sp_par, "spmm(softmax(matmul))");
+        assert_bits_eq(&sm_serial, &sm_par, "softmax(matmul)");
+    }
+
+    #[test]
+    fn prop_part_range_tiles_for_any_part_count(
+        items in 0usize..400,
+        parts in 1usize..=64,
+    ) {
+        let mut cursor = 0usize;
+        for p in 0..parts {
+            let r = parallel::part_range(items, parts, p);
+            prop_assert_eq!(r.start, cursor);
+            prop_assert!(r.end >= r.start);
+            // Near-even split: no partition exceeds its neighbour by > 1.
+            prop_assert!(r.len() <= items / parts + 1);
+            cursor = r.end;
+        }
+        prop_assert_eq!(cursor, items);
+    }
 }
