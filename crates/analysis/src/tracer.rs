@@ -156,11 +156,6 @@ impl ShapeTracer {
         &self.diags
     }
 
-    /// Static op name of a traced node.
-    pub fn op_name(&self, v: Var) -> &'static str {
-        self.nodes[v.index()].op
-    }
-
     pub(crate) fn nodes(&self) -> &[TraceNode] {
         &self.nodes
     }

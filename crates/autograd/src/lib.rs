@@ -66,7 +66,7 @@ mod params;
 mod recorder;
 mod tape;
 
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use params::{ParamId, ParamSet};
 pub use recorder::{Recorder, Var};
 pub use tape::Tape;

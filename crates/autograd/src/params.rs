@@ -11,7 +11,7 @@ struct Param {
     name: String,
     value: Matrix,
     grad: Matrix,
-    /// Adam first-moment estimate (lazily used; zero for SGD).
+    /// Adam first-moment estimate.
     m: Matrix,
     /// Adam second-moment estimate.
     v: Matrix,
@@ -57,20 +57,9 @@ impl ParamSet {
         self.params.is_empty()
     }
 
-    /// Total number of trainable scalars.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// Current value of a parameter.
     pub fn value(&self, id: ParamId) -> &Matrix {
         &self.params[id.0].value
-    }
-
-    /// Mutable value of a parameter (for manual updates, e.g. HERec's
-    /// skip-gram pre-training which bypasses the tape).
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.params[id.0].value
     }
 
     /// Accumulated gradient of a parameter.
@@ -158,7 +147,6 @@ mod tests {
         let a = set.add("emb", Matrix::full(2, 3, 1.0));
         let b = set.add("w", Matrix::zeros(3, 3));
         assert_eq!(set.len(), 2);
-        assert_eq!(set.num_scalars(), 15);
         assert_eq!(set.name(a), "emb");
         assert_eq!(set.value(b).shape(), (3, 3));
     }

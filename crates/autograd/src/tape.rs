@@ -143,7 +143,6 @@ struct Node {
 /// checking, dead-subgraph audits) without executing any tensor math.
 pub struct Tape {
     nodes: Vec<Node>,
-    finite_checks: bool,
     /// `Some(mark)` while per-op profiling is armed (observability enabled
     /// at construction): the timestamp of the previous op boundary.
     /// Forward durations are *inter-push deltas* — everything since the
@@ -166,22 +165,7 @@ impl Tape {
     /// each step's profile internally consistent.
     pub fn new() -> Self {
         let obs_mark = dgnn_obs::is_enabled().then(dgnn_obs::now_ns);
-        Self { nodes: Vec::new(), finite_checks: false, obs_mark }
-    }
-
-    /// Enables (or disables) the runtime finite-value guard: with checks
-    /// on, every recorded op asserts — in release builds too — that its
-    /// forward value contains no NaN/∞, panicking at the first op that
-    /// produces one instead of minutes later in a corrupted optimizer
-    /// state. Defaults to off; debug builds always check.
-    pub fn with_finite_checks(mut self, on: bool) -> Self {
-        self.finite_checks = on;
-        self
-    }
-
-    /// True when the runtime finite-value guard is enabled.
-    pub fn finite_checks(&self) -> bool {
-        self.finite_checks
+        Self { nodes: Vec::new(), obs_mark }
     }
 
     /// Number of recorded nodes.
@@ -210,11 +194,7 @@ impl Tape {
             dgnn_obs::record_op(op.kind(), dgnn_obs::OpPhase::Forward, now.saturating_sub(mark));
             self.obs_mark = Some(now);
         }
-        if self.finite_checks {
-            assert!(value.all_finite(), "non-finite value produced by {op:?}");
-        } else {
-            debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
-        }
+        debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
         self.nodes.push(Node { op, value });
         Var(self.nodes.len() - 1)
     }

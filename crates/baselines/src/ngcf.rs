@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
 use dgnn_data::{Dataset, Triple};
-use dgnn_eval::{EmbeddingExport, Recommender, Trainable};
+use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::UnifiedView;
 use dgnn_tensor::{Csr, Init, Matrix};
 use rand::rngs::StdRng;
@@ -219,14 +219,6 @@ macro_rules! cf_public_wrapper {
         impl Trainable for $name {
             fn fit(&mut self, data: &Dataset, seed: u64) {
                 self.0.fit_impl(data, seed);
-            }
-        }
-
-        // The scorer is the plain dot product of these two matrices, so the
-        // generic checkpoint path reproduces `score` bit-for-bit.
-        impl EmbeddingExport for $name {
-            fn embeddings(&self) -> (&Matrix, &Matrix) {
-                self.0.embeddings()
             }
         }
     };

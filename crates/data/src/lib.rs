@@ -18,7 +18,6 @@
 
 mod dataset;
 pub mod io;
-pub mod kcore;
 mod presets;
 mod sampler;
 pub mod scale;
@@ -26,9 +25,8 @@ pub mod stats;
 pub mod synth;
 
 pub use dataset::{Dataset, TestInstance};
-pub use kcore::k_core;
 pub use presets::{ciao_small, epinions_small, tiny, yelp_small, PAPER_TABLE1};
 pub use sampler::{TrainSampler, Triple};
-pub use scale::{scale_1m, scale_bench, scale_tiny, ScaleShard, ScaleSpec};
+pub use scale::{scale_bench, scale_tiny, ScaleShard, ScaleSpec};
 pub use stats::{DatasetStats, PaperDatasetStats};
 pub use synth::WorldSpec;

@@ -1,4 +1,4 @@
-//! Million-user scale presets with a streaming, shard-by-shard generator.
+//! Serving-scale presets with a streaming, shard-by-shard generator.
 //!
 //! The classic presets ([`crate::tiny`] … `yelp_small`) materialize one
 //! [`dgnn_graph::HeteroGraph`] and dense factor tables — fine at ~1/8
@@ -70,23 +70,6 @@ pub struct ScaleShard {
     pub seen_indptr: Vec<u32>,
     /// Interacted item ids for this shard's users (empty for item shards).
     pub seen_items: Vec<u32>,
-}
-
-/// The flagship preset: 2²⁰ users. Never materialized densely — 64 user
-/// shards of 16 Ki users each stream through a bounded window.
-pub fn scale_1m() -> ScaleSpec {
-    ScaleSpec {
-        name: "scale_1m",
-        num_users: 1 << 20,
-        num_items: 1 << 16,
-        dim: 32,
-        users_per_shard: 1 << 14,
-        items_per_shard: 1 << 13,
-        num_categories: 64,
-        num_communities: 256,
-        mean_interactions: 4.0,
-        noise: 0.25,
-    }
 }
 
 /// The preset the benchmark's `serve_scale` workload serves: big enough
@@ -332,15 +315,5 @@ mod tests {
         // u² popularity: P(v < |V|/4) = 1/2 exactly; demand well above the
         // uniform 1/4.
         assert!(low * 3 > total, "popularity not skewed: {low}/{total} in the low quartile");
-    }
-
-    #[test]
-    fn scale_1m_spec_is_truly_sharded() {
-        let spec = scale_1m();
-        assert!(spec.num_users >= 1 << 20);
-        assert!(spec.num_user_shards() >= 64);
-        // One shard must stay far below the full table: the bounded-peak
-        // contract (full table ≈ 128 MiB, one shard ≈ 2 MiB).
-        assert!(spec.users_per_shard * 16 <= spec.num_users);
     }
 }

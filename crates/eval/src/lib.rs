@@ -7,15 +7,12 @@
 
 #![warn(missing_docs)]
 
-pub mod extra_metrics;
 pub mod groups;
 mod metrics;
 
-pub use extra_metrics::{evaluate_extended, ExtendedMetrics};
 pub use metrics::{evaluate, evaluate_at, RankingMetrics, TOP_NS};
 
 use dgnn_data::Dataset;
-use dgnn_tensor::Matrix;
 
 /// A trained top-N recommender.
 pub trait Recommender {
@@ -25,15 +22,6 @@ pub trait Recommender {
     /// Scores `items` for `user`; higher = more preferred. Must be a pure
     /// function of the trained state.
     fn score(&self, user: usize, items: &[usize]) -> Vec<f32>;
-}
-
-/// Access to a trained model's final user/item embedding matrices, for
-/// models whose [`Recommender::score`] is the plain dot product of the two
-/// — the contract the generic checkpoint/serving path relies on: serving a
-/// saved `(user, item)` pair reproduces `score` bit-for-bit.
-pub trait EmbeddingExport: Recommender {
-    /// Final propagated `(user, item)` embedding matrices.
-    fn embeddings(&self) -> (&Matrix, &Matrix);
 }
 
 /// A model that can be trained on a [`Dataset`] — implemented by every

@@ -25,8 +25,7 @@
 //!   histograms handed out as `&'static` handles; record paths are
 //!   lock-free and allocation-free.
 //! * **Streaming histograms** ([`StreamHist`]) — bounded log2-bucketed
-//!   quantile sketches behind the shared registry; [`percentile`] holds
-//!   the workspace's one nearest-rank percentile definition.
+//!   histograms behind the shared registry.
 //! * **Flight recorder** ([`flight`]) — an always-on fixed-size ring of
 //!   recent events, dumped as JSONL on panic or on demand.
 //!
@@ -56,7 +55,6 @@
 
 pub mod export;
 pub mod flight;
-pub mod percentile;
 pub mod procstat;
 pub mod shared;
 pub mod streamhist;
@@ -73,7 +71,6 @@ pub use flight::{
 };
 pub use metrics::{counter_add, gauge_set, hist_record, HistStat, Snapshot};
 pub use ops::{record_op, OpPhase, OpStat};
-pub use percentile::percentile_sorted;
 pub use span::{span, span_owned, timed, SpanEvent, SpanGuard, SpanPhase};
 pub use streamhist::StreamHist;
 

@@ -19,8 +19,7 @@ thread_local! {
 /// Aggregate of every value recorded into one histogram.
 ///
 /// Count/sum/min/max is enough for the repo's questions (mean loss per
-/// epoch, gradient-norm spread); full quantile sketches can slot in later
-/// behind the same name.
+/// epoch, gradient-norm spread).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistStat {
     /// Number of recorded values.

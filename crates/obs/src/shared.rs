@@ -117,7 +117,7 @@ impl SharedHist {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time plain copy for quantile math and exposition. Not a
+    /// Point-in-time plain copy for exposition. Not a
     /// cross-field atomic snapshot — concurrent recorders may be mid-update
     /// — but each field is itself consistent, which is all a scrape needs.
     pub fn snapshot(&self) -> StreamHist {
@@ -227,7 +227,7 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Plain copies of every non-empty registered histogram, keyed by name —
-/// the input for quantile reports and Prometheus bucket exposition.
+/// the input for Prometheus bucket exposition.
 pub fn hist_snapshots() -> BTreeMap<String, StreamHist> {
     let reg = lock();
     reg.hists

@@ -1,11 +1,11 @@
-//! Bounded log2-bucketed streaming histogram with quantile estimation.
+//! Bounded log2-bucketed streaming histogram.
 //!
 //! [`StreamHist`] replaces "buffer every raw sample" collectors on paths
 //! that must run for days: its footprint is one fixed array of bucket
 //! counts (plus exact count/sum/min/max), so memory is constant no matter
 //! how many values are recorded. The process-shared registry
 //! ([`crate::shared`]) keeps the same layout in atomics and hands out
-//! plain `StreamHist` copies for quantile math and exposition.
+//! plain `StreamHist` copies for exposition.
 //!
 //! # Bucket layout
 //!
@@ -14,19 +14,15 @@
 //! bucket's bounds are `2^e·(1+s/SUB)` to `2^e·(1+(s+1)/SUB)`. The bucket
 //! of a value falls out of its IEEE-754 bit pattern (exponent field +
 //! top mantissa bits) — no `log2` call, no search, no allocation on the
-//! record path. The widest bucket ratio is `(SUB+1)/SUB = 9/8`, so a
-//! quantile estimated as the geometric midpoint of its bucket carries at
-//! most ~6% relative error (bounded by the bucket width; proptested
-//! against a sorted-vector oracle in `tests/tests/telemetry.rs`).
+//! record path. The widest bucket ratio is `(SUB+1)/SUB = 9/8`, so the
+//! bucket bounds a Prometheus scrape sees resolve a value to within 12.5%.
 //!
 //! Values below `2^E_MIN` (including zero, negatives, and non-finite
 //! values, which have no honest geometric bucket) clamp into the first
 //! bucket; values at or above `2^{E_MAX+1}` clamp into the last. The
-//! exact min/max tracked alongside keep the clamped tails honest: quantile
-//! estimates are clamped into `[min, max]`.
+//! exact count/sum/min/max tracked alongside are unaffected by clamping.
 
 use crate::metrics::HistStat;
-use crate::percentile::rank;
 
 /// Sub-buckets per power-of-two octave.
 pub const SUB: usize = 8;
@@ -120,36 +116,6 @@ impl StreamHist {
         }
     }
 
-    /// Estimated `q`-quantile (`q ∈ [0, 1]`, nearest-rank definition
-    /// shared with [`crate::percentile`]): the geometric midpoint of the
-    /// bucket holding the rank, clamped into the exact `[min, max]`. The
-    /// estimate and the true quantile share a bucket, so the relative
-    /// error is bounded by the bucket width (≤ `(SUB+1)/SUB − 1`).
-    /// Returns 0 while empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.stat.count == 0 {
-            return 0.0;
-        }
-        let target = rank(q, self.stat.count as usize) as u64;
-        // The extreme ranks are tracked exactly — answer them exactly.
-        if target == 0 {
-            return self.stat.min;
-        }
-        if target == self.stat.count - 1 {
-            return self.stat.max;
-        }
-        let mut cum = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum > target {
-                let est = (bucket_lo(idx) * bucket_hi(idx)).sqrt();
-                return est.clamp(self.stat.min, self.stat.max);
-            }
-        }
-        // PANICS: unreachable — cum reaches stat.count, which is > target.
-        unreachable!("quantile rank {target} beyond recorded count {}", self.stat.count)
-    }
-
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs,
     /// ascending — the shape Prometheus histogram exposition wants.
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
@@ -211,26 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_track_exact_stats() {
-        let mut h = StreamHist::new();
-        for i in 1..=1000u64 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        assert!((p50 / 500.0 - 1.0).abs() < 0.13, "p50 {p50} too far from 500");
-        // p0/p100 clamp to the exact extremes.
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(1.0), 1000.0);
-        assert_eq!(h.stat().count, 1000);
-        assert_eq!(h.stat().min, 1.0);
-        assert_eq!(h.stat().max, 1000.0);
-    }
-
-    #[test]
     fn empty_histogram_is_zeroed() {
         let h = StreamHist::new();
-        assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.stat(), HistStat { count: 0, sum: 0.0, min: 0.0, max: 0.0 });
         assert!(h.cumulative_buckets().is_empty());
     }

@@ -26,11 +26,9 @@
 //!    `GET /debug/flight`. These lock-free instruments are the server's
 //!    only stats path.
 //!
-//! Models expose their state either through the generic
-//! [`dgnn_eval::EmbeddingExport`] path ([`export_recommender`], for plain
-//! dot-product scorers like NGCF/GCCF) or through model-specific methods
-//! (`Dgnn::save_checkpoint`, which additionally stores every parameter,
-//! the τ matrix, and the users' seen-item lists).
+//! A trained model is written by `Dgnn::save_checkpoint`, which stores
+//! every parameter, the final embeddings, the τ matrix, and the users'
+//! seen-item lists.
 
 #![warn(missing_docs)]
 
@@ -41,36 +39,9 @@ pub mod segment;
 pub mod shard;
 pub mod trace;
 
-use std::path::Path;
-
-use dgnn_eval::EmbeddingExport;
-
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::{Engine, Query, QueryError, ScoredItem};
 pub use http::{ServeConfig, Server};
 pub use segment::{save_segmented, SegmentedCheckpoint, SegmentedWriter, UserShard};
 pub use shard::ShardStats;
 pub use trace::{PhaseBreakdown, RequestTrace, ServeTelemetry};
-
-/// Builds a checkpoint from any dot-product recommender's final
-/// embeddings. The loaded [`Engine`] then scores exactly like the model's
-/// `score` (same sequential dot product), so round-trips are bit-exact.
-pub fn export_recommender(model: &impl EmbeddingExport, dataset: &str) -> Checkpoint {
-    let (user, item) = model.embeddings();
-    let mut ckpt = Checkpoint::new();
-    ckpt.set_meta("model", model.name());
-    ckpt.set_meta("dataset", dataset);
-    ckpt.set_meta("dim", &item.cols().to_string());
-    ckpt.push_matrix("final/user", user);
-    ckpt.push_matrix("final/item", item);
-    ckpt
-}
-
-/// [`export_recommender`] + [`Checkpoint::save`] in one call.
-pub fn save_recommender(
-    model: &impl EmbeddingExport,
-    dataset: &str,
-    path: &Path,
-) -> Result<(), CheckpointError> {
-    export_recommender(model, dataset).save(path)
-}

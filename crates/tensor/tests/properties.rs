@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 /// Strategy: a matrix with the given shape and entries in [-10, 10].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(-10.0f32..10.0, rows * cols)
+    collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
@@ -17,7 +17,7 @@ fn dims3() -> impl Strategy<Value = (usize, usize, usize)> {
 
 /// Strategy: a sparse matrix as triplets over a `rows × cols` grid.
 fn csr(rows: usize, cols: usize) -> impl Strategy<Value = Csr> {
-    proptest::collection::vec(((0..rows), (0..cols), -5.0f32..5.0), 0..(rows * cols * 2))
+    collection::vec(((0..rows), (0..cols), -5.0f32..5.0), 0..(rows * cols * 2))
         .prop_map(move |trips| {
             let mut b = CsrBuilder::new(rows, cols);
             for (r, c, v) in trips {
@@ -111,7 +111,7 @@ proptest! {
     }
 
     #[test]
-    fn gather_then_scatter_restores_counts(idx in proptest::collection::vec(0usize..6, 1..20)) {
+    fn gather_then_scatter_restores_counts(idx in collection::vec(0usize..6, 1..20)) {
         let table = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
         let g = table.gather_rows(&idx);
         let mut acc = Matrix::zeros(6, 3);

@@ -46,7 +46,7 @@ fn fd_check(input: &Matrix, build: &dyn Fn(&mut Tape, Var) -> Var) -> Result<(),
 }
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(-1.5f32..1.5, rows * cols)
+    collection::vec(-1.5f32..1.5, rows * cols)
         .prop_map(move |d| Matrix::from_vec(rows, cols, d))
 }
 
@@ -157,7 +157,7 @@ proptest! {
     #[test]
     fn random_activation_chains_have_correct_grads(
         x in matrix(3, 4),
-        ops in proptest::collection::vec(0u8..5, 1..4),
+        ops in collection::vec(0u8..5, 1..4),
     ) {
         let ops = ops.clone();
         let build = move |t: &mut Tape, mut v: Var| -> Var {
@@ -197,7 +197,7 @@ proptest! {
     #[test]
     fn gather_concat_composition_has_correct_grads(
         x in matrix(5, 3),
-        idx in proptest::collection::vec(0usize..5, 2..7),
+        idx in collection::vec(0usize..5, 2..7),
     ) {
         let idx = Rc::new(idx);
         let build = move |t: &mut Tape, v: Var| -> Var {

@@ -16,8 +16,8 @@ fn arb_graph() -> impl Strategy<Value = dgnn_graph::HeteroGraph> {
         4usize..12,                                          // users
         110usize..160,                                       // items (≥ negatives pool)
         1usize..4,                                           // relations
-        proptest::collection::vec((0usize..12, 0usize..110, 0u32..50), 20..120),
-        proptest::collection::vec((0usize..12, 0usize..12), 0..30),
+        collection::vec((0usize..12, 0usize..110, 0u32..50), 20..120),
+        collection::vec((0usize..12, 0usize..12), 0..30),
     )
         .prop_map(|(nu, nv, nr, interactions, ties)| {
             let mut b = HeteroGraphBuilder::new(nu, nv, nr);
@@ -99,7 +99,7 @@ proptest! {
     }
 
     #[test]
-    fn quartiles_partition_and_order(values in proptest::collection::vec(0usize..100, 8..200)) {
+    fn quartiles_partition_and_order(values in collection::vec(0usize..100, 8..200)) {
         let groups = quartile_assignment(&values);
         prop_assert_eq!(groups.len(), values.len());
         // Sizes differ by at most NUM_GROUPS (integer division remainder).

@@ -8,11 +8,10 @@
 
 use std::path::PathBuf;
 
-use dgnn_baselines::{Gccf, Ngcf};
 use dgnn_core::Dgnn;
 use dgnn_data::tiny;
 use dgnn_eval::{Recommender, Trainable};
-use dgnn_integration_tests::{quick_baseline, quick_dgnn};
+use dgnn_integration_tests::quick_dgnn;
 use dgnn_serve::{save_segmented, Checkpoint, CheckpointError, Engine, Query};
 use dgnn_tensor::{parallel, top_k_row, Matrix};
 
@@ -48,40 +47,6 @@ fn dgnn_roundtrip_scores_bit_identical() {
         let want = model.score(case.user as usize, &candidates);
         let got = restored.score(case.user as usize, &candidates);
         assert_score_bits_eq(&want, &got, "DGNN user score");
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-/// The generic embedding-export path must serve the two CF baselines'
-/// dot-product scorer bit-for-bit through the inference engine.
-#[test]
-fn baseline_roundtrip_scores_bit_identical() {
-    let data = tiny(SEED);
-
-    let mut ngcf = Ngcf::new(quick_baseline());
-    ngcf.fit(&data, SEED);
-    assert_baseline_served_exactly(&ngcf, &data, "ngcf-golden");
-
-    let mut gccf = Gccf::new(quick_baseline());
-    gccf.fit(&data, SEED);
-    assert_baseline_served_exactly(&gccf, &data, "gccf-golden");
-}
-
-fn assert_baseline_served_exactly(
-    model: &(impl dgnn_eval::EmbeddingExport + Recommender),
-    data: &dgnn_data::Dataset,
-    tag: &str,
-) {
-    let path = tmp(tag);
-    dgnn_serve::save_recommender(model, &data.name, &path).unwrap();
-    let engine = Engine::load(&path).unwrap();
-    assert_eq!(Checkpoint::load(&path).unwrap().meta("model"), Some(model.name()));
-    for case in data.test.iter().take(20) {
-        let all = engine.scores_for(case.user).unwrap();
-        let candidates: Vec<usize> = case.candidates().map(|v| v as usize).collect();
-        let want = model.score(case.user as usize, &candidates);
-        let got: Vec<f32> = candidates.iter().map(|&v| all[v]).collect();
-        assert_score_bits_eq(&want, &got, &format!("{} served score", model.name()));
     }
     std::fs::remove_file(&path).ok();
 }

@@ -1,5 +1,5 @@
-//! Telemetry gate: the observability layer's quantile math and Prometheus
-//! exposition are proptested against oracles, and a live server is scraped
+//! Telemetry gate: the observability layer's Prometheus exposition is
+//! proptested against a parser oracle, and a live server is scraped
 //! to prove `/metrics`, `/stats`, `/health`, and `/debug/flight` answer
 //! with valid, internally consistent payloads — including the crash drill:
 //! a worker panic must leave a flight-recorder dump on disk and the pool
@@ -18,7 +18,6 @@ use std::time::Duration;
 use dgnn_obs::export::{
     escape_label_value, parse_prometheus_text, prometheus_text, sanitize_metric_name,
 };
-use dgnn_obs::percentile::percentile_sorted;
 use dgnn_obs::{HistStat, Snapshot, StreamHist};
 use dgnn_serve::{Checkpoint, Engine, ServeConfig, Server};
 use dgnn_tensor::Matrix;
@@ -28,43 +27,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The workspace percentile definition against an independently coded
-    /// sorted-vector oracle: nearest rank, `round(q·(n−1))`, zero-based.
-    #[test]
-    fn percentile_matches_sorted_vector_oracle(
-        mut v in collection::vec(1e-3f64..1e6, 1..400),
-        q in 0.0f64..=1.0,
-    ) {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = v.len();
-        let idx = ((q * (n - 1) as f64).round() as usize).min(n - 1);
-        prop_assert_eq!(percentile_sorted(&v, q), v[idx]);
-    }
-
-    /// The streaming histogram's quantile estimate stays within one
-    /// geometric half-bucket of the true nearest-rank sample: buckets are
-    /// `2^e·(1+s/8)` wide, worst ratio 9/8, so the midpoint estimate is
-    /// off by at most `sqrt(9/8) ≈ 1.0607` in either direction for values
-    /// inside the honest bucket range.
-    #[test]
-    fn streamhist_quantile_has_bounded_relative_error(
-        mut v in collection::vec(1e-3f64..1e6, 1..400),
-        q in 0.0f64..=1.0,
-    ) {
-        let mut h = StreamHist::new();
-        for &x in &v {
-            h.record(x);
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let truth = percentile_sorted(&v, q);
-        let est = h.quantile(q);
-        let ratio = est / truth;
-        prop_assert!(
-            (0.94..=1.062).contains(&ratio),
-            "estimate {est} vs true {truth} (ratio {ratio}) escaped the bucket bound"
-        );
-    }
 
     /// Render → parse round-trip over arbitrary registry contents: every
     /// series comes back, histogram bucket counts are cumulative and end
