@@ -6,14 +6,15 @@
 //! without allocating a single output tensor: each op records only its
 //! output shape, a boundedness bit, an abstract lower bound, its input
 //! edges, and a static op name. Structural problems (shape mismatches,
-//! out-of-range gather indices, non-covering segment pointers, `exp` of
+//! out-of-range gather or edge-list indices, non-covering segment
+//! pointers, an edge list's inconsistent by-source transpose, `exp` of
 //! unbounded inputs, `ln`/`div`/`sqrt` outside their safe domain) surface
 //! as [`Diagnostic`]s at trace time, *before* any training step executes.
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
-use dgnn_tensor::{Csr, Matrix};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Rows, Var};
+use dgnn_tensor::{Csr, EdgeList, Matrix};
 
 /// The class of a [`Diagnostic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,6 +285,82 @@ impl ShapeTracer {
                 "segment pointer is not monotonically non-decreasing".to_string(),
             );
         }
+    }
+
+    /// Validates an edge list's own invariants (its fields are public, so
+    /// a list can reach an op without passing `EdgeList::new`'s checks):
+    /// the segment pointer covers the sources, `dst` names each edge's
+    /// segment, and the by-source transpose lists every edge once, under
+    /// its source, in increasing id.
+    fn check_edge_list(&mut self, op: &'static str, edges: &EdgeList) {
+        self.check_segments(op, &edges.seg, edges.src.len());
+        let dst_ok = edges.dst.len() == edges.src.len()
+            && edges.seg.windows(2).enumerate().all(|(n, w)| {
+                edges.dst.get(w[0]..w[1]).is_some_and(|d| d.iter().all(|&x| x == n))
+            });
+        if !dst_ok {
+            self.diag(DiagnosticKind::IndexRange, op, "edge list's dst disagrees with its segment pointer".to_string());
+        }
+        let ptr = &edges.src_seg;
+        let transpose_ok = ptr.first() == Some(&0)
+            && ptr.last() == Some(&edges.src.len())
+            && edges.src_edges.len() == edges.src.len()
+            && ptr.windows(2).enumerate().all(|(s, w)| {
+                edges.src_edges.get(w[0]..w[1]).is_some_and(|out| {
+                    out.windows(2).all(|p| p[0] < p[1]) && out.iter().all(|&e| edges.src.get(e) == Some(&s))
+                })
+            });
+        if !transpose_ok {
+            self.diag(
+                DiagnosticKind::IndexRange,
+                op,
+                "edge list's by-source transpose is inconsistent with its sources".to_string(),
+            );
+        }
+    }
+
+    /// Checks a row operand and returns `(edges, width)`: a table must
+    /// have one row per destination (or source) of a consistent edge list,
+    /// and every index must address one of its rows.
+    fn check_rows(&mut self, op: &'static str, r: &Rows) -> (usize, usize) {
+        let (rows, cols) = self.shape_of(r.var());
+        let (edges, index, side) = match r {
+            Rows::Edge(_) => return (rows, cols),
+            Rows::Dst(_, edges) => (edges, &edges.dst, "dst"),
+            Rows::Src(_, edges) => (edges, &edges.src, "src"),
+        };
+        self.check_edge_list(op, edges);
+        if let Some(&bad) = index.iter().find(|&&i| i >= rows) {
+            self.diag(
+                DiagnosticKind::IndexRange,
+                op,
+                format!("{side} index {bad} out of range for a table with {rows} rows"),
+            );
+        }
+        let expected = match r {
+            Rows::Dst(..) => edges.seg.len(),
+            _ => edges.src_seg.len(),
+        }
+        .saturating_sub(1);
+        if expected != rows {
+            self.diag(
+                DiagnosticKind::ShapeMismatch,
+                op,
+                format!("table has {rows} rows but its edge list reads {expected} through {side}"),
+            );
+        }
+        (edges.len(), cols)
+    }
+}
+
+/// Value-numbering attribute of a row operand: its edge list's address
+/// and read side, 0 for per-edge rows.
+fn rows_attr(r: &Rows) -> u64 {
+    // `Rc` payloads are at least 8-aligned, so the low bits are free.
+    match r {
+        Rows::Edge(_) => 0,
+        Rows::Dst(_, edges) => Rc::as_ptr(edges) as usize as u64 | 1,
+        Rows::Src(_, edges) => Rc::as_ptr(edges) as usize as u64 | 2,
     }
 }
 
@@ -676,9 +753,17 @@ impl Recorder for ShapeTracer {
         self.tag(v, ((heads as u64) << 32) | u64::from(eps.to_bits()))
     }
 
-    fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var {
-        self.require_same("row_dots", a, b);
-        let (r, c) = self.shape_of(a);
+    fn head_dots(&mut self, a: impl Into<Rows>, b: impl Into<Rows>, heads: usize) -> Var {
+        let (a, b) = (a.into(), b.into());
+        let (sa, sb) = (self.check_rows("row_dots", &a), self.check_rows("row_dots", &b));
+        if sa != sb {
+            self.diag(
+                DiagnosticKind::ShapeMismatch,
+                "row_dots",
+                format!("operands read {sa:?} and {sb:?} (edges, width)"),
+            );
+        }
+        let (r, c) = sa;
         if heads == 0 || c % heads != 0 {
             self.diag(
                 DiagnosticKind::ShapeMismatch,
@@ -686,10 +771,11 @@ impl Recorder for ShapeTracer {
                 format!("width {c} does not split into {heads} heads"),
             );
         }
-        let bounded = self.bounded_of(a) && self.bounded_of(b);
-        let lower = self.nonneg_if_both(a, b);
-        let v = self.push_with("row_dots", (r, heads), &[a, b], bounded, None, lower);
-        self.tag(v, heads as u64)
+        let (av, bv) = (a.var(), b.var());
+        let bounded = self.bounded_of(av) && self.bounded_of(bv);
+        let lower = self.nonneg_if_both(av, bv);
+        let v = self.push_with("row_dots", (r, heads), &[av, bv], bounded, None, lower);
+        self.tag(v, heads as u64 ^ rows_attr(&a).rotate_left(16) ^ rows_attr(&b).rotate_left(40))
     }
 
     fn softmax_rows(&mut self, a: Var) -> Var {
@@ -712,8 +798,20 @@ impl Recorder for ShapeTracer {
         self.tag(v, Rc::as_ptr(&seg) as usize as u64)
     }
 
-    fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var {
-        let (sw, sv) = (self.shape_of(w), self.shape_of(v));
+    fn segment_weighted_sum(&mut self, w: Var, v: impl Into<Rows>, seg: Rc<Vec<usize>>) -> Var {
+        let rows = v.into();
+        let v = rows.var();
+        let sw = self.shape_of(w);
+        let sv = self.check_rows("segment_weighted_sum", &rows);
+        if let Rows::Dst(_, edges) | Rows::Src(_, edges) = &rows {
+            if *edges.seg != *seg {
+                self.diag(
+                    DiagnosticKind::IndexRange,
+                    "segment_weighted_sum",
+                    "the table's edge list has another segment pointer".to_string(),
+                );
+            }
+        }
         if sw.1 == 0 || sv.1 % sw.1 != 0 {
             self.diag(
                 DiagnosticKind::ShapeMismatch,
@@ -733,7 +831,7 @@ impl Recorder for ShapeTracer {
         let bounded = self.bounded_of(w) && self.bounded_of(v);
         let lower = self.nonneg_if_both(w, v);
         let out = self.push_with("segment_weighted_sum", (n, sv.1), &[w, v], bounded, None, lower);
-        self.tag(out, Rc::as_ptr(&seg) as usize as u64)
+        self.tag(out, Rc::as_ptr(&seg) as usize as u64 ^ rows_attr(&rows).rotate_left(32))
     }
 
     fn weighted_block_sum(&mut self, t: Var, eta: Var) -> Var {

@@ -17,7 +17,7 @@
 
 use std::rc::Rc;
 
-use dgnn_tensor::{Csr, Matrix};
+use dgnn_tensor::{Csr, EdgeList, Matrix, RowRead};
 
 use crate::params::{ParamId, ParamSet};
 
@@ -43,6 +43,60 @@ impl Var {
     /// for one recorder is meaningless on another.
     pub fn from_index(index: usize) -> Self {
         Self(index)
+    }
+}
+
+/// A row operand of an edge op ([`Recorder::head_dots`],
+/// [`Recorder::segment_weighted_sum`]): per-edge rows, or a node table
+/// that each edge reads a row of through an [`EdgeList`].
+///
+/// A table read is the gather it replaces, without the `E × d` copy:
+/// `Rows::Src(t, edges)` computes what `gather(t, edges.src)` fed into the
+/// op as `Rows::Edge` computes, to the bit, and the table's gradient is
+/// summed in the order the gather's scatter summed it. That holds when the
+/// op is the table's only consumer; a table that also feeds another op
+/// would take its gradients in another order, so keep its gather.
+#[derive(Debug, Clone)]
+pub enum Rows {
+    /// One row per edge (`E × d`).
+    Edge(Var),
+    /// A table with one row per destination; edge `e` reads row `dst[e]`.
+    Dst(Var, Rc<EdgeList>),
+    /// A table with one row per source; edge `e` reads row `src[e]`.
+    Src(Var, Rc<EdgeList>),
+}
+
+impl Rows {
+    /// Table `t` read through `edges`' destinations.
+    pub fn dst(t: Var, edges: &Rc<EdgeList>) -> Self {
+        Self::Dst(t, Rc::clone(edges))
+    }
+
+    /// Table `t` read through `edges`' sources.
+    pub fn src(t: Var, edges: &Rc<EdgeList>) -> Self {
+        Self::Src(t, Rc::clone(edges))
+    }
+
+    /// The recorded value the rows come from.
+    pub fn var(&self) -> Var {
+        match self {
+            Self::Edge(v) | Self::Dst(v, _) | Self::Src(v, _) => *v,
+        }
+    }
+
+    /// Which row each edge reads.
+    pub fn read(&self) -> RowRead<'_> {
+        match self {
+            Self::Edge(_) => RowRead::Edge,
+            Self::Dst(_, edges) => RowRead::Dst(edges),
+            Self::Src(_, edges) => RowRead::Src(edges),
+        }
+    }
+}
+
+impl From<Var> for Rows {
+    fn from(v: Var) -> Self {
+        Self::Edge(v)
     }
 }
 
@@ -236,12 +290,13 @@ pub trait Recorder {
         self.head_dots(a, b, 1)
     }
 
-    /// `n × heads` per-head row dot products: `a` and `b` are `n × d`, and
-    /// column `h` of the result dots column block `h` (of `heads` equal
-    /// blocks) of each row — multi-head attention logits without splitting
-    /// the heads apart.
+    /// `E × heads` per-head row dot products: `a` and `b` are `d` wide
+    /// [`Rows`] over the same `E` edges, and column `h` of the result dots
+    /// column block `h` (of `heads` equal blocks) of the two rows each edge
+    /// reads — multi-head attention logits without splitting the heads
+    /// apart, and without gathering either side when it is a table.
     #[must_use]
-    fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var;
+    fn head_dots(&mut self, a: impl Into<Rows>, b: impl Into<Rows>, heads: usize) -> Var;
 
     /// Row-wise softmax.
     #[must_use]
@@ -259,15 +314,17 @@ pub trait Recorder {
     #[must_use]
     fn segment_softmax(&mut self, logits: Var, seg: Rc<Vec<usize>>) -> Var;
 
-    /// Weighted segment sum: `out[n] = Σ_{e ∈ seg(n)} w[e] · v.row(e)` for
-    /// `E × 1` weights. With `E × H` weights, `v`'s columns split into `H`
-    /// equal blocks and block `h` is weighted by column `h`.
+    /// Weighted segment sum: `out[n] = Σ_{e ∈ seg(n)} w[e] · v(e)` for
+    /// `E × 1` weights, `v(e)` the row edge `e` reads of the [`Rows`] `v`.
+    /// With `E × H` weights, `v`'s columns split into `H` equal blocks and
+    /// block `h` is weighted by column `h`. A table `v` must be read
+    /// through an edge list whose `seg` is this `seg`.
     ///
     /// With `w` from [`Recorder::segment_softmax`] this is (multi-head)
     /// attention aggregation; with constant weights it is plain
     /// neighborhood sum.
     #[must_use]
-    fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var;
+    fn segment_weighted_sum(&mut self, w: Var, v: impl Into<Rows>, seg: Rc<Vec<usize>>) -> Var;
 
     // ---- memory-bank reduce ------------------------------------------------
 

@@ -8,10 +8,10 @@
 
 use std::rc::Rc;
 
-use dgnn_tensor::{stable_sigmoid, Csr, Matrix};
+use dgnn_tensor::{stable_sigmoid, Csr, EdgeRows, Matrix};
 
 use crate::params::{ParamId, ParamSet};
-use crate::recorder::{Recorder, Var};
+use crate::recorder::{Recorder, Rows, Var};
 
 /// One recorded operation. Kept private: the public API is the builder
 /// surface of [`Recorder`] as implemented by [`Tape`].
@@ -64,17 +64,17 @@ enum Op {
     /// L2 normalization of each of `heads` equal column blocks of every
     /// row (DGCF's intent routing; one block is plain row normalization).
     RowL2Norm { a: Var, eps: f32, heads: usize },
-    /// `n × heads` of per-head row dot products of two equally-shaped
-    /// matrices (`n × 1` with one head).
-    RowDots { a: Var, b: Var, heads: usize },
+    /// `E × heads` of per-head row dot products of the rows each edge
+    /// reads of `a` and `b` (`n × 1` with one head and per-row operands).
+    RowDots { a: Rows, b: Rows, heads: usize },
     SoftmaxRows(Var),
     /// Per-segment softmax of every column of `E × H` edge logits,
     /// segments given by a CSR-style `seg` pointer (edges grouped by
     /// target node).
     SegmentSoftmax { logits: Var, seg: Rc<Vec<usize>> },
-    /// `out[n, block h] = Σ_{e ∈ seg(n)} w[e, h] · v[e, block h]` —
+    /// `out[n, block h] = Σ_{e ∈ seg(n)} w[e, h] · v(e)[block h]` —
     /// multi-head attention aggregation (one head when `w` is `E × 1`).
-    SegmentWeightedSum { w: Var, v: Var, seg: Rc<Vec<usize>> },
+    SegmentWeightedSum { w: Var, v: Rows, seg: Rc<Vec<usize>> },
     /// `out[n, :] = Σ_m eta[n, m] · t[n, m·b..(m+1)·b]` — the memory-bank
     /// reduce of the paper's Eq. 3 over the `M` column blocks of `t`.
     WeightedBlockSum { t: Var, eta: Var },
@@ -188,6 +188,11 @@ impl Tape {
         self.nodes[v.0].value.shape()
     }
 
+    /// The forward value of a row operand, read the way its edges read it.
+    fn rows<'a>(&'a self, r: &'a Rows) -> EdgeRows<'a> {
+        EdgeRows::new(self.value(r.var()), r.read())
+    }
+
     fn push(&mut self, op: Op, value: Matrix) -> Var {
         if let Some(mark) = self.obs_mark {
             let now = dgnn_obs::now_ns();
@@ -269,12 +274,10 @@ impl Tape {
             Gather { a, idx } => self.value(*a).gather_rows(idx),
             LayerNormRow { a, eps } => self.value(*a).layer_norm_rows(*eps),
             RowL2Norm { a, eps, heads } => self.value(*a).l2_normalize_heads(*eps, *heads),
-            RowDots { a, b, heads } => self.value(*a).head_dots(self.value(*b), *heads),
+            RowDots { a, b, heads } => Matrix::head_dots_via(self.rows(a), self.rows(b), *heads),
             SoftmaxRows(a) => self.value(*a).softmax_rows(),
             SegmentSoftmax { logits, seg } => self.value(*logits).segment_softmax(seg),
-            SegmentWeightedSum { w, v, seg } => {
-                Matrix::segment_weighted_sum(self.value(*w), self.value(*v), seg)
-            }
+            SegmentWeightedSum { w, v, seg } => Matrix::segment_weighted_sum(self.value(*w), self.rows(v), seg),
             WeightedBlockSum { t, eta } => self.value(*t).weighted_block_sum(self.value(*eta)),
             Dropout { a, mask } => {
                 assert_eq!(self.value(*a).shape(), mask.shape(), "dropout: mask shape mismatch");
@@ -489,9 +492,10 @@ impl Tape {
                 Self::accum(grads, *a, Matrix::l2_normalize_heads_grad(self.value(*a), g, *eps, *heads));
             }
             RowDots { a, b, .. } => {
-                // `g` is `n × heads`: head `h`'s column scales block `h`.
-                Self::accum(grads, *a, self.value(*b).mul_col_broadcast(g));
-                Self::accum(grads, *b, self.value(*a).mul_col_broadcast(g));
+                // `g` is `E × heads`: head `h`'s column scales block `h`. A
+                // table operand's gradient comes back summed per table row.
+                Self::accum(grads, a.var(), Matrix::head_dots_grad(a.read(), self.rows(b), g));
+                Self::accum(grads, b.var(), Matrix::head_dots_grad(b.read(), self.rows(a), g));
             }
             SoftmaxRows(a) => {
                 Self::accum(grads, *a, Matrix::softmax_rows_grad(self.value(Var(i)), g));
@@ -500,10 +504,10 @@ impl Tape {
                 Self::accum(grads, *logits, Matrix::segment_softmax_grad(self.value(Var(i)), g, seg));
             }
             SegmentWeightedSum { w, v, seg } => {
-                let (wv, vv) = (self.value(*w), self.value(*v));
+                let wv = self.value(*w);
                 let heads = wv.cols();
-                Self::accum(grads, *w, Matrix::segment_weighted_sum_grad_weights(vv, g, seg, heads));
-                Self::accum(grads, *v, Matrix::segment_weighted_sum_grad_values(wv, g, seg));
+                Self::accum(grads, *w, Matrix::segment_weighted_sum_grad_weights(self.rows(v), g, seg, heads));
+                Self::accum(grads, v.var(), Matrix::segment_weighted_sum_grad_rows(wv, g, seg, v.read()));
             }
             WeightedBlockSum { t, eta } => {
                 let (tv, ev) = (self.value(*t), self.value(*eta));
@@ -670,8 +674,8 @@ impl Recorder for Tape {
         self.apply(Op::RowL2Norm { a, eps, heads })
     }
 
-    fn head_dots(&mut self, a: Var, b: Var, heads: usize) -> Var {
-        self.apply(Op::RowDots { a, b, heads })
+    fn head_dots(&mut self, a: impl Into<Rows>, b: impl Into<Rows>, heads: usize) -> Var {
+        self.apply(Op::RowDots { a: a.into(), b: b.into(), heads })
     }
 
     fn softmax_rows(&mut self, a: Var) -> Var {
@@ -684,8 +688,8 @@ impl Recorder for Tape {
         self.apply(Op::SegmentSoftmax { logits, seg })
     }
 
-    fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>) -> Var {
-        self.apply(Op::SegmentWeightedSum { w, v, seg })
+    fn segment_weighted_sum(&mut self, w: Var, v: impl Into<Rows>, seg: Rc<Vec<usize>>) -> Var {
+        self.apply(Op::SegmentWeightedSum { w, v: v.into(), seg })
     }
 
     fn weighted_block_sum(&mut self, t: Var, eta: Var) -> Var {

@@ -7,8 +7,8 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamSet, Recorder, Tape, Var};
-use dgnn_tensor::{Csr, CsrBuilder, Matrix};
+use dgnn_autograd::{ParamSet, Recorder, Rows, Tape, Var};
+use dgnn_tensor::{Csr, CsrBuilder, EdgeList, Matrix};
 
 const H: f32 = 1e-3;
 const TOL: f32 = 2e-2; // relative-ish tolerance; f32 finite differences are noisy
@@ -375,6 +375,75 @@ fn grad_multi_head_attention_ops() {
         let w = t.constant(sample(6, 2, 55));
         let out = t.segment_weighted_sum(w, v, Rc::clone(&seg));
         let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+}
+
+/// Four destinations (one with no edge) and four sources (one read by no
+/// edge, one by three): the table-read shapes of the edge ops.
+fn table_edges() -> Rc<EdgeList> {
+    Rc::new(EdgeList::new(vec![0, 2, 2, 5, 6], vec![1, 0, 1, 2, 1, 0], 4))
+}
+
+#[test]
+fn grad_edge_ops_reading_a_destination_table() {
+    let edges = table_edges();
+    let e = Rc::clone(&edges);
+    check_grad(sample(4, 4, 60), move |t, q| {
+        let k = t.constant(sample(4, 4, 61));
+        let d = t.head_dots(Rows::dst(q, &e), Rows::src(k, &e), 2);
+        let sq = t.mul(d, d);
+        t.sum_all(sq)
+    });
+    check_grad(sample(4, 4, 62), move |t, v| {
+        let w = t.constant(sample(6, 2, 63));
+        let out = t.segment_weighted_sum(w, Rows::dst(v, &edges), Rc::clone(&edges.seg));
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+}
+
+#[test]
+fn grad_edge_ops_reading_a_source_table() {
+    let edges = table_edges();
+    let e = Rc::clone(&edges);
+    check_grad(sample(4, 4, 64), move |t, k| {
+        let q = t.constant(sample(4, 4, 65));
+        let d = t.head_dots(Rows::dst(q, &e), Rows::src(k, &e), 2);
+        let sq = t.mul(d, d);
+        t.sum_all(sq)
+    });
+    let e = Rc::clone(&edges);
+    check_grad(sample(4, 4, 66), move |t, v| {
+        let w = t.constant(sample(6, 2, 67));
+        let out = t.segment_weighted_sum(w, Rows::src(v, &e), Rc::clone(&e.seg));
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+    // The weights' gradient, with the values read from the table.
+    check_grad(sample(6, 2, 68), move |t, w| {
+        let v = t.constant(sample(4, 4, 69));
+        let out = t.segment_weighted_sum(w, Rows::src(v, &edges), Rc::clone(&edges.seg));
+        let sq = t.mul(out, out);
+        t.sum_all(sq)
+    });
+}
+
+#[test]
+fn grad_head_dots_mixing_a_table_and_per_edge_rows() {
+    // DGCF's affinity: a destination table against per-edge rows.
+    let edges = table_edges();
+    let e = Rc::clone(&edges);
+    check_grad(sample(4, 4, 70), move |t, u| {
+        let x = t.constant(sample(6, 4, 71));
+        let d = t.head_dots(Rows::dst(u, &e), x, 2);
+        let sq = t.mul(d, d);
+        t.sum_all(sq)
+    });
+    check_grad(sample(6, 4, 72), move |t, x| {
+        let u = t.constant(sample(4, 4, 73));
+        let d = t.head_dots(Rows::dst(u, &edges), x, 2);
+        let sq = t.mul(d, d);
         t.sum_all(sq)
     });
 }

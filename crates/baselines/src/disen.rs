@@ -5,7 +5,12 @@
 //!   per-edge intent logits are softmaxed across intents, each intent
 //!   propagates with its own weighted adjacency, and the logits are updated
 //!   from the affinity of the refreshed representations. The routing is the
-//!   computational burden the paper's Table IV measures.
+//!   computational burden the paper's Table IV measures. Where the edge op
+//!   is a table's only reader, it reads the table in place through the
+//!   [`EdgeList`] instead of gathering it per edge: the refreshed
+//!   destinations in the affinity, and the normalised sources in the last
+//!   iteration's propagation. The first iteration's gathered sources also
+//!   feed `tanh`, so that gather stays.
 //! * **DisenHAN** (Wang et al., CIKM 2020) disentangles *aspects* and uses
 //!   relation-level attention per aspect plus semantic attention across
 //!   relation families — the closest prior art to DGNN's design, but with
@@ -13,10 +18,10 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Rows, Var};
 use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
-use dgnn_tensor::{Csr, Init, Matrix};
+use dgnn_tensor::{Csr, EdgeList, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,34 +33,18 @@ const NUM_FACTORS: usize = 4;
 /// DGCF routing iterations.
 const ROUTING_ITERS: usize = 2;
 
-/// Edge list grouped by destination, with a precomputed `1/deg(dst)`
-/// normalizer per edge.
-struct Edges {
-    seg: Rc<Vec<usize>>,
-    src: Rc<Vec<usize>>,
-    dst: Rc<Vec<usize>>,
+/// One routing direction: the edges grouped by destination, with a
+/// precomputed `1/deg(dst)` normalizer per edge.
+struct Routing {
+    edges: Rc<EdgeList>,
     inv_deg: Matrix,
 }
 
-impl Edges {
+impl Routing {
     fn from_csr(csr: &Csr) -> Self {
-        let mut dst = Vec::with_capacity(csr.nnz());
-        let mut inv = Vec::with_capacity(csr.nnz());
-        for r in 0..csr.rows() {
-            let deg = csr.degree(r);
-            dst.extend(std::iter::repeat(r).take(deg));
-            inv.extend(std::iter::repeat(1.0 / deg.max(1) as f32).take(deg));
-        }
-        Self {
-            seg: Rc::new(csr.row_ptr().to_vec()),
-            src: Rc::new(csr.col_idx().to_vec()),
-            dst: Rc::new(dst),
-            inv_deg: Matrix::col_vector(&inv),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.src.is_empty()
+        let edges = EdgeList::from_csr(csr);
+        let inv: Vec<f32> = edges.dst.iter().map(|&r| 1.0 / csr.degree(r).max(1) as f32).collect();
+        Self { edges: Rc::new(edges), inv_deg: Matrix::col_vector(&inv) }
     }
 }
 
@@ -66,38 +55,41 @@ impl Edges {
 struct DgcfState {
     e_user: ParamId,
     e_item: ParamId,
-    user_side: Edges, // item → user, grouped by user
-    item_side: Edges, // user → item, grouped by item
+    user_side: Routing, // item → user, grouped by user
+    item_side: Routing, // user → item, grouped by item
 }
 
 /// One routing pass over every intent at once: intent `k` is column block
 /// `k` of the `n × d` tables, so the logits are one `E × NUM_FACTORS`
 /// matrix and every kernel takes all intents in one full-width call.
 /// Refines `dst` from `src` and returns the refreshed destination table.
-fn route<R: Recorder>(tape: &mut R, edges: &Edges, dst: Var, src: Var) -> Var {
+fn route<R: Recorder>(tape: &mut R, side: &Routing, dst: Var, src: Var) -> Var {
+    let edges = &side.edges;
     if edges.is_empty() {
         return dst;
     }
     // Intent logits, initialised uniform (zeros).
-    let mut logits = tape.constant(Matrix::zeros(edges.src.len(), NUM_FACTORS));
-    let norm = tape.constant(edges.inv_deg.clone());
+    let mut logits = tape.constant(Matrix::zeros(edges.len(), NUM_FACTORS));
+    let norm = tape.constant(side.inv_deg.clone());
     let mut out = dst;
     for it in 0..ROUTING_ITERS {
+        let last = it + 1 == ROUTING_ITERS;
         let alpha = tape.softmax_rows(logits);
         let w = tape.mul_col(alpha, norm);
         let src_n = tape.l2_normalize_heads(src, 1e-9, NUM_FACTORS);
-        let src_e = tape.gather(src_n, Rc::clone(&edges.src));
-        let msg = tape.segment_weighted_sum(w, src_e, Rc::clone(&edges.seg));
+        // The last iteration's sources feed only the propagation, which
+        // reads them in place; earlier ones also feed `tanh` below.
+        let src_e = if last { Rows::src(src_n, edges) } else { Rows::Edge(tape.gather(src_n, Rc::clone(&edges.src))) };
+        let msg = tape.segment_weighted_sum(w, src_e.clone(), Rc::clone(&edges.seg));
         let refreshed = tape.add(dst, msg);
         out = tape.l2_normalize_heads(refreshed, 1e-9, NUM_FACTORS);
         // Routing update: s += u_dst · tanh(v_src) per edge and intent.
         // The refreshed logits are consumed by the next iteration's
         // softmax, so the last iteration would only build dead tape
         // nodes: skip it.
-        if it + 1 < ROUTING_ITERS {
-            let u_e = tape.gather(out, Rc::clone(&edges.dst));
-            let v_t = tape.tanh(src_e);
-            let aff = tape.head_dots(u_e, v_t, NUM_FACTORS);
+        if !last {
+            let v_t = tape.tanh(src_e.var());
+            let aff = tape.head_dots(Rows::dst(out, edges), v_t, NUM_FACTORS);
             logits = tape.add(logits, aff);
         }
     }
@@ -136,8 +128,8 @@ fn dgcf_build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (ParamSe
     let st = DgcfState {
         e_user,
         e_item,
-        user_side: Edges::from_csr(g.ui()),
-        item_side: Edges::from_csr(g.iu()),
+        user_side: Routing::from_csr(g.ui()),
+        item_side: Routing::from_csr(g.iu()),
     };
     (params, st)
 }
@@ -225,7 +217,7 @@ impl Trainable for Dgcf {
 // --------------------------------------------------------------------------
 
 struct Family {
-    edges: Edges,
+    edges: EdgeList,
     /// Per-aspect source transform (`dc × dc` each).
     w: Vec<ParamId>,
     /// Semantic projection (`dc × 1`).
@@ -334,7 +326,7 @@ fn disen_build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (ParamS
         params.add("e_rel", Init::Uniform(0.1).build(g.num_relations().max(1), d, &mut rng));
     let mut make_family = |name: &str, csr: &Csr| -> Family {
         Family {
-            edges: Edges::from_csr(csr),
+            edges: EdgeList::from_csr(csr),
             w: (0..NUM_FACTORS)
                 .map(|k| {
                     params.add(
@@ -448,7 +440,8 @@ mod tests {
 
     /// The routing as it was written before the intent-blocked kernels:
     /// every intent a column chunk of its own, routed chunk by chunk.
-    fn route_per_intent(tape: &mut Tape, edges: &Edges, dst_chunks: &[Var], src_chunks: &[Var]) -> Vec<Var> {
+    fn route_per_intent(tape: &mut Tape, side: &Routing, dst_chunks: &[Var], src_chunks: &[Var]) -> Vec<Var> {
+        let edges = &side.edges;
         if edges.is_empty() {
             return dst_chunks.to_vec();
         }
@@ -461,7 +454,7 @@ mod tests {
             let mut new_logits = Vec::with_capacity(NUM_FACTORS);
             for k in 0..NUM_FACTORS {
                 let a_k = tape.slice_cols(alpha, k, k + 1);
-                let norm = tape.constant(edges.inv_deg.clone());
+                let norm = tape.constant(side.inv_deg.clone());
                 let w = tape.mul(a_k, norm);
                 let src_n = tape.l2_normalize_rows(src_chunks[k], 1e-9);
                 let src_e = tape.gather(src_n, Rc::clone(&edges.src));

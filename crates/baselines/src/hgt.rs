@@ -11,15 +11,20 @@
 //! All heads run at once on full-width operands: per-head logits are one
 //! `n × H` [`Recorder::head_dots`], and the segment softmax and weighted
 //! sum take `E × H` weights, so no head is ever sliced out or concatenated
-//! back. The bits are those of the head-by-head form (tested below).
+//! back. Nor is any row gathered per edge: the query, key and value
+//! tables are each read only by the attention op, so the ops read them in
+//! place through the family's [`EdgeList`] (`q` by destination, `k` and
+//! `v` by source) and sum their gradients per table row, in the order a
+//! gather's scatter did. The bits are those of the gathered, head-by-head
+//! form (tested below).
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Rows, Var};
 use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::{EdgeType, UnifiedView};
-use dgnn_tensor::{Init, Matrix};
+use dgnn_tensor::{EdgeList, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,12 +32,6 @@ use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 
 /// Attention heads (dim must be divisible by this).
 const NUM_HEADS: usize = 2;
-
-struct FamilyEdges {
-    seg: Rc<Vec<usize>>,
-    src: Rc<Vec<usize>>,
-    dst: Rc<Vec<usize>>,
-}
 
 struct FamilyParams {
     wq: ParamId,
@@ -42,7 +41,7 @@ struct FamilyParams {
 
 struct State {
     emb: ParamId,
-    families: Vec<(FamilyEdges, Vec<FamilyParams>)>, // per layer params
+    families: Vec<(Rc<EdgeList>, Vec<FamilyParams>)>, // per layer params
     /// Output projection per layer.
     wo: Vec<ParamId>,
     user_rows: Rc<Vec<usize>>,
@@ -56,7 +55,7 @@ fn forward<R: Recorder>(st: &State, layers: usize, dim: usize, tape: &mut R, par
     for layer in 0..layers.max(1) {
         let mut agg: Option<Var> = None;
         for (edges, layer_params) in &st.families {
-            if edges.src.is_empty() {
+            if edges.is_empty() {
                 continue;
             }
             let fp = &layer_params[layer];
@@ -66,15 +65,13 @@ fn forward<R: Recorder>(st: &State, layers: usize, dim: usize, tape: &mut R, par
             let q = tape.matmul(h, wq);
             let k = tape.matmul(h, wk);
             let v = tape.matmul(h, wv);
-            let qe = tape.gather(q, Rc::clone(&edges.dst));
-            let ke = tape.gather(k, Rc::clone(&edges.src));
-            let ve = tape.gather(v, Rc::clone(&edges.src));
             // Multi-head dot-product attention, every head at once: `E × H`
-            // logits and weights over the `E × dim` gathered rows.
-            let logits = tape.head_dots(qe, ke, NUM_HEADS);
+            // logits and weights, each edge reading its rows of the node
+            // tables in place.
+            let logits = tape.head_dots(Rows::dst(q, edges), Rows::src(k, edges), NUM_HEADS);
             let logits = tape.scale(logits, scale);
             let alpha = tape.segment_softmax(logits, Rc::clone(&edges.seg));
-            let fam_out = tape.segment_weighted_sum(alpha, ve, Rc::clone(&edges.seg));
+            let fam_out = tape.segment_weighted_sum(alpha, Rows::src(v, edges), Rc::clone(&edges.seg));
             agg = Some(match agg {
                 Some(a) => tape.add(a, fam_out),
                 None => fam_out,
@@ -168,7 +165,7 @@ fn build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (State, Param
     let emb = params.add("emb", Init::Uniform(0.1).build(view.num_nodes(), d, &mut rng));
     let mut families = Vec::new();
     for ty in EdgeType::ALL {
-        let edges = global_family_edges(g, &view, ty);
+        let edges = Rc::new(global_family_edges(g, &view, ty));
         let per_layer = (0..cfg.layers.max(1))
             .map(|l| FamilyParams {
                 wq: params.add(format!("wq/{ty:?}/{l}"), Init::XavierUniform.build(d, d, &mut rng)),
@@ -197,7 +194,7 @@ fn global_family_edges(
     g: &dgnn_graph::HeteroGraph,
     view: &UnifiedView,
     ty: EdgeType,
-) -> FamilyEdges {
+) -> EdgeList {
     let map = |local: usize, is_src: bool| -> usize {
         match (ty, is_src) {
             (EdgeType::SocialToUser, _) => view.user(local),
@@ -226,7 +223,7 @@ fn global_family_edges(
         }
         seg.push(e);
     }
-    FamilyEdges { seg: Rc::new(seg), src: Rc::new(src), dst: Rc::new(dst) }
+    EdgeList::new(seg, src, num_nodes)
 }
 
 impl Recommender for Hgt {
@@ -272,8 +269,9 @@ mod tests {
     }
 
     /// The attention block as it was written before the head-blocked
-    /// kernels: every head sliced out of the gathered rows, scored and
-    /// aggregated on its own, and the heads concatenated back.
+    /// kernels and the table reads: every head sliced out of the gathered
+    /// rows, scored and aggregated on its own, and the heads concatenated
+    /// back.
     fn forward_head_by_head(st: &State, layers: usize, dim: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
         let head_dim = dim / NUM_HEADS;
         let scale = 1.0 / (head_dim as f32).sqrt();
@@ -281,7 +279,7 @@ mod tests {
         for layer in 0..layers.max(1) {
             let mut agg: Option<Var> = None;
             for (edges, layer_params) in &st.families {
-                if edges.src.is_empty() {
+                if edges.is_empty() {
                     continue;
                 }
                 let fp = &layer_params[layer];

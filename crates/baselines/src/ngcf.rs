@@ -12,7 +12,7 @@ use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
 use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::UnifiedView;
-use dgnn_tensor::{Csr, Init, Matrix};
+use dgnn_tensor::{Csr, Init};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -160,11 +160,6 @@ impl GraphCf {
     fn score(&self, user: usize, items: &[usize]) -> Vec<f32> {
         self.scorer.score(self.static_name(), user, items)
     }
-
-    /// Final embeddings for visualization (users, items).
-    fn embeddings(&self) -> (&Matrix, &Matrix) {
-        (&self.scorer.user, &self.scorer.item)
-    }
 }
 
 macro_rules! cf_public_wrapper {
@@ -181,11 +176,6 @@ macro_rules! cf_public_wrapper {
             /// Mean BPR loss per epoch (after `fit`).
             pub fn loss_history(&self) -> &[f32] {
                 &self.0.loss_history
-            }
-
-            /// Final `(user, item)` embeddings (after `fit`).
-            pub fn embeddings(&self) -> (&Matrix, &Matrix) {
-                self.0.embeddings()
             }
 
             /// Records one full training step (forward pass + BPR loss over
@@ -264,7 +254,7 @@ mod tests {
         let data = dgnn_data::tiny(1);
         let mut m = Gccf::new(quick());
         m.fit(&data, 3);
-        let (u, v) = m.embeddings();
+        let (u, v) = (&m.0.scorer.user, &m.0.scorer.item);
         assert_eq!(u.rows(), data.graph.num_users());
         assert_eq!(v.rows(), data.graph.num_items());
     }

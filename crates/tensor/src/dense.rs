@@ -1433,7 +1433,9 @@ mod tests {
     fn awkward(rows: usize, cols: usize, salt: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
             let x = ((r * 31 + c * 7 + salt as usize) % 97) as f32 - 48.0;
-            x * 0.318_309_9 + 1.0e-7 * (c as f32)
+            // 0.318_309_9: one ulp above `FRAC_1_PI`, spelled as bits so
+            // the fixture is not read as a mistyped constant.
+            x * f32::from_bits(0x3EA2_F984) + 1.0e-7 * (c as f32)
         })
     }
 

@@ -73,12 +73,12 @@ mod static_analysis {
     use std::rc::Rc;
 
     use dgnn_analysis::{audit, DiagnosticKind, ShapeTracer};
-    use dgnn_autograd::{ParamSet, Recorder};
+    use dgnn_autograd::{ParamSet, Recorder, Rows};
     use dgnn_baselines::{Dgcf, DisenHan, Hgt, Mhcn, Ngcf};
     use dgnn_core::Dgnn;
     use dgnn_data::tiny;
     use dgnn_integration_tests::{quick_baseline, quick_dgnn, sample_triples};
-    use dgnn_tensor::{Init, Matrix};
+    use dgnn_tensor::{EdgeList, Init, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -187,6 +187,45 @@ mod static_analysis {
         let loss = tr.mean_all(rows);
         let report = audit(&tr, loss, &[], &params);
         assert!(report.has(DiagnosticKind::IndexRange), "no index violation reported:\n{report}");
+    }
+
+    #[test]
+    fn detects_out_of_range_edge_source() {
+        // Two destinations, three sources; the list is then handed a source
+        // the 3-row table does not have (its transpose goes stale too).
+        let mut edges = EdgeList::new(vec![0, 2, 3], vec![0, 2, 1], 3);
+        edges.src = Rc::new(vec![0, 3, 1]);
+        let edges = Rc::new(edges);
+        let mut params = ParamSet::new();
+        let (q, k) = (leaf(&mut params, "q", 2, 4), leaf(&mut params, "k", 3, 4));
+        let mut tr = ShapeTracer::new();
+        let (qv, kv) = (tr.param(&params, q), tr.param(&params, k));
+        let logits = tr.head_dots(Rows::dst(qv, &edges), Rows::src(kv, &edges), 2);
+        let loss = tr.mean_all(logits);
+        let report = audit(&tr, loss, &[], &params);
+        assert!(report.has(DiagnosticKind::IndexRange), "no index violation reported:\n{report}");
+        let messages: Vec<&str> = tr.diagnostics().iter().map(|d| d.message.as_str()).collect();
+        assert!(messages.iter().any(|m| m.contains("src index 3 out of range")), "{messages:?}");
+        assert!(messages.iter().any(|m| m.contains("transpose")), "{messages:?}");
+    }
+
+    #[test]
+    fn table_reads_drop_hgt_and_dgcf_edge_gathers() {
+        // Node counts per traced step of the gathered forms: HGT gathered
+        // q, k and v for each of 5 edge families in 2 layers, DGCF two
+        // tables per routing side that only one edge op reads.
+        const HGT_GATHERED: usize = 159;
+        const DGCF_GATHERED: usize = 55;
+        let data = tiny(42);
+        let triples = sample_triples(&data);
+        let mut tr = ShapeTracer::new();
+        let (params, loss) = Hgt::trace_step(&quick_baseline(), &data, &triples, 7, &mut tr);
+        assert!(audit(&tr, loss, &[], &params).is_clean());
+        assert_eq!(tr.num_nodes(), HGT_GATHERED - 30, "HGT records 30 gathers fewer per step");
+        let mut tr = ShapeTracer::new();
+        let (params, loss) = Dgcf::trace_step(&quick_baseline(), &data, &triples, 7, &mut tr);
+        assert!(audit(&tr, loss, &[], &params).is_clean());
+        assert_eq!(tr.num_nodes(), DGCF_GATHERED - 4, "DGCF records 4 gathers fewer per step");
     }
 
     #[test]

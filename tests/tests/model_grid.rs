@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use dgnn_analysis::{audit, DiagnosticKind, ShapeTracer};
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_autograd::{ParamId, ParamSet, Recorder, Rows, Tape, Var};
 use dgnn_baselines::all_models;
 use dgnn_core::{Dgnn, DgnnConfig, MemoryBankKind};
 use dgnn_data::tiny;
@@ -159,10 +159,10 @@ impl Recorder for PerUnitOracle {
         fn l2_normalize_rows(&mut self, a: Var, eps: f32);
         fn l2_normalize_heads(&mut self, a: Var, eps: f32, heads: usize);
         fn row_dots(&mut self, a: Var, b: Var);
-        fn head_dots(&mut self, a: Var, b: Var, heads: usize);
+        fn head_dots(&mut self, a: impl Into<Rows>, b: impl Into<Rows>, heads: usize);
         fn softmax_rows(&mut self, a: Var);
         fn segment_softmax(&mut self, logits: Var, seg: Rc<Vec<usize>>);
-        fn segment_weighted_sum(&mut self, w: Var, v: Var, seg: Rc<Vec<usize>>);
+        fn segment_weighted_sum(&mut self, w: Var, v: impl Into<Rows>, seg: Rc<Vec<usize>>);
         fn dropout_mask(&mut self, a: Var, mask: Matrix);
     }
 }

@@ -13,7 +13,7 @@ use dgnn_data::tiny;
 use dgnn_eval::Trainable;
 use dgnn_tensor::gemm::PackedPanels;
 use dgnn_tensor::parallel::{self, FuzzSchedule};
-use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
+use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, EdgeList, EdgeRows, Matrix, RowRead};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -517,6 +517,115 @@ fn lcg_csr(rows: usize, cols: usize, seed: u64) -> Csr {
         }
     }
     b.build()
+}
+
+/// Every table-read form of the edge kernels, forward and each gradient,
+/// next to what a gather → per-edge kernel → `scatter_add_rows` pipeline
+/// computes. Destination tables are `n × d`, source tables `sources × d`.
+fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<(&'static str, Matrix, Matrix)> {
+    let (n, s, e, d) = (edges.nodes(), edges.sources(), edges.len(), heads * b);
+    let (seg, src, dst) = (edges.seg.as_slice(), edges.src.as_slice(), edges.dst.as_slice());
+    // Signed zeros among the values, so a fold that starts from the wrong
+    // zero shows up in the bits.
+    let m = |rows, cols, salt| {
+        mat(rows, cols, seed ^ salt).map(|v| match v {
+            v if (0.1..0.3).contains(&v) => -0.0,
+            v if (-0.3..-0.1).contains(&v) => 0.0,
+            v => v,
+        })
+    };
+    let (q, k) = (m(n, d, 1), m(s, d, 2));
+    let (x, w, gy, g) = (m(e, d, 3), m(e, heads, 4), m(e, heads, 5), m(n, d, 6));
+    let scatter = |rows: usize, idx: &[usize], grad: &Matrix| {
+        let mut acc = Matrix::zeros(rows, d);
+        acc.scatter_add_rows(idx, grad);
+        acc
+    };
+    let (qd, ks) = (EdgeRows::new(&q, RowRead::Dst(edges)), EdgeRows::new(&k, RowRead::Src(edges)));
+    let (qe, ke) = (q.gather_rows(dst), k.gather_rows(src));
+    vec![
+        // HGT's logits: a destination table against a source table.
+        ("head_dots dst·src", Matrix::head_dots_via(qd, ks, heads), qe.head_dots(&ke, heads)),
+        ("head_dots grad dst", Matrix::head_dots_grad(RowRead::Dst(edges), ks, &gy), scatter(n, dst, &ke.mul_col_broadcast(&gy))),
+        ("head_dots grad src", Matrix::head_dots_grad(RowRead::Src(edges), qd, &gy), scatter(s, src, &qe.mul_col_broadcast(&gy))),
+        // DGCF's affinity: a destination table against per-edge rows.
+        ("head_dots dst·edge", Matrix::head_dots_via(qd, (&x).into(), heads), qe.head_dots(&x, heads)),
+        ("head_dots grad edge", Matrix::head_dots_grad(RowRead::Edge, qd, &gy), qe.mul_col_broadcast(&gy)),
+        // Aggregation over a source table (HGT's values, DGCF's last
+        // propagation) and over a destination table.
+        ("weighted sum src", Matrix::segment_weighted_sum(&w, ks, seg), Matrix::segment_weighted_sum(&w, &ke, seg)),
+        ("weighted sum dst", Matrix::segment_weighted_sum(&w, qd, seg), Matrix::segment_weighted_sum(&w, &qe, seg)),
+        (
+            "weighted sum grad weights src",
+            Matrix::segment_weighted_sum_grad_weights(ks, &g, seg, heads),
+            Matrix::segment_weighted_sum_grad_weights(&ke, &g, seg, heads),
+        ),
+        (
+            "weighted sum grad src",
+            Matrix::segment_weighted_sum_grad_rows(&w, &g, seg, RowRead::Src(edges)),
+            scatter(s, src, &Matrix::segment_weighted_sum_grad_values(&w, &g, seg)),
+        ),
+        (
+            "weighted sum grad dst",
+            Matrix::segment_weighted_sum_grad_rows(&w, &g, seg, RowRead::Dst(edges)),
+            scatter(n, dst, &Matrix::segment_weighted_sum_grad_values(&w, &g, seg)),
+        ),
+    ]
+}
+
+/// Holds every table-read form to the gathered pipeline run serially, at
+/// 1, 2 and 4 threads and under fuzzed worker schedules.
+fn check_table_reads(edges: &EdgeList, heads: usize, b: usize, seed: u64) {
+    let oracle: Vec<Matrix> = with_pool(1, || table_read_pairs(edges, heads, b, seed)).into_iter().map(|p| p.2).collect();
+    let mut runs = vec![("serial", 1, None)];
+    for threads in [2, 4] {
+        runs.push(("pooled", threads, None));
+        runs.push(("fuzzed", threads, Some(FuzzSchedule { seed, max_delay_us: 20 })));
+    }
+    for (how, threads, fuzz) in runs {
+        parallel::set_fuzz_schedule(fuzz);
+        let got = with_pool(threads, || table_read_pairs(edges, heads, b, seed));
+        parallel::set_fuzz_schedule(None);
+        for ((what, table, _), want) in got.iter().zip(&oracle) {
+            assert_bits_eq(table, want, &format!("{what}, {how} at {threads} thread(s)"));
+        }
+    }
+}
+
+#[test]
+fn table_reads_without_edges_are_gather_then_scatter() {
+    // E = 0: three empty destinations, two unread sources.
+    check_table_reads(&EdgeList::new(vec![0, 0, 0, 0], Vec::new(), 2), 2, 2, 5);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn table_reads_are_gather_then_scatter_bit_for_bit(
+        // Many empty segments; sources drawn from the lower half only, so
+        // the upper half is never read and the lower half repeats.
+        degrees in collection::vec(0usize..9, 0..24),
+        sources in 1usize..14,
+        log2_heads in 0u32..3,
+        b in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let seg: Vec<usize> = std::iter::once(0)
+            .chain(degrees.iter().scan(0, |e, &k| {
+                *e += k.saturating_sub(3);
+                Some(*e)
+            }))
+            .collect();
+        let mut s = seed;
+        let src = (0..seg[degrees.len()])
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 33) as usize % sources.div_ceil(2)
+            })
+            .collect();
+        check_table_reads(&EdgeList::new(seg, src, sources), 1 << log2_heads, b, seed);
+    }
 }
 
 /// A composite computation touching GEMM, sparse, normalizer, RMW and
