@@ -128,6 +128,24 @@ impl Op {
             Op::Dropout { .. } => "dropout",
         }
     }
+
+    /// True if `f` holds for any of the op's inputs.
+    fn any_input(&self, f: impl Fn(Var) -> bool) -> bool {
+        use Op::*;
+        match self {
+            Leaf { .. } => false,
+            Add(a, b) | Sub(a, b) | Mul(a, b) | MatMul(a, b) | Div(a, b) | AddRow(a, b) | MulRow(a, b)
+            | MulCol(a, b) | WeightedBlockSum { t: a, eta: b } => f(*a) || f(*b),
+            RowDots { a, b, .. } => f(a.var()) || f(b.var()),
+            SegmentWeightedSum { w, v, .. } => f(*w) || f(v.var()),
+            ConcatCols(parts) => parts.iter().any(|&p| f(p)),
+            Neg(a) | Scale(a, _) | AddScalar(a, _) | Transpose(a) | Sigmoid(a) | Tanh(a) | LeakyRelu(a, _)
+            | Relu(a) | Exp(a) | Softplus(a) | Ln(a) | Sqrt(a) | SumAll(a) | MeanAll(a) | RowSum(a)
+            | ColMean(a) | SoftmaxRows(a) | SliceCols { a, .. } | Gather { a, .. } | Spmm { b: a, .. }
+            | LayerNormRow { a, .. } | RowL2Norm { a, .. } | SegmentSoftmax { logits: a, .. }
+            | Dropout { a, .. } => f(*a),
+        }
+    }
 }
 
 struct Node {
@@ -297,8 +315,21 @@ impl Tape {
     /// accumulated afterwards in ascending node order: a parameter appears
     /// as several leaves and `f32` addition is order-sensitive, so this is
     /// the order that keeps the bits of [`Tape::backward`].
+    ///
+    /// Only gradients that reach a parameter are computed: a node none of
+    /// whose inputs leads to a parameter leaf (a constant, or an op on
+    /// constants only) gets no gradient, and the rules that would produce
+    /// it are skipped. Nothing skipped is ever read, so the parameter
+    /// gradients keep their bits.
     pub fn backward_into(&mut self, loss: Var, params: &mut ParamSet) -> f32 {
-        let grads = self.sweep(loss, |op| matches!(op, Op::Leaf { param: Some(_) }));
+        let mut live = vec![false; self.nodes.len()];
+        for i in 0..self.nodes.len() {
+            live[i] = match &self.nodes[i].op {
+                Op::Leaf { param } => param.is_some(),
+                op => op.any_input(|v| live[v.0]),
+            };
+        }
+        let grads = self.sweep(loss, &live, |op| matches!(op, Op::Leaf { param: Some(_) }));
         for (i, g) in grads.iter().enumerate() {
             if let (Op::Leaf { param: Some(id) }, Some(g)) = (&self.nodes[i].op, g) {
                 params.accumulate_grad(*id, g);
@@ -310,19 +341,20 @@ impl Tape {
     /// Runs the reverse pass and returns the gradient of `loss` with
     /// respect to every node (None where no gradient flowed).
     pub fn backward(&self, loss: Var) -> Vec<Option<Matrix>> {
-        self.sweep(loss, |_| true)
+        self.sweep(loss, &vec![true; self.nodes.len()], |_| true)
     }
 
-    /// The reverse sweep: runs every node's rule from `loss` down and keeps
-    /// a node's gradient afterwards only where `keep(op)` holds.
-    fn sweep(&self, loss: Var, keep: impl Fn(&Op) -> bool) -> Vec<Option<Matrix>> {
+    /// The reverse sweep: runs every node's rule from `loss` down, computing
+    /// a gradient only for nodes marked `live`, and keeps a node's gradient
+    /// afterwards only where `keep(op)` holds.
+    fn sweep(&self, loss: Var, live: &[bool], keep: impl Fn(&Op) -> bool) -> Vec<Option<Matrix>> {
         let shape = self.value(loss).shape();
         assert_eq!(shape, (1, 1), "backward: loss must be a 1×1 scalar, got {shape:?}");
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
-            self.backprop_node_observed(i, &g, &mut grads);
+            self.backprop_node_observed(i, &g, live, &mut grads);
             if keep(&self.nodes[i].op) {
                 grads[i] = Some(g);
             }
@@ -339,19 +371,24 @@ impl Tape {
     /// Backward durations are exact per-rule measurements (unlike the
     /// forward pass's inter-push deltas): the rule runs between two clock
     /// reads with nothing else in the interval.
-    fn backprop_node_observed(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
+    fn backprop_node_observed(&self, i: usize, g: &Matrix, live: &[bool], grads: &mut [Option<Matrix>]) {
         match self.obs_mark {
             Some(_) => {
                 let t0 = dgnn_obs::now_ns();
-                self.backprop_node(i, g, grads);
+                self.backprop_node(i, g, live, grads);
                 let dt = dgnn_obs::now_ns().saturating_sub(t0);
                 dgnn_obs::record_op(self.nodes[i].op.kind(), dgnn_obs::OpPhase::Backward, dt);
             }
-            None => self.backprop_node(i, g, grads),
+            None => self.backprop_node(i, g, live, grads),
         }
     }
 
-    fn accum(grads: &mut [Option<Matrix>], v: Var, g: Matrix) {
+    /// Adds the gradient `g()` to `v`'s, evaluating it only if `v` is live.
+    fn accum(grads: &mut [Option<Matrix>], live: &[bool], v: Var, g: impl FnOnce() -> Matrix) {
+        if !live[v.0] {
+            return;
+        }
+        let g = g();
         match &mut grads[v.0] {
             Some(acc) => acc.add_assign(&g),
             slot @ None => *slot = Some(g),
@@ -359,116 +396,113 @@ impl Tape {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn backprop_node(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
+    fn backprop_node(&self, i: usize, g: &Matrix, live: &[bool], grads: &mut [Option<Matrix>]) {
         use Op::*;
         match &self.nodes[i].op {
             Leaf { .. } => {}
             Add(a, b) => {
                 // Gradient fan-out needs one copy per operand.
-                Self::accum(grads, *a, g.clone());
-                Self::accum(grads, *b, g.clone());
+                Self::accum(grads, live, *a, || g.clone());
+                Self::accum(grads, live, *b, || g.clone());
             }
             Sub(a, b) => {
-                Self::accum(grads, *a, g.clone());
-                Self::accum(grads, *b, g.scale(-1.0));
+                Self::accum(grads, live, *a, || g.clone());
+                Self::accum(grads, live, *b, || g.scale(-1.0));
             }
             Mul(a, b) => {
-                Self::accum(grads, *a, g.mul_elem(self.value(*b)));
-                Self::accum(grads, *b, g.mul_elem(self.value(*a)));
+                Self::accum(grads, live, *a, || g.mul_elem(self.value(*b)));
+                Self::accum(grads, live, *b, || g.mul_elem(self.value(*a)));
             }
-            Neg(a) => Self::accum(grads, *a, g.scale(-1.0)),
-            Scale(a, k) => Self::accum(grads, *a, g.scale(*k)),
-            AddScalar(a, _) => Self::accum(grads, *a, g.clone()),
+            Neg(a) => Self::accum(grads, live, *a, || g.scale(-1.0)),
+            Scale(a, k) => Self::accum(grads, live, *a, || g.scale(*k)),
+            AddScalar(a, _) => Self::accum(grads, live, *a, || g.clone()),
             MatMul(a, b) => {
                 // dA = G·Bᵀ ; dB = Aᵀ·G
-                Self::accum(grads, *a, g.matmul_nt(self.value(*b)));
-                Self::accum(grads, *b, self.value(*a).matmul_tn(g));
+                Self::accum(grads, live, *a, || g.matmul_nt(self.value(*b)));
+                Self::accum(grads, live, *b, || self.value(*a).matmul_tn(g));
             }
-            Transpose(a) => Self::accum(grads, *a, g.transpose()),
+            Transpose(a) => Self::accum(grads, live, *a, || g.transpose()),
             // Fused activation gradients: no slope matrix is materialized,
             // but each multiplies in the same per-element order as the
             // unfused `slope.mul_elem(g)` form, so results are bit-identical
             // (enforced by unit tests in dgnn-tensor).
             Sigmoid(a) => {
-                Self::accum(grads, *a, self.value(Var(i)).sigmoid_grad(g));
+                Self::accum(grads, live, *a, || self.value(Var(i)).sigmoid_grad(g));
             }
             Tanh(a) => {
-                Self::accum(grads, *a, self.value(Var(i)).tanh_grad(g));
+                Self::accum(grads, live, *a, || self.value(Var(i)).tanh_grad(g));
             }
             LeakyRelu(a, alpha) => {
-                Self::accum(grads, *a, self.value(*a).leaky_relu_grad(g, *alpha));
+                Self::accum(grads, live, *a, || self.value(*a).leaky_relu_grad(g, *alpha));
             }
             Relu(a) => {
-                Self::accum(grads, *a, self.value(*a).relu_grad(g));
+                Self::accum(grads, live, *a, || self.value(*a).relu_grad(g));
             }
-            Exp(a) => Self::accum(grads, *a, g.mul_elem(self.value(Var(i)))),
+            Exp(a) => Self::accum(grads, live, *a, || g.mul_elem(self.value(Var(i)))),
             Softplus(a) => {
-                Self::accum(grads, *a, self.value(*a).softplus_grad(g));
+                Self::accum(grads, live, *a, || self.value(*a).softplus_grad(g));
             }
             Ln(a) => {
-                let dy = self.value(*a).map(|x| 1.0 / x);
-                Self::accum(grads, *a, g.mul_elem(&dy));
+                Self::accum(grads, live, *a, || g.mul_elem(&self.value(*a).map(|x| 1.0 / x)));
             }
             Div(a, b) => {
                 // d(a/b)/da = 1/b ; d(a/b)/db = −a/b²
                 let inv_b = self.value(*b).map(|x| 1.0 / x);
-                Self::accum(grads, *a, g.mul_elem(&inv_b));
-                let gb = g.mul_elem(self.value(*a)).mul_elem(&inv_b).mul_elem(&inv_b).scale(-1.0);
-                Self::accum(grads, *b, gb);
+                Self::accum(grads, live, *a, || g.mul_elem(&inv_b));
+                Self::accum(grads, live, *b, || {
+                    g.mul_elem(self.value(*a)).mul_elem(&inv_b).mul_elem(&inv_b).scale(-1.0)
+                });
             }
             Sqrt(a) => {
-                let dy = self.value(Var(i)).map(|y| 0.5 / y);
-                Self::accum(grads, *a, g.mul_elem(&dy));
+                Self::accum(grads, live, *a, || g.mul_elem(&self.value(Var(i)).map(|y| 0.5 / y)));
             }
             AddRow(a, row) => {
-                Self::accum(grads, *a, g.clone());
-                Self::accum(grads, *row, g.col_sums());
+                Self::accum(grads, live, *a, || g.clone());
+                Self::accum(grads, live, *row, || g.col_sums());
             }
             MulRow(a, row) => {
-                Self::accum(grads, *a, g.mul_row_broadcast(self.value(*row)));
-                let grow = g.mul_elem(self.value(*a)).col_sums();
-                Self::accum(grads, *row, grow);
+                Self::accum(grads, live, *a, || g.mul_row_broadcast(self.value(*row)));
+                Self::accum(grads, live, *row, || g.mul_elem(self.value(*a)).col_sums());
             }
             MulCol(a, col) => {
-                Self::accum(grads, *a, g.mul_col_broadcast(self.value(*col)));
-                let gcol = g.row_dots(self.value(*a));
-                Self::accum(grads, *col, gcol);
+                Self::accum(grads, live, *a, || g.mul_col_broadcast(self.value(*col)));
+                Self::accum(grads, live, *col, || g.row_dots(self.value(*a)));
             }
             SumAll(a) => {
                 let (r, c) = self.shape_of(*a);
-                Self::accum(grads, *a, Matrix::full(r, c, g[(0, 0)]));
+                Self::accum(grads, live, *a, || Matrix::full(r, c, g[(0, 0)]));
             }
             MeanAll(a) => {
                 let (r, c) = self.shape_of(*a);
                 let k = g[(0, 0)] / (r * c).max(1) as f32;
-                Self::accum(grads, *a, Matrix::full(r, c, k));
+                Self::accum(grads, live, *a, || Matrix::full(r, c, k));
             }
             RowSum(a) => {
                 let (r, c) = self.shape_of(*a);
-                let ga = Matrix::from_fn(r, c, |row, _| g[(row, 0)]);
-                Self::accum(grads, *a, ga);
+                Self::accum(grads, live, *a, || Matrix::from_fn(r, c, |row, _| g[(row, 0)]));
             }
             ColMean(a) => {
                 let (r, c) = self.shape_of(*a);
                 let k = 1.0 / r.max(1) as f32;
-                let ga = Matrix::from_fn(r, c, |_, col| g[(0, col)] * k);
-                Self::accum(grads, *a, ga);
+                Self::accum(grads, live, *a, || Matrix::from_fn(r, c, |_, col| g[(0, col)] * k));
             }
             ConcatCols(parts) => {
                 let mut off = 0;
                 for &p in parts {
                     let w = self.shape_of(p).1;
-                    Self::accum(grads, p, g.slice_cols(off, off + w));
+                    Self::accum(grads, live, p, || g.slice_cols(off, off + w));
                     off += w;
                 }
             }
             SliceCols { a, start, end } => {
                 let (r, c) = self.shape_of(*a);
-                let mut ga = Matrix::zeros(r, c);
-                for row in 0..r {
-                    ga.row_mut(row)[*start..*end].copy_from_slice(g.row(row));
-                }
-                Self::accum(grads, *a, ga);
+                Self::accum(grads, live, *a, || {
+                    let mut ga = Matrix::zeros(r, c);
+                    for row in 0..r {
+                        ga.row_mut(row)[*start..*end].copy_from_slice(g.row(row));
+                    }
+                    ga
+                });
             }
             Gather { a, idx } => {
                 // Scatter straight into the accumulator: materializing (and
@@ -476,46 +510,47 @@ impl Tape {
                 // backward profile. The table is zeroed once, on the first
                 // gradient contribution, and every later gather scatters
                 // only its touched rows.
-                let (r, c) = self.shape_of(*a);
-                let acc = grads[a.0].get_or_insert_with(|| Matrix::zeros(r, c));
-                acc.scatter_add_rows(idx, g);
+                if live[a.0] {
+                    let (r, c) = self.shape_of(*a);
+                    let acc = grads[a.0].get_or_insert_with(|| Matrix::zeros(r, c));
+                    acc.scatter_add_rows(idx, g);
+                }
             }
             Spmm { at, b, .. } => {
-                Self::accum(grads, *b, at.spmm(g));
+                Self::accum(grads, live, *b, || at.spmm(g));
             }
             LayerNormRow { a, eps } => {
-                let x = self.value(*a);
-                let y = self.value(Var(i));
-                Self::accum(grads, *a, Matrix::layer_norm_rows_grad(x, y, g, *eps));
+                let (x, y) = (self.value(*a), self.value(Var(i)));
+                Self::accum(grads, live, *a, || Matrix::layer_norm_rows_grad(x, y, g, *eps));
             }
             RowL2Norm { a, eps, heads } => {
-                Self::accum(grads, *a, Matrix::l2_normalize_heads_grad(self.value(*a), g, *eps, *heads));
+                Self::accum(grads, live, *a, || Matrix::l2_normalize_heads_grad(self.value(*a), g, *eps, *heads));
             }
             RowDots { a, b, .. } => {
                 // `g` is `E × heads`: head `h`'s column scales block `h`. A
                 // table operand's gradient comes back summed per table row.
-                Self::accum(grads, a.var(), Matrix::head_dots_grad(a.read(), self.rows(b), g));
-                Self::accum(grads, b.var(), Matrix::head_dots_grad(b.read(), self.rows(a), g));
+                Self::accum(grads, live, a.var(), || Matrix::head_dots_grad(a.read(), self.rows(b), g));
+                Self::accum(grads, live, b.var(), || Matrix::head_dots_grad(b.read(), self.rows(a), g));
             }
             SoftmaxRows(a) => {
-                Self::accum(grads, *a, Matrix::softmax_rows_grad(self.value(Var(i)), g));
+                Self::accum(grads, live, *a, || Matrix::softmax_rows_grad(self.value(Var(i)), g));
             }
             SegmentSoftmax { logits, seg } => {
-                Self::accum(grads, *logits, Matrix::segment_softmax_grad(self.value(Var(i)), g, seg));
+                Self::accum(grads, live, *logits, || Matrix::segment_softmax_grad(self.value(Var(i)), g, seg));
             }
             SegmentWeightedSum { w, v, seg } => {
                 let wv = self.value(*w);
                 let heads = wv.cols();
-                Self::accum(grads, *w, Matrix::segment_weighted_sum_grad_weights(self.rows(v), g, seg, heads));
-                Self::accum(grads, v.var(), Matrix::segment_weighted_sum_grad_rows(wv, g, seg, v.read()));
+                Self::accum(grads, live, *w, || Matrix::segment_weighted_sum_grad_weights(self.rows(v), g, seg, heads));
+                Self::accum(grads, live, v.var(), || Matrix::segment_weighted_sum_grad_rows(wv, g, seg, v.read()));
             }
             WeightedBlockSum { t, eta } => {
                 let (tv, ev) = (self.value(*t), self.value(*eta));
-                Self::accum(grads, *t, Matrix::weighted_block_sum_grad_blocks(ev, g));
-                Self::accum(grads, *eta, Matrix::weighted_block_sum_grad_weights(tv, g));
+                Self::accum(grads, live, *t, || Matrix::weighted_block_sum_grad_blocks(ev, g));
+                Self::accum(grads, live, *eta, || Matrix::weighted_block_sum_grad_weights(tv, g));
             }
             Dropout { a, mask } => {
-                Self::accum(grads, *a, g.mul_elem(mask));
+                Self::accum(grads, live, *a, || g.mul_elem(mask));
             }
         }
     }
@@ -870,6 +905,40 @@ mod tests {
         assert_eq!(on_table.0, materialised.0, "forward bits differ");
         assert_eq!(on_table.1, materialised.1, "table gradient bits differ");
         assert!(on_table.1[4..8].iter().all(|&b| b == 0), "the unread row gets no gradient");
+    }
+
+    #[test]
+    fn backward_into_skips_constant_gradients_without_moving_parameter_bits() {
+        // Constants feed `mul_col` (a fixed column, as DGCF's 1/deg),
+        // `add` (fixed logits) and `segment_weighted_sum` (fixed weights
+        // over a parameter's rows, and parameter weights over fixed rows).
+        let seg = Rc::new(vec![0usize, 2, 2, 5]);
+        let mut params = ParamSet::new();
+        let p = params.add("p", Matrix::from_fn(5, 4, |r, c| ((r * 4 + c) % 7) as f32 * 0.31 - 0.9));
+        let q = params.add("q", Matrix::from_fn(5, 2, |r, c| ((r + 3 * c) % 5) as f32 * 0.27 - 0.5));
+        let mut t = Tape::new();
+        let (pv, qv) = (t.param(&params, p), t.param(&params, q));
+        let deg = t.constant(Matrix::from_fn(5, 1, |r, _| 1.0 / (r + 1) as f32));
+        let zero_logits = t.constant(Matrix::zeros(5, 2));
+        let fixed_w = t.constant(Matrix::from_fn(5, 2, |r, c| ((r + c) % 3) as f32 * 0.5 - 0.25));
+        let fixed_v = t.constant(Matrix::from_fn(5, 4, |r, c| (r as f32 - c as f32) * 0.125));
+        let scaled = t.mul_col(pv, deg);
+        let logits = t.add(qv, zero_logits);
+        let alpha = t.segment_softmax(logits, Rc::clone(&seg));
+        let over_p = t.segment_weighted_sum(fixed_w, scaled, Rc::clone(&seg));
+        let over_fixed = t.segment_weighted_sum(alpha, fixed_v, Rc::clone(&seg));
+        let both = t.add(over_p, over_fixed);
+        let sq = t.mul(both, both);
+        let loss = t.sum_all(sq);
+        let all = t.backward(loss);
+        assert!(all[deg.0].is_some() && all[fixed_w.0].is_some(), "backward() still computes constants' gradients");
+        params.zero_grads();
+        let _ = t.backward_into(loss, &mut params);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (id, v) in [(p, pv), (q, qv)] {
+            let want = all[v.0].as_ref().expect("every parameter gets a gradient");
+            assert_eq!(bits(params.grad(id)), bits(want), "parameter gradient bits moved");
+        }
     }
 
     #[test]

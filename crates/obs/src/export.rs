@@ -102,7 +102,7 @@ pub fn chrome_trace(threads: &[(&str, &[SpanEvent])]) -> String {
 pub fn snapshot_to_json(s: &Snapshot, indent: usize) -> String {
     let pad = " ".repeat(indent);
     let field = |out: &mut String, name: &str, body: String, last: bool| {
-        let _ = write!(out, "{pad}  \"{name}\": {{{body}}}{}\n", if last { "" } else { "," });
+        let _ = writeln!(out, "{pad}  \"{name}\": {{{body}}}{}", if last { "" } else { "," });
     };
     let mut out = format!("{pad}{{\n");
     let counters = s

@@ -38,7 +38,7 @@ pub const BUCKETS: usize = ((E_MAX - E_MIN + 1) as usize) * SUB;
 /// Index of the bucket holding `v`. Total over all `f64` values: negative,
 /// zero, and non-finite inputs land in bucket 0, overflow in the last.
 pub fn bucket_index(v: f64) -> usize {
-    if !(v > 0.0) || !v.is_finite() {
+    if v <= 0.0 || !v.is_finite() {
         return 0;
     }
     let bits = v.to_bits();

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
+use crate::segment::{at_shape, Shape};
 use crate::{gemm, parallel, pool, segment};
 
 /// A row-major dense matrix of `f32`.
@@ -826,27 +827,7 @@ impl Matrix {
             m > 0 && w > 0 && w % m == 0,
             "weighted_block_sum: width {w} is not a positive multiple of {m} weight columns"
         );
-        let b = w / m;
-        let mut data = pool::alloc_overwritten(self.rows * b);
-        let (t, e) = (&self.data, &eta.data);
-        parallel::par_row_chunks(&mut data, self.rows, b, w, |range, chunk| {
-            for ((out, t_row), e_row) in chunk
-                .chunks_exact_mut(b)
-                .zip(t[range.start * w..range.end * w].chunks_exact(w))
-                .zip(e[range.start * m..range.end * m].chunks_exact(m))
-            {
-                let (first, rest) = t_row.split_at(b);
-                for (o, &x) in out.iter_mut().zip(first) {
-                    *o = x * e_row[0];
-                }
-                for (block, &k) in rest.chunks_exact(b).zip(&e_row[1..]) {
-                    for (o, &x) in out.iter_mut().zip(block) {
-                        *o += x * k;
-                    }
-                }
-            }
-        });
-        Matrix { rows: self.rows, cols: b, data }
+        at_shape!(bank w, w / m, m, |s| weighted_block_sum_at(s, self, eta))
     }
 
     /// Gradient of [`Matrix::weighted_block_sum`] w.r.t. the blocks:
@@ -855,23 +836,7 @@ impl Matrix {
         assert_eq!(eta.rows, g.rows, "weighted_block_sum_grad_blocks: height mismatch");
         let (m, b) = (eta.cols, g.cols);
         assert!(m > 0 && b > 0, "weighted_block_sum_grad_blocks: empty block layout");
-        let w = m * b;
-        let mut data = pool::alloc_overwritten(g.rows * w);
-        let (e, gd) = (&eta.data, &g.data);
-        parallel::par_row_chunks(&mut data, g.rows, w, w, |range, chunk| {
-            for ((out, e_row), g_row) in chunk
-                .chunks_exact_mut(w)
-                .zip(e[range.start * m..range.end * m].chunks_exact(m))
-                .zip(gd[range.start * b..range.end * b].chunks_exact(b))
-            {
-                for (block, &k) in out.chunks_exact_mut(b).zip(e_row) {
-                    for (o, &x) in block.iter_mut().zip(g_row) {
-                        *o = x * k;
-                    }
-                }
-            }
-        });
-        Matrix { rows: g.rows, cols: w, data }
+        at_shape!(bank m * b, b, m, |s| weighted_block_sum_grad_blocks_at(s, eta, g))
     }
 
     /// Gradient of [`Matrix::weighted_block_sum`] w.r.t. the weights:
@@ -885,21 +850,7 @@ impl Matrix {
             b > 0 && w > 0 && w % b == 0,
             "weighted_block_sum_grad_weights: width {w} is not a positive multiple of {b}"
         );
-        let m = w / b;
-        let mut data = pool::alloc_overwritten(t.rows * m);
-        let (td, gd) = (&t.data, &g.data);
-        parallel::par_row_chunks(&mut data, t.rows, m, w, |range, chunk| {
-            for ((out, t_row), g_row) in chunk
-                .chunks_exact_mut(m)
-                .zip(td[range.start * w..range.end * w].chunks_exact(w))
-                .zip(gd[range.start * b..range.end * b].chunks_exact(b))
-            {
-                for (o, block) in out.iter_mut().zip(t_row.chunks_exact(b)) {
-                    *o = g_row.iter().zip(block).map(|(&x, &y)| x * y).sum();
-                }
-            }
-        });
-        Matrix { rows: t.rows, cols: m, data }
+        at_shape!(bank w, b, w / b, |s| weighted_block_sum_grad_weights_at(s, t, g))
     }
 
     /// Leaky ReLU `max(x, 0) + α·min(x, 0)`.
@@ -1139,6 +1090,87 @@ impl IndexMut<(usize, usize)> for Matrix {
         debug_assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
         &mut self.data[r * self.cols + c]
     }
+}
+
+// ---- η-weighted block reduce bodies, one per kernel, generic over the
+// shape `at_shape!` picks: rows of `M` blocks of `b` floats. Closures read
+// the widths from the shape, not from captured locals, so a fixed shape's
+// are constants. --------------------------------------------------------
+
+/// Body of [`Matrix::weighted_block_sum`]. It sums in the output row: a
+/// separate row sum, written once, measured slower here (46.8 against
+/// 63.9 µs on 3,500 rows of 8 units of 16).
+fn weighted_block_sum_at<S: Shape>(s: S, t: &Matrix, eta: &Matrix) -> Matrix {
+    let mut data = pool::alloc_overwritten(t.rows * s.block());
+    let (td, e) = (&t.data, &eta.data);
+    parallel::par_row_chunks(&mut data, t.rows, s.block(), s.width(), |range, chunk| {
+        let (w, b, m) = (s.width(), s.block(), s.blocks());
+        for ((out, t_row), e_row) in chunk
+            .chunks_exact_mut(b)
+            .zip(td[range.start * w..range.end * w].chunks_exact(w))
+            .zip(e[range.start * m..range.end * m].chunks_exact(m))
+        {
+            let (first, rest) = t_row.split_at(b);
+            for (o, &x) in out.iter_mut().zip(first) {
+                *o = x * e_row[0];
+            }
+            for (block, &k) in rest.chunks_exact(b).zip(&e_row[1..]) {
+                for (o, &x) in out.iter_mut().zip(block) {
+                    *o += x * k;
+                }
+            }
+        }
+    });
+    Matrix { rows: t.rows, cols: s.block(), data }
+}
+
+/// Body of [`Matrix::weighted_block_sum_grad_blocks`].
+fn weighted_block_sum_grad_blocks_at<S: Shape>(s: S, eta: &Matrix, g: &Matrix) -> Matrix {
+    let w = s.width();
+    let mut data = pool::alloc_overwritten(g.rows * w);
+    let (e, gd) = (&eta.data, &g.data);
+    parallel::par_row_chunks(&mut data, g.rows, w, w, |range, chunk| {
+        let (w, b, m) = (s.width(), s.block(), s.blocks());
+        for ((out, e_row), g_row) in chunk
+            .chunks_exact_mut(w)
+            .zip(e[range.start * m..range.end * m].chunks_exact(m))
+            .zip(gd[range.start * b..range.end * b].chunks_exact(b))
+        {
+            for (block, &k) in out.chunks_exact_mut(b).zip(e_row) {
+                for (o, &x) in block.iter_mut().zip(g_row) {
+                    *o = x * k;
+                }
+            }
+        }
+    });
+    Matrix { rows: g.rows, cols: w, data }
+}
+
+/// Body of [`Matrix::weighted_block_sum_grad_weights`]: each of a row's
+/// `M` dots is its own left-to-right fold from `-0.0` (the start of an
+/// `f32` `sum`, which the models' bits fold from); unrolled, they run side
+/// by side.
+fn weighted_block_sum_grad_weights_at<S: Shape>(s: S, t: &Matrix, g: &Matrix) -> Matrix {
+    let m = s.blocks();
+    let mut data = pool::alloc_overwritten(t.rows * m);
+    let (td, gd) = (&t.data, &g.data);
+    parallel::par_row_chunks(&mut data, t.rows, m, s.width(), |range, chunk| {
+        let (w, b, m) = (s.width(), s.block(), s.blocks());
+        for ((out, t_row), g_row) in chunk
+            .chunks_exact_mut(m)
+            .zip(td[range.start * w..range.end * w].chunks_exact(w))
+            .zip(gd[range.start * b..range.end * b].chunks_exact(b))
+        {
+            for (o, block) in out.iter_mut().zip(t_row.chunks_exact(b)) {
+                let mut dot = -0.0;
+                for (&x, &y) in g_row.iter().zip(block) {
+                    dot += x * y;
+                }
+                *o = dot;
+            }
+        }
+    });
+    Matrix { rows: t.rows, cols: m, data }
 }
 
 #[cfg(test)]

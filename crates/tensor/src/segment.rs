@@ -29,10 +29,33 @@
 //! operand's per-edge gradient in, so the table form has the bits of
 //! gather → per-edge kernel → scatter.
 //!
+//! Each kernel has one body, generic over the row [`Shape`] it runs at,
+//! and its entry point picks the instance once per call ([`at_shape!`]).
+//! The widths the benchmarked models train at get a [`Fixed`] instance,
+//! whose widths are compile-time constants: d = 16 in blocks of 16, 8 and 4
+//! (one head, HGT's two heads, DGCF's four intents) and HGT's 2-head logits
+//! for the softmax. There the loops unroll, a segment's row sum stays in
+//! registers and is written once, an edge's per-head dots are unrolled
+//! independent folds, and the softmax makes one row-major pass per step for
+//! all heads. Every other width, the `quick()` configs' d = 8 among them,
+//! runs the [`Runtime`] instance of the same body (see [`at_shape!`] for
+//! why the other shapes get no fixed instance). Both keep every output
+//! element's fold order and start value (+0.0, or −0.0 where the fold is an
+//! `f32` `sum`), and Rust never contracts a multiply-add into an FMA, so the
+//! instances agree bit for bit (`parallel_kernels.rs` holds each one to
+//! plain loops). A body's closures read the widths from the shape, never
+//! from a captured local: a captured value is a load in the closure, not a
+//! constant.
+//!
 //! Work is priced for the pool's split threshold as one unit per
 //! multiply-add (an `exp` counts 16), the same scale as a GEMM's FMA. At
 //! the default threshold a 4-wide edge family of ~10k edges stays serial
-//! and a 16-wide one (HGT's heads, DGCF's four intents) splits.
+//! and a 16-wide one (HGT's heads, DGCF's four intents) splits. The fixed
+//! instances do a unit in less time than the runtime loops did, so a split
+//! now pays off later. The price was left as it is: five traced
+//! `train_hgt` runs read `tensor.pool.speedup` 0.80–1.40 on the runtime
+//! loops and 0.87–1.35 on the fixed instances, no difference the measure's
+//! own spread can show.
 
 use std::rc::Rc;
 
@@ -49,6 +72,167 @@ fn check_seg(what: &str, seg: &[usize], members: usize) {
 pub(crate) fn block_width(what: &str, d: usize, heads: usize) -> usize {
     assert!(heads > 0 && d.is_multiple_of(heads), "{what}: width {d} does not split into {heads} heads");
     d / heads
+}
+
+/// The row layout a kernel body runs at: rows of `width` floats made of
+/// `blocks` blocks of `block` floats each (a segment kernel's heads, the
+/// memory bank's units). [`Fixed`] makes all three compile-time constants,
+/// so a body's loops unroll and its sums stay in registers; [`Runtime`]
+/// carries them as values and runs the same body as plain loops. Each
+/// kernel has one body, generic over the shape, and [`at_shape!`] picks the
+/// instance once per call.
+pub(crate) trait Shape: Copy + Send + Sync {
+    /// Where a body sums an output row before writing it once.
+    type Sum;
+    /// Scratch of one float per block.
+    type PerBlock: AsMut<[f32]>;
+    /// Floats per row.
+    fn width(self) -> usize;
+    /// Floats per block.
+    fn block(self) -> usize;
+    /// Blocks per row.
+    fn blocks(self) -> usize;
+    /// A row sum; bodies take one per partition, not per row.
+    fn sum(self) -> Self::Sum;
+    /// The floats to sum output row `out` (at most `width` long) in.
+    fn summing<'a>(self, sum: &'a mut Self::Sum, out: &'a mut [f32]) -> &'a mut [f32];
+    /// Writes a row summed by [`Shape::summing`] to `out`.
+    fn write(self, sum: &Self::Sum, out: &mut [f32]);
+    /// A zeroed per-block scratch.
+    fn per_block(self) -> Self::PerBlock;
+}
+
+/// A compile-time shape: `M` blocks of `B` floats, `W = M · B`. A row sums
+/// in a local array, which the unrolled loops keep in registers.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fixed<const W: usize, const B: usize, const M: usize>;
+
+impl<const W: usize, const B: usize, const M: usize> Shape for Fixed<W, B, M> {
+    type Sum = [f32; W];
+    type PerBlock = [f32; M];
+    #[inline(always)]
+    fn width(self) -> usize {
+        W
+    }
+    #[inline(always)]
+    fn block(self) -> usize {
+        B
+    }
+    #[inline(always)]
+    fn blocks(self) -> usize {
+        M
+    }
+    #[inline(always)]
+    fn sum(self) -> [f32; W] {
+        [0.0; W]
+    }
+    #[inline(always)]
+    fn summing<'a>(self, sum: &'a mut [f32; W], out: &'a mut [f32]) -> &'a mut [f32] {
+        &mut sum[..out.len()]
+    }
+    #[inline(always)]
+    fn write(self, sum: &[f32; W], out: &mut [f32]) {
+        out.copy_from_slice(&sum[..out.len()]);
+    }
+    #[inline(always)]
+    fn per_block(self) -> [f32; M] {
+        [0.0; M]
+    }
+}
+
+/// A shape known only at run time: every width no model trains at. A row
+/// sums in place in the output; a scratch row of run-time length would
+/// only add a copy per row.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Runtime {
+    pub(crate) width: usize,
+    pub(crate) block: usize,
+    pub(crate) blocks: usize,
+}
+
+impl Shape for Runtime {
+    type Sum = ();
+    type PerBlock = Vec<f32>;
+    fn width(self) -> usize {
+        self.width
+    }
+    fn block(self) -> usize {
+        self.block
+    }
+    fn blocks(self) -> usize {
+        self.blocks
+    }
+    fn sum(self) {}
+    fn summing<'a>(self, _: &'a mut (), out: &'a mut [f32]) -> &'a mut [f32] {
+        out
+    }
+    fn write(self, _: &(), _: &mut [f32]) {}
+    fn per_block(self) -> Vec<f32> {
+        vec![0.0; self.blocks]
+    }
+}
+
+/// Evaluates `call` with `s` bound to the [`Fixed`] shape for rows of
+/// `width` floats in `blocks` blocks of `block` when it is one the models
+/// train at, and to the [`Runtime`] shape otherwise. Each kernel family
+/// instantiates only its own shapes:
+/// - `edge`: d = 16 in blocks of 16, 8 and 4 (one head, HGT's two heads,
+///   DGCF's four intents);
+/// - `logits`: HGT's rows of 2 heads' logits, one float per block;
+/// - `bank`: the memory bank's 8 units of 16.
+///
+/// Other shapes run at run time: the `quick()` bank's 4 units of 8 and
+/// the `-M` ablation's single unit ran slower fixed than at run time, and
+/// the `quick()` configs' d = 8 and the 1- and 4-head logits were never
+/// timed, so no fixed instance is kept for them.
+///
+/// The caller guarantees `width = blocks · block`.
+macro_rules! at_shape {
+    (@fixed $width:expr, $block:expr, $blocks:expr, |$s:ident| $call:expr, [$(($w:literal, $b:literal, $m:literal)),*]) => {{
+        use $crate::segment::{Fixed, Runtime};
+        let (width, block, blocks): (usize, usize, usize) = ($width, $block, $blocks);
+        debug_assert_eq!(width, block * blocks, "at_shape: rows are not whole blocks");
+        match (width, block) {
+            $(($w, $b) => {
+                let $s = Fixed::<$w, $b, $m>;
+                $call
+            })*
+            _ => {
+                let $s = Runtime { width, block, blocks };
+                $call
+            }
+        }
+    }};
+    (edge $width:expr, $block:expr, $blocks:expr, |$s:ident| $call:expr) => {
+        at_shape!(@fixed $width, $block, $blocks, |$s| $call,
+            [(16, 16, 1), (16, 8, 2), (16, 4, 4)])
+    };
+    (logits $heads:expr, |$s:ident| $call:expr) => {{
+        let heads: usize = $heads;
+        at_shape!(@fixed heads, 1, heads, |$s| $call, [(2, 1, 2)])
+    }};
+    (bank $width:expr, $block:expr, $blocks:expr, |$s:ident| $call:expr) => {
+        at_shape!(@fixed $width, $block, $blocks, |$s| $call,
+            [(128, 16, 8)])
+    };
+}
+pub(crate) use at_shape;
+
+/// `out[m]` is `start` plus the products of block `m` of `x` and `y`,
+/// folded left to right. At a fixed shape the folds of one row, and of the
+/// rows on either side of it in the caller's loop, unroll into independent
+/// chains the core overlaps. (Handing four rows to one call ran about half
+/// as fast, whether their folds were stepped together or one by one.)
+#[inline(always)]
+fn fold_dots<S: Shape>(s: S, start: f32, x: &[f32], y: &[f32], out: &mut [f32]) {
+    let b = s.block();
+    for (blk, o) in out[..s.blocks()].iter_mut().enumerate() {
+        let mut a = start;
+        for (&p, &r) in x[blk * b..][..b].iter().zip(&y[blk * b..][..b]) {
+            a += p * r;
+        }
+        *o = a;
+    }
 }
 
 /// A graph's edges grouped by destination, with the by-source transpose.
@@ -195,18 +379,35 @@ impl<'a> EdgeRows<'a> {
         self.m.cols()
     }
 
-    /// The row edge `e` reads.
-    #[inline]
-    fn row(&self, e: usize) -> &'a [f32] {
-        let r = self.index.map_or(e, |idx| idx[e]);
-        let d = self.m.cols();
-        &self.m.as_slice()[r * d..(r + 1) * d]
+    /// The data and the edge → row map, resolved once for a kernel body.
+    fn lookup(&self) -> Lookup<'a> {
+        Lookup { data: self.m.as_slice(), index: self.index }
     }
 }
 
 impl<'a> From<&'a Matrix> for EdgeRows<'a> {
     fn from(m: &'a Matrix) -> Self {
         Self::new(m, RowRead::Edge)
+    }
+}
+
+/// An [`EdgeRows`] as a kernel body reads it: held by value, so the edge
+/// loop reloads neither the data nor the map.
+#[derive(Clone, Copy)]
+struct Lookup<'a> {
+    data: &'a [f32],
+    index: Option<&'a [usize]>,
+}
+
+impl<'a> Lookup<'a> {
+    /// The `d` floats edge `e` reads.
+    #[inline(always)]
+    fn row(self, e: usize, d: usize) -> &'a [f32] {
+        let r = match self.index {
+            Some(index) => index[e],
+            None => e,
+        };
+        &self.data[r * d..][..d]
     }
 }
 
@@ -217,63 +418,77 @@ fn check_read_seg(what: &str, table_seg: Option<&[usize]>, seg: &[usize]) {
     }
 }
 
-/// The gradient of a `d`-wide row operand read through `read` by `edges`
-/// edges: one row per operand row, set to `zero` and then passed to
+/// The gradient of a row operand of shape `s` read through `read` by
+/// `edges` edges: one row per operand row, set to `zero` and then passed to
 /// `add(row, e, n)` for every edge `e` that reads it, in increasing edge
 /// id. `n` is `e`'s destination: its segment in `seg` for per-edge rows
 /// (`e` itself when the op has no segments), the row for a
-/// destination-read table, `dst[e]` for a source-read one. Rows are
+/// destination-read table, `dst[e]` for a source-read one. Each row is
+/// summed where [`Shape::summing`] puts it and written once. Rows are
 /// partitioned over the pool; each is one fixed-order fold.
-fn grad_rows(
+fn grad_rows<S: Shape>(
+    s: S,
     read: RowRead<'_>,
     edges: usize,
     seg: Option<&[usize]>,
-    d: usize,
     zero: f32,
     add: impl Fn(&mut [f32], usize, usize) + Sync,
 ) -> Matrix {
+    // Every closure below reads the widths from `s`, never from a captured
+    // local: a fixed shape's are then constants the loops unroll by.
+    let d = s.width();
     let rows = read.rows(edges);
     let mut data = pool::alloc_overwritten(rows * d);
-    // `max(1)`: a zero-width operand has empty chunks and no rows to visit.
-    let w = d.max(1);
     match (read, seg) {
         (RowRead::Edge, Some(seg)) => {
             parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, d, d, |segs, chunk| {
-                let base = seg[segs.start];
+                let (d, base, mut sum) = (s.width(), seg[segs.start], s.sum());
                 for n in segs {
                     for e in seg[n]..seg[n + 1] {
                         let o = &mut chunk[(e - base) * d..][..d];
-                        o.fill(zero);
-                        add(o, e, n);
+                        let acc = s.summing(&mut sum, o);
+                        acc.fill(zero);
+                        add(acc, e, n);
+                        s.write(&sum, o);
                     }
                 }
             });
         }
+        // `max(1)` below: a zero-width operand has empty chunks and no rows.
         (RowRead::Edge, None) => parallel::par_row_chunks(&mut data, edges, d, d, |range, chunk| {
-            for (o, e) in chunk.chunks_exact_mut(w).zip(range) {
-                o.fill(zero);
-                add(o, e, e);
+            let mut sum = s.sum();
+            for (o, e) in chunk.chunks_exact_mut(s.width().max(1)).zip(range) {
+                let acc = s.summing(&mut sum, o);
+                acc.fill(zero);
+                add(acc, e, e);
+                s.write(&sum, o);
             }
         }),
         (RowRead::Dst(list), _) => {
             let seg = list.seg.as_slice();
             parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerSegment, d, d, |nodes, chunk| {
-                for (o, n) in chunk.chunks_exact_mut(w).zip(nodes) {
-                    o.fill(zero);
+                let mut sum = s.sum();
+                for (o, n) in chunk.chunks_exact_mut(s.width().max(1)).zip(nodes) {
+                    let acc = s.summing(&mut sum, o);
+                    acc.fill(zero);
                     for e in seg[n]..seg[n + 1] {
-                        add(o, e, n);
+                        add(acc, e, n);
                     }
+                    s.write(&sum, o);
                 }
             });
         }
         (RowRead::Src(list), _) => {
             let (ptr, order, dst) = (list.src_seg.as_slice(), list.src_edges.as_slice(), list.dst.as_slice());
             parallel::par_segment_chunks(&mut data, ptr, SegmentRows::PerSegment, d, d, |sources, chunk| {
-                for (o, s) in chunk.chunks_exact_mut(w).zip(sources) {
-                    o.fill(zero);
-                    for &e in &order[ptr[s]..ptr[s + 1]] {
-                        add(o, e, dst[e]);
+                let mut sum = s.sum();
+                for (o, src) in chunk.chunks_exact_mut(s.width().max(1)).zip(sources) {
+                    let acc = s.summing(&mut sum, o);
+                    acc.fill(zero);
+                    for &e in &order[ptr[src]..ptr[src + 1]] {
+                        add(acc, e, dst[e]);
                     }
+                    s.write(&sum, o);
                 }
             });
         }
@@ -281,21 +496,157 @@ fn grad_rows(
     Matrix::from_vec(rows, d, data)
 }
 
-/// In-place stable softmax of column `col` of the row-major `rows` (`h`
-/// columns): subtract the column's max, exponentiate, divide by the sum
-/// when it is positive.
-fn softmax_column(rows: &mut [f32], h: usize, col: usize) {
-    let max = rows.iter().skip(col).step_by(h).copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in rows.iter_mut().skip(col).step_by(h) {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in rows.iter_mut().skip(col).step_by(h) {
-            *v /= sum;
+/// Body of [`Matrix::head_dots_via`].
+fn head_dots_at<S: Shape>(s: S, a: Lookup<'_>, b: Lookup<'_>, rows: usize) -> Matrix {
+    let mut data = pool::alloc_overwritten(rows * s.blocks());
+    parallel::par_row_chunks(&mut data, rows, s.blocks(), s.width(), |range, chunk| {
+        let d = s.width();
+        for (out, e) in chunk.chunks_exact_mut(s.blocks()).zip(range) {
+            fold_dots(s, -0.0, a.row(e, d), b.row(e, d), out);
         }
-    }
+    });
+    Matrix::from_vec(rows, s.blocks(), data)
+}
+
+/// Body of [`Matrix::head_dots_grad`].
+fn head_dots_grad_at<S: Shape>(s: S, read: RowRead<'_>, other: Lookup<'_>, g: &Matrix) -> Matrix {
+    let gd = g.as_slice();
+    let zero = if read.is_table() { 0.0 } else { -0.0 };
+    grad_rows(s, read, g.rows(), None, zero, |o, e, _| {
+        let (d, b, h) = (s.width(), s.block(), s.blocks());
+        let x = other.row(e, d);
+        for (head, &k) in gd[e * h..][..h].iter().enumerate() {
+            for (o, &x) in o[head * b..][..b].iter_mut().zip(&x[head * b..][..b]) {
+                *o += x * k;
+            }
+        }
+    })
+}
+
+/// Body of [`Matrix::segment_softmax`] over `E × H` logits, `H = s.width()`:
+/// one row-major pass per step over a segment's members serves all heads.
+fn segment_softmax_at<S: Shape>(s: S, x: &Matrix, seg: &[usize]) -> Matrix {
+    let (e, h) = (x.rows(), s.width());
+    let x = x.as_slice();
+    let mut data = pool::alloc_overwritten(e * h);
+    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 16 * h, |segs, chunk| {
+        let (h, base) = (s.width(), seg[segs.start]);
+        chunk.copy_from_slice(&x[base * h..seg[segs.end] * h]);
+        let (mut max, mut sum) = (s.per_block(), s.per_block());
+        let (max, sum) = (max.as_mut(), sum.as_mut());
+        for n in segs {
+            let rows = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
+            // Stable softmax per head: subtract the head's max, exponentiate,
+            // divide by the sum when it is positive.
+            max.fill(f32::NEG_INFINITY);
+            for row in rows.chunks_exact(h.max(1)) {
+                for (m, &v) in max.iter_mut().zip(row) {
+                    *m = m.max(v);
+                }
+            }
+            sum.fill(0.0);
+            for row in rows.chunks_exact_mut(h.max(1)) {
+                for ((v, &m), t) in row.iter_mut().zip(&*max).zip(sum.iter_mut()) {
+                    *v = (*v - m).exp();
+                    *t += *v;
+                }
+            }
+            for row in rows.chunks_exact_mut(h.max(1)) {
+                for (v, &t) in row.iter_mut().zip(&*sum) {
+                    if t > 0.0 {
+                        *v /= t;
+                    }
+                }
+            }
+        }
+    });
+    Matrix::from_vec(e, h, data)
+}
+
+/// Body of [`Matrix::segment_softmax_grad`], `H = s.width()`.
+fn segment_softmax_grad_at<S: Shape>(s: S, y: &Matrix, g: &Matrix, seg: &[usize]) -> Matrix {
+    let (e, h) = (y.rows(), s.width());
+    let mut data = pool::alloc_overwritten(e * h);
+    let (yd, gd) = (y.as_slice(), g.as_slice());
+    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 4 * h, |segs, chunk| {
+        let (h, base) = (s.width(), seg[segs.start]);
+        let mut dot = s.per_block();
+        let dot = dot.as_mut();
+        for n in segs {
+            let span = seg[n] * h..seg[n + 1] * h;
+            let (ys, gs) = (&yd[span.clone()], &gd[span]);
+            let out = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
+            // `-0.0`, the start of an `f32` `sum`: the models' bits fold from it.
+            dot.fill(-0.0);
+            for (yr, gr) in ys.chunks_exact(h.max(1)).zip(gs.chunks_exact(h.max(1))) {
+                for ((t, &y), &g) in dot.iter_mut().zip(yr).zip(gr) {
+                    *t += y * g;
+                }
+            }
+            for ((o, yr), gr) in out.chunks_exact_mut(h.max(1)).zip(ys.chunks_exact(h.max(1))).zip(gs.chunks_exact(h.max(1))) {
+                for (((o, &y), &g), &t) in o.iter_mut().zip(yr).zip(gr).zip(&*dot) {
+                    *o = y * (g - t);
+                }
+            }
+        }
+    });
+    Matrix::from_vec(e, h, data)
+}
+
+/// Body of [`Matrix::segment_weighted_sum`]: each segment's row summed
+/// where [`Shape::summing`] puts it and written once.
+fn segment_weighted_sum_at<S: Shape>(s: S, w: &Matrix, v: Lookup<'_>, seg: &[usize]) -> Matrix {
+    let (n, d) = (seg.len() - 1, s.width());
+    let mut data = pool::alloc_overwritten(n * d);
+    let wd = w.as_slice();
+    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerSegment, d, d, |segs, chunk| {
+        let (d, b, h) = (s.width(), s.block(), s.blocks());
+        let mut sum = s.sum();
+        for (o, node) in chunk.chunks_exact_mut(d.max(1)).zip(segs) {
+            let acc = s.summing(&mut sum, o);
+            acc.fill(0.0);
+            for e in seg[node]..seg[node + 1] {
+                let x = v.row(e, d);
+                for (head, &k) in wd[e * h..][..h].iter().enumerate() {
+                    for (a, &x) in acc[head * b..][..b].iter_mut().zip(&x[head * b..][..b]) {
+                        *a += k * x;
+                    }
+                }
+            }
+            s.write(&sum, o);
+        }
+    });
+    Matrix::from_vec(n, d, data)
+}
+
+/// Body of [`Matrix::segment_weighted_sum_grad_weights`].
+fn segment_weighted_sum_grad_weights_at<S: Shape>(s: S, v: Lookup<'_>, g: &Matrix, seg: &[usize]) -> Matrix {
+    let e = seg[seg.len() - 1];
+    let mut data = pool::alloc_overwritten(e * s.blocks());
+    let gd = g.as_slice();
+    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, s.blocks(), s.width(), |segs, chunk| {
+        let (d, h, base) = (s.width(), s.blocks(), seg[segs.start]);
+        for n in segs {
+            for e in seg[n]..seg[n + 1] {
+                fold_dots(s, 0.0, v.row(e, d), &gd[n * d..][..d], &mut chunk[(e - base) * h..]);
+            }
+        }
+    });
+    Matrix::from_vec(e, s.blocks(), data)
+}
+
+/// Body of [`Matrix::segment_weighted_sum_grad_rows`].
+fn segment_weighted_sum_grad_rows_at<S: Shape>(s: S, w: &Matrix, g: &Matrix, seg: &[usize], read: RowRead<'_>) -> Matrix {
+    let (wd, gd) = (w.as_slice(), g.as_slice());
+    grad_rows(s, read, w.rows(), Some(seg), 0.0, |o, e, n| {
+        let (d, b, h) = (s.width(), s.block(), s.blocks());
+        let gr = &gd[n * d..][..d];
+        for (head, &k) in wd[e * h..][..h].iter().enumerate() {
+            for (o, &gk) in o[head * b..][..b].iter_mut().zip(&gr[head * b..][..b]) {
+                *o += k * gk;
+            }
+        }
+    })
 }
 
 impl Matrix {
@@ -311,19 +662,9 @@ impl Matrix {
     pub fn head_dots_via(a: EdgeRows<'_>, b: EdgeRows<'_>, heads: usize) -> Matrix {
         assert_eq!(a.cols(), b.cols(), "head_dots: width mismatch");
         assert_eq!(a.edges(), b.edges(), "head_dots: edge count mismatch");
-        let (rows, d) = (a.edges(), a.cols());
+        let d = a.cols();
         let bw = block_width("head_dots", d, heads);
-        let mut data = pool::alloc_overwritten(rows * heads);
-        parallel::par_row_chunks(&mut data, rows, heads, d, |range, chunk| {
-            for (out, r) in chunk.chunks_exact_mut(heads).zip(range) {
-                let (ar, br) = (a.row(r), b.row(r));
-                for (head, o) in out.iter_mut().enumerate() {
-                    let block = head * bw..(head + 1) * bw;
-                    *o = ar[block.clone()].iter().zip(&br[block]).map(|(&p, &q)| p * q).sum();
-                }
-            }
-        });
-        Matrix::from_vec(rows, heads, data)
+        at_shape!(edge d, bw, heads, |s| head_dots_at(s, a.lookup(), b.lookup(), a.edges()))
     }
 
     /// Gradient of [`Matrix::head_dots_via`] w.r.t. the operand read
@@ -336,17 +677,7 @@ impl Matrix {
         assert_eq!(g.rows(), other.edges(), "head_dots_grad: one gradient row per edge");
         let (heads, d) = (g.cols(), other.cols());
         let bw = block_width("head_dots_grad", d, heads);
-        let gd = g.as_slice();
-        let zero = if read.is_table() { 0.0 } else { -0.0 };
-        grad_rows(read, g.rows(), None, d, zero, |o, e, _| {
-            let x = other.row(e);
-            for head in 0..heads {
-                let k = gd[e * heads + head];
-                for (o, &x) in o[head * bw..][..bw].iter_mut().zip(&x[head * bw..][..bw]) {
-                    *o += x * k;
-                }
-            }
-        })
+        at_shape!(edge d, bw, heads, |s| head_dots_grad_at(s, read, other.lookup(), g))
     }
 
     /// Softmax over every segment of every column: `self` is `E × H`
@@ -355,20 +686,7 @@ impl Matrix {
     /// sum is not positive is left exponentiated but unnormalised.
     pub fn segment_softmax(&self, seg: &[usize]) -> Matrix {
         check_seg("segment_softmax", seg, self.rows());
-        let (e, h) = self.shape();
-        let mut data = pool::alloc_overwritten(e * h);
-        let x = self.as_slice();
-        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 16 * h, |segs, chunk| {
-            let base = seg[segs.start];
-            chunk.copy_from_slice(&x[base * h..seg[segs.end] * h]);
-            for n in segs {
-                let rows = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
-                for col in 0..h {
-                    softmax_column(rows, h, col);
-                }
-            }
-        });
-        Matrix::from_vec(e, h, data)
+        at_shape!(logits self.cols(), |s| segment_softmax_at(s, self, seg))
     }
 
     /// Gradient of [`Matrix::segment_softmax`] given its output `y` and
@@ -378,36 +696,7 @@ impl Matrix {
     pub fn segment_softmax_grad(y: &Matrix, g: &Matrix, seg: &[usize]) -> Matrix {
         assert_eq!(y.shape(), g.shape(), "segment_softmax_grad: y/g shape mismatch");
         check_seg("segment_softmax_grad", seg, y.rows());
-        let (e, h) = y.shape();
-        let mut data = pool::alloc_overwritten(e * h);
-        let (yd, gd) = (y.as_slice(), g.as_slice());
-        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 4 * h, |segs, chunk| {
-            let base = seg[segs.start];
-            for n in segs {
-                let span = seg[n] * h..seg[n + 1] * h;
-                let (ys, gs) = (&yd[span.clone()], &gd[span]);
-                let out = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
-                for col in 0..h {
-                    let dot: f32 = ys
-                        .iter()
-                        .skip(col)
-                        .step_by(h)
-                        .zip(gs.iter().skip(col).step_by(h))
-                        .map(|(&s, &g)| s * g)
-                        .sum();
-                    for ((o, &s), &g) in out
-                        .iter_mut()
-                        .skip(col)
-                        .step_by(h)
-                        .zip(ys.iter().skip(col).step_by(h))
-                        .zip(gs.iter().skip(col).step_by(h))
-                    {
-                        *o = s * (g - dot);
-                    }
-                }
-            }
-        });
-        Matrix::from_vec(e, h, data)
+        at_shape!(logits y.cols(), |s| segment_softmax_grad_at(s, y, g, seg))
     }
 
     /// Weighted segment sum: `w` is `E × H` and `v` is `d` wide, and
@@ -422,26 +711,7 @@ impl Matrix {
         check_read_seg("segment_weighted_sum", v.seg, seg);
         let (h, d) = (w.cols(), v.cols());
         let b = block_width("segment_weighted_sum", d, h);
-        let n = seg.len() - 1;
-        let mut data = pool::alloc_zeroed(n * d);
-        let wd = w.as_slice();
-        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerSegment, d, d, |segs, chunk| {
-            // Edges outermost: each edge looks its row up once, and every
-            // output element still sums its edges in member order.
-            for (off, node) in segs.enumerate() {
-                let out = &mut chunk[off * d..][..d];
-                for e in seg[node]..seg[node + 1] {
-                    let x = v.row(e);
-                    for head in 0..h {
-                        let k = wd[e * h + head];
-                        for (o, &x) in out[head * b..][..b].iter_mut().zip(&x[head * b..][..b]) {
-                            *o += k * x;
-                        }
-                    }
-                }
-            }
-        });
-        Matrix::from_vec(n, d, data)
+        at_shape!(edge d, b, h, |s| segment_weighted_sum_at(s, w, v.lookup(), seg))
     }
 
     /// Gradient of [`Matrix::segment_weighted_sum`] w.r.t. the weights:
@@ -458,26 +728,9 @@ impl Matrix {
         assert_eq!(g.rows() + 1, seg.len(), "segment_weighted_sum_grad_weights: one gradient row per segment");
         check_seg("segment_weighted_sum_grad_weights", seg, v.edges());
         check_read_seg("segment_weighted_sum_grad_weights", v.seg, seg);
-        let (e, d) = (v.edges(), v.cols());
+        let d = v.cols();
         let b = block_width("segment_weighted_sum_grad_weights", d, heads);
-        let mut data = pool::alloc_overwritten(e * heads);
-        let gd = g.as_slice();
-        parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, heads, d, |segs, chunk| {
-            let base = seg[segs.start];
-            for node in segs {
-                for e in seg[node]..seg[node + 1] {
-                    let x = v.row(e);
-                    for head in 0..heads {
-                        let mut dot = 0.0;
-                        for (&gk, &x) in gd[node * d + head * b..][..b].iter().zip(&x[head * b..][..b]) {
-                            dot += gk * x;
-                        }
-                        chunk[(e - base) * heads + head] = dot;
-                    }
-                }
-            }
-        });
-        Matrix::from_vec(e, heads, data)
+        at_shape!(edge d, b, heads, |s| segment_weighted_sum_grad_weights_at(s, v.lookup(), g, seg))
     }
 
     /// Gradient of [`Matrix::segment_weighted_sum`] w.r.t. per-edge values:
@@ -497,18 +750,9 @@ impl Matrix {
         if let RowRead::Dst(list) | RowRead::Src(list) = read {
             check_read_seg("segment_weighted_sum_grad_values", Some(&list.seg), seg);
         }
-        let (e, h) = w.shape();
-        let d = g.cols();
+        let (h, d) = (w.cols(), g.cols());
         let b = block_width("segment_weighted_sum_grad_values", d, h);
-        let (wd, gd) = (w.as_slice(), g.as_slice());
-        grad_rows(read, e, Some(seg), d, 0.0, |o, e, n| {
-            for head in 0..h {
-                let k = wd[e * h + head];
-                for (o, &gk) in o[head * b..][..b].iter_mut().zip(&gd[n * d + head * b..][..b]) {
-                    *o += k * gk;
-                }
-            }
-        })
+        at_shape!(edge d, b, h, |s| segment_weighted_sum_grad_rows_at(s, w, g, seg, read))
     }
 }
 

@@ -177,17 +177,17 @@ impl Csr {
     pub fn sym_normalized(&self) -> Csr {
         let mut row_deg = vec![0.0f32; self.rows];
         let mut col_deg = vec![0.0f32; self.cols];
-        for r in 0..self.rows {
+        for (r, deg) in row_deg.iter_mut().enumerate() {
             for (c, v) in self.row(r) {
-                row_deg[r] += v;
+                *deg += v;
                 col_deg[c] += v;
             }
         }
         let mut out = self.clone();
-        for r in 0..out.rows {
+        for (r, &deg) in row_deg.iter().enumerate() {
             for i in out.row_ptr[r]..out.row_ptr[r + 1] {
                 let c = out.col_idx[i];
-                let denom = (row_deg[r] * col_deg[c]).sqrt();
+                let denom = (deg * col_deg[c]).sqrt();
                 if denom > 0.0 {
                     out.values[i] /= denom;
                 }

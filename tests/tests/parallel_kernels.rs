@@ -519,23 +519,76 @@ fn lcg_csr(rows: usize, cols: usize, seed: u64) -> Csr {
     b.build()
 }
 
+/// Sign-mixed values with signed zeros of both kinds among them, so a fold
+/// that starts from the wrong zero shows up in the bits.
+fn signed(rows: usize, cols: usize, seed: u64) -> Matrix {
+    mat(rows, cols, seed).map(|v| match v {
+        v if (0.1..0.3).contains(&v) => -0.0,
+        v if (-0.3..-0.1).contains(&v) => 0.0,
+        v => v,
+    })
+}
+
+// The plain loops every head of a kernel is held to: one head's column
+// block, one element at a time, each fold from the start value the kernel
+// documents.
+
+/// `out[e]` = −0.0 plus `a[e, cols] · b[e, cols]` left to right.
+fn dot_ref(a: &Matrix, b: &Matrix, cols: std::ops::Range<usize>) -> Vec<f32> {
+    (0..a.rows()).map(|e| cols.clone().fold(-0.0, |acc, c| acc + a[(e, c)] * b[(e, c)])).collect()
+}
+
+fn softmax_ref(x: &[f32], seg: &[usize]) -> Vec<f32> {
+    let mut v = x.to_vec();
+    for n in 0..seg.len() - 1 {
+        let xs = &mut v[seg[n]..seg[n + 1]];
+        let max = xs.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        let mut sum = 0.0;
+        for x in xs.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        if sum > 0.0 {
+            for x in xs {
+                *x /= sum;
+            }
+        }
+    }
+    v
+}
+
+fn softmax_grad_ref(y: &[f32], g: &[f32], seg: &[usize]) -> Vec<f32> {
+    let mut out = vec![0.0; y.len()];
+    for n in 0..seg.len() - 1 {
+        let dot = (seg[n]..seg[n + 1]).fold(-0.0, |acc, e| acc + y[e] * g[e]);
+        for e in seg[n]..seg[n + 1] {
+            out[e] = y[e] * (g[e] - dot);
+        }
+    }
+    out
+}
+
+/// Column `c` of `m`.
+fn col(m: &Matrix, c: usize) -> Vec<f32> {
+    (0..m.rows()).map(|r| m[(r, c)]).collect()
+}
+
+/// A `rows`-row matrix from one column per head.
+fn by_head(rows: usize, heads: usize, f: impl Fn(usize) -> Vec<f32>) -> Matrix {
+    let cols: Vec<Vec<f32>> = (0..heads).map(f).collect();
+    Matrix::from_fn(rows, heads, |r, h| cols[h][r])
+}
+
 /// Every table-read form of the edge kernels, forward and each gradient,
 /// next to what a gather → per-edge kernel → `scatter_add_rows` pipeline
-/// computes. Destination tables are `n × d`, source tables `sources × d`.
+/// computes, and every per-edge kernel next to the plain loops head by
+/// head. Destination tables are `n × d`, source tables `sources × d`.
 fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<(&'static str, Matrix, Matrix)> {
     let (n, s, e, d) = (edges.nodes(), edges.sources(), edges.len(), heads * b);
     let (seg, src, dst) = (edges.seg.as_slice(), edges.src.as_slice(), edges.dst.as_slice());
-    // Signed zeros among the values, so a fold that starts from the wrong
-    // zero shows up in the bits.
-    let m = |rows, cols, salt| {
-        mat(rows, cols, seed ^ salt).map(|v| match v {
-            v if (0.1..0.3).contains(&v) => -0.0,
-            v if (-0.3..-0.1).contains(&v) => 0.0,
-            v => v,
-        })
-    };
-    let (q, k) = (m(n, d, 1), m(s, d, 2));
-    let (x, w, gy, g) = (m(e, d, 3), m(e, heads, 4), m(e, heads, 5), m(n, d, 6));
+    let (q, k) = (signed(n, d, seed ^ 1), signed(s, d, seed ^ 2));
+    let (x, w, gy, g) = (signed(e, d, seed ^ 3), signed(e, heads, seed ^ 4), signed(e, heads, seed ^ 5), signed(n, d, seed ^ 6));
+    let logits = signed(e, heads, seed ^ 7);
     let scatter = |rows: usize, idx: &[usize], grad: &Matrix| {
         let mut acc = Matrix::zeros(rows, d);
         acc.scatter_add_rows(idx, grad);
@@ -543,6 +596,21 @@ fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<
     };
     let (qd, ks) = (EdgeRows::new(&q, RowRead::Dst(edges)), EdgeRows::new(&k, RowRead::Src(edges)));
     let (qe, ke) = (q.gather_rows(dst), k.gather_rows(src));
+
+    // The plain loops, head `h` on column block `h`.
+    let block = |h: usize| h * b..(h + 1) * b;
+    let y = by_head(e, heads, |h| softmax_ref(&col(&logits, h), seg));
+    let wsum = |v: &Matrix| {
+        let mut out = Matrix::zeros(n, d);
+        for node in 0..n {
+            for r in seg[node]..seg[node + 1] {
+                for c in 0..d {
+                    out.row_mut(node)[c] += w[(r, c / b)] * v[(r, c)];
+                }
+            }
+        }
+        out
+    };
     vec![
         // HGT's logits: a destination table against a source table.
         ("head_dots dst·src", Matrix::head_dots_via(qd, ks, heads), qe.head_dots(&ke, heads)),
@@ -570,13 +638,56 @@ fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<
             Matrix::segment_weighted_sum_grad_rows(&w, &g, seg, RowRead::Dst(edges)),
             scatter(n, dst, &Matrix::segment_weighted_sum_grad_values(&w, &g, seg)),
         ),
+        // The per-edge kernels the pairs above are held to, against the
+        // plain loops.
+        ("head_dots plain", x.head_dots(&ke, heads), by_head(e, heads, |h| dot_ref(&x, &ke, block(h)))),
+        ("segment_softmax plain", logits.segment_softmax(seg), y.clone()),
+        (
+            "segment_softmax_grad plain",
+            Matrix::segment_softmax_grad(&y, &gy, seg),
+            by_head(e, heads, |h| softmax_grad_ref(&col(&y, h), &col(&gy, h), seg)),
+        ),
+        ("weighted sum plain", Matrix::segment_weighted_sum(&w, &x, seg), wsum(&x)),
+        (
+            "weighted sum grad weights plain",
+            Matrix::segment_weighted_sum_grad_weights(&x, &g, seg, heads),
+            Matrix::from_fn(e, heads, |r, h| block(h).fold(0.0, |acc, c| acc + g[(dst[r], c)] * x[(r, c)])),
+        ),
+        (
+            "weighted sum grad values plain",
+            Matrix::segment_weighted_sum_grad_values(&w, &g, seg),
+            Matrix::from_fn(e, d, |r, c| 0.0 + w[(r, c / b)] * g[(dst[r], c)]),
+        ),
     ]
 }
 
-/// Holds every table-read form to the gathered pipeline run serially, at
-/// 1, 2 and 4 threads and under fuzzed worker schedules.
-fn check_table_reads(edges: &EdgeList, heads: usize, b: usize, seed: u64) {
-    let oracle: Vec<Matrix> = with_pool(1, || table_read_pairs(edges, heads, b, seed)).into_iter().map(|p| p.2).collect();
+/// The memory-bank reduce of `n` rows of `m` blocks of `b`, and both its
+/// gradients, next to the plain loops.
+fn block_pairs(n: usize, b: usize, m: usize, seed: u64) -> Vec<(&'static str, Matrix, Matrix)> {
+    let (t, eta, g) = (signed(n, m * b, seed ^ 1), signed(n, m, seed ^ 2), signed(n, b, seed ^ 3));
+    vec![
+        (
+            "weighted_block_sum plain",
+            t.weighted_block_sum(&eta),
+            Matrix::from_fn(n, b, |r, j| (1..m).fold(t[(r, j)] * eta[(r, 0)], |acc, u| acc + t[(r, u * b + j)] * eta[(r, u)])),
+        ),
+        (
+            "weighted_block_sum grad blocks plain",
+            Matrix::weighted_block_sum_grad_blocks(&eta, &g),
+            Matrix::from_fn(n, m * b, |r, c| g[(r, c % b)] * eta[(r, c / b)]),
+        ),
+        (
+            "weighted_block_sum grad weights plain",
+            Matrix::weighted_block_sum_grad_weights(&t, &g),
+            Matrix::from_fn(n, m, |r, u| (0..b).fold(-0.0, |acc, j| acc + g[(r, j)] * t[(r, u * b + j)])),
+        ),
+    ]
+}
+
+/// Holds every pair's kernel output to its oracle run serially, at 1, 2
+/// and 4 threads and under fuzzed worker schedules.
+fn check_pairs(seed: u64, pairs: impl Fn() -> Vec<(&'static str, Matrix, Matrix)>) {
+    let oracle: Vec<Matrix> = with_pool(1, &pairs).into_iter().map(|p| p.2).collect();
     let mut runs = vec![("serial", 1, None)];
     for threads in [2, 4] {
         runs.push(("pooled", threads, None));
@@ -584,18 +695,40 @@ fn check_table_reads(edges: &EdgeList, heads: usize, b: usize, seed: u64) {
     }
     for (how, threads, fuzz) in runs {
         parallel::set_fuzz_schedule(fuzz);
-        let got = with_pool(threads, || table_read_pairs(edges, heads, b, seed));
+        let got = with_pool(threads, &pairs);
         parallel::set_fuzz_schedule(None);
-        for ((what, table, _), want) in got.iter().zip(&oracle) {
-            assert_bits_eq(table, want, &format!("{what}, {how} at {threads} thread(s)"));
+        for ((what, kernel, _), want) in got.iter().zip(&oracle) {
+            assert_bits_eq(kernel, want, &format!("{what}, {how} at {threads} thread(s)"));
         }
+    }
+}
+
+/// `(d, heads)` for the edge kernels: the widths compiled as fixed
+/// instances (d = 16 in 1, 2 and 4 heads) and, at run-time width, the
+/// `quick()` configs' d = 8 in 1, 2 and 4 heads and two widths no model
+/// trains at.
+const EDGE_SHAPES: [(usize, usize); 8] = [(16, 1), (16, 2), (16, 4), (8, 1), (8, 2), (8, 4), (12, 3), (6, 2)];
+
+/// `(b, M)` for the memory-bank reduce: DGNN's 8 units of 16 (compiled),
+/// and at run-time width the quick preset's 4 of 8, the `-M` ablation's
+/// single block and 4 units of 12.
+const BLOCK_SHAPES: [(usize, usize); 5] = [(16, 8), (8, 4), (16, 1), (8, 1), (12, 4)];
+
+/// Every edge kernel at every shape in [`EDGE_SHAPES`] over `edges`, and
+/// the memory-bank reduce at every shape in [`BLOCK_SHAPES`] on `rows` rows.
+fn check_every_shape(edges: &EdgeList, rows: usize, seed: u64) {
+    for (d, heads) in EDGE_SHAPES {
+        check_pairs(seed, || table_read_pairs(edges, heads, d / heads, seed));
+    }
+    for (b, m) in BLOCK_SHAPES {
+        check_pairs(seed, || block_pairs(rows, b, m, seed));
     }
 }
 
 #[test]
 fn table_reads_without_edges_are_gather_then_scatter() {
-    // E = 0: three empty destinations, two unread sources.
-    check_table_reads(&EdgeList::new(vec![0, 0, 0, 0], Vec::new(), 2), 2, 2, 5);
+    // E = 0: three empty destinations, two unread sources; no bank rows.
+    check_every_shape(&EdgeList::new(vec![0, 0, 0, 0], Vec::new(), 2), 0, 5);
 }
 
 proptest! {
@@ -607,8 +740,7 @@ proptest! {
         // the upper half is never read and the lower half repeats.
         degrees in collection::vec(0usize..9, 0..24),
         sources in 1usize..14,
-        log2_heads in 0u32..3,
-        b in 1usize..4,
+        rows in 1usize..20,
         seed in any::<u64>(),
     ) {
         let seg: Vec<usize> = std::iter::once(0)
@@ -624,7 +756,7 @@ proptest! {
                 (s >> 33) as usize % sources.div_ceil(2)
             })
             .collect();
-        check_table_reads(&EdgeList::new(seg, src, sources), 1 << log2_heads, b, seed);
+        check_every_shape(&EdgeList::new(seg, src, sources), rows, seed);
     }
 }
 
