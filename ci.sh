@@ -45,11 +45,14 @@ cargo run -q --release -p dgnn-bench --bin profile -- --check
 
 echo "=== [8/8] benchmark harness (its own workspace: unit tests + 2-second train_dgnn/dgcf/hgt smokes) ==="
 # benchmark/ compiles against the crates' public API from outside the
-# workspace (Dgnn::{new,prepare,params,record_step,fit_epochs},
+# workspace (Dgnn::{new,prepare,params,record_step,fit_epochs,save_checkpoint},
 # Dgcf::fit_epochs, Hgt::fit_epochs, training::TrainLoop::default().grad_clip,
 # Tape::{new,len,backward_into}, ParamSet, Adam, gemm::counters,
-# alloc_counters), so an API break fails here instead of in the bench
-# driver. It refuses to run with any DGNN_* variable set.
+# alloc_counters, Csr::spmm, Checkpoint::{load,matrix} and the `final/user`
+# and `final/item` tensors it reads, Engine::{load,open_segmented},
+# SegmentedCheckpoint, SegmentedWriter, Server::start, ServeConfig), so an
+# API break fails here instead of when the benchmark runs. It refuses to
+# run with any DGNN_* variable set.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for workload in train_dgnn train_dgcf train_hgt; do
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \

@@ -14,7 +14,7 @@
 use std::rc::Rc;
 
 use dgnn_autograd::{ParamId, ParamSet, Recorder, Rows, Var};
-use dgnn_tensor::{Csr, EdgeList, Matrix};
+use dgnn_tensor::{EdgeList, Matrix};
 
 /// The class of a [`Diagnostic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +115,7 @@ pub(crate) struct TraceNode {
     /// Opaque op attribute for value-numbering: the bit pattern of a scalar
     /// coefficient (`scale`/`add_scalar`/`leaky_relu`/eps), packed slice
     /// bounds, or the address of a shared index/adjacency payload
-    /// (`gather`/`spmm`/segment ops). Two nodes of the same op kind compute
+    /// (`gather`/segment ops). Two nodes of the same op kind compute
     /// the same function of their inputs iff their attrs are equal. `0` for
     /// attribute-free ops.
     pub attr: u64,
@@ -464,34 +464,6 @@ impl Recorder for ShapeTracer {
         let bounded = self.bounded_of(a);
         let lower = self.lower_of(a);
         self.push_with("transpose", (c, r), &[a], bounded, None, lower)
-    }
-
-    fn spmm_with(&mut self, adj: &Rc<Csr>, adj_t: &Rc<Csr>, b: Var) -> Var {
-        let sb = self.shape_of(b);
-        if adj.rows() != adj_t.cols() || adj.cols() != adj_t.rows() {
-            self.diag(
-                DiagnosticKind::ShapeMismatch,
-                "spmm",
-                format!(
-                    "adj_t {}×{} is not the transpose of adj {}×{}",
-                    adj_t.rows(),
-                    adj_t.cols(),
-                    adj.rows(),
-                    adj.cols()
-                ),
-            );
-        }
-        if adj.cols() != sb.0 {
-            self.diag(
-                DiagnosticKind::ShapeMismatch,
-                "spmm",
-                format!("adj is {}×{} but dense operand is {sb:?}", adj.rows(), adj.cols()),
-            );
-        }
-        // The adjacency is a fixed constant, so boundedness follows b.
-        let bounded = self.bounded_of(b);
-        let v = self.push("spmm", (adj.rows(), sb.1), &[b], bounded, None);
-        self.tag(v, Rc::as_ptr(adj) as usize as u64)
     }
 
     fn sigmoid(&mut self, a: Var) -> Var {

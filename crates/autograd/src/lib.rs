@@ -68,5 +68,5 @@ mod tape;
 
 pub use optim::{Adam, Optimizer};
 pub use params::{ParamId, ParamSet};
-pub use recorder::{Recorder, Rows, Var};
+pub use recorder::{Propagation, Recorder, Rows, Var};
 pub use tape::Tape;

@@ -19,7 +19,6 @@ pub const ALL_OPS: &[&str] = &[
     "add_scalar",
     "matmul",
     "transpose",
-    "spmm",
     "sigmoid",
     "tanh",
     "leaky_relu",

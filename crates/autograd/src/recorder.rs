@@ -100,6 +100,40 @@ impl From<Var> for Rows {
     }
 }
 
+/// A fixed sparse propagation `A · x`: the edges of the adjacency `A`,
+/// built once, and its entries as constant `E × 1` weights.
+///
+/// [`Propagation::apply`] records `A · x` as a
+/// [`Recorder::segment_weighted_sum`] whose edges read rows of `x` through
+/// their sources. Each output row sums its entries from zero in CSR order,
+/// and the backward sums each source row's edges in row order, so forward
+/// and backward are bit for bit `Csr::spmm` by `A` and by `Aᵀ`.
+#[derive(Debug)]
+pub struct Propagation {
+    edges: Rc<EdgeList>,
+    weights: Matrix,
+}
+
+impl Propagation {
+    /// The propagation through `adj` (rows are destinations, columns
+    /// sources).
+    pub fn new(adj: &Csr) -> Self {
+        let weights = Matrix::from_vec(adj.nnz(), 1, adj.values().to_vec());
+        Self { edges: Rc::new(EdgeList::from_csr(adj)), weights }
+    }
+
+    /// The adjacency's edges, grouped by destination row.
+    pub fn edges(&self) -> &EdgeList {
+        &self.edges
+    }
+
+    /// Records `A · x`.
+    pub fn apply<R: Recorder>(&self, rec: &mut R, x: Var) -> Var {
+        let w = rec.constant(self.weights.clone());
+        rec.segment_weighted_sum(w, Rows::src(x, &self.edges), Rc::clone(&self.edges.seg))
+    }
+}
+
 /// Records differentiable ops into a compute graph.
 ///
 /// Every method appends one node and returns its handle. Implementations
@@ -145,18 +179,6 @@ pub trait Recorder {
 
     /// `aᵀ`.
     fn transpose(&mut self, a: Var) -> Var;
-
-    /// Sparse propagation with a caller-provided transpose (avoids
-    /// re-transposing the adjacency on every training step).
-    fn spmm_with(&mut self, adj: &Rc<Csr>, adj_t: &Rc<Csr>, b: Var) -> Var;
-
-    /// Sparse propagation `adj · b`. The transpose is taken once here; use
-    /// [`Recorder::spmm_with`] to reuse a pre-transposed adjacency across
-    /// steps.
-    fn spmm(&mut self, adj: &Rc<Csr>, b: Var) -> Var {
-        let at = Rc::new(adj.transpose());
-        self.spmm_with(adj, &at, b)
-    }
 
     // ---- activations -----------------------------------------------------
 

@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use dgnn_tensor::{stable_sigmoid, Csr, EdgeRows, Matrix};
+use dgnn_tensor::{stable_sigmoid, EdgeRows, Matrix};
 
 use crate::params::{ParamId, ParamSet};
 use crate::recorder::{Recorder, Rows, Var};
@@ -55,8 +55,6 @@ enum Op {
     SliceCols { a: Var, start: usize, end: usize },
     /// Embedding lookup: output row `i` is `a.row(idx[i])`.
     Gather { a: Var, idx: Rc<Vec<usize>> },
-    /// Sparse propagation `a · b`; `at` is `aᵀ` for the backward pass.
-    Spmm { a: Rc<Csr>, at: Rc<Csr>, b: Var },
     /// Row-wise LayerNorm without affine terms (compose with
     /// [`Recorder::mul_row`]/[`Recorder::add_row`] for ω₁/ω₂ of the
     /// paper's Eq. 7).
@@ -117,7 +115,6 @@ impl Op {
             Op::ConcatCols(..) => "concat_cols",
             Op::SliceCols { .. } => "slice_cols",
             Op::Gather { .. } => "gather",
-            Op::Spmm { .. } => "spmm",
             Op::LayerNormRow { .. } => "layer_norm_rows",
             Op::RowL2Norm { .. } => "l2_normalize_rows",
             Op::RowDots { .. } => "row_dots",
@@ -141,7 +138,7 @@ impl Op {
             ConcatCols(parts) => parts.iter().any(|&p| f(p)),
             Neg(a) | Scale(a, _) | AddScalar(a, _) | Transpose(a) | Sigmoid(a) | Tanh(a) | LeakyRelu(a, _)
             | Relu(a) | Exp(a) | Softplus(a) | Ln(a) | Sqrt(a) | SumAll(a) | MeanAll(a) | RowSum(a)
-            | ColMean(a) | SoftmaxRows(a) | SliceCols { a, .. } | Gather { a, .. } | Spmm { b: a, .. }
+            | ColMean(a) | SoftmaxRows(a) | SliceCols { a, .. } | Gather { a, .. }
             | LayerNormRow { a, .. } | RowL2Norm { a, .. } | SegmentSoftmax { logits: a, .. }
             | Dropout { a, .. } => f(*a),
         }
@@ -247,7 +244,6 @@ impl Tape {
             }
             MatMul(a, b) => self.value(*a).matmul(self.value(*b)),
             Transpose(a) => self.value(*a).transpose(),
-            Spmm { a, b, .. } => a.spmm(self.value(*b)),
             Sigmoid(a) => self.value(*a).map_weighted(32, stable_sigmoid),
             // Audited branchless: `f32::tanh` is a polynomial/rational
             // kernel with no data-dependent branching. Of a gather that
@@ -516,9 +512,6 @@ impl Tape {
                     acc.scatter_add_rows(idx, g);
                 }
             }
-            Spmm { at, b, .. } => {
-                Self::accum(grads, live, *b, || at.spmm(g));
-            }
             LayerNormRow { a, eps } => {
                 let (x, y) = (self.value(*a), self.value(Var(i)));
                 Self::accum(grads, live, *a, || Matrix::layer_norm_rows_grad(x, y, g, *eps));
@@ -607,12 +600,6 @@ impl Recorder for Tape {
 
     fn transpose(&mut self, a: Var) -> Var {
         self.apply(Op::Transpose(a))
-    }
-
-    fn spmm_with(&mut self, adj: &Rc<Csr>, adj_t: &Rc<Csr>, b: Var) -> Var {
-        assert_eq!(adj.rows(), adj_t.cols(), "spmm_with: adj_t is not adjᵀ (shape)");
-        assert_eq!(adj.cols(), adj_t.rows(), "spmm_with: adj_t is not adjᵀ (shape)");
-        self.apply(Op::Spmm { a: Rc::clone(adj), at: Rc::clone(adj_t), b })
     }
 
     // ---- activations -----------------------------------------------------

@@ -7,8 +7,8 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamSet, Recorder, Rows, Tape, Var};
-use dgnn_tensor::{Csr, CsrBuilder, EdgeList, Matrix};
+use dgnn_autograd::{ParamSet, Propagation, Recorder, Rows, Tape, Var};
+use dgnn_tensor::{CsrBuilder, EdgeList, Matrix};
 
 const H: f32 = 1e-3;
 const TOL: f32 = 2e-2; // relative-ish tolerance; f32 finite differences are noisy
@@ -229,24 +229,15 @@ fn grad_gather_with_duplicates() {
     });
 }
 
-fn toy_csr() -> Rc<Csr> {
+/// A 3×4 sparse propagation.
+fn toy_propagation() -> Propagation {
     let mut b = CsrBuilder::new(3, 4);
     b.push(0, 0, 0.5);
     b.push(0, 2, 1.5);
     b.push(1, 1, -0.7);
     b.push(2, 3, 2.0);
     b.push(2, 0, 0.3);
-    Rc::new(b.build())
-}
-
-#[test]
-fn grad_spmm() {
-    let adj = toy_csr();
-    check_grad(sample(4, 2, 30), move |t, x| {
-        let y = t.spmm(&adj, x);
-        let sq = t.mul(y, y);
-        t.sum_all(sq)
-    });
+    Propagation::new(&b.build())
 }
 
 #[test]
@@ -495,10 +486,11 @@ fn grad_bpr_composite() {
 #[test]
 fn grad_deep_composite_gnn_like() {
     // A two-layer mini-GNN with every structural op in one graph:
-    // gather → spmm → leaky_relu → layer_norm → concat → row_dots → loss.
-    let adj = toy_csr(); // 3×4
+    // gather → propagation (a constant-weight segment sum over the source
+    // rows) → leaky_relu → layer_norm → concat → row_dots → loss.
+    let adj = toy_propagation(); // 3×4
     check_grad(sample(4, 3, 47), move |t, emb| {
-        let h1 = t.spmm(&adj, emb); // 3×3
+        let h1 = adj.apply(t, emb); // 3×3
         let h1 = t.leaky_relu(h1, 0.2);
         let h1n = t.layer_norm_rows(h1, 1e-5);
         let idx = Rc::new(vec![0usize, 1, 2]);

@@ -12,10 +12,10 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_autograd::{ParamId, ParamSet, Propagation, Recorder, Tape, Var};
 use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
-use dgnn_tensor::{Csr, Init};
+use dgnn_tensor::Init;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -51,7 +51,8 @@ struct State {
     e_item: ParamId,
     /// Trustee factors (TrustMF) — unused otherwise.
     e_trustee: ParamId,
-    adj: Option<(Rc<Csr>, Rc<Csr>)>,
+    /// LightGCN's user ← item and item ← user propagations.
+    adj: Option<(Propagation, Propagation)>,
     ties: Vec<(u32, u32)>,
     friends: Vec<Vec<u32>>,
 }
@@ -69,14 +70,14 @@ fn forward(st: &State, kind: ClassicKind, layers: usize, tape: &mut Tape, params
             // Bipartite light propagation: u ← Â v, v ← Âᵀ u, alternating,
             // with layer-averaged outputs and no transforms — LightGCN's
             // whole point.
-            let (adj, adj_t) = st.adj.as_ref().expect("LightGCN builds an adjacency");
+            let (to_users, to_items) = st.adj.as_ref().expect("LightGCN builds an adjacency");
             let mut hu = tape.param(params, st.e_user);
             let mut hv = tape.param(params, st.e_item);
             let mut acc_u = hu;
             let mut acc_v = hv;
             for _ in 0..layers.max(1) {
-                let new_u = tape.spmm_with(adj, adj_t, hv);
-                let new_v = tape.spmm_with(adj_t, adj, hu);
+                let new_u = to_users.apply(tape, hv);
+                let new_v = to_items.apply(tape, hu);
                 hu = new_u;
                 hv = new_v;
                 acc_u = tape.add(acc_u, hu);
@@ -173,8 +174,7 @@ impl Trainable for Classic {
 
         let adj = (self.kind == ClassicKind::LightGcn).then(|| {
             let ui = g.ui().sym_normalized();
-            let t = Rc::new(ui.transpose());
-            (Rc::new(ui), t)
+            (Propagation::new(&ui), Propagation::new(&ui.transpose()))
         });
         let mut ties = Vec::new();
         let mut friends: Vec<Vec<u32>> = vec![Vec::new(); g.num_users()];

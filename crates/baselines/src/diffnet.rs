@@ -5,12 +5,10 @@
 //! and the final user representation fuses the diffused social interest
 //! with the mean of the user's interacted-item embeddings.
 
-use std::rc::Rc;
-
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_autograd::{ParamId, ParamSet, Propagation, Recorder, Tape, Var};
 use dgnn_data::Dataset;
 use dgnn_eval::{Recommender, Trainable};
-use dgnn_tensor::{Csr, Init};
+use dgnn_tensor::Init;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,10 +17,8 @@ use crate::common::{bpr_from_embeddings, BaselineConfig, BatchIdx, Scorer};
 struct State {
     e_user: ParamId,
     e_item: ParamId,
-    social: Rc<Csr>,
-    social_t: Rc<Csr>,
-    ui: Rc<Csr>,
-    ui_t: Rc<Csr>,
+    social: Propagation,
+    ui: Propagation,
 }
 
 fn forward(st: &State, layers: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
@@ -30,11 +26,11 @@ fn forward(st: &State, layers: usize, tape: &mut Tape, params: &ParamSet) -> (Va
     let hv = tape.param(params, st.e_item);
     // Social diffusion layers.
     for _ in 0..layers.max(1) {
-        let diffused = tape.spmm_with(&st.social, &st.social_t, hu);
+        let diffused = st.social.apply(tape, hu);
         hu = tape.add(diffused, hu);
     }
     // Fuse with interacted-item history.
-    let hist = tape.spmm_with(&st.ui, &st.ui_t, hv);
+    let hist = st.ui.apply(tape, hv);
     let users = tape.add(hu, hist);
     (users, hv)
 }
@@ -73,15 +69,11 @@ impl Trainable for DiffNet {
             params.add("e_user", Init::Uniform(0.1).build(g.num_users(), self.cfg.dim, &mut rng));
         let e_item =
             params.add("e_item", Init::Uniform(0.1).build(g.num_items(), self.cfg.dim, &mut rng));
-        let social = g.ss().row_normalized();
-        let ui = g.ui().row_normalized();
         let st = State {
             e_user,
             e_item,
-            social_t: Rc::new(social.transpose()),
-            social: Rc::new(social),
-            ui_t: Rc::new(ui.transpose()),
-            ui: Rc::new(ui),
+            social: Propagation::new(&g.ss().row_normalized()),
+            ui: Propagation::new(&g.ui().row_normalized()),
         };
 
         let layers = self.cfg.layers;

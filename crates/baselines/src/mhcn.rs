@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_autograd::{ParamId, ParamSet, Propagation, Recorder, Var};
 use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::compose;
@@ -28,8 +28,7 @@ const SSL_WEIGHT: f32 = 0.1;
 const MOTIF_CAP: usize = 40;
 
 struct Channel {
-    adj: Rc<Csr>,
-    adj_t: Rc<Csr>,
+    adj: Propagation,
     /// Channel-attention projection, `d × 1`.
     attn: ParamId,
 }
@@ -38,10 +37,8 @@ struct State {
     e_user: ParamId,
     e_item: ParamId,
     channels: Vec<Channel>,
-    ui: Rc<Csr>,
-    ui_t: Rc<Csr>,
-    iu: Rc<Csr>,
-    iu_t: Rc<Csr>,
+    ui: Propagation,
+    iu: Propagation,
 }
 
 /// Two-layer light convolution over one channel's user graph; returns the
@@ -50,7 +47,7 @@ fn channel_pass<R: Recorder>(tape: &mut R, ch: &Channel, eu: Var, layers: usize)
     let mut h = eu;
     let mut acc = h;
     for _ in 0..layers.max(1) {
-        h = tape.spmm_with(&ch.adj, &ch.adj_t, h);
+        h = ch.adj.apply(tape, h);
         acc = tape.add(acc, h);
     }
     tape.scale(acc, 1.0 / (layers.max(1) + 1) as f32)
@@ -94,10 +91,10 @@ fn forward<R: Recorder>(
     let social = social.expect("at least one channel");
 
     // Interaction history rounds out the user; items aggregate their users.
-    let hist = tape.spmm_with(&st.ui, &st.ui_t, ev);
+    let hist = st.ui.apply(tape, ev);
     let u_pre = tape.add(eu, social);
     let users = tape.add(u_pre, hist);
-    let from_users = tape.spmm_with(&st.iu, &st.iu_t, eu);
+    let from_users = st.iu.apply(tape, eu);
     let items = tape.add(ev, from_users);
     (users, items, channel_embs)
 }
@@ -198,21 +195,16 @@ fn build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (ParamSet, St
         .into_iter()
         .enumerate()
         .map(|(c, adj)| Channel {
-            adj_t: Rc::new(adj.transpose()),
-            adj: Rc::new(adj),
+            adj: Propagation::new(&adj),
             attn: params.add(format!("attn[{c}]"), Init::XavierUniform.build(d, 1, &mut rng)),
         })
         .collect();
-    let ui = g.ui().row_normalized();
-    let iu = g.iu().row_normalized();
     let st = State {
         e_user,
         e_item,
         channels,
-        ui_t: Rc::new(ui.transpose()),
-        ui: Rc::new(ui),
-        iu_t: Rc::new(iu.transpose()),
-        iu: Rc::new(iu),
+        ui: Propagation::new(&g.ui().row_normalized()),
+        iu: Propagation::new(&g.iu().row_normalized()),
     };
     (params, st)
 }

@@ -8,11 +8,11 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamId, ParamSet, Recorder, Var};
+use dgnn_autograd::{ParamId, ParamSet, Propagation, Recorder, Var};
 use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::UnifiedView;
-use dgnn_tensor::{Csr, Init};
+use dgnn_tensor::Init;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,8 +33,7 @@ struct State {
     emb: ParamId,
     w1: Vec<ParamId>,
     w2: Vec<ParamId>,
-    adj: Rc<Csr>,
-    adj_t: Rc<Csr>,
+    adj: Propagation,
     user_rows: Rc<Vec<usize>>,
     item_rows: Rc<Vec<usize>>,
 }
@@ -68,14 +67,11 @@ fn build_state(
             w2.push(params.add(format!("w2[{l}]"), w2_init));
         }
     }
-    let adj = g.unified_adj(true, true).sym_normalized();
-    let adj_t = Rc::new(adj.transpose());
     let st = State {
         emb,
         w1,
         w2,
-        adj: Rc::new(adj),
-        adj_t,
+        adj: Propagation::new(&g.unified_adj(true, true).sym_normalized()),
         user_rows: Rc::new((0..g.num_users()).map(|u| view.user(u)).collect()),
         item_rows: Rc::new((0..g.num_items()).map(|v| view.item(v)).collect()),
     };
@@ -92,7 +88,7 @@ fn forward<R: Recorder>(
     let mut h = tape.param(params, st.emb);
     let mut outs = vec![h];
     for l in 0..layers {
-        let agg = tape.spmm_with(&st.adj, &st.adj_t, h);
+        let agg = st.adj.apply(tape, h);
         h = match variant {
             Variant::Ngcf => {
                 // LeakyReLU( (Â+I) H W₁ + (ÂH ⊙ H) W₂ )

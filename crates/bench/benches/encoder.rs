@@ -10,7 +10,7 @@
 //! without the full benchmark harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dgnn_tensor::{Csr, CsrBuilder, Init, Matrix};
+use dgnn_tensor::{Csr, CsrBuilder, EdgeList, EdgeRows, Init, Matrix, RowRead};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -26,6 +26,9 @@ struct Fixture {
     w1_stack: Matrix,
     w2: Matrix,
     adj: Csr,
+    /// `adj`'s edges and entries, the form the models propagate through.
+    edges: EdgeList,
+    adj_w: Matrix,
 }
 
 fn fixture(nodes: usize, edges: usize) -> Fixture {
@@ -39,14 +42,18 @@ fn fixture(nodes: usize, edges: usize) -> Fixture {
     for _ in 0..edges {
         b.push(rng.gen_range(0..nodes), rng.gen_range(0..nodes), 1.0);
     }
-    Fixture { h, w1, w1_stack, w2, adj: b.build().row_normalized() }
+    let adj = b.build().row_normalized();
+    let (edges, adj_w) = (EdgeList::from_csr(&adj), Matrix::from_vec(adj.nnz(), 1, adj.values().to_vec()));
+    Fixture { h, w1, w1_stack, w2, adj, edges, adj_w }
 }
 
 /// Attention-first factoring as `dgnn_core` records it: one wide GEMM
-/// against the stacked bank, the η-weighted block reduce, then one spmm.
+/// against the stacked bank, the η-weighted block reduce, then one
+/// propagation (a constant-weight segment sum over the sources).
 fn factored(f: &Fixture) -> Matrix {
     let eta = f.h.matmul(&f.w2).leaky_relu(0.2);
-    f.adj.spmm(&f.h.matmul(&f.w1_stack).weighted_block_sum(&eta))
+    let msg = f.h.matmul(&f.w1_stack).weighted_block_sum(&eta);
+    Matrix::segment_weighted_sum(&f.adj_w, EdgeRows::new(&msg, RowRead::Src(&f.edges)), &f.edges.seg)
 }
 
 /// Naive per-edge materialization: for every edge, blend the |M| transforms

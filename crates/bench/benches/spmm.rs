@@ -1,9 +1,10 @@
 //! Microbench: sparse propagation (the `O(|E|·d)` kernel every GNN layer
-//! runs) across the three dataset scales.
+//! runs, a constant-weight segment sum over the adjacency's edges read by
+//! source) across the three dataset scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgnn_bench::{datasets, experiments::SEEDS};
-use dgnn_tensor::{Init, Matrix};
+use dgnn_tensor::{EdgeList, EdgeRows, Init, Matrix, RowRead};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -13,11 +14,18 @@ fn bench_spmm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
     for ds in datasets(SEEDS[0]) {
         let adj = ds.graph.ui().row_normalized();
+        let edges = EdgeList::from_csr(&adj);
+        let weights = Matrix::from_vec(adj.nnz(), 1, adj.values().to_vec());
         let feats = Init::Uniform(0.1).build(ds.graph.num_items(), 16, &mut rng);
         group.bench_with_input(
             BenchmarkId::new("ui_propagate_d16", &ds.name),
-            &(adj, feats),
-            |b, (adj, feats)| b.iter(|| black_box(adj.spmm(black_box(feats)))),
+            &(edges, weights, feats),
+            |b, (edges, weights, feats)| {
+                b.iter(|| {
+                    let rows = EdgeRows::new(black_box(feats), RowRead::Src(edges));
+                    black_box(Matrix::segment_weighted_sum(weights, rows, &edges.seg))
+                })
+            },
         );
     }
     group.finish();

@@ -2,11 +2,11 @@
 
 use std::rc::Rc;
 
-use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape, Var};
+use dgnn_autograd::{Adam, ParamId, ParamSet, Propagation, Recorder, Tape, Var};
 use dgnn_data::{Dataset, Triple};
 use dgnn_eval::{Recommender, Trainable};
 use dgnn_graph::HeteroGraph;
-use dgnn_tensor::{Csr, CsrBuilder, Init, Matrix};
+use dgnn_tensor::{CsrBuilder, Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,27 +70,21 @@ struct LnAffine {
     bias: ParamId,
 }
 
-/// Normalized adjacency bundle (all `Rc` so tapes share them per step).
+/// The normalized propagations of Eq. 4–6 and τ, one per direction.
 struct Adjacencies {
     /// user ← user, rows jointly normalized by `1/(|N^S_u| + |N^Y_u|)`.
-    uu: Rc<Csr>,
-    uu_t: Rc<Csr>,
+    uu: Propagation,
     /// user ← item, same row normalizer.
-    uv: Rc<Csr>,
-    uv_t: Rc<Csr>,
+    uv: Propagation,
     /// item ← user, rows normalized by `1/(|N^Y_v| + |N^T_v|)`.
-    vu: Rc<Csr>,
-    vu_t: Rc<Csr>,
+    vu: Propagation,
     /// item ← relation node, same row normalizer.
-    vr: Rc<Csr>,
-    vr_t: Rc<Csr>,
+    vr: Propagation,
     /// relation ← item, rows normalized by `1/|N_r|`.
-    rv: Rc<Csr>,
-    rv_t: Rc<Csr>,
+    rv: Propagation,
     /// The recalibration operator τ: social averaging with a self loop,
     /// `1/(|N^S_u| + 1)` (Eq. 9).
-    tau: Rc<Csr>,
-    tau_t: Rc<Csr>,
+    tau: Propagation,
 }
 
 struct Handles {
@@ -335,13 +329,13 @@ impl Dgnn {
     }
 
     /// Serializes the trained model — every parameter, the final
-    /// propagated embeddings, the recalibration matrix τ (when enabled),
-    /// and the per-user seen-item lists — into a [`Checkpoint`].
+    /// propagated embeddings and the per-user seen-item lists — into a
+    /// [`Checkpoint`].
     ///
-    /// A serving [`dgnn_serve::Engine`] built from this checkpoint
-    /// re-applies the Eq. 9–10 recalibration with the same spmm/add
-    /// kernels `finalize` used and scores with the same sequential dot
-    /// product, so served scores are bit-identical to
+    /// A serving [`dgnn_serve::Engine`] built from this checkpoint scores
+    /// `final/user_scoring`, the table [`Recommender::score`] dots (the
+    /// Eq. 9–10 recalibration already applied when it is on), with the
+    /// same sequential dot product, so served scores are bit-identical to
     /// [`Recommender::score`] on this model.
     ///
     /// [`Checkpoint`]: dgnn_serve::Checkpoint
@@ -367,22 +361,11 @@ impl Dgnn {
         ckpt.push_matrix("final/item", &self.item_final);
         ckpt.push_matrix("final/attn_social", &self.attn_social);
         ckpt.push_matrix("final/attn_interaction", &self.attn_interaction);
-        if self.cfg.use_recalibration {
-            let tau = handles.adj.tau.as_ref();
-            ckpt.push_u32("tau/indptr", tau.row_ptr().iter().map(|&p| p as u32).collect());
-            ckpt.push_u32("tau/cols", tau.col_idx().iter().map(|&c| c as u32).collect());
-            ckpt.push_f32("tau/values", 1, tau.nnz(), tau.values().to_vec());
-        }
-        // Seen lists come from the user←item adjacency's structure: the
-        // columns of row u are exactly u's training interactions.
-        let uv = handles.adj.uv.as_ref();
-        let mut indptr = Vec::with_capacity(uv.rows() + 1);
-        let mut items = Vec::with_capacity(uv.nnz());
-        indptr.push(0u32);
-        for u in 0..uv.rows() {
-            items.extend(uv.row_cols(u).iter().map(|&v| v as u32));
-            indptr.push(items.len() as u32);
-        }
+        // Seen lists come from the user←item edges: the sources of user u's
+        // segment are exactly u's training interactions.
+        let uv = handles.adj.uv.edges();
+        let indptr = uv.seg.iter().map(|&p| p as u32).collect();
+        let items = uv.src.iter().map(|&v| v as u32).collect();
         ckpt.push_u32("seen/indptr", indptr);
         ckpt.push_u32("seen/items", items);
         ckpt
@@ -592,20 +575,20 @@ fn forward<R: Recorder>(tape: &mut R, params: &ParamSet, h: &Handles, cfg: &Dgnn
         last_attn_interaction = Some(attn_interaction);
 
         // -- user aggregation (Eq. 4) -------------------------------------
-        let from_items = tape.spmm_with(&h.adj.uv, &h.adj.uv_t, msg_item_to_user);
+        let from_items = h.adj.uv.apply(tape, msg_item_to_user);
         let agg_u = if cfg.use_social {
-            let from_social = tape.spmm_with(&h.adj.uu, &h.adj.uu_t, msg_social);
+            let from_social = h.adj.uu.apply(tape, msg_social);
             tape.add(from_social, from_items)
         } else {
             from_items
         };
 
         // -- item aggregation (Eq. 5) --------------------------------------
-        let from_users = tape.spmm_with(&h.adj.vu, &h.adj.vu_t, msg_user_to_item);
+        let from_users = h.adj.vu.apply(tape, msg_user_to_item);
         let agg_v = if has_knowledge {
             let (msg_rel_to_item, _) =
                 encode(tape, params, bank(MemoryBankKind::RelToItem), hr, cfg);
-            let from_rels = tape.spmm_with(&h.adj.vr, &h.adj.vr_t, msg_rel_to_item);
+            let from_rels = h.adj.vr.apply(tape, msg_rel_to_item);
             tape.add(from_users, from_rels)
         } else {
             from_users
@@ -618,7 +601,7 @@ fn forward<R: Recorder>(tape: &mut R, params: &ParamSet, h: &Handles, cfg: &Dgnn
         let agg_r = if has_knowledge && layer + 1 < cfg.layers {
             let (msg_item_to_rel, _) =
                 encode(tape, params, bank(MemoryBankKind::ItemToRel), hv, cfg);
-            Some(tape.spmm_with(&h.adj.rv, &h.adj.rv_t, msg_item_to_rel))
+            Some(h.adj.rv.apply(tape, msg_item_to_rel))
         } else {
             None
         };
@@ -667,7 +650,7 @@ fn forward<R: Recorder>(tape: &mut R, params: &ParamSet, h: &Handles, cfg: &Dgnn
 
     // -- Eq. 9–10: social recalibration τ -----------------------------------
     let user_scoring = if cfg.use_recalibration {
-        let tau = tape.spmm_with(&h.adj.tau, &h.adj.tau_t, user_final);
+        let tau = h.adj.tau.apply(tape, user_final);
         tape.add(user_final, tau)
     } else {
         user_final
@@ -753,18 +736,8 @@ fn build_adjacencies(g: &HeteroGraph, cfg: &DgnnConfig) -> Adjacencies {
         }
     }
 
-    let rc = |b: CsrBuilder| {
-        let m = b.build();
-        let t = Rc::new(m.transpose());
-        (Rc::new(m), t)
-    };
-    let (uu, uu_t) = rc(uu);
-    let (uv, uv_t) = rc(uv);
-    let (vu, vu_t) = rc(vu);
-    let (vr, vr_t) = rc(vr);
-    let (rv, rv_t) = rc(rv);
-    let (tau, tau_t) = rc(tau);
-    Adjacencies { uu, uu_t, uv, uv_t, vu, vu_t, vr, vr_t, rv, rv_t, tau, tau_t }
+    let p = |b: CsrBuilder| Propagation::new(&b.build());
+    Adjacencies { uu: p(uu), uv: p(uv), vu: p(vu), vr: p(vr), rv: p(rv), tau: p(tau) }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Per-op-kind profiling table fed by `dgnn-autograd`'s `TapeObserver`.
 //!
 //! Keys are the portable op names shared by `Tape` and `ShapeTracer`
-//! (`dgnn_autograd::meta::ALL_OPS`): `"matmul"`, `"spmm"`,
+//! (`dgnn_autograd::meta::ALL_OPS`): `"matmul"`, `"segment_weighted_sum"`,
 //! `"segment_softmax"`, … — so a profile row lines up directly with the
 //! static analysis' view of the same graph. Keyed by `&'static str` at the
 //! recording site; the key string is only materialized on first insert.
@@ -76,12 +76,12 @@ mod tests {
     fn phases_accumulate_independently() {
         crate::enable();
         clear();
-        record_op("spmm", OpPhase::Forward, 5);
-        record_op("spmm", OpPhase::Backward, 7);
-        record_op("spmm", OpPhase::Backward, 7);
+        record_op("gather", OpPhase::Forward, 5);
+        record_op("gather", OpPhase::Backward, 7);
+        record_op("gather", OpPhase::Backward, 7);
         let snap = snapshot_ops();
         crate::disable();
-        let s = &snap["spmm"];
+        let s = &snap["gather"];
         assert_eq!((s.forward.calls, s.forward.total_ns), (1, 5));
         assert_eq!((s.backward.calls, s.backward.total_ns), (2, 14));
         clear();

@@ -129,16 +129,16 @@ impl From<std::io::Error> for CheckpointError {
 /// Payload of one stored tensor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TensorData {
-    /// 32-bit float payload (embeddings, parameters, CSR values).
+    /// 32-bit float payload (embeddings, parameters).
     F32(Vec<f32>),
-    /// 32-bit unsigned payload (index arrays: CSR structure, seen lists).
+    /// 32-bit unsigned payload (index arrays such as the seen lists).
     U32(Vec<u32>),
 }
 
 /// One named 2-D tensor inside a [`Checkpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
-    /// Unique name, e.g. `param/e_user` or `tau/indptr`.
+    /// Unique name, e.g. `param/e_user` or `seen/indptr`.
     pub name: String,
     /// Row count (index arrays use a single row).
     pub rows: usize,
@@ -230,17 +230,6 @@ impl Checkpoint {
             TensorData::U32(v) => Ok(v),
             TensorData::F32(_) => {
                 Err(CheckpointError::BadShape(format!("tensor {name:?} is f32, expected u32")))
-            }
-        }
-    }
-
-    /// Returns the named tensor's `f32` payload.
-    pub fn f32s(&self, name: &str) -> Result<&[f32], CheckpointError> {
-        let t = self.tensor(name).ok_or_else(|| CheckpointError::MissingTensor(name.to_string()))?;
-        match &t.data {
-            TensorData::F32(v) => Ok(v),
-            TensorData::U32(_) => {
-                Err(CheckpointError::BadShape(format!("tensor {name:?} is u32, expected f32")))
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Offline-to-online bridge: load a checkpoint once, answer top-K queries.
 //!
-//! The engine serves the post-message-passing embeddings — including the
-//! social recalibration of Eq. 9–10 when the checkpoint carries the τ
-//! matrix (`user_scoring = user + τ·user`, recomputed with the *same*
-//! spmm/add kernels training used, so serving scores are bit-identical to
-//! the in-memory model's). It holds them in one store of per-shard slots
+//! The engine serves the post-message-passing embeddings: the user table
+//! is `final/user_scoring`, the one the model's own scorer dots (with the
+//! social recalibration of Eq. 9–10 already applied when it is on), so
+//! serving scores are bit-identical to the in-memory model's. It holds
+//! them in one store of per-shard slots
 //! ([`crate::shard`]): a checkpoint file fills one user and one item slot
 //! at load, a segmented directory fills its slots on first touch. Item
 //! embeddings are held only as the packed column panels the scoring
@@ -21,7 +21,7 @@ use std::fmt;
 use std::path::Path;
 
 use dgnn_tensor::gemm::PackedPanels;
-use dgnn_tensor::{top_k_rows, Csr, CsrBuilder, Matrix};
+use dgnn_tensor::{top_k_rows, Matrix};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::segment::{SegmentedCheckpoint, UserShard};
@@ -101,26 +101,12 @@ pub struct Engine {
     store: ShardStore,
 }
 
-/// The serving tables of a monolithic checkpoint: the user *scoring* table
+/// The serving tables of a monolithic checkpoint: `final/user_scoring`
 /// with its seen lists (empty per user when the checkpoint carried none),
-/// and `final/item`.
-///
-/// The user table is resolved in preference order: `final/user` + the
-/// `tau/{indptr,cols,values}` CSR triple (recalibration re-applied with the
-/// same kernels training used), `final/user_scoring` (pre-recalibrated), or
-/// bare `final/user`.
+/// and `final/item`. Any other tensor is ignored.
 pub(crate) fn serving_tables(ckpt: &Checkpoint) -> Result<(UserShard, Matrix), CheckpointError> {
     let item = ckpt.matrix("final/item")?;
-    let emb = if ckpt.tensor("tau/indptr").is_some() {
-        let base = ckpt.matrix("final/user")?;
-        let tau = load_csr(ckpt, "tau", base.rows(), base.rows())?;
-        // Same kernels, same order as Dgnn::finalize: u + τ·u.
-        base.add(&tau.spmm(&base))
-    } else if ckpt.tensor("final/user_scoring").is_some() {
-        ckpt.matrix("final/user_scoring")?
-    } else {
-        ckpt.matrix("final/user")?
-    };
+    let emb = ckpt.matrix("final/user_scoring")?;
     if emb.cols() != item.cols() {
         return Err(CheckpointError::BadShape(format!("user dim {} != item dim {}", emb.cols(), item.cols())));
     }
@@ -148,8 +134,7 @@ pub(crate) fn pack_items(items: &Matrix) -> PackedPanels {
 impl Engine {
     /// Builds an engine from a parsed checkpoint, every table resident.
     ///
-    /// Expects `final/item` plus a user table: `final/user` with the τ
-    /// CSR triple, `final/user_scoring`, or bare `final/user`.
+    /// Expects `final/item` and `final/user_scoring`.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
         let (user, item) = serving_tables(ckpt)?;
         Ok(Self { store: ShardStore::whole(user, &item) })
@@ -323,49 +308,6 @@ impl Engine {
     }
 }
 
-/// Rebuilds a CSR stored as the `{prefix}/{indptr,cols,values}` triple.
-/// `CsrBuilder::build` sorts and merges — the stored arrays are already
-/// sorted and merged (they came from a built CSR), so the reconstruction
-/// is exact.
-fn load_csr(ckpt: &Checkpoint, prefix: &str, rows: usize, cols: usize) -> Result<Csr, CheckpointError> {
-    let indptr = ckpt.u32s(&format!("{prefix}/indptr"))?;
-    let col_idx = ckpt.u32s(&format!("{prefix}/cols"))?;
-    let values = ckpt.f32s(&format!("{prefix}/values"))?;
-    if indptr.len() != rows + 1 || col_idx.len() != values.len() {
-        return Err(CheckpointError::BadShape(format!(
-            "{prefix}: indptr len {} (want {}), cols len {}, values len {}",
-            indptr.len(),
-            rows + 1,
-            col_idx.len(),
-            values.len()
-        )));
-    }
-    let nnz = *indptr.last().unwrap_or(&0) as usize;
-    if nnz != col_idx.len() {
-        return Err(CheckpointError::BadShape(format!(
-            "{prefix}: indptr terminates at {nnz} but {} columns stored",
-            col_idx.len()
-        )));
-    }
-    let mut b = CsrBuilder::new(rows, cols);
-    for r in 0..rows {
-        let (lo, hi) = (indptr[r] as usize, indptr[r + 1] as usize);
-        if lo > hi || hi > col_idx.len() {
-            return Err(CheckpointError::BadShape(format!("{prefix}: indptr not monotone at row {r}")));
-        }
-        for j in lo..hi {
-            let c = col_idx[j] as usize;
-            if c >= cols {
-                return Err(CheckpointError::BadShape(format!(
-                    "{prefix}: column {c} out of bounds ({cols}) at row {r}"
-                )));
-            }
-            b.push(r, c, values[j]);
-        }
-    }
-    Ok(b.build())
-}
-
 pub(crate) fn validate_lists(indptr: &[u32], items: &[u32], users: usize, num_items: usize) -> Result<(), CheckpointError> {
     if indptr.len() != users + 1 {
         return Err(CheckpointError::BadShape(format!(
@@ -498,20 +440,6 @@ mod tests {
             e.recommend(Query { user: 0, k: 5, exclude_seen: false }),
             Err(QueryError::BadK { .. })
         ));
-    }
-
-    #[test]
-    fn tau_recalibration_applied_at_load() {
-        let mut c = Checkpoint::new();
-        // 2 users, 1 item, dim 1. τ row 0 = {1: 0.5} ⇒ u0' = 1 + 0.5·2 = 2.
-        c.push_matrix("final/user", &Matrix::from_vec(2, 1, vec![1.0, 2.0]));
-        c.push_matrix("final/item", &Matrix::from_vec(1, 1, vec![1.0]));
-        c.push_u32("tau/indptr", vec![0, 1, 1]);
-        c.push_u32("tau/cols", vec![1]);
-        c.push_f32("tau/values", 1, 1, vec![0.5]);
-        let e = Engine::from_checkpoint(&c).unwrap();
-        assert_eq!(e.scores_for(0).unwrap(), vec![2.0]);
-        assert_eq!(e.scores_for(1).unwrap(), vec![2.0]);
     }
 
     #[test]

@@ -23,11 +23,10 @@
 //! file is detected at open, and a flipped byte anywhere in a segment is
 //! caught by the manifest digest before the segment is even parsed.
 //!
-//! Segments store the *serving* tables — pre-recalibrated user scoring
-//! embeddings (`user_scoring = user + τ·user` is applied before
-//! splitting, because the τ·user spmm needs neighbor rows from other
-//! shards), final item embeddings, and per-user seen lists rebased to
-//! shard-local offsets. [`save_segmented`] splits a monolithic checkpoint
+//! Segments store the *serving* tables — the user scoring embeddings
+//! (`final/user_scoring`, recalibrated by the model before it is saved),
+//! final item embeddings, and per-user seen lists rebased to shard-local
+//! offsets. [`save_segmented`] splits a monolithic checkpoint
 //! by contiguous row ranges ([`ShardSpec`]);
 //! [`SegmentedCheckpoint::reassemble`] stitches the segments back into one
 //! bit-identically.
@@ -259,9 +258,8 @@ impl SegmentedWriter {
 
 /// Splits a monolithic checkpoint into a segmented one.
 ///
-/// The tables are resolved exactly like [`crate::Engine`] resolves them
-/// (τ recalibration applied when stored, else `final/user_scoring`, else
-/// bare `final/user`), so a segmented save is always a *serving* artifact
+/// The tables are the ones [`crate::Engine`] serves (`final/user_scoring`
+/// and `final/item`), so a segmented save is always a *serving* artifact
 /// whose shards need no cross-shard math at load time.
 pub fn save_segmented(
     ckpt: &Checkpoint,

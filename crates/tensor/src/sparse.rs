@@ -82,7 +82,9 @@ impl Csr {
 
     /// Sparse–dense product `self · dense`.
     ///
-    /// This is the propagation kernel: `O(nnz · d)`. Partitioned over
+    /// `O(nnz · d)`. The models propagate through a constant-weight
+    /// `Matrix::segment_weighted_sum` over [`crate::EdgeList::from_csr`];
+    /// this is the reference that sum is held to bit for bit. Partitioned over
     /// output rows on the kernel pool: each output row is accumulated by
     /// exactly one partition, scanning its stored entries in CSR order,
     /// so the result is bit-identical to the serial loop.
@@ -117,8 +119,8 @@ impl Csr {
         out
     }
 
-    /// Transposed copy (CSR of `selfᵀ`), used for back-propagating through
-    /// [`Csr::spmm`].
+    /// Transposed copy (CSR of `selfᵀ`), with each row's entries in
+    /// increasing column.
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0usize; self.cols + 1];
         for &c in &self.col_idx {

@@ -12,7 +12,7 @@ use dgnn_core::{Dgnn, DgnnConfig, MemoryBankKind};
 use dgnn_data::tiny;
 use dgnn_eval::{evaluate_at, Recommender, Trainable};
 use dgnn_integration_tests::{quick_baseline, quick_dgnn, sample_triples};
-use dgnn_tensor::{Csr, Init, Matrix};
+use dgnn_tensor::{Init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -117,10 +117,6 @@ impl Recorder for PerUnitOracle {
 
     fn param(&mut self, params: &ParamSet, id: ParamId) -> Var {
         self.0.param(params, id)
-    }
-
-    fn spmm_with(&mut self, adj: &Rc<Csr>, adj_t: &Rc<Csr>, b: Var) -> Var {
-        self.0.spmm_with(adj, adj_t, b)
     }
 
     fn concat_cols(&mut self, parts: &[Var]) -> Var {

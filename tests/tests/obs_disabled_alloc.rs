@@ -70,7 +70,7 @@ fn disabled_observability_hot_path_never_allocates() {
         dgnn_obs::gauge_set("lr", 0.01);
         dgnn_obs::hist_record("grad_norm/preclip", 2.5);
         dgnn_obs::record_op("matmul", dgnn_obs::OpPhase::Forward, 120);
-        dgnn_obs::record_op("spmm", dgnn_obs::OpPhase::Backward, 80);
+        dgnn_obs::record_op("gather", dgnn_obs::OpPhase::Backward, 80);
     }
     let allocs = local_allocs() - before;
     assert_eq!(allocs, 0, "disabled-mode recording must be allocation-free");

@@ -121,6 +121,56 @@ proptest! {
         );
     }
 
+    /// `Propagation`'s kernels against `Csr::spmm`: the constant-weight
+    /// segment sum over the adjacency's sources is `adj · x`, and its
+    /// source-side row gradient is `adjᵀ · g`, bit for bit, at d = 16 (a
+    /// fixed row shape) and 48 and 128 (run time), serial and pooled. The
+    /// random adjacency has empty rows and columns; τ's pattern is a self
+    /// loop plus each row's neighbours at `1/(deg + 1)`.
+    #[test]
+    fn propagation_is_spmm_bit_for_bit(
+        social in csr(19, 19),
+        t in threads(),
+        seed in any::<u64>(),
+    ) {
+        let n = social.rows();
+        let mut sparse = CsrBuilder::new(n, n);
+        let mut tau = CsrBuilder::new(n, n);
+        for r in 0..n {
+            let norm = 1.0 / (social.degree(r) + 1) as f32;
+            tau.push(r, r, norm);
+            for (c, v) in social.row(r) {
+                tau.push(r, c, norm);
+                if r % 4 != 0 && c % 5 != 0 {
+                    sparse.push(r, c, v);
+                }
+            }
+        }
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let x = ((s >> 33) % 23) as f32 - 11.0;
+            if x == 0.0 { -0.0 } else { x * 0.173_205 }
+        };
+        for adj in [sparse.build(), tau.build()] {
+            let edges = EdgeList::from_csr(&adj);
+            let w = Matrix::from_vec(adj.nnz(), 1, adj.values().to_vec());
+            let adj_t = adj.transpose();
+            for d in [16, 48, 128] {
+                let x = Matrix::from_fn(n, d, |_, _| next());
+                let g = Matrix::from_fn(n, d, |_, _| next());
+                for threads in [1, t] {
+                    let (y, gx) = with_pool(threads, || {
+                        let y = Matrix::segment_weighted_sum(&w, EdgeRows::new(&x, RowRead::Src(&edges)), &edges.seg);
+                        (y, Matrix::segment_weighted_sum_grad_rows(&w, &g, &edges.seg, RowRead::Src(&edges)))
+                    });
+                    assert_bits_eq(&y, &adj.spmm(&x), &format!("forward d={d} t={threads}"));
+                    assert_bits_eq(&gx, &adj_t.spmm(&g), &format!("backward d={d} t={threads}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn activations_are_bit_identical_across_threads(
         x in matrix(17, 6),

@@ -18,7 +18,7 @@ fn test_engine() -> Engine {
     let user = Matrix::from_vec(4, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, -1.0, 0.5]);
     let item =
         Matrix::from_vec(6, 2, vec![0.9, 0.1, 0.1, 0.9, 0.5, 0.5, 0.2, 0.3, 0.8, 0.2, 0.0, 0.0]);
-    ckpt.push_matrix("final/user", &user);
+    ckpt.push_matrix("final/user_scoring", &user);
     ckpt.push_matrix("final/item", &item);
     // User 0 has seen items 0 and 4; others have seen nothing.
     ckpt.push_u32("seen/indptr", vec![0, 2, 2, 2, 2]);

@@ -58,7 +58,7 @@ fn sample_checkpoint() -> Checkpoint {
     let mut ckpt = Checkpoint::new();
     ckpt.set_meta("model", "sample");
     ckpt.set_meta("dim", "3");
-    ckpt.push_matrix("final/user", &Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+    ckpt.push_matrix("final/user_scoring", &Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
     ckpt.push_matrix("final/item", &Matrix::from_vec(4, 3, (0..12).map(|i| i as f32).collect()));
     ckpt.push_u32("seen/indptr", vec![0, 1, 2]);
     ckpt.push_u32("seen/items", vec![3, 0]);
@@ -130,6 +130,25 @@ fn io_and_missing_tensor_errors_are_typed() {
     ckpt.set_meta("model", "empty");
     let got = Engine::from_checkpoint(&Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap());
     assert!(matches!(got, Err(CheckpointError::MissingTensor(_))));
+}
+
+#[test]
+fn only_the_scoring_table_is_served() {
+    // Bare `final/user` is not a serving table: a typed error, no panic.
+    let mut ckpt = Checkpoint::new();
+    ckpt.push_matrix("final/user", &Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+    ckpt.push_matrix("final/item", &Matrix::from_vec(1, 1, vec![1.0]));
+    let got = Engine::from_checkpoint(&Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap());
+    assert!(matches!(got, Err(CheckpointError::MissingTensor(name)) if name == "final/user_scoring"));
+    // Checkpoints used to carry τ as a CSR triple beside the recalibrated
+    // table; such a file serves its `final/user_scoring` as stored.
+    ckpt.push_matrix("final/user_scoring", &Matrix::from_vec(2, 1, vec![3.0, 5.0]));
+    ckpt.push_u32("tau/indptr", vec![0, 1, 1]);
+    ckpt.push_u32("tau/cols", vec![1]);
+    ckpt.push_f32("tau/values", 1, 1, vec![0.5]);
+    let engine = Engine::from_checkpoint(&Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap()).unwrap();
+    assert_eq!(engine.scores_for(0).unwrap(), vec![3.0]);
+    assert_eq!(engine.scores_for(1).unwrap(), vec![5.0]);
 }
 
 // ---------------------------------------------------- serving determinism
