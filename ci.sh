@@ -1,35 +1,33 @@
 #!/usr/bin/env bash
-# CI gate: static analysis first (cheap, catches graph/source problems
-# before any training step), then the release build of every target
-# (tests and benches included) with warnings denied, a smoke run of the
-# experiment runner, the full test suite, then same-run ratio gates.
-# Absolute speed is the benchmark/ ruler's job, not a CI gate.
+# CI gate: the static stage first (formatting, clippy with the workspace's
+# source rules, the metric-name lint; no training step), then the release
+# build of every target (tests and benches included) with warnings denied, a
+# smoke run of the experiment runner, the full test suite, then same-run
+# ratio gates. Absolute speed is the benchmark/ ruler's job, not a CI gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "=== [1/8] source lints (dgnn-analysis lint harness) ==="
+echo "=== [1/7] static: rustfmt, clippy (source rules denied), metric-name lint ==="
+cargo fmt --all --check
+cargo clippy -q --workspace --all-targets -- -D warnings
 cargo run -q -p dgnn-analysis --bin lint .
 
-echo "=== [2/8] compute-graph audit (ShapeTracer over DGNN + baselines) ==="
-cargo test -q -p dgnn-analysis
-cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis
-
-echo "=== [3/8] release build of every target (warnings denied) ==="
+echo "=== [2/7] release build of every target (warnings denied) ==="
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace --all-targets
 
-echo "=== [4/8] experiment runner smoke (Table I and the relation ablation) ==="
+echo "=== [3/7] experiment runner smoke (Table I and the relation ablation) ==="
 # The only table generator must not rot unbuilt: E1 (a custom experiment)
 # and E5 (through the cell loop) take about 6 s.
 cargo run -q --release -p dgnn-bench --bin reproduce -- E1 E5 > /dev/null
 
-echo "=== [5/8] full test suite (default kernel pool and GEMM backend) ==="
+echo "=== [4/7] full test suite (default kernel pool and GEMM backend) ==="
 cargo test -q --workspace
 
-echo "=== [6/8] thread- and backend-pinned suites (serial, 4-thread pool, forced-scalar GEMM) ==="
+echo "=== [5/7] thread- and backend-pinned suites (serial, 4-thread pool, forced-scalar GEMM) ==="
 # The suites that pin thread counts or GEMM backends run again under each
 # setting: dgnn-tensor's own tests plus the integration suites gemm,
 # parallel_kernels (with the schedule fuzzer), sharded_store,
-# serve_roundtrip and topk_kernel. Stage 5 ran everything once on the
+# serve_roundtrip and topk_kernel. Stage 4 ran everything once on the
 # defaults.
 # DGNN_GEMM=scalar pins every matmul to the legacy cache-blocked loops
 # (the historical bit-exact numerics).
@@ -40,10 +38,10 @@ for knob in DGNN_THREADS=1 DGNN_THREADS=4 DGNN_GEMM=scalar; do
     env "$knob" cargo test -q -p dgnn-integration-tests "${PINNED_SUITES[@]/#/--test=}"
 done
 
-echo "=== [7/8] kernel-pool and packed-GEMM same-run ratio gates (profiled) ==="
+echo "=== [6/7] kernel-pool and packed-GEMM same-run ratio gates (profiled) ==="
 cargo run -q --release -p dgnn-bench --bin profile -- --check
 
-echo "=== [8/8] benchmark harness (its own workspace: unit tests + 2-second train_dgnn/dgcf/hgt smokes) ==="
+echo "=== [7/7] benchmark harness (its own workspace: unit tests + 2-second train_dgnn/dgcf/hgt smokes) ==="
 # benchmark/ compiles against the crates' public API from outside the
 # workspace (Dgnn::{new,prepare,params,record_step,fit_epochs,save_checkpoint},
 # Dgcf::fit_epochs, Hgt::fit_epochs, training::TrainLoop::default().grad_clip,

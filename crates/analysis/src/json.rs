@@ -1,4 +1,4 @@
-//! Minimal std-only JSON emission for `--json` report modes.
+//! Minimal std-only JSON emission for `AuditReport::to_json`.
 //!
 //! The workspace is dependency-free, so reports are serialized by hand.
 //! These helpers keep the escaping rules in one place; emitters build

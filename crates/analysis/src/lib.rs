@@ -48,9 +48,10 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 //!
-//! The source-level lint harness lives in the `lint` binary
-//! (`cargo run -p dgnn-analysis --bin lint`); it is a std-only walker that
-//! enforces panic-hygiene and safety-comment rules over `crates/*/src`.
+//! Source rules are clippy lints (`clippy.toml`); the `lint` binary checks
+//! the one clippy cannot say: canonical metric-name literals.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod audit;
 pub mod json;

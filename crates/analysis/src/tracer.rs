@@ -44,7 +44,7 @@ pub enum DiagnosticKind {
 }
 
 impl DiagnosticKind {
-    /// Stable machine-readable name (used by the `--json` report mode).
+    /// Stable machine-readable name (used by `AuditReport::to_json`).
     pub fn as_str(self) -> &'static str {
         match self {
             Self::ShapeMismatch => "shape_mismatch",
@@ -172,7 +172,6 @@ impl ShapeTracer {
         self.push_with(op, shape, inputs, bounded, param, Lower::Unknown)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn push_with(
         &mut self,
         op: &'static str,
@@ -784,7 +783,7 @@ impl Recorder for ShapeTracer {
                 );
             }
         }
-        if sw.1 == 0 || sv.1 % sw.1 != 0 {
+        if sw.1 == 0 || !sv.1.is_multiple_of(sw.1) {
             self.diag(
                 DiagnosticKind::ShapeMismatch,
                 "segment_weighted_sum",

@@ -59,6 +59,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod meta;
 mod optim;

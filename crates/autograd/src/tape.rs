@@ -228,7 +228,6 @@ impl Tape {
 
     /// Evaluates one op's forward value from its inputs — the single source
     /// of truth for forward semantics.
-    #[allow(clippy::too_many_lines)]
     fn eval(&self, op: &Op) -> Matrix {
         use Op::*;
         match op {
@@ -391,7 +390,6 @@ impl Tape {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn backprop_node(&self, i: usize, g: &Matrix, live: &[bool], grads: &mut [Option<Matrix>]) {
         use Op::*;
         match &self.nodes[i].op {

@@ -70,6 +70,7 @@ fn forward(st: &State, kind: ClassicKind, layers: usize, tape: &mut Tape, params
             // Bipartite light propagation: u ← Â v, v ← Âᵀ u, alternating,
             // with layer-averaged outputs and no transforms — LightGCN's
             // whole point.
+            #[expect(clippy::expect_used, reason = "fit builds the adjacency whenever the kind is LightGCN")]
             let (to_users, to_items) = st.adj.as_ref().expect("LightGCN builds an adjacency");
             let mut hu = tape.param(params, st.e_user);
             let mut hv = tape.param(params, st.e_item);

@@ -236,7 +236,7 @@ struct DisenState {
 
 /// Aspect-wise relation attention + semantic combination for one target
 /// node family.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the families, the target, its two source tables and their sizes")]
 fn disen_aggregate<R: Recorder>(
     tape: &mut R,
     params: &ParamSet,
@@ -289,6 +289,7 @@ fn disen_aggregate<R: Recorder>(
                 None => weighted,
             });
         }
+        #[expect(clippy::expect_used, reason = "each side registers two relation families")]
         let agg = agg.expect("at least one family");
         aspect_outs.push(tape.add(t_k, agg));
     }

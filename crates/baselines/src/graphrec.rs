@@ -29,7 +29,7 @@ impl EdgeSet {
     fn from_csr(csr: &dgnn_tensor::Csr) -> Self {
         let mut dst = Vec::with_capacity(csr.nnz());
         for r in 0..csr.rows() {
-            dst.extend(std::iter::repeat(r).take(csr.degree(r)));
+            dst.extend(std::iter::repeat_n(r, csr.degree(r)));
         }
         Self {
             seg: Rc::new(csr.row_ptr().to_vec()),
@@ -58,6 +58,7 @@ struct State {
 }
 
 /// Attention aggregation: `out[dst] = Σ_e softmax(attn(src_e, dst_e)) src_e`.
+#[expect(clippy::too_many_arguments, reason = "two parameters, two feature tables and one edge block")]
 fn attend(
     tape: &mut Tape,
     params: &ParamSet,

@@ -43,12 +43,12 @@ struct State {
     item_paths: Vec<MetaPath>,
 }
 
-fn edges_of(csr: &Csr) -> (Rc<Vec<usize>>, Rc<Vec<usize>>, Rc<Vec<usize>>) {
+fn edges_of(csr: &Csr) -> [Rc<Vec<usize>>; 3] {
     let mut dst = Vec::with_capacity(csr.nnz());
     for r in 0..csr.rows() {
-        dst.extend(std::iter::repeat(r).take(csr.degree(r)));
+        dst.extend(std::iter::repeat_n(r, csr.degree(r)));
     }
-    (Rc::new(csr.row_ptr().to_vec()), Rc::new(csr.col_idx().to_vec()), Rc::new(dst))
+    [Rc::new(csr.row_ptr().to_vec()), Rc::new(csr.col_idx().to_vec()), Rc::new(dst)]
 }
 
 /// Node-level GAT aggregation over one meta-path graph, then the semantic
@@ -101,6 +101,7 @@ fn semantic_combine(tape: &mut Tape, zs: &[Var], sems: &[Var], n: usize) -> Var 
             None => weighted,
         });
     }
+    #[expect(clippy::expect_used, reason = "both sides have at least one meta-path")]
     out.expect("at least one meta-path")
 }
 
@@ -171,7 +172,7 @@ impl Trainable for Han {
         let e_item = params.add("e_item", Init::Uniform(0.1).build(g.num_items(), d, &mut rng));
 
         let mut make_path = |name: &str, csr: &Csr| -> MetaPath {
-            let (seg, src, dst) = edges_of(csr);
+            let [seg, src, dst] = edges_of(csr);
             MetaPath {
                 seg,
                 src,

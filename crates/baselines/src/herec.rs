@@ -63,11 +63,10 @@ fn skipgram_embeddings(
             for (i, &center) in seq.iter().enumerate() {
                 let lo = i.saturating_sub(WINDOW);
                 let hi = (i + WINDOW + 1).min(seq.len());
-                for j in lo..hi {
+                for (j, &pos) in seq.iter().enumerate().take(hi).skip(lo) {
                     if j == i {
                         continue;
                     }
-                    let pos = seq[j];
                     sgd_pair(&mut emb, &mut ctx, center, pos, 1.0, dim);
                     for _ in 0..NEGATIVES {
                         let neg = rng.gen_range(0..num_nodes);

@@ -23,6 +23,7 @@
 //! full roster in the paper's column order.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod classic;
 mod common;

@@ -88,6 +88,7 @@ fn forward<R: Recorder>(
             None => weighted,
         });
     }
+    #[expect(clippy::expect_used, reason = "build_channels makes three motif channels")]
     let social = social.expect("at least one channel");
 
     // Interaction history rounds out the user; items aggregate their users.

@@ -106,7 +106,7 @@ impl Trainable for Samn {
         let ss = g.ss();
         let mut edge_dst = Vec::with_capacity(ss.nnz());
         for u in 0..g.num_users() {
-            edge_dst.extend(std::iter::repeat(u).take(ss.degree(u)));
+            edge_dst.extend(std::iter::repeat_n(u, ss.degree(u)));
         }
         let st = State {
             e_user,

@@ -199,7 +199,7 @@ impl Trainable for DgRec {
         let ss = g.ss();
         let mut ss_dst = Vec::with_capacity(ss.nnz());
         for u in 0..g.num_users() {
-            ss_dst.extend(std::iter::repeat(u).take(ss.degree(u)));
+            ss_dst.extend(std::iter::repeat_n(u, ss.degree(u)));
         }
         let st = State {
             e_user,

@@ -34,6 +34,8 @@
 //! its own serial fallback or a packed GEMM that stops paying, not
 //! single-digit noise.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::process::ExitCode;
 
 use dgnn_baselines::{BaselineConfig, Dgcf, Ngcf};
@@ -248,21 +250,22 @@ fn main() -> ExitCode {
     dgnn_tensor::parallel::set_threads(1);
 
     println!("=== Training profile (tiny dataset, quick configs) ===");
-    let mut profiles = Vec::new();
-    profiles.push(profile_model(
-        "DGNN",
+    let profiles = vec![
+        profile_model(
+            "DGNN",
         &mut Dgnn::new(dcfg),
-        &data,
-        steps,
-        Some(sps_disabled),
-        &[
-            ("profile/steps_per_sec_serial", sps_serial),
-            ("profile/steps_per_sec_parallel", sps_parallel),
-            ("gemm/steps_per_sec_scalar", sps_gemm_scalar),
-        ],
-    ));
-    profiles.push(profile_model("NGCF", &mut Ngcf::new(bcfg.clone()), &data, steps, None, &[]));
-    profiles.push(profile_model("DGCF", &mut Dgcf::new(bcfg), &data, steps, None, &[]));
+            &data,
+            steps,
+            Some(sps_disabled),
+            &[
+                ("profile/steps_per_sec_serial", sps_serial),
+                ("profile/steps_per_sec_parallel", sps_parallel),
+                ("gemm/steps_per_sec_scalar", sps_gemm_scalar),
+            ],
+        ),
+        profile_model("NGCF", &mut Ngcf::new(bcfg.clone()), &data, steps, None, &[]),
+        profile_model("DGCF", &mut Dgcf::new(bcfg), &data, steps, None, &[]),
+    ];
     for p in &profiles {
         print_summary(p);
     }
@@ -323,8 +326,18 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    write_results(&profiles);
+    println!(
+        "\nwrote results/profile.json, results/profile_trace.json (load in Perfetto), \
+         results/profile_events.jsonl"
+    );
+    ExitCode::SUCCESS
+}
+
+#[expect(clippy::expect_used, reason = "a profile run that cannot write results/ has no output")]
+fn write_results(profiles: &[Profile]) {
     std::fs::create_dir_all("results").expect("profile: creating results dir");
-    std::fs::write("results/profile.json", profile_json(&profiles))
+    std::fs::write("results/profile.json", profile_json(profiles))
         .expect("profile: writing results/profile.json");
     let threads: Vec<(&str, &[SpanEvent])> =
         profiles.iter().map(|p| (p.name, p.events.as_slice())).collect();
@@ -332,9 +345,4 @@ fn main() -> ExitCode {
         .expect("profile: writing trace");
     let jsonl: String = profiles.iter().map(|p| events_to_jsonl(&p.events)).collect();
     std::fs::write("results/profile_events.jsonl", jsonl).expect("profile: writing jsonl");
-    println!(
-        "\nwrote results/profile.json, results/profile_trace.json (load in Perfetto), \
-         results/profile_events.jsonl"
-    );
-    ExitCode::SUCCESS
 }

@@ -10,6 +10,8 @@
 //! stdout, progress to stderr, and the raw rows into `results/`. An
 //! unknown id exits with status 2 and lists the valid ones.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::process::ExitCode;
 
 use dgnn_bench::experiments;

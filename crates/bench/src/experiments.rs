@@ -264,9 +264,8 @@ fn write_csv(path: &Path, header: &str, lines: impl Iterator<Item = String>) -> 
     Ok(())
 }
 
+#[expect(clippy::panic, reason = "every name the table uses is one `datasets` generates (pinned by a unit test)")]
 fn dataset<'a>(data: &'a [Dataset], name: &str) -> &'a Dataset {
-    // PANICS: every name the table uses is one `datasets` generates
-    // (pinned by a unit test).
     data.iter().find(|d| d.name == name).unwrap_or_else(|| panic!("no dataset named {name}"))
 }
 
@@ -375,6 +374,7 @@ fn print_e2(rows: &[Row]) {
     let at10: Vec<&Row> = rows.iter().filter(|r| r.n == 10).collect();
     for ds in distinct(at10.iter().map(|r| r.dataset.as_str())) {
         let of_ds: Vec<&&Row> = at10.iter().filter(|r| r.dataset == ds).collect();
+        #[expect(clippy::expect_used, reason = "every E2 roster ends with DGNN")]
         let dgnn = of_ds.iter().find(|r| r.model == "DGNN").expect("the roster ends with DGNN");
         println!("{ds}:");
         for r in of_ds.iter().filter(|r| r.model != "DGNN") {
@@ -420,6 +420,7 @@ fn print_e7(rows: &[Row]) {
 fn print_e8(rows: &[Row]) {
     println!("{:<8} {:>14} {:>14} {:>14}", "Model", "Dataset", "Train s/epoch", "Test s");
     for r in rows {
+        #[expect(clippy::expect_used, reason = "E8 runs only timed cells")]
         let (train, test) = r.times.expect("E8 rows are timed cells");
         let per_epoch = train.as_secs_f64() / TIMING_EPOCHS as f64;
         println!("{:<8} {:>14} {per_epoch:>14.3} {:>14.3}", r.model, r.dataset, test.as_secs_f64());

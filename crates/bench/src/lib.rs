@@ -8,6 +8,7 @@
 //! `benchmark/` ruler, not here.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod experiments;
 
@@ -74,12 +75,11 @@ pub fn run_cell(model: &mut dyn Trainable, data: &Dataset, seed: u64) -> CellRes
 }
 
 /// Index into [`CellResult::metrics`] for a cutoff in {5, 10, 20}.
+#[expect(clippy::panic, reason = "the cutoff set is a compile-time constant; any other value is a caller bug")]
 pub(crate) fn cutoff_index(n: usize) -> usize {
     dgnn_eval::TOP_NS
         .iter()
         .position(|&x| x == n)
-        // PANICS: the cutoff set is a compile-time constant; any other
-        // value is a caller bug worth failing loudly on.
         .unwrap_or_else(|| panic!("unsupported cutoff {n}; use 5, 10, or 20"))
 }
 

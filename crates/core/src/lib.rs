@@ -36,6 +36,8 @@
 //! paper's Figures 4–5 (`-M`, `-τ`, `-LN`, `-S`, `-T`, `-ST`).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr)]
 
 mod config;
 mod model;

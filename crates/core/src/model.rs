@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::DgnnConfig;
-use crate::training::{BprTrainer, TrainLoop};
+use crate::training::{BprTrainer, TrainLoop, SAMPLING_SALT};
 
 /// The memory banks of the relation heterogeneity encoder: one per
 /// directed relation family plus one self-loop bank per node type
@@ -49,6 +49,7 @@ impl MemoryBankKind {
         MemoryBankKind::SelfRel,
     ];
 
+    #[expect(clippy::expect_used, reason = "`ALL` lists every variant")]
     fn index(self) -> usize {
         Self::ALL.iter().position(|&k| k == self).expect("bank kind is in ALL")
     }
@@ -186,8 +187,7 @@ impl Dgnn {
         match kind {
             MemoryBankKind::SocialToUser => &self.attn_social,
             MemoryBankKind::UserToItem => &self.attn_interaction,
-            // PANICS: item-side banks are never dumped; asking for one is a
-            // caller bug, not a recoverable state.
+            #[expect(clippy::panic, reason = "item-side banks are never dumped; asking for one is a caller bug")]
             other => panic!("memory_attention: only user-side banks are dumped, got {other:?}"),
         }
     }
@@ -209,12 +209,12 @@ impl Dgnn {
             TrainLoop { batch_size: self.cfg.batch_size, ..TrainLoop::default() },
             self.cfg.threads,
             Adam::new(self.cfg.learning_rate, self.cfg.weight_decay),
-            StdRng::seed_from_u64(seed ^ 0xB1E5_5ED),
+            StdRng::seed_from_u64(seed ^ SAMPLING_SALT),
         );
         self.loss_history.clear();
         // The trainer's pool serves the per-epoch `finalize` forward too.
         for epoch in 0..self.cfg.epochs {
-            // PANICS: init_params above always sets the handles.
+            #[expect(clippy::expect_used, reason = "init_params above always sets the handles")]
             let (cfg, handles) = (&self.cfg, self.handles.as_ref().expect("initialized above"));
             let mean = trainer.epoch(&mut self.params, |tape, params, triples, _| {
                 bpr_step(tape, params, handles, cfg, triples)
@@ -254,8 +254,7 @@ impl Dgnn {
     /// # Panics
     /// Panics if called before [`Dgnn::prepare`] (or `fit`).
     pub fn record_step<R: Recorder>(&self, rec: &mut R, triples: &[Triple]) -> Var {
-        // PANICS: construction order is enforced by the public API — both
-        // callers run prepare/init_params first.
+        #[expect(clippy::expect_used, reason = "documented: callers run prepare or fit first")]
         let handles = self.handles.as_ref().expect("record_step before prepare");
         bpr_step(rec, &self.params, handles, &self.cfg, triples)
     }
@@ -344,8 +343,7 @@ impl Dgnn {
     /// Panics if the model has not been trained.
     pub fn export_checkpoint(&self, dataset: &str) -> dgnn_serve::Checkpoint {
         assert!(!self.user_scoring.is_empty(), "export_checkpoint before fit");
-        // PANICS: user_scoring is only non-empty after init_params + finalize,
-        // so trained state implies handles exist.
+        #[expect(clippy::expect_used, reason = "user_scoring is set only by finalize, after init_params")]
         let handles = self.handles.as_ref().expect("trained model has handles");
         let mut ckpt = dgnn_serve::Checkpoint::new();
         ckpt.set_meta("model", self.name());
@@ -434,6 +432,7 @@ impl Dgnn {
     /// Recomputes and caches the final embeddings and attention dumps from
     /// the current parameters.
     fn finalize(&mut self) {
+        #[expect(clippy::expect_used, reason = "fit_epochs, the only caller, runs init_params first")]
         let handles = self.handles.as_ref().expect("finalize after init");
         let mut tape = Tape::new();
         let fwd = forward(&mut tape, &self.params, handles, &self.cfg);

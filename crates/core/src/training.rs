@@ -8,6 +8,10 @@ use dgnn_graph::HeteroGraph;
 use dgnn_tensor::PoolScope;
 use rand::rngs::StdRng;
 
+/// XORed into DGNN's fit seed to seed its trainer's sampling rng, so triple
+/// sampling draws a different stream than parameter init.
+pub const SAMPLING_SALT: u64 = 0x0B1E_55ED;
+
 /// Per-batch hyperparameters of the shared epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainLoop {
@@ -123,7 +127,7 @@ mod tests {
 
     /// The fits' sampling rng, salted as DGNN's is.
     fn sampling_rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed ^ 0xB1E5_5ED)
+        StdRng::seed_from_u64(seed ^ SAMPLING_SALT)
     }
 
     /// Matrix-factorization BPR loss for `triples`: rows of `eu` dotted with

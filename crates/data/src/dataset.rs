@@ -61,7 +61,7 @@ impl Dataset {
         for it in full.interactions() {
             history[it.user as usize] += 1;
             let slot = &mut latest[it.user as usize];
-            if slot.map_or(true, |cur| it.time > cur.time) {
+            if slot.is_none_or(|cur| it.time > cur.time) {
                 *slot = Some(*it);
             }
         }

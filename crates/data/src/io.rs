@@ -92,6 +92,7 @@ pub fn read_graph(text: &str) -> Result<HeteroGraph, ParseError> {
             continue;
         }
         let mut parts = line.split_whitespace();
+        #[expect(clippy::expect_used, reason = "the line is trimmed and non-empty")]
         let tag = parts.next().expect("non-empty line has a first token");
         let mut field = |what: &str| -> Result<usize, ParseError> {
             parts

@@ -15,6 +15,7 @@
 //! statistics printed in the paper's Table I ([`stats`]).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod dataset;
 pub mod io;

@@ -188,8 +188,8 @@ impl ScaleSpec {
         seen_indptr.push(0u32);
         for g in lo..hi {
             let mix = &mixtures[g % self.num_communities];
-            for d in 0..self.dim {
-                emb.push(mix[d] + self.noise * normal(&mut rng));
+            for &m in mix {
+                emb.push(m + self.noise * normal(&mut rng));
             }
             // Power-law activity, then O(1) popularity-skewed item draws:
             // v = ⌊|V|·u²⌋ concentrates mass on low item ids the same way
@@ -215,8 +215,8 @@ impl ScaleSpec {
         let mut emb = Vec::with_capacity(rows * self.dim);
         for g in lo..hi {
             let proto = &protos[g % self.num_categories];
-            for d in 0..self.dim {
-                emb.push(proto[d] + self.noise * normal(&mut rng));
+            for &p in proto {
+                emb.push(p + self.noise * normal(&mut rng));
             }
         }
         ScaleShard {

@@ -108,11 +108,11 @@ impl WorldSpec {
             HeteroGraphBuilder::new(self.num_users, self.num_items, self.num_categories);
 
         // Item–relation links.
-        for v in 0..self.num_items {
-            builder.item_relation(v, item_cat[v]);
+        for (v, &cat) in item_cat.iter().enumerate() {
+            builder.item_relation(v, cat);
             if self.num_categories > 1 && rng.gen_bool(self.second_category_prob) {
                 let extra = rng.gen_range(0..self.num_categories);
-                if extra != item_cat[v] {
+                if extra != cat {
                     builder.item_relation(v, extra);
                 }
             }
@@ -122,7 +122,7 @@ impl WorldSpec {
         // by preference softmax over a candidate pool.
         let mean_activity = self.target_interactions as f64 / self.num_users as f64;
         let pool_size = 200.min(self.num_items);
-        for u in 0..self.num_users {
+        for (u, factor) in user_factor.iter().enumerate() {
             let n = pareto_count(rng, mean_activity, 2.0).clamp(2, self.num_items / 2);
             // Candidate pool: uniform random items; softmax-weighted picks.
             let mut chosen = Vec::with_capacity(n);
@@ -141,7 +141,7 @@ impl WorldSpec {
                 }
                 let logits: Vec<f32> = pool
                     .iter()
-                    .map(|&v| self.beta * dot(&user_factor[u], &item_factor[v]))
+                    .map(|&v| self.beta * dot(factor, &item_factor[v]))
                     .collect();
                 let pick = pool[sample_softmax(rng, &logits)];
                 builder.interaction(u, pick, t);

@@ -6,6 +6,7 @@
 //! the tables measure the models, not the plumbing.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod groups;
 mod metrics;

@@ -16,6 +16,7 @@
 //! diverse context" (NGCF, GCCF).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod compose;
 mod hetero;

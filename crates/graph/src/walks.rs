@@ -58,8 +58,10 @@ impl HeteroGraph {
                 (MetaPathStep::RelToItem, crate::NodeType::Relation) => {
                     pick(rng, self.ri().row_cols(local)).map(|v| view.item(v))
                 }
-                // PANICS: a schema/node-kind mismatch means the meta-path
-                // definition itself is malformed — not recoverable at runtime.
+                #[expect(
+                    clippy::panic,
+                    reason = "a schema/node-kind mismatch is a malformed meta-path definition, not a runtime state"
+                )]
                 _ => panic!(
                     "meta_path_walk: schema step {step:?} incompatible with node kind {kind:?}"
                 ),

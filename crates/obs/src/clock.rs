@@ -32,13 +32,12 @@ pub fn thread_cpu_ns() -> Option<u64> {
     const CLOCK_THREAD_CPUTIME_ID: i64 = 3;
     let mut ts = [0i64; 2]; // struct timespec { tv_sec, tv_nsec }, both i64 on x86_64
     let ret: i64;
+    #[expect(clippy::inline_asm_x86_intel_syntax, reason = "a raw clock_gettime syscall, not data-path vector code")]
     // SAFETY: raw clock_gettime(2) syscall; the kernel writes exactly one
     // 16-byte timespec to `ts`, which is a valid, aligned, live 2×i64
     // buffer, and the asm clobbers only rax/rcx/r11 as the x86_64 syscall
     // ABI specifies. No Rust memory is otherwise touched.
     unsafe {
-        // SIMD: inline asm for a raw syscall, not data-path vector code —
-        // the GEMM subsystem's SIMD contracts do not apply here.
         core::arch::asm!(
             "syscall",
             inlateout("rax") SYS_CLOCK_GETTIME => ret,

@@ -52,6 +52,7 @@
 //! enough that a future adapter is mechanical.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod export;
 pub mod flight;

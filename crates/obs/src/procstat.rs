@@ -55,9 +55,9 @@ mod imp {
         use std::os::unix::fs::FileExt;
         let file = STATM.get_or_init(|| File::open("/proc/self/statm").ok()).as_ref()?;
         let mut buf = [0u8; 128];
-        // SHARD: positional read of procfs at offset 0 — a fresh snapshot
-        // per call without seek state; this is gauge plumbing, not segment
-        // I/O, and the buffer is a fixed stack array (zero-alloc path).
+        // A positional read of procfs at offset 0 gives a fresh snapshot per
+        // call without seek state, into a fixed stack array (zero-alloc path).
+        #[expect(clippy::disallowed_methods, reason = "gauge plumbing reading procfs, not segment I/O")]
         let n = file.read_at(&mut buf, 0).ok()?;
         // statm: "size resident shared text lib data dt" in pages; we want
         // field 2 (resident).

@@ -298,7 +298,7 @@ mod tests {
         let before = h.count();
         let threads: Vec<_> = (0..4)
             .map(|t| {
-                // PAR: cross-thread registry probe, not kernel work.
+                #[expect(clippy::disallowed_methods, reason = "a cross-thread registry probe, not kernel work")]
                 std::thread::spawn(move || {
                     let h = hist("test_shared/race_h");
                     for i in 0..1000 {

@@ -231,8 +231,8 @@ impl Engine {
     pub fn recommend(&self, q: Query) -> Result<Vec<ScoredItem>, QueryError> {
         match self.recommend_batch(&[q]).pop() {
             Some(r) => r,
-            // SERVE: unreachable by construction — recommend_batch returns
-            // exactly one result per input query; fail soft regardless.
+            // Unreachable: recommend_batch returns exactly one result per
+            // query. Fail soft regardless.
             None => Err(QueryError::BadK { k: q.k, num_items: self.num_items() }),
         }
     }

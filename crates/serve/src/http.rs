@@ -146,8 +146,8 @@ impl Server {
             let engine = Arc::clone(&engine);
             let (batch_max, tick) = (cfg.batch_max.max(1), cfg.batch_tick);
             let dump = cfg.flight_dump.clone();
-            // PAR: serving infrastructure thread (request coalescing), not a
-            // compute kernel; the engine's kernels still run on the pool.
+            // The engine's kernels still run on the pool.
+            #[expect(clippy::disallowed_methods, reason = "request coalescing, not a compute kernel")]
             let t = thread::Builder::new()
                 .name("dgnn-serve-batcher".to_string())
                 .spawn(move || batcher_loop(&engine, &job_rx, batch_max, tick, dump))?;
@@ -161,8 +161,7 @@ impl Server {
             let job_tx = job_tx.clone();
             let engine = Arc::clone(&engine);
             let cfg = cfg.clone();
-            // PAR: serving infrastructure thread (socket I/O + parsing), not
-            // a compute kernel.
+            #[expect(clippy::disallowed_methods, reason = "socket I/O and parsing, not a compute kernel")]
             let t = thread::Builder::new()
                 .name(format!("dgnn-serve-worker-{w}"))
                 .spawn(move || worker_loop(&conn_rx, &job_tx, &engine, &cfg, started))?;
@@ -172,8 +171,7 @@ impl Server {
 
         {
             let stop = Arc::clone(&stop);
-            // PAR: serving infrastructure thread (accept loop), not a
-            // compute kernel.
+            #[expect(clippy::disallowed_methods, reason = "the accept loop, not a compute kernel")]
             let t = thread::Builder::new().name("dgnn-serve-accept".to_string()).spawn(move || {
                 for stream in listener.incoming() {
                     if stop.load(Ordering::SeqCst) {
@@ -432,12 +430,14 @@ fn route(
             content_type: "application/x-ndjson",
             body: dgnn_obs::flight_dump_jsonl(),
         },
+        // The worker's FlightDumpOnPanic guard turns this panic into a
+        // flight-recorder dump on the way down.
+        #[expect(
+            clippy::panic,
+            reason = "a deliberate crash drill, off unless cfg.debug_panic, that exercises the flight dump"
+        )]
         "/debug/panic" if ctx.cfg.debug_panic => {
             flight_record(FlightKind::Panic, trace.id, 0);
-            // SERVE: deliberate crash-drill injection, gated off by default
-            // (cfg.debug_panic) — exists to exercise the flight-dump path.
-            // PANICS: by design; the worker's FlightDumpOnPanic guard turns
-            // this panic into a flight-recorder dump on the way down.
             panic!("panic injected via /debug/panic (request {})", trace.id);
         }
         _ => Response::error(404, &format!("no route for {path:?}")),

@@ -31,6 +31,7 @@
 //! seen-item lists.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod checkpoint;
 pub mod engine;

@@ -415,6 +415,7 @@ impl SegmentedCheckpoint {
     }
 
     /// Loads, digest-checks, parses, and shape-validates one segment.
+    #[expect(clippy::too_many_arguments, reason = "one manifest entry's fields, each checked")]
     fn load_segment(&self, name: &str, len: u32, digest: u32, role: &str, idx: usize, lo: u32, hi: u32) -> Result<Checkpoint, CheckpointError> {
         let path = self.dir.join(name);
         let bytes = read_segment_bytes(&path).map_err(|e| {

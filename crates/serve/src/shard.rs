@@ -4,9 +4,10 @@
 //!
 //! Everything above this layer (manifest validation, DGCK parsing, the
 //! engine) consumes a [`SegmentBytes`] — an owned-or-mapped byte region —
-//! and never does its own file-length arithmetic or raw paging. Lint rule
-//! 15 (`shard-bounds`) enforces that boundary: raw `mmap`/`pread`-family
-//! calls anywhere else in the workspace need a `// SHARD:` justification.
+//! and never does its own file-length arithmetic or raw paging. Clippy holds
+//! that boundary: `FileExt::read_at`/`read_exact_at` are disallowed methods
+//! (`clippy.toml`) and inline `asm!`, this module's route to `mmap`, is a
+//! denied lint, so either one anywhere else needs an `#[expect(.., reason)]`.
 //!
 //! The platform picks the read path: segment files are memory-mapped on
 //! Linux/x86_64 (the raw-syscall path) and read into one owned buffer
@@ -107,13 +108,12 @@ impl MappedFile {
         const MAP_PRIVATE: i64 = 2;
         let fd = i64::from(file.as_raw_fd());
         let ret: i64;
+        #[expect(clippy::inline_asm_x86_intel_syntax, reason = "the loader owns its mmap/munmap syscalls")]
         // SAFETY: raw mmap(2): addr=NULL (kernel placement), read-only and
         // private over an fd we own across the call; the kernel returns a
         // fresh mapping aliasing no Rust-managed memory, or -errno in rax.
         // The asm clobbers only rax/rcx/r11 per the x86_64 syscall ABI.
         unsafe {
-            // SIMD: inline asm for a raw syscall, not data-path vector
-            // code — the GEMM subsystem's SIMD contracts do not apply.
             core::arch::asm!(
                 "syscall",
                 inlateout("rax") SYS_MMAP => ret,
@@ -158,13 +158,12 @@ impl Drop for MappedFile {
         {
             const SYS_MUNMAP: i64 = 11;
             let ret: i64;
+            #[expect(clippy::inline_asm_x86_intel_syntax, reason = "the loader owns its mmap/munmap syscalls")]
             // SAFETY: raw munmap(2) over exactly the region mmap returned;
             // after this call nothing dereferences ptr (self is being
             // dropped and as_bytes borrows cannot outlive it). Clobbers
             // only rax/rcx/r11 per the syscall ABI.
             unsafe {
-                // SIMD: inline asm for a raw syscall, not data-path vector
-                // code — the GEMM subsystem's SIMD contracts do not apply.
                 core::arch::asm!(
                     "syscall",
                     inlateout("rax") SYS_MUNMAP => ret,

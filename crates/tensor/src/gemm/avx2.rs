@@ -37,10 +37,7 @@ use super::Fold;
 /// `j < cols`, the address `c + i*rsc + j` is readable and writable — i.e.
 /// `c` covers the partition's output chunk with `rows <= 8`,
 /// `cols <= min(8, rsc)`.
-#[allow(clippy::too_many_arguments)] // (ptr, strides) per operand is the kernel ABI
-// SAFETY: the `# Safety` contract above is the full argument — feature
-// availability is established by the dispatcher's runtime detection, and
-// the operand/output pointers are in-bounds by the checks in `tile_loop`.
+#[expect(clippy::too_many_arguments, reason = "(ptr, strides) per operand is the kernel ABI")]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn kernel_8x8(
     k: usize,
@@ -112,9 +109,6 @@ pub(crate) unsafe fn kernel_8x8(
 /// `kk < k`; `b` starts `panels` panels of `k` rows of 8 readable floats;
 /// and `c` starts `cols` writable floats with
 /// `(panels-1)*8 < cols <= panels*8`.
-// SAFETY: the `# Safety` contract above is the full argument — feature
-// availability is established by the dispatcher's runtime detection, and
-// the pointers are in-bounds by the checks in `panels::score_loop`.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn kernel_1x64(
     k: usize,

@@ -16,7 +16,7 @@ use super::{Fold, MR, NR};
 /// stores the `rows × cols` live corner into `out[c0..]` with row stride
 /// `rsc`, each chain starting as `fold` says (see [`Fold`]). Safe code: all
 /// indexing is slice-checked.
-#[allow(clippy::too_many_arguments)] // mirrors the unsafe SIMD kernel ABI
+#[expect(clippy::too_many_arguments, reason = "mirrors the unsafe SIMD kernel ABI")]
 pub(crate) fn kernel_8x8(
     k: usize,
     a: &[f32],

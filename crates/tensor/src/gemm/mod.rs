@@ -160,7 +160,7 @@ fn available(b: Backend) -> bool {
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => std::arch::is_aarch64_feature_detected!("neon"),
         Backend::Generic | Backend::Scalar => true,
-        #[allow(unreachable_patterns)] // arms above are cfg-gated per arch
+        #[allow(unreachable_patterns, reason = "the arms above are cfg-gated per arch")]
         _ => false,
     }
 }
@@ -424,7 +424,7 @@ pub(crate) fn tile_loop_blocked<F: Fn(usize) -> usize>(
 
 /// One pass of every tile over the non-empty inner range `kr` of a
 /// `k`-long reduction.
-#[allow(clippy::too_many_arguments)] // `tile_loop`'s, plus the inner range
+#[expect(clippy::too_many_arguments, reason = "`tile_loop`'s, plus the inner range")]
 fn tile_block<F: Fn(usize) -> usize>(
     be: Backend,
     a: &Lhs<'_, F>,

@@ -163,7 +163,7 @@ pub(crate) fn score_loop<F: Fn(usize) -> usize>(
 /// One 8×8 tile of lanes `tile` against the whole panel `bp` (`k >= 1` rows
 /// of `NR` floats), its `rows × cols` live corner stored at `out[c0..]`
 /// with row stride `ldc`.
-#[allow(clippy::too_many_arguments)] // the kernel ABI, minus what `a` carries
+#[expect(clippy::too_many_arguments, reason = "the kernel ABI, minus what `a` carries")]
 fn tile_8x8<F: Fn(usize) -> usize>(
     be: Backend,
     a: &Lhs<'_, F>,

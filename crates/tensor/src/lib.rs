@@ -13,6 +13,7 @@
 //! guaranteed fully-serial path.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod dense;
 pub mod gemm;

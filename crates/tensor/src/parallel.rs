@@ -310,6 +310,8 @@ fn ensure_workers(workers: &mut Vec<Worker>, want: usize) {
     while workers.len() < want {
         let mailbox = Arc::new(Mailbox { seq: AtomicUsize::new(0), job: UnsafeCell::new(None) });
         let inbox = Arc::clone(&mailbox);
+        #[expect(clippy::disallowed_methods, reason = "the kernel pool owns the worker threads")]
+        #[expect(clippy::expect_used, reason = "a pool that cannot start its workers cannot run a kernel")]
         let handle = std::thread::Builder::new()
             .name(format!("dgnn-kernel-{}", workers.len()))
             .spawn(move || worker_loop(&inbox))
@@ -332,6 +334,7 @@ fn worker_loop(mailbox: &Mailbox) {
         // SAFETY: the Acquire load above observed the dispatcher's bump,
         // which it made after writing `job`; it writes again only after
         // our `pending` decrement below (see `unsafe impl Sync for Mailbox`).
+        #[expect(clippy::expect_used, reason = "the dispatcher writes `job` before every bump")]
         let job = unsafe { *mailbox.job.get() }.expect("kernel pool: a mailbox bump always carries a job");
         // A panicking kernel must not wedge the dispatcher (it waits for
         // `pending` to drain), so catch it and report failure.
@@ -455,6 +458,8 @@ impl SendPtr {
 // row ranges (one per partition, see `par_row_chunks`), so no two
 // threads touch the same element.
 unsafe impl Send for SendPtr {}
+// SAFETY: sharing `&SendPtr` hands out only the pointer value; every
+// dereference stays inside its partition's disjoint row range.
 unsafe impl Sync for SendPtr {}
 
 /// Partitions the `rows × cols` row-major buffer `out` over the kernel

@@ -247,7 +247,9 @@ impl CsrBuilder {
         let mut prev: Option<(usize, usize)> = None;
         for &(r, c, v) in &self.triplets {
             if prev == Some((r, c)) {
-                *values.last_mut().expect("values parallel to col_idx") += v;
+                #[expect(clippy::expect_used, reason = "`prev` is set only after a push")]
+                let last = values.last_mut().expect("values parallel to col_idx");
+                *last += v;
                 continue;
             }
             col_idx.push(c);

@@ -158,6 +158,8 @@ impl SendOut {
 // ranges — `part_range` hands each partition a disjoint slice of rows, and
 // every row is written by exactly one partition (see `top_k_rows`).
 unsafe impl Send for SendOut {}
+// SAFETY: sharing `&SendOut` hands out only the two pointer values; each
+// partition writes through them into its own disjoint rows only.
 unsafe impl Sync for SendOut {}
 
 /// Top-`k` selection for every row of `scores`, row-partitioned on the

@@ -8,6 +8,7 @@
 //! attention") into measurable numbers recorded in EXPERIMENTS.md.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod pca;
 pub mod separation;

@@ -6,8 +6,11 @@ set -eu
 cd "$(dirname "$0")"
 
 # Preflight: fail fast on graph/source problems before spending training
-# compute (see crates/analysis).
+# compute: ci.sh's static stage, then the compute-graph audit (see
+# crates/analysis).
 echo "=== preflight: static analysis ==="
+cargo fmt --all --check
+cargo clippy -q --workspace --all-targets -- -D warnings
 cargo run -q -p dgnn-analysis --bin lint .
 cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis \
     || { echo "compute-graph audit failed; aborting experiments"; exit 1; }

@@ -73,10 +73,10 @@ mod static_analysis {
     use std::rc::Rc;
 
     use dgnn_analysis::{audit, DiagnosticKind, ShapeTracer};
-    use dgnn_autograd::{ParamSet, Recorder, Rows};
-    use dgnn_baselines::{Dgcf, DisenHan, Hgt, Mhcn, Ngcf};
+    use dgnn_autograd::{ParamSet, Recorder, Rows, Var};
+    use dgnn_baselines::{BaselineConfig, Dgcf, DisenHan, Hgt, Mhcn, Ngcf};
     use dgnn_core::Dgnn;
-    use dgnn_data::tiny;
+    use dgnn_data::{tiny, Dataset, Triple};
     use dgnn_integration_tests::{quick_baseline, quick_dgnn, sample_triples};
     use dgnn_tensor::{EdgeList, Init, Matrix};
     use rand::rngs::StdRng;
@@ -101,26 +101,18 @@ mod static_analysis {
     fn traced_baselines_audit_clean() {
         let data = tiny(42);
         let triples = sample_triples(&data);
-        let checks: Vec<(&str, Box<dyn Fn(&mut ShapeTracer) -> (ParamSet, _)>)> = vec![
-            ("NGCF", Box::new(|tr: &mut ShapeTracer| {
-                Ngcf::trace_step(&quick_baseline(), &data, &triples, 7, tr)
-            })),
-            ("MHCN", Box::new(|tr: &mut ShapeTracer| {
-                Mhcn::trace_step(&quick_baseline(), &data, &triples, 7, tr)
-            })),
-            ("DGCF", Box::new(|tr: &mut ShapeTracer| {
-                Dgcf::trace_step(&quick_baseline(), &data, &triples, 7, tr)
-            })),
-            ("DisenHAN", Box::new(|tr: &mut ShapeTracer| {
-                DisenHan::trace_step(&quick_baseline(), &data, &triples, 7, tr)
-            })),
-            ("HGT", Box::new(|tr: &mut ShapeTracer| {
-                Hgt::trace_step(&quick_baseline(), &data, &triples, 7, tr)
-            })),
+        type TraceStep =
+            fn(&BaselineConfig, &Dataset, &[Triple], u64, &mut ShapeTracer) -> (ParamSet, Var);
+        let checks: [(&str, TraceStep); 5] = [
+            ("NGCF", Ngcf::trace_step),
+            ("MHCN", Mhcn::trace_step),
+            ("DGCF", Dgcf::trace_step),
+            ("DisenHAN", DisenHan::trace_step),
+            ("HGT", Hgt::trace_step),
         ];
-        for (name, trace) in checks {
+        for (name, trace_step) in checks {
             let mut tr = ShapeTracer::new();
-            let (params, loss) = trace(&mut tr);
+            let (params, loss) = trace_step(&quick_baseline(), &data, &triples, 7, &mut tr);
             let report = audit(&tr, loss, &[], &params);
             assert!(report.is_clean(), "{name} training graph is not clean:\n{report}");
         }

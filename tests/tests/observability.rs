@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use dgnn_autograd::{Adam, ParamId, ParamSet, Recorder, Tape};
 use dgnn_baselines::{BaselineConfig, Dgcf, Hgt, Mhcn};
-use dgnn_core::training::{BprTrainer, TrainLoop};
+use dgnn_core::training::{BprTrainer, TrainLoop, SAMPLING_SALT};
 use dgnn_core::{Dgnn, DgnnConfig};
 use dgnn_data::{tiny, TrainSampler};
 use dgnn_eval::Trainable;
@@ -46,7 +46,7 @@ fn run_mf_bpr(graph: &HeteroGraph, loop_cfg: TrainLoop, epochs: usize) {
         loop_cfg,
         0,
         Adam::new(0.05, 1e-5),
-        StdRng::seed_from_u64(7 ^ 0xB1E5_5ED),
+        StdRng::seed_from_u64(7 ^ SAMPLING_SALT),
     );
     for _ in 0..epochs {
         trainer.epoch(&mut params, |tape, params, triples, _| {
@@ -167,6 +167,7 @@ fn every_model_trains_at_its_configured_thread_count() {
     let models = dgnn_baselines::all_models(&cfg).len() + 1;
     for i in 0..models {
         let (dgnn, cfg) = (dgnn.clone(), cfg.clone());
+        #[expect(clippy::disallowed_methods, reason = "a fresh thread per model, so each starts with an empty pool")]
         let (name, threads, gauge) = std::thread::spawn(move || {
             let mut model: Box<dyn Trainable> = match i {
                 0 => Box::new(Dgnn::new(dgnn)),

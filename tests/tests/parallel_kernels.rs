@@ -520,6 +520,7 @@ fn four_threads_dispatching_concurrently_at_three_threads_stay_exact() {
     let b = Matrix::from_fn(19, 23, |r, c| ((r * 23 + c) % 7) as f32 * 0.5 - 1.0);
     let serial = with_pool(1, || a.matmul(&b));
     let start = Barrier::new(4);
+    #[expect(clippy::disallowed_methods, reason = "concurrent dispatchers into the pool under test")]
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {

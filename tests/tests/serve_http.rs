@@ -145,6 +145,7 @@ fn concurrent_clients_all_get_answers() {
     let addr = server.addr();
     let mut handles = Vec::new();
     for c in 0..8u32 {
+        #[expect(clippy::disallowed_methods, reason = "concurrent HTTP clients, not kernel work")]
         handles.push(std::thread::spawn(move || {
             let mut ok = 0;
             for r in 0..25u32 {

@@ -354,6 +354,7 @@ fn sharded_server_under_skewed_load_matches_dense_and_stays_lazy() {
     // Four clients × sixteen requests, every user from shard 0 or shard 2:
     // the traffic is skewed onto half the user table.
     let per_shard = spec.users_per_shard as u32;
+    #[expect(clippy::disallowed_methods, reason = "concurrent HTTP clients, not kernel work")]
     std::thread::scope(|scope| {
         for c in 0..4u32 {
             let dense = &dense;
