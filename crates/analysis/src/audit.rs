@@ -149,18 +149,12 @@ fn value_numbers(nodes: &[TraceNode]) -> Vec<u32> {
 ///
 /// The returned report also carries the tracer's own trace-time
 /// diagnostics, so one `is_clean()` check covers everything.
-pub fn audit(
-    tracer: &ShapeTracer,
-    loss: Var,
-    outputs: &[Var],
-    params: &ParamSet,
-) -> AuditReport {
+pub fn audit(tracer: &ShapeTracer, loss: Var, outputs: &[Var], params: &ParamSet) -> AuditReport {
     let mut report = AuditReport { diags: tracer.diagnostics().to_vec() };
     let nodes = tracer.nodes();
 
     let grad_live = ancestors(tracer, [loss.index()]);
-    let all_roots =
-        std::iter::once(loss.index()).chain(outputs.iter().map(|v| v.index()));
+    let all_roots = std::iter::once(loss.index()).chain(outputs.iter().map(|v| v.index()));
     let live = ancestors(tracer, all_roots);
 
     // --- parameters ------------------------------------------------------

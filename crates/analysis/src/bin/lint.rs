@@ -164,15 +164,23 @@ mod tests {
         // A canonical slash-joined lower_snake name passes.
         let ok = format!("dgnn_obs::{}\"train/epoch_loss\", 1.0);\n", needles.hist_record);
         lint_file(path, &ok, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
+        assert!(
+            violations.is_empty(),
+            "got {:?}",
+            violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+        );
 
         // Uppercase, dots, and empty segments all fire.
         for bad in ["Train/Loss", "train.loss", "train//loss", "/train", "train/"] {
             violations.clear();
             let text = format!("dgnn_obs::{}\"{bad}\", 1.0);\n", needles.gauge_set);
             lint_file(path, &text, &needles, &mut violations, &mut todos);
-            assert_eq!(violations.len(), 1, "`{bad}` should fire, got {:?}",
-                violations.iter().map(|v| v.rule).collect::<Vec<_>>());
+            assert_eq!(
+                violations.len(),
+                1,
+                "`{bad}` should fire, got {:?}",
+                violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+            );
             assert_eq!(violations[0].rule, "metric-name");
             assert!(violations[0].detail.contains(bad));
         }
@@ -184,13 +192,22 @@ mod tests {
             needles.counter_add
         );
         lint_file(path, &justified, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
+        assert!(
+            violations.is_empty(),
+            "got {:?}",
+            violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+        );
 
         // Dynamic names (format!/variables) are not judged by this rule.
         violations.clear();
-        let dynamic = format!("dgnn_obs::{}&format!(\"serve/phase/{{p}}_ms\"), v);\n", needles.gauge_set);
+        let dynamic =
+            format!("dgnn_obs::{}&format!(\"serve/phase/{{p}}_ms\"), v);\n", needles.gauge_set);
         lint_file(path, &dynamic, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
+        assert!(
+            violations.is_empty(),
+            "got {:?}",
+            violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+        );
 
         // Test regions keep their one-letter scratch names.
         violations.clear();
@@ -200,14 +217,22 @@ mod tests {
             needles.hist_record
         );
         lint_file(path, &in_test, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
+        assert!(
+            violations.is_empty(),
+            "got {:?}",
+            violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+        );
 
         // A doc-comment usage example never fires: the stripped code gate
         // sees only the comment-free line.
         violations.clear();
         let doc = format!("// e.g. {}\"Bad.Example\", 1.0);\nlet x = 1;\n", needles.hist_record);
         lint_file(path, &doc, &needles, &mut violations, &mut todos);
-        assert!(violations.is_empty(), "got {:?}", violations.iter().map(|v| v.rule).collect::<Vec<_>>());
+        assert!(
+            violations.is_empty(),
+            "got {:?}",
+            violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+        );
     }
 
     #[test]

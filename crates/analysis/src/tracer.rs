@@ -230,7 +230,11 @@ impl ShapeTracer {
     /// Reductions (sums/means) of non-negative inputs stay non-negative;
     /// positivity does not survive (an all-zero row is reachable).
     fn nonneg_reduce(&self, a: Var) -> Lower {
-        if self.lower_of(a) >= Lower::NonNeg { Lower::NonNeg } else { Lower::Unknown }
+        if self.lower_of(a) >= Lower::NonNeg {
+            Lower::NonNeg
+        } else {
+            Lower::Unknown
+        }
     }
 
     /// Checks an elementwise binary op's operands for equal shapes.
@@ -275,7 +279,11 @@ impl ShapeTracer {
             _ => {}
         }
         if seg.first().is_some_and(|&s| s != 0) {
-            self.diag(DiagnosticKind::IndexRange, op, "segment pointer does not start at 0".to_string());
+            self.diag(
+                DiagnosticKind::IndexRange,
+                op,
+                "segment pointer does not start at 0".to_string(),
+            );
         }
         if seg.windows(2).any(|w| w[0] > w[1]) {
             self.diag(
@@ -293,12 +301,17 @@ impl ShapeTracer {
     /// its source, in increasing id.
     fn check_edge_list(&mut self, op: &'static str, edges: &EdgeList) {
         self.check_segments(op, &edges.seg, edges.src.len());
-        let dst_ok = edges.dst.len() == edges.src.len()
-            && edges.seg.windows(2).enumerate().all(|(n, w)| {
-                edges.dst.get(w[0]..w[1]).is_some_and(|d| d.iter().all(|&x| x == n))
-            });
+        let dst_ok =
+            edges.dst.len() == edges.src.len()
+                && edges.seg.windows(2).enumerate().all(|(n, w)| {
+                    edges.dst.get(w[0]..w[1]).is_some_and(|d| d.iter().all(|&x| x == n))
+                });
         if !dst_ok {
-            self.diag(DiagnosticKind::IndexRange, op, "edge list's dst disagrees with its segment pointer".to_string());
+            self.diag(
+                DiagnosticKind::IndexRange,
+                op,
+                "edge list's dst disagrees with its segment pointer".to_string(),
+            );
         }
         let ptr = &edges.src_seg;
         let transpose_ok = ptr.first() == Some(&0)
@@ -306,7 +319,8 @@ impl ShapeTracer {
             && edges.src_edges.len() == edges.src.len()
             && ptr.windows(2).enumerate().all(|(s, w)| {
                 edges.src_edges.get(w[0]..w[1]).is_some_and(|out| {
-                    out.windows(2).all(|p| p[0] < p[1]) && out.iter().all(|&e| edges.src.get(e) == Some(&s))
+                    out.windows(2).all(|p| p[0] < p[1])
+                        && out.iter().all(|&e| edges.src.get(e) == Some(&s))
                 })
             });
         if !transpose_ok {

@@ -49,9 +49,7 @@ impl Optimizer for Adam {
             let values = value.as_mut_slice();
             let ms = m.as_mut_slice();
             let vs = v.as_mut_slice();
-            for (((val, &g0), m_i), v_i) in
-                values.iter_mut().zip(grad.as_slice()).zip(ms).zip(vs)
-            {
+            for (((val, &g0), m_i), v_i) in values.iter_mut().zip(grad.as_slice()).zip(ms).zip(vs) {
                 let g = g0 + wd * *val;
                 *m_i = b1 * *m_i + (1.0 - b1) * g;
                 *v_i = b2 * *v_i + (1.0 - b2) * g * g;

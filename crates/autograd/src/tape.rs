@@ -18,7 +18,9 @@ use crate::recorder::{Recorder, Rows, Var};
 #[derive(Debug)]
 enum Op {
     /// Constant or parameter leaf; `param` links back to the [`ParamSet`].
-    Leaf { param: Option<ParamId> },
+    Leaf {
+        param: Option<ParamId>,
+    },
     Add(Var, Var),
     Sub(Var, Var),
     /// Elementwise product. `a` and `b` may be the same variable.
@@ -52,32 +54,63 @@ enum Op {
     RowSum(Var),
     ColMean(Var),
     ConcatCols(Vec<Var>),
-    SliceCols { a: Var, start: usize, end: usize },
+    SliceCols {
+        a: Var,
+        start: usize,
+        end: usize,
+    },
     /// Embedding lookup: output row `i` is `a.row(idx[i])`.
-    Gather { a: Var, idx: Rc<Vec<usize>> },
+    Gather {
+        a: Var,
+        idx: Rc<Vec<usize>>,
+    },
     /// Row-wise LayerNorm without affine terms (compose with
     /// [`Recorder::mul_row`]/[`Recorder::add_row`] for ω₁/ω₂ of the
     /// paper's Eq. 7).
-    LayerNormRow { a: Var, eps: f32 },
+    LayerNormRow {
+        a: Var,
+        eps: f32,
+    },
     /// L2 normalization of each of `heads` equal column blocks of every
     /// row (DGCF's intent routing; one block is plain row normalization).
-    RowL2Norm { a: Var, eps: f32, heads: usize },
+    RowL2Norm {
+        a: Var,
+        eps: f32,
+        heads: usize,
+    },
     /// `E × heads` of per-head row dot products of the rows each edge
     /// reads of `a` and `b` (`n × 1` with one head and per-row operands).
-    RowDots { a: Rows, b: Rows, heads: usize },
+    RowDots {
+        a: Rows,
+        b: Rows,
+        heads: usize,
+    },
     SoftmaxRows(Var),
     /// Per-segment softmax of every column of `E × H` edge logits,
     /// segments given by a CSR-style `seg` pointer (edges grouped by
     /// target node).
-    SegmentSoftmax { logits: Var, seg: Rc<Vec<usize>> },
+    SegmentSoftmax {
+        logits: Var,
+        seg: Rc<Vec<usize>>,
+    },
     /// `out[n, block h] = Σ_{e ∈ seg(n)} w[e, h] · v(e)[block h]` —
     /// multi-head attention aggregation (one head when `w` is `E × 1`).
-    SegmentWeightedSum { w: Var, v: Rows, seg: Rc<Vec<usize>> },
+    SegmentWeightedSum {
+        w: Var,
+        v: Rows,
+        seg: Rc<Vec<usize>>,
+    },
     /// `out[n, :] = Σ_m eta[n, m] · t[n, m·b..(m+1)·b]` — the memory-bank
     /// reduce of the paper's Eq. 3 over the `M` column blocks of `t`.
-    WeightedBlockSum { t: Var, eta: Var },
+    WeightedBlockSum {
+        t: Var,
+        eta: Var,
+    },
     /// Elementwise product with a fixed (non-differentiated) mask.
-    Dropout { a: Var, mask: Matrix },
+    Dropout {
+        a: Var,
+        mask: Matrix,
+    },
 }
 
 impl Op {
@@ -131,15 +164,40 @@ impl Op {
         use Op::*;
         match self {
             Leaf { .. } => false,
-            Add(a, b) | Sub(a, b) | Mul(a, b) | MatMul(a, b) | Div(a, b) | AddRow(a, b) | MulRow(a, b)
-            | MulCol(a, b) | WeightedBlockSum { t: a, eta: b } => f(*a) || f(*b),
+            Add(a, b)
+            | Sub(a, b)
+            | Mul(a, b)
+            | MatMul(a, b)
+            | Div(a, b)
+            | AddRow(a, b)
+            | MulRow(a, b)
+            | MulCol(a, b)
+            | WeightedBlockSum { t: a, eta: b } => f(*a) || f(*b),
             RowDots { a, b, .. } => f(a.var()) || f(b.var()),
             SegmentWeightedSum { w, v, .. } => f(*w) || f(v.var()),
             ConcatCols(parts) => parts.iter().any(|&p| f(p)),
-            Neg(a) | Scale(a, _) | AddScalar(a, _) | Transpose(a) | Sigmoid(a) | Tanh(a) | LeakyRelu(a, _)
-            | Relu(a) | Exp(a) | Softplus(a) | Ln(a) | Sqrt(a) | SumAll(a) | MeanAll(a) | RowSum(a)
-            | ColMean(a) | SoftmaxRows(a) | SliceCols { a, .. } | Gather { a, .. }
-            | LayerNormRow { a, .. } | RowL2Norm { a, .. } | SegmentSoftmax { logits: a, .. }
+            Neg(a)
+            | Scale(a, _)
+            | AddScalar(a, _)
+            | Transpose(a)
+            | Sigmoid(a)
+            | Tanh(a)
+            | LeakyRelu(a, _)
+            | Relu(a)
+            | Exp(a)
+            | Softplus(a)
+            | Ln(a)
+            | Sqrt(a)
+            | SumAll(a)
+            | MeanAll(a)
+            | RowSum(a)
+            | ColMean(a)
+            | SoftmaxRows(a)
+            | SliceCols { a, .. }
+            | Gather { a, .. }
+            | LayerNormRow { a, .. }
+            | RowL2Norm { a, .. }
+            | SegmentSoftmax { logits: a, .. }
             | Dropout { a, .. } => f(*a),
         }
     }
@@ -290,7 +348,9 @@ impl Tape {
             RowDots { a, b, heads } => Matrix::head_dots_via(self.rows(a), self.rows(b), *heads),
             SoftmaxRows(a) => self.value(*a).softmax_rows(),
             SegmentSoftmax { logits, seg } => self.value(*logits).segment_softmax(seg),
-            SegmentWeightedSum { w, v, seg } => Matrix::segment_weighted_sum(self.value(*w), self.rows(v), seg),
+            SegmentWeightedSum { w, v, seg } => {
+                Matrix::segment_weighted_sum(self.value(*w), self.rows(v), seg)
+            }
             WeightedBlockSum { t, eta } => self.value(*t).weighted_block_sum(self.value(*eta)),
             Dropout { a, mask } => {
                 assert_eq!(self.value(*a).shape(), mask.shape(), "dropout: mask shape mismatch");
@@ -366,7 +426,13 @@ impl Tape {
     /// Backward durations are exact per-rule measurements (unlike the
     /// forward pass's inter-push deltas): the rule runs between two clock
     /// reads with nothing else in the interval.
-    fn backprop_node_observed(&self, i: usize, g: &Matrix, live: &[bool], grads: &mut [Option<Matrix>]) {
+    fn backprop_node_observed(
+        &self,
+        i: usize,
+        g: &Matrix,
+        live: &[bool],
+        grads: &mut [Option<Matrix>],
+    ) {
         match self.obs_mark {
             Some(_) => {
                 let t0 = dgnn_obs::now_ns();
@@ -515,25 +581,37 @@ impl Tape {
                 Self::accum(grads, live, *a, || Matrix::layer_norm_rows_grad(x, y, g, *eps));
             }
             RowL2Norm { a, eps, heads } => {
-                Self::accum(grads, live, *a, || Matrix::l2_normalize_heads_grad(self.value(*a), g, *eps, *heads));
+                Self::accum(grads, live, *a, || {
+                    Matrix::l2_normalize_heads_grad(self.value(*a), g, *eps, *heads)
+                });
             }
             RowDots { a, b, .. } => {
                 // `g` is `E × heads`: head `h`'s column scales block `h`. A
                 // table operand's gradient comes back summed per table row.
-                Self::accum(grads, live, a.var(), || Matrix::head_dots_grad(a.read(), self.rows(b), g));
-                Self::accum(grads, live, b.var(), || Matrix::head_dots_grad(b.read(), self.rows(a), g));
+                Self::accum(grads, live, a.var(), || {
+                    Matrix::head_dots_grad(a.read(), self.rows(b), g)
+                });
+                Self::accum(grads, live, b.var(), || {
+                    Matrix::head_dots_grad(b.read(), self.rows(a), g)
+                });
             }
             SoftmaxRows(a) => {
                 Self::accum(grads, live, *a, || Matrix::softmax_rows_grad(self.value(Var(i)), g));
             }
             SegmentSoftmax { logits, seg } => {
-                Self::accum(grads, live, *logits, || Matrix::segment_softmax_grad(self.value(Var(i)), g, seg));
+                Self::accum(grads, live, *logits, || {
+                    Matrix::segment_softmax_grad(self.value(Var(i)), g, seg)
+                });
             }
             SegmentWeightedSum { w, v, seg } => {
                 let wv = self.value(*w);
                 let heads = wv.cols();
-                Self::accum(grads, live, *w, || Matrix::segment_weighted_sum_grad_weights(self.rows(v), g, seg, heads));
-                Self::accum(grads, live, v.var(), || Matrix::segment_weighted_sum_grad_rows(wv, g, seg, v.read()));
+                Self::accum(grads, live, *w, || {
+                    Matrix::segment_weighted_sum_grad_weights(self.rows(v), g, seg, heads)
+                });
+                Self::accum(grads, live, v.var(), || {
+                    Matrix::segment_weighted_sum_grad_rows(wv, g, seg, v.read())
+                });
             }
             WeightedBlockSum { t, eta } => {
                 let (tv, ev) = (self.value(*t), self.value(*eta));
@@ -899,8 +977,10 @@ mod tests {
         // over a parameter's rows, and parameter weights over fixed rows).
         let seg = Rc::new(vec![0usize, 2, 2, 5]);
         let mut params = ParamSet::new();
-        let p = params.add("p", Matrix::from_fn(5, 4, |r, c| ((r * 4 + c) % 7) as f32 * 0.31 - 0.9));
-        let q = params.add("q", Matrix::from_fn(5, 2, |r, c| ((r + 3 * c) % 5) as f32 * 0.27 - 0.5));
+        let p =
+            params.add("p", Matrix::from_fn(5, 4, |r, c| ((r * 4 + c) % 7) as f32 * 0.31 - 0.9));
+        let q =
+            params.add("q", Matrix::from_fn(5, 2, |r, c| ((r + 3 * c) % 5) as f32 * 0.27 - 0.5));
         let mut t = Tape::new();
         let (pv, qv) = (t.param(&params, p), t.param(&params, q));
         let deg = t.constant(Matrix::from_fn(5, 1, |r, _| 1.0 / (r + 1) as f32));
@@ -916,7 +996,10 @@ mod tests {
         let sq = t.mul(both, both);
         let loss = t.sum_all(sq);
         let all = t.backward(loss);
-        assert!(all[deg.0].is_some() && all[fixed_w.0].is_some(), "backward() still computes constants' gradients");
+        assert!(
+            all[deg.0].is_some() && all[fixed_w.0].is_some(),
+            "backward() still computes constants' gradients"
+        );
         params.zero_grads();
         let _ = t.backward_into(loss, &mut params);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -57,7 +57,13 @@ struct State {
     friends: Vec<Vec<u32>>,
 }
 
-fn forward(st: &State, kind: ClassicKind, layers: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
+fn forward(
+    st: &State,
+    kind: ClassicKind,
+    layers: usize,
+    tape: &mut Tape,
+    params: &ParamSet,
+) -> (Var, Var) {
     match kind {
         ClassicKind::BprMf | ClassicKind::SoRec => {
             (tape.param(params, st.e_user), tape.param(params, st.e_item))
@@ -70,7 +76,10 @@ fn forward(st: &State, kind: ClassicKind, layers: usize, tape: &mut Tape, params
             // Bipartite light propagation: u ← Â v, v ← Âᵀ u, alternating,
             // with layer-averaged outputs and no transforms — LightGCN's
             // whole point.
-            #[expect(clippy::expect_used, reason = "fit builds the adjacency whenever the kind is LightGCN")]
+            #[expect(
+                clippy::expect_used,
+                reason = "fit builds the adjacency whenever the kind is LightGCN"
+            )]
             let (to_users, to_items) = st.adj.as_ref().expect("LightGCN builds an adjacency");
             let mut hu = tape.param(params, st.e_user);
             let mut hv = tape.param(params, st.e_item);
@@ -188,14 +197,7 @@ impl Trainable for Classic {
         for f in &mut friends {
             f.sort_unstable();
         }
-        let st = State {
-            e_user,
-            e_item,
-            e_trustee,
-            adj,
-            ties,
-            friends,
-        };
+        let st = State { e_user, e_item, e_trustee, adj, ties, friends };
 
         let kind = self.kind;
         let layers = self.cfg.layers;
@@ -206,8 +208,7 @@ impl Trainable for Classic {
                 trainer.epoch(&mut params, |tape, params, triples, rng| {
                     let (users, items) = forward(&st, kind, layers, tape, params);
                     let main = bpr_from_embeddings(tape, users, items, &BatchIdx::new(triples));
-                    let needs_social =
-                        matches!(kind, ClassicKind::SoRec | ClassicKind::TrustMf);
+                    let needs_social = matches!(kind, ClassicKind::SoRec | ClassicKind::TrustMf);
                     if needs_social {
                         if let Some(aux) = social_aux(&st, kind, tape, params, rng, batch.min(512))
                         {

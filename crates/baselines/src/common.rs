@@ -123,10 +123,7 @@ impl Scorer {
     }
 
     pub fn score(&self, model_name: &str, user: usize, items: &[usize]) -> Vec<f32> {
-        assert!(
-            !self.user.is_empty(),
-            "{model_name}::score called before fit"
-        );
+        assert!(!self.user.is_empty(), "{model_name}::score called before fit");
         // Routed through the GEMM entry points (not a hand-rolled dot
         // loop) so the fold order matches the serving engine's on every
         // `DGNN_GEMM` backend: a checkpointed model must serve these
@@ -159,12 +156,7 @@ pub(crate) mod testutil {
         let data: Dataset = tiny(42);
         model.fit(&data, 7);
         let m = evaluate_at(model, &data.test, 10);
-        assert!(
-            m.hr > 0.12,
-            "{} HR@10 = {:.4} is not better than random",
-            model.name(),
-            m.hr
-        );
+        assert!(m.hr > 0.12, "{} HR@10 = {:.4} is not better than random", model.name(), m.hr);
         m.hr
     }
 }

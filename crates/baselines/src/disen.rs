@@ -79,7 +79,11 @@ fn route<R: Recorder>(tape: &mut R, side: &Routing, dst: Var, src: Var) -> Var {
         let src_n = tape.l2_normalize_heads(src, 1e-9, NUM_FACTORS);
         // The last iteration's sources feed only the propagation, which
         // reads them in place; earlier ones also feed `tanh` below.
-        let src_e = if last { Rows::src(src_n, edges) } else { Rows::Edge(tape.gather(src_n, Rc::clone(&edges.src))) };
+        let src_e = if last {
+            Rows::src(src_n, edges)
+        } else {
+            Rows::Edge(tape.gather(src_n, Rc::clone(&edges.src)))
+        };
         let msg = tape.segment_weighted_sum(w, src_e.clone(), Rc::clone(&edges.seg));
         let refreshed = tape.add(dst, msg);
         out = tape.l2_normalize_heads(refreshed, 1e-9, NUM_FACTORS);
@@ -175,9 +179,8 @@ impl Dgcf {
     ) {
         let (mut params, st) = dgcf_build_state(&self.cfg, data, seed);
         let d = self.cfg.dim;
-        let refresh = |params: &ParamSet| {
-            Scorer::from_forward(|tape| dgcf_forward(&st, d, tape, params))
-        };
+        let refresh =
+            |params: &ParamSet| Scorer::from_forward(|tape| dgcf_forward(&st, d, tape, params));
         let mut trainer = self.cfg.trainer(&data.graph, seed);
         self.loss_history.clear();
         // The trainer's pool serves the per-epoch scorer refresh too.
@@ -236,7 +239,10 @@ struct DisenState {
 
 /// Aspect-wise relation attention + semantic combination for one target
 /// node family.
-#[expect(clippy::too_many_arguments, reason = "the families, the target, its two source tables and their sizes")]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the families, the target, its two source tables and their sizes"
+)]
 fn disen_aggregate<R: Recorder>(
     tape: &mut R,
     params: &ParamSet,
@@ -330,23 +336,17 @@ fn disen_build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (ParamS
             edges: EdgeList::from_csr(csr),
             w: (0..NUM_FACTORS)
                 .map(|k| {
-                    params.add(
-                        format!("{name}/w[{k}]"),
-                        Init::XavierUniform.build(dc, dc, &mut rng),
-                    )
+                    params
+                        .add(format!("{name}/w[{k}]"), Init::XavierUniform.build(dc, dc, &mut rng))
                 })
                 .collect(),
             q: params.add(format!("{name}/q"), Init::XavierUniform.build(dc, 1, &mut rng)),
         }
     };
-    let user_families = vec![
-        (make_family("social", g.ss()), false),
-        (make_family("interact_u", g.ui()), true),
-    ];
-    let item_families = vec![
-        (make_family("interact_v", g.iu()), false),
-        (make_family("knowledge", g.ir()), true),
-    ];
+    let user_families =
+        vec![(make_family("social", g.ss()), false), (make_family("interact_u", g.ui()), true)];
+    let item_families =
+        vec![(make_family("interact_v", g.iu()), false), (make_family("knowledge", g.ir()), true)];
     let st = DisenState { e_user, e_item, e_rel, user_families, item_families };
     (params, st)
 }
@@ -441,13 +441,19 @@ mod tests {
 
     /// The routing as it was written before the intent-blocked kernels:
     /// every intent a column chunk of its own, routed chunk by chunk.
-    fn route_per_intent(tape: &mut Tape, side: &Routing, dst_chunks: &[Var], src_chunks: &[Var]) -> Vec<Var> {
+    fn route_per_intent(
+        tape: &mut Tape,
+        side: &Routing,
+        dst_chunks: &[Var],
+        src_chunks: &[Var],
+    ) -> Vec<Var> {
         let edges = &side.edges;
         if edges.is_empty() {
             return dst_chunks.to_vec();
         }
         let e = edges.src.len();
-        let mut logits: Vec<Var> = (0..NUM_FACTORS).map(|_| tape.constant(Matrix::zeros(e, 1))).collect();
+        let mut logits: Vec<Var> =
+            (0..NUM_FACTORS).map(|_| tape.constant(Matrix::zeros(e, 1))).collect();
         let mut out = dst_chunks.to_vec();
         for it in 0..ROUTING_ITERS {
             let cat = tape.concat_cols(&logits);
@@ -477,12 +483,19 @@ mod tests {
         out
     }
 
-    fn dgcf_forward_per_intent(st: &DgcfState, d: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
+    fn dgcf_forward_per_intent(
+        st: &DgcfState,
+        d: usize,
+        tape: &mut Tape,
+        params: &ParamSet,
+    ) -> (Var, Var) {
         let dc = d / NUM_FACTORS;
         let eu = tape.param(params, st.e_user);
         let ev = tape.param(params, st.e_item);
-        let u_chunks: Vec<Var> = (0..NUM_FACTORS).map(|k| tape.slice_cols(eu, k * dc, (k + 1) * dc)).collect();
-        let v_chunks: Vec<Var> = (0..NUM_FACTORS).map(|k| tape.slice_cols(ev, k * dc, (k + 1) * dc)).collect();
+        let u_chunks: Vec<Var> =
+            (0..NUM_FACTORS).map(|k| tape.slice_cols(eu, k * dc, (k + 1) * dc)).collect();
+        let v_chunks: Vec<Var> =
+            (0..NUM_FACTORS).map(|k| tape.slice_cols(ev, k * dc, (k + 1) * dc)).collect();
         let u_new = route_per_intent(tape, &st.user_side, &u_chunks, &v_chunks);
         let v_new = route_per_intent(tape, &st.item_side, &v_chunks, &u_chunks);
         let u_cat = tape.concat_cols(&u_new);
@@ -501,7 +514,11 @@ mod tests {
             let cfg = BaselineConfig { dim, ..quick() };
             let step = |blocked: bool, threads: usize| {
                 parallel::set_threads(threads);
-                parallel::set_min_par_work(if threads > 1 { 1 } else { parallel::DEFAULT_MIN_PAR_WORK });
+                parallel::set_min_par_work(if threads > 1 {
+                    1
+                } else {
+                    parallel::DEFAULT_MIN_PAR_WORK
+                });
                 let (mut params, st) = dgcf_build_state(&cfg, &data, 5);
                 let mut tape = Tape::new();
                 let (users, items) = if blocked {
@@ -514,14 +531,21 @@ mod tests {
                 let loss = tape.backward_into(loss, &mut params);
                 parallel::set_threads(1);
                 parallel::set_min_par_work(parallel::DEFAULT_MIN_PAR_WORK);
-                let grads: Vec<u32> = params.ids().flat_map(|id| params.grad(id).as_slice().to_vec()).map(f32::to_bits).collect();
+                let grads: Vec<u32> = params
+                    .ids()
+                    .flat_map(|id| params.grad(id).as_slice().to_vec())
+                    .map(f32::to_bits)
+                    .collect();
                 (loss.to_bits(), grads)
             };
             let oracle = step(false, 1);
             for threads in 1..=4 {
                 for blocked in [true, false] {
                     let got = step(blocked, threads);
-                    assert_eq!(got.0, oracle.0, "dim {dim}, {threads} thread(s), blocked {blocked}: loss bits differ");
+                    assert_eq!(
+                        got.0, oracle.0,
+                        "dim {dim}, {threads} thread(s), blocked {blocked}: loss bits differ"
+                    );
                     assert!(got.1 == oracle.1, "dim {dim}, {threads} thread(s), blocked {blocked}: a parameter gradient differs in its bits");
                 }
             }

@@ -48,7 +48,13 @@ fn user_repr(st: &State, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
 
 /// Auxiliary social BPR: a user should score true friends above sampled
 /// non-friends in the social embedding space.
-fn social_loss(st: &State, tape: &mut Tape, social: Var, rng: &mut StdRng, n: usize) -> Option<Var> {
+fn social_loss(
+    st: &State,
+    tape: &mut Tape,
+    social: Var,
+    rng: &mut StdRng,
+    n: usize,
+) -> Option<Var> {
     if st.ties.is_empty() {
         return None;
     }
@@ -107,10 +113,8 @@ impl Trainable for Eatnn {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = ParamSet::new();
         let d = self.cfg.dim;
-        let e_shared =
-            params.add("e_shared", Init::Uniform(0.1).build(g.num_users(), d, &mut rng));
-        let e_social =
-            params.add("e_social", Init::Uniform(0.1).build(g.num_users(), d, &mut rng));
+        let e_shared = params.add("e_shared", Init::Uniform(0.1).build(g.num_users(), d, &mut rng));
+        let e_social = params.add("e_social", Init::Uniform(0.1).build(g.num_users(), d, &mut rng));
         let e_item = params.add("e_item", Init::Uniform(0.1).build(g.num_items(), d, &mut rng));
         let gate_w = params.add("gate_w", Init::XavierUniform.build(d, d, &mut rng));
         let gate_b = params.add("gate_b", dgnn_tensor::Matrix::zeros(1, d));

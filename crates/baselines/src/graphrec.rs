@@ -58,7 +58,10 @@ struct State {
 }
 
 /// Attention aggregation: `out[dst] = Σ_e softmax(attn(src_e, dst_e)) src_e`.
-#[expect(clippy::too_many_arguments, reason = "two parameters, two feature tables and one edge block")]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "two parameters, two feature tables and one edge block"
+)]
 fn attend(
     tape: &mut Tape,
     params: &ParamSet,
@@ -157,8 +160,12 @@ impl Trainable for GraphRec {
         let mut attn_w = Vec::new();
         let mut attn_v = Vec::new();
         for space in ["item", "social", "user"] {
-            attn_w.push(params.add(format!("attn_w/{space}"), Init::XavierUniform.build(d, d, &mut rng)));
-            attn_v.push(params.add(format!("attn_v/{space}"), Init::XavierUniform.build(d, 1, &mut rng)));
+            attn_w.push(
+                params.add(format!("attn_w/{space}"), Init::XavierUniform.build(d, d, &mut rng)),
+            );
+            attn_v.push(
+                params.add(format!("attn_v/{space}"), Init::XavierUniform.build(d, 1, &mut rng)),
+            );
         }
         let combine = params.add("combine", Init::XavierUniform.build(2 * d, d, &mut rng));
         let st = State {

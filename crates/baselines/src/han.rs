@@ -178,8 +178,10 @@ impl Trainable for Han {
                 src,
                 dst,
                 w: params.add(format!("{name}/w"), Init::XavierUniform.build(d, d, &mut rng)),
-                a_src: params.add(format!("{name}/a_src"), Init::XavierUniform.build(d, 1, &mut rng)),
-                a_dst: params.add(format!("{name}/a_dst"), Init::XavierUniform.build(d, 1, &mut rng)),
+                a_src: params
+                    .add(format!("{name}/a_src"), Init::XavierUniform.build(d, 1, &mut rng)),
+                a_dst: params
+                    .add(format!("{name}/a_dst"), Init::XavierUniform.build(d, 1, &mut rng)),
                 q: params.add(format!("{name}/q"), Init::XavierUniform.build(d, 1, &mut rng)),
             }
         };

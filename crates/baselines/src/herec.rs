@@ -82,7 +82,14 @@ fn skipgram_embeddings(
 }
 
 /// One skip-gram SGD update with label ∈ {0, 1}.
-fn sgd_pair(emb: &mut Matrix, ctx: &mut Matrix, center: usize, other: usize, label: f32, dim: usize) {
+fn sgd_pair(
+    emb: &mut Matrix,
+    ctx: &mut Matrix,
+    center: usize,
+    other: usize,
+    label: f32,
+    dim: usize,
+) {
     let mut dot = 0.0;
     for k in 0..dim {
         dot += emb[(center, k)] * ctx[(other, k)];

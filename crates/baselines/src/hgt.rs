@@ -49,7 +49,13 @@ struct State {
     num_nodes: usize,
 }
 
-fn forward<R: Recorder>(st: &State, layers: usize, dim: usize, tape: &mut R, params: &ParamSet) -> (Var, Var) {
+fn forward<R: Recorder>(
+    st: &State,
+    layers: usize,
+    dim: usize,
+    tape: &mut R,
+    params: &ParamSet,
+) -> (Var, Var) {
     let scale = 1.0 / ((dim / NUM_HEADS) as f32).sqrt();
     let mut h = tape.param(params, st.emb);
     for layer in 0..layers.max(1) {
@@ -71,7 +77,8 @@ fn forward<R: Recorder>(st: &State, layers: usize, dim: usize, tape: &mut R, par
             let logits = tape.head_dots(Rows::dst(q, edges), Rows::src(k, edges), NUM_HEADS);
             let logits = tape.scale(logits, scale);
             let alpha = tape.segment_softmax(logits, Rc::clone(&edges.seg));
-            let fam_out = tape.segment_weighted_sum(alpha, Rows::src(v, edges), Rc::clone(&edges.seg));
+            let fam_out =
+                tape.segment_weighted_sum(alpha, Rows::src(v, edges), Rc::clone(&edges.seg));
             agg = Some(match agg {
                 Some(a) => tape.add(a, fam_out),
                 None => fam_out,
@@ -190,11 +197,7 @@ fn build_state(cfg: &BaselineConfig, data: &Dataset, seed: u64) -> (State, Param
 }
 
 /// Groups a family's edges by destination over global ids.
-fn global_family_edges(
-    g: &dgnn_graph::HeteroGraph,
-    view: &UnifiedView,
-    ty: EdgeType,
-) -> EdgeList {
+fn global_family_edges(g: &dgnn_graph::HeteroGraph, view: &UnifiedView, ty: EdgeType) -> EdgeList {
     let map = |local: usize, is_src: bool| -> usize {
         match (ty, is_src) {
             (EdgeType::SocialToUser, _) => view.user(local),
@@ -272,7 +275,13 @@ mod tests {
     /// kernels and the table reads: every head sliced out of the gathered
     /// rows, scored and aggregated on its own, and the heads concatenated
     /// back.
-    fn forward_head_by_head(st: &State, layers: usize, dim: usize, tape: &mut Tape, params: &ParamSet) -> (Var, Var) {
+    fn forward_head_by_head(
+        st: &State,
+        layers: usize,
+        dim: usize,
+        tape: &mut Tape,
+        params: &ParamSet,
+    ) -> (Var, Var) {
         let head_dim = dim / NUM_HEADS;
         let scale = 1.0 / (head_dim as f32).sqrt();
         let mut h = tape.param(params, st.emb);
@@ -283,7 +292,11 @@ mod tests {
                     continue;
                 }
                 let fp = &layer_params[layer];
-                let (wq, wk, wv) = (tape.param(params, fp.wq), tape.param(params, fp.wk), tape.param(params, fp.wv));
+                let (wq, wk, wv) = (
+                    tape.param(params, fp.wq),
+                    tape.param(params, fp.wk),
+                    tape.param(params, fp.wv),
+                );
                 let (q, k, v) = (tape.matmul(h, wq), tape.matmul(h, wk), tape.matmul(h, wv));
                 let qe = tape.gather(q, Rc::clone(&edges.dst));
                 let ke = tape.gather(k, Rc::clone(&edges.src));
@@ -291,7 +304,11 @@ mod tests {
                 let mut head_outs = Vec::with_capacity(NUM_HEADS);
                 for head in 0..NUM_HEADS {
                     let (lo, hi) = (head * head_dim, (head + 1) * head_dim);
-                    let (qh, kh, vh) = (tape.slice_cols(qe, lo, hi), tape.slice_cols(ke, lo, hi), tape.slice_cols(ve, lo, hi));
+                    let (qh, kh, vh) = (
+                        tape.slice_cols(qe, lo, hi),
+                        tape.slice_cols(ke, lo, hi),
+                        tape.slice_cols(ve, lo, hi),
+                    );
                     let logits = tape.row_dots(qh, kh);
                     let logits = tape.scale(logits, scale);
                     let alpha = tape.segment_softmax(logits, Rc::clone(&edges.seg));
@@ -330,7 +347,11 @@ mod tests {
             let loss = bpr_from_embeddings(&mut tape, users, items, &idx);
             params.zero_grads();
             let loss = tape.backward_into(loss, &mut params);
-            let grads: Vec<u32> = params.ids().flat_map(|id| params.grad(id).as_slice().to_vec()).map(f32::to_bits).collect();
+            let grads: Vec<u32> = params
+                .ids()
+                .flat_map(|id| params.grad(id).as_slice().to_vec())
+                .map(f32::to_bits)
+                .collect();
             (loss.to_bits(), grads)
         };
         let (blocked, by_head) = (step(true), step(false));

@@ -38,11 +38,7 @@ struct State {
 }
 
 /// Groups a family's `(dst, src)` edges by destination over global ids.
-fn family_edges(
-    g: &dgnn_graph::HeteroGraph,
-    view: &UnifiedView,
-    ty: EdgeType,
-) -> FamilyEdges {
+fn family_edges(g: &dgnn_graph::HeteroGraph, view: &UnifiedView, ty: EdgeType) -> FamilyEdges {
     let to_global = |local: usize, is_src: bool| -> usize {
         match (ty, is_src) {
             (EdgeType::SocialToUser, _) => view.user(local),
@@ -159,14 +155,17 @@ impl Trainable for Kgat {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = ParamSet::new();
         let d = self.cfg.dim;
-        let emb =
-            params.add("emb", Init::Uniform(0.1).build(view.num_nodes(), d, &mut rng));
+        let emb = params.add("emb", Init::Uniform(0.1).build(view.num_nodes(), d, &mut rng));
         let mut rel_emb = Vec::new();
         let mut rel_w = Vec::new();
         let mut families = Vec::new();
         for ty in EdgeType::ALL {
-            rel_emb.push(params.add(format!("rel_emb/{ty:?}"), Init::Uniform(0.1).build(1, d, &mut rng)));
-            rel_w.push(params.add(format!("rel_w/{ty:?}"), Init::XavierUniform.build(d, d, &mut rng)));
+            rel_emb.push(
+                params.add(format!("rel_emb/{ty:?}"), Init::Uniform(0.1).build(1, d, &mut rng)),
+            );
+            rel_w.push(
+                params.add(format!("rel_w/{ty:?}"), Init::XavierUniform.build(d, d, &mut rng)),
+            );
             families.push(family_edges(g, &view, ty));
         }
         let st = State {

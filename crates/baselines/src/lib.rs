@@ -85,13 +85,12 @@ mod tests {
     #[test]
     fn roster_matches_table_ii_order() {
         let cfg = BaselineConfig::default();
-        let names: Vec<String> =
-            all_models(&cfg).iter().map(|m| m.name().to_string()).collect();
+        let names: Vec<String> = all_models(&cfg).iter().map(|m| m.name().to_string()).collect();
         assert_eq!(
             names,
             vec![
-                "SAMN", "EATNN", "DiffNet", "GraphRec", "NGCF", "GCCF", "DGRec", "KGAT",
-                "DGCF", "DisenHAN", "HAN", "HGT", "HERec", "MHCN",
+                "SAMN", "EATNN", "DiffNet", "GraphRec", "NGCF", "GCCF", "DGRec", "KGAT", "DGCF",
+                "DisenHAN", "HAN", "HGT", "HERec", "MHCN",
             ]
         );
     }

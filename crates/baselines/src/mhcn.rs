@@ -157,11 +157,7 @@ fn build_channels(g: &dgnn_graph::HeteroGraph) -> Vec<Csr> {
 
     let co = compose(g.ui(), g.iu(), MOTIF_CAP);
 
-    vec![
-        triangles.build().row_normalized(),
-        joint.build().row_normalized(),
-        co.row_normalized(),
-    ]
+    vec![triangles.build().row_normalized(), joint.build().row_normalized(), co.row_normalized()]
 }
 
 fn intersect_count(a: &[usize], b: &[usize]) -> usize {

@@ -54,10 +54,9 @@ fn build_state(
     let mut w1 = Vec::new();
     let mut w2 = Vec::new();
     for l in 0..cfg.layers {
-        w1.push(params.add(
-            format!("w1[{l}]"),
-            Init::XavierUniform.build(cfg.dim, cfg.dim, &mut rng),
-        ));
+        w1.push(
+            params.add(format!("w1[{l}]"), Init::XavierUniform.build(cfg.dim, cfg.dim, &mut rng)),
+        );
         // GCCF's linear convolution has no feature-interaction term, so W₂
         // would be registered but never reach the loss — the graph auditor
         // flags exactly this as an UnusedParam. Register it for NGCF only

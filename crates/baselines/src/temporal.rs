@@ -173,17 +173,11 @@ impl Trainable for DgRec {
         for it in g.interactions() {
             per_user[it.user as usize].push((it.time, it.item));
         }
-        let mut session: Vec<Vec<usize>> =
-            vec![vec![0usize; g.num_users()]; SESSION_LEN];
+        let mut session: Vec<Vec<usize>> = vec![vec![0usize; g.num_users()]; SESSION_LEN];
         for (u, events) in per_user.iter_mut().enumerate() {
             events.sort_unstable();
-            let recent: Vec<usize> = events
-                .iter()
-                .rev()
-                .take(SESSION_LEN)
-                .rev()
-                .map(|&(_, v)| v as usize)
-                .collect();
+            let recent: Vec<usize> =
+                events.iter().rev().take(SESSION_LEN).rev().map(|&(_, v)| v as usize).collect();
             for t in 0..SESSION_LEN {
                 let idx = if recent.is_empty() {
                     0

@@ -43,7 +43,8 @@ fn fixture(nodes: usize, edges: usize) -> Fixture {
         b.push(rng.gen_range(0..nodes), rng.gen_range(0..nodes), 1.0);
     }
     let adj = b.build().row_normalized();
-    let (edges, adj_w) = (EdgeList::from_csr(&adj), Matrix::from_vec(adj.nnz(), 1, adj.values().to_vec()));
+    let (edges, adj_w) =
+        (EdgeList::from_csr(&adj), Matrix::from_vec(adj.nnz(), 1, adj.values().to_vec()));
     Fixture { h, w1, w1_stack, w2, adj, edges, adj_w }
 }
 
@@ -53,7 +54,11 @@ fn fixture(nodes: usize, edges: usize) -> Fixture {
 fn factored(f: &Fixture) -> Matrix {
     let eta = f.h.matmul(&f.w2).leaky_relu(0.2);
     let msg = f.h.matmul(&f.w1_stack).weighted_block_sum(&eta);
-    Matrix::segment_weighted_sum(&f.adj_w, EdgeRows::new(&msg, RowRead::Src(&f.edges)), &f.edges.seg)
+    Matrix::segment_weighted_sum(
+        &f.adj_w,
+        EdgeRows::new(&msg, RowRead::Src(&f.edges)),
+        &f.edges.seg,
+    )
 }
 
 /// Naive per-edge materialization: for every edge, blend the |M| transforms

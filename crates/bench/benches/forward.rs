@@ -15,11 +15,8 @@ fn bench_one_epoch(c: &mut Criterion) {
 
     group.bench_function("DGNN", |b| {
         b.iter(|| {
-            let mut m = Dgnn::new(DgnnConfig {
-                epochs: 1,
-                batch_size: 512,
-                ..DgnnConfig::default()
-            });
+            let mut m =
+                Dgnn::new(DgnnConfig { epochs: 1, batch_size: 512, ..DgnnConfig::default() });
             m.fit(black_box(&data), 7);
             black_box(m.loss_history.clone())
         })

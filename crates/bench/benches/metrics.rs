@@ -21,10 +21,7 @@ impl Recommender for FixedEmbeddings {
     }
     fn score(&self, user: usize, items: &[usize]) -> Vec<f32> {
         let u = self.user.row(user);
-        items
-            .iter()
-            .map(|&v| self.item.row(v).iter().zip(u).map(|(&a, &b)| a * b).sum())
-            .collect()
+        items.iter().map(|&v| self.item.row(v).iter().zip(u).map(|(&a, &b)| a * b).sum()).collect()
     }
 }
 

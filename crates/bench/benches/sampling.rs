@@ -12,14 +12,10 @@ fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("negative_sampling");
     for ds in datasets(SEEDS[0]) {
         let sampler = TrainSampler::new(&ds.graph);
-        group.bench_with_input(
-            BenchmarkId::new("batch_2048", &ds.name),
-            &sampler,
-            |b, sampler| {
-                let mut rng = StdRng::seed_from_u64(5);
-                b.iter(|| black_box(sampler.batch(&mut rng, 2048)))
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("batch_2048", &ds.name), &sampler, |b, sampler| {
+            let mut rng = StdRng::seed_from_u64(5);
+            b.iter(|| black_box(sampler.batch(&mut rng, 2048)))
+        });
     }
     group.finish();
 }

@@ -22,8 +22,9 @@ fn bench_score(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     for (items, dim, shard_rows) in [(16_384usize, 64usize, 4_096usize), (3_500, 48, 3_500)] {
         let users = Init::Uniform(0.1).build(USERS, dim, &mut rng);
-        let shards: Vec<Matrix> =
-            (0..items / shard_rows).map(|_| Init::Uniform(0.1).build(shard_rows, dim, &mut rng)).collect();
+        let shards: Vec<Matrix> = (0..items / shard_rows)
+            .map(|_| Init::Uniform(0.1).build(shard_rows, dim, &mut rng))
+            .collect();
         let packed: Vec<PackedPanels> = shards.iter().map(PackedPanels::pack).collect();
         let panels: Vec<&PackedPanels> = packed.iter().collect();
         let mut group = c.benchmark_group(format!("score/{items}x{dim}"));

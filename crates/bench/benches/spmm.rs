@@ -34,18 +34,14 @@ fn bench_spmm(c: &mut Criterion) {
 fn bench_transpose(c: &mut Criterion) {
     let ds = datasets(SEEDS[0]).remove(2); // yelp-s: largest
     let adj = ds.graph.unified_adj(true, true);
-    c.bench_function("csr_transpose_unified_yelp", |b| {
-        b.iter(|| black_box(adj.transpose()))
-    });
+    c.bench_function("csr_transpose_unified_yelp", |b| b.iter(|| black_box(adj.transpose())));
 }
 
 fn bench_dense_matmul(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let a = Init::Uniform(0.1).build(2000, 16, &mut rng);
     let w: Matrix = Init::XavierUniform.build(16, 16, &mut rng);
-    c.bench_function("dense_2000x16_by_16x16", |b| {
-        b.iter(|| black_box(a.matmul(black_box(&w))))
-    });
+    c.bench_function("dense_2000x16_by_16x16", |b| b.iter(|| black_box(a.matmul(black_box(&w)))));
 }
 
 criterion_group!(benches, bench_spmm, bench_transpose, bench_dense_matmul);

@@ -44,7 +44,7 @@ use dgnn_core::{Dgnn, DgnnConfig};
 use dgnn_data::{tiny, Dataset, TrainSampler};
 use dgnn_eval::Trainable;
 use dgnn_obs::export::{chrome_trace, events_to_jsonl, snapshot_to_json, span_totals};
-use dgnn_obs::{SpanEvent, Snapshot};
+use dgnn_obs::{Snapshot, SpanEvent};
 use dgnn_tensor::gemm;
 use dgnn_tensor::{alloc_counters, reset_alloc_counters};
 
@@ -75,13 +75,7 @@ fn backend_code(be: gemm::Backend) -> f64 {
 }
 
 fn quick_baseline() -> BaselineConfig {
-    BaselineConfig {
-        dim: 8,
-        layers: 2,
-        epochs: 4,
-        batch_size: 256,
-        ..Default::default()
-    }
+    BaselineConfig { dim: 8, layers: 2, epochs: 4, batch_size: 256, ..Default::default() }
 }
 
 fn quick_dgnn() -> DgnnConfig {
@@ -197,8 +191,7 @@ fn main() -> ExitCode {
     let data = tiny(SEED);
     let bcfg = quick_baseline();
     let dcfg = quick_dgnn();
-    let batches =
-        TrainSampler::new(&data.graph).num_positives().div_ceil(bcfg.batch_size).max(1);
+    let batches = TrainSampler::new(&data.graph).num_positives().div_ceil(bcfg.batch_size).max(1);
     let steps = (batches * bcfg.epochs) as u64;
 
     // Reference runs with observability off (DGNN only). The untimed
@@ -253,7 +246,7 @@ fn main() -> ExitCode {
     let profiles = vec![
         profile_model(
             "DGNN",
-        &mut Dgnn::new(dcfg),
+            &mut Dgnn::new(dcfg),
             &data,
             steps,
             Some(sps_disabled),

@@ -264,7 +264,10 @@ fn write_csv(path: &Path, header: &str, lines: impl Iterator<Item = String>) -> 
     Ok(())
 }
 
-#[expect(clippy::panic, reason = "every name the table uses is one `datasets` generates (pinned by a unit test)")]
+#[expect(
+    clippy::panic,
+    reason = "every name the table uses is one `datasets` generates (pinned by a unit test)"
+)]
 fn dataset<'a>(data: &'a [Dataset], name: &str) -> &'a Dataset {
     data.iter().find(|d| d.name == name).unwrap_or_else(|| panic!("no dataset named {name}"))
 }

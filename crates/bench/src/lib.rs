@@ -75,7 +75,10 @@ pub fn run_cell(model: &mut dyn Trainable, data: &Dataset, seed: u64) -> CellRes
 }
 
 /// Index into [`CellResult::metrics`] for a cutoff in {5, 10, 20}.
-#[expect(clippy::panic, reason = "the cutoff set is a compile-time constant; any other value is a caller bug")]
+#[expect(
+    clippy::panic,
+    reason = "the cutoff set is a compile-time constant; any other value is a caller bug"
+)]
 pub(crate) fn cutoff_index(n: usize) -> usize {
     dgnn_eval::TOP_NS
         .iter()

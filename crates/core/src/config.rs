@@ -173,10 +173,7 @@ impl DgnnConfig {
         assert!(self.memory_units > 0, "memory_units must be positive");
         assert!(self.batch_size > 0, "batch_size must be positive");
         assert!(self.learning_rate > 0.0, "learning_rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&self.leaky_slope),
-            "leaky_slope must be in [0, 1)"
-        );
+        assert!((0.0..1.0).contains(&self.leaky_slope), "leaky_slope must be in [0, 1)");
     }
 }
 

@@ -187,7 +187,10 @@ impl Dgnn {
         match kind {
             MemoryBankKind::SocialToUser => &self.attn_social,
             MemoryBankKind::UserToItem => &self.attn_interaction,
-            #[expect(clippy::panic, reason = "item-side banks are never dumped; asking for one is a caller bug")]
+            #[expect(
+                clippy::panic,
+                reason = "item-side banks are never dumped; asking for one is a caller bug"
+            )]
             other => panic!("memory_attention: only user-side banks are dumped, got {other:?}"),
         }
     }
@@ -294,10 +297,11 @@ impl Dgnn {
             // unit's scale by sqrt(2 / (|M| + 1)).
             let units: Vec<Matrix> =
                 (0..m).map(|_| Init::XavierUniform.build(d, d, &mut rng)).collect();
-            let w1 = params
-                .add(format!("{kind:?}/w1"), Matrix::concat_cols(&units.iter().collect::<Vec<_>>()));
-            let w2 = params
-                .add(format!("{kind:?}/w2"), Init::XavierUniform.build(d, m, &mut rng));
+            let w1 = params.add(
+                format!("{kind:?}/w1"),
+                Matrix::concat_cols(&units.iter().collect::<Vec<_>>()),
+            );
+            let w2 = params.add(format!("{kind:?}/w2"), Init::XavierUniform.build(d, m, &mut rng));
             let bias = params.add(format!("{kind:?}/b"), Matrix::zeros(1, m));
             banks.push(Bank { w1, w2, bias });
         }
@@ -322,8 +326,16 @@ impl Dgnn {
         }
 
         let adj = build_adjacencies(g, cfg);
-        self.handles =
-            Some(Handles { e_user, e_item, e_rel, banks, ln, ln_rel, adj, num_rels: g.num_relations() });
+        self.handles = Some(Handles {
+            e_user,
+            e_item,
+            e_rel,
+            banks,
+            ln,
+            ln_rel,
+            adj,
+            num_rels: g.num_relations(),
+        });
         self.params = params;
     }
 
@@ -343,7 +355,10 @@ impl Dgnn {
     /// Panics if the model has not been trained.
     pub fn export_checkpoint(&self, dataset: &str) -> dgnn_serve::Checkpoint {
         assert!(!self.user_scoring.is_empty(), "export_checkpoint before fit");
-        #[expect(clippy::expect_used, reason = "user_scoring is set only by finalize, after init_params")]
+        #[expect(
+            clippy::expect_used,
+            reason = "user_scoring is set only by finalize, after init_params"
+        )]
         let handles = self.handles.as_ref().expect("trained model has handles");
         let mut ckpt = dgnn_serve::Checkpoint::new();
         ckpt.set_meta("model", self.name());
@@ -417,9 +432,7 @@ impl Dgnn {
         // The scorer dots user_scoring rows against item_final rows, so the
         // two caches must agree on width (the *concatenated* final dim —
         // wider than cfg/dim, which is the per-layer width).
-        if model.user_scoring.cols() != model.item_final.cols()
-            || model.user_scoring.is_empty()
-        {
+        if model.user_scoring.cols() != model.item_final.cols() || model.user_scoring.is_empty() {
             return Err(CheckpointError::BadShape(format!(
                 "scoring dims disagree: user {} vs item {}",
                 model.user_scoring.cols(),
@@ -432,7 +445,10 @@ impl Dgnn {
     /// Recomputes and caches the final embeddings and attention dumps from
     /// the current parameters.
     fn finalize(&mut self) {
-        #[expect(clippy::expect_used, reason = "fit_epochs, the only caller, runs init_params first")]
+        #[expect(
+            clippy::expect_used,
+            reason = "fit_epochs, the only caller, runs init_params first"
+        )]
         let handles = self.handles.as_ref().expect("finalize after init");
         let mut tape = Tape::new();
         let fwd = forward(&mut tape, &self.params, handles, &self.cfg);
@@ -566,8 +582,7 @@ fn forward<R: Recorder>(tape: &mut R, params: &ParamSet, h: &Handles, cfg: &Dgnn
         // -- per-source transformed messages (the factored Eq. 3) --------
         let (msg_social, attn_social) =
             encode(tape, params, bank(MemoryBankKind::SocialToUser), hu, cfg);
-        let (msg_item_to_user, _) =
-            encode(tape, params, bank(MemoryBankKind::ItemToUser), hv, cfg);
+        let (msg_item_to_user, _) = encode(tape, params, bank(MemoryBankKind::ItemToUser), hv, cfg);
         let (msg_user_to_item, attn_interaction) =
             encode(tape, params, bank(MemoryBankKind::UserToItem), hu, cfg);
         last_attn_social = Some(attn_social);
@@ -746,7 +761,14 @@ mod tests {
     use dgnn_eval::evaluate_at;
 
     fn quick_cfg() -> DgnnConfig {
-        DgnnConfig { dim: 8, layers: 2, memory_units: 4, epochs: 5, batch_size: 256, ..DgnnConfig::default() }
+        DgnnConfig {
+            dim: 8,
+            layers: 2,
+            memory_units: 4,
+            epochs: 5,
+            batch_size: 256,
+            ..DgnnConfig::default()
+        }
     }
 
     #[test]

@@ -61,10 +61,8 @@ impl Pretrainer {
             params.add("pre/user", Init::Uniform(0.1).build(g.num_users(), self.dim, &mut rng));
         let item =
             params.add("pre/item", Init::Uniform(0.1).build(g.num_items(), self.dim, &mut rng));
-        let rel = params.add(
-            "pre/rel",
-            Init::Uniform(0.1).build(g.num_relations().max(1), self.dim, &mut rng),
-        );
+        let rel = params
+            .add("pre/rel", Init::Uniform(0.1).build(g.num_relations().max(1), self.dim, &mut rng));
         let mut adam = Adam::new(self.learning_rate, 1e-5);
 
         // Flatten the side relations once.
@@ -73,11 +71,8 @@ impl Pretrainer {
             ties.push((a as usize, b as usize));
             ties.push((b as usize, a as usize));
         }
-        let links: Vec<(usize, usize)> = g
-            .item_relations()
-            .iter()
-            .map(|&(v, r)| (v as usize, r as usize))
-            .collect();
+        let links: Vec<(usize, usize)> =
+            g.item_relations().iter().map(|&(v, r)| (v as usize, r as usize)).collect();
 
         let _pool = PoolScope::open();
         for _ in 0..self.epochs {

@@ -64,10 +64,7 @@ impl BprTrainer {
         if threads > 0 {
             dgnn_tensor::parallel::set_threads(threads);
         }
-        dgnn_obs::gauge_set(
-            "parallel/threads",
-            dgnn_tensor::parallel::current_threads() as f64,
-        );
+        dgnn_obs::gauge_set("parallel/threads", dgnn_tensor::parallel::current_threads() as f64);
         let sampler = TrainSampler::new(graph);
         let batches = sampler.num_positives().div_ceil(loop_cfg.batch_size).max(1);
         Self { sampler, loop_cfg, batches, adam, rng, _pool: PoolScope::open() }

@@ -66,8 +66,7 @@ impl Dataset {
             }
         }
 
-        let mut builder =
-            HeteroGraphBuilder::new(num_users, num_items, full.num_relations());
+        let mut builder = HeteroGraphBuilder::new(num_users, num_items, full.num_relations());
         for &(a, b) in full.social_ties() {
             builder.social_tie(a as usize, b as usize);
         }
@@ -81,8 +80,8 @@ impl Dataset {
             // Match on the item, not the exact record: a duplicate
             // (user, item) pair at an earlier timestamp would otherwise
             // leak the held-out positive into the training graph.
-            let held_out = history[u] > min_history
-                && latest[u].is_some_and(|pos| it.item == pos.item);
+            let held_out =
+                history[u] > min_history && latest[u].is_some_and(|pos| it.item == pos.item);
             if !held_out {
                 builder.interaction(u, it.item as usize, it.time);
             }
@@ -104,8 +103,7 @@ impl Dataset {
             let pool: Vec<u32> =
                 (0..num_items as u32).filter(|&v| !interacted[v as usize]).collect();
             let take = num_negatives.min(pool.len());
-            let negatives: Vec<u32> =
-                pool.choose_multiple(rng, take).copied().collect();
+            let negatives: Vec<u32> = pool.choose_multiple(rng, take).copied().collect();
             test.push(TestInstance { user: u as u32, pos_item: pos.item, negatives });
         }
 
@@ -227,8 +225,7 @@ mod tests {
 
     #[test]
     fn candidates_lead_with_positive() {
-        let inst =
-            TestInstance { user: 0, pos_item: 9, negatives: vec![1, 2, 3] };
+        let inst = TestInstance { user: 0, pos_item: 9, negatives: vec![1, 2, 3] };
         let c: Vec<u32> = inst.candidates().collect();
         assert_eq!(c, vec![9, 1, 2, 3]);
     }

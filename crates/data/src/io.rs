@@ -58,13 +58,7 @@ impl From<io::Error> for ParseError {
 /// Serializes a graph to the text format.
 pub fn write_graph(g: &HeteroGraph) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "meta {} {} {}",
-        g.num_users(),
-        g.num_items(),
-        g.num_relations()
-    );
+    let _ = writeln!(out, "meta {} {} {}", g.num_users(), g.num_items(), g.num_relations());
     for it in g.interactions() {
         let _ = writeln!(out, "y {} {} {}", it.user, it.item, it.time);
     }
@@ -121,8 +115,7 @@ pub fn read_graph(text: &str) -> Result<HeteroGraph, ParseError> {
                 })?;
                 match tag {
                     "y" => {
-                        let (u, v, t) =
-                            (field("user")?, field("item")?, field("time")?);
+                        let (u, v, t) = (field("user")?, field("item")?, field("time")?);
                         b.interaction(u, v, t as u32);
                     }
                     "s" => {

@@ -83,10 +83,7 @@ mod tests {
 
     fn graph() -> HeteroGraph {
         let mut b = HeteroGraphBuilder::new(3, 20, 1);
-        b.interaction(0, 0, 0)
-            .interaction(0, 1, 1)
-            .interaction(1, 5, 0)
-            .interaction(2, 9, 0);
+        b.interaction(0, 0, 0).interaction(0, 1, 1).interaction(1, 5, 0).interaction(2, 9, 0);
         b.build()
     }
 

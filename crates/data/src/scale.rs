@@ -119,7 +119,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Independent RNG stream for (`seed`, `role`, shard): any shard's stream
 /// is reproducible without generating any other shard.
 fn shard_rng(seed: u64, role: u64, shard: u64) -> StdRng {
-    let stream = splitmix64(seed ^ splitmix64(role.wrapping_mul(0x517C_C1B7_2722_0A95).wrapping_add(shard)));
+    let stream =
+        splitmix64(seed ^ splitmix64(role.wrapping_mul(0x517C_C1B7_2722_0A95).wrapping_add(shard)));
     StdRng::seed_from_u64(stream)
 }
 
@@ -202,7 +203,14 @@ impl ScaleSpec {
             }
             seen_indptr.push(seen_items.len() as u32);
         }
-        ScaleShard { index: s, lo, hi, emb: Matrix::from_vec(rows, self.dim, emb), seen_indptr, seen_items }
+        ScaleShard {
+            index: s,
+            lo,
+            hi,
+            emb: Matrix::from_vec(rows, self.dim, emb),
+            seen_indptr,
+            seen_items,
+        }
     }
 
     /// Generates item shard `s` from its own RNG stream.

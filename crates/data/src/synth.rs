@@ -62,9 +62,8 @@ impl WorldSpec {
         let d = self.factor_dim;
 
         // Category prototypes: random unit-ish vectors.
-        let protos: Vec<Vec<f32>> = (0..self.num_categories)
-            .map(|_| normal_vec(rng, d, 1.0))
-            .collect();
+        let protos: Vec<Vec<f32>> =
+            (0..self.num_categories).map(|_| normal_vec(rng, d, 1.0)).collect();
 
         // Items: category assignment (roughly balanced) + noisy prototype.
         let mut item_cat = Vec::with_capacity(self.num_items);
@@ -139,10 +138,8 @@ impl WorldSpec {
                 if pool.is_empty() {
                     continue; // all draws were duplicates; redraw
                 }
-                let logits: Vec<f32> = pool
-                    .iter()
-                    .map(|&v| self.beta * dot(factor, &item_factor[v]))
-                    .collect();
+                let logits: Vec<f32> =
+                    pool.iter().map(|&v| self.beta * dot(factor, &item_factor[v])).collect();
                 let pick = pool[sample_softmax(rng, &logits)];
                 builder.interaction(u, pick, t);
                 chosen.push(pick);

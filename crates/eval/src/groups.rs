@@ -61,11 +61,8 @@ pub fn evaluate_by_group(
     let mut metrics = [RankingMetrics::default(); NUM_GROUPS];
     let mut test_users = [0usize; NUM_GROUPS];
     for g in 0..NUM_GROUPS {
-        let subset: Vec<TestInstance> = test
-            .iter()
-            .filter(|c| assignment[c.user as usize] == g)
-            .cloned()
-            .collect();
+        let subset: Vec<TestInstance> =
+            test.iter().filter(|c| assignment[c.user as usize] == g).cloned().collect();
         test_users[g] = subset.len();
         if !subset.is_empty() {
             metrics[g] = evaluate_at(model, &subset, n);

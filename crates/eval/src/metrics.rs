@@ -168,8 +168,7 @@ mod tests {
 
     #[test]
     fn evaluate_matches_evaluate_at_per_cutoff() {
-        let test =
-            vec![case(100, &[1, 2, 3]), case(0, &[10, 20, 30]), case(15, &[10, 20, 30])];
+        let test = vec![case(100, &[1, 2, 3]), case(0, &[10, 20, 30]), case(15, &[10, 20, 30])];
         let all = evaluate(&Oracle, &test);
         for (i, &n) in TOP_NS.iter().enumerate() {
             let single = evaluate_at(&Oracle, &test, n);
@@ -179,8 +178,7 @@ mod tests {
 
     #[test]
     fn metrics_are_monotone_in_n() {
-        let test =
-            vec![case(100, &[1, 2, 3]), case(0, &[10, 20, 30]), case(15, &[10, 20, 30])];
+        let test = vec![case(100, &[1, 2, 3]), case(0, &[10, 20, 30]), case(15, &[10, 20, 30])];
         let all = evaluate(&Oracle, &test);
         assert!(all[0].hr <= all[1].hr && all[1].hr <= all[2].hr);
         assert!(all[0].ndcg <= all[1].ndcg && all[1].ndcg <= all[2].ndcg);

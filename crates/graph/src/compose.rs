@@ -32,7 +32,10 @@ pub fn compose(a: &Csr, b: &Csr, max_per_row: usize) -> Csr {
         if r < acc.len() && acc[r] != 0.0 {
             acc[r] = 0.0;
         }
-        #[expect(clippy::expect_used, reason = "path counts are sums of products of finite weights")]
+        #[expect(
+            clippy::expect_used,
+            reason = "path counts are sums of products of finite weights"
+        )]
         if touched.len() > max_per_row {
             touched.sort_unstable_by(|&x, &y| {
                 acc[y].partial_cmp(&acc[x]).expect("path counts are finite")

@@ -32,7 +32,10 @@ pub fn thread_cpu_ns() -> Option<u64> {
     const CLOCK_THREAD_CPUTIME_ID: i64 = 3;
     let mut ts = [0i64; 2]; // struct timespec { tv_sec, tv_nsec }, both i64 on x86_64
     let ret: i64;
-    #[expect(clippy::inline_asm_x86_intel_syntax, reason = "a raw clock_gettime syscall, not data-path vector code")]
+    #[expect(
+        clippy::inline_asm_x86_intel_syntax,
+        reason = "a raw clock_gettime syscall, not data-path vector code"
+    )]
     // SAFETY: raw clock_gettime(2) syscall; the kernel writes exactly one
     // 16-byte timespec to `ts`, which is a valid, aligned, live 2×i64
     // buffer, and the asm clobbers only rax/rcx/r11 as the x86_64 syscall
@@ -48,8 +51,7 @@ pub fn thread_cpu_ns() -> Option<u64> {
             options(nostack),
         );
     }
-    (ret == 0)
-        .then(|| (ts[0] as u64).saturating_mul(1_000_000_000).saturating_add(ts[1] as u64))
+    (ret == 0).then(|| (ts[0] as u64).saturating_mul(1_000_000_000).saturating_add(ts[1] as u64))
 }
 
 /// See the x86_64-linux implementation; no precise source on this target.

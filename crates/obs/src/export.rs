@@ -414,8 +414,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_required_fields() {
-        let events =
-            [ev("epoch", SpanPhase::Begin, 1000, 0), ev("epoch", SpanPhase::End, 3500, 0)];
+        let events = [ev("epoch", SpanPhase::Begin, 1000, 0), ev("epoch", SpanPhase::End, 3500, 0)];
         let t = chrome_trace(&[("DGNN", &events)]);
         assert!(t.starts_with("{\"traceEvents\":["));
         assert!(t.contains("\"ph\":\"B\""));
@@ -549,8 +548,7 @@ serve_latency_ms_count 3
         assert_eq!(find("qps").value, 9.25);
         assert_eq!(find("lat_count").value, 4.0);
         assert_eq!(find("lat_sum").value, 68.5);
-        let buckets: Vec<&PromSample> =
-            samples.iter().filter(|p| p.name == "lat_bucket").collect();
+        let buckets: Vec<&PromSample> = samples.iter().filter(|p| p.name == "lat_bucket").collect();
         assert_eq!(buckets.last().and_then(|p| p.label("le")), Some("+Inf"));
         assert_eq!(buckets.last().map(|p| p.value), Some(4.0));
         // Cumulative bucket counts never decrease.

@@ -222,7 +222,10 @@ mod tests {
         let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         flight_clear();
         flight_record(FlightKind::Mark, 1, 0);
-        #[expect(clippy::disallowed_methods, reason = "a cross-thread tagging probe, not kernel work")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a cross-thread tagging probe, not kernel work"
+        )]
         std::thread::spawn(|| flight_record(FlightKind::Mark, 2, 0))
             .join()
             .expect("probe thread must not panic");

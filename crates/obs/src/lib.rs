@@ -67,8 +67,8 @@ mod span;
 
 pub use clock::{now_ns, thread_cpu_ns};
 pub use flight::{
-    flight_clear, flight_dump_jsonl, flight_record, flight_snapshot, flight_to_jsonl,
-    flight_total, FlightEvent, FlightKind, FLIGHT_CAPACITY,
+    flight_clear, flight_dump_jsonl, flight_record, flight_snapshot, flight_to_jsonl, flight_total,
+    FlightEvent, FlightKind, FLIGHT_CAPACITY,
 };
 pub use metrics::{counter_add, gauge_set, hist_record, HistStat, Snapshot};
 pub use ops::{record_op, OpPhase, OpStat};

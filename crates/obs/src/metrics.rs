@@ -43,7 +43,6 @@ impl HistStat {
     fn new(v: f64) -> Self {
         Self { count: 1, sum: v, min: v, max: v }
     }
-
 }
 
 /// Point-in-time copy of the whole registry (metrics + per-op profiles).

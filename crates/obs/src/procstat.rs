@@ -57,7 +57,10 @@ mod imp {
         let mut buf = [0u8; 128];
         // A positional read of procfs at offset 0 gives a fresh snapshot per
         // call without seek state, into a fixed stack array (zero-alloc path).
-        #[expect(clippy::disallowed_methods, reason = "gauge plumbing reading procfs, not segment I/O")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "gauge plumbing reading procfs, not segment I/O"
+        )]
         let n = file.read_at(&mut buf, 0).ok()?;
         // statm: "size resident shared text lib data dt" in pages; we want
         // field 2 (resident).
@@ -107,15 +110,17 @@ pub const RSS_GAUGE: &str = "proc/rss_bytes";
 pub const PEAK_RSS_GAUGE: &str = "proc/peak_rss_bytes";
 
 /// Registered-handle cache so repeated publishes skip the registry lock.
-static GAUGES: OnceLock<(&'static crate::shared::SharedGauge, &'static crate::shared::SharedGauge)> =
-    OnceLock::new();
+static GAUGES: OnceLock<(
+    &'static crate::shared::SharedGauge,
+    &'static crate::shared::SharedGauge,
+)> = OnceLock::new();
 
 /// Samples RSS and publishes `proc/rss_bytes` + `proc/peak_rss_bytes`
 /// into the process-shared gauge registry (no-op off Linux).
 pub fn publish_rss() {
     let Some(rss) = rss_bytes() else { return };
-    let (cur, peak) =
-        GAUGES.get_or_init(|| (crate::shared::gauge(RSS_GAUGE), crate::shared::gauge(PEAK_RSS_GAUGE)));
+    let (cur, peak) = GAUGES
+        .get_or_init(|| (crate::shared::gauge(RSS_GAUGE), crate::shared::gauge(PEAK_RSS_GAUGE)));
     cur.set(rss as f64);
     if let Some(p) = peak_rss_bytes() {
         peak.set(p as f64);

@@ -84,8 +84,12 @@ fn atomic_f64_update(slot: &AtomicU64, v: f64, fold: impl Fn(f64, f64) -> f64) {
         if folded.to_bits() == cur {
             return;
         }
-        match slot.compare_exchange_weak(cur, folded.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
+        match slot.compare_exchange_weak(
+            cur,
+            folded.to_bits(),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
             Ok(_) => return,
             Err(seen) => cur = seen,
         }
@@ -298,7 +302,10 @@ mod tests {
         let before = h.count();
         let threads: Vec<_> = (0..4)
             .map(|t| {
-                #[expect(clippy::disallowed_methods, reason = "a cross-thread registry probe, not kernel work")]
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a cross-thread registry probe, not kernel work"
+                )]
                 std::thread::spawn(move || {
                     let h = hist("test_shared/race_h");
                     for i in 0..1000 {

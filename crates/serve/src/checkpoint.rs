@@ -186,7 +186,12 @@ impl Checkpoint {
     /// Appends an `f32` tensor.
     pub fn push_f32(&mut self, name: &str, rows: usize, cols: usize, data: Vec<f32>) {
         debug_assert_eq!(rows * cols, data.len(), "tensor {name}: shape/payload mismatch");
-        self.tensors.push(Tensor { name: name.to_string(), rows, cols, data: TensorData::F32(data) });
+        self.tensors.push(Tensor {
+            name: name.to_string(),
+            rows,
+            cols,
+            data: TensorData::F32(data),
+        });
     }
 
     /// Appends a dense matrix as an `f32` tensor.
@@ -196,7 +201,12 @@ impl Checkpoint {
 
     /// Appends a `u32` index tensor as a single row.
     pub fn push_u32(&mut self, name: &str, data: Vec<u32>) {
-        self.tensors.push(Tensor { name: name.to_string(), rows: 1, cols: data.len(), data: TensorData::U32(data) });
+        self.tensors.push(Tensor {
+            name: name.to_string(),
+            rows: 1,
+            cols: data.len(),
+            data: TensorData::U32(data),
+        });
     }
 
     /// Tensors in storage order.
@@ -214,7 +224,8 @@ impl Checkpoint {
     /// Errors with [`CheckpointError::MissingTensor`] when absent and
     /// [`CheckpointError::BadShape`] when the payload is not `f32`.
     pub fn matrix(&self, name: &str) -> Result<Matrix, CheckpointError> {
-        let t = self.tensor(name).ok_or_else(|| CheckpointError::MissingTensor(name.to_string()))?;
+        let t =
+            self.tensor(name).ok_or_else(|| CheckpointError::MissingTensor(name.to_string()))?;
         match &t.data {
             TensorData::F32(v) => Ok(Matrix::from_vec(t.rows, t.cols, v.clone())),
             TensorData::U32(_) => {
@@ -225,7 +236,8 @@ impl Checkpoint {
 
     /// Returns the named tensor's `u32` payload.
     pub fn u32s(&self, name: &str) -> Result<&[u32], CheckpointError> {
-        let t = self.tensor(name).ok_or_else(|| CheckpointError::MissingTensor(name.to_string()))?;
+        let t =
+            self.tensor(name).ok_or_else(|| CheckpointError::MissingTensor(name.to_string()))?;
         match &t.data {
             TensorData::U32(v) => Ok(v),
             TensorData::F32(_) => {
@@ -300,7 +312,9 @@ impl Checkpoint {
         let stored_digest = cur.u64()?;
         let meta_len = cur.u32()? as usize;
         if meta_len > MAX_META_BYTES {
-            return Err(CheckpointError::Corrupt(format!("metadata block of {meta_len} bytes exceeds cap")));
+            return Err(CheckpointError::Corrupt(format!(
+                "metadata block of {meta_len} bytes exceeds cap"
+            )));
         }
         let meta_raw = cur.take(meta_len)?;
         if fnv1a64(meta_raw) != stored_digest {
@@ -310,9 +324,9 @@ impl Checkpoint {
             .map_err(|_| CheckpointError::Corrupt("metadata is not UTF-8".into()))?;
         let mut meta = BTreeMap::new();
         for line in meta_text.lines().filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| CheckpointError::Corrupt(format!("metadata line {line:?} has no '='")))?;
+            let (k, v) = line.split_once('=').ok_or_else(|| {
+                CheckpointError::Corrupt(format!("metadata line {line:?} has no '='"))
+            })?;
             meta.insert(k.to_string(), v.to_string());
         }
         let count = cur.u32()? as usize;
@@ -324,7 +338,9 @@ impl Checkpoint {
         for _ in 0..count {
             let name_len = cur.u32()? as usize;
             if name_len > MAX_NAME_BYTES {
-                return Err(CheckpointError::Corrupt(format!("tensor name of {name_len} bytes exceeds cap")));
+                return Err(CheckpointError::Corrupt(format!(
+                    "tensor name of {name_len} bytes exceeds cap"
+                )));
             }
             let name = std::str::from_utf8(cur.take(name_len)?)
                 .map_err(|_| CheckpointError::Corrupt("tensor name is not UTF-8".into()))?
@@ -332,20 +348,34 @@ impl Checkpoint {
             let dtype = cur.u8()?;
             let rows = cur.u64()?;
             let cols = cur.u64()?;
-            let elems = rows
-                .checked_mul(cols)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| CheckpointError::Corrupt(format!("tensor {name:?} shape overflows")))?;
-            let byte_len = elems
-                .checked_mul(4)
-                .ok_or_else(|| CheckpointError::Corrupt(format!("tensor {name:?} payload overflows")))?;
+            let elems =
+                rows.checked_mul(cols).and_then(|n| usize::try_from(n).ok()).ok_or_else(|| {
+                    CheckpointError::Corrupt(format!("tensor {name:?} shape overflows"))
+                })?;
+            let byte_len = elems.checked_mul(4).ok_or_else(|| {
+                CheckpointError::Corrupt(format!("tensor {name:?} payload overflows"))
+            })?;
             // Bounds-check against the remaining bytes BEFORE allocating.
             let payload = cur.take(byte_len)?;
             crc.update(payload);
             let data = match dtype {
-                0 => TensorData::F32(payload.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()),
-                1 => TensorData::U32(payload.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()),
-                d => return Err(CheckpointError::Corrupt(format!("tensor {name:?} has unknown dtype {d}"))),
+                0 => TensorData::F32(
+                    payload
+                        .chunks_exact(4)
+                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                        .collect(),
+                ),
+                1 => TensorData::U32(
+                    payload
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                        .collect(),
+                ),
+                d => {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "tensor {name:?} has unknown dtype {d}"
+                    )))
+                }
             };
             tensors.push(Tensor { name, rows: rows as usize, cols: cols as usize, data });
         }
@@ -480,7 +510,10 @@ mod tests {
         let mut c = Checkpoint::new();
         c.set_meta("model", "TEST");
         c.set_meta("dim", "3");
-        c.push_matrix("a", &Matrix::from_vec(2, 3, vec![1.0, -2.5, 0.0, f32::MIN_POSITIVE, 3.25, -0.0]));
+        c.push_matrix(
+            "a",
+            &Matrix::from_vec(2, 3, vec![1.0, -2.5, 0.0, f32::MIN_POSITIVE, 3.25, -0.0]),
+        );
         c.push_u32("idx", vec![0, 7, 42, u32::MAX]);
         c
     }

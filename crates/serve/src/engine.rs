@@ -108,7 +108,11 @@ pub(crate) fn serving_tables(ckpt: &Checkpoint) -> Result<(UserShard, Matrix), C
     let item = ckpt.matrix("final/item")?;
     let emb = ckpt.matrix("final/user_scoring")?;
     if emb.cols() != item.cols() {
-        return Err(CheckpointError::BadShape(format!("user dim {} != item dim {}", emb.cols(), item.cols())));
+        return Err(CheckpointError::BadShape(format!(
+            "user dim {} != item dim {}",
+            emb.cols(),
+            item.cols()
+        )));
     }
     let (seen_indptr, seen_items) = match ckpt.tensor("seen/indptr") {
         Some(_) => {
@@ -127,7 +131,8 @@ pub(crate) fn serving_tables(ckpt: &Checkpoint) -> Result<(UserShard, Matrix), C
 pub(crate) fn pack_items(items: &Matrix) -> PackedPanels {
     let t0 = dgnn_obs::now_ns();
     let packed = PackedPanels::pack(items);
-    dgnn_obs::shared::hist("serve/engine/item_pack_ms").record(dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6);
+    dgnn_obs::shared::hist("serve/engine/item_pack_ms")
+        .record(dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6);
     packed
 }
 
@@ -212,7 +217,10 @@ impl Engine {
     /// or GEMM backend, so the matrix equals `Recommender::score` element
     /// for element.
     fn score(&self, users: &[usize]) -> Result<(Matrix, Vec<Option<QueryError>>), QueryError> {
-        let unavailable = |(shard, detail): (usize, String)| QueryError::ShardUnavailable { shard: shard as u32, detail };
+        let unavailable = |(shard, detail): (usize, String)| QueryError::ShardUnavailable {
+            shard: shard as u32,
+            detail,
+        };
         let mut batch = Matrix::zeros(users.len(), self.dim());
         let mut row_errs: Vec<Option<QueryError>> = vec![None; users.len()];
         for (row, &u) in users.iter().enumerate() {
@@ -308,7 +316,12 @@ impl Engine {
     }
 }
 
-pub(crate) fn validate_lists(indptr: &[u32], items: &[u32], users: usize, num_items: usize) -> Result<(), CheckpointError> {
+pub(crate) fn validate_lists(
+    indptr: &[u32],
+    items: &[u32],
+    users: usize,
+    num_items: usize,
+) -> Result<(), CheckpointError> {
     if indptr.len() != users + 1 {
         return Err(CheckpointError::BadShape(format!(
             "seen/indptr len {} (want {})",
@@ -316,8 +329,12 @@ pub(crate) fn validate_lists(indptr: &[u32], items: &[u32], users: usize, num_it
             users + 1
         )));
     }
-    if indptr.windows(2).any(|w| w[0] > w[1]) || *indptr.last().unwrap_or(&0) as usize != items.len() {
-        return Err(CheckpointError::BadShape("seen/indptr not a monotone prefix-sum of seen/items".into()));
+    if indptr.windows(2).any(|w| w[0] > w[1])
+        || *indptr.last().unwrap_or(&0) as usize != items.len()
+    {
+        return Err(CheckpointError::BadShape(
+            "seen/indptr not a monotone prefix-sum of seen/items".into(),
+        ));
     }
     if items.iter().any(|&it| it as usize >= num_items) {
         return Err(CheckpointError::BadShape("seen/items contains an out-of-range item".into()));
@@ -417,11 +434,13 @@ mod tests {
             for u in 0..30 {
                 // A batch of one: the row-vector kernel.
                 let got = e.scores_for(u).unwrap();
-                let same = got.iter().zip(want.row(u as usize)).all(|(x, y)| x.to_bits() == y.to_bits());
+                let same =
+                    got.iter().zip(want.row(u as usize)).all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same, "user {u} on {be:?}: served scores differ from matmul_nt");
             }
             // A batch of nine: the 8×8 tile. Same answers as nine singles.
-            let qs: Vec<Query> = (0..9).map(|u| Query { user: u * 3, k: 7, exclude_seen: false }).collect();
+            let qs: Vec<Query> =
+                (0..9).map(|u| Query { user: u * 3, k: 7, exclude_seen: false }).collect();
             for (q, batched) in qs.iter().zip(e.recommend_batch(&qs)) {
                 assert_eq!(batched, e.recommend(*q), "user {} on {be:?}", q.user);
             }

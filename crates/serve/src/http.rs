@@ -147,7 +147,10 @@ impl Server {
             let (batch_max, tick) = (cfg.batch_max.max(1), cfg.batch_tick);
             let dump = cfg.flight_dump.clone();
             // The engine's kernels still run on the pool.
-            #[expect(clippy::disallowed_methods, reason = "request coalescing, not a compute kernel")]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "request coalescing, not a compute kernel"
+            )]
             let t = thread::Builder::new()
                 .name("dgnn-serve-batcher".to_string())
                 .spawn(move || batcher_loop(&engine, &job_rx, batch_max, tick, dump))?;
@@ -161,7 +164,10 @@ impl Server {
             let job_tx = job_tx.clone();
             let engine = Arc::clone(&engine);
             let cfg = cfg.clone();
-            #[expect(clippy::disallowed_methods, reason = "socket I/O and parsing, not a compute kernel")]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "socket I/O and parsing, not a compute kernel"
+            )]
             let t = thread::Builder::new()
                 .name(format!("dgnn-serve-worker-{w}"))
                 .spawn(move || worker_loop(&conn_rx, &job_tx, &engine, &cfg, started))?;
@@ -172,18 +178,19 @@ impl Server {
         {
             let stop = Arc::clone(&stop);
             #[expect(clippy::disallowed_methods, reason = "the accept loop, not a compute kernel")]
-            let t = thread::Builder::new().name("dgnn-serve-accept".to_string()).spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(s) = stream {
-                        if conn_tx.send(s).is_err() {
+            let t =
+                thread::Builder::new().name("dgnn-serve-accept".to_string()).spawn(move || {
+                    for stream in listener.incoming() {
+                        if stop.load(Ordering::SeqCst) {
                             break;
                         }
+                        if let Ok(s) = stream {
+                            if conn_tx.send(s).is_err() {
+                                break;
+                            }
+                        }
                     }
-                }
-            })?;
+                })?;
             threads.push(t);
         }
 
@@ -354,7 +361,11 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
     Err("too many headers".to_string())
 }
 
-fn read_crlf_line(reader: &mut BufReader<TcpStream>, buf: &mut String, max: usize) -> Result<(), String> {
+fn read_crlf_line(
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut String,
+    max: usize,
+) -> Result<(), String> {
     buf.clear();
     let mut bytes = Vec::new();
     loop {
@@ -467,7 +478,9 @@ fn recommend_route(
                 Err(e @ QueryError::UnknownUser { .. }) => Response::error(404, &e.to_string()),
                 Err(e @ QueryError::BadK { .. }) => Response::error(400, &e.to_string()),
                 // Valid query, degraded backend (unloadable shard): 503.
-                Err(e @ QueryError::ShardUnavailable { .. }) => Response::error(503, &e.to_string()),
+                Err(e @ QueryError::ShardUnavailable { .. }) => {
+                    Response::error(503, &e.to_string())
+                }
             }
         }
         Err(_) => Response::error(503, "query timed out"),
@@ -485,10 +498,15 @@ fn parse_query(query_string: &str, default_k: usize) -> Result<Query, String> {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
         match key {
             "user" => {
-                user = Some(value.parse::<u32>().map_err(|_| format!("user must be a non-negative integer, got {value:?}"))?);
+                user =
+                    Some(value.parse::<u32>().map_err(|_| {
+                        format!("user must be a non-negative integer, got {value:?}")
+                    })?);
             }
             "k" => {
-                k = value.parse::<usize>().map_err(|_| format!("k must be a positive integer, got {value:?}"))?;
+                k = value
+                    .parse::<usize>()
+                    .map_err(|_| format!("k must be a positive integer, got {value:?}"))?;
             }
             "exclude_seen" => {
                 exclude_seen = match value {
@@ -537,10 +555,7 @@ impl Response {
     fn error(status: u16, message: &str) -> Self {
         Self::json(
             status,
-            format!(
-                "{{\"error\":{},\"status\":{status}}}",
-                dgnn_obs::export::json_string(message)
-            ),
+            format!("{{\"error\":{},\"status\":{status}}}", dgnn_obs::export::json_string(message)),
         )
     }
 

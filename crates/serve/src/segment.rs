@@ -80,7 +80,15 @@ struct SegAccum {
 
 impl SegAccum {
     fn new(role: &'static str) -> Self {
-        Self { role, ranges: Vec::new(), digests: Vec::new(), lens: Vec::new(), rows: 0, shard_rows: None, last_was_short: false }
+        Self {
+            role,
+            ranges: Vec::new(),
+            digests: Vec::new(),
+            lens: Vec::new(),
+            rows: 0,
+            shard_rows: None,
+            last_was_short: false,
+        }
     }
 
     fn admit(&mut self, rows: usize) -> Result<(u32, u32), CheckpointError> {
@@ -162,11 +170,17 @@ impl SegmentedWriter {
                 Ok(())
             }
             Some(d) if d == cols => Ok(()),
-            Some(d) => Err(CheckpointError::BadShape(format!("{role} segment dim {cols} != established dim {d}"))),
+            Some(d) => Err(CheckpointError::BadShape(format!(
+                "{role} segment dim {cols} != established dim {d}"
+            ))),
         }
     }
 
-    fn write_segment(&mut self, name: &str, seg: Checkpoint) -> Result<(u32, u32), CheckpointError> {
+    fn write_segment(
+        &mut self,
+        name: &str,
+        seg: Checkpoint,
+    ) -> Result<(u32, u32), CheckpointError> {
         let bytes = seg.to_bytes();
         let len = u32::try_from(bytes.len())
             .map_err(|_| CheckpointError::BadShape(format!("segment {name} exceeds 4 GiB")))?;
@@ -231,7 +245,9 @@ impl SegmentedWriter {
     /// Writes the manifest and finishes the checkpoint.
     pub fn finish(self) -> Result<(), CheckpointError> {
         if self.user.ranges.is_empty() || self.item.ranges.is_empty() {
-            return Err(CheckpointError::BadShape("segmented checkpoint needs ≥1 user and ≥1 item segment".into()));
+            return Err(CheckpointError::BadShape(
+                "segmented checkpoint needs ≥1 user and ≥1 item segment".into(),
+            ));
         }
         let dim = self.dim.unwrap_or(0);
         let mut m = Checkpoint::new();
@@ -311,7 +327,11 @@ fn meta_usize(c: &Checkpoint, key: &str) -> Result<usize, CheckpointError> {
         .map_err(|_| CheckpointError::MetaMismatch(format!("manifest {key} is not an integer")))
 }
 
-fn ranges_of(c: &Checkpoint, name: &str, spec: ShardSpec) -> Result<Vec<(u32, u32)>, CheckpointError> {
+fn ranges_of(
+    c: &Checkpoint,
+    name: &str,
+    spec: ShardSpec,
+) -> Result<Vec<(u32, u32)>, CheckpointError> {
     let raw = c.u32s(name)?;
     if raw.len() != spec.num_shards() * 2 {
         return Err(CheckpointError::Corrupt(format!(
@@ -335,7 +355,10 @@ fn ranges_of(c: &Checkpoint, name: &str, spec: ShardSpec) -> Result<Vec<(u32, u3
 fn digests_of(c: &Checkpoint, name: &str, want: usize) -> Result<Vec<u32>, CheckpointError> {
     let v = c.u32s(name)?;
     if v.len() != want {
-        return Err(CheckpointError::Corrupt(format!("{name}: {} entries for {want} shards", v.len())));
+        return Err(CheckpointError::Corrupt(format!(
+            "{name}: {} entries for {want} shards",
+            v.len()
+        )));
     }
     Ok(v.to_vec())
 }
@@ -347,7 +370,9 @@ impl SegmentedCheckpoint {
     pub fn open(dir: &Path) -> Result<Self, CheckpointError> {
         let manifest = Checkpoint::load(&dir.join(MANIFEST_NAME))?;
         if manifest.meta("seg_kind") != Some("segmented-checkpoint") {
-            return Err(CheckpointError::MetaMismatch("manifest seg_kind is not segmented-checkpoint".into()));
+            return Err(CheckpointError::MetaMismatch(
+                "manifest seg_kind is not segmented-checkpoint".into(),
+            ));
         }
         let dim = meta_usize(&manifest, "seg_dim")?;
         let users = meta_usize(&manifest, "seg_users")?;
@@ -355,14 +380,18 @@ impl SegmentedCheckpoint {
         let user_shard_rows = meta_usize(&manifest, "seg_user_shard_rows")?;
         let item_shard_rows = meta_usize(&manifest, "seg_item_shard_rows")?;
         if dim == 0 || users == 0 || items == 0 || user_shard_rows == 0 || item_shard_rows == 0 {
-            return Err(CheckpointError::MetaMismatch("manifest dim/users/items/shard_rows must be positive".into()));
+            return Err(CheckpointError::MetaMismatch(
+                "manifest dim/users/items/shard_rows must be positive".into(),
+            ));
         }
         let user_spec = ShardSpec::new(users, user_shard_rows);
         let item_spec = ShardSpec::new(items, item_shard_rows);
         if meta_usize(&manifest, "seg_user_segments")? != user_spec.num_shards()
             || meta_usize(&manifest, "seg_item_segments")? != item_spec.num_shards()
         {
-            return Err(CheckpointError::Corrupt("manifest segment counts disagree with the id-range spec".into()));
+            return Err(CheckpointError::Corrupt(
+                "manifest segment counts disagree with the id-range spec".into(),
+            ));
         }
         ranges_of(&manifest, "seg/user_ranges", user_spec)?;
         ranges_of(&manifest, "seg/item_ranges", item_spec)?;
@@ -374,7 +403,8 @@ impl SegmentedCheckpoint {
         // Inventory: the manifest is the source of truth for which `.seg`
         // files may exist. Anything missing or unaccounted for is a
         // corruption signal, not something to silently skip.
-        let mut expected: BTreeSet<String> = (0..user_spec.num_shards()).map(user_segment_name).collect();
+        let mut expected: BTreeSet<String> =
+            (0..user_spec.num_shards()).map(user_segment_name).collect();
         expected.extend((0..item_spec.num_shards()).map(item_segment_name));
         for entry in std::fs::read_dir(dir)? {
             let name = entry?.file_name().to_string_lossy().into_owned();
@@ -416,7 +446,16 @@ impl SegmentedCheckpoint {
 
     /// Loads, digest-checks, parses, and shape-validates one segment.
     #[expect(clippy::too_many_arguments, reason = "one manifest entry's fields, each checked")]
-    fn load_segment(&self, name: &str, len: u32, digest: u32, role: &str, idx: usize, lo: u32, hi: u32) -> Result<Checkpoint, CheckpointError> {
+    fn load_segment(
+        &self,
+        name: &str,
+        len: u32,
+        digest: u32,
+        role: &str,
+        idx: usize,
+        lo: u32,
+        hi: u32,
+    ) -> Result<Checkpoint, CheckpointError> {
         let path = self.dir.join(name);
         let bytes = read_segment_bytes(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
@@ -437,7 +476,11 @@ impl SegmentedCheckpoint {
         }
         let computed = crc32(&bytes);
         if computed != digest {
-            return Err(CheckpointError::SegmentDigestMismatch { segment: name.to_string(), stored: digest, computed });
+            return Err(CheckpointError::SegmentDigestMismatch {
+                segment: name.to_string(),
+                stored: digest,
+                computed,
+            });
         }
         let seg = Checkpoint::from_bytes(&bytes)?;
         if seg.meta("seg_role") != Some(role)
@@ -456,7 +499,15 @@ impl SegmentedCheckpoint {
     pub fn load_user_shard(&self, s: usize) -> Result<UserShard, CheckpointError> {
         let (lo, hi) = self.user_spec.shard_range(s);
         let name = user_segment_name(s);
-        let seg = self.load_segment(&name, self.user_lens[s], self.user_digests[s], "user", s, lo as u32, hi as u32)?;
+        let seg = self.load_segment(
+            &name,
+            self.user_lens[s],
+            self.user_digests[s],
+            "user",
+            s,
+            lo as u32,
+            hi as u32,
+        )?;
         let emb = seg.matrix("shard/emb")?;
         if emb.rows() != hi - lo || emb.cols() != self.dim {
             return Err(CheckpointError::BadShape(format!(
@@ -478,7 +529,15 @@ impl SegmentedCheckpoint {
     pub fn load_item_shard(&self, s: usize) -> Result<Matrix, CheckpointError> {
         let (lo, hi) = self.item_spec.shard_range(s);
         let name = item_segment_name(s);
-        let seg = self.load_segment(&name, self.item_lens[s], self.item_digests[s], "item", s, lo as u32, hi as u32)?;
+        let seg = self.load_segment(
+            &name,
+            self.item_lens[s],
+            self.item_digests[s],
+            "item",
+            s,
+            lo as u32,
+            hi as u32,
+        )?;
         let emb = seg.matrix("shard/emb")?;
         if emb.rows() != hi - lo || emb.cols() != self.dim {
             return Err(CheckpointError::BadShape(format!(
@@ -509,8 +568,9 @@ impl SegmentedCheckpoint {
             seen_items.extend_from_slice(&shard.seen_items);
             user_shards.push(shard.emb);
         }
-        let item_shards =
-            (0..self.item_spec.num_shards()).map(|s| self.load_item_shard(s)).collect::<Result<Vec<_>, _>>()?;
+        let item_shards = (0..self.item_spec.num_shards())
+            .map(|s| self.load_item_shard(s))
+            .collect::<Result<Vec<_>, _>>()?;
         // `open` admits no table without rows, so neither list is empty.
         let user = Matrix::concat_rows(&user_shards.iter().collect::<Vec<_>>());
         let item = Matrix::concat_rows(&item_shards.iter().collect::<Vec<_>>());

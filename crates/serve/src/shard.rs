@@ -69,8 +69,9 @@ pub fn read_segment_bytes(path: &Path) -> io::Result<SegmentBytes> {
 fn read_owned(path: &Path) -> io::Result<Vec<u8>> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
-    let len = usize::try_from(len)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "segment larger than address space"))?;
+    let len = usize::try_from(len).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, "segment larger than address space")
+    })?;
     let mut buf = Vec::with_capacity(len);
     io::Read::read_to_end(&mut file, &mut buf)?;
     Ok(buf)
@@ -96,8 +97,9 @@ impl MappedFile {
     pub fn open(path: &Path) -> io::Result<Option<Self>> {
         use std::os::fd::AsRawFd;
         let file = File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "segment larger than address space"))?;
+        let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "segment larger than address space")
+        })?;
         if len == 0 {
             // mmap(len = 0) is EINVAL by spec; an empty segment can never
             // be a valid DGCK file anyway, so surface it as such.
@@ -108,7 +110,10 @@ impl MappedFile {
         const MAP_PRIVATE: i64 = 2;
         let fd = i64::from(file.as_raw_fd());
         let ret: i64;
-        #[expect(clippy::inline_asm_x86_intel_syntax, reason = "the loader owns its mmap/munmap syscalls")]
+        #[expect(
+            clippy::inline_asm_x86_intel_syntax,
+            reason = "the loader owns its mmap/munmap syscalls"
+        )]
         // SAFETY: raw mmap(2): addr=NULL (kernel placement), read-only and
         // private over an fd we own across the call; the kernel returns a
         // fresh mapping aliasing no Rust-managed memory, or -errno in rax.
@@ -158,7 +163,10 @@ impl Drop for MappedFile {
         {
             const SYS_MUNMAP: i64 = 11;
             let ret: i64;
-            #[expect(clippy::inline_asm_x86_intel_syntax, reason = "the loader owns its mmap/munmap syscalls")]
+            #[expect(
+                clippy::inline_asm_x86_intel_syntax,
+                reason = "the loader owns its mmap/munmap syscalls"
+            )]
             // SAFETY: raw munmap(2) over exactly the region mmap returned;
             // after this call nothing dereferences ptr (self is being
             // dropped and as_bytes borrows cannot outlive it). Clobbers
@@ -287,16 +295,21 @@ impl ShardStore {
                 None => Err("no segment source".to_string()),
             };
             dgnn_obs::shared::counter("serve/shard/loads").add(1);
-            dgnn_obs::shared::hist("serve/shard/load_ms").record(dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6);
+            dgnn_obs::shared::hist("serve/shard/load_ms")
+                .record(dgnn_obs::now_ns().saturating_sub(t0) as f64 / 1e6);
             loaded_now = true;
             loaded
         });
         if loaded_now {
             if let Some(stats) = self.stats() {
-                dgnn_obs::shared::gauge("serve/shard/user_resident").set(stats.user_resident as f64);
-                dgnn_obs::shared::gauge("serve/shard/user_resident_bytes").set(stats.user_resident_bytes as f64);
-                dgnn_obs::shared::gauge("serve/shard/item_resident").set(stats.item_resident as f64);
-                dgnn_obs::shared::gauge("serve/engine/item_panel_bytes").set(stats.item_panel_bytes as f64);
+                dgnn_obs::shared::gauge("serve/shard/user_resident")
+                    .set(stats.user_resident as f64);
+                dgnn_obs::shared::gauge("serve/shard/user_resident_bytes")
+                    .set(stats.user_resident_bytes as f64);
+                dgnn_obs::shared::gauge("serve/shard/item_resident")
+                    .set(stats.item_resident as f64);
+                dgnn_obs::shared::gauge("serve/engine/item_panel_bytes")
+                    .set(stats.item_panel_bytes as f64);
             }
         }
         r.as_ref().map_err(Clone::clone)
@@ -320,8 +333,10 @@ impl ShardStore {
     pub(crate) fn item_panels(&self) -> Result<Vec<&PackedPanels>, (usize, String)> {
         (0..self.item_slots.len())
             .map(|s| {
-                self.slot(&self.item_slots[s], |seg| seg.load_item_shard(s).map(|emb| pack_items(&emb)))
-                    .map_err(|e| (s, e))
+                self.slot(&self.item_slots[s], |seg| {
+                    seg.load_item_shard(s).map(|emb| pack_items(&emb))
+                })
+                .map_err(|e| (s, e))
             })
             .collect()
     }
@@ -395,7 +410,11 @@ mod tests {
         let path = tmp_file("agree", &payload);
         assert_eq!(read_owned(&path).unwrap(), payload);
         let mapped = MappedFile::open(&path).unwrap();
-        assert_eq!(mapped.is_some(), MAPS, "mapping must be used exactly where the target supports it");
+        assert_eq!(
+            mapped.is_some(),
+            MAPS,
+            "mapping must be used exactly where the target supports it"
+        );
         if let Some(mapped) = mapped {
             assert_eq!(mapped.as_bytes(), &payload[..]);
         }

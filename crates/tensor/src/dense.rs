@@ -214,9 +214,15 @@ impl Matrix {
         let (k, n) = (self.cols, rhs.cols);
         let a = &self.data;
         let b = &rhs.data;
-        parallel::par_row_chunks(&mut out.data, self.rows, n, k.saturating_mul(n), |rows, chunk| {
-            matmul_rows(a, b, k, n, &rows, chunk);
-        });
+        parallel::par_row_chunks(
+            &mut out.data,
+            self.rows,
+            n,
+            k.saturating_mul(n),
+            |rows, chunk| {
+                matmul_rows(a, b, k, n, &rows, chunk);
+            },
+        );
         out
     }
 
@@ -296,9 +302,15 @@ impl Matrix {
         let (k, jn) = (self.cols, rhs.rows);
         let a = &self.data;
         let b = &rhs.data;
-        parallel::par_row_chunks(&mut out.data, self.rows, jn, k.saturating_mul(jn), |rows, chunk| {
-            matmul_nt_rows(a, b, k, jn, &rows, chunk);
-        });
+        parallel::par_row_chunks(
+            &mut out.data,
+            self.rows,
+            jn,
+            k.saturating_mul(jn),
+            |rows, chunk| {
+                matmul_nt_rows(a, b, k, jn, &rows, chunk);
+            },
+        );
         out
     }
 
@@ -450,7 +462,10 @@ impl Matrix {
     pub fn mul_col_broadcast(&self, col: &Matrix) -> Matrix {
         assert_eq!(col.rows, self.rows, "mul_col_broadcast: height mismatch");
         let (heads, d) = (col.cols, self.cols);
-        assert!(heads > 0 && d % heads == 0, "mul_col_broadcast: width {d} does not split into {heads} blocks");
+        assert!(
+            heads > 0 && d % heads == 0,
+            "mul_col_broadcast: width {d} does not split into {heads} blocks"
+        );
         let b = (d / heads).max(1);
         let mut data = pool::alloc_overwritten(self.data.len());
         let (x, k) = (&self.data, &col.data);
@@ -460,7 +475,9 @@ impl Matrix {
                 .zip(x[range.start * d..range.end * d].chunks_exact(d.max(1)))
                 .zip(k[range.start * heads..range.end * heads].chunks_exact(heads))
             {
-                for ((block, xb), &s) in out.chunks_exact_mut(b).zip(x_row.chunks_exact(b)).zip(k_row) {
+                for ((block, xb), &s) in
+                    out.chunks_exact_mut(b).zip(x_row.chunks_exact(b)).zip(k_row)
+                {
                     for (o, &v) in block.iter_mut().zip(xb) {
                         *o = v * s;
                     }
@@ -505,7 +522,11 @@ impl Matrix {
             );
         }
         for &r in idx {
-            assert!(r < self.rows, "gather_matmul_panels: index {r} out of bounds ({} rows)", self.rows);
+            assert!(
+                r < self.rows,
+                "gather_matmul_panels: index {r} out of bounds ({} rows)",
+                self.rows
+            );
         }
         let be = gemm::backend();
         let (m, k) = (idx.len(), self.cols);
@@ -519,10 +540,17 @@ impl Matrix {
             let jn = shard.rows();
             gemm::count_call(be.is_packed(), m, jn, k);
             let cols = col0..col0 + jn;
-            parallel::par_row_chunks_cols(&mut out.data, m, n, cols, k.saturating_mul(jn), |rows, chunk| {
-                let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
-                gemm::score_loop(be, &lhs, shard, rows.len(), chunk, n, col0);
-            });
+            parallel::par_row_chunks_cols(
+                &mut out.data,
+                m,
+                n,
+                cols,
+                k.saturating_mul(jn),
+                |rows, chunk| {
+                    let lhs = gemm::Lhs { data: a, lane: |r| idx[rows.start + r] * k, k_stride: 1 };
+                    gemm::score_loop(be, &lhs, shard, rows.len(), chunk, n, col0);
+                },
+            );
             col0 += jn;
         }
         out
@@ -583,10 +611,7 @@ impl Matrix {
     pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
         assert!(!parts.is_empty(), "concat_cols: need at least one part");
         let rows = parts[0].rows;
-        assert!(
-            parts.iter().all(|p| p.rows == rows),
-            "concat_cols: row count mismatch"
-        );
+        assert!(parts.iter().all(|p| p.rows == rows), "concat_cols: row count mismatch");
         let cols: usize = parts.iter().map(|p| p.cols).sum();
         let mut out = Matrix::zeros(rows, cols);
         for r in 0..rows {
@@ -604,10 +629,7 @@ impl Matrix {
     pub fn concat_rows(parts: &[&Matrix]) -> Matrix {
         assert!(!parts.is_empty(), "concat_rows: need at least one part");
         let cols = parts[0].cols;
-        assert!(
-            parts.iter().all(|p| p.cols == cols),
-            "concat_rows: column count mismatch"
-        );
+        assert!(parts.iter().all(|p| p.cols == cols), "concat_rows: column count mismatch");
         let rows: usize = parts.iter().map(|p| p.rows).sum();
         let mut data = pool::alloc_overwritten(rows * cols);
         let mut off = 0;
@@ -623,8 +645,7 @@ impl Matrix {
         assert!(start <= end && end <= self.cols, "slice_cols: bad range {start}..{end}");
         let mut out = Matrix::zeros(self.rows, end - start);
         for r in 0..self.rows {
-            out.row_mut(r)
-                .copy_from_slice(&self.row(r)[start..end]);
+            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
         }
         out
     }
@@ -636,14 +657,17 @@ impl Matrix {
             assert!(r < self.rows, "gather_rows: index {r} out of bounds ({} rows)", self.rows);
         }
         // Every output row is copied over in full: no zeroing needed.
-        let mut out = Matrix { rows: idx.len(), cols: self.cols, data: pool::alloc_overwritten(idx.len() * self.cols) };
+        let mut out = Matrix {
+            rows: idx.len(),
+            cols: self.cols,
+            data: pool::alloc_overwritten(idx.len() * self.cols),
+        };
         let cols = self.cols;
         let src = &self.data;
         parallel::par_row_chunks(&mut out.data, idx.len(), cols, cols, |range, chunk| {
             for (off, i) in range.enumerate() {
                 let r = idx[i];
-                chunk[off * cols..(off + 1) * cols]
-                    .copy_from_slice(&src[r * cols..(r + 1) * cols]);
+                chunk[off * cols..(off + 1) * cols].copy_from_slice(&src[r * cols..(r + 1) * cols]);
             }
         });
         out
@@ -868,9 +892,7 @@ impl Matrix {
     /// materialized) but multiplies in the same order as
     /// `slope.mul_elem(g)` would, so bits match the unfused form.
     pub fn leaky_relu_grad(&self, g: &Matrix, alpha: f32) -> Matrix {
-        g.zip_with(self, "leaky_relu_grad", 4, move |gv, x| {
-            gv * if x >= 0.0 { 1.0 } else { alpha }
-        })
+        g.zip_with(self, "leaky_relu_grad", 4, move |gv, x| gv * if x >= 0.0 { 1.0 } else { alpha })
     }
 
     /// Gradient of ReLU: `g ⊙ (x > 0 ? 1 : 0)` where `self` is the
@@ -984,14 +1006,7 @@ fn matmul_tn_rows(
 
 /// `a · bᵀ` microkernel over one span of output rows: independent dot
 /// products, one per output element.
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    jn: usize,
-    rows: &Range<usize>,
-    out: &mut [f32],
-) {
+fn matmul_nt_rows(a: &[f32], b: &[f32], k: usize, jn: usize, rows: &Range<usize>, out: &mut [f32]) {
     for (off, i) in rows.clone().enumerate() {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[off * jn..(off + 1) * jn];
@@ -1342,11 +1357,24 @@ mod tests {
             // The oracle: every block normalized on its own column slice.
             let b = 8 / heads;
             let block = |m: &Matrix, h: usize| m.slice_cols(h * b, (h + 1) * b);
-            let concat = |parts: Vec<Matrix>| Matrix::concat_cols(&parts.iter().collect::<Vec<_>>());
+            let concat =
+                |parts: Vec<Matrix>| Matrix::concat_cols(&parts.iter().collect::<Vec<_>>());
             let fwd = concat((0..heads).map(|h| block(&x, h).l2_normalize_rows(1e-9)).collect());
-            let bwd = concat((0..heads).map(|h| Matrix::l2_normalize_heads_grad(&block(&x, h), &block(&g, h), 1e-9, 1)).collect());
-            assert_eq!(bits(&x.l2_normalize_heads(1e-9, heads)), bits(&fwd), "forward, {heads} heads");
-            assert_eq!(bits(&Matrix::l2_normalize_heads_grad(&x, &g, 1e-9, heads)), bits(&bwd), "gradient, {heads} heads");
+            let bwd = concat(
+                (0..heads)
+                    .map(|h| Matrix::l2_normalize_heads_grad(&block(&x, h), &block(&g, h), 1e-9, 1))
+                    .collect(),
+            );
+            assert_eq!(
+                bits(&x.l2_normalize_heads(1e-9, heads)),
+                bits(&fwd),
+                "forward, {heads} heads"
+            );
+            assert_eq!(
+                bits(&Matrix::l2_normalize_heads_grad(&x, &g, 1e-9, heads)),
+                bits(&bwd),
+                "gradient, {heads} heads"
+            );
         }
         let two = x.l2_normalize_heads(1e-9, 2);
         assert_eq!(two.row(2)[4..], [0.0; 4]);
@@ -1375,7 +1403,10 @@ mod tests {
             let want: Vec<f32> = s.iter().zip(gr).map(|(&s, &g)| s * (g - dot)).collect();
             assert_eq!(got.row(r), &want[..]);
         }
-        assert_eq!(Matrix::softmax_rows_grad(&Matrix::zeros(0, 3), &Matrix::zeros(0, 3)).shape(), (0, 3));
+        assert_eq!(
+            Matrix::softmax_rows_grad(&Matrix::zeros(0, 3), &Matrix::zeros(0, 3)).shape(),
+            (0, 3)
+        );
     }
 
     #[test]

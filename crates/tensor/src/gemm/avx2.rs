@@ -16,8 +16,8 @@ use std::arch::x86 as arch;
 use std::arch::x86_64 as arch;
 
 use arch::{
-    __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps,
-    _mm256_setzero_ps, _mm256_storeu_ps,
+    __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
+    _mm256_storeu_ps,
 };
 
 use super::Fold;

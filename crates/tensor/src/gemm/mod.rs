@@ -92,8 +92,8 @@ pub(crate) mod generic;
 pub(crate) mod neon;
 mod panels;
 
-pub use panels::PackedPanels;
 pub(crate) use panels::score_loop;
+pub use panels::PackedPanels;
 
 /// Rows per microkernel tile.
 pub const MR: usize = 8;
@@ -243,7 +243,8 @@ pub(crate) fn count_call(packed: bool, m: usize, n: usize, k: usize) {
         } else {
             v.scalar_calls += 1;
         }
-        v.macs = v.macs.saturating_add((m as u64).saturating_mul(n as u64).saturating_mul(k as u64));
+        v.macs =
+            v.macs.saturating_add((m as u64).saturating_mul(n as u64).saturating_mul(k as u64));
         c.set(v);
     });
 }
@@ -443,8 +444,9 @@ fn tile_block<F: Fn(usize) -> usize>(
         let rows_live = MR.min(span - pr * MR);
         // Dead lanes of the last panel re-read its last live row: in
         // bounds, and their products are never stored.
-        let lanes: [usize; MR] =
-            std::array::from_fn(|i| (a.lane)(pr * MR + i.min(rows_live - 1)) + kr.start * a.k_stride);
+        let lanes: [usize; MR] = std::array::from_fn(|i| {
+            (a.lane)(pr * MR + i.min(rows_live - 1)) + kr.start * a.k_stride
+        });
         let a_last = lanes.iter().copied().fold(0, usize::max) + (kb - 1) * a.k_stride;
         assert!(a_last < a.data.len(), "tile loop: left operand read out of bounds");
         for pc in 0..cp {
@@ -577,7 +579,15 @@ mod oracle {
     /// The tile loop over packed panels: panel lane `i` at `kk` is
     /// `pa[kk*MR + i]`, B row `kk` is `pb[kk*NR..][..NR]`. Every element is
     /// folded in one pass and overwrites `out`.
-    pub fn tile_loop(be: Backend, pa: &[f32], pb: &[f32], k: usize, n: usize, span: usize, out: &mut [f32]) {
+    pub fn tile_loop(
+        be: Backend,
+        pa: &[f32],
+        pb: &[f32],
+        k: usize,
+        n: usize,
+        span: usize,
+        out: &mut [f32],
+    ) {
         assert!(out.len() >= span * n);
         let lanes: [usize; MR] = std::array::from_fn(|i| i);
         for pr in 0..row_panels(span) {
@@ -627,7 +637,18 @@ mod oracle {
                         );
                     },
                     _ => generic::kernel_8x8(
-                        k, pa_panel, &lanes, MR, pb_panel, NR, out, c0, n, rows_live, cols_live, Fold::Fresh,
+                        k,
+                        pa_panel,
+                        &lanes,
+                        MR,
+                        pb_panel,
+                        NR,
+                        out,
+                        c0,
+                        n,
+                        rows_live,
+                        cols_live,
+                        Fold::Fresh,
                     ),
                 }
             }
@@ -805,7 +826,11 @@ mod tests {
                 bt[j * k + kk] = b[kk * n + j];
             }
         }
-        assert_eq!(oracle::pack_b(&b, k, n), oracle::pack_bt(&bt, n, k), "pack_bt of bᵀ must equal pack_b of b");
+        assert_eq!(
+            oracle::pack_b(&b, k, n),
+            oracle::pack_bt(&bt, n, k),
+            "pack_bt of bᵀ must equal pack_b of b"
+        );
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! argument as the AVX2 kernel. The row-vector kernel gives each of eight
 //! panels of one row the same pair of accumulators and the same chain.
 
-use std::arch::aarch64::{
-    float32x4_t, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32,
-};
+use std::arch::aarch64::{float32x4_t, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
 
 use super::Fold;
 

@@ -130,7 +130,8 @@ pub(crate) fn score_loop<F: Fn(usize) -> usize>(
     let cp = n.div_ceil(NR);
     let pb = b.as_slice();
     if span <= ROW_VECTOR_MAX_ROWS {
-        let lanes: [usize; ROW_VECTOR_MAX_ROWS] = std::array::from_fn(|r| (a.lane)(r.min(span - 1)));
+        let lanes: [usize; ROW_VECTOR_MAX_ROWS] =
+            std::array::from_fn(|r| (a.lane)(r.min(span - 1)));
         for g0 in (0..cp).step_by(NV) {
             let panels = NV.min(cp - g0);
             let cols = (n - g0 * NR).min(NV * NR);
@@ -146,8 +147,9 @@ pub(crate) fn score_loop<F: Fn(usize) -> usize>(
         let rb = ROW_BLOCK.min(span - r0);
         // Dead lanes of the last tile re-read its last live row: in
         // bounds, and their products are never stored.
-        let lanes: [[usize; MR]; ROW_BLOCK / MR] =
-            std::array::from_fn(|t| std::array::from_fn(|i| (a.lane)(r0 + (t * MR + i).min(rb - 1))));
+        let lanes: [[usize; MR]; ROW_BLOCK / MR] = std::array::from_fn(|t| {
+            std::array::from_fn(|i| (a.lane)(r0 + (t * MR + i).min(rb - 1)))
+        });
         for pc in 0..cp {
             let cols_live = NR.min(n - pc * NR);
             let bp = &pb[pc * NR * k..(pc + 1) * NR * k];
@@ -179,7 +181,10 @@ fn tile_8x8<F: Fn(usize) -> usize>(
     assert!(k >= 1 && bp.len() >= k * NR, "score loop: panel too short");
     let a_last = tile.iter().copied().fold(0, usize::max) + (k - 1) * a.k_stride;
     assert!(a_last < a.data.len(), "score loop: left operand read out of bounds");
-    assert!(rows >= 1 && c0 + (rows - 1) * ldc + cols <= out.len(), "score loop: tile corner outside the output");
+    assert!(
+        rows >= 1 && c0 + (rows - 1) * ldc + cols <= out.len(),
+        "score loop: tile corner outside the output"
+    );
     let (ap, bp_ptr) = (a.data.as_ptr(), bp.as_ptr());
     match be {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -189,7 +194,19 @@ fn tile_8x8<F: Fn(usize) -> usize>(
         // the live corner `c0 + i*ldc + j` inside their slices.
         Backend::Avx2 => unsafe {
             let c = out.as_mut_ptr().add(c0);
-            super::avx2::kernel_8x8(k, ap, tile, a.k_stride, bp_ptr, NR, c, ldc, rows, cols, Fold::Fresh);
+            super::avx2::kernel_8x8(
+                k,
+                ap,
+                tile,
+                a.k_stride,
+                bp_ptr,
+                NR,
+                c,
+                ldc,
+                rows,
+                cols,
+                Fold::Fresh,
+            );
         },
         #[cfg(target_arch = "aarch64")]
         // Neon is selected only when `is_aarch64_feature_detected!("neon")`.
@@ -198,11 +215,36 @@ fn tile_8x8<F: Fn(usize) -> usize>(
         // the live corner `c0 + i*ldc + j` inside their slices.
         Backend::Neon => unsafe {
             let c = out.as_mut_ptr().add(c0);
-            super::neon::kernel_8x8(k, ap, tile, a.k_stride, bp_ptr, NR, c, ldc, rows, cols, Fold::Fresh);
+            super::neon::kernel_8x8(
+                k,
+                ap,
+                tile,
+                a.k_stride,
+                bp_ptr,
+                NR,
+                c,
+                ldc,
+                rows,
+                cols,
+                Fold::Fresh,
+            );
         },
         // `Scalar` lands here too: the portable fold is the legacy scalar
         // dot (module doc).
-        _ => generic::kernel_8x8(k, a.data, tile, a.k_stride, bp, NR, out, c0, ldc, rows, cols, Fold::Fresh),
+        _ => generic::kernel_8x8(
+            k,
+            a.data,
+            tile,
+            a.k_stride,
+            bp,
+            NR,
+            out,
+            c0,
+            ldc,
+            rows,
+            cols,
+            Fold::Fresh,
+        ),
     }
 }
 
@@ -217,9 +259,18 @@ fn row_vector<F: Fn(usize) -> usize>(
     panels: usize,
     c: &mut [f32],
 ) {
-    assert!(k >= 1 && (1..=NV).contains(&panels) && bg.len() >= panels * k * NR, "score loop: panel group too short");
-    assert!(lane + (k - 1) * a.k_stride < a.data.len(), "score loop: left operand read out of bounds");
-    assert!((panels - 1) * NR < c.len() && c.len() <= panels * NR, "score loop: columns do not match the panels");
+    assert!(
+        k >= 1 && (1..=NV).contains(&panels) && bg.len() >= panels * k * NR,
+        "score loop: panel group too short"
+    );
+    assert!(
+        lane + (k - 1) * a.k_stride < a.data.len(),
+        "score loop: left operand read out of bounds"
+    );
+    assert!(
+        (panels - 1) * NR < c.len() && c.len() <= panels * NR,
+        "score loop: columns do not match the panels"
+    );
     match be {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // Avx2 is selected only after runtime checks of `avx2`+`fma`.
@@ -341,12 +392,16 @@ mod tests {
         let bt = mat(n, k, seed ^ 2);
         let packed = PackedPanels::pack(&bt);
         let mut want = vec![0.0; span * n];
-        let (pa, pb) = (oracle::pack_a(a.as_slice(), k, span), oracle::pack_bt(bt.as_slice(), n, k));
+        let (pa, pb) =
+            (oracle::pack_a(a.as_slice(), k, span), oracle::pack_bt(bt.as_slice(), n, k));
         oracle::tile_loop(be, &pa, &pb, k, n, span, &mut want);
         let got = score(be, &a, &packed, 3);
         for r in 0..span {
             let row = &got[r * (n + 5)..(r + 1) * (n + 5)];
-            assert!(row[..3].iter().chain(&row[3 + n..]).all(|&v| v == 7.0), "wrote outside the column range");
+            assert!(
+                row[..3].iter().chain(&row[3 + n..]).all(|&v| v == 7.0),
+                "wrote outside the column range"
+            );
             for j in 0..n {
                 assert_eq!(
                     row[3 + j].to_bits(),
@@ -361,7 +416,17 @@ mod tests {
     #[test]
     fn row_vector_and_blocked_tiles_match_the_tile_oracle() {
         for be in packed_backends() {
-            for span in [1, 2, ROW_VECTOR_MAX_ROWS, ROW_VECTOR_MAX_ROWS + 1, 8, 9, ROW_BLOCK, ROW_BLOCK + 1, 70] {
+            for span in [
+                1,
+                2,
+                ROW_VECTOR_MAX_ROWS,
+                ROW_VECTOR_MAX_ROWS + 1,
+                8,
+                9,
+                ROW_BLOCK,
+                ROW_BLOCK + 1,
+                70,
+            ] {
                 // Several row-vector groups with a ragged last group and
                 // panel; one exact group; under one group.
                 for (k, n) in [(20, 1003), (64, 128), (48, 63), (1, 1)] {

@@ -68,10 +68,6 @@ mod tests {
     fn zeros_and_constant() {
         let mut rng = StdRng::seed_from_u64(0);
         assert!(Init::Zeros.build(2, 2, &mut rng).as_slice().iter().all(|&v| v == 0.0));
-        assert!(Init::Constant(0.5)
-            .build(2, 2, &mut rng)
-            .as_slice()
-            .iter()
-            .all(|&v| v == 0.5));
+        assert!(Init::Constant(0.5).build(2, 2, &mut rng).as_slice().iter().all(|&v| v == 0.5));
     }
 }

@@ -41,8 +41,5 @@ pub const TEST_EPS: f32 = 1e-4;
 pub fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
     a.rows() == b.rows()
         && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| (x - y).abs() <= tol)
+        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| (x - y).abs() <= tol)
 }

@@ -115,9 +115,7 @@ pub fn set_fuzz_schedule(fs: Option<FuzzSchedule>) {
 /// One step of the splitmix-style generator used for fuzz schedules; the
 /// high bits are the usable output.
 fn fuzz_next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *state >> 17
 }
 
@@ -311,7 +309,10 @@ fn ensure_workers(workers: &mut Vec<Worker>, want: usize) {
         let mailbox = Arc::new(Mailbox { seq: AtomicUsize::new(0), job: UnsafeCell::new(None) });
         let inbox = Arc::clone(&mailbox);
         #[expect(clippy::disallowed_methods, reason = "the kernel pool owns the worker threads")]
-        #[expect(clippy::expect_used, reason = "a pool that cannot start its workers cannot run a kernel")]
+        #[expect(
+            clippy::expect_used,
+            reason = "a pool that cannot start its workers cannot run a kernel"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("dgnn-kernel-{}", workers.len()))
             .spawn(move || worker_loop(&inbox))
@@ -335,7 +336,8 @@ fn worker_loop(mailbox: &Mailbox) {
         // which it made after writing `job`; it writes again only after
         // our `pending` decrement below (see `unsafe impl Sync for Mailbox`).
         #[expect(clippy::expect_used, reason = "the dispatcher writes `job` before every bump")]
-        let job = unsafe { *mailbox.job.get() }.expect("kernel pool: a mailbox bump always carries a job");
+        let job = unsafe { *mailbox.job.get() }
+            .expect("kernel pool: a mailbox bump always carries a job");
         // A panicking kernel must not wedge the dispatcher (it waits for
         // `pending` to drain), so catch it and report failure.
         let ok = catch_unwind(AssertUnwindSafe(|| {
@@ -502,7 +504,10 @@ pub fn par_row_chunks_cols(
     work_per_row: usize,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    assert!(cols.start <= cols.end && cols.end <= ld, "par_row_chunks_cols: column range outside the row");
+    assert!(
+        cols.start <= cols.end && cols.end <= ld,
+        "par_row_chunks_cols: column range outside the row"
+    );
     if !par_rows(out, rows, ld, work_per_row.max(cols.len()), &f) {
         f(0..rows, out);
     }
@@ -609,7 +614,8 @@ fn segment_chunks(
         // `row_of` is non-decreasing, so the row ranges are disjoint too;
         // `out` outlives the dispatch and holds `row_of(n) * ld` elements
         // (asserted above), so each slice is in-bounds and unaliased.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo * ld), (hi - lo) * ld) };
+        let chunk =
+            unsafe { std::slice::from_raw_parts_mut(base.get().add(lo * ld), (hi - lo) * ld) };
         f(range, chunk);
     });
     true
@@ -744,7 +750,11 @@ mod tests {
         set_fuzz_schedule(None);
         assert_eq!(mask.load(Ordering::SeqCst), 0b11111, "fuzzed dispatch ran every partition");
         let slots = fuzz_permutation(4, 7);
-        assert_ne!(slots, [0, 1, 2, 3], "seed 7 must shuffle the slots for this check to mean anything");
+        assert_ne!(
+            slots,
+            [0, 1, 2, 3],
+            "seed 7 must shuffle the slots for this check to mean anything"
+        );
         let ran_on: Vec<usize> = ran_on.iter().map(|s| s.load(Ordering::SeqCst)).collect();
         assert_eq!(ran_on[0], usize::MAX, "partition 0 runs on the dispatcher");
         assert_eq!(ran_on[1..], slots[..], "partition p runs on worker slots[p - 1]");

@@ -70,7 +70,10 @@ fn check_seg(what: &str, seg: &[usize], members: usize) {
 
 /// Width of one head's block: `d / heads`, which must divide evenly.
 pub(crate) fn block_width(what: &str, d: usize, heads: usize) -> usize {
-    assert!(heads > 0 && d.is_multiple_of(heads), "{what}: width {d} does not split into {heads} heads");
+    assert!(
+        heads > 0 && d.is_multiple_of(heads),
+        "{what}: width {d} does not split into {heads} heads"
+    );
     d / heads
 }
 
@@ -266,9 +269,16 @@ impl EdgeList {
     /// past `src.len()`, or if a source is `sources` or more.
     pub fn new(seg: Vec<usize>, src: Vec<usize>, sources: usize) -> Self {
         check_seg("EdgeList", &seg, src.len());
-        assert!(seg.windows(2).all(|w| w[0] <= w[1]), "EdgeList: segment pointer is not non-decreasing");
+        assert!(
+            seg.windows(2).all(|w| w[0] <= w[1]),
+            "EdgeList: segment pointer is not non-decreasing"
+        );
         assert!(src.iter().all(|&s| s < sources), "EdgeList: a source is {sources} or more");
-        let dst = seg.windows(2).enumerate().flat_map(|(n, w)| std::iter::repeat_n(n, w[1] - w[0])).collect();
+        let dst = seg
+            .windows(2)
+            .enumerate()
+            .flat_map(|(n, w)| std::iter::repeat_n(n, w[1] - w[0]))
+            .collect();
         // A stable counting sort by source keeps each source's edges in
         // increasing id.
         let mut src_seg = vec![0; sources + 1];
@@ -364,7 +374,11 @@ impl<'a> EdgeRows<'a> {
             RowRead::Src(list) => (Some(list.src.as_slice()), Some(list.seg.as_slice())),
         };
         if read.is_table() {
-            assert_eq!(m.rows(), read.rows(0), "edge rows: the table's rows do not match its edge list");
+            assert_eq!(
+                m.rows(),
+                read.rows(0),
+                "edge rows: the table's rows do not match its edge list"
+            );
         }
         Self { m, index, seg }
     }
@@ -414,7 +428,10 @@ impl<'a> Lookup<'a> {
 /// Asserts that a table operand's list groups its edges by `seg`.
 fn check_read_seg(what: &str, table_seg: Option<&[usize]>, seg: &[usize]) {
     if let Some(table_seg) = table_seg {
-        assert!(std::ptr::eq(table_seg, seg) || table_seg == seg, "{what}: the table's edge list has another segment pointer");
+        assert!(
+            std::ptr::eq(table_seg, seg) || table_seg == seg,
+            "{what}: the table's edge list has another segment pointer"
+        );
     }
 }
 
@@ -441,56 +458,80 @@ fn grad_rows<S: Shape>(
     let mut data = pool::alloc_overwritten(rows * d);
     match (read, seg) {
         (RowRead::Edge, Some(seg)) => {
-            parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, d, d, |segs, chunk| {
-                let (d, base, mut sum) = (s.width(), seg[segs.start], s.sum());
-                for n in segs {
-                    for e in seg[n]..seg[n + 1] {
-                        let o = &mut chunk[(e - base) * d..][..d];
-                        let acc = s.summing(&mut sum, o);
-                        acc.fill(zero);
-                        add(acc, e, n);
-                        s.write(&sum, o);
+            parallel::par_segment_chunks(
+                &mut data,
+                seg,
+                SegmentRows::PerMember,
+                d,
+                d,
+                |segs, chunk| {
+                    let (d, base, mut sum) = (s.width(), seg[segs.start], s.sum());
+                    for n in segs {
+                        for e in seg[n]..seg[n + 1] {
+                            let o = &mut chunk[(e - base) * d..][..d];
+                            let acc = s.summing(&mut sum, o);
+                            acc.fill(zero);
+                            add(acc, e, n);
+                            s.write(&sum, o);
+                        }
                     }
-                }
-            });
+                },
+            );
         }
         // `max(1)` below: a zero-width operand has empty chunks and no rows.
-        (RowRead::Edge, None) => parallel::par_row_chunks(&mut data, edges, d, d, |range, chunk| {
-            let mut sum = s.sum();
-            for (o, e) in chunk.chunks_exact_mut(s.width().max(1)).zip(range) {
-                let acc = s.summing(&mut sum, o);
-                acc.fill(zero);
-                add(acc, e, e);
-                s.write(&sum, o);
-            }
-        }),
+        (RowRead::Edge, None) => {
+            parallel::par_row_chunks(&mut data, edges, d, d, |range, chunk| {
+                let mut sum = s.sum();
+                for (o, e) in chunk.chunks_exact_mut(s.width().max(1)).zip(range) {
+                    let acc = s.summing(&mut sum, o);
+                    acc.fill(zero);
+                    add(acc, e, e);
+                    s.write(&sum, o);
+                }
+            })
+        }
         (RowRead::Dst(list), _) => {
             let seg = list.seg.as_slice();
-            parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerSegment, d, d, |nodes, chunk| {
-                let mut sum = s.sum();
-                for (o, n) in chunk.chunks_exact_mut(s.width().max(1)).zip(nodes) {
-                    let acc = s.summing(&mut sum, o);
-                    acc.fill(zero);
-                    for e in seg[n]..seg[n + 1] {
-                        add(acc, e, n);
+            parallel::par_segment_chunks(
+                &mut data,
+                seg,
+                SegmentRows::PerSegment,
+                d,
+                d,
+                |nodes, chunk| {
+                    let mut sum = s.sum();
+                    for (o, n) in chunk.chunks_exact_mut(s.width().max(1)).zip(nodes) {
+                        let acc = s.summing(&mut sum, o);
+                        acc.fill(zero);
+                        for e in seg[n]..seg[n + 1] {
+                            add(acc, e, n);
+                        }
+                        s.write(&sum, o);
                     }
-                    s.write(&sum, o);
-                }
-            });
+                },
+            );
         }
         (RowRead::Src(list), _) => {
-            let (ptr, order, dst) = (list.src_seg.as_slice(), list.src_edges.as_slice(), list.dst.as_slice());
-            parallel::par_segment_chunks(&mut data, ptr, SegmentRows::PerSegment, d, d, |sources, chunk| {
-                let mut sum = s.sum();
-                for (o, src) in chunk.chunks_exact_mut(s.width().max(1)).zip(sources) {
-                    let acc = s.summing(&mut sum, o);
-                    acc.fill(zero);
-                    for &e in &order[ptr[src]..ptr[src + 1]] {
-                        add(acc, e, dst[e]);
+            let (ptr, order, dst) =
+                (list.src_seg.as_slice(), list.src_edges.as_slice(), list.dst.as_slice());
+            parallel::par_segment_chunks(
+                &mut data,
+                ptr,
+                SegmentRows::PerSegment,
+                d,
+                d,
+                |sources, chunk| {
+                    let mut sum = s.sum();
+                    for (o, src) in chunk.chunks_exact_mut(s.width().max(1)).zip(sources) {
+                        let acc = s.summing(&mut sum, o);
+                        acc.fill(zero);
+                        for &e in &order[ptr[src]..ptr[src + 1]] {
+                            add(acc, e, dst[e]);
+                        }
+                        s.write(&sum, o);
                     }
-                    s.write(&sum, o);
-                }
-            });
+                },
+            );
         }
     }
     Matrix::from_vec(rows, d, data)
@@ -529,37 +570,44 @@ fn segment_softmax_at<S: Shape>(s: S, x: &Matrix, seg: &[usize]) -> Matrix {
     let (e, h) = (x.rows(), s.width());
     let x = x.as_slice();
     let mut data = pool::alloc_overwritten(e * h);
-    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 16 * h, |segs, chunk| {
-        let (h, base) = (s.width(), seg[segs.start]);
-        chunk.copy_from_slice(&x[base * h..seg[segs.end] * h]);
-        let (mut max, mut sum) = (s.per_block(), s.per_block());
-        let (max, sum) = (max.as_mut(), sum.as_mut());
-        for n in segs {
-            let rows = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
-            // Stable softmax per head: subtract the head's max, exponentiate,
-            // divide by the sum when it is positive.
-            max.fill(f32::NEG_INFINITY);
-            for row in rows.chunks_exact(h.max(1)) {
-                for (m, &v) in max.iter_mut().zip(row) {
-                    *m = m.max(v);
+    parallel::par_segment_chunks(
+        &mut data,
+        seg,
+        SegmentRows::PerMember,
+        h,
+        16 * h,
+        |segs, chunk| {
+            let (h, base) = (s.width(), seg[segs.start]);
+            chunk.copy_from_slice(&x[base * h..seg[segs.end] * h]);
+            let (mut max, mut sum) = (s.per_block(), s.per_block());
+            let (max, sum) = (max.as_mut(), sum.as_mut());
+            for n in segs {
+                let rows = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
+                // Stable softmax per head: subtract the head's max, exponentiate,
+                // divide by the sum when it is positive.
+                max.fill(f32::NEG_INFINITY);
+                for row in rows.chunks_exact(h.max(1)) {
+                    for (m, &v) in max.iter_mut().zip(row) {
+                        *m = m.max(v);
+                    }
                 }
-            }
-            sum.fill(0.0);
-            for row in rows.chunks_exact_mut(h.max(1)) {
-                for ((v, &m), t) in row.iter_mut().zip(&*max).zip(sum.iter_mut()) {
-                    *v = (*v - m).exp();
-                    *t += *v;
+                sum.fill(0.0);
+                for row in rows.chunks_exact_mut(h.max(1)) {
+                    for ((v, &m), t) in row.iter_mut().zip(&*max).zip(sum.iter_mut()) {
+                        *v = (*v - m).exp();
+                        *t += *v;
+                    }
                 }
-            }
-            for row in rows.chunks_exact_mut(h.max(1)) {
-                for (v, &t) in row.iter_mut().zip(&*sum) {
-                    if t > 0.0 {
-                        *v /= t;
+                for row in rows.chunks_exact_mut(h.max(1)) {
+                    for (v, &t) in row.iter_mut().zip(&*sum) {
+                        if t > 0.0 {
+                            *v /= t;
+                        }
                     }
                 }
             }
-        }
-    });
+        },
+    );
     Matrix::from_vec(e, h, data)
 }
 
@@ -568,28 +616,39 @@ fn segment_softmax_grad_at<S: Shape>(s: S, y: &Matrix, g: &Matrix, seg: &[usize]
     let (e, h) = (y.rows(), s.width());
     let mut data = pool::alloc_overwritten(e * h);
     let (yd, gd) = (y.as_slice(), g.as_slice());
-    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, h, 4 * h, |segs, chunk| {
-        let (h, base) = (s.width(), seg[segs.start]);
-        let mut dot = s.per_block();
-        let dot = dot.as_mut();
-        for n in segs {
-            let span = seg[n] * h..seg[n + 1] * h;
-            let (ys, gs) = (&yd[span.clone()], &gd[span]);
-            let out = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
-            // `-0.0`, the start of an `f32` `sum`: the models' bits fold from it.
-            dot.fill(-0.0);
-            for (yr, gr) in ys.chunks_exact(h.max(1)).zip(gs.chunks_exact(h.max(1))) {
-                for ((t, &y), &g) in dot.iter_mut().zip(yr).zip(gr) {
-                    *t += y * g;
+    parallel::par_segment_chunks(
+        &mut data,
+        seg,
+        SegmentRows::PerMember,
+        h,
+        4 * h,
+        |segs, chunk| {
+            let (h, base) = (s.width(), seg[segs.start]);
+            let mut dot = s.per_block();
+            let dot = dot.as_mut();
+            for n in segs {
+                let span = seg[n] * h..seg[n + 1] * h;
+                let (ys, gs) = (&yd[span.clone()], &gd[span]);
+                let out = &mut chunk[(seg[n] - base) * h..(seg[n + 1] - base) * h];
+                // `-0.0`, the start of an `f32` `sum`: the models' bits fold from it.
+                dot.fill(-0.0);
+                for (yr, gr) in ys.chunks_exact(h.max(1)).zip(gs.chunks_exact(h.max(1))) {
+                    for ((t, &y), &g) in dot.iter_mut().zip(yr).zip(gr) {
+                        *t += y * g;
+                    }
+                }
+                for ((o, yr), gr) in out
+                    .chunks_exact_mut(h.max(1))
+                    .zip(ys.chunks_exact(h.max(1)))
+                    .zip(gs.chunks_exact(h.max(1)))
+                {
+                    for (((o, &y), &g), &t) in o.iter_mut().zip(yr).zip(gr).zip(&*dot) {
+                        *o = y * (g - t);
+                    }
                 }
             }
-            for ((o, yr), gr) in out.chunks_exact_mut(h.max(1)).zip(ys.chunks_exact(h.max(1))).zip(gs.chunks_exact(h.max(1))) {
-                for (((o, &y), &g), &t) in o.iter_mut().zip(yr).zip(gr).zip(&*dot) {
-                    *o = y * (g - t);
-                }
-            }
-        }
-    });
+        },
+    );
     Matrix::from_vec(e, h, data)
 }
 
@@ -620,23 +679,41 @@ fn segment_weighted_sum_at<S: Shape>(s: S, w: &Matrix, v: Lookup<'_>, seg: &[usi
 }
 
 /// Body of [`Matrix::segment_weighted_sum_grad_weights`].
-fn segment_weighted_sum_grad_weights_at<S: Shape>(s: S, v: Lookup<'_>, g: &Matrix, seg: &[usize]) -> Matrix {
+fn segment_weighted_sum_grad_weights_at<S: Shape>(
+    s: S,
+    v: Lookup<'_>,
+    g: &Matrix,
+    seg: &[usize],
+) -> Matrix {
     let e = seg[seg.len() - 1];
     let mut data = pool::alloc_overwritten(e * s.blocks());
     let gd = g.as_slice();
-    parallel::par_segment_chunks(&mut data, seg, SegmentRows::PerMember, s.blocks(), s.width(), |segs, chunk| {
-        let (d, h, base) = (s.width(), s.blocks(), seg[segs.start]);
-        for n in segs {
-            for e in seg[n]..seg[n + 1] {
-                fold_dots(s, 0.0, v.row(e, d), &gd[n * d..][..d], &mut chunk[(e - base) * h..]);
+    parallel::par_segment_chunks(
+        &mut data,
+        seg,
+        SegmentRows::PerMember,
+        s.blocks(),
+        s.width(),
+        |segs, chunk| {
+            let (d, h, base) = (s.width(), s.blocks(), seg[segs.start]);
+            for n in segs {
+                for e in seg[n]..seg[n + 1] {
+                    fold_dots(s, 0.0, v.row(e, d), &gd[n * d..][..d], &mut chunk[(e - base) * h..]);
+                }
             }
-        }
-    });
+        },
+    );
     Matrix::from_vec(e, s.blocks(), data)
 }
 
 /// Body of [`Matrix::segment_weighted_sum_grad_rows`].
-fn segment_weighted_sum_grad_rows_at<S: Shape>(s: S, w: &Matrix, g: &Matrix, seg: &[usize], read: RowRead<'_>) -> Matrix {
+fn segment_weighted_sum_grad_rows_at<S: Shape>(
+    s: S,
+    w: &Matrix,
+    g: &Matrix,
+    seg: &[usize],
+    read: RowRead<'_>,
+) -> Matrix {
     let (wd, gd) = (w.as_slice(), g.as_slice());
     grad_rows(s, read, w.rows(), Some(seg), 0.0, |o, e, n| {
         let (d, b, h) = (s.width(), s.block(), s.blocks());
@@ -704,7 +781,11 @@ impl Matrix {
     /// from zero in member order (`N × d`, `N = seg.len() − 1`), `v(e)` the
     /// row edge `e` reads. With softmax weights this is multi-head
     /// attention aggregation.
-    pub fn segment_weighted_sum<'a>(w: &Matrix, v: impl Into<EdgeRows<'a>>, seg: &[usize]) -> Matrix {
+    pub fn segment_weighted_sum<'a>(
+        w: &Matrix,
+        v: impl Into<EdgeRows<'a>>,
+        seg: &[usize],
+    ) -> Matrix {
         let v = v.into();
         assert_eq!(w.rows(), v.edges(), "segment_weighted_sum: weight/value mismatch");
         check_seg("segment_weighted_sum", seg, v.edges());
@@ -725,7 +806,11 @@ impl Matrix {
     ) -> Matrix {
         let v = v.into();
         assert_eq!(v.cols(), g.cols(), "segment_weighted_sum_grad_weights: width mismatch");
-        assert_eq!(g.rows() + 1, seg.len(), "segment_weighted_sum_grad_weights: one gradient row per segment");
+        assert_eq!(
+            g.rows() + 1,
+            seg.len(),
+            "segment_weighted_sum_grad_weights: one gradient row per segment"
+        );
         check_seg("segment_weighted_sum_grad_weights", seg, v.edges());
         check_read_seg("segment_weighted_sum_grad_weights", v.seg, seg);
         let d = v.cols();
@@ -744,8 +829,17 @@ impl Matrix {
     /// to the row it read, every row summed from +0.0 (so a lone `−0.0`
     /// product reads `+0.0`, as in the accumulating loop the per-edge
     /// kernel replaced and as a scatter onto a zeroed table gives).
-    pub fn segment_weighted_sum_grad_rows(w: &Matrix, g: &Matrix, seg: &[usize], read: RowRead<'_>) -> Matrix {
-        assert_eq!(g.rows() + 1, seg.len(), "segment_weighted_sum_grad_values: one gradient row per segment");
+    pub fn segment_weighted_sum_grad_rows(
+        w: &Matrix,
+        g: &Matrix,
+        seg: &[usize],
+        read: RowRead<'_>,
+    ) -> Matrix {
+        assert_eq!(
+            g.rows() + 1,
+            seg.len(),
+            "segment_weighted_sum_grad_values: one gradient row per segment"
+        );
         check_seg("segment_weighted_sum_grad_values", seg, w.rows());
         if let RowRead::Dst(list) | RowRead::Src(list) = read {
             check_read_seg("segment_weighted_sum_grad_values", Some(&list.seg), seg);
@@ -765,7 +859,11 @@ mod tests {
     fn awkward(rows: usize, cols: usize, salt: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
             let x = ((r * 37 + c * 11 + salt) % 23) as f32 - 11.0;
-            if x == 0.0 { -0.0 } else { x * 0.173_205 }
+            if x == 0.0 {
+                -0.0
+            } else {
+                x * 0.173_205
+            }
         })
     }
 
@@ -814,7 +912,12 @@ mod tests {
     }
 
     /// Returns the sum and both of its gradients for `E × 1` weights.
-    fn weighted_sum_ref(w: &[f32], v: &Matrix, g: &Matrix, seg: &[usize]) -> (Matrix, Vec<f32>, Matrix) {
+    fn weighted_sum_ref(
+        w: &[f32],
+        v: &Matrix,
+        g: &Matrix,
+        seg: &[usize],
+    ) -> (Matrix, Vec<f32>, Matrix) {
         let (n, d) = (seg.len() - 1, v.cols());
         let mut out = Matrix::zeros(n, d);
         let mut gw = vec![0.0; w.len()];
@@ -853,11 +956,17 @@ mod tests {
             let (v, g) = (awkward(e, d, 3), awkward(SEG.len() - 1, d, 4));
 
             let y = logits.segment_softmax(&SEG);
-            let want_y: Vec<Vec<f32>> = (0..heads).map(|h| softmax_ref(&column(&logits, h), &SEG)).collect();
+            let want_y: Vec<Vec<f32>> =
+                (0..heads).map(|h| softmax_ref(&column(&logits, h), &SEG)).collect();
             assert_bits(&y, &from_columns(&want_y), "segment_softmax");
-            let want_gy: Vec<Vec<f32>> =
-                (0..heads).map(|h| softmax_grad_ref(&column(&y, h), &column(&gy, h), &SEG)).collect();
-            assert_bits(&Matrix::segment_softmax_grad(&y, &gy, &SEG), &from_columns(&want_gy), "segment_softmax_grad");
+            let want_gy: Vec<Vec<f32>> = (0..heads)
+                .map(|h| softmax_grad_ref(&column(&y, h), &column(&gy, h), &SEG))
+                .collect();
+            assert_bits(
+                &Matrix::segment_softmax_grad(&y, &gy, &SEG),
+                &from_columns(&want_gy),
+                "segment_softmax_grad",
+            );
 
             let (mut outs, mut gws, mut gvs) = (Vec::new(), Vec::new(), Vec::new());
             for h in 0..heads {
@@ -886,8 +995,11 @@ mod tests {
             let q = awkward(e, d, 5);
             let dots: Vec<Vec<f32>> = (0..heads)
                 .map(|h| {
-                    let (qh, vh) = (q.slice_cols(h * b, (h + 1) * b), v.slice_cols(h * b, (h + 1) * b));
-                    (0..e).map(|r| qh.row(r).iter().zip(vh.row(r)).map(|(&x, &y)| x * y).sum()).collect()
+                    let (qh, vh) =
+                        (q.slice_cols(h * b, (h + 1) * b), v.slice_cols(h * b, (h + 1) * b));
+                    (0..e)
+                        .map(|r| qh.row(r).iter().zip(vh.row(r)).map(|(&x, &y)| x * y).sum())
+                        .collect()
                 })
                 .collect();
             assert_bits(&q.head_dots(&v, heads), &from_columns(&dots), "head_dots");

@@ -84,7 +84,9 @@ mod tests {
 
     #[test]
     fn spec_ranges_cover_rows_exactly() {
-        for (rows, shard_rows) in [(0usize, 4usize), (1, 4), (4, 4), (5, 4), (8, 4), (9, 4), (7, 1), (3, 100)] {
+        for (rows, shard_rows) in
+            [(0usize, 4usize), (1, 4), (4, 4), (5, 4), (8, 4), (9, 4), (7, 1), (3, 100)]
+        {
             let spec = ShardSpec::new(rows, shard_rows);
             let mut covered = 0usize;
             let mut prev_end = 0usize;

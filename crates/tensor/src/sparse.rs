@@ -58,10 +58,7 @@ impl Csr {
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi]
-            .iter()
-            .zip(&self.values[lo..hi])
-            .map(|(&c, &v)| (c, v))
+        self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]).map(|(&c, &v)| (c, v))
     }
 
     /// Column indices of row `r`.

@@ -215,11 +215,7 @@ mod tests {
     /// Full-sort reference: indices ordered by (score desc, index asc).
     fn sort_ref(row: &[f32]) -> Vec<u32> {
         let mut order: Vec<u32> = (0..row.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            row[b as usize]
-                .total_cmp(&row[a as usize])
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| row[b as usize].total_cmp(&row[a as usize]).then(a.cmp(&b)));
         order
     }
 

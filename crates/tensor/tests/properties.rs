@@ -17,14 +17,15 @@ fn dims3() -> impl Strategy<Value = (usize, usize, usize)> {
 
 /// Strategy: a sparse matrix as triplets over a `rows × cols` grid.
 fn csr(rows: usize, cols: usize) -> impl Strategy<Value = Csr> {
-    collection::vec(((0..rows), (0..cols), -5.0f32..5.0), 0..(rows * cols * 2))
-        .prop_map(move |trips| {
+    collection::vec(((0..rows), (0..cols), -5.0f32..5.0), 0..(rows * cols * 2)).prop_map(
+        move |trips| {
             let mut b = CsrBuilder::new(rows, cols);
             for (r, c, v) in trips {
                 b.push(r, c, v);
             }
             b.build()
-        })
+        },
+    )
 }
 
 proptest! {

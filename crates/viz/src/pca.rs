@@ -62,17 +62,14 @@ pub fn project(x: &Matrix, k: usize) -> Matrix {
     let mut out = Matrix::zeros(n, k);
     for r in 0..n {
         for (c, comp) in components.iter().enumerate() {
-            out[(r, c)] =
-                centered.row(r).iter().zip(comp).map(|(&a, &b)| a * b).sum();
+            out[(r, c)] = centered.row(r).iter().zip(comp).map(|(&a, &b)| a * b).sum();
         }
     }
     out
 }
 
 fn mat_vec(m: &Matrix, v: &[f32]) -> Vec<f32> {
-    (0..m.rows())
-        .map(|r| m.row(r).iter().zip(v).map(|(&a, &b)| a * b).sum())
-        .collect()
+    (0..m.rows()).map(|r| m.row(r).iter().zip(v).map(|(&a, &b)| a * b).sum()).collect()
 }
 
 fn normalize(v: &mut [f32]) -> f32 {

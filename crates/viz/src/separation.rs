@@ -89,10 +89,7 @@ pub fn attention_similarity_gap(
     assert!(!connected_pairs.is_empty(), "attention gap: no connected pairs");
     assert!(!random_pairs.is_empty(), "attention gap: no random pairs");
     let mean = |pairs: &[(usize, usize)]| -> f64 {
-        pairs
-            .iter()
-            .map(|&(a, b)| cosine(attention.row(a), attention.row(b)))
-            .sum::<f64>()
+        pairs.iter().map(|&(a, b)| cosine(attention.row(a), attention.row(b))).sum::<f64>()
             / pairs.len() as f64
     };
     mean(connected_pairs) - mean(random_pairs)
@@ -121,7 +118,10 @@ mod tests {
     #[test]
     fn silhouette_low_for_shuffled_labels() {
         let (pts, labels) = two_blobs();
-        let shuffled: Vec<usize> = labels.iter().map(|&l| 1 - l).enumerate()
+        let shuffled: Vec<usize> = labels
+            .iter()
+            .map(|&l| 1 - l)
+            .enumerate()
             .map(|(i, l)| if i % 2 == 0 { l } else { 1 - l })
             .collect();
         let good = silhouette(&pts, &labels);

@@ -137,12 +137,7 @@ fn pairwise_sq_dists(x: &Matrix) -> Vec<f32> {
     let mut d2 = vec![0.0f32; n * n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let d: f32 = x
-                .row(i)
-                .iter()
-                .zip(x.row(j))
-                .map(|(&a, &b)| (a - b) * (a - b))
-                .sum();
+            let d: f32 = x.row(i).iter().zip(x.row(j)).map(|(&a, &b)| (a - b) * (a - b)).sum();
             d2[i * n + j] = d;
             d2[j * n + i] = d;
         }

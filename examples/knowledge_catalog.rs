@@ -56,7 +56,11 @@ fn main() {
     let path = std::env::temp_dir().join("dgnn_knowledge_catalog.txt");
     io::save_graph(&catalog, &path).expect("save catalog");
     let reloaded = io::load_graph(&path).expect("load catalog");
-    println!("catalog saved to {} and reloaded ({} interactions)", path.display(), reloaded.interactions().len());
+    println!(
+        "catalog saved to {} and reloaded ({} interactions)",
+        path.display(),
+        reloaded.interactions().len()
+    );
 
     let mut rng = StdRng::seed_from_u64(1);
     let data = Dataset::leave_one_out("catalog", &reloaded, 2, 100, &mut rng);
@@ -83,8 +87,6 @@ fn main() {
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
         let top: Vec<usize> = ranked.iter().take(10).map(|&(v, _)| v).collect();
         let in_fav = top.iter().filter(|&&v| v % CATEGORIES == 0).count();
-        println!(
-            "top-10 for camera-lover user 0 ({label}): {in_fav}/10 in the favorite category"
-        );
+        println!("top-10 for camera-lover user 0 ({label}): {in_fav}/10 in the favorite category");
     }
 }

@@ -46,8 +46,7 @@ fn main() {
     let candidates: Vec<usize> =
         (0..data.graph.num_items()).filter(|v| !seen.contains(v)).collect();
     let scores = model.score(user, &candidates);
-    let mut ranked: Vec<(usize, f32)> =
-        candidates.into_iter().zip(scores).collect();
+    let mut ranked: Vec<(usize, f32)> = candidates.into_iter().zip(scores).collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("scores are finite"));
     println!("\ntop-5 recommendations for user {user}:");
     for (item, score) in ranked.iter().take(5) {

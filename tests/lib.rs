@@ -9,7 +9,14 @@ use rand::SeedableRng;
 
 /// A fast DGNN config for integration tests.
 pub fn quick_dgnn() -> DgnnConfig {
-    DgnnConfig { dim: 8, layers: 2, memory_units: 4, epochs: 4, batch_size: 256, ..DgnnConfig::default() }
+    DgnnConfig {
+        dim: 8,
+        layers: 2,
+        memory_units: 4,
+        epochs: 4,
+        batch_size: 256,
+        ..DgnnConfig::default()
+    }
 }
 
 /// A fast baseline config for integration tests.

@@ -30,10 +30,7 @@ fn removing_all_context_hurts() {
     let seeds = [1, 2, 3];
     let full = mean_hr(quick_dgnn(), &seeds);
     let stripped = mean_hr(quick_dgnn().without_social_and_knowledge(), &seeds);
-    assert!(
-        full >= stripped - 0.02,
-        "full model ({full:.4}) lost to -ST ({stripped:.4})"
-    );
+    assert!(full >= stripped - 0.02, "full model ({full:.4}) lost to -ST ({stripped:.4})");
 }
 
 #[test]
@@ -260,7 +257,10 @@ mod static_analysis {
         let e = tr.exp(wv);
         let loss = tr.mean_all(e);
         let report = audit(&tr, loss, &[], &params);
-        assert!(report.has(DiagnosticKind::UnstableDomain), "no stability hazard reported:\n{report}");
+        assert!(
+            report.has(DiagnosticKind::UnstableDomain),
+            "no stability hazard reported:\n{report}"
+        );
     }
 
     #[test]
@@ -275,7 +275,10 @@ mod static_analysis {
         let l = tr.ln(s);
         let loss = tr.mean_all(l);
         let report = audit(&tr, loss, &[], &params);
-        assert!(report.has(DiagnosticKind::UnstableDomain), "no ln-domain hazard reported:\n{report}");
+        assert!(
+            report.has(DiagnosticKind::UnstableDomain),
+            "no ln-domain hazard reported:\n{report}"
+        );
     }
 
     #[test]
@@ -305,7 +308,10 @@ mod static_analysis {
         let q = tr.div(num, den);
         let loss = tr.mean_all(q);
         let report = audit(&tr, loss, &[], &params);
-        assert!(report.has(DiagnosticKind::UnstableDomain), "no div-domain hazard reported:\n{report}");
+        assert!(
+            report.has(DiagnosticKind::UnstableDomain),
+            "no div-domain hazard reported:\n{report}"
+        );
     }
 
     #[test]
@@ -333,7 +339,10 @@ mod static_analysis {
         let r = tr.sqrt(wv);
         let loss = tr.mean_all(r);
         let report = audit(&tr, loss, &[], &params);
-        assert!(report.has(DiagnosticKind::UnstableDomain), "no sqrt-domain hazard reported:\n{report}");
+        assert!(
+            report.has(DiagnosticKind::UnstableDomain),
+            "no sqrt-domain hazard reported:\n{report}"
+        );
     }
 
     #[test]

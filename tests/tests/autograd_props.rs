@@ -46,8 +46,7 @@ fn fd_check(input: &Matrix, build: &dyn Fn(&mut Tape, Var) -> Var) -> Result<(),
 }
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    collection::vec(-1.5f32..1.5, rows * cols)
-        .prop_map(move |d| Matrix::from_vec(rows, cols, d))
+    collection::vec(-1.5f32..1.5, rows * cols).prop_map(move |d| Matrix::from_vec(rows, cols, d))
 }
 
 /// Deterministic pseudo-random matrix in `[-1, 1)` (shapes here depend on
@@ -90,11 +89,8 @@ fn bank_loss(t: &mut Tape, h: Var, w: Var, eta: Var, fused: bool) -> Var {
 /// Loss and the gradients w.r.t. `H`, `W` and `η` of [`bank_loss`].
 fn bank_loss_and_grads(h: &Matrix, w: &Matrix, eta: &Matrix, fused: bool) -> (f32, [Matrix; 3]) {
     let mut params = ParamSet::new();
-    let ids = [
-        params.add("h", h.clone()),
-        params.add("w", w.clone()),
-        params.add("eta", eta.clone()),
-    ];
+    let ids =
+        [params.add("h", h.clone()), params.add("w", w.clone()), params.add("eta", eta.clone())];
     let mut t = Tape::new();
     let [hv, wv, ev] = ids.map(|id| t.param(&params, id));
     let loss = bank_loss(&mut t, hv, wv, ev, fused);

@@ -59,10 +59,7 @@ fn pipeline_survives_disk_roundtrip() {
     model_a.fit(&data_a, 3);
     model_b.fit(&data_b, 3);
     assert_eq!(model_a.loss_history, model_b.loss_history);
-    assert_eq!(
-        model_a.user_embeddings().as_slice(),
-        model_b.user_embeddings().as_slice()
-    );
+    assert_eq!(model_a.user_embeddings().as_slice(), model_b.user_embeddings().as_slice());
 }
 
 #[test]
@@ -90,10 +87,7 @@ fn more_training_does_not_hurt_badly() {
     long.fit(&data, 7);
     let hr_short = evaluate_at(&short, &data.test, 10).hr;
     let hr_long = evaluate_at(&long, &data.test, 10).hr;
-    assert!(
-        hr_long >= hr_short * 0.8,
-        "long {hr_long:.4} collapsed vs short {hr_short:.4}"
-    );
+    assert!(hr_long >= hr_short * 0.8, "long {hr_long:.4} collapsed vs short {hr_short:.4}");
 }
 
 #[test]

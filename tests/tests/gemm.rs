@@ -100,12 +100,7 @@ fn all_entry_points(m: usize, k: usize, n: usize, seed: u64) -> Vec<Matrix> {
     let bt = mat(n, k, seed ^ 3);
     let at = mat(k, m, seed ^ 4); // for tn: (k×m)ᵀ · (k×n)
     let idx = idx_for(m, m.max(1), seed);
-    vec![
-        a.matmul(&b),
-        at.matmul_tn(&b),
-        a.matmul_nt(&bt),
-        a.gather_matmul_nt(&idx, &bt),
-    ]
+    vec![a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt), a.gather_matmul_nt(&idx, &bt)]
 }
 
 #[test]
@@ -125,8 +120,7 @@ fn parallel_is_bit_identical_to_serial_for_every_backend() {
         for &(m, k, n) in &shapes {
             let serial = with_backend(be, || with_pool(1, || all_entry_points(m, k, n, 42)));
             for threads in [2, 4] {
-                let par =
-                    with_backend(be, || with_pool(threads, || all_entry_points(m, k, n, 42)));
+                let par = with_backend(be, || with_pool(threads, || all_entry_points(m, k, n, 42)));
                 for (s, p) in serial.iter().zip(&par) {
                     assert_bits_eq(s, p, &format!("{be:?} {m}x{k}x{n} threads={threads}"));
                 }
@@ -211,7 +205,12 @@ fn tail_and_degenerate_shapes() {
                     let b = mat(k, n, 52);
                     let got = a.matmul(&b);
                     let want = with_backend(Backend::Scalar, || a.matmul(&b));
-                    assert_close(&want, &got, PACKED_VS_SCALAR_RTOL, &format!("{be:?} {m}x{k}x{n}"));
+                    assert_close(
+                        &want,
+                        &got,
+                        PACKED_VS_SCALAR_RTOL,
+                        &format!("{be:?} {m}x{k}x{n}"),
+                    );
                 }
             }
             // k = 0 must yield exact zeros (overwrite semantics).

@@ -264,9 +264,11 @@ fn every_dgnn_variant_trains_audits_and_round_trips() {
         let mut tr = ShapeTracer::new();
         let loss = model.record_step(&mut tr, &triples);
         let report = audit(&tr, loss, &[], model.params());
-        for kind in
-            [DiagnosticKind::ShapeMismatch, DiagnosticKind::IndexRange, DiagnosticKind::UnstableDomain]
-        {
+        for kind in [
+            DiagnosticKind::ShapeMismatch,
+            DiagnosticKind::IndexRange,
+            DiagnosticKind::UnstableDomain,
+        ] {
             assert!(!report.has(kind), "{name}: {kind:?} in the training graph:\n{report}");
         }
         if matches!(name, "full" | "-tau") {
@@ -289,8 +291,11 @@ fn every_dgnn_variant_trains_audits_and_round_trips() {
         assert!(m.hr.is_finite() && m.ndcg.is_finite(), "{name} produced NaN metrics");
         assert!(model.loss_history.iter().all(|l| l.is_finite()), "{name}: non-finite loss");
 
-        let path = std::env::temp_dir()
-            .join(format!("dgnn-grid-{}-{}.ckpt", std::process::id(), name.replace('=', "")));
+        let path = std::env::temp_dir().join(format!(
+            "dgnn-grid-{}-{}.ckpt",
+            std::process::id(),
+            name.replace('=', "")
+        ));
         model.save_checkpoint(&data.name, &path).expect("checkpoint saves");
         let restored = Dgnn::load_checkpoint(&path).expect("checkpoint loads");
         std::fs::remove_file(&path).ok();

@@ -52,12 +52,9 @@ fn run_mf_bpr(graph: &HeteroGraph, loop_cfg: TrainLoop, epochs: usize) {
         trainer.epoch(&mut params, |tape, params, triples, _| {
             let eu = tape.param(params, eu);
             let ev = tape.param(params, ev);
-            let users: Rc<Vec<usize>> =
-                Rc::new(triples.iter().map(|t| t.user as usize).collect());
-            let pos: Rc<Vec<usize>> =
-                Rc::new(triples.iter().map(|t| t.pos as usize).collect());
-            let neg: Rc<Vec<usize>> =
-                Rc::new(triples.iter().map(|t| t.neg as usize).collect());
+            let users: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.user as usize).collect());
+            let pos: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.pos as usize).collect());
+            let neg: Rc<Vec<usize>> = Rc::new(triples.iter().map(|t| t.neg as usize).collect());
             let ue = tape.gather(eu, users);
             let pe = tape.gather(ev, pos);
             let ne = tape.gather(ev, neg);
@@ -78,23 +75,16 @@ fn assert_epoch_spans(what: &str, epochs: usize, batches_per_epoch: usize, fit: 
     dgnn_obs::disable();
     dgnn_obs::reset();
 
-    let batch_begins = events
-        .iter()
-        .filter(|e| e.name == "batch" && e.phase == SpanPhase::Begin)
-        .count();
+    let batch_begins =
+        events.iter().filter(|e| e.name == "batch" && e.phase == SpanPhase::Begin).count();
     assert_eq!(batch_begins, epochs * batches_per_epoch, "{what}: batch spans");
-    let epoch_begins = events
-        .iter()
-        .filter(|e| e.name == "epoch" && e.phase == SpanPhase::Begin)
-        .count();
+    let epoch_begins =
+        events.iter().filter(|e| e.name == "epoch" && e.phase == SpanPhase::Begin).count();
     assert_eq!(epoch_begins, epochs, "{what}: epoch spans");
 
     // Every batch contains exactly one forward, backward, and optimizer span.
     for inner in ["forward", "backward", "optimizer"] {
-        let n = events
-            .iter()
-            .filter(|e| e.name == inner && e.phase == SpanPhase::Begin)
-            .count();
+        let n = events.iter().filter(|e| e.name == inner && e.phase == SpanPhase::Begin).count();
         assert_eq!(n, batch_begins, "{what}: one {inner} span per batch");
     }
 
@@ -128,10 +118,8 @@ fn assert_epoch_spans(what: &str, epochs: usize, batches_per_epoch: usize, fit: 
 fn every_fit_emits_exactly_epochs_times_batches_batch_spans() {
     let graph = planted_graph();
     let loop_cfg = TrainLoop { batch_size: 8, grad_clip: 10.0 };
-    let batches_per_epoch = TrainSampler::new(&graph)
-        .num_positives()
-        .div_ceil(loop_cfg.batch_size)
-        .max(1);
+    let batches_per_epoch =
+        TrainSampler::new(&graph).num_positives().div_ceil(loop_cfg.batch_size).max(1);
     assert_eq!(batches_per_epoch, 3, "planted graph: 24 positives / 8 per batch");
     assert_epoch_spans("MF", 3, batches_per_epoch, || run_mf_bpr(&graph, loop_cfg, 3));
 
@@ -167,7 +155,10 @@ fn every_model_trains_at_its_configured_thread_count() {
     let models = dgnn_baselines::all_models(&cfg).len() + 1;
     for i in 0..models {
         let (dgnn, cfg) = (dgnn.clone(), cfg.clone());
-        #[expect(clippy::disallowed_methods, reason = "a fresh thread per model, so each starts with an empty pool")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a fresh thread per model, so each starts with an empty pool"
+        )]
         let (name, threads, gauge) = std::thread::spawn(move || {
             let mut model: Box<dyn Trainable> = match i {
                 0 => Box::new(Dgnn::new(dgnn)),
@@ -223,10 +214,7 @@ fn dgnn_fit_populates_every_metric_family() {
     // The tape profiler attributes time to canonical op kinds only.
     assert!(!snap.ops.is_empty(), "op profile must be populated");
     for (kind, stat) in &snap.ops {
-        assert!(
-            dgnn_autograd::meta::ALL_OPS.contains(&kind.as_str()),
-            "unknown op kind {kind}"
-        );
+        assert!(dgnn_autograd::meta::ALL_OPS.contains(&kind.as_str()), "unknown op kind {kind}");
         assert!(stat.forward.calls > 0, "{kind} must have forward calls");
     }
 }
@@ -383,12 +371,7 @@ fn enabled_observer_overhead_is_bounded() {
 /// crate boundaries; keep the type usable from downstream crates.
 #[test]
 fn span_events_are_cloneable_across_crates() {
-    let e = SpanEvent {
-        name: Cow::Borrowed("x"),
-        phase: SpanPhase::Begin,
-        t_ns: 1,
-        depth: 0,
-    };
+    let e = SpanEvent { name: Cow::Borrowed("x"), phase: SpanPhase::Begin, t_ns: 1, depth: 0 };
     let copy = e.clone();
     assert_eq!(copy.name, e.name);
 }

@@ -38,28 +38,22 @@ fn with_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: bit mismatch at {i}: {x:?} vs {y:?}"
-        );
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: bit mismatch at {i}: {x:?} vs {y:?}");
     }
 }
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    collection::vec(-3.0f32..3.0, rows * cols)
-        .prop_map(move |d| Matrix::from_vec(rows, cols, d))
+    collection::vec(-3.0f32..3.0, rows * cols).prop_map(move |d| Matrix::from_vec(rows, cols, d))
 }
 
 fn csr(rows: usize, cols: usize) -> impl Strategy<Value = Csr> {
-    collection::vec(((0..rows), (0..cols), -2.0f32..2.0), 0..rows * cols)
-        .prop_map(move |trips| {
-            let mut b = CsrBuilder::new(rows, cols);
-            for (r, c, v) in trips {
-                b.push(r, c, v);
-            }
-            b.build()
-        })
+    collection::vec(((0..rows), (0..cols), -2.0f32..2.0), 0..rows * cols).prop_map(move |trips| {
+        let mut b = CsrBuilder::new(rows, cols);
+        for (r, c, v) in trips {
+            b.push(r, c, v);
+        }
+        b.build()
+    })
 }
 
 /// Random shapes kept small enough for quick cases but large enough that
@@ -454,11 +448,7 @@ fn quick_dgnn() -> DgnnConfig {
 fn assert_bits_eq_slice(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: bit mismatch at {i}: {x:?} vs {y:?}"
-        );
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: bit mismatch at {i}: {x:?} vs {y:?}");
     }
 }
 
@@ -479,16 +469,8 @@ fn dgnn_training_is_bit_identical_at_two_and_four_threads() {
         parallel::set_threads(1);
 
         assert_bits_eq_slice(&serial.loss_history, &par.loss_history, "DGNN loss history");
-        assert_bits_eq(
-            serial.user_embeddings(),
-            par.user_embeddings(),
-            "DGNN user embeddings",
-        );
-        assert_bits_eq(
-            serial.item_embeddings(),
-            par.item_embeddings(),
-            "DGNN item embeddings",
-        );
+        assert_bits_eq(serial.user_embeddings(), par.user_embeddings(), "DGNN user embeddings");
+        assert_bits_eq(serial.item_embeddings(), par.item_embeddings(), "DGNN item embeddings");
     }
 }
 
@@ -520,7 +502,10 @@ fn four_threads_dispatching_concurrently_at_three_threads_stay_exact() {
     let b = Matrix::from_fn(19, 23, |r, c| ((r * 23 + c) % 7) as f32 * 0.5 - 1.0);
     let serial = with_pool(1, || a.matmul(&b));
     let start = Barrier::new(4);
-    #[expect(clippy::disallowed_methods, reason = "concurrent dispatchers into the pool under test")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent dispatchers into the pool under test"
+    )]
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
@@ -551,7 +536,11 @@ fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| {
         s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let v = ((s >> 33) % 1000) as f32 / 250.0 - 2.0;
-        if v.abs() < 0.1 { 0.5 } else { v }
+        if v.abs() < 0.1 {
+            0.5
+        } else {
+            v
+        }
     })
 }
 
@@ -634,11 +623,21 @@ fn by_head(rows: usize, heads: usize, f: impl Fn(usize) -> Vec<f32>) -> Matrix {
 /// next to what a gather → per-edge kernel → `scatter_add_rows` pipeline
 /// computes, and every per-edge kernel next to the plain loops head by
 /// head. Destination tables are `n × d`, source tables `sources × d`.
-fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<(&'static str, Matrix, Matrix)> {
+fn table_read_pairs(
+    edges: &EdgeList,
+    heads: usize,
+    b: usize,
+    seed: u64,
+) -> Vec<(&'static str, Matrix, Matrix)> {
     let (n, s, e, d) = (edges.nodes(), edges.sources(), edges.len(), heads * b);
     let (seg, src, dst) = (edges.seg.as_slice(), edges.src.as_slice(), edges.dst.as_slice());
     let (q, k) = (signed(n, d, seed ^ 1), signed(s, d, seed ^ 2));
-    let (x, w, gy, g) = (signed(e, d, seed ^ 3), signed(e, heads, seed ^ 4), signed(e, heads, seed ^ 5), signed(n, d, seed ^ 6));
+    let (x, w, gy, g) = (
+        signed(e, d, seed ^ 3),
+        signed(e, heads, seed ^ 4),
+        signed(e, heads, seed ^ 5),
+        signed(n, d, seed ^ 6),
+    );
     let logits = signed(e, heads, seed ^ 7);
     let scatter = |rows: usize, idx: &[usize], grad: &Matrix| {
         let mut acc = Matrix::zeros(rows, d);
@@ -665,15 +664,39 @@ fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<
     vec![
         // HGT's logits: a destination table against a source table.
         ("head_dots dst·src", Matrix::head_dots_via(qd, ks, heads), qe.head_dots(&ke, heads)),
-        ("head_dots grad dst", Matrix::head_dots_grad(RowRead::Dst(edges), ks, &gy), scatter(n, dst, &ke.mul_col_broadcast(&gy))),
-        ("head_dots grad src", Matrix::head_dots_grad(RowRead::Src(edges), qd, &gy), scatter(s, src, &qe.mul_col_broadcast(&gy))),
+        (
+            "head_dots grad dst",
+            Matrix::head_dots_grad(RowRead::Dst(edges), ks, &gy),
+            scatter(n, dst, &ke.mul_col_broadcast(&gy)),
+        ),
+        (
+            "head_dots grad src",
+            Matrix::head_dots_grad(RowRead::Src(edges), qd, &gy),
+            scatter(s, src, &qe.mul_col_broadcast(&gy)),
+        ),
         // DGCF's affinity: a destination table against per-edge rows.
-        ("head_dots dst·edge", Matrix::head_dots_via(qd, (&x).into(), heads), qe.head_dots(&x, heads)),
-        ("head_dots grad edge", Matrix::head_dots_grad(RowRead::Edge, qd, &gy), qe.mul_col_broadcast(&gy)),
+        (
+            "head_dots dst·edge",
+            Matrix::head_dots_via(qd, (&x).into(), heads),
+            qe.head_dots(&x, heads),
+        ),
+        (
+            "head_dots grad edge",
+            Matrix::head_dots_grad(RowRead::Edge, qd, &gy),
+            qe.mul_col_broadcast(&gy),
+        ),
         // Aggregation over a source table (HGT's values, DGCF's last
         // propagation) and over a destination table.
-        ("weighted sum src", Matrix::segment_weighted_sum(&w, ks, seg), Matrix::segment_weighted_sum(&w, &ke, seg)),
-        ("weighted sum dst", Matrix::segment_weighted_sum(&w, qd, seg), Matrix::segment_weighted_sum(&w, &qe, seg)),
+        (
+            "weighted sum src",
+            Matrix::segment_weighted_sum(&w, ks, seg),
+            Matrix::segment_weighted_sum(&w, &ke, seg),
+        ),
+        (
+            "weighted sum dst",
+            Matrix::segment_weighted_sum(&w, qd, seg),
+            Matrix::segment_weighted_sum(&w, &qe, seg),
+        ),
         (
             "weighted sum grad weights src",
             Matrix::segment_weighted_sum_grad_weights(ks, &g, seg, heads),
@@ -691,7 +714,11 @@ fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<
         ),
         // The per-edge kernels the pairs above are held to, against the
         // plain loops.
-        ("head_dots plain", x.head_dots(&ke, heads), by_head(e, heads, |h| dot_ref(&x, &ke, block(h)))),
+        (
+            "head_dots plain",
+            x.head_dots(&ke, heads),
+            by_head(e, heads, |h| dot_ref(&x, &ke, block(h))),
+        ),
         ("segment_softmax plain", logits.segment_softmax(seg), y.clone()),
         (
             "segment_softmax_grad plain",
@@ -702,7 +729,9 @@ fn table_read_pairs(edges: &EdgeList, heads: usize, b: usize, seed: u64) -> Vec<
         (
             "weighted sum grad weights plain",
             Matrix::segment_weighted_sum_grad_weights(&x, &g, seg, heads),
-            Matrix::from_fn(e, heads, |r, h| block(h).fold(0.0, |acc, c| acc + g[(dst[r], c)] * x[(r, c)])),
+            Matrix::from_fn(e, heads, |r, h| {
+                block(h).fold(0.0, |acc, c| acc + g[(dst[r], c)] * x[(r, c)])
+            }),
         ),
         (
             "weighted sum grad values plain",
@@ -720,7 +749,9 @@ fn block_pairs(n: usize, b: usize, m: usize, seed: u64) -> Vec<(&'static str, Ma
         (
             "weighted_block_sum plain",
             t.weighted_block_sum(&eta),
-            Matrix::from_fn(n, b, |r, j| (1..m).fold(t[(r, j)] * eta[(r, 0)], |acc, u| acc + t[(r, u * b + j)] * eta[(r, u)])),
+            Matrix::from_fn(n, b, |r, j| {
+                (1..m).fold(t[(r, j)] * eta[(r, 0)], |acc, u| acc + t[(r, u * b + j)] * eta[(r, u)])
+            }),
         ),
         (
             "weighted_block_sum grad blocks plain",
@@ -730,7 +761,9 @@ fn block_pairs(n: usize, b: usize, m: usize, seed: u64) -> Vec<(&'static str, Ma
         (
             "weighted_block_sum grad weights plain",
             Matrix::weighted_block_sum_grad_weights(&t, &g),
-            Matrix::from_fn(n, m, |r, u| (0..b).fold(-0.0, |acc, j| acc + g[(r, j)] * t[(r, u * b + j)])),
+            Matrix::from_fn(n, m, |r, u| {
+                (0..b).fold(-0.0, |acc, j| acc + g[(r, j)] * t[(r, u * b + j)])
+            }),
         ),
     ]
 }
@@ -758,7 +791,8 @@ fn check_pairs(seed: u64, pairs: impl Fn() -> Vec<(&'static str, Matrix, Matrix)
 /// instances (d = 16 in 1, 2 and 4 heads) and, at run-time width, the
 /// `quick()` configs' d = 8 in 1, 2 and 4 heads and two widths no model
 /// trains at.
-const EDGE_SHAPES: [(usize, usize); 8] = [(16, 1), (16, 2), (16, 4), (8, 1), (8, 2), (8, 4), (12, 3), (6, 2)];
+const EDGE_SHAPES: [(usize, usize); 8] =
+    [(16, 1), (16, 2), (16, 4), (8, 1), (8, 2), (8, 4), (12, 3), (6, 2)];
 
 /// `(b, M)` for the memory-bank reduce: DGNN's 8 units of 16 (compiled),
 /// and at run-time width the quick preset's 4 of 8, the `-M` ablation's
@@ -826,7 +860,9 @@ fn fuzz_workload() -> Matrix {
     // The serving scorer into two column ranges: partitions of one to five
     // rows take the row-vector kernel or the tile as their span decides.
     let (s0, s1) = (PackedPanels::pack(&mat(10, 9, 28)), PackedPanels::pack(&mat(7, 9, 29)));
-    h.add_assign(&a.gather_matmul_panels(&(0..17).map(|i| (i * 5) % 17).collect::<Vec<_>>(), &[&s0, &s1]));
+    h.add_assign(
+        &a.gather_matmul_panels(&(0..17).map(|i| (i * 5) % 17).collect::<Vec<_>>(), &[&s0, &s1]),
+    );
     let t = top_k_rows(&h, 5);
     let mut out = h.l2_normalize_rows(1e-6);
     let mut tail = Matrix::zeros(17, 5);

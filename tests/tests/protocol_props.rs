@@ -13,9 +13,9 @@ use rand::SeedableRng;
 /// Arbitrary small heterogeneous graph.
 fn arb_graph() -> impl Strategy<Value = dgnn_graph::HeteroGraph> {
     (
-        4usize..12,                                          // users
-        110usize..160,                                       // items (≥ negatives pool)
-        1usize..4,                                           // relations
+        4usize..12,    // users
+        110usize..160, // items (≥ negatives pool)
+        1usize..4,     // relations
         collection::vec((0usize..12, 0usize..110, 0u32..50), 20..120),
         collection::vec((0usize..12, 0usize..12), 0..30),
     )

@@ -58,7 +58,10 @@ fn sample_checkpoint() -> Checkpoint {
     let mut ckpt = Checkpoint::new();
     ckpt.set_meta("model", "sample");
     ckpt.set_meta("dim", "3");
-    ckpt.push_matrix("final/user_scoring", &Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+    ckpt.push_matrix(
+        "final/user_scoring",
+        &Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    );
     ckpt.push_matrix("final/item", &Matrix::from_vec(4, 3, (0..12).map(|i| i as f32).collect()));
     ckpt.push_u32("seen/indptr", vec![0, 1, 2]);
     ckpt.push_u32("seen/items", vec![3, 0]);
@@ -96,10 +99,7 @@ fn single_byte_flips_never_panic_and_targeted_flips_are_typed() {
     // Version field (bytes 4..8, little-endian).
     let mut bad = bytes.clone();
     bad[4] = 99;
-    assert!(matches!(
-        Checkpoint::from_bytes(&bad),
-        Err(CheckpointError::UnsupportedVersion(99))
-    ));
+    assert!(matches!(Checkpoint::from_bytes(&bad), Err(CheckpointError::UnsupportedVersion(99))));
     // Meta byte: digest mismatch.
     let meta_pos = bytes
         .windows(b"model=sample".len())
@@ -109,16 +109,11 @@ fn single_byte_flips_never_panic_and_targeted_flips_are_typed() {
     bad[meta_pos] ^= 0x01;
     assert!(matches!(Checkpoint::from_bytes(&bad), Err(CheckpointError::DigestMismatch)));
     // Payload byte: the f32 1.0 (0x3f800000 LE) only occurs in tensor data.
-    let payload_pos = bytes
-        .windows(4)
-        .position(|w| w == 1.0f32.to_le_bytes())
-        .expect("payload float present");
+    let payload_pos =
+        bytes.windows(4).position(|w| w == 1.0f32.to_le_bytes()).expect("payload float present");
     let mut bad = bytes.clone();
     bad[payload_pos] ^= 0x01;
-    assert!(matches!(
-        Checkpoint::from_bytes(&bad),
-        Err(CheckpointError::ChecksumMismatch { .. })
-    ));
+    assert!(matches!(Checkpoint::from_bytes(&bad), Err(CheckpointError::ChecksumMismatch { .. })));
 }
 
 #[test]
@@ -139,14 +134,17 @@ fn only_the_scoring_table_is_served() {
     ckpt.push_matrix("final/user", &Matrix::from_vec(2, 1, vec![1.0, 2.0]));
     ckpt.push_matrix("final/item", &Matrix::from_vec(1, 1, vec![1.0]));
     let got = Engine::from_checkpoint(&Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap());
-    assert!(matches!(got, Err(CheckpointError::MissingTensor(name)) if name == "final/user_scoring"));
+    assert!(
+        matches!(got, Err(CheckpointError::MissingTensor(name)) if name == "final/user_scoring")
+    );
     // Checkpoints used to carry τ as a CSR triple beside the recalibrated
     // table; such a file serves its `final/user_scoring` as stored.
     ckpt.push_matrix("final/user_scoring", &Matrix::from_vec(2, 1, vec![3.0, 5.0]));
     ckpt.push_u32("tau/indptr", vec![0, 1, 1]);
     ckpt.push_u32("tau/cols", vec![1]);
     ckpt.push_f32("tau/values", 1, 1, vec![0.5]);
-    let engine = Engine::from_checkpoint(&Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap()).unwrap();
+    let engine =
+        Engine::from_checkpoint(&Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap()).unwrap();
     assert_eq!(engine.scores_for(0).unwrap(), vec![3.0]);
     assert_eq!(engine.scores_for(1).unwrap(), vec![5.0]);
 }
@@ -196,18 +194,14 @@ fn served_topk_matches_in_memory_model_at_any_thread_count() {
             let mut sel = vec![0f32; K];
             top_k_row(&scores, &mut idx, &mut sel);
 
-            let served = engine
-                .recommend(Query { user, k: K, exclude_seen: false })
-                .unwrap();
+            let served = engine.recommend(Query { user, k: K, exclude_seen: false }).unwrap();
             let served_items: Vec<u32> = served.iter().map(|s| s.item).collect();
             assert_eq!(served_items, idx, "user {user}: served top-{K} diverges in memory");
             let served_bits: Vec<u32> = served.iter().map(|s| s.score.to_bits()).collect();
             let want_bits: Vec<u32> = sel.iter().map(|s| s.to_bits()).collect();
             assert_eq!(served_bits, want_bits, "user {user}: served scores diverge");
 
-            let from_shards = sharded
-                .recommend(Query { user, k: K, exclude_seen: false })
-                .unwrap();
+            let from_shards = sharded.recommend(Query { user, k: K, exclude_seen: false }).unwrap();
             let shard_items: Vec<u32> = from_shards.iter().map(|s| s.item).collect();
             let shard_bits: Vec<u32> = from_shards.iter().map(|s| s.score.to_bits()).collect();
             assert_eq!(shard_items, idx, "user {user}: sharded top-{K} diverges from memory");

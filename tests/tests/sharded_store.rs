@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use dgnn_data::scale_tiny;
 use dgnn_serve::{
-    save_segmented, Checkpoint, CheckpointError, Engine, Query, QueryError,
-    SegmentedCheckpoint, SegmentedWriter, ServeConfig, Server,
+    save_segmented, Checkpoint, CheckpointError, Engine, Query, QueryError, SegmentedCheckpoint,
+    SegmentedWriter, ServeConfig, Server,
 };
 use dgnn_tensor::{parallel, Matrix};
 use rand::rngs::StdRng;
@@ -48,9 +48,8 @@ fn fresh_dir(name: &str) -> PathBuf {
 /// a valid CSR seen-list, and the metadata a trained export carries.
 fn synth_checkpoint(seed: u64) -> Checkpoint {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut fill = |rows: usize| {
-        (0..rows * DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<f32>>()
-    };
+    let mut fill =
+        |rows: usize| (0..rows * DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<f32>>();
     let user = Matrix::from_vec(USERS, DIM, fill(USERS));
     let item = Matrix::from_vec(ITEMS, DIM, fill(ITEMS));
     let mut indptr = vec![0u32];
@@ -114,9 +113,8 @@ fn sharded_engine_is_bit_identical_to_dense_at_both_thread_counts() {
     for threads in [1usize, 4] {
         parallel::set_threads(threads);
         for exclude_seen in [false, true] {
-            let queries: Vec<Query> = (0..USERS)
-                .map(|u| Query { user: u as u32, k: 5, exclude_seen })
-                .collect();
+            let queries: Vec<Query> =
+                (0..USERS).map(|u| Query { user: u as u32, k: 5, exclude_seen }).collect();
             let a = dense.recommend_batch(&queries);
             let b = sharded.recommend_batch(&queries);
             for (u, (ra, rb)) in a.iter().zip(&b).enumerate() {
@@ -150,7 +148,10 @@ fn only_segmented_engines_report_shard_stats() {
     whole.recommend(Query { user: 0, k: 5, exclude_seen: true }).expect("healthy query");
     assert_eq!(whole.shard_stats(), None, "queries do not turn a whole engine into a sharded one");
 
-    let stats = Engine::open_segmented(&dir).expect("sharded engine").shard_stats().expect("segmented stats");
+    let stats = Engine::open_segmented(&dir)
+        .expect("sharded engine")
+        .shard_stats()
+        .expect("segmented stats");
     let seg = SegmentedCheckpoint::open(&dir).expect("manifest");
     assert_eq!(
         (stats.user_total, stats.item_total),
@@ -179,10 +180,8 @@ fn every_truncation_of_every_file_is_a_typed_error() {
         let original = std::fs::read(file).expect("reading fixture file");
         for keep in [0usize, 1, 4, original.len() / 2, original.len() - 1] {
             std::fs::write(file, &original[..keep]).expect("truncating");
-            let err = open_all(&dir).expect_err(&format!(
-                "{} truncated to {keep} bytes must fail",
-                file.display()
-            ));
+            let err = open_all(&dir)
+                .expect_err(&format!("{} truncated to {keep} bytes must fail", file.display()));
             // Any typed variant is acceptable; reaching here already proves
             // no panic. Exercise Display for coverage of the error path.
             let _ = err.to_string();
@@ -206,10 +205,8 @@ fn every_byte_flip_region_of_every_file_is_a_typed_error() {
             let mut mutated = original.clone();
             mutated[offset] ^= 0xA5;
             std::fs::write(file, &mutated).expect("writing flip");
-            let err = open_all(&dir).expect_err(&format!(
-                "{} with byte {offset} flipped must fail",
-                file.display()
-            ));
+            let err = open_all(&dir)
+                .expect_err(&format!("{} with byte {offset} flipped must fail", file.display()));
             let _ = err.to_string();
         }
         std::fs::write(file, &original).expect("restoring");
@@ -345,7 +342,8 @@ fn sharded_server_under_skewed_load_matches_dense_and_stays_lazy() {
     }
     w.finish().expect("manifest");
 
-    let whole = SegmentedCheckpoint::open(&dir).and_then(|seg| seg.reassemble()).expect("reassemble");
+    let whole =
+        SegmentedCheckpoint::open(&dir).and_then(|seg| seg.reassemble()).expect("reassemble");
     let dense = Engine::from_checkpoint(&whole).expect("dense engine");
     let served = Arc::new(Engine::open_segmented(&dir).expect("sharded engine"));
     let server = Server::start(Arc::clone(&served), ServeConfig::default()).expect("server");
@@ -362,11 +360,16 @@ fn sharded_server_under_skewed_load_matches_dense_and_stays_lazy() {
                 for r in 0..16u32 {
                     let user = (c + r) % 2 * 2 * per_shard + (c * 131 + r * 37) % per_shard;
                     let q = Query { user, k: K, exclude_seen: r % 3 == 0 };
-                    let target = format!("/recommend?user={user}&k={K}&exclude_seen={}", q.exclude_seen);
+                    let target =
+                        format!("/recommend?user={user}&k={K}&exclude_seen={}", q.exclude_seen);
                     let (status, body) = get(addr, &target);
                     assert_eq!(status, 200, "user {user}: {body:?}");
-                    let want: Vec<String> =
-                        dense.recommend(q).expect("dense answer").iter().map(|s| s.item.to_string()).collect();
+                    let want: Vec<String> = dense
+                        .recommend(q)
+                        .expect("dense answer")
+                        .iter()
+                        .map(|s| s.item.to_string())
+                        .collect();
                     let needle = format!("\"items\":[{}]", want.join(","));
                     assert!(body.contains(&needle), "user {user}: served {body:?}, dense {needle}");
                 }
@@ -382,7 +385,8 @@ fn sharded_server_under_skewed_load_matches_dense_and_stays_lazy() {
     let (status, body) = get(addr, "/metrics");
     assert_eq!(status, 200, "metrics scrape failed: {body:?}");
     let samples = dgnn_obs::export::parse_prometheus_text(&body).expect("valid /metrics");
-    let mut series = vec!["serve_shard_user_resident", "serve_shard_loads", "serve_engine_item_panel_bytes"];
+    let mut series =
+        vec!["serve_shard_user_resident", "serve_shard_loads", "serve_engine_item_panel_bytes"];
     if dgnn_obs::procstat::rss_bytes().is_some() {
         series.push("proc_rss_bytes");
     }

@@ -149,13 +149,16 @@ fn live_scrape_endpoints_are_valid_and_consistent() {
     }
     // The one-off item pack at engine build is visible: its cost, and the
     // bytes of the one layout item embeddings are resident in.
-    assert!(value("serve_engine_item_pack_ms_count").unwrap_or(0.0) >= 1.0, "item pack not recorded");
-    assert!(value("serve_engine_item_panel_bytes").unwrap_or(0.0) > 0.0, "item panel bytes not exported");
-    let buckets: Vec<f64> = parsed
-        .iter()
-        .filter(|s| s.name == "serve_latency_ms_bucket")
-        .map(|s| s.value)
-        .collect();
+    assert!(
+        value("serve_engine_item_pack_ms_count").unwrap_or(0.0) >= 1.0,
+        "item pack not recorded"
+    );
+    assert!(
+        value("serve_engine_item_panel_bytes").unwrap_or(0.0) > 0.0,
+        "item panel bytes not exported"
+    );
+    let buckets: Vec<f64> =
+        parsed.iter().filter(|s| s.name == "serve_latency_ms_bucket").map(|s| s.value).collect();
     assert!(!buckets.is_empty(), "no latency buckets exported");
     assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "buckets not cumulative: {buckets:?}");
 

@@ -11,9 +11,7 @@ use proptest::prelude::*;
 /// select must prefix-match.
 fn argsort_desc(scores: &[f32]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..scores.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        scores[b as usize].total_cmp(&scores[a as usize]).then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]).then(a.cmp(&b)));
     order
 }
 
@@ -31,9 +29,8 @@ fn with_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// reference order. The vendored proptest has no `i32` range strategy, so
 /// quantize from `u32`.
 fn tied_scores() -> impl Strategy<Value = Vec<f32>> {
-    collection::vec(0u32..4, 1..48).prop_map(|qs| {
-        qs.into_iter().map(|q| q as f32 * 0.25 - 0.5).collect()
-    })
+    collection::vec(0u32..4, 1..48)
+        .prop_map(|qs| qs.into_iter().map(|q| q as f32 * 0.25 - 0.5).collect())
 }
 
 proptest! {
@@ -98,8 +95,7 @@ proptest! {
 /// +inf, -0.0 below +0.0) — and nothing panics.
 #[test]
 fn non_finite_scores_follow_total_order() {
-    let scores =
-        [f32::NAN, 1.0, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, f32::NAN];
+    let scores = [f32::NAN, 1.0, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, f32::NAN];
     let mut idx = vec![0u32; scores.len()];
     let mut sel = vec![0f32; scores.len()];
     top_k_row(&scores, &mut idx, &mut sel);
