@@ -1,16 +1,22 @@
 #!/usr/bin/env bash
 # CI gate: the static stage first (formatting, clippy with the workspace's
-# source rules, the metric-name lint; no training step), then the release
-# build of every target (tests and benches included) with warnings denied, a
-# smoke run of the experiment runner, the full test suite, then same-run
-# ratio gates. Absolute speed is the benchmark/ ruler's job, not a CI gate.
+# source rules, the metric-name lint, the compute-graph audit; no training
+# step), then the release build of every target (tests and benches
+# included) with warnings denied, a smoke run of the experiment runner, the
+# full test suite, then same-run ratio gates. Absolute speed is the
+# benchmark/ ruler's job, not a CI gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "=== [1/7] static: rustfmt, clippy (source rules denied), metric-name lint ==="
+echo "=== [1/7] static: rustfmt, clippy (source rules denied), metric-name lint, graph audit ==="
 cargo fmt --all --check
 cargo clippy -q --workspace --all-targets -- -D warnings
 cargo run -q -p dgnn-analysis --bin lint .
+# Stage 4 runs these two suites again. Here, on a 2-core host, they fail a
+# broken model graph about 45 s sooner than stage 4 would, for under a
+# second on a warm tree.
+cargo test -q -p dgnn-analysis
+cargo test -q -p dgnn-integration-tests --test ablation_shape static_analysis
 
 echo "=== [2/7] release build of every target (warnings denied) ==="
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace --all-targets

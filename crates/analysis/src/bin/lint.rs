@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-// Most to-do markers the sources may hold; lines above a metric call its OBS marker may sit.
+// The to-do marker budget, and how far above a metric call its `// OBS:` may sit.
 const MARKER_BUDGET: u32 = 1;
 const MARKER_WINDOW: usize = 4;
 

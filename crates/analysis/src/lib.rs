@@ -49,7 +49,8 @@
 //! ```
 //!
 //! Source rules are clippy lints (`clippy.toml`); the `lint` binary checks
-//! the one clippy cannot say: canonical metric-name literals.
+//! the two clippy cannot say: canonical metric-name literals and a to-do
+//! marker budget.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
